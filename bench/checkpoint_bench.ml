@@ -1,53 +1,32 @@
 (* Checkpoint hot-path benchmark: arena-backed undo log vs the seed's
    list-based log, write coalescing, and dirty-region restarts.
 
-   Run with [dune exec bench/main.exe checkpoint]. Emits a JSON report
-   (path from OSIRIS_BENCH_JSON, default BENCH_checkpoint.json) and
-   exits non-zero when a regression gate fails, so a small-budget run
-   doubles as a CI smoke test:
+   Run with [dune exec bench/main.exe checkpoint] (artifact
+   BENCH_checkpoint.json; [--smoke] for the runtest variant, see
+   benchkit.ml). Exits non-zero when an enforced gate fails.
 
-     OSIRIS_BENCH_MS      per-measurement wall budget in ms (default 200)
-     OSIRIS_BENCH_JSON    output path (default BENCH_checkpoint.json)
-     OSIRIS_BENCH_MIN_SPEEDUP
-                          minimum arena-vs-legacy record/rollback
-                          speedup before the gate trips (default 1.2 —
-                          deliberately far below the ~3x we measure, to
-                          keep CI stable on loaded machines) *)
+   Gates:
+     alloc_free_record          exact   10k steady-state records allocate
+                                        < 1024 minor words
+     record_speedup             timing  arena vs legacy list record
+                                        speedup >= 1.2 (deliberately far
+                                        below the ~3x we measure, to keep
+                                        CI stable on loaded machines)
+     rollback_speedup           timing  same, record+rollback storm
+     coalescing_shrinks_log     exact   coalescing cuts a write-hot
+                                        storm's log >= 4x
+     restore_scales_with_dirty  exact   restored bytes track dirty
+                                        granules, not image size *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
+let min_speedup = 1.2
 
-let min_speedup () =
-  match Sys.getenv_opt "OSIRIS_BENCH_MIN_SPEEDUP" with
-  | Some s -> (try float_of_string s with _ -> 1.2)
-  | None -> 1.2
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_checkpoint.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
-
-(* ns per operation of [batch] (which performs [ops] operations),
-   repeated until the wall budget is spent. *)
-let time_per_op ~ops batch =
-  batch ();
-  (* warm caches, grow arenas *)
-  let budget = budget_ns () in
-  let t0 = now_ns () in
-  let batches = ref 0 in
-  while now_ns () -. t0 < budget do
-    batch ();
-    incr batches
-  done;
-  let elapsed = now_ns () -. t0 in
-  elapsed /. float_of_int (max 1 !batches * ops)
+(* Mean ns per operation of each batch in [batches] (each performs
+   [ops] operations), interleaved over the mode's budget. *)
+let time_per_op ~ops batches =
+  Array.map
+    (fun a ->
+       Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a * ops))
+    (Benchkit.measure (List.map Benchkit.timed batches))
 
 (* ------------------------------------------------------------------ *)
 (* The seed's undo log, reproduced: a cons-list of (offset, old bytes)
@@ -104,45 +83,27 @@ type record_result = {
 
 let storm_offsets = 4096 (* distinct 8-byte words in the storm *)
 
-let record_storm () =
+(* Arena vs legacy ns/op over a storm of distinct-word records, each
+   batch ending in a clear or, with [~rollback], a rollback. *)
+let arena_vs_legacy ~rollback =
   let image = Memimage.create ~name:"bench" ~size:(1 lsl 20) in
-  let arena = Undo_log.create () in
-  let arena_ns =
-    time_per_op ~ops:storm_offsets (fun () ->
-        for i = 0 to storm_offsets - 1 do
-          ignore (Undo_log.record arena ~image ~offset:(8 * i) ~len:8)
-        done;
-        Undo_log.clear arena)
+  let arena = Undo_log.create () and legacy = Legacy_log.create () in
+  let ns =
+    time_per_op ~ops:storm_offsets
+      [ (fun () ->
+          for i = 0 to storm_offsets - 1 do
+            ignore (Undo_log.record arena ~image ~offset:(8 * i) ~len:8)
+          done;
+          if rollback then Undo_log.rollback arena image
+          else Undo_log.clear arena);
+        (fun () ->
+          for i = 0 to storm_offsets - 1 do
+            Legacy_log.record legacy image ~offset:(8 * i) ~len:8
+          done;
+          if rollback then Legacy_log.rollback legacy image
+          else Legacy_log.clear legacy) ]
   in
-  let legacy = Legacy_log.create () in
-  let legacy_ns =
-    time_per_op ~ops:storm_offsets (fun () ->
-        for i = 0 to storm_offsets - 1 do
-          Legacy_log.record legacy image ~offset:(8 * i) ~len:8
-        done;
-        Legacy_log.clear legacy)
-  in
-  { arena_ns; legacy_ns; speedup = legacy_ns /. arena_ns }
-
-let record_rollback_storm () =
-  let image = Memimage.create ~name:"bench" ~size:(1 lsl 20) in
-  let arena = Undo_log.create () in
-  let arena_ns =
-    time_per_op ~ops:storm_offsets (fun () ->
-        for i = 0 to storm_offsets - 1 do
-          ignore (Undo_log.record arena ~image ~offset:(8 * i) ~len:8)
-        done;
-        Undo_log.rollback arena image)
-  in
-  let legacy = Legacy_log.create () in
-  let legacy_ns =
-    time_per_op ~ops:storm_offsets (fun () ->
-        for i = 0 to storm_offsets - 1 do
-          Legacy_log.record legacy image ~offset:(8 * i) ~len:8
-        done;
-        Legacy_log.rollback legacy image)
-  in
-  { arena_ns; legacy_ns; speedup = legacy_ns /. arena_ns }
+  { arena_ns = ns.(0); legacy_ns = ns.(1); speedup = ns.(1) /. ns.(0) }
 
 let coalesced_storm () =
   (* the write-hot case coalescing targets: every word hit 8 times *)
@@ -159,17 +120,16 @@ let coalesced_storm () =
     Undo_log.clear log;
     n
   in
-  let run log =
-    time_per_op ~ops:storm_offsets (fun () ->
-        fill log;
-        Undo_log.rollback log image)
+  let run log () =
+    fill log;
+    Undo_log.rollback log image
   in
   let plain = Undo_log.create () in
   let coal = Undo_log.create ~coalesce:true () in
   let plain_entries = entries plain in
   let coalesce_entries = entries coal in
-  let plain_ns = run plain in
-  let coalesce_ns = run coal in
+  let ns = time_per_op ~ops:storm_offsets [ run plain; run coal ] in
+  let plain_ns = ns.(0) and coalesce_ns = ns.(1) in
   (plain_ns, coalesce_ns, plain_ns /. coalesce_ns, plain_entries,
    coalesce_entries)
 
@@ -186,10 +146,7 @@ let alloc_per_10k () =
   in
   storm ();
   (* grow arena + table to steady state *)
-  let w0 = Gc.minor_words () in
-  storm ();
-  let w1 = Gc.minor_words () in
-  int_of_float (w1 -. w0)
+  int_of_float (Benchkit.minor_words_of storm)
 
 type restore_result = {
   image_bytes : int;
@@ -205,55 +162,46 @@ let restore_bench () =
   let size = 1 lsl 20 in
   let image = Memimage.create ~name:"bench" ~size in
   Memimage.set_baseline image;
-  let touch () =
+  let touch image =
     (* a sparse write pattern: 64 words scattered across the image *)
     for i = 0 to 63 do
       Memimage.set_word image (i * 16_384) (i + 1)
     done
   in
-  touch ();
+  touch image;
   let dirty_granules = Memimage.dirty_granules image in
   let restored_bytes = Memimage.restore_baseline image in
-  let saved0 = Memimage.restore_bytes_saved image in
-  let bytes_saved = saved0 in
-  let dirty_ns =
-    time_per_op ~ops:1 (fun () ->
-        touch ();
-        ignore (Memimage.restore_baseline image))
+  let bytes_saved = Memimage.restore_bytes_saved image in
+  (* The pre-dirty-tracking restart path blits the whole image back. It
+     runs on its own image: a full restore marks every granule dirty,
+     which would turn the next dirty restore into a full one too. *)
+  let full_image = Memimage.create ~name:"bench-full" ~size in
+  let pristine = Memimage.snapshot full_image in
+  let ns =
+    time_per_op ~ops:1
+      [ (fun () ->
+          touch image;
+          ignore (Memimage.restore_baseline image));
+        (fun () ->
+          touch full_image;
+          Memimage.restore full_image pristine) ]
   in
-  (* the pre-dirty-tracking restart path: blit the whole image back *)
-  let pristine = Memimage.snapshot image in
-  let full_ns =
-    time_per_op ~ops:1 (fun () ->
-        touch ();
-        Memimage.restore image pristine)
-  in
-  Memimage.restore_baseline image |> ignore;
+  let dirty_ns = ns.(0) and full_ns = ns.(1) in
   { image_bytes = size; dirty_granules; restored_bytes; bytes_saved;
     full_ns; dirty_ns; restore_speedup = full_ns /. dirty_ns }
 
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let run () =
   Printf.printf
     "\n================================================================\n\
      Checkpoint substrate: arena undo log, coalescing, dirty restarts\n\
      ================================================================\n";
-  let rec_res = record_storm () in
+  let rec_res = arena_vs_legacy ~rollback:false in
   Printf.printf
     "record storm (%d x 8B stores): arena %6.1f ns/op | legacy list %6.1f ns/op | %.2fx\n"
     storm_offsets rec_res.arena_ns rec_res.legacy_ns rec_res.speedup;
-  let rb_res = record_rollback_storm () in
+  let rb_res = arena_vs_legacy ~rollback:true in
   Printf.printf
     "record+rollback storm:         arena %6.1f ns/op | legacy list %6.1f ns/op | %.2fx\n"
     rb_res.arena_ns rb_res.legacy_ns rb_res.speedup;
@@ -293,78 +241,55 @@ let run () =
   let rows = probe "enhanced" Policy.enhanced in
   let rows_stateless = probe "stateless" Policy.stateless in
   (* ---- gates ---- *)
-  let threshold = min_speedup () in
-  let alloc_ok = minor_words < 1024 in
-  let record_ok = rec_res.speedup >= threshold in
-  let rollback_ok = rb_res.speedup >= threshold in
   let restore_ok =
     (* restored bytes must track dirty granules, not image size *)
     restore.restored_bytes <= restore.dirty_granules * Memimage.granule
     && restore.restored_bytes * 4 < restore.image_bytes
   in
-  let coalesce_ok = coalesce_entries * 4 <= plain_entries in
   let gates =
-    [ ("alloc_free_record", alloc_ok);
-      ("record_speedup", record_ok);
-      ("rollback_speedup", rollback_ok);
-      ("coalescing_shrinks_log", coalesce_ok);
-      ("restore_scales_with_dirty", restore_ok) ]
+    [ Benchkit.exact "alloc_free_record" (minor_words < 1024);
+      Benchkit.timing "record_speedup" (rec_res.speedup >= min_speedup);
+      Benchkit.timing "rollback_speedup" (rb_res.speedup >= min_speedup);
+      Benchkit.exact "coalescing_shrinks_log"
+        (coalesce_entries * 4 <= plain_entries);
+      Benchkit.exact "restore_scales_with_dirty" restore_ok ]
   in
   (* ---- JSON report ---- *)
-  let buf = Buffer.create 2048 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"checkpoint\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"storm_stores\": %d,\n" storm_offsets;
-  f buf
-    "  \"record\": {\"arena_ns_per_op\": %.2f, \"legacy_ns_per_op\": %.2f, \"speedup\": %.3f},\n"
-    rec_res.arena_ns rec_res.legacy_ns rec_res.speedup;
-  f buf
-    "  \"record_rollback\": {\"arena_ns_per_op\": %.2f, \"legacy_ns_per_op\": %.2f, \"speedup\": %.3f},\n"
-    rb_res.arena_ns rb_res.legacy_ns rb_res.speedup;
-  f buf
-    "  \"coalescing\": {\"plain_ns_per_op\": %.2f, \"coalesce_ns_per_op\": %.2f, \"speedup\": %.3f, \"plain_entries\": %d, \"coalesce_entries\": %d},\n"
-    plain_ns coalesce_ns co_speedup plain_entries coalesce_entries;
-  f buf "  \"minor_words_per_10k_records\": %d,\n" minor_words;
-  f buf
-    "  \"restore\": {\"image_bytes\": %d, \"dirty_granules\": %d, \"granule_bytes\": %d,\n\
-    \    \"restored_bytes\": %d, \"bytes_saved\": %d, \"full_ns\": %.0f, \"dirty_ns\": %.0f,\n\
-    \    \"speedup\": %.3f},\n"
-    restore.image_bytes restore.dirty_granules Memimage.granule
-    restore.restored_bytes restore.bytes_saved restore.full_ns
-    restore.dirty_ns restore.restore_speedup;
-  let emit_rows key rows =
-    f buf "  \"%s\": [\n" key;
-    List.iteri
-      (fun i r ->
-         f buf
-           "    {\"server\": \"%s\", \"image_bytes\": %d, \"rollback_bytes\": %d, \"restore_bytes_saved\": %d, \"restarts\": %d}%s\n"
-           (json_escape r.Experiment.rb_server)
-           r.Experiment.rb_image_bytes r.Experiment.rb_rollback_bytes
-           r.Experiment.rb_restore_bytes_saved r.Experiment.rb_restarts
-           (if i = List.length rows - 1 then "" else ","))
-      rows;
-    f buf "  ],\n"
+  let speedup r =
+    Printf.sprintf
+      "{\"arena_ns_per_op\": %.2f, \"legacy_ns_per_op\": %.2f, \"speedup\": %.3f}"
+      r.arena_ns r.legacy_ns r.speedup
   in
-  emit_rows "system_enhanced" rows;
-  emit_rows "system_stateless" rows_stateless;
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map
-          (fun (n, ok) -> Printf.sprintf "\"%s\": %b" n ok)
-          gates));
-  f buf "}\n";
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "checkpoint bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  let system rows =
+    "[\n"
+    ^ String.concat ",\n"
+        (List.map
+           (fun r ->
+              Printf.sprintf
+                "    {\"server\": %s, \"image_bytes\": %d, \"rollback_bytes\": %d, \"restore_bytes_saved\": %d, \"restarts\": %d}"
+                (Benchkit.json_string r.Experiment.rb_server)
+                r.Experiment.rb_image_bytes r.Experiment.rb_rollback_bytes
+                r.Experiment.rb_restore_bytes_saved r.Experiment.rb_restarts)
+           rows)
+    ^ "\n  ]"
+  in
+  Benchkit.finish ~bench:"checkpoint"
+    [ ("storm_stores", string_of_int storm_offsets);
+      ("record", speedup rec_res);
+      ("record_rollback", speedup rb_res);
+      ( "coalescing",
+        Printf.sprintf
+          "{\"plain_ns_per_op\": %.2f, \"coalesce_ns_per_op\": %.2f, \"speedup\": %.3f, \"plain_entries\": %d, \"coalesce_entries\": %d}"
+          plain_ns coalesce_ns co_speedup plain_entries coalesce_entries );
+      ("minor_words_per_10k_records", string_of_int minor_words);
+      ( "restore",
+        Printf.sprintf
+          "{\"image_bytes\": %d, \"dirty_granules\": %d, \"granule_bytes\": %d,\n\
+          \    \"restored_bytes\": %d, \"bytes_saved\": %d, \"full_ns\": %.0f, \"dirty_ns\": %.0f,\n\
+          \    \"speedup\": %.3f}"
+          restore.image_bytes restore.dirty_granules Memimage.granule
+          restore.restored_bytes restore.bytes_saved restore.full_ns
+          restore.dirty_ns restore.restore_speedup );
+      ("system_enhanced", system rows);
+      ("system_stateless", system rows_stateless) ]
+    gates

@@ -2,56 +2,32 @@
    costs on the kernel's clock-advance path, and whether the
    attribution pipeline keeps its exactness promises.
 
-   Run with [dune exec bench/main.exe critpath]. Emits a JSON report
-   (path from OSIRIS_CRITPATH_BENCH_JSON, default BENCH_critpath.json)
-   and exits non-zero when a gate fails:
-
-     OSIRIS_BENCH_MS            per-variant wall budget in ms (default 200)
-     OSIRIS_CRITPATH_BENCH_JSON output path (default BENCH_critpath.json)
-     OSIRIS_CRITPATH_MAX_OVERHEAD_PCT
-                                maximum tolerated request-charging
-                                slowdown over cycle counts alone, in
-                                percent (default 3)
+   Run with [dune exec bench/main.exe critpath] (artifact
+   BENCH_critpath.json; [--smoke] for the runtest variant, see
+   benchkit.ml). Exits non-zero when an enforced gate fails.
 
    Gates:
-     charging_overhead       enabling per-request charging on top of
-                             the per-slot cycle counters (the PR-4
-                             profiler substrate) costs <3% wall time
-                             on a workgen run — the charging path is
-                             two array reads and one write per clock
-                             advance, no hashing, no allocation
-     conservation            every analyzed request's buckets sum to
-                             exactly its end-to-end latency, and the
-                             kernel's per-root phase rows sum to the
-                             global phase totals — zero tolerance on
-                             both
-     journal_parity          attributing the decoded journal of a run
-                             yields a byte-identical rendering to
-                             attributing the live event stream
-     blame_identity          the per-spec p99-blame rollup is
-                             byte-identical across re-runs and across
-                             domain-pool worker counts (jobs:1 vs
-                             jobs:4, submission-order merge) *)
+     charging_overhead  timing  enabling per-request charging on top of
+                                the per-slot cycle counters (the
+                                profiler substrate) costs <3% wall time
+                                on a workgen run (best of interleaved
+                                rounds) — the charging path is two array
+                                reads and one write per clock advance,
+                                no hashing, no allocation
+     conservation       exact   every analyzed request's buckets sum to
+                                exactly its end-to-end latency, and the
+                                kernel's per-root phase rows sum to the
+                                global phase totals — zero tolerance on
+                                both
+     journal_parity     exact   attributing the decoded journal of a run
+                                yields a byte-identical rendering to
+                                attributing the live event stream
+     blame_identity     exact   the per-spec p99-blame rollup is
+                                byte-identical across re-runs and across
+                                domain-pool worker counts (jobs:1 vs
+                                jobs:4, submission-order merge) *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_CRITPATH_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 3.)
-  | None -> 3.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_CRITPATH_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_critpath.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+let max_overhead_pct = 3.
 
 let workload_seed = 42
 
@@ -68,28 +44,6 @@ let run_counted ~requests () =
   | Kernel.H_completed _ -> ()
   | halt ->
     failwith ("critpath bench workload halted: " ^ Kernel.halt_to_string halt)
-
-(* Interleaved best-of (see obs_bench.ml): both variants run back to
-   back each round so host load drift cannot masquerade as overhead. *)
-let best_ns_interleaved variants =
-  List.iter (fun (_, f) -> f ()) variants;
-  (* warm *)
-  let k = List.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    List.iteri
-      (fun i (_, f) ->
-         let s = now_ns () in
-         f ();
-         let d = now_ns () -. s in
-         if d < best.(i) then best.(i) <- d)
-      variants;
-    incr rounds
-  done;
-  (best, !rounds)
 
 (* ---- attribution probes ------------------------------------------ *)
 
@@ -166,8 +120,6 @@ let blame_rollup ~jobs =
           render_profile (Tailprof.profile r.Critpath.cr_requests))
        blame_specs)
 
-let json_bool b = if b then "true" else "false"
-
 let run () =
   Printf.printf
     "\n================================================================\n\
@@ -175,9 +127,9 @@ let run () =
      ================================================================\n";
   (* ---- charging overhead ---- *)
   let best, rounds =
-    best_ns_interleaved
-      [ ("cycle counts", run_counted ~requests:false);
-        ("+ request charging", run_counted ~requests:true) ]
+    Benchkit.best_of
+      [ Benchkit.timed (run_counted ~requests:false);
+        Benchkit.timed (run_counted ~requests:true) ]
   in
   let base_ns = best.(0) and req_ns = best.(1) in
   let overhead_pct = 100. *. (req_ns -. base_ns) /. base_ns in
@@ -234,50 +186,23 @@ let run () =
     (List.length blame_specs)
     (if String.equal b1 b1' then "identical" else "DIFFERS")
     (if String.equal b1 b4 then "identical" else "DIFFERS");
-  (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
-  let overhead_ok = overhead_pct < threshold in
-  let gates =
-    [ ("charging_overhead", overhead_ok);
-      ("conservation", event_conserved && kernel_conserved && n_requests > 0);
-      ("journal_parity", parity);
-      ("blame_identity", blame_identical) ]
-  in
-  (* ---- JSON report ---- *)
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"critpath\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"workload_seed\": %d,\n" workload_seed;
-  f buf
-    "  \"charging\": {\"cycle_counts_ns\": %.0f, \"request_counts_ns\": \
-     %.0f,\n\
-    \    \"overhead_pct\": %.3f, \"max_overhead_pct\": %.1f},\n"
-    base_ns req_ns overhead_pct threshold;
-  f buf
-    "  \"conservation\": {\"requests\": %d, \"event_exact\": %s, \
-     \"kernel_exact\": %s},\n"
-    n_requests (json_bool event_conserved) (json_bool kernel_conserved);
-  f buf "  \"journal_parity\": %s,\n" (json_bool parity);
-  f buf
-    "  \"blame\": {\"specs\": %d, \"bytes\": %d, \"identical\": %s},\n"
-    (List.length blame_specs) (String.length b1) (json_bool blame_identical);
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "critpath bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  let conserved = event_conserved && kernel_conserved && n_requests > 0 in
+  Benchkit.finish ~bench:"critpath"
+    [ ("workload_seed", string_of_int workload_seed);
+      ( "charging",
+        Printf.sprintf
+          "{\"cycle_counts_ns\": %.0f, \"request_counts_ns\": %.0f,\n\
+          \    \"overhead_pct\": %.3f, \"max_overhead_pct\": %.1f}"
+          base_ns req_ns overhead_pct max_overhead_pct );
+      ( "conservation",
+        Printf.sprintf
+          "{\"requests\": %d, \"event_exact\": %b, \"kernel_exact\": %b}"
+          n_requests event_conserved kernel_conserved );
+      ("journal_parity", string_of_bool parity);
+      ( "blame",
+        Printf.sprintf "{\"specs\": %d, \"bytes\": %d, \"identical\": %b}"
+          (List.length blame_specs) (String.length b1) blame_identical ) ]
+    [ Benchkit.timing "charging_overhead" (overhead_pct < max_overhead_pct);
+      Benchkit.exact "conservation" conserved;
+      Benchkit.exact "journal_parity" parity;
+      Benchkit.exact "blame_identity" blame_identical ]

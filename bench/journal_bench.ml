@@ -1,49 +1,28 @@
 (* Flight-recorder benchmark: what journaling the full event stream
    costs, and whether the codec holds its promises.
 
-   Run with [dune exec bench/main.exe journal]. Emits a JSON report
-   (path from OSIRIS_JOURNAL_BENCH_JSON, default BENCH_journal.json)
-   and exits non-zero when a gate fails:
-
-     OSIRIS_BENCH_MS              per-variant wall budget in ms (default 200)
-     OSIRIS_JOURNAL_BENCH_JSON    output path (default BENCH_journal.json)
-     OSIRIS_JOURNAL_MAX_OVERHEAD_PCT
-                                  maximum tolerated attached-recorder
-                                  slowdown over the unhooked run, in
-                                  percent (default 5 — the ISSUE bound)
+   Run with [dune exec bench/main.exe journal] (artifact
+   BENCH_journal.json; [--smoke] for the runtest variant, see
+   benchkit.ml). Exits non-zero when an enforced gate fails.
 
    Gates:
-     encode_zero_alloc   steady-state event capture+encode to a file
-                         sink allocates nothing (minor-word delta over
-                         130k writes)
-     recording_overhead  in-run wall-time overhead of an attached
-                         recorder (vs the same run unhooked) stays
-                         under the gate; the close-time encode+flush
-                         sweep is reported separately as finalize
-     round_trip          decode(encode(stream)) is structurally equal
-                         to the hooked stream, header included
-     bytes_per_event     on-disk framing stays compact (< 24 bytes per
-                         event averaged over a crashy mixed workload) *)
+     encode_zero_alloc   exact   steady-state event capture+encode to a
+                                 file sink allocates nothing (minor-word
+                                 delta over 130k writes)
+     recording_overhead  timing  in-run wall-time overhead of an attached
+                                 recorder (vs the same run unhooked)
+                                 stays under 5% (best of interleaved
+                                 rounds); the close-time encode+flush
+                                 sweep is reported separately as
+                                 finalize
+     round_trip          exact   decode(encode(stream)) is structurally
+                                 equal to the hooked stream, header
+                                 included
+     bytes_per_event     exact   on-disk framing stays compact (< 24
+                                 bytes per event averaged over a crashy
+                                 mixed workload) *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_JOURNAL_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 5.)
-  | None -> 5.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_JOURNAL_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_journal.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+let max_overhead_pct = 5.
 
 let workload_seed = 42
 
@@ -69,43 +48,6 @@ let run_once ?event_hook ?journal ~root () =
   | Kernel.H_completed _ -> ()
   | halt ->
     failwith ("journal bench workload halted: " ^ Kernel.halt_to_string halt)
-
-(* Interleaved best-of, same rationale as obs_bench: round-robin the
-   variants so load drift cannot masquerade as recording overhead.
-   Each variant times itself (returns elapsed ns) so a rung can keep
-   setup and teardown — writer creation, the close-time encode sweep —
-   out of its measured window and account for them separately. The
-   within a round the visiting order is a stride permutation that
-   changes every round, so no variant has a fixed predecessor: a
-   recorder rung allocates (and drops) multi-MB capture buffers, and
-   under a fixed cyclic order that GC debt would be billed to
-   whichever variant always ran next. *)
-let best_ns_interleaved variants =
-  let variants = Array.of_list variants in
-  Array.iter (fun (_, f) -> ignore (f ())) variants;
-  let k = Array.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    (* any stride in 1..k-1 is coprime with k when k is prime (it is:
-       5 rungs); offset by the round so the starting slot moves too *)
-    let stride = 1 + (!rounds mod (k - 1)) in
-    for j = 0 to k - 1 do
-      let i = ((j * stride) + !rounds) mod k in
-      let _, f = variants.(i) in
-      let d = f () in
-      if d < best.(i) then best.(i) <- d
-    done;
-    incr rounds
-  done;
-  (best, !rounds)
-
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
 
 (* ------------------------------------------------------------------ *)
 
@@ -147,18 +89,14 @@ let encode_alloc_probe () =
   in
   storm ();
   (* warm: scratch grown to its steady size *)
-  let words = minor_words_of storm in
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let t0 = now_ns () in
-    storm ();
-    let d = now_ns () -. t0 in
-    if d < !best then best := d
-  done;
+  let words = Benchkit.minor_words_of storm in
+  let best, _ =
+    Benchkit.best_of ~min_rounds:5 ~budget:0. [ Benchkit.timed storm ]
+  in
   Journal.close w;
   Sys.remove path;
   let n = reps * List.length sample_events in
-  (n, words, !best /. float_of_int n)
+  (n, words, best.(0) /. float_of_int n)
 
 let round_trip_probe () =
   let h = header ~workload:"workgen" ~crash:"ds" in
@@ -180,8 +118,6 @@ let round_trip_probe () =
   match Journal.read_string (Journal.contents w) with
   | Error m -> failwith ("round trip decode failed: " ^ m)
   | Ok (h', decoded) -> (h = h' && decoded = recorded, records, bytes)
-
-let json_bool b = if b then "true" else "false"
 
 let run () =
   Printf.printf
@@ -220,11 +156,6 @@ let run () =
      gated; the suite-driver pair prices the worst case and is
      likewise reported, not gated. *)
   let fin_wg = ref infinity and fin_suite = ref infinity in
-  let timed f =
-    let t0 = now_ns () in
-    f ();
-    now_ns () -. t0
-  in
   (* Generated once, shared by every rung and round: programs are pure
      values, and generation time is not recording overhead. Scaled to
      5x the default action count so the rung runs long enough (~13 ms)
@@ -236,21 +167,25 @@ let run () =
   in
   let recording_rung h root fin () =
     let w = Journal.to_file ~path h in
-    let d = timed (fun () -> run_once ~journal:w ~root ()) in
-    let f = timed (fun () -> Journal.close w) in
+    let d = Benchkit.timed (fun () -> run_once ~journal:w ~root ()) () in
+    let f = Benchkit.timed (fun () -> Journal.close w) () in
     if f < !fin then fin := f;
     d
   in
+  (* Each rung times itself, keeping writer creation and the close-time
+     sweep out of its window. A recorder rung allocates (and drops)
+     multi-MB capture buffers, so the visiting order must not give any
+     rung a fixed predecessor to inherit that GC debt from — five
+     rungs, a prime count, make every stride of [Benchkit.measure] a
+     full permutation. *)
   let best, rounds =
-    best_ns_interleaved
-      [ ("wg unhooked", fun () -> timed (fun () -> run_once ~root:wg_prog ()));
-        ("wg noop hook",
-         fun () -> timed (fun () -> run_once ~event_hook:ignore ~root:wg_prog ()));
-        ("wg recording", fun () -> recording_rung h_wg wg_prog fin_wg ());
-        ("suite unhooked",
-         fun () -> timed (fun () -> run_once ~root:Testsuite.driver ()));
-        ("suite recording",
-         fun () -> recording_rung h_suite Testsuite.driver fin_suite ()) ]
+    Benchkit.best_of
+      [ Benchkit.timed (fun () -> run_once ~root:wg_prog ());
+        Benchkit.timed (fun () ->
+            run_once ~event_hook:ignore ~root:wg_prog ());
+        recording_rung h_wg wg_prog fin_wg;
+        Benchkit.timed (fun () -> run_once ~root:Testsuite.driver ());
+        recording_rung h_suite Testsuite.driver fin_suite ]
   in
   Sys.remove path;
   let base_ns = best.(0) and hook_ns = best.(1) and journal_ns = best.(2) in
@@ -274,64 +209,38 @@ let run () =
     (journal_ns /. 1e6) raw_pct (!fin_wg /. 1e6)
     (sbase_ns /. 1e6) (sjournal_ns /. 1e6) stress_pct stress_ns_per_event
     (!fin_suite /. 1e6);
-  (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
-  let overhead_pct = raw_pct in
-  (* 64-word slack: Gc.minor_words itself may box a float; the 130k
-     event writes themselves must add nothing. *)
-  let encode_ok = encode_words < 64. in
-  let overhead_ok = overhead_pct < threshold in
-  let bytes_ok = bytes_per_event < 24. in
-  let gates =
-    [ ("encode_zero_alloc", encode_ok);
-      ("recording_overhead", overhead_ok);
-      ("round_trip", fidelity_ok);
-      ("bytes_per_event", bytes_ok) ]
-  in
-  (* ---- JSON report ---- *)
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"journal\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"workload_seed\": %d,\n" workload_seed;
-  f buf "  \"encode_storm\": {\"events\": %d, \"minor_words\": %.0f},\n"
-    encode_ops encode_words;
-  f buf
-    "  \"journal\": {\"records\": %d, \"bytes\": %d, \"bytes_per_event\": %.2f,\n\
-    \    \"bytes_per_1M_events\": %.0f},\n"
-    rt_records rt_bytes bytes_per_event (bytes_per_event *. 1e6);
-  f buf
-    "  \"wall\": {\"unhooked_ns\": %.0f, \"hook_ns\": %.0f, \"journal_ns\": %.0f,\n\
-    \    \"finalize_ns\": %.0f, \"overhead_pct\": %.3f,\n\
-    \    \"overhead_vs_hook_pct\": %.3f, \"max_overhead_pct\": %.1f},\n"
-    base_ns hook_ns journal_ns !fin_wg overhead_pct marginal_pct threshold;
-  f buf
-    "  \"stress\": {\"unhooked_ns\": %.0f, \"journal_ns\": %.0f,\n\
-    \    \"finalize_ns\": %.0f, \"overhead_pct\": %.3f,\n\
-    \    \"ns_per_event\": %.1f},\n"
-    sbase_ns sjournal_ns !fin_suite stress_pct stress_ns_per_event;
-  (* The stress overhead (~11% on the reference host) is an un-gated
-     trend figure from a wall-clock ratio on the densest event stream
-     we can produce — inherently noisy run to run. Declare a wide
-     per-path tolerance so bench_diff surfaces only real regressions
-     instead of flapping on every CI host wobble. *)
-  f buf "  \"tolerances\": {\"stress.overhead_pct\": 50.0},\n";
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let p = json_path () in
-  let oc = open_out p in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" p;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "journal bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  Benchkit.finish ~bench:"journal"
+    [ ("workload_seed", string_of_int workload_seed);
+      ( "encode_storm",
+        Printf.sprintf "{\"events\": %d, \"minor_words\": %.0f}" encode_ops
+          encode_words );
+      ( "journal",
+        Printf.sprintf
+          "{\"records\": %d, \"bytes\": %d, \"bytes_per_event\": %.2f,\n\
+          \    \"bytes_per_1M_events\": %.0f}"
+          rt_records rt_bytes bytes_per_event (bytes_per_event *. 1e6) );
+      ( "wall",
+        Printf.sprintf
+          "{\"unhooked_ns\": %.0f, \"hook_ns\": %.0f, \"journal_ns\": %.0f,\n\
+          \    \"finalize_ns\": %.0f, \"overhead_pct\": %.3f,\n\
+          \    \"overhead_vs_hook_pct\": %.3f, \"max_overhead_pct\": %.1f}"
+          base_ns hook_ns journal_ns !fin_wg raw_pct marginal_pct
+          max_overhead_pct );
+      ( "stress",
+        Printf.sprintf
+          "{\"unhooked_ns\": %.0f, \"journal_ns\": %.0f,\n\
+          \    \"finalize_ns\": %.0f, \"overhead_pct\": %.3f,\n\
+          \    \"ns_per_event\": %.1f}"
+          sbase_ns sjournal_ns !fin_suite stress_pct stress_ns_per_event );
+      (* The stress overhead (~11% on the reference host) is an un-gated
+         trend figure from a wall-clock ratio on the densest event
+         stream we can produce — inherently noisy run to run. Declare a
+         wide per-path tolerance so bench_diff surfaces only real
+         regressions instead of flapping on every CI host wobble. *)
+      ("tolerances", "{\"stress.overhead_pct\": 50.0}") ]
+    [ (* 64-word slack: Gc.minor_words itself may box a float; the 130k
+         event writes themselves must add nothing. *)
+      Benchkit.exact "encode_zero_alloc" (encode_words < 64.);
+      Benchkit.timing "recording_overhead" (raw_pct < max_overhead_pct);
+      Benchkit.exact "round_trip" fidelity_ok;
+      Benchkit.exact "bytes_per_event" (bytes_per_event < 24.) ]

@@ -4,6 +4,10 @@
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe table1     -- one experiment
      (table1 table2 table3 table4 table5 table6 fig3 rcb ablation micro)
+     dune exec bench/main.exe -- --smoke obs
+                                         -- a layer bench in smoke mode
+     (checkpoint obs matrix profiler journal parfan timeseries sched
+      critpath query; see benchkit.ml for the modes)
 
    Sample sizes for the fault-injection campaigns come from the
    OSIRIS_SAMPLE environment variable (default 0 = every triggered
@@ -672,11 +676,11 @@ let all_experiments =
     ("critpath", Critpath_bench.run); ("query", Query_bench.run) ]
 
 let () =
-  let requested =
-    match Array.to_list Sys.argv with
-    | _ :: (_ :: _ as args) -> args
-    | _ -> List.map fst all_experiments
+  let smoke, args =
+    List.partition (String.equal "--smoke") (List.tl (Array.to_list Sys.argv))
   in
+  Benchkit.smoke := smoke <> [];
+  let requested = if args = [] then List.map fst all_experiments else args in
   List.iter
     (fun name ->
        match List.assoc_opt name all_experiments with

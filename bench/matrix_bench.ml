@@ -8,46 +8,23 @@
    an explicit-compartment spec that resolves every server
    individually (same policy, plus restart budgets that never fire).
 
-   Run with [dune exec bench/main.exe matrix]. Emits a JSON report
-   (path from OSIRIS_MATRIX_BENCH_JSON, default BENCH_matrix.json) and
-   exits non-zero when a gate fails:
-
-     OSIRIS_BENCH_MS              per-variant wall budget in ms (default 200)
-     OSIRIS_MATRIX_BENCH_JSON     output path (default BENCH_matrix.json)
-     OSIRIS_MATRIX_MAX_OVERHEAD_PCT
-                                  maximum tolerated wall-time overhead of
-                                  the explicit-compartment run over the
-                                  uniform run, in percent (default 2)
+   Run with [dune exec bench/main.exe matrix] (artifact
+   BENCH_matrix.json; [--smoke] for the runtest variant, see
+   benchkit.ml). Exits non-zero when an enforced gate fails.
 
    Gates:
-     matrix_same_trajectory   uniform and explicit-compartment runs of
-                              the same policy are indistinguishable in
-                              simulation: same halt, same virtual
-                              cycles, same diagnostic stream
-     matrix_deterministic     a genuinely mixed spec replays bit-
-                              identically under a fixed seed
-     matrix_overhead          explicit-compartment wall time stays
-                              within the gate of the uniform path *)
+     matrix_same_trajectory   exact   uniform and explicit-compartment
+                                      runs of the same policy are
+                                      indistinguishable in simulation:
+                                      same halt, same virtual cycles,
+                                      same diagnostic stream
+     matrix_deterministic     exact   a genuinely mixed spec replays
+                                      bit-identically under a fixed seed
+     matrix_overhead          timing  explicit-compartment wall time
+                                      stays within 2% of the uniform
+                                      path (best of interleaved rounds) *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_MATRIX_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 2.)
-  | None -> 2.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_MATRIX_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_matrix.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+let max_overhead_pct = 2.
 
 let workload_seed = 42
 
@@ -67,36 +44,6 @@ let run_quickstart conf =
   let sys = System.build ~seed:workload_seed conf in
   let halt = System.run sys ~root:Workgen.quickstart in
   (halt, Kernel.now (System.kernel sys), System.log_lines sys)
-
-(* Best-of timing, interleaved (see obs_bench for the rationale): each
-   round times every variant back to back so load drift cannot
-   masquerade as overhead, and each variant keeps its best round. The
-   gate is tight (2%) and a quickstart run lasts only ~10 ms, so a
-   single GC pause inside a sample is worth several percent; many
-   single-run samples give the best-of a clean, pause-free run of each
-   variant, where batched samples would smear pauses across every
-   sample. *)
-let best_ns_interleaved variants =
-  List.iter (fun (_, f) -> f ()) variants;
-  (* warm *)
-  let k = List.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 40 do
-    List.iteri
-      (fun i (_, f) ->
-         let s = now_ns () in
-         f ();
-         let d = now_ns () -. s in
-         if d < best.(i) then best.(i) <- d)
-      variants;
-    incr rounds
-  done;
-  (best, !rounds)
-
-let json_bool b = if b then "true" else "false"
 
 let run () =
   Printf.printf
@@ -133,10 +80,15 @@ let run () =
     m1_now
     (if deterministic then "identical" else "DIVERGED");
   (* ---- wall time ---- *)
+  (* The gate is tight (2%) and a quickstart run lasts only ~10 ms, so
+     a single GC pause inside a sample is worth several percent; many
+     single-run samples give the best-of a clean, pause-free run of
+     each variant, where batched samples would smear pauses across
+     every sample. *)
   let best, rounds =
-    best_ns_interleaved
-      [ ("uniform", fun () -> ignore (run_quickstart uniform_spec));
-        ("explicit", fun () -> ignore (run_quickstart explicit_spec)) ]
+    Benchkit.best_of ~min_rounds:40
+      [ Benchkit.timed (fun () -> ignore (run_quickstart uniform_spec));
+        Benchkit.timed (fun () -> ignore (run_quickstart explicit_spec)) ]
   in
   let uniform_ns = best.(0) and explicit_ns = best.(1) in
   let overhead_pct = 100. *. (explicit_ns -. uniform_ns) /. uniform_ns in
@@ -145,48 +97,23 @@ let run () =
     \  uniform spec            %.2f ms\n\
     \  explicit compartments   %.2f ms (%+.2f%%)\n"
     rounds (uniform_ns /. 1e6) (explicit_ns /. 1e6) overhead_pct;
-  (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
-  let overhead_ok = overhead_pct < threshold in
-  let gates =
-    [ ("matrix_same_trajectory", same_trajectory);
-      ("matrix_deterministic", deterministic);
-      ("matrix_overhead", overhead_ok) ]
-  in
-  (* ---- JSON report ---- *)
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"matrix\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"workload_seed\": %d,\n" workload_seed;
-  f buf "  \"rounds\": %d,\n" rounds;
-  f buf
-    "  \"trajectory\": {\"uniform_cycles\": %d, \"explicit_cycles\": %d,\n\
-    \    \"log_lines\": %d, \"identical\": %s},\n"
-    u_now e_now (List.length u_log)
-    (json_bool same_trajectory);
-  f buf "  \"mixed_spec\": {\"name\": \"%s\", \"deterministic\": %s},\n"
-    (Sysconf.name mixed) (json_bool deterministic);
-  f buf
-    "  \"wall\": {\"uniform_ns\": %.0f, \"explicit_ns\": %.0f,\n\
-    \    \"overhead_pct\": %.3f, \"max_overhead_pct\": %.1f},\n"
-    uniform_ns explicit_ns overhead_pct threshold;
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "matrix bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  Benchkit.finish ~bench:"matrix"
+    [ ("workload_seed", string_of_int workload_seed);
+      ("rounds", string_of_int rounds);
+      ( "trajectory",
+        Printf.sprintf
+          "{\"uniform_cycles\": %d, \"explicit_cycles\": %d,\n\
+          \    \"log_lines\": %d, \"identical\": %b}"
+          u_now e_now (List.length u_log) same_trajectory );
+      ( "mixed_spec",
+        Printf.sprintf "{\"name\": %s, \"deterministic\": %b}"
+          (Benchkit.json_string (Sysconf.name mixed))
+          deterministic );
+      ( "wall",
+        Printf.sprintf
+          "{\"uniform_ns\": %.0f, \"explicit_ns\": %.0f,\n\
+          \    \"overhead_pct\": %.3f, \"max_overhead_pct\": %.1f}"
+          uniform_ns explicit_ns overhead_pct max_overhead_pct ) ]
+    [ Benchkit.exact "matrix_same_trajectory" same_trajectory;
+      Benchkit.exact "matrix_deterministic" deterministic;
+      Benchkit.timing "matrix_overhead" (overhead_pct < max_overhead_pct) ]

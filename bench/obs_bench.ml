@@ -1,49 +1,24 @@
 (* Observability overhead benchmark: what the event hook, tracer, and
    metrics registry cost on an IPC-heavy workload.
 
-   Run with [dune exec bench/main.exe obs]. Emits a JSON report (path
-   from OSIRIS_OBS_BENCH_JSON, default BENCH_obs.json — a separate
-   variable so a combined run does not clobber the checkpoint report)
-   and exits non-zero when a gate fails, so a small-budget run doubles
-   as a CI smoke test:
-
-     OSIRIS_BENCH_MS            per-variant wall budget in ms (default 200)
-     OSIRIS_OBS_BENCH_JSON      output path (default BENCH_obs.json)
-     OSIRIS_OBS_MAX_OVERHEAD_PCT
-                                maximum tolerated attached-tracer
-                                slowdown over the unhooked run, in
-                                percent (default 5)
+   Run with [dune exec bench/main.exe obs] (artifact BENCH_obs.json;
+   [--smoke] for the runtest variant, see benchkit.ml). Exits non-zero
+   when an enforced gate fails.
 
    Gates:
-     metrics_zero_alloc      counter/gauge/histogram updates allocate
-                             nothing (minor-word delta over 100k ops)
-     lazy_event_construction an unhooked run allocates no event
-                             records — the hooked/unhooked minor-word
-                             difference accounts for every event, so
-                             emission really is guarded, not built-
-                             then-dropped
-     tracer_overhead         attached-tracer wall-time overhead on the
-                             full workload stays under the gate *)
+     metrics_zero_alloc      exact   counter/gauge/histogram updates
+                                     allocate nothing (minor-word delta
+                                     over 100k ops)
+     lazy_event_construction exact   an unhooked run allocates no event
+                                     records — the hooked/unhooked
+                                     minor-word difference accounts for
+                                     every event, so emission really is
+                                     guarded, not built-then-dropped
+     tracer_overhead         timing  attached-tracer wall-time overhead
+                                     on the full workload stays under
+                                     5% (best of interleaved rounds) *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_OBS_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 5.)
-  | None -> 5.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_OBS_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_obs.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+let max_overhead_pct = 5.
 
 (* ------------------------------------------------------------------ *)
 (* The measured workload: a generated mixed workload (files, ds,
@@ -61,40 +36,6 @@ let run_once ?event_hook () =
   match System.run sys ~root:(Workgen.generate ~seed:workload_seed ()) with
   | Kernel.H_completed _ -> ()
   | halt -> failwith ("obs bench workload halted: " ^ Kernel.halt_to_string halt)
-
-(* Best-of timing, interleaved: fresh-system runs are noisy (GC, page
-   cache, and `dune runtest` runs this concurrently with other test
-   binaries), so timing each variant in its own phase would let load
-   drift between phases masquerade as overhead. Instead every round
-   times all variants back to back — same load for all of them — and
-   each variant keeps its best round.                                  *)
-let best_ns_interleaved variants =
-  List.iter (fun (_, f) -> f ()) variants;
-  (* warm *)
-  let k = List.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    List.iteri
-      (fun i (_, f) ->
-         let s = now_ns () in
-         f ();
-         let d = now_ns () -. s in
-         if d < best.(i) then best.(i) <- d)
-      variants;
-    incr rounds
-  done;
-  (best, !rounds)
-
-(* Exact minor-heap words allocated by [f] (allocation in OCaml is
-   deterministic for a deterministic simulation, so a single sample is
-   exact, not an estimate).                                            *)
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
 
 (* ------------------------------------------------------------------ *)
 
@@ -114,17 +55,16 @@ let metrics_alloc_probe () =
   in
   storm ();
   (* warm: registration done, no growth left *)
-  (ops * 4, minor_words_of storm)
+  (ops * 4, Benchkit.minor_words_of storm)
 
 let lazy_emission_probe () =
-  let unhooked_words = minor_words_of (fun () -> run_once ()) in
+  let unhooked_words = Benchkit.minor_words_of (fun () -> run_once ()) in
   let events = ref 0 in
   let hooked_words =
-    minor_words_of (fun () -> run_once ~event_hook:(fun _ -> incr events) ())
+    Benchkit.minor_words_of (fun () ->
+        run_once ~event_hook:(fun _ -> incr events) ())
   in
   (unhooked_words, hooked_words, !events)
-
-let json_bool b = if b then "true" else "false"
 
 let run () =
   Printf.printf
@@ -147,15 +87,17 @@ let run () =
   let tracer = Tracer.create ~capacity:4096 () in
   let metrics = Metrics.create () in
   let collector = Obs_collector.create ~metrics () in
+  (* Fresh-system runs are noisy (GC, page cache, and `dune runtest`
+     runs this concurrently with other test binaries): best of
+     interleaved rounds. *)
   let best, rounds =
-    best_ns_interleaved
-      [ ("unhooked", fun () -> run_once ());
-        ("tracer",
-         fun () -> run_once ~event_hook:(Tracer.record tracer) ());
-        ("collector",
-         fun () ->
-           Obs_collector.clear collector;
-           run_once ~event_hook:(Obs_collector.record collector) ()) ]
+    Benchkit.best_of
+      [ Benchkit.timed (fun () -> run_once ());
+        Benchkit.timed (fun () ->
+            run_once ~event_hook:(Tracer.record tracer) ());
+        Benchkit.timed (fun () ->
+            Obs_collector.clear collector;
+            run_once ~event_hook:(Obs_collector.record collector) ()) ]
   in
   let base_ns = best.(0) and tracer_ns = best.(1) and full_ns = best.(2) in
   let pct over base = 100. *. (over -. base) /. base in
@@ -169,7 +111,6 @@ let run () =
     rounds (base_ns /. 1e6) (tracer_ns /. 1e6) tracer_pct (full_ns /. 1e6)
     full_pct;
   (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
   (* 64-word slack: Gc.minor_words itself and the loop closure may box
      a float or two; the 400k updates themselves must add nothing. *)
   let metrics_ok = metric_words < 64. in
@@ -178,45 +119,22 @@ let run () =
   let lazy_ok =
     events > 0 && hooked_words -. unhooked_words >= 3. *. float_of_int events
   in
-  let overhead_ok = tracer_pct < threshold in
-  let gates =
-    [ ("metrics_zero_alloc", metrics_ok);
-      ("lazy_event_construction", lazy_ok);
-      ("tracer_overhead", overhead_ok) ]
-  in
-  (* ---- JSON report ---- *)
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"obs\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"workload_seed\": %d,\n" workload_seed;
-  f buf "  \"metrics_storm\": {\"ops\": %d, \"minor_words\": %.0f},\n"
-    metric_ops metric_words;
-  f buf
-    "  \"emission\": {\"events_per_run\": %d, \"unhooked_minor_words\": %.0f,\n\
-    \    \"hooked_minor_words\": %.0f, \"words_per_event\": %.2f},\n"
-    events unhooked_words hooked_words words_per_event;
-  f buf
-    "  \"wall\": {\"unhooked_ns\": %.0f, \"tracer_ns\": %.0f, \"collector_ns\": %.0f,\n\
-    \    \"tracer_overhead_pct\": %.3f, \"collector_overhead_pct\": %.3f,\n\
-    \    \"max_overhead_pct\": %.1f},\n"
-    base_ns tracer_ns full_ns tracer_pct full_pct threshold;
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "obs bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  Benchkit.finish ~bench:"obs"
+    [ ("workload_seed", string_of_int workload_seed);
+      ( "metrics_storm",
+        Printf.sprintf "{\"ops\": %d, \"minor_words\": %.0f}" metric_ops
+          metric_words );
+      ( "emission",
+        Printf.sprintf
+          "{\"events_per_run\": %d, \"unhooked_minor_words\": %.0f,\n\
+          \    \"hooked_minor_words\": %.0f, \"words_per_event\": %.2f}"
+          events unhooked_words hooked_words words_per_event );
+      ( "wall",
+        Printf.sprintf
+          "{\"unhooked_ns\": %.0f, \"tracer_ns\": %.0f, \"collector_ns\": %.0f,\n\
+          \    \"tracer_overhead_pct\": %.3f, \"collector_overhead_pct\": %.3f,\n\
+          \    \"max_overhead_pct\": %.1f}"
+          base_ns tracer_ns full_ns tracer_pct full_pct max_overhead_pct ) ]
+    [ Benchkit.exact "metrics_zero_alloc" metrics_ok;
+      Benchkit.exact "lazy_event_construction" lazy_ok;
+      Benchkit.timing "tracer_overhead" (tracer_pct < max_overhead_pct) ]

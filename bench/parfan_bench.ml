@@ -16,59 +16,25 @@
    4 domains; on a throttled box the gate still catches a serialized
    pool without failing on physics.
 
-   Run with [dune exec bench/main.exe parfan]. Emits a JSON report
-   (path from OSIRIS_PARFAN_BENCH_JSON, default BENCH_parfan.json) and
-   exits non-zero when a gate fails:
-
-     OSIRIS_SAMPLE                fault sites per policy (default 0 = all,
-                                  the full-sweep default)
-     OSIRIS_PARFAN_JOBS           pool width under test (default 4)
-     OSIRIS_PARFAN_MIN_SPEEDUP    absolute speedup target (default 3)
-     OSIRIS_PARFAN_EFFICIENCY     fraction of the calibrated ideal the
-                                  pool must reach (default 0.7)
-     OSIRIS_PARFAN_BENCH_JSON     output path (default BENCH_parfan.json)
+   Run with [dune exec bench/main.exe parfan] (artifact
+   BENCH_parfan.json, every fault site of the sweep; [--smoke] for the
+   runtest variant, 6 sites per policy, see benchkit.ml). Exits
+   non-zero when an enforced gate fails.
 
    Gates:
-     parfan_identical   jobs:1 and jobs:N produce structurally
-                        byte-identical campaign rows (Marshal equality)
-     parfan_isolation   per-run kernel counters are identical whether a
-                        run executes alone or beside concurrent domains
-     parfan_speedup     campaign speedup >= min(MIN_SPEEDUP,
-                        EFFICIENCY x calibrated ideal scaling) *)
+     parfan_identical   exact   jobs:1 and jobs:4 produce structurally
+                                byte-identical campaign rows (Marshal
+                                equality)
+     parfan_isolation   exact   per-run kernel counters are identical
+                                whether a run executes alone or beside
+                                concurrent domains
+     parfan_speedup     timing  campaign speedup >= min(3, 0.7 x
+                                calibrated ideal scaling), one timed
+                                run of each side *)
 
-let sample_size () =
-  match Sys.getenv_opt "OSIRIS_SAMPLE" with
-  | Some s -> (try int_of_string s with _ -> 0)
-  | None -> 0
-
-let pool_jobs () =
-  match Sys.getenv_opt "OSIRIS_PARFAN_JOBS" with
-  | Some s -> (try max 2 (int_of_string s) with _ -> 4)
-  | None -> 4
-
-let min_speedup () =
-  match Sys.getenv_opt "OSIRIS_PARFAN_MIN_SPEEDUP" with
-  | Some s -> (try float_of_string s with _ -> 3.)
-  | None -> 3.
-
-let efficiency () =
-  match Sys.getenv_opt "OSIRIS_PARFAN_EFFICIENCY" with
-  | Some s -> (try float_of_string s with _ -> 0.7)
-  | None -> 0.7
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_PARFAN_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_parfan.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
-
-let time f =
-  let t0 = now_ns () in
-  let r = f () in
-  (r, now_ns () -. t0)
-
-let json_bool b = if b then "true" else "false"
+let jobs = 4 (* pool width under test *)
+let min_speedup = 3. (* absolute speedup target *)
+let efficiency = 0.7 (* fraction of the calibrated ideal to reach *)
 
 (* ---- calibration: the host's ideal domain scaling ----------------- *)
 
@@ -92,13 +58,13 @@ let bump_nursery () =
 let calibrate jobs =
   let per_dom = 4 in
   let (), seq_ns =
-    time (fun () ->
+    Benchkit.time (fun () ->
         for _ = 1 to jobs * per_dom do
           probe_chunk ()
         done)
   in
   let (), par_ns =
-    time (fun () ->
+    Benchkit.time (fun () ->
         let doms =
           List.init jobs (fun _ ->
               Domain.spawn (fun () ->
@@ -130,8 +96,7 @@ let run () =
     "\n================================================================\n\
      Parfan: parallel survivability campaign vs the sequential oracle\n\
      ================================================================\n";
-  let sample = sample_size () in
-  let jobs = pool_jobs () in
+  let sample = if !Benchkit.smoke then 6 else 0 in
   let seed = 42 in
   (* ---- isolation ---- *)
   let alone = counter_probe () in
@@ -145,10 +110,11 @@ let run () =
     Campaign.survivability ~seed ~sample ~jobs:j ?stats Edfi.Fail_stop
       Policy.all_evaluated
   in
-  let seq_rows, seq_ns = time (fun () -> campaign 1 None) in
+  let seq_rows, seq_ns = Benchkit.time (fun () -> campaign 1 None) in
   let pool_stats = ref None in
   let par_rows, par_ns =
-    time (fun () -> campaign jobs (Some (fun s -> pool_stats := Some s)))
+    Benchkit.time (fun () ->
+        campaign jobs (Some (fun s -> pool_stats := Some s)))
   in
   let n_runs =
     List.fold_left (fun acc (r : Campaign.row) -> acc + r.Campaign.runs) 0
@@ -172,73 +138,54 @@ let run () =
     (if identical then "byte-identical to the oracle" else "DIVERGED");
   (* ---- calibrated speedup gate ---- *)
   let cal_seq_ns, cal_par_ns, calib = calibrate jobs in
-  let threshold = Float.min (min_speedup ()) (efficiency () *. calib) in
+  let threshold = Float.min min_speedup (efficiency *. calib) in
   let speedup_ok = speedup >= threshold in
   Printf.printf
     "calibration (raw domains, %d-way static partition): %.2fx ideal\n\
     \  gate: speedup %.2fx >= min(%.1f, %.2f x %.2f) = %.2fx -> %s\n"
-    jobs calib speedup (min_speedup ()) (efficiency ()) calib threshold
+    jobs calib speedup min_speedup efficiency calib threshold
     (if speedup_ok then "ok" else "FAILED");
-  (* ---- gates + JSON ---- *)
-  let gates =
-    [ ("parfan_identical", identical);
-      ("parfan_isolation", isolation);
-      ("parfan_speedup", speedup_ok) ]
+  let pool =
+    match !pool_stats with
+    | Some s ->
+      [ ( "pool",
+          Printf.sprintf
+            "{\"tasks\": %d, \"runs_per_sec\": %.1f, \"imbalance_pct\": %.1f,\n\
+            \    \"workers\": [%s]}"
+            s.Parfan.pf_tasks (Parfan.runs_per_sec s) (Parfan.imbalance_pct s)
+            (String.concat ", "
+               (Array.to_list
+                  (Array.map
+                     (fun w ->
+                        Printf.sprintf "{\"tasks\": %d, \"busy_ms\": %.1f}"
+                          w.Parfan.w_tasks (w.Parfan.w_busy_ns /. 1e6))
+                     s.Parfan.pf_workers))) ) ]
+    | None -> []
   in
-  let buf = Buffer.create 2048 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"parfan\",\n";
-  f buf "  \"seed\": %d,\n" seed;
-  f buf "  \"sample\": %d,\n" sample;
-  f buf "  \"jobs\": %d,\n" jobs;
-  f buf "  \"runs\": %d,\n" n_runs;
-  f buf
-    "  \"wall\": {\"seq_ns\": %.0f, \"par_ns\": %.0f, \"speedup\": %.3f},\n"
-    seq_ns par_ns speedup;
-  f buf
-    "  \"calibration\": {\"seq_ns\": %.0f, \"par_ns\": %.0f, \
-     \"ideal\": %.3f,\n    \"efficiency\": %.2f, \"min_speedup\": %.1f, \
-     \"threshold\": %.3f},\n"
-    cal_seq_ns cal_par_ns calib (efficiency ()) (min_speedup ()) threshold;
-  (match !pool_stats with
-   | Some s ->
-     f buf
-       "  \"pool\": {\"tasks\": %d, \"runs_per_sec\": %.1f, \
-        \"imbalance_pct\": %.1f,\n    \"workers\": [%s]},\n"
-       s.Parfan.pf_tasks (Parfan.runs_per_sec s) (Parfan.imbalance_pct s)
-       (String.concat ", "
-          (Array.to_list
-             (Array.map
-                (fun w ->
-                   Printf.sprintf "{\"tasks\": %d, \"busy_ms\": %.1f}"
-                     w.Parfan.w_tasks (w.Parfan.w_busy_ns /. 1e6))
-                s.Parfan.pf_workers)))
-   | None -> ());
-  (* Wall times, throughput and host scaling swing with the machine;
-     bench_diff reads these per-path tolerances from the baseline so
-     only real structural drift is flagged. *)
-  f buf
-    "  \"tolerances\": {\"wall.seq_ns\": 300, \"wall.par_ns\": 300,\n\
-    \    \"wall.speedup\": 700, \"calibration.seq_ns\": 300,\n\
-    \    \"calibration.par_ns\": 300, \"calibration.ideal\": 700,\n\
-    \    \"calibration.threshold\": 700, \"pool.runs_per_sec\": 700,\n\
-    \    \"pool.imbalance_pct\": 200},\n";
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "parfan bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  Benchkit.finish ~bench:"parfan" ~budget:false
+    ([ ("seed", string_of_int seed);
+       ("sample", string_of_int sample);
+       ("jobs", string_of_int jobs);
+       ("runs", string_of_int n_runs);
+       ( "wall",
+         Printf.sprintf
+           "{\"seq_ns\": %.0f, \"par_ns\": %.0f, \"speedup\": %.3f}" seq_ns
+           par_ns speedup );
+       ( "calibration",
+         Printf.sprintf
+           "{\"seq_ns\": %.0f, \"par_ns\": %.0f, \"ideal\": %.3f,\n\
+           \    \"efficiency\": %.2f, \"min_speedup\": %.1f, \"threshold\": %.3f}"
+           cal_seq_ns cal_par_ns calib efficiency min_speedup threshold ) ]
+     @ pool
+     @ [ (* Wall times, throughput and host scaling swing with the
+            machine; bench_diff reads these per-path tolerances from the
+            baseline so only real structural drift is flagged. *)
+         ( "tolerances",
+           "{\"wall.seq_ns\": 300, \"wall.par_ns\": 300,\n\
+           \    \"wall.speedup\": 700, \"calibration.seq_ns\": 300,\n\
+           \    \"calibration.par_ns\": 300, \"calibration.ideal\": 700,\n\
+           \    \"calibration.threshold\": 700, \"pool.runs_per_sec\": 700,\n\
+           \    \"pool.imbalance_pct\": 200}" ) ])
+    [ Benchkit.exact "parfan_identical" identical;
+      Benchkit.exact "parfan_isolation" isolation;
+      Benchkit.timing "parfan_speedup" speedup_ok ]

@@ -2,54 +2,29 @@
    attribution hook and the [Profiler] behind it cost on an IPC-heavy
    workload, plus a conservation check of the attributed totals.
 
-   Run with [dune exec bench/main.exe profiler]. Emits a JSON report
-   (path from OSIRIS_PROFILER_BENCH_JSON, default BENCH_profiler.json)
-   and exits non-zero when a gate fails, so a small-budget run doubles
-   as a CI smoke test:
-
-     OSIRIS_BENCH_MS              per-variant wall budget in ms (default 200)
-     OSIRIS_PROFILER_BENCH_JSON   output path (default BENCH_profiler.json)
-     OSIRIS_PROFILER_MAX_OVERHEAD_PCT
-                                  maximum tolerated attached-profiler
-                                  slowdown over the unattached run, in
-                                  percent (default 3)
+   Run with [dune exec bench/main.exe profiler] (artifact
+   BENCH_profiler.json; [--smoke] for the runtest variant, see
+   benchkit.ml). Exits non-zero when an enforced gate fails.
 
    Gates:
-     hook_zero_alloc         a run with a trivial cycle hook attached
-                             allocates no more minor words than an
-                             unhooked run: emission sites pass only
-                             immediates and slot ids, so no per-event
-                             record is ever built — and the unattached
-                             path does strictly less
-     counter_alloc           a profiled run allocates at most the
-                             per-process counter rows (one flat int
-                             array per process) over an unhooked run:
-                             every event is an in-place bump, nothing
-                             per event
-     profiler_overhead       attached-profiler wall-time overhead on
-                             the full workload stays under the gate
-     conservation            the attributed per-process totals equal
-                             the kernel's own process clocks exactly *)
+     hook_zero_alloc    exact   a run with a trivial cycle hook attached
+                                allocates no more minor words than an
+                                unhooked run: emission sites pass only
+                                immediates and slot ids, so no per-event
+                                record is ever built — and the
+                                unattached path does strictly less
+     counter_alloc      exact   a profiled run allocates at most the
+                                per-process counter rows (one flat int
+                                array per process) over an unhooked run:
+                                every event is an in-place bump, nothing
+                                per event
+     profiler_overhead  timing  attached-profiler wall-time overhead on
+                                the full workload stays under 3% (best
+                                of interleaved rounds)
+     conservation       exact   the attributed per-process totals equal
+                                the kernel's own process clocks exactly *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_PROFILER_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 3.)
-  | None -> 3.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_PROFILER_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_profiler.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+let max_overhead_pct = 3.
 
 (* Same workload as the obs bench: a generated mix of file, ds, pipe,
    fork and exec traffic, so every server burns cycles in several
@@ -88,49 +63,16 @@ let run_trivial_hook ~events ~cycles () =
   | halt ->
     failwith ("profiler bench workload halted: " ^ Kernel.halt_to_string halt)
 
-(* Best-of timing, interleaved (see obs_bench.ml): every round times
-   all variants back to back so machine-load drift cannot masquerade
-   as overhead; each variant keeps its best round. *)
-let best_ns_interleaved variants =
-  List.iter (fun (_, f) -> f ()) variants;
-  (* warm *)
-  let k = List.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    List.iteri
-      (fun i (_, f) ->
-         let s = now_ns () in
-         f ();
-         let d = now_ns () -. s in
-         if d < best.(i) then best.(i) <- d)
-      variants;
-    incr rounds
-  done;
-  (best, !rounds)
-
-(* Exact minor-heap words allocated by [f]: the simulation is
-   deterministic, so its allocation is too, and a single sample is
-   exact rather than an estimate. *)
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
-
-let json_bool b = if b then "true" else "false"
-
 let run () =
   Printf.printf
     "\n================================================================\n\
      Cycle profiler: attribution-hook cost and conservation\n\
      ================================================================\n";
   (* ---- allocation ---- *)
-  let unhooked_words = minor_words_of (fun () -> run_once ()) in
+  let unhooked_words = Benchkit.minor_words_of (fun () -> run_once ()) in
   let events = ref 0 and hook_cycles = ref 0 in
   let trivial_words =
-    minor_words_of (fun () -> run_trivial_hook ~events ~cycles:hook_cycles ())
+    Benchkit.minor_words_of (run_trivial_hook ~events ~cycles:hook_cycles)
   in
   let events = !events in
   let hook_delta = trivial_words -. unhooked_words in
@@ -145,7 +87,8 @@ let run () =
   let cons_prof = Profiler.create () in
   let cons_sys_r = ref None in
   let counted_words =
-    minor_words_of (fun () -> cons_sys_r := Some (run_sys ~profiler:cons_prof ()))
+    Benchkit.minor_words_of (fun () ->
+        cons_sys_r := Some (run_sys ~profiler:cons_prof ()))
   in
   let cons_sys = Option.get !cons_sys_r in
   let counter_delta = counted_words -. unhooked_words in
@@ -171,11 +114,11 @@ let run () =
   (* warm the tables before timing *)
   let wall_events = ref 0 and wall_cycles = ref 0 in
   let best, rounds =
-    best_ns_interleaved
-      [ ("unattached", fun () -> run_once ());
-        ("trivial",
-         fun () -> run_trivial_hook ~events:wall_events ~cycles:wall_cycles ());
-        ("attached", fun () -> run_once ~profiler:wall_prof ()) ]
+    Benchkit.best_of
+      [ Benchkit.timed (fun () -> run_once ());
+        Benchkit.timed
+          (run_trivial_hook ~events:wall_events ~cycles:wall_cycles);
+        Benchkit.timed (fun () -> run_once ~profiler:wall_prof ()) ]
   in
   let base_ns = best.(0) and trivial_ns = best.(1) and prof_ns = best.(2) in
   let pct over = 100. *. (over -. base_ns) /. base_ns in
@@ -188,61 +131,39 @@ let run () =
     rounds (base_ns /. 1e6) (trivial_ns /. 1e6) trivial_pct (prof_ns /. 1e6)
     overhead_pct;
   (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
   (* 64-word slack: Gc.minor_words itself and the measuring closures
      may box a float or two; the events themselves must add nothing. *)
   let hook_ok = events > 10_000 && hook_delta < 64. in
   let counter_ok = counter_delta <= float_of_int row_words +. 256. in
-  let overhead_ok = overhead_pct < threshold in
   let conservation_ok = conservation = Ok () in
-  let gates =
-    [ ("hook_zero_alloc", hook_ok);
-      ("counter_alloc", counter_ok);
-      ("profiler_overhead", overhead_ok);
-      ("conservation", conservation_ok) ]
-  in
-  (* ---- JSON report ---- *)
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"profiler\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"workload_seed\": %d,\n" workload_seed;
-  f buf
-    "  \"emission\": {\"events_per_run\": %d, \"unhooked_minor_words\": %.0f,\n\
-    \    \"trivial_hook_minor_words\": %.0f, \"hook_words_per_event\": %.4f},\n"
-    events unhooked_words trivial_words
-    (hook_delta /. float_of_int (max 1 events));
-  f buf
-    "  \"counters\": {\"profiled_minor_words_over_unhooked\": %.0f,\n\
-    \    \"profiled_procs\": %d, \"row_words\": %d, \"words_per_event\": %.4f},\n"
-    counter_delta n_procs row_words
-    (counter_delta /. float_of_int (max 1 events));
-  f buf
-    "  \"conservation\": {\"ok\": %s, \"attributed_cycles\": %d, \"records\": %d},\n"
-    (json_bool conservation_ok)
-    (Profiler.total_cycles cons_prof)
-    (Profiler.n_records cons_prof);
-  f buf
-    "  \"wall\": {\"unattached_ns\": %.0f, \"trivial_hook_ns\": %.0f,\n\
-    \    \"attached_ns\": %.0f, \"trivial_overhead_pct\": %.3f,\n\
-    \    \"overhead_pct\": %.3f, \"max_overhead_pct\": %.1f},\n"
-    base_ns trivial_ns prof_ns trivial_pct overhead_pct threshold;
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "profiler bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  Benchkit.finish ~bench:"profiler"
+    [ ("workload_seed", string_of_int workload_seed);
+      ( "emission",
+        Printf.sprintf
+          "{\"events_per_run\": %d, \"unhooked_minor_words\": %.0f,\n\
+          \    \"trivial_hook_minor_words\": %.0f, \"hook_words_per_event\": %.4f}"
+          events unhooked_words trivial_words
+          (hook_delta /. float_of_int (max 1 events)) );
+      ( "counters",
+        Printf.sprintf
+          "{\"profiled_minor_words_over_unhooked\": %.0f,\n\
+          \    \"profiled_procs\": %d, \"row_words\": %d, \"words_per_event\": %.4f}"
+          counter_delta n_procs row_words
+          (counter_delta /. float_of_int (max 1 events)) );
+      ( "conservation",
+        Printf.sprintf
+          "{\"ok\": %b, \"attributed_cycles\": %d, \"records\": %d}"
+          conservation_ok
+          (Profiler.total_cycles cons_prof)
+          (Profiler.n_records cons_prof) );
+      ( "wall",
+        Printf.sprintf
+          "{\"unattached_ns\": %.0f, \"trivial_hook_ns\": %.0f,\n\
+          \    \"attached_ns\": %.0f, \"trivial_overhead_pct\": %.3f,\n\
+          \    \"overhead_pct\": %.3f, \"max_overhead_pct\": %.1f}"
+          base_ns trivial_ns prof_ns trivial_pct overhead_pct
+          max_overhead_pct ) ]
+    [ Benchkit.exact "hook_zero_alloc" hook_ok;
+      Benchkit.exact "counter_alloc" counter_ok;
+      Benchkit.timing "profiler_overhead" (overhead_pct < max_overhead_pct);
+      Benchkit.exact "conservation" conservation_ok ]

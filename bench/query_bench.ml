@@ -2,47 +2,25 @@
    selective decode, does it stay honest, and what does building it
    cost at record time?
 
-   Run with [dune exec bench/main.exe query]. Emits a JSON report
-   (path from OSIRIS_QUERY_BENCH_JSON, default BENCH_query.json) and
-   exits non-zero when a gate fails:
-
-     OSIRIS_BENCH_MS            per-variant wall budget in ms (default 200)
-     OSIRIS_QUERY_BENCH_JSON    output path (default BENCH_query.json)
-     OSIRIS_QUERY_MAX_INDEX_OVERHEAD_PCT
-                                maximum tolerated record-time slowdown
-                                from sidecar indexing, in percent
-                                (default 5 — the ISSUE bound)
+   Run with [dune exec bench/main.exe query] (artifact
+   BENCH_query.json; [--smoke] for the runtest variant, see
+   benchkit.ml). Exits non-zero when an enforced gate fails.
 
    Gates:
-     selective_decode   a narrow vtime-window query over a >=100k-event
-                        journal decodes < 15% of its records through
-                        the index, and actually skips blocks
-     byte_identity      indexed and full-scan evaluation of the same
-                        queries produce byte-identical JSON and CSV
-                        artifacts (pushdown may over-decode, never
-                        change answers)
-     index_overhead     sidecar indexing adds < 5% to [osiris record]
-                        wall time (Flight.record ~index:true vs false) *)
+     selective_decode  exact   a narrow vtime-window query over a
+                               >=100k-event journal decodes < 15% of its
+                               records through the index, and actually
+                               skips blocks
+     byte_identity     exact   indexed and full-scan evaluation of the
+                               same queries produce byte-identical JSON
+                               and CSV artifacts (pushdown may
+                               over-decode, never change answers)
+     index_overhead    timing  sidecar indexing adds < 5% to
+                               [osiris record] wall time
+                               (Flight.record ~index:true vs false),
+                               median of paired differences *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_QUERY_MAX_INDEX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 5.)
-  | None -> 5.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_QUERY_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_query.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+let max_overhead_pct = 5.
 
 let workload_seed = 42
 
@@ -101,8 +79,6 @@ let synth_journal n =
 
 (* ------------------------------------------------------------------ *)
 
-let json_bool b = if b then "true" else "false"
-
 let run () =
   Printf.printf
     "\n================================================================\n\
@@ -132,11 +108,9 @@ let run () =
     else Filename.temp_file "osiris_query_bench" ".journal"
   in
   let record ~index () =
-    let t0 = now_ns () in
-    (match Flight.record ~path ~index header with
-     | Ok _ -> ()
-     | Error m -> failwith ("query bench: record: " ^ m));
-    now_ns () -. t0
+    match Flight.record ~path ~index header with
+    | Ok _ -> ()
+    | Error m -> failwith ("query bench: record: " ^ m)
   in
   (* Interleaved pairs, alternating order within the pair: each round
      times both variants under the same machine state. The gated
@@ -145,50 +119,33 @@ let run () =
      make the gate hostage to which variant catches the luckier tail
      sample, while paired differences cancel shared drift and the
      median discards the sidecar write's file-system latency tail. *)
-  ignore (record ~index:false ());
-  ignore (record ~index:true ());
-  let best_plain = ref infinity and best_indexed = ref infinity in
-  let diffs = ref [] and plains = ref [] in
-  let rounds = ref 0 in
-  let median l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a.(Array.length a / 2)
+  let pass budget =
+    Benchkit.measure ~budget
+      [ Benchkit.timed (record ~index:false);
+        Benchkit.timed (record ~index:true) ]
   in
-  let measure budget =
-    let t0 = now_ns () in
-    let r0 = !rounds in
-    while now_ns () -. t0 < budget || !rounds - r0 < 8 do
-      let a = record ~index:(!rounds mod 2 = 0) () in
-      let b = record ~index:(!rounds mod 2 = 1) () in
-      let plain, indexed_ns =
-        if !rounds mod 2 = 0 then (b, a) else (a, b)
-      in
-      if plain < !best_plain then best_plain := plain;
-      if indexed_ns < !best_indexed then best_indexed := indexed_ns;
-      diffs := (indexed_ns -. plain) :: !diffs;
-      plains := plain :: !plains;
-      incr rounds
-    done;
-    100. *. median !diffs /. median !plains
+  let overhead t =
+    100. *. Benchkit.paired_median_diff t.(1) t.(0) /. Benchkit.median t.(0)
   in
-  let threshold = max_overhead_pct () in
-  let overhead_pct =
-    let first = measure (2. *. budget_ns ()) in
-    (* A near-miss earns one confirmation pass over a larger sample
-       (the medians only firm up, so this can't manufacture a pass the
-       hardware doesn't support). *)
-    if first < threshold then first else measure (4. *. budget_ns ())
+  let t = pass (2. *. Benchkit.budget_ns ()) in
+  (* A near-miss earns one confirmation pass over a larger sample
+     (the medians only firm up, so this can't manufacture a pass the
+     hardware doesn't support). *)
+  let t =
+    if overhead t < max_overhead_pct then t
+    else Array.map2 Array.append t (pass (4. *. Benchkit.budget_ns ()))
   in
+  let overhead_pct = overhead t in
+  let best_plain = Benchkit.best t.(0) in
+  let best_indexed = Benchkit.best t.(1) in
   Sys.remove path;
   (try Sys.remove (path ^ Journal.index_suffix) with Sys_error _ -> ());
   Printf.printf
     "record wall (%d interleaved rounds):\n\
     \  best without index %.2f ms, with index %.2f ms;\n\
     \  paired median overhead %+.2f%% (gate < %.1f%%)\n"
-    !rounds (!best_plain /. 1e6) (!best_indexed /. 1e6) overhead_pct
-    threshold;
-  let overhead_ok = overhead_pct < threshold in
+    (Array.length t.(0)) (best_plain /. 1e6) (best_indexed /. 1e6)
+    overhead_pct max_overhead_pct;
   (* ---- selective decode over a big synthetic journal ---- *)
   let journal, t_max = synth_journal 100_000 in
   let ix =
@@ -255,54 +212,31 @@ let run () =
     (List.length queries)
     (if identity_ok then "indexed == full scan"
      else "MISMATCH in " ^ String.concat ", " identity_failures);
-  (* ---- gates + JSON report ---- *)
-  let gates =
-    [ ("selective_decode", selective_ok);
-      ("byte_identity", identity_ok);
-      ("index_overhead", overhead_ok) ]
-  in
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"query\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"workload_seed\": %d,\n" workload_seed;
-  f buf
-    "  \"selectivity\": {\"records\": %d, \"blocks\": %d,\n\
-    \    \"records_decoded\": %d, \"records_decoded_pct\": %.3f,\n\
-    \    \"blocks_scanned\": %d, \"blocks_skipped\": %d, \"matched\": %d},\n"
-    total n_blocks stats.Journal.sc_records_decoded decoded_pct
-    stats.Journal.sc_blocks_scanned stats.Journal.sc_blocks_skipped
-    indexed.Query.q_matched;
-  f buf "  \"identity_queries\": %d,\n" (List.length queries);
-  f buf
-    "  \"wall\": {\"record_ns\": %.0f, \"record_indexed_ns\": %.0f,\n\
-    \    \"index_overhead_pct\": %.3f, \"max_index_overhead_pct\": %.1f},\n"
-    !best_plain !best_indexed overhead_pct threshold;
-  (* Wall numbers move with the host; the overhead ratio is the gated
-     figure and is a noise-centered paired median, so its relative
-     drift is meaningless (the gate itself is what's enforced).
-     Selectivity and identity are deterministic — no tolerance
-     needed. *)
-  f buf
-    "  \"tolerances\": {\"wall.record_ns\": 50.0,\n\
-    \    \"wall.record_indexed_ns\": 50.0,\n\
-    \    \"wall.index_overhead_pct\": 10000.0},\n";
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let p = json_path () in
-  let oc = open_out p in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" p;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "query bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  Benchkit.finish ~bench:"query"
+    [ ("workload_seed", string_of_int workload_seed);
+      ( "selectivity",
+        Printf.sprintf
+          "{\"records\": %d, \"blocks\": %d,\n\
+          \    \"records_decoded\": %d, \"records_decoded_pct\": %.3f,\n\
+          \    \"blocks_scanned\": %d, \"blocks_skipped\": %d, \"matched\": %d}"
+          total n_blocks stats.Journal.sc_records_decoded decoded_pct
+          stats.Journal.sc_blocks_scanned stats.Journal.sc_blocks_skipped
+          indexed.Query.q_matched );
+      ("identity_queries", string_of_int (List.length queries));
+      ( "wall",
+        Printf.sprintf
+          "{\"record_ns\": %.0f, \"record_indexed_ns\": %.0f,\n\
+          \    \"index_overhead_pct\": %.3f, \"max_index_overhead_pct\": %.1f}"
+          best_plain best_indexed overhead_pct max_overhead_pct );
+      (* Wall numbers move with the host; the overhead ratio is the
+         gated figure and is a noise-centered paired median, so its
+         relative drift is meaningless (the gate itself is what's
+         enforced). Selectivity and identity are deterministic — no
+         tolerance needed. *)
+      ( "tolerances",
+        "{\"wall.record_ns\": 50.0,\n\
+        \    \"wall.record_indexed_ns\": 50.0,\n\
+        \    \"wall.index_overhead_pct\": 10000.0}" ) ]
+    [ Benchkit.exact "selective_decode" selective_ok;
+      Benchkit.exact "byte_identity" identity_ok;
+      Benchkit.timing "index_overhead" (overhead_pct < max_overhead_pct) ]

@@ -18,61 +18,31 @@
    a slow box loosens the absolute bar but never excuses losing to the
    old heap.
 
-   Run with [dune exec bench/main.exe sched]. Emits a JSON report
-   (path from OSIRIS_SCHED_BENCH_JSON, default BENCH_sched.json) and
-   exits non-zero when a gate fails:
-
-     OSIRIS_BENCH_MS              per-variant wall budget in ms (default 200)
-     OSIRIS_SCHED_BENCH_JSON      output path (default BENCH_sched.json)
-     OSIRIS_SCHED_BASELINE_NS     pre-refactor per-event reference
-                                  (default 78.6)
-     OSIRIS_SCHED_EFFICIENCY      fraction of the oracle's measured
-                                  ns/event the wheel must beat when
-                                  the host is too slow for the
-                                  absolute bar (default 0.9)
+   Run with [dune exec bench/main.exe sched] (artifact
+   BENCH_sched.json; [--smoke] for the runtest variant, see
+   benchkit.ml). Exits non-zero when an enforced gate fails.
 
    Gates:
-     sched_ns_per_event   wheel push+pop ns/event on the kernel trace
-                          < max(BASELINE_NS, EFFICIENCY x oracle)
-     sched_vs_oracle      wheel ns/event < oracle ns/event
-     sched_zero_alloc     a full warm trace pass (131k push/pop)
-                          allocates no minor words
-     sched_trajectory     full-system seed-42 runs (regression driver,
-                          and quickstart with a mid-run VFS crash and
-                          an attached journal) are byte-identical
-                          between wheel and oracle: halt, every ss_*
-                          server counter row, log lines, journal bytes *)
+     sched_ns_per_event   timing  wheel push+pop ns/event on the kernel
+                                  trace < max(baseline_ns, efficiency x
+                                  oracle), best of interleaved rounds
+     sched_vs_oracle      timing  wheel ns/event < oracle ns/event
+     sched_zero_alloc     exact   a full warm trace pass (131k push/pop)
+                                  allocates no minor words
+     sched_trajectory     exact   full-system seed-42 runs (regression
+                                  driver, and quickstart with a mid-run
+                                  VFS crash and an attached journal) are
+                                  byte-identical between wheel and
+                                  oracle: halt, every ss_* server
+                                  counter row, log lines, journal
+                                  bytes *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
+(* The pre-refactor per-event reference. *)
+let baseline_ns = 78.6
 
-let baseline_ns () =
-  match Sys.getenv_opt "OSIRIS_SCHED_BASELINE_NS" with
-  | Some s -> (try float_of_string s with _ -> 78.6)
-  | None -> 78.6
-
-let efficiency () =
-  match Sys.getenv_opt "OSIRIS_SCHED_EFFICIENCY" with
-  | Some s -> (try float_of_string s with _ -> 0.9)
-  | None -> 0.9
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_SCHED_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_sched.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
-let json_bool b = if b then "true" else "false"
-
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
+(* Fraction of the oracle's measured ns/event the wheel must beat when
+   the host is too slow for the absolute bar. *)
+let efficiency = 0.9
 
 (* ---- the kernel-shaped trace -------------------------------------- *)
 
@@ -142,9 +112,8 @@ let record_trace () =
   { t_kind = kind; t_key = key; t_events = !pushes }
 
 (* One full pass: replay the trace, then drain the residue so the
-   instance is empty for the next pass.  Returns elapsed ns. *)
-let replay tr s =
-  let t0 = now_ns () in
+   instance is empty for the next pass. *)
+let replay tr s () =
   for i = 0 to trace_len - 1 do
     if Bytes.unsafe_get tr.t_kind i = '\000' then
       Sched.push s ~key:(Array.unsafe_get tr.t_key i) i
@@ -152,29 +121,7 @@ let replay tr s =
   done;
   while Sched.pop s >= 0 do
     ()
-  done;
-  now_ns () -. t0
-
-(* Interleaved best-of (same rationale as journal_bench): round-robin
-   wheel and oracle passes so GC debt and load drift are shared. *)
-let best_ns_interleaved variants =
-  let variants = Array.of_list variants in
-  Array.iter (fun (_, f) -> ignore (f ())) variants;
-  let k = Array.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    for j = 0 to k - 1 do
-      let i = (j + !rounds) mod k in
-      let _, f = variants.(i) in
-      let d = f () in
-      if d < best.(i) then best.(i) <- d
-    done;
-    incr rounds
-  done;
-  (best, !rounds)
+  done
 
 (* ---- trajectory identity ------------------------------------------ *)
 
@@ -228,24 +175,23 @@ let run () =
   Sched.use_oracle := false;
   assert (Sched.is_oracle heap && not (Sched.is_oracle wheel));
   let best, rounds =
-    best_ns_interleaved
-      [ ("wheel", fun () -> replay tr wheel);
-        ("oracle", fun () -> replay tr heap) ]
+    Benchkit.best_of
+      [ Benchkit.timed (replay tr wheel); Benchkit.timed (replay tr heap) ]
   in
   let per_event ns = ns /. float_of_int tr.t_events in
   let wheel_ns = per_event best.(0) and oracle_ns = per_event best.(1) in
-  let threshold = Float.max (baseline_ns ()) (efficiency () *. oracle_ns) in
+  let threshold = Float.max baseline_ns (efficiency *. oracle_ns) in
   Printf.printf
     "per event (best of %d rounds):\n\
     \  wheel   %8.2f ns\n\
     \  oracle  %8.2f ns (old binary heap)\n\
     \  gate: wheel < max(%.1f baseline, %.2f x oracle) = %.2f ns -> %s\n"
-    rounds wheel_ns oracle_ns (baseline_ns ()) (efficiency ()) threshold
+    rounds wheel_ns oracle_ns baseline_ns efficiency threshold
     (if wheel_ns < threshold then "ok" else "FAILED");
   let ns_ok = wheel_ns < threshold in
   let vs_oracle_ok = wheel_ns < oracle_ns in
   (* ---- zero allocation on a warm pass ---- *)
-  let words = minor_words_of (fun () -> ignore (replay tr wheel)) in
+  let words = Benchkit.minor_words_of (replay tr wheel) in
   let alloc_ok = words < 64. in
   Printf.printf "warm pass allocation: %.0f minor words over %d ops -> %s\n"
     words trace_len
@@ -264,47 +210,23 @@ let run () =
     \  quickstart + vfs crash   %s\n"
     (if driver_ok then "identical" else "DIVERGED")
     (if crash_ok then "identical" else "DIVERGED");
-  (* ---- gates + JSON ---- *)
-  let gates =
-    [ ("sched_ns_per_event", ns_ok);
-      ("sched_vs_oracle", vs_oracle_ok);
-      ("sched_zero_alloc", alloc_ok);
-      ("sched_trajectory", driver_ok && crash_ok) ]
-  in
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"sched\",\n";
-  f buf "  \"seed\": 42,\n";
-  f buf "  \"trace\": {\"ops\": %d, \"events\": %d},\n" trace_len
-    tr.t_events;
-  f buf
-    "  \"per_event\": {\"wheel_ns\": %.2f, \"oracle_ns\": %.2f,\n\
-    \    \"baseline_ns\": %.1f, \"efficiency\": %.2f, \"threshold_ns\": \
-     %.2f},\n"
-    wheel_ns oracle_ns (baseline_ns ()) (efficiency ()) threshold;
-  f buf "  \"alloc\": {\"minor_words_per_pass\": %.0f},\n" words;
-  (* Wall-clock figures swing with the host; bench_diff reads these
-     per-path tolerances from the baseline so only structural drift is
-     flagged. *)
-  f buf
-    "  \"tolerances\": {\"per_event.wheel_ns\": 300,\n\
-    \    \"per_event.oracle_ns\": 300, \"per_event.threshold_ns\": 300},\n";
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "sched bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  Benchkit.finish ~bench:"sched" ~budget:false
+    [ ("seed", "42");
+      ( "trace",
+        Printf.sprintf "{\"ops\": %d, \"events\": %d}" trace_len tr.t_events );
+      ( "per_event",
+        Printf.sprintf
+          "{\"wheel_ns\": %.2f, \"oracle_ns\": %.2f,\n\
+          \    \"baseline_ns\": %.1f, \"efficiency\": %.2f, \"threshold_ns\": %.2f}"
+          wheel_ns oracle_ns baseline_ns efficiency threshold );
+      ("alloc", Printf.sprintf "{\"minor_words_per_pass\": %.0f}" words);
+      (* Wall-clock figures swing with the host; bench_diff reads these
+         per-path tolerances from the baseline so only structural drift
+         is flagged. *)
+      ( "tolerances",
+        "{\"per_event.wheel_ns\": 300,\n\
+        \    \"per_event.oracle_ns\": 300, \"per_event.threshold_ns\": 300}" ) ]
+    [ Benchkit.timing "sched_ns_per_event" ns_ok;
+      Benchkit.timing "sched_vs_oracle" vs_oracle_ok;
+      Benchkit.exact "sched_zero_alloc" alloc_ok;
+      Benchkit.exact "sched_trajectory" (driver_ok && crash_ok) ]

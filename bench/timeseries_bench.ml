@@ -2,68 +2,44 @@
    kernel's clock-advance path, and whether campaign rollups stay
    deterministic under the domain pool.
 
-   Run with [dune exec bench/main.exe timeseries]. Emits a JSON report
-   (path from OSIRIS_TIMESERIES_BENCH_JSON, default
-   BENCH_timeseries.json) and exits non-zero when a gate fails, so a
-   small-budget run doubles as a CI smoke test:
-
-     OSIRIS_BENCH_MS            per-variant wall budget in ms (default 200)
-     OSIRIS_TIMESERIES_BENCH_JSON
-                                output path (default BENCH_timeseries.json)
-     OSIRIS_TIMESERIES_MAX_OVERHEAD_PCT
-                                maximum tolerated telemetered-run
-                                slowdown over the bare run, in percent
-                                (default 3)
+   Run with [dune exec bench/main.exe timeseries] (artifact
+   BENCH_timeseries.json; [--smoke] for the runtest variant, see
+   benchkit.ml). Exits non-zero when an enforced gate fails.
 
    Gates:
-     sampling_zero_alloc     one Timeseries.sample tick over the full
-                             standard kernel source set allocates
-                             nothing (minor-word delta over 100k ticks)
-     telemetry_overhead      the sampling engine's cost on a workgen
-                             run — the run's worth of per-tick source
-                             reads plus series setup, as a fraction of
-                             the cycle-counted run — stays under the
-                             gate. The reference is the cycle-counted
-                             run because attaching telemetry turns
-                             cycle counts on, and their cost (~2%
-                             here) is the profiler's separately gated
-                             feature (bench/profiler_bench.ml); this
-                             gate isolates what the sampling engine
-                             itself adds on top. The cost is computed
-                             from a tight-loop measurement of
-                             Timeseries.sample over the real frozen
-                             source set (deterministic to a few ns)
-                             rather than from the difference of two
-                             whole-run timings: on a contended host
-                             the run-to-run noise floor exceeds the
-                             gate itself (compare calibration.ideal
-                             in BENCH_parfan.json), so the end-to-end
-                             deltas are reported as informational
-                             context instead
-     rollup_identity         the campaign rollup artifact
-                             (Campaign.rollup_to_json, pool section
-                             omitted) is byte-identical at jobs:1 and
-                             jobs:4 *)
+     sampling_zero_alloc  exact   one Timeseries.sample tick over the
+                                  full standard kernel source set
+                                  allocates nothing (minor-word delta
+                                  over 100k ticks)
+     telemetry_overhead   timing  the sampling engine's cost on a
+                                  workgen run — the run's worth of
+                                  per-tick source reads plus series
+                                  setup, as a fraction of the
+                                  cycle-counted run — stays under 3%.
+                                  The reference is the cycle-counted run
+                                  because attaching telemetry turns
+                                  cycle counts on, and their cost (~2%
+                                  here) is the profiler's separately
+                                  gated feature (bench/profiler_bench.ml);
+                                  this gate isolates what the sampling
+                                  engine itself adds on top. The cost is
+                                  computed from a tight-loop measurement
+                                  of Timeseries.sample over the real
+                                  frozen source set (deterministic to a
+                                  few ns) rather than from the
+                                  difference of two whole-run timings:
+                                  on a contended host the run-to-run
+                                  noise floor exceeds the gate itself
+                                  (compare calibration.ideal in
+                                  BENCH_parfan.json), so the end-to-end
+                                  deltas are reported as informational
+                                  context instead
+     rollup_identity      exact   the campaign rollup artifact
+                                  (Campaign.rollup_to_json, pool section
+                                  omitted) is byte-identical at jobs:1
+                                  and jobs:4 *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_TIMESERIES_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 3.)
-  | None -> 3.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_TIMESERIES_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_timeseries.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+let max_overhead_pct = 3.
 
 let workload_seed = 42
 let sample_interval = 4096
@@ -109,36 +85,6 @@ let run_telemetered () =
   | halt ->
     failwith ("timeseries bench workload halted: " ^ Kernel.halt_to_string halt)
 
-(* Best-of timing, interleaved (see obs_bench.ml): every round times
-   both variants back to back so load drift cannot masquerade as
-   overhead; each variant keeps its best round. *)
-let best_ns_interleaved variants =
-  List.iter (fun (_, f) -> f ()) variants;
-  (* warm *)
-  let k = List.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    List.iteri
-      (fun i (_, f) ->
-         let s = now_ns () in
-         f ();
-         let d = now_ns () -. s in
-         if d < best.(i) then best.(i) <- d)
-      variants;
-    incr rounds
-  done;
-  (best, !rounds)
-
-(* Exact minor-heap words allocated by [f] (deterministic simulation,
-   so a single sample is exact). *)
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
-
 (* ------------------------------------------------------------------ *)
 
 (* Allocation probe: run the workload once with telemetry attached so
@@ -160,7 +106,7 @@ let sampling_alloc_probe () =
       Timeseries.sample ts (base + (i * sample_interval))
     done
   in
-  (ops, n_sources, run_samples, minor_words_of storm, ts, base)
+  (ops, n_sources, run_samples, Benchkit.minor_words_of storm, ts, base)
 
 (* Per-tick cost of the sampling hot path on the same frozen source
    set, best of a fixed number of tight-loop repetitions. The loop is
@@ -174,16 +120,10 @@ let per_sample_probe ts base =
       Timeseries.sample ts (base + (i * sample_interval))
     done
   in
-  loop ();
-  (* warm *)
-  let best = ref infinity in
-  for _ = 1 to 12 do
-    let s = now_ns () in
-    loop ();
-    let d = now_ns () -. s in
-    if d < !best then best := d
-  done;
-  !best /. float_of_int ops
+  let best, _ =
+    Benchkit.best_of ~min_rounds:12 ~budget:0. [ Benchkit.timed loop ]
+  in
+  best.(0) /. float_of_int ops
 
 (* One-time series setup cost a telemetered run pays before its first
    tick: create, register [n] sources, freeze the flat arrays and
@@ -201,16 +141,10 @@ let setup_probe n =
     done;
     Timeseries.sample ts sample_interval
   in
-  mk ();
-  (* warm *)
-  let best = ref infinity in
-  for _ = 1 to 16 do
-    let s = now_ns () in
-    mk ();
-    let d = now_ns () -. s in
-    if d < !best then best := d
-  done;
-  !best
+  let best, _ =
+    Benchkit.best_of ~min_rounds:16 ~budget:0. [ Benchkit.timed mk ]
+  in
+  best.(0)
 
 (* Rollup determinism probe: a small sampled fail-stop campaign under
    two specs, fanned out at jobs:1 (the sequential oracle) and jobs:4
@@ -231,8 +165,6 @@ let rollup_probe () =
   let a4 = artifact 4 in
   (a1, a4)
 
-let json_bool b = if b then "true" else "false"
-
 let run () =
   Printf.printf
     "\n================================================================\n\
@@ -250,10 +182,10 @@ let run () =
   let setup_ns = setup_probe n_sources in
   (* ---- wall time ---- *)
   let best, rounds =
-    best_ns_interleaved
-      [ ("bare", fun () -> run_plain ());
-        ("cycle-counted", fun () -> run_cycle_counted ());
-        ("telemetered", fun () -> ignore (run_telemetered () : Timeseries.t)) ]
+    Benchkit.best_of
+      [ Benchkit.timed run_plain;
+        Benchkit.timed run_cycle_counted;
+        Benchkit.timed (fun () -> ignore (run_telemetered () : Timeseries.t)) ]
   in
   let bare_ns = best.(0) and base_ns = best.(1) and tele_ns = best.(2) in
   let model_ns = setup_ns +. (float_of_int run_samples *. ps_ns) in
@@ -281,57 +213,32 @@ let run () =
     "campaign rollup artifact: %d bytes at jobs:1, %d bytes at jobs:4 — %s\n"
     (String.length a1) (String.length a4)
     (if identical then "byte-identical" else "DIFFER");
-  (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
-  (* 64-word slack: Gc.minor_words itself and the probe closure may
-     box a float or two; the 100k ticks themselves must add nothing. *)
-  let alloc_ok = words < 64. in
-  let overhead_ok = overhead_pct < threshold in
-  let gates =
-    [ ("sampling_zero_alloc", alloc_ok);
-      ("telemetry_overhead", overhead_ok);
-      ("rollup_identity", identical) ]
-  in
-  (* ---- JSON report ---- *)
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"timeseries\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"workload_seed\": %d,\n" workload_seed;
-  f buf
-    "  \"sampling\": {\"ticks\": %d, \"sources\": %d, \"interval\": %d,\n\
-    \    \"minor_words\": %.0f},\n"
-    ops n_sources sample_interval words;
-  f buf
-    "  \"cost\": {\"per_sample_ns\": %.1f, \"setup_ns\": %.0f,\n\
-    \    \"samples_per_run\": %d, \"overhead_pct\": %.3f,\n\
-    \    \"max_overhead_pct\": %.1f},\n"
-    ps_ns setup_ns run_samples overhead_pct threshold;
-  f buf
-    "  \"wall\": {\"bare_ns\": %.0f, \"cycle_counted_ns\": %.0f,\n\
-    \    \"telemetered_ns\": %.0f, \"end_to_end_pct\": %.3f},\n"
-    bare_ns base_ns tele_ns e2e_pct;
-  f buf
-    "  \"rollup\": {\"sample\": 4, \"jobs_a\": 1, \"jobs_b\": 4,\n\
-    \    \"bytes\": %d, \"identical\": %s},\n"
-    (String.length a1) (json_bool identical);
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let path = json_path () in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) ->
-         Printf.eprintf "timeseries bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  Benchkit.finish ~bench:"timeseries"
+    [ ("workload_seed", string_of_int workload_seed);
+      ( "sampling",
+        Printf.sprintf
+          "{\"ticks\": %d, \"sources\": %d, \"interval\": %d,\n\
+          \    \"minor_words\": %.0f}"
+          ops n_sources sample_interval words );
+      ( "cost",
+        Printf.sprintf
+          "{\"per_sample_ns\": %.1f, \"setup_ns\": %.0f,\n\
+          \    \"samples_per_run\": %d, \"overhead_pct\": %.3f,\n\
+          \    \"max_overhead_pct\": %.1f}"
+          ps_ns setup_ns run_samples overhead_pct max_overhead_pct );
+      ( "wall",
+        Printf.sprintf
+          "{\"bare_ns\": %.0f, \"cycle_counted_ns\": %.0f,\n\
+          \    \"telemetered_ns\": %.0f, \"end_to_end_pct\": %.3f}"
+          bare_ns base_ns tele_ns e2e_pct );
+      ( "rollup",
+        Printf.sprintf
+          "{\"sample\": 4, \"jobs_a\": 1, \"jobs_b\": 4,\n\
+          \    \"bytes\": %d, \"identical\": %b}"
+          (String.length a1) identical ) ]
+    [ (* 64-word slack: Gc.minor_words itself and the probe closure may
+         box a float or two; the 100k ticks themselves must add
+         nothing. *)
+      Benchkit.exact "sampling_zero_alloc" (words < 64.);
+      Benchkit.timing "telemetry_overhead" (overhead_pct < max_overhead_pct);
+      Benchkit.exact "rollup_identity" identical ]

@@ -488,14 +488,6 @@ let spec_opt_arg =
 let conf_of_args policy spec =
   match spec with Some c -> c | None -> Sysconf.uniform policy
 
-let out_path ~flag ~env ~default =
-  match flag with
-  | Some p -> p
-  | None ->
-    (match Sys.getenv_opt env with
-     | Some p when p <> "" -> p
-     | _ -> default)
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -514,10 +506,8 @@ let timeline_cmd =
            ~doc:"Sliding latency window, in samples.")
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_TIMELINE_JSON or \
-                 osiris_timeline.json).")
+    Arg.(value & opt string "osiris_timeline.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let csv_arg =
     Arg.(value & opt (some string) None
@@ -562,10 +552,7 @@ let timeline_cmd =
     let tl = Timeline.of_kernel ~latencies ~window ts kernel in
     print_string (Timeline.dashboard ~color:(not no_color) tl);
     Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
-    write_file
-      (out_path ~flag:json ~env:"OSIRIS_TIMELINE_JSON"
-         ~default:"osiris_timeline.json")
-      (Timeline.to_json tl);
+    write_file json (Timeline.to_json tl);
     (match csv with
      | Some p -> write_file p (Timeline.to_csv tl)
      | None -> ());
@@ -641,10 +628,8 @@ let load_cmd =
            ~doc:"Zipf skew exponent for key popularity (0 = uniform).")
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_LOAD_JSON or \
-                 osiris_load.json).")
+    Arg.(value & opt string "osiris_load.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let csv_arg =
     Arg.(value & opt (some string) None
@@ -832,10 +817,7 @@ let load_cmd =
       Printf.bprintf buf "  ],\n  \"knee_step\": %d\n}\n" (Tailprof.knee p99s)
     end
     else Printf.bprintf buf "  ]\n}\n";
-    write_file
-      (out_path ~flag:json ~env:"OSIRIS_LOAD_JSON"
-         ~default:"osiris_load.json")
-      (Buffer.contents buf);
+    write_file json (Buffer.contents buf);
     (match csv with
      | Some path ->
        let cb = Buffer.create 1024 in
@@ -916,10 +898,8 @@ let why_cmd =
                  already fixes the run).")
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_WHY_JSON or \
-                 osiris_why.json).")
+    Arg.(value & opt string "osiris_why.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let perfetto_arg =
     Arg.(value & opt (some string) None
@@ -1167,10 +1147,7 @@ let why_cmd =
              Buffer.add_string buf (if i = nruns - 1 then "}\n" else "},\n"))
           analyzed;
         Printf.bprintf buf "  ]\n}\n";
-        write_file
-          (out_path ~flag:json ~env:"OSIRIS_WHY_JSON"
-             ~default:"osiris_why.json")
-          (Buffer.contents buf);
+        write_file json (Buffer.contents buf);
         (match perfetto, analyzed with
          | Some path, (events, _, cp, prof) :: _ ->
            let spans = Span.build events in
@@ -1216,17 +1193,14 @@ let why_cmd =
 
 let profile_cmd =
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_PROFILE_JSON or \
-                 osiris_profile.json).")
+    Arg.(value & opt string "osiris_profile.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let folded_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt string "osiris_profile.folded"
          & info [ "folded" ] ~docv:"PATH"
-           ~doc:"Folded-stack flamegraph output (default from \
-                 OSIRIS_PROFILE_FOLDED or osiris_profile.folded; feed to \
-                 flamegraph.pl / inferno / speedscope).")
+           ~doc:"Folded-stack flamegraph output (feed to flamegraph.pl / \
+                 inferno / speedscope).")
   in
   let run policy spec seed crash json folded =
     setup_logs ();
@@ -1238,14 +1212,8 @@ let profile_cmd =
     let halt = System.run sys ~root:Workgen.quickstart in
     print_endline (Profiler.report profiler);
     Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
-    write_file
-      (out_path ~flag:json ~env:"OSIRIS_PROFILE_JSON"
-         ~default:"osiris_profile.json")
-      (Profiler.to_json profiler);
-    write_file
-      (out_path ~flag:folded ~env:"OSIRIS_PROFILE_FOLDED"
-         ~default:"osiris_profile.folded")
-      (Flame.folded profiler);
+    write_file json (Profiler.to_json profiler);
+    write_file folded (Flame.folded profiler);
     match Profiler.check_conservation profiler kernel with
     | Ok () ->
       Printf.printf "conservation: ok (%d cycles attributed over %d records)\n"
@@ -1265,10 +1233,8 @@ let profile_cmd =
 
 let health_cmd =
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_HEALTH_JSON or \
-                 osiris_health.json).")
+    Arg.(value & opt string "osiris_health.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let crashes_arg =
     Arg.(value & opt int 1
@@ -1292,10 +1258,7 @@ let health_cmd =
     in
     print_endline (Health.render comps);
     Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
-    write_file
-      (out_path ~flag:json ~env:"OSIRIS_HEALTH_JSON"
-         ~default:"osiris_health.json")
-      (Health.to_json comps);
+    write_file json (Health.to_json comps);
     if List.for_all (fun c -> c.Health.co_status = Health.Healthy) comps then 0
     else 1
   in
@@ -1331,10 +1294,8 @@ let survivability_cmd =
                  evaluation policies (the Tables II/III diagonal).")
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_SURVIVABILITY_JSON \
-                 or survivability.json).")
+    Arg.(value & opt string "survivability.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let timeline_arg =
     Arg.(value & opt (some string) None
@@ -1343,7 +1304,7 @@ let survivability_cmd =
                  histograms, per-server recovery latency, crash-storm \
                  timeline; plus wall-clock pool utilization) as JSON.")
   in
-  let run model sample seed jobs specs json timeline =
+  let run model sample seed jobs specs path timeline =
     setup_logs ();
     let specs =
       match specs with
@@ -1369,15 +1330,6 @@ let survivability_cmd =
            (f Campaign.Pass) (f Campaign.Fail) (f Campaign.Shutdown)
            (f Campaign.Crash))
       rows;
-    (* Artifact, OSIRIS_BENCH_JSON-style: flag > env > default. *)
-    let path =
-      match json with
-      | Some p -> p
-      | None ->
-        (match Sys.getenv_opt "OSIRIS_SURVIVABILITY_JSON" with
-         | Some p when p <> "" -> p
-         | _ -> "survivability.json")
-    in
     let buf = Buffer.create 1024 in
     Printf.bprintf buf
       "{\n  \"experiment\": \"survivability_matrix\",\n  \"model\": %S,\n\
@@ -1469,10 +1421,9 @@ let policies_cmd =
 (* ---- Flight recorder: record / replay / postmortem ---- *)
 
 let journal_path_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt string "osiris.journal"
        & info [ "journal" ] ~docv:"PATH"
-         ~doc:"Journal file (default from OSIRIS_JOURNAL or \
-               osiris.journal).")
+         ~doc:"Journal file.")
 
 let read_raw path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -1534,14 +1485,11 @@ let record_cmd =
                  structural-divergence fixture).")
   in
   let run policy spec seed arch workload crash count ring no_index perturb
-      journal =
+      path =
     setup_logs ();
     let spec = match spec with Some s -> s | None -> policy.Policy.name in
     let crash_name =
       match crash with None -> "none" | Some ep -> Endpoint.server_name ep
-    in
-    let path =
-      out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
     in
     match
       Flight.make_header ~arch ~seed ~spec ~workload ~crash:crash_name
@@ -1587,10 +1535,8 @@ let record_cmd =
 
 let replay_cmd =
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_REPLAY_JSON or \
-                 osiris_replay.json).")
+    Arg.(value & opt string "osiris_replay.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let perturb_arg =
     Arg.(value & flag
@@ -1599,11 +1545,8 @@ let replay_cmd =
                  intentional-divergence fixture (expect exit 2 with the \
                  first divergent record named).")
   in
-  let run journal json perturb =
+  let run path json perturb =
     setup_logs ();
-    let path =
-      out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
-    in
     match read_raw path with
     | Error m -> prerr_endline m; 1
     | Ok bytes ->
@@ -1636,10 +1579,7 @@ let replay_cmd =
           | Some m -> prerr_endline ("replay: " ^ m); 1
           | None ->
             print_string (Replay.render outcome);
-            write_file
-              (out_path ~flag:json ~env:"OSIRIS_REPLAY_JSON"
-                 ~default:"osiris_replay.json")
-              (Replay.to_json outcome);
+            write_file json (Replay.to_json outcome);
             Replay.exit_code outcome))
   in
   Cmd.v
@@ -1651,16 +1591,11 @@ let replay_cmd =
 
 let postmortem_cmd =
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_POSTMORTEM_JSON \
-                 or osiris_postmortem.json).")
+    Arg.(value & opt string "osiris_postmortem.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
-  let run journal json =
+  let run path json =
     setup_logs ();
-    let path =
-      out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
-    in
     match read_raw path with
     | Error m -> prerr_endline m; 1
     | Ok bytes ->
@@ -1669,10 +1604,7 @@ let postmortem_cmd =
        | Ok report ->
          print_string
            (Postmortem.render report.Postmortem.pm_header report);
-         write_file
-           (out_path ~flag:json ~env:"OSIRIS_POSTMORTEM_JSON"
-              ~default:"osiris_postmortem.json")
-           (Postmortem.to_json report);
+         write_file json (Postmortem.to_json report);
          0)
   in
   Cmd.v
@@ -1691,11 +1623,8 @@ let index_cmd =
            ~doc:"Records per index block (smaller blocks skip more, \
                  cost more summaries).")
   in
-  let run journal block_records =
+  let run path block_records =
     setup_logs ();
-    let path =
-      out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
-    in
     match read_raw path with
     | Error m -> prerr_endline ("index: " ^ m); 1
     | Ok bytes ->
@@ -1768,11 +1697,8 @@ let query_cmd =
          | _ -> Error (Printf.sprintf "unknown aggregation %S" s))
       | None -> Error (Printf.sprintf "unknown aggregation %S" s)
   in
-  let run journal no_index agg_s json csv terms =
+  let run path no_index agg_s json csv terms =
     setup_logs ();
-    let path =
-      out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
-    in
     match read_raw path with
     | Error m -> prerr_endline ("query: " ^ m); 1
     | Ok bytes ->
@@ -1816,10 +1742,8 @@ let diff_cmd =
          & info [] ~docv:"JOURNAL_B" ~doc:"Journal to compare against A.")
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_DIFF_JSON or \
-                 osiris_diff.json).")
+    Arg.(value & opt string "osiris_diff.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let run a b json =
     setup_logs ();
@@ -1833,10 +1757,7 @@ let diff_cmd =
           | Error m -> prerr_endline ("diff: " ^ m); 1
           | Ok r ->
             print_string (Rundiff.render r);
-            write_file
-              (out_path ~flag:json ~env:"OSIRIS_DIFF_JSON"
-                 ~default:"osiris_diff.json")
-              (Rundiff.to_json r);
+            write_file json (Rundiff.to_json r);
             Rundiff.exit_code r))
   in
   Cmd.v
