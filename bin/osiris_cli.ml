@@ -11,8 +11,7 @@
      stress    run randomly generated workloads (deterministic per seed)
      fsck      filesystem invariant check (block conservation)
      events    run a generated workload, print the tail of its IPC
-               event log (was `timeline` before the vtime telemetry
-               engine took that name)
+               event log
      timeline  run quickstart with the vtime telemetry engine attached,
                render the sampled series as an ANSI dashboard
      load      open-loop saturation sweep: step offered load, crash a
@@ -33,6 +32,9 @@
      replay    re-execute a journal, diff streams, report divergence
      postmortem
                causal root-cause walkback over a recorded journal
+     index     build a journal's seekable sidecar block index
+     query     filter and aggregate a journal (index-selective decode)
+     diff      differential diagnosis of two recorded journals
 *)
 
 open Cmdliner
@@ -84,7 +86,9 @@ let verbose_arg =
 
 let trace_arg =
   Arg.(value & flag
-       & info [ "trace" ] ~doc:"Log every IPC event (very verbose).")
+       & info [ "trace" ]
+         ~doc:"Print every kernel event (messages, replies, windows, \
+               crashes, recovery) to stderr as it happens (very verbose).")
 
 let setup_logs () =
   Fmt_tty.setup_std_outputs ();
@@ -93,8 +97,11 @@ let setup_logs () =
 let suite_cmd =
   let run policy seed verbose trace =
     setup_logs ();
-    if trace then Logs.set_level (Some Logs.Debug);
-    let sys = System.build ~seed ~trace (Sysconf.uniform policy) in
+    let event_hook =
+      if trace then Some (fun ev -> prerr_endline (Tracer.pp_event ev))
+      else None
+    in
+    let sys = System.build ~seed ?event_hook (Sysconf.uniform policy) in
     let halt = System.run sys ~root:Testsuite.driver in
     let lines = System.log_lines sys in
     if verbose then List.iter print_endline lines;
@@ -192,10 +199,9 @@ let survive_cmd =
   in
   let run model sample seed jobs =
     setup_logs ();
-    ignore seed;
     let pool_stats = ref None in
     let rows =
-      Campaign.survivability ~sample ~jobs
+      Campaign.survivability ~seed ~sample ~jobs
         ~stats:(fun s -> pool_stats := Some s)
         ~progress:sweep_progress model Policy.all_evaluated
     in
@@ -225,7 +231,6 @@ let disrupt_cmd =
   in
   let run name seed jobs =
     setup_logs ();
-    ignore seed;
     match Unixbench.find name with
     | None ->
       Printf.eprintf "unknown benchmark %S
@@ -239,7 +244,7 @@ let disrupt_cmd =
              r.Disruption.dis_interval r.Disruption.dis_score
              r.Disruption.dis_restarts
              (if r.Disruption.dis_completed then "ok" else "DEGRADED"))
-        (Disruption.sweep ~jobs bench);
+        (Disruption.sweep ~seed ~jobs bench);
       0
   in
   Cmd.v (Cmd.info "disrupt" ~doc:"Service-disruption sweep (Figure 3).")
@@ -1026,15 +1031,17 @@ let why_cmd =
       let analyzed =
         List.map
           (fun (events, kernel) ->
-             let cp = Critpath.analyze events in
-             (events, kernel, cp, Tailprof.profile cp.Critpath.cr_requests))
+             let model = Runmodel.of_list events in
+             let cp = Critpath.analyze_model model events in
+             (events, model, kernel, cp,
+              Tailprof.profile cp.Critpath.cr_requests))
           runs
       in
       (* Conservation is the tool's contract: refuse to emit an
          artifact whose buckets don't sum back to the latencies. *)
       let violations =
         List.concat_map
-          (fun (_, _, cp, _) ->
+          (fun (_, _, _, cp, _) ->
              List.filter
                (fun b -> Critpath.breakdown_sum b <> Critpath.total b)
                cp.Critpath.cr_requests)
@@ -1052,7 +1059,7 @@ let why_cmd =
       end
       else begin
         List.iteri
-          (fun i (_, kernel, cp, prof) ->
+          (fun i (_, _, kernel, cp, prof) ->
              let reqs = cp.Critpath.cr_requests in
              Printf.printf
                "run %d: %d completed request(s), %d incomplete — \
@@ -1131,7 +1138,7 @@ let why_cmd =
         Printf.bprintf buf "{\n  \"tool\": \"why\",\n  \"runs\": [\n";
         let nruns = List.length analyzed in
         List.iteri
-          (fun i (_, _, cp, prof) ->
+          (fun i (_, _, _, cp, prof) ->
              Printf.bprintf buf "    {\"incomplete\": %d,\n     \"requests\": [\n"
                cp.Critpath.cr_incomplete;
              let reqs = cp.Critpath.cr_requests in
@@ -1149,8 +1156,8 @@ let why_cmd =
         Printf.bprintf buf "  ]\n}\n";
         write_file json (Buffer.contents buf);
         (match perfetto, analyzed with
-         | Some path, (events, _, cp, prof) :: _ ->
-           let spans = Span.build events in
+         | Some path, (events, model, _, cp, prof) :: _ ->
+           let spans = Span.of_model model in
            let anchor_of = Hashtbl.create 256 in
            List.iter
              (fun (s : Span.t) ->

@@ -43,92 +43,41 @@ type result = {
 (* Stream indexing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type msg = {
-  m_time : int;
-  m_src : int;
-  m_dst : int;
-  m_call : bool;
-}
-
-type episode = {
-  e_crash : int;
-  mutable e_restart : int;  (* max_int while still recovering *)
-  e_root : int;             (* causal root of the crashed rid *)
-  (* Rollback sub-intervals (begin, end), oldest first once frozen. *)
-  mutable e_rollbacks : (int * int) list;
-  mutable e_rb_open : int;  (* open rollback begin, -1 when none *)
-}
-
+(* Deliveries, replies, causal roots, recovery episodes and sessions
+   come from the shared run model; this index adds only what no other
+   view needs. *)
 type index = {
-  ix_msgs : (int, msg) Hashtbl.t;
-  ix_reply : (int, int) Hashtbl.t;          (* rid -> first reply time *)
+  ix_model : Runmodel.t;
   ix_children : (int, int list) Hashtbl.t;  (* rid -> call-child rids, rev *)
   ix_marks : (int, int list) Hashtbl.t;     (* rid -> activity times, rev *)
   ix_ckpts : (int, (int * int) list) Hashtbl.t;  (* rid -> (open, done), rev *)
   ix_ck_open : (int, int) Hashtbl.t;        (* rid -> pending window open *)
-  ix_roots : (int, int) Hashtbl.t;          (* rid -> causal root rid *)
-  ix_episodes : (int, episode list) Hashtbl.t;  (* server -> episodes, rev *)
   ix_tops : (int, int list) Hashtbl.t;      (* src ep -> root-call rids, rev *)
-  ix_exits : (int, int) Hashtbl.t;          (* user ep -> last exit-call time *)
-  mutable ix_spawns : (int * int * int) list;  (* (ep, arrival, parent), rev *)
 }
 
 let push tbl k v =
   Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
 
-let root_of ix rid =
-  if rid = 0 then 0
-  else Option.value ~default:rid (Hashtbl.find_opt ix.ix_roots rid)
-
-let index events =
+let index model events =
   let ix =
-    { ix_msgs = Hashtbl.create 1024;
-      ix_reply = Hashtbl.create 1024;
+    { ix_model = model;
       ix_children = Hashtbl.create 256;
       ix_marks = Hashtbl.create 1024;
       ix_ckpts = Hashtbl.create 256;
       ix_ck_open = Hashtbl.create 16;
-      ix_roots = Hashtbl.create 1024;
-      ix_episodes = Hashtbl.create 16;
-      ix_tops = Hashtbl.create 256;
-      ix_exits = Hashtbl.create 256;
-      ix_spawns = [] }
-  in
-  let open_episode ep time rid =
-    push ix.ix_episodes ep
-      { e_crash = time; e_restart = max_int; e_root = root_of ix rid;
-        e_rollbacks = []; e_rb_open = -1 }
-  in
-  let current_episode ep =
-    match Hashtbl.find_opt ix.ix_episodes ep with
-    | Some (e :: _) -> Some e
-    | _ -> None
+      ix_tops = Hashtbl.create 256 }
   in
   List.iter
     (fun ev ->
        match ev with
-       | Kernel.E_spawn { time; ep; parent } ->
-         ix.ix_spawns <- (ep, time, parent) :: ix.ix_spawns
-       | Kernel.E_msg { time; src; dst; tag; call; rid; parent; cls = _ } ->
-         Hashtbl.replace ix.ix_msgs rid
-           { m_time = time; m_src = src; m_dst = dst; m_call = call };
-         Hashtbl.replace ix.ix_roots rid
-           (if parent = 0 then rid else root_of ix parent);
+       | Kernel.E_msg { time; src; call; rid; parent; _ } ->
          if parent = 0 then begin
-           if call then push ix.ix_tops src rid;
-           (* Exit detection: a PM crash can force the exit call to be
-              retried; the last attempt's issue time is the process'
-              exit vtime. *)
-           if tag = Message.Tag.T_exit then
-             Hashtbl.replace ix.ix_exits src time
+           if call then push ix.ix_tops src rid
          end
          else begin
            if call then push ix.ix_children parent rid;
            push ix.ix_marks parent time
          end
-       | Kernel.E_reply { time; rid; _ } ->
-         if not (Hashtbl.mem ix.ix_reply rid) then
-           Hashtbl.replace ix.ix_reply rid time
        | Kernel.E_window_open { time; rid; _ } ->
          if rid <> 0 then begin
            push ix.ix_marks rid time;
@@ -144,27 +93,9 @@ let index events =
             | _ -> ())
          end
        | Kernel.E_kcall { time; rid; _ } | Kernel.E_store_logged { time; rid; _ }
-         ->
+       | Kernel.E_crash { time; rid; _ } ->
          if rid <> 0 then push ix.ix_marks rid time
-       | Kernel.E_crash { time; ep; rid; _ } ->
-         if rid <> 0 then push ix.ix_marks rid time;
-         open_episode ep time rid
-       | Kernel.E_rollback_begin { time; ep; _ } ->
-         (match current_episode ep with
-          | Some e when e.e_restart = max_int -> e.e_rb_open <- time
-          | _ -> ())
-       | Kernel.E_rollback_end { time; ep; _ } ->
-         (match current_episode ep with
-          | Some e when e.e_rb_open >= 0 ->
-            e.e_rollbacks <- (e.e_rb_open, time) :: e.e_rollbacks;
-            e.e_rb_open <- -1
-          | _ -> ())
-       | Kernel.E_restart { time; ep; _ } ->
-         (match current_episode ep with
-          | Some e when e.e_restart = max_int -> e.e_restart <- time
-          | _ -> ())
-       | Kernel.E_window_close _ | Kernel.E_hang_detected _ | Kernel.E_halt _
-         -> ())
+       | _ -> ())
     events;
   ix
 
@@ -189,23 +120,22 @@ type acc = {
    rollback sub-intervals to [x_rollback], the rest of the episode to
    [x_restart]; any other root's recovery is collateral damage. *)
 let cut_episodes ix acc server root a z =
-  match Hashtbl.find_opt ix.ix_episodes server with
-  | None -> [ (a, z) ]
-  | Some eps ->
-    let eps = List.rev eps in  (* ascending crash time *)
+  match Runmodel.server_episodes ix.ix_model server with
+  | [] -> [ (a, z) ]
+  | eps ->
     let cur = ref a in
     let out = ref [] in
     List.iter
-      (fun e ->
+      (fun (e : Runmodel.episode) ->
          let lo = max !cur e.e_crash and hi = min z e.e_restart in
          if hi > lo then begin
            if lo > !cur then out := (!cur, lo) :: !out;
            (if e.e_root = root && root <> 0 then begin
               let rb =
                 List.fold_left
-                  (fun s (ra, rz) ->
-                     let x = max lo ra and y = min hi rz in
-                     if y > x then s + (y - x) else s)
+                  (fun s (r : Runmodel.rollback) ->
+                     let x = max lo r.rb_begin and y = min hi r.rb_end in
+                     if r.rb_end >= 0 && y > x then s + (y - x) else s)
                   0 e.e_rollbacks
               in
               acc.x_rollback <- acc.x_rollback + rb;
@@ -251,18 +181,17 @@ let classify_residual ix acc server rid root a z =
     rem
 
 let reply_end ix rid t =
-  match Hashtbl.find_opt ix.ix_reply rid with
+  match Runmodel.reply_time ix.ix_model rid with
   | Some r -> max t r
   | None -> t
 
 (* Decompose [rid]'s handling as its requester saw it over [lo, hi). *)
 let rec walk ix acc rid lo hi =
   if hi > lo then begin
-    match Hashtbl.find_opt ix.ix_msgs rid with
-    | None -> acc.x_own <- acc.x_own + (hi - lo)
-    | Some m ->
+    match Runmodel.delivery ix.ix_model rid with
+    | Some (Kernel.E_msg { dst; _ }) ->
       acc.x_path <- rid :: acc.x_path;
-      let root = root_of ix rid in
+      let root = Runmodel.root ix.ix_model rid in
       (* Dispatch: the server's first observable act on this rid. *)
       let d =
         match Hashtbl.find_opt ix.ix_marks rid with
@@ -279,14 +208,14 @@ let rec walk ix acc rid lo hi =
          mid-recovery. *)
       List.iter
         (fun (a, z) -> acc.x_queue <- acc.x_queue + (z - a))
-        (cut_episodes ix acc m.m_dst root lo d);
+        (cut_episodes ix acc dst root lo d);
       (* Handling: child calls recurse, residual is this server's. *)
       let kids =
         List.filter_map
           (fun crid ->
-             match Hashtbl.find_opt ix.ix_msgs crid with
-             | Some cm when cm.m_call ->
-               Some (crid, cm.m_time, reply_end ix crid cm.m_time)
+             match Runmodel.delivery ix.ix_model crid with
+             | Some (Kernel.E_msg { call = true; time; _ }) ->
+               Some (crid, time, reply_end ix crid time)
              | _ -> None)
           (List.rev
              (Option.value ~default:[]
@@ -300,23 +229,24 @@ let rec walk ix acc rid lo hi =
         (fun (crid, ct, cr) ->
            let ct = max ct !cur and cr = min cr hi in
            if cr > ct then begin
-             if ct > !cur then classify_residual ix acc m.m_dst rid root !cur ct;
+             if ct > !cur then classify_residual ix acc dst rid root !cur ct;
              walk ix acc crid ct cr;
              cur := cr
            end)
         kids;
-      if hi > !cur then classify_residual ix acc m.m_dst rid root !cur hi
+      if hi > !cur then classify_residual ix acc dst rid root !cur hi
+    | _ -> acc.x_own <- acc.x_own + (hi - lo)
   end
 
-let analyze events =
-  let ix = index events in
+let analyze_model model events =
+  let ix = index model events in
   let incomplete = ref 0 in
   let out = ref [] in
   List.iter
-    (fun (ep, arrival, parent) ->
-       match Hashtbl.find_opt ix.ix_exits ep with
-       | None -> incr incomplete
-       | Some exit_t ->
+    (fun { Runmodel.s_ep = ep; s_arrival = arrival; s_parent = parent;
+           s_exit = exit_t; _ } ->
+       if exit_t < 0 then incr incomplete
+       else begin
          let acc =
            { x_own = 0; x_queue = 0; x_service = Hashtbl.create 8;
              x_checkpoint = 0; x_rollback = 0; x_restart = 0;
@@ -329,9 +259,9 @@ let analyze events =
          let tops =
            List.filter_map
              (fun rid ->
-                match Hashtbl.find_opt ix.ix_msgs rid with
-                | Some m when m.m_time < exit_t ->
-                  Some (rid, m.m_time, min exit_t (reply_end ix rid m.m_time))
+                match Runmodel.delivery model rid with
+                | Some (Kernel.E_msg { time; _ }) when time < exit_t ->
+                  Some (rid, time, min exit_t (reply_end ix rid time))
                 | _ -> None)
              (List.rev
                 (Option.value ~default:[] (Hashtbl.find_opt ix.ix_tops ep)))
@@ -365,6 +295,9 @@ let analyze events =
              cp_restart = acc.x_restart;
              cp_collateral = acc.x_collateral;
              cp_path = List.rev acc.x_path }
-           :: !out)
-    (List.rev ix.ix_spawns);
+           :: !out
+       end)
+    (Runmodel.sessions model);
   { cr_requests = List.rev !out; cr_incomplete = !incomplete }
+
+let analyze events = analyze_model (Runmodel.of_list events) events

@@ -67,3 +67,6 @@ val analyze : Kernel.event list -> result
 (** Decompose every spawned user process in an oldest-first event
     stream. Processes without an [E_spawn] (pre-capture) are not
     analyzed. *)
+
+val analyze_model : Runmodel.t -> Kernel.event list -> result
+(** [analyze] reusing a run model already built from the same events. *)

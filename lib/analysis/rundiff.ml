@@ -25,19 +25,7 @@ type report = {
 }
 
 let decode ~label s =
-  match Journal.stream_of_string s with
-  | Error m -> Error (Printf.sprintf "%s: %s" label m)
-  | Ok (header, st) ->
-    let acc = ref [] in
-    let rec pull () =
-      match Journal.stream_next st with
-      | Ok (Some ev) ->
-        acc := ev :: !acc;
-        pull ()
-      | Ok None -> Ok (header, Array.of_list (List.rev !acc))
-      | Error m -> Error (Printf.sprintf "%s: %s" label m)
-    in
-    pull ()
+  Result.map_error (Printf.sprintf "%s: %s" label) (Journal.read_string s)
 
 let latency_of h =
   let pc p = int_of_float (Histogram.percentile h p) in
@@ -46,15 +34,10 @@ let latency_of h =
     lt_p95 = pc 95.;
     lt_p99 = pc 99. }
 
-let side_of ~label header events =
+let side_of ~label header events model =
   let kind_counts = Array.make Journal.n_kinds 0 in
   let server_events = Array.make (Endpoint.bdev + 1) 0 in
   let lat = Array.init (Endpoint.bdev + 1) (fun _ -> Histogram.create ()) in
-  let pending_call = Hashtbl.create 64 in
-  let crash_at = Hashtbl.create 8 in
-  let episodes = ref 0 in
-  let total = ref 0 in
-  let max_l = ref 0 in
   let halt = ref None in
   Array.iter
     (fun ev ->
@@ -67,27 +50,19 @@ let side_of ~label header events =
        match ev with
        | Kernel.E_msg { call = true; dst; rid; time; _ }
          when dst >= Endpoint.pm && dst <= Endpoint.bdev ->
-         Hashtbl.replace pending_call rid (dst, time)
-       | Kernel.E_reply { rid; time; _ } ->
-         (match Hashtbl.find_opt pending_call rid with
-          | Some (dst, t0) ->
-            Hashtbl.remove pending_call rid;
-            Histogram.observe lat.(dst) (time - t0)
-          | None -> ())
-       | Kernel.E_crash { time; ep; _ } -> Hashtbl.replace crash_at ep time
-       | Kernel.E_restart { time; ep; _ } ->
-         (match Hashtbl.find_opt crash_at ep with
-          | Some t0 ->
-            Hashtbl.remove crash_at ep;
-            let l = time - t0 in
-            incr episodes;
-            total := !total + l;
-            if l > !max_l then max_l := l
+         (match Runmodel.reply_time model rid with
+          | Some r -> Histogram.observe lat.(dst) (r - time)
           | None -> ())
        | Kernel.E_halt { halt = h; _ } -> halt := Some h
        | _ -> ())
     events;
-  let cp = Critpath.analyze (Array.to_list events) in
+  let mttrs =
+    List.filter_map
+      (fun (e : Runmodel.episode) ->
+         if Runmodel.closed e then Some (e.e_restart - e.e_crash) else None)
+      (Runmodel.episodes model)
+  in
+  let cp = Critpath.analyze_model model (Array.to_list events) in
   let blame =
     Option.map
       (fun p ->
@@ -105,14 +80,17 @@ let side_of ~label header events =
     sd_kind_counts = kind_counts;
     sd_server_events = server_events;
     sd_latency = Array.map latency_of lat;
-    sd_mttr = { mt_episodes = !episodes; mt_total = !total; mt_max = !max_l };
+    sd_mttr =
+      { mt_episodes = List.length mttrs;
+        mt_total = List.fold_left ( + ) 0 mttrs;
+        mt_max = List.fold_left max 0 mttrs };
     sd_requests = List.length cp.Critpath.cr_requests;
     sd_blame = blame }
 
 (* Structural first-divergence between the two recorded streams —
    Replay's diff shape (A plays "recorded", B "replayed"), with the
    causal chain resolved from whichever side still has events. *)
-let diverge a b =
+let diverge (a, ma) (b, mb) =
   let na = Array.length a and nb = Array.length b in
   let n = min na nb in
   let rec find i =
@@ -125,7 +103,7 @@ let diverge a b =
       | None, None -> 0
     in
     let chain =
-      if i < na then Replay.rid_chain a rid else Replay.rid_chain b rid
+      Replay.chain_of_parents (Runmodel.parent (if i < na then ma else mb)) rid
     in
     Some
       { Replay.div_index = i;
@@ -150,11 +128,12 @@ let compare_runs ~label_a ~label_b ja jb =
     (match decode ~label:label_b jb with
      | Error m -> Error m
      | Ok (hb, eb) ->
+       let ma = Runmodel.of_array ea and mb = Runmodel.of_array eb in
        Ok
-         { rd_a = side_of ~label:label_a ha ea;
-           rd_b = side_of ~label:label_b hb eb;
+         { rd_a = side_of ~label:label_a ha ea ma;
+           rd_b = side_of ~label:label_b hb eb mb;
            rd_headers_equal = headers_equal ha hb;
-           rd_divergence = diverge ea eb })
+           rd_divergence = diverge (ea, ma) (eb, mb) })
 
 let exit_code r =
   if r.rd_divergence <> None || not r.rd_headers_equal then 2 else 0

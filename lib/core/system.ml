@@ -26,7 +26,7 @@ let etc_data =
   Buffer.sub b 0 1024
 
 let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_ops ?max_crashes
-    ?(trace = false) ?costs ?event_hook ?journal ?profiler ?telemetry
+    ?costs ?event_hook ?journal ?profiler ?telemetry
     ?extra_register conf =
   (match Sysconf.validate conf with
    | Ok () -> ()
@@ -71,7 +71,6 @@ let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_ops ?max_crashes
     in
     { base with
       Kernel.log_sink = Some (fun line -> log := line :: !log);
-      trace;
       costs = (match costs with Some c -> c | None -> base.Kernel.costs);
       max_ops = (match max_ops with Some m -> m | None -> base.Kernel.max_ops);
       max_crashes =

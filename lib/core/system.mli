@@ -27,7 +27,6 @@ val build :
   ?seed:int ->
   ?max_ops:int ->
   ?max_crashes:int ->
-  ?trace:bool ->
   ?costs:Costs.t ->
   ?event_hook:(Kernel.event -> unit) ->
   ?journal:Journal.writer ->

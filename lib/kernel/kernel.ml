@@ -260,7 +260,6 @@ type config = {
   max_crashes : int;
   lookup_program : string -> (int -> unit Prog.t) option;
   log_sink : (string -> unit) option;
-  trace : bool;
 }
 
 let default_config ?(arch = Microkernel) ?(seed = 42) ?(policies = []) policy
@@ -277,8 +276,7 @@ let default_config ?(arch = Microkernel) ?(seed = 42) ?(policies = []) policy
     hang_detect_cycles = 2_000_000;
     max_crashes = 64;
     lookup_program;
-    log_sink = None;
-    trace = false }
+    log_sink = None }
 
 (* ------------------------------------------------------------------ *)
 (* Processes and threads                                               *)
@@ -448,7 +446,6 @@ type t = {
   mutable live_users : int;
   mutable halt_on_drain : bool;
   mutable global_now : int;
-  mutable recovery_latencies : int list;
   (* Crash instants and (ep, crashed_at, recovered_at) recovery spans,
      newest first. Consing here is off the hot path: crashes are rare
      and bounded by [max_crashes]. *)
@@ -506,7 +503,6 @@ let create cfg =
     live_users = 0;
     halt_on_drain = false;
     global_now = 0;
-    recovery_latencies = [];
     crash_log = [];
     episode_log = [];
     sample_interval = 0;
@@ -1098,12 +1094,6 @@ let deliver_to_inbox t ?at ~src ~src_tid ~call ~rid ~parent dst msg =
          blocked forever (visible as a hang). *)
       t.n_orphans <- t.n_orphans + 1
     else begin
-      if t.cfg.trace then
-        Log.debug (fun m ->
-            m "t=%-10d %s -> %s  %s%s" at (Endpoint.server_name src)
-              (Endpoint.server_name dst)
-              (Message.Tag.to_string (Message.Tag.of_msg msg))
-              (if call then " (call)" else ""));
       if observed t then begin
         let tag = Message.Tag.of_msg msg in
         emit_msg t ~time:at ~src ~dst ~tag ~call ~rid ~parent
@@ -1231,8 +1221,6 @@ and k_go t p =
   let recovering = p.crashed_at > 0 in
   if p.kind = Server_proc && recovering then begin
     let recovered_at = max (max t.global_now p.vtime) p.crashed_at in
-    t.recovery_latencies <-
-      (recovered_at - p.crashed_at) :: t.recovery_latencies;
     t.episode_log <- (p.ep, p.crashed_at, recovered_at) :: t.episode_log;
     p.crashed_at <- 0
   end;
@@ -2036,11 +2024,6 @@ let step t p th prog =
         | Some th' ->
           (match th'.tstate with
            | T_call_wait { k = k'; _ } ->
-             if t.cfg.trace then
-               Log.debug (fun m ->
-                   m "t=%-10d %s => %s  reply %s" p.vtime
-                     (Endpoint.server_name p.ep) (Endpoint.server_name dst)
-                     (Message.Tag.to_string (Message.Tag.of_msg msg)));
              if observed t then
                emit_reply t ~time:p.vtime ~src:p.ep ~dst
                  ~tag:(Message.Tag.of_msg msg) ~rid:th'.out_rid;
@@ -2321,9 +2304,9 @@ let handler_counts t ep =
   | None -> []
   | Some p -> Hashtbl.fold (fun tag n acc -> (tag, n) :: acc) p.handler_tally []
 
-let recovery_latencies t = t.recovery_latencies
 let crash_times t = t.crash_log
 let recovery_episodes t = t.episode_log
+let recovery_latencies t = List.map (fun (_, c, r) -> r - c) t.episode_log
 
 let crashes t = t.n_crashes
 let restarts t = t.n_restarts

@@ -122,7 +122,6 @@ type config = {
       (** Executable registry used by [K_exec]. *)
   log_sink : (string -> unit) option;
       (** Receives [Diag] lines. *)
-  trace : bool;
 }
 
 val default_config : ?arch:arch -> ?seed:int ->
@@ -492,10 +491,6 @@ val handler_counts : t -> Endpoint.t -> (Message.Tag.t * int) list
 (** How many times each request type was handled (post-boot), the
     workload-frequency input to the static recovery-window analysis. *)
 
-val recovery_latencies : t -> int list
-(** Virtual-cycle durations of completed recoveries (crash to restart),
-    newest first. *)
-
 val crash_times : t -> int list
 (** Virtual instants of every crash observed (including hangs detected
     and crashes that never recovered), newest first — the raw material
@@ -503,9 +498,14 @@ val crash_times : t -> int list
 
 val recovery_episodes : t -> (Endpoint.t * int * int) list
 (** Completed recovery spans [(ep, crashed_at, recovered_at)], newest
-    first; [recovered_at - crashed_at] is the episode's MTTR and the
-    list zips with {!recovery_latencies}. Crashes that ended in a
-    panic or shutdown never appear here (compare {!crash_times}). *)
+    first; [recovered_at - crashed_at] is the episode's MTTR. Crashes
+    that ended in a panic or shutdown never appear here (compare
+    {!crash_times}). Needs no observer; [Runmodel] derives the same
+    episodes from the event stream. *)
+
+val recovery_latencies : t -> int list
+(** [recovered_at - crashed_at] of each {!recovery_episodes} entry,
+    same order (newest first). *)
 
 val server_endpoints : t -> Endpoint.t list
 (** Registered servers in registration order. *)

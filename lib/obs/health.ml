@@ -7,55 +7,17 @@ type config = {
 
 let default_config = { hc_crash_loop_n = 3; hc_crash_loop_window = 2_000_000 }
 
-type comp_state = {
-  mutable hs_crashes : int;
-  mutable hs_restarts : int;
-  mutable hs_crash_times : int list;  (* newest first *)
-  mutable hs_pending_crash : int;     (* crash time awaiting restart; -1 = none *)
-  mutable hs_mttr_total : int;
-  mutable hs_mttr_n : int;
-}
-
 type t = {
   cfg : config;
-  comps : (int, comp_state) Hashtbl.t;
+  model : Runmodel.t;
 }
 
 let create ?(config = default_config) () =
-  { cfg = config; comps = Hashtbl.create 16 }
-
-let state_of t ep =
-  match Hashtbl.find_opt t.comps ep with
-  | Some s -> s
-  | None ->
-    let s =
-      { hs_crashes = 0;
-        hs_restarts = 0;
-        hs_crash_times = [];
-        hs_pending_crash = -1;
-        hs_mttr_total = 0;
-        hs_mttr_n = 0 }
-    in
-    Hashtbl.replace t.comps ep s;
-    s
+  { cfg = config; model = Runmodel.create () }
 
 (* Feed from the kernel event stream: compose with any other consumer
    (collector, tracer) in the same event hook. *)
-let observe t = function
-  | Kernel.E_crash { time; ep; _ } ->
-    let s = state_of t ep in
-    s.hs_crashes <- s.hs_crashes + 1;
-    s.hs_crash_times <- time :: s.hs_crash_times;
-    s.hs_pending_crash <- time
-  | Kernel.E_restart { time; ep; _ } ->
-    let s = state_of t ep in
-    s.hs_restarts <- s.hs_restarts + 1;
-    if s.hs_pending_crash >= 0 then begin
-      s.hs_mttr_total <- s.hs_mttr_total + (max 0 (time - s.hs_pending_crash));
-      s.hs_mttr_n <- s.hs_mttr_n + 1;
-      s.hs_pending_crash <- -1
-    end
-  | _ -> ()
+let observe t ev = Runmodel.observe t.model ev
 
 type status = Healthy | Degraded | Crash_looping | Failed
 
@@ -81,19 +43,13 @@ type comp = {
   co_status : status;
 }
 
-let empty_state =
-  { hs_crashes = 0; hs_restarts = 0; hs_crash_times = [];
-    hs_pending_crash = -1; hs_mttr_total = 0; hs_mttr_n = 0 }
-
 let snapshot ?profiler ?budget_for t kernel =
   let now = Kernel.now kernel in
   List.map
     (fun ep ->
-       let s =
-         match Hashtbl.find_opt t.comps ep with
-         | Some s -> s
-         | None -> empty_state
-       in
+       let eps = Runmodel.server_episodes t.model ep in
+       let crashes = List.length eps in
+       let restarts = Runmodel.restarts t.model ep in
        let threshold =
          match budget_for with
          | Some f ->
@@ -107,17 +63,24 @@ let snapshot ?profiler ?budget_for t kernel =
        in
        let horizon = now - t.cfg.hc_crash_loop_window in
        let recent =
-         List.length (List.filter (fun ts -> ts >= horizon) s.hs_crash_times)
+         List.length
+           (List.filter (fun (e : Runmodel.episode) -> e.e_crash >= horizon) eps)
        in
        let alive = Kernel.proc_alive kernel ep in
+       let closed = List.filter Runmodel.closed eps in
        let mttr =
-         if s.hs_mttr_n = 0 then 0.
-         else float_of_int s.hs_mttr_total /. float_of_int s.hs_mttr_n
+         if closed = [] then 0.
+         else
+           float_of_int
+             (List.fold_left
+                (fun acc (e : Runmodel.episode) ->
+                   acc + max 0 (e.e_restart - e.e_crash))
+                0 closed)
+           /. float_of_int (List.length closed)
        in
        let success_ratio =
-         if s.hs_crashes = 0 then 1.
-         else
-           min 1. (float_of_int s.hs_restarts /. float_of_int s.hs_crashes)
+         if crashes = 0 then 1.
+         else min 1. (float_of_int restarts /. float_of_int crashes)
        in
        let overhead_pct, recovery_pct =
          match profiler with
@@ -141,7 +104,7 @@ let snapshot ?profiler ?budget_for t kernel =
        let status =
          if not alive then Failed
          else if recent >= threshold then Crash_looping
-         else if s.hs_crashes > s.hs_restarts then Degraded
+         else if crashes > restarts then Degraded
          else Healthy
        in
        { co_ep = ep;
@@ -151,8 +114,8 @@ let snapshot ?profiler ?budget_for t kernel =
             | Some n -> n
             | None -> "-");
          co_alive = alive;
-         co_crashes = s.hs_crashes;
-         co_restarts = s.hs_restarts;
+         co_crashes = crashes;
+         co_restarts = restarts;
          co_recent_crashes = recent;
          co_crash_loop_threshold = threshold;
          co_mttr = mttr;

@@ -23,8 +23,9 @@ type t
 val create : ?config:config -> unit -> t
 
 val observe : t -> Kernel.event -> unit
-(** Feed every kernel event; only crash/restart events are consumed,
-    so composing with other consumers in one hook is cheap. *)
+(** Feed every kernel event into the watchdog's {!Runmodel}: crashes
+    and restarts per compartment come from its recovery episodes.
+    Composes with other consumers in one hook. *)
 
 type status =
   | Healthy        (** Alive, every crash recovered, no loop. *)
@@ -41,6 +42,7 @@ type comp = {
   co_alive : bool;
   co_crashes : int;
   co_restarts : int;
+      (** Every restart, live updates included ({!Runmodel.restarts}). *)
   co_recent_crashes : int;       (** Crashes inside the sliding window. *)
   co_crash_loop_threshold : int; (** Restart budget when given, else default. *)
   co_mttr : float;               (** Mean cycles crash -> restart. *)

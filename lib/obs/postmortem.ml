@@ -22,156 +22,79 @@ type report = {
   pm_crashes : crash_report list;
 }
 
-(* Streaming analysis core. The original implementation scanned the
-   decoded array backwards from each crash (undo-log window state) and
-   forwards to its recovery; this core computes the identical report in
-   two forward passes over any event source, so journals stream through
-   it without materializing the array:
+(* Streaming analysis core: one forward pass over any event source, so
+   journals stream through it without materializing the array. The run
+   model resolves each crash's recovery (its first completed rollback
+   and the restart that closes the episode) and keeps the deliveries a
+   causal chain walks; this module adds only the undo-log bytes at risk.
 
-   - Undo-log bytes live in the crashed compartment's *current* window.
-     The backward scan ("sum E_store_logged since the last
-     E_window_open, zeroed by E_window_close") is equivalent to a
-     forward per-compartment accumulator: reset to 0 at both window
-     boundaries, add store bytes unless the last boundary was a close
-     (stores before any boundary count — the backward scan runs off the
-     start of the journal and returns its sum).
-
-   - Recovery resolution ("first rollback/restart after the crash,
-     stopping at the compartment's next crash") becomes a pending
-     episode per compartment: the first E_rollback_end fills the
-     rollback slot, the first E_restart fills the restart slot and
-     closes the episode, a new crash finalizes whatever was pending.
-
-   - Causal chains need the rid -> parent map of the *whole* journal
-     (Replay.rid_chain's contract), so chains and their delivery events
-     resolve after the pass: pass one accrues parents (two ints per
-     E_msg — the only per-record state kept), pass two picks up the
-     first E_msg delivery for exactly the rids on some crash's chain. *)
-
-type pending = {
-  p_index : int;
-  p_time : int;
-  p_ep : Endpoint.t;
-  p_reason : string;
-  p_policy : string;
-  p_window_open : bool;
-  p_rid : int;
-  p_undo : int;
-  mutable p_rollback : (int * int) option;  (* time, bytes *)
-  mutable p_restart : (int * string) option;
-  mutable p_done : bool;
-}
+   Undo-log bytes live in the crashed compartment's *current* window.
+   The backward scan ("sum E_store_logged since the last E_window_open,
+   zeroed by E_window_close") is equivalent to a forward per-compartment
+   accumulator: reset to 0 at both window boundaries, add store bytes
+   unless the last boundary was a close (stores before any boundary
+   count — the backward scan runs off the start of the journal and
+   returns its sum). *)
 
 let analyze_iter header ~iter =
-  let parents = Hashtbl.create 256 in
-  let wclosed = Hashtbl.create 8 in  (* ep -> last boundary was a close *)
-  let wacc = Hashtbl.create 8 in     (* ep -> undo bytes in current window *)
-  let pending = Hashtbl.create 8 in  (* ep -> open recovery episode *)
-  let finished = ref [] in
-  let n = ref 0 in
+  (* ep -> undo bytes in the current window, -1 once it closed *)
+  let window = Hashtbl.create 8 in
+  let undo = ref [] in  (* undo bytes at each crash, newest first *)
   let last = ref None in
-  let finalize ep =
-    match Hashtbl.find_opt pending ep with
-    | Some p ->
-      Hashtbl.remove pending ep;
-      finished := p :: !finished
-    | None -> ()
+  let model =
+    Runmodel.of_iter (fun observe ->
+        iter (fun ev ->
+            observe ev;
+            (match ev with
+             | Kernel.E_window_open { ep; _ } -> Hashtbl.replace window ep 0
+             | Kernel.E_window_close { ep; _ } -> Hashtbl.replace window ep (-1)
+             | Kernel.E_store_logged { ep; bytes; _ } ->
+               let b = Option.value ~default:0 (Hashtbl.find_opt window ep) in
+               if b >= 0 then Hashtbl.replace window ep (b + bytes)
+             | Kernel.E_crash { ep; _ } ->
+               let b = Option.value ~default:0 (Hashtbl.find_opt window ep) in
+               undo := max 0 b :: !undo
+             | _ -> ());
+            last := Some ev))
   in
-  iter (fun ev ->
-      (match ev with
-       | Kernel.E_msg { rid; parent; _ } -> Hashtbl.replace parents rid parent
-       | Kernel.E_window_open { ep; _ } ->
-         Hashtbl.replace wclosed ep false;
-         Hashtbl.replace wacc ep 0
-       | Kernel.E_window_close { ep; _ } ->
-         Hashtbl.replace wclosed ep true;
-         Hashtbl.replace wacc ep 0
-       | Kernel.E_store_logged { ep; bytes; _ } ->
-         if not (Option.value ~default:false (Hashtbl.find_opt wclosed ep))
-         then
-           Hashtbl.replace wacc ep
-             (Option.value ~default:0 (Hashtbl.find_opt wacc ep) + bytes)
-       | Kernel.E_crash { time; ep; reason; window_open; rid; policy } ->
-         finalize ep;
-         Hashtbl.replace pending ep
-           { p_index = !n;
-             p_time = time;
-             p_ep = ep;
-             p_reason = reason;
-             p_policy = policy;
-             p_window_open = window_open;
-             p_rid = rid;
-             p_undo = Option.value ~default:0 (Hashtbl.find_opt wacc ep);
-             p_rollback = None;
-             p_restart = None;
-             p_done = false }
-       | Kernel.E_rollback_end { time; ep; bytes; _ } ->
-         (match Hashtbl.find_opt pending ep with
-          | Some p when (not p.p_done) && p.p_rollback = None ->
-            p.p_rollback <- Some (time, bytes)
-          | _ -> ())
-       | Kernel.E_restart { time; ep; policy; _ } ->
-         (match Hashtbl.find_opt pending ep with
-          | Some p when (not p.p_done) && p.p_restart = None ->
-            p.p_restart <- Some (time, policy);
-            p.p_done <- true
-          | _ -> ())
-       | _ -> ());
-      last := Some ev;
-      incr n);
-  Hashtbl.iter (fun _ p -> finished := p :: !finished) pending;
-  Hashtbl.reset pending;
-  let crashes =
-    List.sort (fun a b -> compare a.p_index b.p_index) !finished
-  in
-  let chains =
-    List.map (fun p -> Replay.chain_of_parents parents p.p_rid) crashes
-  in
-  (* Second pass only when some chain needs its deliveries resolved:
-     first E_msg per needed rid, nothing else retained. *)
-  let needed = Hashtbl.create 64 in
-  List.iter
-    (fun chain ->
-       List.iter
-         (fun rid ->
-            if not (Hashtbl.mem needed rid) then Hashtbl.add needed rid None)
-         chain)
-    chains;
-  if Hashtbl.length needed > 0 then
-    iter (fun ev ->
-        match ev with
-        | Kernel.E_msg { rid; _ } ->
-          (match Hashtbl.find_opt needed rid with
-           | Some None -> Hashtbl.replace needed rid (Some ev)
-           | _ -> ())
-        | _ -> ());
   let reports =
     List.map2
-      (fun p chain ->
+      (fun (e : Runmodel.episode) undo_bytes ->
+         let chain = Replay.chain_of_parents (Runmodel.parent model) e.e_rid in
+         (* Rollbacks are newest first: the fold ends on the oldest
+            completed one. *)
+         let rollback =
+           List.fold_left
+             (fun acc (r : Runmodel.rollback) ->
+                if r.rb_end >= 0 then Some r else acc)
+             None e.e_rollbacks
+         in
+         let restart =
+           if Runmodel.closed e then Some (e.e_restart, e.e_restart_policy)
+           else None
+         in
          let latency =
-           match p.p_restart, p.p_rollback with
-           | Some (t, _), _ -> Some (t - p.p_time)
-           | None, Some (t, _) -> Some (t - p.p_time)
+           match restart, rollback with
+           | Some (t, _), _ -> Some (t - e.e_crash)
+           | None, Some r -> Some (r.rb_end - e.e_crash)
            | None, None -> None
          in
-         { cr_index = p.p_index;
-           cr_time = p.p_time;
-           cr_ep = p.p_ep;
-           cr_server = Endpoint.server_name p.p_ep;
-           cr_reason = p.p_reason;
-           cr_policy = p.p_policy;
-           cr_window_open = p.p_window_open;
-           cr_rid = p.p_rid;
+         { cr_index = e.e_pos;
+           cr_time = e.e_crash;
+           cr_ep = e.e_ep;
+           cr_server = Endpoint.server_name e.e_ep;
+           cr_reason = e.e_reason;
+           cr_policy = e.e_policy;
+           cr_window_open = e.e_window_open;
+           cr_rid = e.e_rid;
            cr_chain = chain;
-           cr_chain_msgs =
-             List.filter_map
-               (fun rid -> Option.join (Hashtbl.find_opt needed rid))
-               chain;
-           cr_undo_bytes = p.p_undo;
-           cr_rollback_bytes = Option.map snd p.p_rollback;
-           cr_restart = p.p_restart;
+           cr_chain_msgs = List.filter_map (Runmodel.delivery model) chain;
+           cr_undo_bytes = undo_bytes;
+           cr_rollback_bytes =
+             Option.map (fun (r : Runmodel.rollback) -> r.rb_bytes) rollback;
+           cr_restart = restart;
            cr_recovery_latency = latency })
-      crashes chains
+      (Runmodel.episodes model) (List.rev !undo)
   in
   let halt =
     match !last with
@@ -179,7 +102,7 @@ let analyze_iter header ~iter =
     | _ -> None
   in
   { pm_header = header;
-    pm_records = !n;
+    pm_records = Runmodel.length model;
     pm_halt = halt;
     pm_crashes = reports }
 

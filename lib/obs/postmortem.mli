@@ -51,10 +51,11 @@ val analyze : Journal.header -> Kernel.event array -> report
 
 val analyze_journal : string -> (report, string) result
 (** The same analysis, streamed over encoded journal bytes
-    ({!Journal.fold}) without materializing the event array: two
-    forward passes, keeping only per-compartment window/recovery state
-    plus the rid -> parent map. Byte-identical reports to
-    [analyze (read_string ...)] — the e2e tests assert it. *)
+    ({!Journal.fold}) without materializing the event array: one
+    forward pass feeding a {!Runmodel} (deliveries and recovery
+    episodes) plus per-compartment undo-window state. Byte-identical
+    reports to [analyze (read_string ...)] — the e2e tests assert
+    it. *)
 
 val attribution : Journal.header -> crash_report -> string
 (** One-sentence root cause: ties the crash to the armed fault

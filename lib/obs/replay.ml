@@ -18,26 +18,18 @@ type outcome = {
 (* rid -> parent, from the recorded deliveries. Replayed events are
    never consulted: past the divergence the replay's causality is
    suspect, the journal's is ground truth. *)
-let chain_of_parents parents rid =
+let chain_of_parents parent_of rid =
   let rec walk acc rid =
     if rid = 0 || List.mem rid acc then List.rev acc
     else
-      match Hashtbl.find_opt parents rid with
+      match parent_of rid with
       | None -> List.rev (rid :: acc)
       | Some parent -> walk (rid :: acc) parent
   in
   walk [] rid
 
-let parents_of_events recorded =
-  let parents = Hashtbl.create 256 in
-  Array.iter
-    (function
-      | Kernel.E_msg { rid; parent; _ } -> Hashtbl.replace parents rid parent
-      | _ -> ())
-    recorded;
-  parents
-
-let rid_chain recorded rid = chain_of_parents (parents_of_events recorded) rid
+let rid_chain recorded rid =
+  chain_of_parents (Runmodel.parent (Runmodel.of_array recorded)) rid
 
 (* The streaming core: the recorded side is a pull cursor, consumed
    exactly once and in order, so the journal never materializes. The
@@ -98,7 +90,7 @@ let run_stream ~exec ?cost_fingerprint header ~next =
           div_recorded = rec_ev;
           div_replayed = rep_ev;
           div_rid = rid;
-          div_chain = chain_of_parents parents rid }
+          div_chain = chain_of_parents (Hashtbl.find_opt parents) rid }
   in
   { rp_header = header;
     rp_recorded = !pulled;

@@ -48,10 +48,11 @@ val rid_chain : Kernel.event array -> int -> int list
     from [rid] (inclusive, innermost first) to its root request.
     Cycles and unknown rids terminate the walk. *)
 
-val chain_of_parents : (int, int) Hashtbl.t -> int -> int list
-(** The same walk over a prebuilt rid -> parent map — the shared diff
-    core for streaming consumers ([Postmortem], [Rundiff]) that accrue
-    parents in one pass instead of rescanning an array per chain. *)
+val chain_of_parents : (int -> int option) -> int -> int list
+(** The same walk over a rid -> parent lookup — a prebuilt map or
+    {!Runmodel.parent} — for streaming consumers ([Postmortem],
+    replay's own diff) that accrue parents in one pass instead of
+    rescanning an array per chain. *)
 
 val run_stream :
   exec:(Journal.header -> hook:(Kernel.event -> unit) -> Kernel.halt) ->

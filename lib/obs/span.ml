@@ -20,156 +20,97 @@ type t = {
   sp_children : t list;
 }
 
-(* Mutable accumulator while folding the stream. *)
-type acc = {
-  a_id : int;
-  a_parent : int;
-  a_kind : span_kind;
-  mutable a_name : string;
-  a_src : Endpoint.t;
-  a_ep : Endpoint.t;
-  a_start : int;
-  mutable a_stop : int;
-  mutable a_complete : bool;
-}
-
-let build events =
-  let spans : (int, acc) Hashtbl.t = Hashtbl.create 256 in
-  let order = ref [] in  (* creation order, reversed *)
-  let recovery_of : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let rollback_of : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  (* Live user endpoint -> its session span. User endpoints are never
-     reused, so an entry stays valid for the whole stream; exit retries
-     after a PM crash just re-close the same span at a later time. *)
-  let session_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let synth = ref 0 in
-  let last_time = ref 0 in
-  let fresh_synth () = decr synth; !synth in
-  let open_span ~id ~parent ~kind ~name ~src ~ep ~start =
-    if not (Hashtbl.mem spans id) then begin
-      Hashtbl.replace spans id
-        { a_id = id; a_parent = parent; a_kind = kind; a_name = name;
-          a_src = src; a_ep = ep; a_start = start; a_stop = start;
-          a_complete = (kind = Notify) };
-      order := id :: !order
-    end
+let of_model m =
+  let trunc = Runmodel.truncation m in
+  let spans : (int, t) Hashtbl.t = Hashtbl.create 256 in
+  (* [stop < 0]: still open when the stream ends, capped at its last
+     event time. *)
+  let add ~id ~parent ~kind ~name ~src ~ep ~start ~stop =
+    Hashtbl.replace spans id
+      { sp_id = id; sp_parent = parent; sp_kind = kind; sp_name = name;
+        sp_src = src; sp_ep = ep; sp_start = start;
+        sp_end = max start (if stop >= 0 then stop else trunc);
+        sp_complete = stop >= 0; sp_children = [] }
   in
-  let close_span id time =
-    match Hashtbl.find_opt spans id with
-    | None -> ()
-    | Some a ->
-      a.a_stop <- max a.a_start time;
-      a.a_complete <- true
+  (* Synthetic (negative) ids number session, recovery and rollback
+     spans in stream order: [sp_id] is written into the trace JSON. *)
+  let synthetic =
+    List.map (fun s -> (s.Runmodel.s_pos, `Session s)) (Runmodel.sessions m)
+    @ List.concat_map
+        (fun (e : Runmodel.episode) ->
+           (e.e_pos, `Recovery e)
+           :: List.map
+                (fun (r : Runmodel.rollback) -> (r.rb_pos, `Rollback (e, r)))
+                e.e_rollbacks)
+        (Runmodel.episodes m)
   in
-  List.iter
-    (fun ev ->
-       (match ev with
-        | Kernel.E_msg { time; _ } | Kernel.E_reply { time; _ }
-        | Kernel.E_window_open { time; _ } | Kernel.E_window_close { time; _ }
-        | Kernel.E_checkpoint { time; _ } | Kernel.E_store_logged { time; _ }
-        | Kernel.E_kcall { time; _ } | Kernel.E_crash { time; _ }
-        | Kernel.E_hang_detected { time; _ }
-        | Kernel.E_rollback_begin { time; _ }
-        | Kernel.E_rollback_end { time; _ } | Kernel.E_restart { time; _ }
-        | Kernel.E_halt { time; _ } -> last_time := max !last_time time
-        (* Spawn arrivals can sit ahead of emission order (open-loop
-           futures); they must not drag the truncation cap forward. *)
-        | Kernel.E_spawn _ -> ());
-       match ev with
-       | Kernel.E_msg { time; src; dst; tag; call; rid; parent; cls = _ } ->
-         (* A top-level message from a session-tracked user process
-            nests under its session root instead of floating free, so
-            storm requests keep their arrival context. *)
-         let parent =
-           if parent = 0 then
-             Option.value ~default:0 (Hashtbl.find_opt session_of src)
-           else parent
-         in
-         open_span ~id:rid ~parent
-           ~kind:(if call then Request else Notify)
-           ~name:(Message.Tag.to_string tag) ~src ~ep:dst ~start:time;
-         if tag = Message.Tag.T_exit then
-           (match Hashtbl.find_opt session_of src with
-            | Some sid -> close_span sid time
-            | None -> ())
-       | Kernel.E_spawn { time; ep; parent } ->
-         let id = fresh_synth () in
-         open_span ~id ~parent:0 ~kind:Session
-           ~name:(if parent = 0 then "session" else "session (forked)")
-           ~src:(if parent = 0 then ep else parent) ~ep ~start:time;
-         Hashtbl.replace session_of ep id
-       | Kernel.E_reply { rid; time; _ } -> close_span rid time
-       | Kernel.E_crash { time; ep; rid; policy; _ } ->
-         let id = fresh_synth () in
+  let session_id = Hashtbl.create 64 in
+  let recovery_id = Hashtbl.create 8 in
+  List.iteri
+    (fun i (_, syn) ->
+       let id = -(i + 1) in
+       match syn with
+       | `Session { Runmodel.s_ep = ep; s_arrival; s_parent; s_exit; _ } ->
+         Hashtbl.replace session_id ep id;
+         add ~id ~parent:0 ~kind:Session
+           ~name:(if s_parent = 0 then "session" else "session (forked)")
+           ~src:(if s_parent = 0 then ep else s_parent) ~ep ~start:s_arrival
+           ~stop:s_exit
+       | `Recovery (e : Runmodel.episode) ->
+         Hashtbl.replace recovery_id e.e_pos id;
          (* The compartment's policy in the name keeps mixed-policy
             traces attributable span by span. *)
-         open_span ~id ~parent:rid ~kind:Recovery
-           ~name:(Printf.sprintf "recovery [%s]" policy) ~src:ep ~ep
-           ~start:time;
-         Hashtbl.replace recovery_of ep id
-       | Kernel.E_rollback_begin { time; ep; rid = _ } ->
-         let parent =
-           Option.value ~default:0 (Hashtbl.find_opt recovery_of ep)
-         in
-         let id = fresh_synth () in
-         open_span ~id ~parent ~kind:Rollback ~name:"rollback" ~src:ep ~ep
-           ~start:time;
-         Hashtbl.replace rollback_of ep id
-       | Kernel.E_rollback_end { time; ep; bytes; rid = _ } ->
-         (match Hashtbl.find_opt rollback_of ep with
-          | None -> ()
-          | Some id ->
-            (match Hashtbl.find_opt spans id with
-             | Some a -> a.a_name <- Printf.sprintf "rollback %dB" bytes
-             | None -> ());
-            close_span id time;
-            Hashtbl.remove rollback_of ep)
-       | Kernel.E_restart { time; ep; _ } ->
-         (match Hashtbl.find_opt recovery_of ep with
-          | None -> ()
-          | Some id ->
-            close_span id time;
-            Hashtbl.remove recovery_of ep)
-       | Kernel.E_window_open _ | Kernel.E_window_close _
-       | Kernel.E_checkpoint _ | Kernel.E_store_logged _ | Kernel.E_kcall _
-       | Kernel.E_hang_detected _ | Kernel.E_halt _ -> ())
-    events;
-  (* Truncated stream: cap still-open spans at the last event time. *)
-  List.iter
-    (fun id ->
-       let a = Hashtbl.find spans id in
-       if not a.a_complete then a.a_stop <- max a.a_start !last_time)
-    !order;
+         add ~id ~parent:e.e_rid ~kind:Recovery
+           ~name:(Printf.sprintf "recovery [%s]" e.e_policy) ~src:e.e_ep
+           ~ep:e.e_ep ~start:e.e_crash
+           ~stop:(if Runmodel.closed e then e.e_restart else -1)
+       | `Rollback ((e : Runmodel.episode), (r : Runmodel.rollback)) ->
+         add ~id ~parent:(Hashtbl.find recovery_id e.e_pos) ~kind:Rollback
+           ~name:
+             (if r.rb_end >= 0 then Printf.sprintf "rollback %dB" r.rb_bytes
+              else "rollback")
+           ~src:e.e_ep ~ep:e.e_ep ~start:r.rb_begin ~stop:r.rb_end)
+    (List.sort (fun (a, _) (b, _) -> compare a b) synthetic);
+  Runmodel.iter_deliveries m (fun rid ev ->
+      match ev with
+      | Kernel.E_msg { time; src; dst; tag; call; parent; _ } ->
+        (* A top-level message from a session-tracked user process
+           nests under its session root instead of floating free, so
+           storm requests keep their arrival context. *)
+        let parent =
+          if parent = 0 then
+            Option.value ~default:0 (Hashtbl.find_opt session_id src)
+          else parent
+        in
+        let stop =
+          match Runmodel.reply_time m rid with
+          | Some r -> r
+          | None -> if call then -1 else time
+        in
+        add ~id:rid ~parent ~kind:(if call then Request else Notify)
+          ~name:(Message.Tag.to_string tag) ~src ~ep:dst ~start:time ~stop
+      | _ -> ());
   (* Assemble the forest. An unknown parent (before the capture window,
      or 0) makes a root. *)
-  let children : (int, int list) Hashtbl.t = Hashtbl.create 256 in
+  let children : (int, t) Hashtbl.t = Hashtbl.create 256 in
   let roots = ref [] in
-  List.iter
-    (fun id ->
-       let a = Hashtbl.find spans id in
-       if a.a_parent <> 0 && Hashtbl.mem spans a.a_parent then
-         Hashtbl.replace children a.a_parent
-           (id :: Option.value ~default:[] (Hashtbl.find_opt children a.a_parent))
-       else roots := id :: !roots)
-    (List.rev !order);
-  let by_start ids =
-    List.sort
-      (fun i j ->
-         let a = Hashtbl.find spans i and b = Hashtbl.find spans j in
-         compare (a.a_start, a.a_id) (b.a_start, b.a_id))
-      ids
+  Hashtbl.iter
+    (fun _ s ->
+       if s.sp_parent <> 0 && Hashtbl.mem spans s.sp_parent then
+         Hashtbl.add children s.sp_parent s
+       else roots := s :: !roots)
+    spans;
+  let by_start =
+    List.sort (fun a b -> compare (a.sp_start, a.sp_id) (b.sp_start, b.sp_id))
   in
-  let rec freeze id =
-    let a = Hashtbl.find spans id in
-    let kids =
-      by_start (List.rev (Option.value ~default:[] (Hashtbl.find_opt children id)))
-    in
-    { sp_id = a.a_id; sp_parent = a.a_parent; sp_kind = a.a_kind;
-      sp_name = a.a_name; sp_src = a.a_src; sp_ep = a.a_ep;
-      sp_start = a.a_start; sp_end = a.a_stop; sp_complete = a.a_complete;
-      sp_children = List.map freeze kids }
+  let rec freeze s =
+    { s with
+      sp_children =
+        List.map freeze (by_start (Hashtbl.find_all children s.sp_id)) }
   in
   List.map freeze (by_start !roots)
+
+let build events = of_model (Runmodel.of_list events)
 
 let top_requests spans =
   List.concat_map

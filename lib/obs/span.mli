@@ -49,6 +49,9 @@ val build : Kernel.event list -> t list
 (** Fold an oldest-first event stream into root spans ordered by start
     time. *)
 
+val of_model : Runmodel.t -> t list
+(** [build] over a run model already built from the stream. *)
+
 val top_requests : t list -> t list
 (** Top-level request spans: [Request] roots plus [Request] children
     of [Session] roots — the spans whose durations are end-to-end
