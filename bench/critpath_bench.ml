@@ -57,17 +57,15 @@ let collect_events ~spec ~crash =
     | Error m -> failwith m
   in
   let c = Obs_collector.create () in
-  let kr = ref None in
-  ignore
-    (Flight.exec
-       ~prepare:(fun sys ->
-           let k = System.kernel sys in
-           Kernel.enable_cycle_counts k;
-           Kernel.enable_request_counts k;
-           kr := Some k)
-       header
-       ~hook:(Obs_collector.record c));
-  (header, Obs_collector.events c, Option.get !kr)
+  let sys, _ =
+    Flight.run
+      ~prepare:(fun sys ->
+          let k = System.kernel sys in
+          Kernel.enable_cycle_counts k;
+          Kernel.enable_request_counts k)
+      ~event_hook:(Obs_collector.record c) header
+  in
+  (header, Obs_collector.events c, System.kernel sys)
 
 (* Canonical rendering used by the parity and identity gates — every
    field of every breakdown, in analysis order. *)

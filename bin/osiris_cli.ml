@@ -94,6 +94,74 @@ let setup_logs () =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ())
 
+(* ------------------------------------------------------------------ *)
+(* Run sources: flags -> journal header -> Flight.run                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Each run field has one parser, and it rejects a bad value as a usage
+   error (exit 124) before anything runs. *)
+
+let pos_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* A crash target by its header name: a server, or "none". *)
+let server_conv =
+  let parse s =
+    if s = "none" || Flight.server_of_name s <> None then Ok s
+    else
+      Error (`Msg (Printf.sprintf "unknown server %S (pm|vfs|vm|ds|rs|none)" s))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+(* A spec is kept as written — the header records the string, not the
+   parsed [Sysconf.t] — once [Sysconf.parse] has accepted it. *)
+let spec_conv =
+  let parse s =
+    match Sysconf.parse s with Ok _ -> Ok s | Error m -> Error (`Msg m)
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+let workload_arg ~doc =
+  let names = List.map (fun (name, _) -> (name, name)) Flight.workloads in
+  Arg.(value & opt (enum names) "quickstart"
+       & info [ "workload" ] ~docv:"NAME" ~doc)
+
+(* Deterministic crash injection ({!Flight.arm_crash}): the first
+   in-window Reply of the chosen server fail-stops, recoverable under
+   any recovering policy, so a trace shows a full crash/rollback/restart
+   sequence nested under the request that triggered it. *)
+let crash_arg =
+  Arg.(value & opt server_conv "ds"
+       & info [ "crash" ] ~docv:"SERVER"
+         ~doc:"Inject one recoverable crash into this server (none to \
+               disable).")
+
+let crashes_arg =
+  Arg.(value & opt int 1
+       & info [ "crashes" ] ~docv:"N" ~doc:"Crashes to inject.")
+
+let spec_opt_arg =
+  Arg.(value & opt (some spec_conv) None
+       & info [ "spec" ] ~docv:"SPEC"
+         ~doc:"System spec (overrides $(b,--policy)): \
+               default[,server=policy[/budget]]...")
+
+let spec_of policy spec = Option.value spec ~default:policy.Policy.name
+
+(* Every field was checked by its conv, so assembling the header cannot
+   fail here. *)
+let header ?arch ~seed ~spec ?workload ?crash ?crash_count () =
+  match
+    Flight.make_header ?arch ~seed ~spec ?workload ?crash ?crash_count ()
+  with
+  | Ok h -> h
+  | Error m -> invalid_arg m
+
 let suite_cmd =
   let run policy seed verbose trace =
     setup_logs ();
@@ -101,8 +169,10 @@ let suite_cmd =
       if trace then Some (fun ev -> prerr_endline (Tracer.pp_event ev))
       else None
     in
-    let sys = System.build ~seed ?event_hook (Sysconf.uniform policy) in
-    let halt = System.run sys ~root:Testsuite.driver in
+    let sys, halt =
+      Flight.run ?event_hook
+        (header ~seed ~spec:policy.Policy.name ~workload:"suite" ())
+    in
     let lines = System.log_lines sys in
     if verbose then List.iter print_endline lines;
     let r = Testsuite.parse_results lines in
@@ -295,8 +365,10 @@ let stress_cmd =
     let failures = ref 0 in
     for i = 0 to count - 1 do
       let wseed = seed + i in
-      let sys = System.build ~seed:wseed (Sysconf.uniform policy) in
-      let halt = System.run sys ~root:(Workgen.generate ~seed:wseed ()) in
+      let _, halt =
+        Flight.run
+          (header ~seed:wseed ~spec:policy.Policy.name ~workload:"workgen" ())
+      in
       let ok = halt = Kernel.H_completed 0 in
       if not ok then begin
         incr failures;
@@ -318,8 +390,9 @@ let stress_cmd =
 let fsck_cmd =
   let run policy seed =
     setup_logs ();
-    let sys = System.build ~seed (Sysconf.uniform policy) in
-    let halt = System.run sys ~root:Testsuite.driver in
+    let sys, halt =
+      Flight.run (header ~seed ~spec:policy.Policy.name ~workload:"suite" ())
+    in
     Printf.printf "suite: %s\n" (Kernel.halt_to_string halt);
     (match Mfs.check_invariants (System.mfs sys) ~bdev:(System.bdev sys) with
      | Ok () ->
@@ -356,52 +429,6 @@ let events_cmd =
              log.")
     Term.(const run $ policy_arg $ seed_arg $ last_arg)
 
-(* Shared by trace/report: run the quickstart workload with a collector
-   attached from boot, optionally injecting one crash at the first
-   in-window Reply of the chosen server — deterministically
-   recoverable, so the trace shows a full crash/rollback/restart
-   sequence nested under the request that triggered it. *)
-let server_conv =
-  let parse = function
-    | "none" -> Ok None
-    | "pm" -> Ok (Some Endpoint.pm)
-    | "vfs" -> Ok (Some Endpoint.vfs)
-    | "vm" -> Ok (Some Endpoint.vm)
-    | "ds" -> Ok (Some Endpoint.ds)
-    | "rs" -> Ok (Some Endpoint.rs)
-    | s -> Error (`Msg (Printf.sprintf
-                          "unknown server %S (pm|vfs|vm|ds|rs|none)" s))
-  in
-  let print fmt = function
-    | None -> Format.pp_print_string fmt "none"
-    | Some ep -> Format.pp_print_string fmt (Endpoint.server_name ep)
-  in
-  Arg.conv (parse, print)
-
-let crash_arg =
-  Arg.(value & opt server_conv (Some Endpoint.ds)
-       & info [ "crash" ] ~docv:"SERVER"
-         ~doc:"Inject one recoverable crash into this server (none to \
-               disable).")
-
-(* Deterministic crash injection: the first [count] in-window Replies
-   of [ep] fail-stop, each recoverable under any recovering policy.
-   (Shared with the flight recorder, which re-arms it on replay.) *)
-let arm_crash = Flight.arm_crash
-
-let obs_run ?profiler policy seed crash =
-  let metrics = Metrics.create () in
-  let collector = Obs_collector.create ~metrics () in
-  let sys =
-    System.build ~seed ~event_hook:(Obs_collector.record collector) ?profiler
-      (Sysconf.uniform policy)
-  in
-  let kernel = System.kernel sys in
-  arm_crash kernel crash;
-  let halt = System.run sys ~root:Workgen.quickstart in
-  Obs_collector.snapshot_server_stats metrics kernel;
-  (sys, collector, metrics, halt)
-
 let trace_cmd =
   let json_arg =
     Arg.(value & opt string "osiris_trace.json"
@@ -414,7 +441,11 @@ let trace_cmd =
     (* Sampled profiler: per-phase cycle-rate counter tracks alongside
        the span tracks. *)
     let profiler = Profiler.create ~sample_every:20_000 () in
-    let sys, collector, _metrics, halt = obs_run ~profiler policy seed crash in
+    let collector = Obs_collector.create () in
+    let _, halt =
+      Flight.run ~event_hook:(Obs_collector.record collector) ~profiler
+        (header ~seed ~spec:policy.Policy.name ~crash ())
+    in
     let events = Obs_collector.events collector in
     let spans = Span.build events in
     let counters = Flame.counter_samples profiler in
@@ -435,7 +466,6 @@ let trace_cmd =
       (Obs_collector.count collector)
       (Span.count spans) (List.length interesting)
       (Kernel.halt_to_string halt) json;
-    ignore sys;
     0
   in
   Cmd.v
@@ -447,7 +477,13 @@ let trace_cmd =
 let report_cmd =
   let run policy seed crash =
     setup_logs ();
-    let sys, collector, metrics, halt = obs_run policy seed crash in
+    let metrics = Metrics.create () in
+    let collector = Obs_collector.create ~metrics () in
+    let sys, halt =
+      Flight.run ~event_hook:(Obs_collector.record collector)
+        (header ~seed ~spec:policy.Policy.name ~crash ())
+    in
+    Obs_collector.snapshot_server_stats metrics (System.kernel sys);
     let spans = Span.build (Obs_collector.events collector) in
     print_endline (Obs_report.render ~metrics ~kernel:(System.kernel sys) spans);
     Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
@@ -460,38 +496,8 @@ let report_cmd =
     Term.(const run $ policy_arg $ seed_arg $ crash_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Compartment-layer commands                                          *)
-(* ------------------------------------------------------------------ *)
-
-let sysconf_conv =
-  let parse s =
-    match Sysconf.parse s with Ok c -> Ok c | Error m -> Error (`Msg m)
-  in
-  let print fmt (c : Sysconf.t) = Format.pp_print_string fmt (Sysconf.name c) in
-  Arg.conv (parse, print)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
 (* Profiler / health commands                                          *)
 (* ------------------------------------------------------------------ *)
-
-let spec_opt_arg =
-  Arg.(value & opt (some sysconf_conv) None
-       & info [ "spec" ] ~docv:"SPEC"
-         ~doc:"System spec (overrides $(b,--policy)): \
-               default[,server=policy[/budget]]...")
-
-let conf_of_args policy spec =
-  match spec with Some c -> c | None -> Sysconf.uniform policy
 
 let write_file path contents =
   let oc = open_out path in
@@ -501,12 +507,12 @@ let write_file path contents =
 
 let timeline_cmd =
   let interval_arg =
-    Arg.(value & opt int 2048
+    Arg.(value & opt pos_int_conv 2048
          & info [ "interval" ] ~docv:"N"
            ~doc:"Sampling period in virtual cycles.")
   in
   let window_arg =
-    Arg.(value & opt int 8
+    Arg.(value & opt pos_int_conv 8
          & info [ "window" ] ~docv:"W"
            ~doc:"Sliding latency window, in samples.")
   in
@@ -533,13 +539,11 @@ let timeline_cmd =
     let metrics = Metrics.create () in
     let collector = Obs_collector.create ~metrics () in
     let ts = Timeseries.create ~interval () in
-    let sys =
-      System.build ~seed ~event_hook:(Obs_collector.record collector)
-        ~telemetry:ts (Sysconf.uniform policy)
+    let sys, halt =
+      Flight.run ~event_hook:(Obs_collector.record collector) ~telemetry:ts
+        (header ~seed ~spec:policy.Policy.name ~crash ())
     in
     let kernel = System.kernel sys in
-    arm_crash kernel crash;
-    let halt = System.run sys ~root:Workgen.quickstart in
     Timeseries.publish ts metrics;
     let spans = Span.build (Obs_collector.events collector) in
     (* Request latency = completed top-level request spans, stamped at
@@ -586,7 +590,7 @@ let timeline_cmd =
    worker counts. *)
 let load_cmd =
   let requests_arg =
-    Arg.(value & opt int 200
+    Arg.(value & opt pos_int_conv 200
          & info [ "requests" ] ~docv:"N" ~doc:"Arrivals per step.")
   in
   let rate_min_arg =
@@ -690,7 +694,7 @@ let load_cmd =
       in
       let kernel = System.kernel sys in
       let reqs = Loadgen.inject kernel spec in
-      arm_crash kernel crash;
+      Flight.arm_crash kernel (Flight.server_of_name crash);
       let halt = Kernel.run kernel in
       let o =
         { (Loadgen.collect kernel reqs) with Loadgen.o_spec_rate = rate }
@@ -748,9 +752,7 @@ let load_cmd =
                crash %s (latencies in virtual cycles)"
               requests
               (match arrival with `Poisson -> "poisson" | `Bursty -> "bursty")
-              (match crash with
-               | Some ep -> Endpoint.server_name ep
-               | None -> "none"))
+              crash)
          ~header:
            [ "offered"; "goodput"; "ok"; "shed"; "p50"; "p95"; "p99";
              "p99.9"; "max"; "crashes"; "restarts"; "halt" ]
@@ -764,10 +766,7 @@ let load_cmd =
     Printf.bprintf buf "  \"seed\": %d,\n  \"requests\": %d,\n" seed requests;
     Printf.bprintf buf "  \"arrival\": \"%s\",\n"
       (match arrival with `Poisson -> "poisson" | `Bursty -> "bursty");
-    Printf.bprintf buf "  \"crash\": \"%s\",\n"
-      (match crash with
-       | Some ep -> Endpoint.server_name ep
-       | None -> "none");
+    Printf.bprintf buf "  \"crash\": \"%s\",\n" crash;
     Printf.bprintf buf "  \"keys\": %d,\n  \"zipf\": \"%g\",\n" keys zipf;
     let attribution_json att =
       match att with
@@ -879,7 +878,7 @@ let load_cmd =
    parity gate in bench/critpath_bench.ml. *)
 let why_cmd =
   let spec_all_arg =
-    Arg.(value & opt_all string []
+    Arg.(value & opt_all spec_conv []
          & info [ "spec" ] ~docv:"SPEC"
            ~doc:"System spec(s) to attribute (repeatable; overrides \
                  $(b,--policy)): default[,server=policy[/budget]]... Specs \
@@ -887,13 +886,7 @@ let why_cmd =
                  submission order, byte-identical at any $(b,--jobs).")
   in
   let workload_arg =
-    Arg.(value & opt string "quickstart"
-         & info [ "workload" ] ~docv:"NAME"
-           ~doc:"Workload: quickstart, suite, or workgen (seed-derived).")
-  in
-  let count_arg =
-    Arg.(value & opt int 1
-         & info [ "crashes" ] ~docv:"N" ~doc:"Crashes to inject.")
+    workload_arg ~doc:"Workload: quickstart, suite, or workgen (seed-derived)."
   in
   let journal_arg =
     Arg.(value & opt (some string) None
@@ -977,53 +970,26 @@ let why_cmd =
          | Ok (_header, events) -> Ok [ (Array.to_list events, None) ])
       | None ->
         let specs = if specs = [] then [ policy.Policy.name ] else specs in
-        let crash_name =
-          match crash with
-          | None -> "none"
-          | Some ep -> Endpoint.server_name ep
-        in
-        let headers =
-          List.map
-            (fun s ->
-               Flight.make_header ~arch ~seed ~spec:s ~workload
-                 ~crash:crash_name ~crash_count:count ())
-            specs
-        in
-        (match
-           List.find_map
-             (function Error m -> Some m | Ok _ -> None)
-             headers
-         with
-         | Some m ->
-           prerr_endline ("why: " ^ m);
-           Error 1
-         | None ->
-           let headers =
-             List.filter_map
-               (function Ok h -> Some h | Error _ -> None)
-               headers
-           in
-           Ok
-             (Parfan.map
-                ?jobs:(if jobs = 0 then None else Some jobs)
-                (fun header ->
-                   let c = Obs_collector.create () in
-                   let kr = ref None in
-                   ignore
-                     (Flight.exec
-                        ~prepare:(fun sys ->
-                            let k = System.kernel sys in
-                            (* Kernel-side charging is the independent
-                               cross-check on the event-derived
-                               attribution; it observes the run without
-                               perturbing it. *)
-                            Kernel.enable_cycle_counts k;
-                            Kernel.enable_request_counts k;
-                            kr := Some k)
-                        header
-                        ~hook:(Obs_collector.record c));
-                   (Obs_collector.events c, !kr))
-                headers))
+        Ok
+          (Parfan.map
+             ?jobs:(if jobs = 0 then None else Some jobs)
+             (fun spec ->
+                let c = Obs_collector.create () in
+                let sys, _ =
+                  Flight.run
+                    ~prepare:(fun sys ->
+                        let k = System.kernel sys in
+                        (* Kernel-side charging is the independent
+                           cross-check on the event-derived attribution;
+                           it observes the run without perturbing it. *)
+                        Kernel.enable_cycle_counts k;
+                        Kernel.enable_request_counts k)
+                    ~event_hook:(Obs_collector.record c)
+                    (header ~arch ~seed ~spec ~workload ~crash
+                       ~crash_count:count ())
+                in
+                (Obs_collector.events c, Some (System.kernel sys)))
+             specs)
     in
     match runs with
     | Error rc -> rc
@@ -1195,7 +1161,7 @@ let why_cmd =
              self-inflicted rollback/restart, recovery collateral) and \
              rank which bucket separates the p99 tail from the median.")
     Term.(const run $ policy_arg $ spec_all_arg $ seed_arg $ arch_arg
-          $ workload_arg $ crash_arg $ count_arg $ jobs_arg $ journal_arg
+          $ workload_arg $ crash_arg $ crashes_arg $ jobs_arg $ journal_arg
           $ json_arg $ perfetto_arg $ top_arg)
 
 let profile_cmd =
@@ -1211,12 +1177,11 @@ let profile_cmd =
   in
   let run policy spec seed crash json folded =
     setup_logs ();
-    let conf = conf_of_args policy spec in
     let profiler = Profiler.create () in
-    let sys = System.build ~seed ~profiler conf in
+    let sys, halt =
+      Flight.run ~profiler (header ~seed ~spec:(spec_of policy spec) ~crash ())
+    in
     let kernel = System.kernel sys in
-    arm_crash kernel crash;
-    let halt = System.run sys ~root:Workgen.quickstart in
     print_endline (Profiler.report profiler);
     Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
     write_file json (Profiler.to_json profiler);
@@ -1250,18 +1215,17 @@ let health_cmd =
   in
   let run policy spec seed crash crashes json =
     setup_logs ();
-    let conf = conf_of_args policy spec in
     let profiler = Profiler.create () in
     let watchdog = Health.create () in
-    let sys =
-      System.build ~seed ~event_hook:(Health.observe watchdog) ~profiler conf
+    let sys, halt =
+      Flight.run ~event_hook:(Health.observe watchdog) ~profiler
+        (header ~seed ~spec:(spec_of policy spec) ~crash ~crash_count:crashes
+           ())
     in
-    let kernel = System.kernel sys in
-    arm_crash ~count:crashes kernel crash;
-    let halt = System.run sys ~root:Workgen.quickstart in
     let comps =
-      Health.snapshot ~profiler ~budget_for:(Sysconf.budget_for conf)
-        watchdog kernel
+      Health.snapshot ~profiler
+        ~budget_for:(Sysconf.budget_for (System.sysconf sys))
+        watchdog (System.kernel sys)
     in
     print_endline (Health.render comps);
     Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
@@ -1293,7 +1257,7 @@ let survivability_cmd =
                  normal path).")
   in
   let spec_arg =
-    Arg.(value & opt_all sysconf_conv []
+    Arg.(value & opt_all spec_conv []
          & info [ "spec" ] ~docv:"SPEC"
            ~doc:"System spec: default[,server=policy[/budget]]..., e.g. \
                  'enhanced,ds=stateless,vm=pessimistic/3'. Repeatable; one \
@@ -1316,7 +1280,9 @@ let survivability_cmd =
     let specs =
       match specs with
       | [] -> List.map Sysconf.uniform Policy.all_evaluated
-      | specs -> specs
+      | specs ->
+        (* each already accepted by [spec_conv] *)
+        List.map (fun s -> Result.get_ok (Sysconf.parse s)) specs
     in
     let model_name =
       match model with Edfi.Fail_stop -> "fail-stop" | Edfi.Full_edfi -> "full-edfi"
@@ -1345,17 +1311,14 @@ let survivability_cmd =
     List.iteri
       (fun i r ->
          Printf.bprintf buf
-           "    {\"spec\": \"%s\", \"runs\": %d, \"pass\": %d, \"fail\": %d, \
+           "    {\"spec\": %s, \"runs\": %d, \"pass\": %d, \"fail\": %d, \
             \"shutdown\": %d, \"crash\": %d}%s\n"
-           (json_escape r.Campaign.row_policy) r.Campaign.runs r.Campaign.pass
-           r.Campaign.fail r.Campaign.shutdown r.Campaign.crash
+           (Chrome_trace.escaped r.Campaign.row_policy) r.Campaign.runs
+           r.Campaign.pass r.Campaign.fail r.Campaign.shutdown r.Campaign.crash
            (if i = List.length rows - 1 then "" else ","))
       rows;
     Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out path in
-    Buffer.output_buffer oc buf;
-    close_out oc;
-    Printf.printf "wrote %s\n" path;
+    write_file path (Buffer.contents buf);
     (* The rollup's deterministic sections are byte-identical at any
        --jobs; the "pool" section (wall-clock worker utilization) is
        the one exception and rides only in this artifact. *)
@@ -1454,20 +1417,14 @@ let load_index ~journal path =
 
 let record_cmd =
   let spec_str_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some spec_conv) None
          & info [ "spec" ] ~docv:"SPEC"
            ~doc:"System spec recorded in the header (overrides \
                  $(b,--policy)): default[,server=policy[/budget]]...")
   in
   let workload_arg =
-    Arg.(value & opt string "quickstart"
-         & info [ "workload" ] ~docv:"NAME"
-           ~doc:"Workload to record: quickstart, suite, or workgen \
-                 (seed-derived).")
-  in
-  let count_arg =
-    Arg.(value & opt int 1
-         & info [ "crashes" ] ~docv:"N" ~doc:"Crashes to inject.")
+    workload_arg
+      ~doc:"Workload to record: quickstart, suite, or workgen (seed-derived)."
   in
   let ring_arg =
     Arg.(value & opt (some int) None
@@ -1494,50 +1451,33 @@ let record_cmd =
   let run policy spec seed arch workload crash count ring no_index perturb
       path =
     setup_logs ();
-    let spec = match spec with Some s -> s | None -> policy.Policy.name in
-    let crash_name =
-      match crash with None -> "none" | Some ep -> Endpoint.server_name ep
-    in
-    match
-      Flight.make_header ~arch ~seed ~spec ~workload ~crash:crash_name
+    let header =
+      header ~arch ~seed ~spec:(spec_of policy spec) ~workload ~crash
         ~crash_count:count ()
-    with
+    in
+    let costs = if perturb then Some (Flight.perturbed_costs arch) else None in
+    match Flight.record ~path ?ring ?costs ~index:(not no_index) header with
     | Error m -> prerr_endline ("record: " ^ m); 1
-    | Ok header ->
-      let costs =
-        if perturb then
-          let base =
-            match header.Journal.jh_arch with
-            | Kernel.Microkernel -> Costs.microkernel
-            | Kernel.Monolithic -> Costs.monolithic
-          in
-          Some { base with Costs.c_reply = base.Costs.c_reply + 1 }
-        else None
-      in
-      (match Flight.record ~path ?ring ?costs ~index:(not no_index) header
-       with
-       | Error m -> prerr_endline ("record: " ^ m); 1
-       | Ok r ->
-         Printf.printf "recorded: %s\n" (Journal.header_to_string header);
-         Printf.printf "halted: %s\n"
-           (Kernel.halt_to_string r.Flight.rec_halt);
-         Printf.printf "%d records, %d bytes%s -> %s%s\n"
-           r.Flight.rec_records r.Flight.rec_bytes
-           (if r.Flight.rec_snapshots > 0 then
-              Printf.sprintf " (ring mode, %d crash snapshot(s))"
-                r.Flight.rec_snapshots
-            else "")
-           path
-           (if no_index then ""
-            else Printf.sprintf " (+ index %s)" (path ^ Journal.index_suffix));
-         0)
+    | Ok r ->
+      Printf.printf "recorded: %s\n" (Journal.header_to_string header);
+      Printf.printf "halted: %s\n" (Kernel.halt_to_string r.Flight.rec_halt);
+      Printf.printf "%d records, %d bytes%s -> %s%s\n"
+        r.Flight.rec_records r.Flight.rec_bytes
+        (if r.Flight.rec_snapshots > 0 then
+           Printf.sprintf " (ring mode, %d crash snapshot(s))"
+             r.Flight.rec_snapshots
+         else "")
+        path
+        (if no_index then ""
+         else Printf.sprintf " (+ index %s)" (path ^ Journal.index_suffix));
+      0
   in
   Cmd.v
     (Cmd.info "record"
        ~doc:"Run a workload with the flight recorder attached, writing a \
              replayable event journal and its seekable sidecar index.")
     Term.(const run $ policy_arg $ spec_str_arg $ seed_arg $ arch_arg
-          $ workload_arg $ crash_arg $ count_arg $ ring_arg $ no_index_arg
+          $ workload_arg $ crash_arg $ crashes_arg $ ring_arg $ no_index_arg
           $ perturb_arg $ journal_path_arg)
 
 let replay_cmd =
@@ -1561,13 +1501,7 @@ let replay_cmd =
        | Error m -> prerr_endline m; 1
        | Ok (header, st) ->
          let costs =
-           if perturb then
-             let base =
-               match header.Journal.jh_arch with
-               | Kernel.Microkernel -> Costs.microkernel
-               | Kernel.Monolithic -> Costs.monolithic
-             in
-             Some { base with Costs.c_reply = base.Costs.c_reply + 1 }
+           if perturb then Some (Flight.perturbed_costs header.Journal.jh_arch)
            else None
          in
          (* Streaming cursor: the journal is never materialized as an
@@ -1625,7 +1559,7 @@ let postmortem_cmd =
 
 let index_cmd =
   let block_arg =
-    Arg.(value & opt int Journal.default_block_records
+    Arg.(value & opt pos_int_conv Journal.default_block_records
          & info [ "block-records" ] ~docv:"N"
            ~doc:"Records per index block (smaller blocks skip more, \
                  cost more summaries).")

@@ -38,11 +38,11 @@ let arm_crash ?(count = 1) kernel = function
             end
             else None))
 
-let costs_of_arch = function
-  | Kernel.Microkernel -> Costs.microkernel
-  | Kernel.Monolithic -> Costs.monolithic
+let perturbed_costs arch =
+  let base = Kernel.costs_of_arch arch in
+  { base with Costs.c_reply = base.Costs.c_reply + 1 }
 
-(* Everything [exec]/[record] need from a header, validated in one
+(* Everything [run]/[record] need from a header, validated in one
    place so the two paths cannot drift. *)
 let resolve header =
   match Sysconf.parse header.Journal.jh_spec with
@@ -71,19 +71,26 @@ let make_header ?(arch = Kernel.Microkernel) ?(seed = 42) ?(spec = "enhanced")
       jh_workload = workload;
       jh_crash = crash;
       jh_crash_count = crash_count;
-      jh_cost_fingerprint = Costs.fingerprint (costs_of_arch arch) }
+      jh_cost_fingerprint = Costs.fingerprint (Kernel.costs_of_arch arch) }
   in
   match resolve header with Ok _ -> Ok header | Error m -> Error m
 
-let run_resolved ?costs ?event_hook ?journal ?prepare header (conf, root, crash)
-    =
+let run_resolved ?costs ?event_hook ?journal ?profiler ?telemetry ?prepare
+    header (conf, root, crash) =
   let sys =
     System.build ~arch:header.Journal.jh_arch ~seed:header.Journal.jh_seed
-      ?costs ?event_hook ?journal conf
+      ?costs ?event_hook ?journal ?profiler ?telemetry conf
   in
   arm_crash ~count:header.Journal.jh_crash_count (System.kernel sys) crash;
   (match prepare with Some f -> f sys | None -> ());
-  System.run sys ~root
+  (sys, System.run sys ~root)
+
+let run ?costs ?event_hook ?profiler ?telemetry ?prepare header =
+  match resolve header with
+  | Error m -> invalid_arg ("Flight.run: " ^ m)
+  | Ok resolved ->
+    run_resolved ?costs ?event_hook ?profiler ?telemetry ?prepare header
+      resolved
 
 type recording = {
   rec_halt : Kernel.halt;
@@ -117,7 +124,7 @@ let record ~path ?ring ?costs ?(index = true) header =
           into memory and write the file once rather than streaming to
           disk and reading it straight back. *)
        let w = Journal.to_memory header in
-       let halt = run_resolved ?costs ~journal:w header resolved in
+       let _, halt = run_resolved ?costs ~journal:w header resolved in
        Journal.close w;
        let encoded = Journal.contents w in
        (try
@@ -134,7 +141,7 @@ let record ~path ?ring ?costs ?(index = true) header =
         with Sys_error m -> Error m)
      | None ->
        let w = Journal.to_file ~path header in
-       let halt = run_resolved ?costs ~journal:w header resolved in
+       let _, halt = run_resolved ?costs ~journal:w header resolved in
        Journal.close w;
        Ok
          { rec_halt = halt;
@@ -145,7 +152,7 @@ let record ~path ?ring ?costs ?(index = true) header =
        let t = Tracer.create ~capacity () in
        Tracer.set_snapshot_on t
          (Some (function Kernel.E_crash _ -> true | _ -> false));
-       let halt =
+       let _, halt =
          run_resolved ?costs ~event_hook:(Tracer.record t) header resolved
        in
        let snapshots = Tracer.snapshots_taken t in
@@ -168,31 +175,20 @@ let record ~path ?ring ?costs ?(index = true) header =
                 rec_snapshots = snapshots }
         with Sys_error m -> Error m))
 
-let exec ?prepare header ~hook =
-  match resolve header with
-  | Error m -> invalid_arg ("Flight.exec: " ^ m)
-  | Ok resolved -> run_resolved ~event_hook:hook ?prepare header resolved
-
-let replay_exec ?costs header =
-  let table =
-    match costs with
-    | Some c -> c
-    | None -> costs_of_arch header.Journal.jh_arch
-  in
-  let exec header ~hook =
-    match resolve header with
-    | Error m -> invalid_arg ("Flight.replay: " ^ m)
-    | Ok resolved ->
-      run_resolved ~costs:table ~event_hook:hook header resolved
-  in
-  (exec, Costs.fingerprint table)
+(* Replay re-executes under the header arch's table unless [costs]
+   overrides it (the perturbation fixture), and the outcome's
+   fingerprint check is against that same table. *)
+let replay_table ?costs header =
+  Option.value costs ~default:(Kernel.costs_of_arch header.Journal.jh_arch)
 
 let replay ?costs header events =
-  let exec, fingerprint = replay_exec ?costs header in
-  Replay.run ~exec ~cost_fingerprint:fingerprint header events
+  let costs = replay_table ?costs header in
+  Replay.run
+    ~exec:(fun h ~hook -> snd (run ~costs ~event_hook:hook h))
+    ~cost_fingerprint:(Costs.fingerprint costs) header events
 
 let replay_stream ?costs header ~next =
-  let exec, fingerprint = replay_exec ?costs header in
-  Replay.run_stream ~exec ~cost_fingerprint:fingerprint header ~next
-
-let postmortem = Postmortem.analyze
+  let costs = replay_table ?costs header in
+  Replay.run_stream
+    ~exec:(fun h ~hook -> snd (run ~costs ~event_hook:hook h))
+    ~cost_fingerprint:(Costs.fingerprint costs) header ~next

@@ -1,12 +1,17 @@
-(** Flight-recorder orchestration: record, replay, postmortem.
+(** Run headers: the one place a description of a run becomes a run.
 
     [Journal]/[Replay]/[Postmortem] (in [lib/obs]) are pure codec and
     analysis modules with no knowledge of the assembled system — this
     module supplies the missing half: a registry of named workloads, a
-    crash-injection armer, and the [exec] function that rebuilds a
-    system from a journal header and runs it to halt. The [osiris
-    record]/[replay]/[postmortem] subcommands are thin wrappers over
-    these entry points, so tests exercise exactly what the CLI ships.
+    crash-injection armer, and {!run}, which builds the system a
+    journal header describes and runs it to halt. Every [osiris]
+    subcommand that runs a workload from flags ([suite], [stress],
+    [fsck], [trace], [report], [timeline], [profile], [health], [why],
+    [record]) assembles a header with {!make_header} and calls {!run}
+    (or {!record}, which runs the same path with a journal attached);
+    [replay] re-runs a recorded header through it. Only [load]
+    (Loadgen-driven, no root program) and [events] (tracer attached
+    after boot) build a system by hand.
 
     A run is re-executable iff everything that determines it is in the
     header: seed, arch, system spec, workload {e name} (resolved here,
@@ -58,7 +63,8 @@ val record :
   ?index:bool ->
   Journal.header ->
   (recording, string) result
-(** Execute the run the header describes, journaling to [path]. Full
+(** Execute the run the header describes — {!run}'s path, with the
+    journal writer attached from boot — journaling to [path]. Full
     fidelity by default: every event streams to disk as it happens.
     [ring] bounds memory instead: the last-N events ride a tracer ring
     whose contents are frozen at each crash ({!Tracer.set_snapshot_on})
@@ -73,24 +79,38 @@ val record :
     the perturbed-cost fixture, producing a journal whose events
     diverge from what its header re-executes to. *)
 
-val exec :
+val run :
+  ?costs:Costs.t ->
+  ?event_hook:(Kernel.event -> unit) ->
+  ?profiler:Profiler.t ->
+  ?telemetry:Timeseries.t ->
   ?prepare:(System.t -> unit) ->
-  Journal.header -> hook:(Kernel.event -> unit) -> Kernel.halt
-(** Rebuild the system a header describes — spec parsed, [hook]
-    installed from boot, crash injection re-armed — and run its
-    workload to halt. This is the [exec] argument {!Replay.run} wants.
-    [prepare] runs on the built system just before the workload starts
-    — [osiris why] uses it to switch on the kernel's per-request cycle
-    charging, which observes but never perturbs the run.
+  Journal.header ->
+  System.t * Kernel.halt
+(** Build the system a header describes — spec parsed, crash injection
+    armed — and run its workload to halt, returning the spent system
+    for post-run inspection (kernel statistics, filesystem checks, the
+    log). [event_hook], [profiler] and [telemetry] are attached before
+    boot through {!System.build}, so they see the whole run; [costs]
+    overrides the header arch's cost table without touching the
+    header. [prepare] runs on the built system just before the
+    workload starts — [osiris why] uses it to switch on the kernel's
+    per-request cycle charging, which observes but never perturbs the
+    run.
     @raise Invalid_argument on a header that fails {!make_header}'s
     validation (CLI paths validate first). *)
+
+val perturbed_costs : Kernel.arch -> Costs.t
+(** The arch's cost table with one entry ([c_reply]) off by one — the
+    [--perturb-cost] fixture of [osiris record]/[replay]: a run under
+    it diverges from its header's re-execution. *)
 
 val replay :
   ?costs:Costs.t ->
   Journal.header ->
   Kernel.event array ->
   Replay.outcome
-(** {!Replay.run} over {!exec}, with the replay-side cost table
+(** {!Replay.run} over {!run}, with the replay-side cost table
     ([costs] overrides the header arch's — the perturbation fixture)
     threaded both into the rebuilt system and into the outcome's
     fingerprint check. *)
@@ -100,10 +120,6 @@ val replay_stream :
   Journal.header ->
   next:(unit -> Kernel.event option) ->
   Replay.outcome
-(** {!Replay.run_stream} over {!exec} — the streaming CLI path: feed
+(** {!Replay.run_stream} over {!run} — the streaming CLI path: feed
     it a {!Journal.stream_next} cursor and the journal is never
     materialized as an array. *)
-
-val postmortem : Journal.header -> Kernel.event array -> Postmortem.report
-(** {!Postmortem.analyze} (re-exported so CLI and tests need only
-    [Flight]). *)

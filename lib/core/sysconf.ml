@@ -138,7 +138,10 @@ let parse spec =
      | None -> Error (Printf.sprintf "unknown default policy %S" first)
      | Some default ->
        let rec go acc = function
-         | [] -> Ok (make ~default (List.rev acc))
+         | [] -> (
+           (* [make] rejects a server named twice *)
+           try Ok (make ~default (List.rev acc))
+           with Invalid_argument m -> Error m)
          | item :: rest -> (
            let item = String.trim item in
            match String.index_opt item '=' with

@@ -60,4 +60,5 @@ val policy_of_string : string -> Policy.t option
 val parse : string -> (t, string) result
 (** Spec strings for the CLI:
     ["default[,server=policy[/budget]]..."], e.g.
-    ["enhanced,ds=stateless,vm=pessimistic/3"]. *)
+    ["enhanced,ds=stateless,vm=pessimistic/3"]. [Error] on an unknown
+    policy or server, a bad budget, or a server named twice. *)

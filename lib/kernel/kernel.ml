@@ -262,14 +262,16 @@ type config = {
   log_sink : (string -> unit) option;
 }
 
+let costs_of_arch = function
+  | Microkernel -> Costs.microkernel
+  | Monolithic -> Costs.monolithic
+
 let default_config ?(arch = Microkernel) ?(seed = 42) ?(policies = []) policy
     ~lookup_program () =
   { arch;
     policy;
     policies;
-    costs = (match arch with
-        | Microkernel -> Costs.microkernel
-        | Monolithic -> Costs.monolithic);
+    costs = costs_of_arch arch;
     seed;
     max_ops = 400_000_000;
     max_vtime = 2_000_000_000;

@@ -124,6 +124,10 @@ type config = {
       (** Receives [Diag] lines. *)
 }
 
+val costs_of_arch : arch -> Costs.t
+(** The cost table an architecture runs under — the one place an
+    [arch] maps to {!Costs.microkernel} or {!Costs.monolithic}. *)
+
 val default_config : ?arch:arch -> ?seed:int ->
   ?policies:(Endpoint.t * Policy.t) list -> Policy.t ->
   lookup_program:(string -> (int -> unit Prog.t) option) -> unit -> config

@@ -4,7 +4,7 @@
     workload + cost table), so re-executing a journaled run must
     reproduce the recorded event stream {e byte for byte}. [run]
     re-executes via a caller-provided [exec] (supplied by
-    [Flight.exec], keeping this module free of a dependency on the
+    [Flight.run], keeping this module free of a dependency on the
     assembled system) and diffs the live stream against the journal,
     record by record, as it is produced.
 

@@ -20,17 +20,15 @@ let collect_run ?(spec = "enhanced") ?(workload = "quickstart")
     | Error m -> Alcotest.fail m
   in
   let c = Obs_collector.create () in
-  let kr = ref None in
-  ignore
-    (Flight.exec
-       ~prepare:(fun sys ->
-           let k = System.kernel sys in
-           Kernel.enable_cycle_counts k;
-           Kernel.enable_request_counts k;
-           kr := Some k)
-       header
-       ~hook:(Obs_collector.record c));
-  (header, Obs_collector.events c, Option.get !kr)
+  let sys, _ =
+    Flight.run
+      ~prepare:(fun sys ->
+          let k = System.kernel sys in
+          Kernel.enable_cycle_counts k;
+          Kernel.enable_request_counts k)
+      ~event_hook:(Obs_collector.record c) header
+  in
+  (header, Obs_collector.events c, System.kernel sys)
 
 let check_conserved what (r : Critpath.result) =
   List.iter
@@ -102,7 +100,7 @@ let prop_conservation =
        | Error _ -> QCheck.assume_fail ()
        | Ok header ->
          let c = Obs_collector.create () in
-         ignore (Flight.exec header ~hook:(Obs_collector.record c));
+         ignore (Flight.run ~event_hook:(Obs_collector.record c) header);
          let r = Critpath.analyze (Obs_collector.events c) in
          List.for_all
            (fun b -> Critpath.breakdown_sum b = Critpath.total b)

@@ -274,9 +274,8 @@ let test_capture_write_identity () =
        | Ok _ -> ());
       let captured = In_channel.with_open_bin path In_channel.input_all in
       let events = ref [] in
-      let _halt =
-        Flight.exec header ~hook:(fun ev -> events := ev :: !events)
-      in
+      ignore
+        (Flight.run ~event_hook:(fun ev -> events := ev :: !events) header);
       let written = Journal.of_events header (List.rev !events) in
       Alcotest.(check int) "same size" (String.length captured)
         (String.length written);
@@ -404,7 +403,7 @@ let prop_record_replay_deterministic =
          (* in-memory record through the same System.build path the
             file recorder uses *)
          let w = Journal.to_memory header in
-         ignore (Flight.exec header ~hook:(Journal.write w));
+         ignore (Flight.run ~event_hook:(Journal.write w) header);
          Journal.close w;
          (match Journal.read_string (Journal.contents w) with
           | Error m -> QCheck.Test.fail_report ("decode: " ^ m)
@@ -438,7 +437,7 @@ let test_ring_mode_crash_snapshot () =
            Alcotest.(check bool) "snapshot ends at the crash" true
              (n > 0 && is_crash events.(n - 1));
            (* and postmortem still works on the partial history *)
-           let report = Flight.postmortem header events in
+           let report = Postmortem.analyze header events in
            Alcotest.(check bool) "journal ends before halt" true
              (report.Postmortem.pm_halt = None);
            Alcotest.(check int) "crash found" 1
@@ -469,7 +468,7 @@ let test_rid_chain () =
 
 let test_postmortem_seed42 () =
   let _, header, events = Lazy.force seed42_journal in
-  let report = Flight.postmortem header events in
+  let report = Postmortem.analyze header events in
   Alcotest.(check int) "exactly the injected crash" 1
     (List.length report.Postmortem.pm_crashes);
   Alcotest.(check bool) "halt recorded" true
@@ -661,7 +660,7 @@ let test_replay_json () =
 
 let test_postmortem_json () =
   let _, header, events = Lazy.force seed42_journal in
-  let report = Flight.postmortem header events in
+  let report = Postmortem.analyze header events in
   Alcotest.(check string) "deterministic bytes" (Postmortem.to_json report)
     (Postmortem.to_json report);
   let root = parse_json "postmortem artifact" (Postmortem.to_json report) in

@@ -18,7 +18,7 @@ let contains ~needle haystack =
    recorder uses; returns the encoded journal bytes. *)
 let record_bytes header =
   let w = Journal.to_memory header in
-  ignore (Flight.exec header ~hook:(Journal.write w) : Kernel.halt);
+  ignore (Flight.run ~event_hook:(Journal.write w) header);
   Journal.close w;
   Journal.contents w
 

@@ -111,13 +111,8 @@ let test_matrix () =
                       episodes :=
                         !episodes
                         + check_run ~label ~run:(fun hook ->
-                            let k = ref None in
-                            ignore
-                              (Flight.exec
-                                 ~prepare:(fun sys ->
-                                     k := Some (System.kernel sys))
-                                 header ~hook);
-                            Option.get !k))
+                            System.kernel
+                              (fst (Flight.run ~event_hook:hook header))))
                    [ 1; 3 ])
               crash_targets)
          workloads)
