@@ -44,6 +44,7 @@ and 'a t =
   | Kcall of kcall * (kresult -> 'a t)
   | Rand of int * (int -> 'a t)
   | Now of (int -> 'a t)
+  | Direct of (unit -> 'a t)
 
 let return x = Done x
 
@@ -66,6 +67,7 @@ let rec bind p f =
   | Kcall (c, k) -> Kcall (c, fun r -> bind (k r) f)
   | Rand (bound, k) -> Rand (bound, fun v -> bind (k v) f)
   | Now k -> Now (fun v -> bind (k v) f)
+  | Direct g -> Direct (fun () -> bind (g ()) f)
 
 let map f p = bind p (fun x -> Done (f x))
 
@@ -91,6 +93,7 @@ let kcall c = Kcall (c, fun r -> Done r)
 let rand bound = Rand (bound, fun v -> Done v)
 let now = Now (fun v -> Done v)
 let fail msg = Fail msg
+let direct f = Direct (fun () -> Done (f ()))
 
 let when_ cond p = if cond then p else Done ()
 

@@ -5,8 +5,11 @@
     call sites are instrumented by LLVM passes. Here, programs are free-
     monad values: each node is one observable operation — a memory
     access, an IPC interaction, simulated computation, or a privileged
-    kernel call. The kernel interprets programs one operation at a time,
-    which yields exactly the hooks the paper's instrumentation provides:
+    kernel call. The kernel runs each thread as a fiber and executes a
+    program one node at a time through the same operations
+    ([Kernel.Op]) that direct-style code calls; either way each
+    operation gives exactly the hooks the paper's instrumentation
+    provides:
 
     - every [Store] passes through the component's write hook (undo
       logging while the recovery window is open);
@@ -91,6 +94,11 @@ and 'a t =
   | Kcall of kcall * (kresult -> 'a t)
   | Rand of int * (int -> 'a t)      (** Uniform int below the bound. *)
   | Now of (int -> 'a t)             (** Virtual time, cycles. *)
+  | Direct of (unit -> 'a t)
+      (** Run direct-style code, which calls [Kernel.Op] itself, then go
+          on with the program it returns. Not an operation: it is not
+          counted, charged or preempted; only the operations the code
+          performs are. *)
 
 val return : 'a -> 'a t
 
@@ -122,6 +130,11 @@ val kcall : kcall -> kresult t
 val rand : int -> int t
 val now : int t
 val fail : string -> 'a t
+
+val direct : (unit -> 'a) -> 'a t
+(** [direct f] embeds direct-style code (see {!Direct}): [f] runs in the
+    executing thread when the program reaches this point, and its
+    result is the node's value. *)
 
 (** {2 Control helpers} *)
 
