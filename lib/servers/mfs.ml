@@ -1,5 +1,3 @@
-open Prog.Syntax
-
 let max_inodes = 256
 let direct_blocks = 8
 (* One single-indirect block of pointers extends a file to
@@ -76,70 +74,64 @@ let split_path path =
 
 (* ---------------- inode helpers ----------------------------------- *)
 
+(* Server logic is direct style: every table access below is a
+   [Kernel.Op] call, i.e. one costed, instrumented, fault-injectable
+   operation, like a load or store of the original C server. *)
+module Mem = Kernel.Op.Mem
+module D = Srvlib.Direct
+
 let find_child t ~parent ~name =
-  Srvlib.scan ~rows:max_inodes (fun row ->
-      let* kind = Prog.Mem.get_int t.inodes ~row t.i_kind in
-      if kind = kind_free || row = 0 then Prog.return false
+  D.scan ~rows:max_inodes (fun row ->
+      let kind = Mem.get_int t.inodes ~row t.i_kind in
+      if kind = kind_free || row = 0 then false
       else
-        let* p = Prog.Mem.get_int t.inodes ~row t.i_parent in
-        if p <> parent then Prog.return false
-        else
-          let* n = Prog.Mem.get_str t.inodes ~row t.i_name in
-          Prog.return (String.equal n name))
+        Mem.get_int t.inodes ~row t.i_parent = parent
+        && String.equal (Mem.get_str t.inodes ~row t.i_name) name)
 
 let resolve t path =
-  let components = split_path path in
   let rec walk cur = function
-    | [] -> Prog.return (Ok cur)
+    | [] -> Ok cur
     | comp :: rest ->
-      if String.length comp >= name_len then
-        Prog.return (Error Errno.ENAMETOOLONG)
+      if String.length comp >= name_len then Error Errno.ENAMETOOLONG
+      else if Mem.get_int t.inodes ~row:cur t.i_kind <> kind_dir then
+        Error Errno.ENOTDIR
       else
-        let* kind = Prog.Mem.get_int t.inodes ~row:cur t.i_kind in
-        if kind <> kind_dir then Prog.return (Error Errno.ENOTDIR)
-        else
-          let* child = find_child t ~parent:cur ~name:comp in
-          (match child with
-           | None -> Prog.return (Error Errno.ENOENT)
-           | Some ino -> walk ino rest)
+        match find_child t ~parent:cur ~name:comp with
+        | None -> Error Errno.ENOENT
+        | Some ino -> walk ino rest
   in
-  walk 0 components
+  walk 0 (split_path path)
 
 (* Split "/a/b/leaf" into the inode of "/a/b" and "leaf". *)
 let resolve_parent t path =
   match List.rev (split_path path) with
-  | [] -> Prog.return (Error Errno.EINVAL)
+  | [] -> Error Errno.EINVAL
   | leaf :: rev_dir ->
-    if String.length leaf >= name_len then Prog.return (Error Errno.ENAMETOOLONG)
+    if String.length leaf >= name_len then Error Errno.ENAMETOOLONG
     else
       let dir_path = String.concat "/" (List.rev rev_dir) in
-      let* r = resolve t ("/" ^ dir_path) in
-      (match r with
-       | Error e -> Prog.return (Error e)
-       | Ok dir_ino -> Prog.return (Ok (dir_ino, leaf)))
+      Result.map (fun dir_ino -> (dir_ino, leaf)) (resolve t ("/" ^ dir_path))
 
 let find_free_inode t =
-  Srvlib.scan ~rows:max_inodes (fun row ->
-      if row = 0 then Prog.return false
-      else
-        let* kind = Prog.Mem.get_int t.inodes ~row t.i_kind in
-        Prog.return (kind = kind_free))
+  D.scan ~rows:max_inodes (fun row ->
+      row <> 0 && Mem.get_int t.inodes ~row t.i_kind = kind_free)
 
 (* ---------------- block allocation -------------------------------- *)
 
 let alloc_block t =
-  let* head = Prog.Mem.get_cell t.c_free_head in
-  if head = 0 then Prog.return None
-  else
+  let head = Mem.get_cell t.c_free_head in
+  if head = 0 then None
+  else begin
     let block = head - 1 in
-    let* next = Prog.Mem.get_int t.freelist ~row:block t.b_next in
-    let* () = Prog.Mem.set_cell t.c_free_head next in
-    Prog.return (Some block)
+    let next = Mem.get_int t.freelist ~row:block t.b_next in
+    Mem.set_cell t.c_free_head next;
+    Some block
+  end
 
 let free_block t block =
-  let* head = Prog.Mem.get_cell t.c_free_head in
-  let* () = Prog.Mem.set_int t.freelist ~row:block t.b_next head in
-  Prog.Mem.set_cell t.c_free_head (block + 1)
+  let head = Mem.get_cell t.c_free_head in
+  Mem.set_int t.freelist ~row:block t.b_next head;
+  Mem.set_cell t.c_free_head (block + 1)
 
 (* ---------------- data path --------------------------------------- *)
 
@@ -155,371 +147,328 @@ let ind_set data slot v =
   Bytes.set_int64_le b (slot * 8) (Int64.of_int v);
   Bytes.to_string b
 
+let bdev_read block = Kernel.Op.call Endpoint.bdev (Message.Bdev_read { block })
+
+let bdev_write block data =
+  Kernel.Op.call Endpoint.bdev (Message.Bdev_write { block; data })
+
 let fetch_block block =
-  let* r = Prog.call Endpoint.bdev (Message.Bdev_read { block }) in
-  match r with
-  | Message.R_read { data } -> Prog.return data
-  | _ -> Prog.return ""
+  match bdev_read block with
+  | Message.R_read { data } -> data
+  | _ -> ""
+
+(* A device block padded with NULs to the full block size. *)
+let pad_block data =
+  if String.length data < Bdev.block_size then
+    data ^ String.make (Bdev.block_size - String.length data) '\000'
+  else data
 
 (* Pointer to the idx-th block of a file (block+1; 0 = hole). Indexes
    past the direct range go through the single-indirect block, costing
    a device read. *)
 let block_of t ~ino ~idx =
-  if idx < direct_blocks then Prog.Mem.get_int t.inodes ~row:ino t.i_blocks.(idx)
+  if idx < direct_blocks then Mem.get_int t.inodes ~row:ino t.i_blocks.(idx)
   else
-    let* ind = Prog.Mem.get_int t.inodes ~row:ino t.i_indirect in
-    if ind = 0 then Prog.return 0
-    else
-      let* data = fetch_block (ind - 1) in
-      Prog.return (ind_slot data (idx - direct_blocks))
+    let ind = Mem.get_int t.inodes ~row:ino t.i_indirect in
+    if ind = 0 then 0 else ind_slot (fetch_block (ind - 1)) (idx - direct_blocks)
 
 (* Record a freshly allocated block pointer, creating the indirect
    block on demand. Returns false if the indirect block cannot be
    allocated. *)
 let set_block t ~ino ~idx v =
-  if idx < direct_blocks then
-    let* () = Prog.Mem.set_int t.inodes ~row:ino t.i_blocks.(idx) v in
-    Prog.return true
+  if idx < direct_blocks then begin
+    Mem.set_int t.inodes ~row:ino t.i_blocks.(idx) v;
+    true
+  end
   else
-    let* ind = Prog.Mem.get_int t.inodes ~row:ino t.i_indirect in
-    let* ind_block =
-      if ind <> 0 then Prog.return (Some (ind - 1, false))
+    let ind = Mem.get_int t.inodes ~row:ino t.i_indirect in
+    let ind_block =
+      if ind <> 0 then Some (ind - 1, false)
       else
-        let* nb = alloc_block t in
-        match nb with
-        | None -> Prog.return None
+        match alloc_block t with
+        | None -> None
         | Some b ->
-          let* () = Prog.Mem.set_int t.inodes ~row:ino t.i_indirect (b + 1) in
-          Prog.return (Some (b, true))
+          Mem.set_int t.inodes ~row:ino t.i_indirect (b + 1);
+          Some (b, true)
     in
     match ind_block with
-    | None -> Prog.return false
+    | None -> false
     | Some (ib, fresh) ->
       (* A recycled block still holds its previous contents on the
          device; a brand-new pointer block must start zeroed. *)
-      let* data = if fresh then Prog.return "" else fetch_block ib in
-      let ndata = ind_set data (idx - direct_blocks) v in
-      let* _ = Prog.call Endpoint.bdev (Message.Bdev_write { block = ib; data = ndata }) in
-      Prog.return true
+      let data = if fresh then "" else fetch_block ib in
+      ignore (bdev_write ib (ind_set data (idx - direct_blocks) v));
+      true
 
 (* Stage a block's contents in the next cache slot (round-robin). *)
 let stage_block t ~block data =
-  let open Prog.Syntax in
-  let* slot = Prog.Mem.get_cell t.c_cache_next in
+  let slot = Mem.get_cell t.c_cache_next in
   let row = slot mod cache_slots in
-  let* () = Prog.Mem.set_cell t.c_cache_next (slot + 1) in
-  let* () = Prog.Mem.set_int t.cache ~row t.cb_tag (block + 1) in
-  Prog.Mem.set_str t.cache ~row t.cb_data data
+  Mem.set_cell t.c_cache_next (slot + 1);
+  Mem.set_int t.cache ~row t.cb_tag (block + 1);
+  Mem.set_str t.cache ~row t.cb_data data
 
 (* Read [len] bytes at [off]; holes read as NULs, reads past the size
    are clamped. *)
 let read_data t ~ino ~off ~len =
-  let* size = Prog.Mem.get_int t.inodes ~row:ino t.i_size in
+  let size = Mem.get_int t.inodes ~row:ino t.i_size in
   let len = max 0 (min len (size - off)) in
-  if len <= 0 then Prog.return ""
+  if len <= 0 then ""
   else begin
     let buf = Buffer.create len in
-    let rec go pos =
-      if pos >= off + len then Prog.return (Buffer.contents buf)
-      else begin
-        let idx = pos / Bdev.block_size in
-        let boff = pos mod Bdev.block_size in
-        let chunk = min (Bdev.block_size - boff) (off + len - pos) in
-        let* bptr = block_of t ~ino ~idx in
-        let* data =
-          if bptr = 0 then Prog.return (String.make chunk '\000')
-          else
-            let* r = Prog.call Endpoint.bdev (Message.Bdev_read { block = bptr - 1 }) in
-            match r with
-            | Message.R_read { data } ->
-              let* () = stage_block t ~block:(bptr - 1) data in
-              let data =
-                if String.length data < Bdev.block_size then
-                  data ^ String.make (Bdev.block_size - String.length data) '\000'
-                else data
-              in
-              Prog.return (String.sub data boff chunk)
-            | _ -> Prog.return (String.make chunk '\000')
-        in
-        Buffer.add_string buf data;
-        go (pos + chunk)
-      end
-    in
-    go off
+    let pos = ref off in
+    while !pos < off + len do
+      let idx = !pos / Bdev.block_size in
+      let boff = !pos mod Bdev.block_size in
+      let chunk = min (Bdev.block_size - boff) (off + len - !pos) in
+      let bptr = block_of t ~ino ~idx in
+      (if bptr = 0 then Buffer.add_string buf (String.make chunk '\000')
+       else
+         match bdev_read (bptr - 1) with
+         | Message.R_read { data } ->
+           stage_block t ~block:(bptr - 1) data;
+           Buffer.add_string buf (String.sub (pad_block data) boff chunk)
+         | _ -> Buffer.add_string buf (String.make chunk '\000'));
+      pos := !pos + chunk
+    done;
+    Buffer.contents buf
   end
 
 (* Write [data] at [off], allocating blocks on demand and growing the
    size. Partial-block updates read-modify-write through the device. *)
 let write_data t ~ino ~off ~data =
   let len = String.length data in
-  if off < 0 || off + len > max_file_size then Prog.return (Error Errno.ENOSPC)
+  if off < 0 || off + len > max_file_size then Error Errno.ENOSPC
   else begin
     let rec go pos =
-      if pos >= len then
-        let* size = Prog.Mem.get_int t.inodes ~row:ino t.i_size in
-        let* () =
-          Prog.when_ (off + len > size)
-            (Prog.Mem.set_int t.inodes ~row:ino t.i_size (off + len))
-        in
-        Prog.return (Ok len)
+      if pos >= len then begin
+        let size = Mem.get_int t.inodes ~row:ino t.i_size in
+        if off + len > size then Mem.set_int t.inodes ~row:ino t.i_size (off + len);
+        Ok len
+      end
       else begin
         let fpos = off + pos in
         let idx = fpos / Bdev.block_size in
         let boff = fpos mod Bdev.block_size in
         let chunk = min (Bdev.block_size - boff) (len - pos) in
-        let* bptr = block_of t ~ino ~idx in
-        let* balloc =
-          if bptr <> 0 then Prog.return (Some (bptr - 1))
+        let bptr = block_of t ~ino ~idx in
+        let balloc =
+          if bptr <> 0 then Some (bptr - 1)
           else
-            let* nb = alloc_block t in
-            match nb with
-            | None -> Prog.return None
+            match alloc_block t with
+            | None -> None
             | Some b ->
-              let* recorded = set_block t ~ino ~idx (b + 1) in
-              if recorded then Prog.return (Some b)
-              else
-                let* () = free_block t b in
-                Prog.return None
+              if set_block t ~ino ~idx (b + 1) then Some b
+              else begin
+                free_block t b;
+                None
+              end
         in
         match balloc with
-        | None -> Prog.return (Error Errno.ENOSPC)
+        | None -> Error Errno.ENOSPC
         | Some block ->
-          let* merged =
-            if boff = 0 && chunk = Bdev.block_size then
-              Prog.return (String.sub data pos chunk)
-            else
-              let* r = Prog.call Endpoint.bdev (Message.Bdev_read { block }) in
+          let merged =
+            if boff = 0 && chunk = Bdev.block_size then String.sub data pos chunk
+            else begin
               let old =
-                match r with
-                | Message.R_read { data = d } ->
-                  if String.length d < Bdev.block_size then
-                    d ^ String.make (Bdev.block_size - String.length d) '\000'
-                  else d
+                match bdev_read block with
+                | Message.R_read { data = d } -> pad_block d
                 | _ -> String.make Bdev.block_size '\000'
               in
               let b = Bytes.of_string old in
               Bytes.blit_string data pos b boff chunk;
-              Prog.return (Bytes.to_string b)
+              Bytes.to_string b
+            end
           in
-          let* r = Prog.call Endpoint.bdev (Message.Bdev_write { block; data = merged }) in
+          let r = bdev_write block merged in
           (* Refresh the cache copy once the device has the block. *)
-          let* () = stage_block t ~block merged in
-          (match Srvlib.err_of_reply r with
-           | Some e -> Prog.return (Error e)
-           | None -> go (pos + chunk))
+          stage_block t ~block merged;
+          match Srvlib.err_of_reply r with
+          | Some e -> Error e
+          | None -> go (pos + chunk)
       end
     in
     go 0
   end
 
 let free_inode_blocks t ~ino ~from_idx =
-  let* () =
-    Prog.iter_range ~lo:from_idx ~hi:direct_blocks (fun idx ->
-        if idx < from_idx then Prog.return ()
-        else
-          let* bptr = Prog.Mem.get_int t.inodes ~row:ino t.i_blocks.(idx) in
-          if bptr = 0 then Prog.return ()
-          else
-            let* () = free_block t (bptr - 1) in
-            Prog.Mem.set_int t.inodes ~row:ino t.i_blocks.(idx) 0)
-  in
-  let* ind = Prog.Mem.get_int t.inodes ~row:ino t.i_indirect in
-  if ind = 0 then Prog.return ()
-  else
+  for idx = from_idx to direct_blocks - 1 do
+    let bptr = Mem.get_int t.inodes ~row:ino t.i_blocks.(idx) in
+    if bptr <> 0 then begin
+      free_block t (bptr - 1);
+      Mem.set_int t.inodes ~row:ino t.i_blocks.(idx) 0
+    end
+  done;
+  let ind = Mem.get_int t.inodes ~row:ino t.i_indirect in
+  if ind <> 0 then begin
     let keep_from = max 0 (from_idx - direct_blocks) in
-    let* data = fetch_block (ind - 1) in
-    let* () =
-      Prog.iter_range ~lo:keep_from ~hi:indirect_slots (fun slot ->
-          let bptr = ind_slot data slot in
-          if bptr = 0 then Prog.return () else free_block t (bptr - 1))
-    in
+    let data = fetch_block (ind - 1) in
+    for slot = keep_from to indirect_slots - 1 do
+      let bptr = ind_slot data slot in
+      if bptr <> 0 then free_block t (bptr - 1)
+    done;
     if keep_from = 0 then begin
       (* The whole indirect range is gone: release the pointer block. *)
-      let* () = free_block t (ind - 1) in
-      Prog.Mem.set_int t.inodes ~row:ino t.i_indirect 0
+      free_block t (ind - 1);
+      Mem.set_int t.inodes ~row:ino t.i_indirect 0
     end
-    else
+    else begin
       (* Zero the freed tail of the pointer block. *)
       let rec zero data slot =
         if slot >= indirect_slots then data else zero (ind_set data slot 0) (slot + 1)
       in
-      let ndata = zero data keep_from in
-      let* _ =
-        Prog.call Endpoint.bdev (Message.Bdev_write { block = ind - 1; data = ndata })
-      in
-      Prog.return ()
+      ignore (bdev_write (ind - 1) (zero data keep_from))
+    end
+  end
 
 let dir_is_empty t ~ino =
-  let* child =
-    Srvlib.scan ~rows:max_inodes (fun row ->
-        if row = 0 then Prog.return false
-        else
-          let* kind = Prog.Mem.get_int t.inodes ~row t.i_kind in
-          if kind = kind_free then Prog.return false
-          else
-            let* p = Prog.Mem.get_int t.inodes ~row t.i_parent in
-            Prog.return (p = ino))
-  in
-  Prog.return (child = None)
+  D.scan ~rows:max_inodes (fun row ->
+      row <> 0
+      && Mem.get_int t.inodes ~row t.i_kind <> kind_free
+      && Mem.get_int t.inodes ~row t.i_parent = ino)
+  = None
 
 let lookup_reply t src ino =
-  let* kind = Prog.Mem.get_int t.inodes ~row:ino t.i_kind in
-  let* size = Prog.Mem.get_int t.inodes ~row:ino t.i_size in
-  Prog.reply src (Message.R_lookup { ino; size; is_dir = kind = kind_dir })
+  let kind = Mem.get_int t.inodes ~row:ino t.i_kind in
+  let size = Mem.get_int t.inodes ~row:ino t.i_size in
+  Kernel.Op.reply src (Message.R_lookup { ino; size; is_dir = kind = kind_dir })
 
 let create_node t src path ~kind =
-  let* pr = resolve_parent t path in
-  match pr with
-  | Error e -> Srvlib.reply_err src e
+  match resolve_parent t path with
+  | Error e -> D.reply_err src e
   | Ok (parent, leaf) ->
-    let* existing = find_child t ~parent ~name:leaf in
-    (match existing with
-     | Some _ -> Srvlib.reply_err src Errno.EEXIST
-     | None ->
-       let* slot = find_free_inode t in
-       (match slot with
-        | None -> Srvlib.reply_err src Errno.ENFILE
-        | Some ino ->
-          let* () = Prog.Mem.set_int t.inodes ~row:ino t.i_kind kind in
-          let* () = Prog.Mem.set_int t.inodes ~row:ino t.i_size 0 in
-          let* () = Prog.Mem.set_int t.inodes ~row:ino t.i_parent parent in
-          let* () = Prog.Mem.set_str t.inodes ~row:ino t.i_name leaf in
-          let* n = Prog.Mem.get_cell t.c_n_files in
-          let* () = Prog.Mem.set_cell t.c_n_files (n + 1) in
-          lookup_reply t src ino))
+    if Option.is_some (find_child t ~parent ~name:leaf) then
+      D.reply_err src Errno.EEXIST
+    else
+      match find_free_inode t with
+      | None -> D.reply_err src Errno.ENFILE
+      | Some ino ->
+        Mem.set_int t.inodes ~row:ino t.i_kind kind;
+        Mem.set_int t.inodes ~row:ino t.i_size 0;
+        Mem.set_int t.inodes ~row:ino t.i_parent parent;
+        Mem.set_str t.inodes ~row:ino t.i_name leaf;
+        let n = Mem.get_cell t.c_n_files in
+        Mem.set_cell t.c_n_files (n + 1);
+        lookup_reply t src ino
+
+(* Inode numbers in a request are range-checked before any table
+   access. *)
+let valid_ino ino = ino >= 0 && ino < max_inodes
 
 let handle t src msg =
   match msg with
   | Message.Mfs_lookup { path } ->
-    let* r = resolve t path in
-    (match r with
-     | Error e -> Srvlib.reply_err src e
+    (match resolve t path with
+     | Error e -> D.reply_err src e
      | Ok ino -> lookup_reply t src ino)
   | Message.Mfs_create { path } -> create_node t src path ~kind:kind_file
   | Message.Mfs_mkdir { path } -> create_node t src path ~kind:kind_dir
   | Message.Mfs_read { ino; off; len } ->
-    if ino < 0 || ino >= max_inodes || off < 0 || len < 0 then
-      Srvlib.reply_err src Errno.EINVAL
+    if (not (valid_ino ino)) || off < 0 || len < 0 then D.reply_err src Errno.EINVAL
+    else if Mem.get_int t.inodes ~row:ino t.i_kind <> kind_file then
+      D.reply_err src Errno.EISDIR
     else
-      let* kind = Prog.Mem.get_int t.inodes ~row:ino t.i_kind in
-      if kind <> kind_file then Srvlib.reply_err src Errno.EISDIR
-      else
-        let* data = read_data t ~ino ~off ~len in
-        Prog.reply src (Message.R_read { data })
+      let data = read_data t ~ino ~off ~len in
+      Kernel.Op.reply src (Message.R_read { data })
   | Message.Mfs_write { ino; off; data } ->
-    if ino < 0 || ino >= max_inodes || off < 0 then
-      Srvlib.reply_err src Errno.EINVAL
-    else
-      let* kind = Prog.Mem.get_int t.inodes ~row:ino t.i_kind in
-      if kind <> kind_file then Srvlib.reply_err src Errno.EISDIR
-      else
-        let* r = write_data t ~ino ~off ~data in
-        (match r with
-         | Error e -> Srvlib.reply_err src e
-         | Ok n -> Srvlib.reply_ok src n)
+    if (not (valid_ino ino)) || off < 0 then D.reply_err src Errno.EINVAL
+    else if Mem.get_int t.inodes ~row:ino t.i_kind <> kind_file then
+      D.reply_err src Errno.EISDIR
+    else (
+      match write_data t ~ino ~off ~data with
+      | Error e -> D.reply_err src e
+      | Ok n -> D.reply_ok src n)
   | Message.Mfs_trunc { ino; len } ->
-    if ino < 0 || ino >= max_inodes || len < 0 || len > max_file_size then
-      Srvlib.reply_err src Errno.EINVAL
-    else
-      let* kind = Prog.Mem.get_int t.inodes ~row:ino t.i_kind in
-      if kind <> kind_file then Srvlib.reply_err src Errno.EISDIR
-      else
-        let keep = (len + Bdev.block_size - 1) / Bdev.block_size in
-        let* () = free_inode_blocks t ~ino ~from_idx:keep in
-        let* () = Prog.Mem.set_int t.inodes ~row:ino t.i_size len in
-        Srvlib.reply_ok src 0
+    if (not (valid_ino ino)) || len < 0 || len > max_file_size then
+      D.reply_err src Errno.EINVAL
+    else if Mem.get_int t.inodes ~row:ino t.i_kind <> kind_file then
+      D.reply_err src Errno.EISDIR
+    else begin
+      let keep = (len + Bdev.block_size - 1) / Bdev.block_size in
+      free_inode_blocks t ~ino ~from_idx:keep;
+      Mem.set_int t.inodes ~row:ino t.i_size len;
+      D.reply_ok src 0
+    end
   | Message.Mfs_unlink { path } ->
-    let* r = resolve t path in
-    (match r with
-     | Error e -> Srvlib.reply_err src e
-     | Ok 0 -> Srvlib.reply_err src Errno.EPERM
+    (match resolve t path with
+     | Error e -> D.reply_err src e
+     | Ok 0 -> D.reply_err src Errno.EPERM
      | Ok ino ->
-       let* kind = Prog.Mem.get_int t.inodes ~row:ino t.i_kind in
-       if kind = kind_dir then Srvlib.reply_err src Errno.EISDIR
-       else
-         let* () = free_inode_blocks t ~ino ~from_idx:0 in
-         let* () = Prog.Mem.set_int t.inodes ~row:ino t.i_kind kind_free in
-         let* n = Prog.Mem.get_cell t.c_n_files in
-         let* () = Prog.Mem.set_cell t.c_n_files (n - 1) in
-         Srvlib.reply_ok src 0)
+       if Mem.get_int t.inodes ~row:ino t.i_kind = kind_dir then
+         D.reply_err src Errno.EISDIR
+       else begin
+         free_inode_blocks t ~ino ~from_idx:0;
+         Mem.set_int t.inodes ~row:ino t.i_kind kind_free;
+         let n = Mem.get_cell t.c_n_files in
+         Mem.set_cell t.c_n_files (n - 1);
+         D.reply_ok src 0
+       end)
   | Message.Mfs_rmdir { path } ->
-    let* r = resolve t path in
-    (match r with
-     | Error e -> Srvlib.reply_err src e
-     | Ok 0 -> Srvlib.reply_err src Errno.EPERM
+    (match resolve t path with
+     | Error e -> D.reply_err src e
+     | Ok 0 -> D.reply_err src Errno.EPERM
      | Ok ino ->
-       let* kind = Prog.Mem.get_int t.inodes ~row:ino t.i_kind in
-       if kind <> kind_dir then Srvlib.reply_err src Errno.ENOTDIR
-       else
-         let* empty = dir_is_empty t ~ino in
-         if not empty then Srvlib.reply_err src Errno.ENOTEMPTY
-         else
-           let* () = Prog.Mem.set_int t.inodes ~row:ino t.i_kind kind_free in
-           Srvlib.reply_ok src 0)
+       if Mem.get_int t.inodes ~row:ino t.i_kind <> kind_dir then
+         D.reply_err src Errno.ENOTDIR
+       else if not (dir_is_empty t ~ino) then D.reply_err src Errno.ENOTEMPTY
+       else begin
+         Mem.set_int t.inodes ~row:ino t.i_kind kind_free;
+         D.reply_ok src 0
+       end)
   | Message.Mfs_stat { ino } ->
-    if ino < 0 || ino >= max_inodes then Srvlib.reply_err src Errno.EINVAL
+    if not (valid_ino ino) then D.reply_err src Errno.EINVAL
     else
-      let* kind = Prog.Mem.get_int t.inodes ~row:ino t.i_kind in
-      if kind = kind_free then Srvlib.reply_err src Errno.ENOENT
+      let kind = Mem.get_int t.inodes ~row:ino t.i_kind in
+      if kind = kind_free then D.reply_err src Errno.ENOENT
       else
-        let* size = Prog.Mem.get_int t.inodes ~row:ino t.i_size in
-        Prog.reply src
+        let size = Mem.get_int t.inodes ~row:ino t.i_size in
+        Kernel.Op.reply src
           (Message.R_stat { st_ino = ino; st_size = size; st_is_dir = kind = kind_dir })
   | Message.Mfs_rename { src = from_path; dst = to_path } ->
-    let* r = resolve t from_path in
-    (match r with
-     | Error e -> Srvlib.reply_err src e
-     | Ok 0 -> Srvlib.reply_err src Errno.EPERM
+    (match resolve t from_path with
+     | Error e -> D.reply_err src e
+     | Ok 0 -> D.reply_err src Errno.EPERM
      | Ok ino ->
-       let* pr = resolve_parent t to_path in
-       (match pr with
-        | Error e -> Srvlib.reply_err src e
-        | Ok (nparent, nleaf) ->
-          let* existing = find_child t ~parent:nparent ~name:nleaf in
-          let* clear =
-            match existing with
-            | None -> Prog.return (Ok ())
-            | Some old when old <> ino ->
-              let* okind = Prog.Mem.get_int t.inodes ~row:old t.i_kind in
-              if okind = kind_dir then Prog.return (Error Errno.EISDIR)
-              else
-                let* () = free_inode_blocks t ~ino:old ~from_idx:0 in
-                let* () = Prog.Mem.set_int t.inodes ~row:old t.i_kind kind_free in
-                Prog.return (Ok ())
-            | Some _ -> Prog.return (Ok ())
-          in
-          (match clear with
-           | Error e -> Srvlib.reply_err src e
-           | Ok () ->
-             let* () = Prog.Mem.set_int t.inodes ~row:ino t.i_parent nparent in
-             let* () = Prog.Mem.set_str t.inodes ~row:ino t.i_name nleaf in
-             Srvlib.reply_ok src 0)))
+       match resolve_parent t to_path with
+       | Error e -> D.reply_err src e
+       | Ok (nparent, nleaf) ->
+         let clear =
+           match find_child t ~parent:nparent ~name:nleaf with
+           | Some old when old <> ino ->
+             if Mem.get_int t.inodes ~row:old t.i_kind = kind_dir then
+               Error Errno.EISDIR
+             else begin
+               free_inode_blocks t ~ino:old ~from_idx:0;
+               Mem.set_int t.inodes ~row:old t.i_kind kind_free;
+               Ok ()
+             end
+           | _ -> Ok ()
+         in
+         (match clear with
+          | Error e -> D.reply_err src e
+          | Ok () ->
+            Mem.set_int t.inodes ~row:ino t.i_parent nparent;
+            Mem.set_str t.inodes ~row:ino t.i_name nleaf;
+            D.reply_ok src 0))
   | Message.Mfs_readdir { ino } ->
-    if ino < 0 || ino >= max_inodes then Srvlib.reply_err src Errno.EINVAL
-    else
-      let* kind = Prog.Mem.get_int t.inodes ~row:ino t.i_kind in
-      if kind <> kind_dir then Srvlib.reply_err src Errno.ENOTDIR
-      else
-        let rec collect row acc =
-          if row >= max_inodes then Prog.return (List.rev acc)
-          else
-            let* k = Prog.Mem.get_int t.inodes ~row t.i_kind in
-            if k = kind_free || row = 0 then collect (row + 1) acc
-            else
-              let* parent = Prog.Mem.get_int t.inodes ~row t.i_parent in
-              if parent <> ino then collect (row + 1) acc
-              else
-                let* name = Prog.Mem.get_str t.inodes ~row t.i_name in
-                collect (row + 1) (name :: acc)
-        in
-        let* names = collect 1 [] in
-        Prog.reply src (Message.R_names { names })
+    if not (valid_ino ino) then D.reply_err src Errno.EINVAL
+    else if Mem.get_int t.inodes ~row:ino t.i_kind <> kind_dir then
+      D.reply_err src Errno.ENOTDIR
+    else begin
+      let names = ref [] in
+      for row = 1 to max_inodes - 1 do
+        if Mem.get_int t.inodes ~row t.i_kind <> kind_free
+           && Mem.get_int t.inodes ~row t.i_parent = ino
+        then names := Mem.get_str t.inodes ~row t.i_name :: !names
+      done;
+      Kernel.Op.reply src (Message.R_names { names = List.rev !names })
+    end
   | Message.Mfs_sync ->
     (* The RAM disk is always consistent; sync is a costed no-op. *)
-    let* () = Prog.compute 50 in
-    Srvlib.reply_ok src 0
-  | Message.Ping -> Prog.reply src Message.R_pong
-  | _ -> Srvlib.reply_err src Errno.ENOSYS
+    Kernel.Op.compute 50;
+    D.reply_ok src 0
+  | Message.Ping -> Kernel.Op.reply src Message.R_pong
+  | _ -> D.reply_err src Errno.ENOSYS
 
 (* mkfs: root directory at inode 0 and a free list chaining all blocks.
    Done directly (pre-boot, uninstrumented), like building a disk image
@@ -707,7 +656,7 @@ let server t =
     srv_image = t.image;
     srv_clone_extra_kb = 512;
     srv_init = init t;
-    srv_loop = Srvlib.simple_loop (handle t);
+    srv_loop = D.simple_loop (handle t);
     srv_multithreaded = false }
 
 let summary =

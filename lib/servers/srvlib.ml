@@ -43,3 +43,30 @@ let threaded_loop handle =
     go ()
   in
   go ()
+
+module Direct = struct
+  let reply_ok dst v = Kernel.Op.reply dst (Message.R_ok v)
+
+  let reply_err dst err = Kernel.Op.reply dst (Message.R_err err)
+
+  let call_retry dst msg =
+    let rec go n =
+      match Kernel.Op.call dst msg with
+      | Message.R_err Errno.E_CRASH when n > 0 -> go (n - 1)
+      | other -> other
+    in
+    go 3
+
+  let scan ~rows pred =
+    let rec go i = if i >= rows then None else if pred i then Some i else go (i + 1) in
+    go 0
+
+  let simple_loop handle =
+    Prog.direct (fun () ->
+        let rec go () =
+          let src, msg = Kernel.Op.receive () in
+          handle src msg;
+          go ()
+        in
+        go ())
+end

@@ -1,4 +1,5 @@
-(** Shared building blocks for the OS servers. *)
+(** Shared building blocks for the OS servers: monadic helpers that
+    build {!Prog.t} nodes, and their direct-style twins in {!Direct}. *)
 
 val reply_ok : Endpoint.t -> int -> unit Prog.t
 val reply_err : Endpoint.t -> Errno.t -> unit Prog.t
@@ -31,3 +32,25 @@ val simple_loop : (Endpoint.t -> Message.t -> unit Prog.t) -> unit Prog.t
 val threaded_loop : (Endpoint.t -> Message.t -> unit Prog.t) -> unit Prog.t
 (** Multithreaded event loop: each request is handled in a freshly
     spawned cooperative thread (the VFS model, paper Section IV-E). *)
+
+(** The same helpers for direct-style servers: plain functions over
+    {!Kernel.Op}, valid only inside a running server thread. Each one
+    performs exactly the operations of its monadic twin, in the same
+    order, so converting a server leaves its operation sequence — and
+    every count, cost and fault site — unchanged. *)
+module Direct : sig
+  val reply_ok : Endpoint.t -> int -> unit
+  val reply_err : Endpoint.t -> Errno.t -> unit
+
+  val call_retry : Endpoint.t -> Message.t -> Message.t
+  (** {!Srvlib.call_retry}: a call retried up to three times on
+      [E_CRASH]. *)
+
+  val scan : rows:int -> (int -> bool) -> int option
+  (** {!Srvlib.scan}: the first row in [0..rows-1] whose predicate
+      holds; the predicate's loads are the scan's operations. *)
+
+  val simple_loop : (Endpoint.t -> Message.t -> unit) -> unit Prog.t
+  (** {!Srvlib.simple_loop} with a direct-style handler: receive,
+      dispatch, repeat, embedded with {!Prog.direct}. *)
+end
