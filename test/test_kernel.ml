@@ -63,8 +63,47 @@ let echo_server () : Kernel.server =
     srv_loop = Srvlib.simple_loop handle;
     srv_multithreaded = false }
 
+(* The echo server again, in direct style: the same operations, in the
+   same order, as plain calls into the running thread. *)
+let echo_server_direct () : Kernel.server =
+  let module Op = Kernel.Op in
+  let image = Memimage.create ~name:"echo" ~size:4096 in
+  let cell = Layout.Cell.alloc_int image "stored" in
+  let diag line = Op.send Endpoint.kernel (Message.Diag { line }) in
+  let handle src msg =
+    match msg with
+    | Message.Ds_retrieve { key } ->
+      Op.reply src (Message.R_ds_value { value = String.length key })
+    | Message.Ds_publish { key = "crash"; _ } ->
+      Op.Mem.set_cell cell 666;
+      Op.fail "requested crash"
+    | Message.Ds_publish { key = "smash"; _ } ->
+      Op.send Endpoint.pm (Message.Ds_notify { key = "x" });
+      Op.fail "requested out-of-window crash"
+    | Message.Ds_publish { key = "diag-then-reply"; _ } ->
+      diag "echo: read-only seep";
+      Srvlib.Direct.reply_ok src 0
+    | Message.Ds_publish { value; _ } ->
+      Op.Mem.set_cell cell value;
+      Srvlib.Direct.reply_ok src 0
+    | Message.Ds_delete _ ->
+      let v = Op.Mem.get_cell cell in
+      Op.reply src (Message.R_ds_value { value = v })
+    | Message.Alarm -> diag "echo: alarm fired"
+    | Message.Ping -> Op.reply src Message.R_pong
+    | _ -> Srvlib.Direct.reply_err src Errno.ENOSYS
+  in
+  { Kernel.srv_ep = Endpoint.ds;
+    srv_name = "echo";
+    srv_image = image;
+    srv_clone_extra_kb = 0;
+    srv_init = Prog.direct (fun () -> Op.Mem.set_cell cell 0);
+    srv_loop = Srvlib.Direct.simple_loop handle;
+    srv_multithreaded = false }
+
 (* Build, boot, run a user program; RS is the real Recovery Server. *)
-let mini ?(policy = Policy.enhanced) ?fault_hook user_prog =
+let mini ?(policy = Policy.enhanced) ?fault_hook ?(echo = echo_server)
+    ?event_hook user_prog =
   let log = ref [] in
   let base =
     Kernel.default_config policy ~lookup_program:(fun _ -> None) ()
@@ -73,8 +112,9 @@ let mini ?(policy = Policy.enhanced) ?fault_hook user_prog =
     { base with Kernel.log_sink = Some (fun l -> log := l :: !log) }
   in
   let kernel = Kernel.create cfg in
+  Kernel.set_event_hook kernel event_hook;
   Kernel.add_server kernel (pm_stub ());
-  Kernel.add_server kernel (echo_server ());
+  Kernel.add_server kernel (echo ());
   Kernel.add_server kernel (Rs.server (Rs.create policy));
   Kernel.boot kernel;
   (match fault_hook with
@@ -335,6 +375,117 @@ let test_deterministic_runs () =
   Alcotest.(check (list string)) "same log" l1 l2;
   Alcotest.(check int) "same clock" (Kernel.now k1) (Kernel.now k2)
 
+(* ---------------- fiber runner ------------------------------------ *)
+
+(* A handler written as a monadic program and in direct style must be
+   the same server: the same event stream, field for field, through
+   requests, a diagnostic, an in-window crash and its recovery. *)
+let test_monadic_direct_equivalent () =
+  let client =
+    let* _ = Prog.call Endpoint.ds (Message.Ds_publish { key = "k"; value = 5 }) in
+    let* _ = Prog.call Endpoint.ds (Message.Ds_retrieve { key = "abc" }) in
+    let* _ = Prog.call Endpoint.ds (Message.Ds_publish { key = "diag-then-reply"; value = 0 }) in
+    let* crashed = Prog.call Endpoint.ds (Message.Ds_publish { key = "crash"; value = 0 }) in
+    let* _ = Prog.call Endpoint.ds Message.Ping in
+    let* r = Prog.call Endpoint.ds (Message.Ds_delete { key = "k" }) in
+    match crashed, r with
+    | Message.R_err Errno.E_CRASH, Message.R_ds_value { value } -> Syscall.exit value
+    | _ -> Syscall.exit 99
+  in
+  let run echo =
+    let events = ref [] in
+    let kernel, halt, log =
+      mini ~echo ~event_hook:(fun e -> events := e :: !events) client
+    in
+    (halt, log, Kernel.total_ops kernel, Kernel.now kernel, List.rev !events)
+  in
+  let h1, l1, ops1, now1, ev1 = run echo_server in
+  let h2, l2, ops2, now2, ev2 = run echo_server_direct in
+  Alcotest.check halt_t "crash recovered, state rolled back"
+    (Kernel.H_completed 5) h1;
+  Alcotest.check halt_t "same halt" h1 h2;
+  Alcotest.(check (list string)) "same log" l1 l2;
+  Alcotest.(check int) "same operation count" ops1 ops2;
+  Alcotest.(check int) "same clock" now1 now2;
+  Alcotest.(check bool) "a crash is in the stream" true
+    (List.exists (function Kernel.E_crash _ -> true | _ -> false) ev1);
+  Alcotest.(check bool) "Marshal-equal event lists" true
+    (Marshal.to_string ev1 [] = Marshal.to_string ev2 [])
+
+let slot_named phase detail =
+  List.find
+    (fun s -> Kernel.slot_phase s = phase && Kernel.slot_detail s = detail)
+    Kernel.all_slots
+
+(* A process that does not block runs beside the suite. Whenever MFS's
+   clock passes the spinner's in the middle of a directory scan, the
+   runner must park MFS at its next load and resume it there later —
+   observed as MFS load, other processes only, MFS load again. The
+   suite must still pass. *)
+let test_preempted_mid_scan () =
+  let sys = System.build ~seed:42 (Sysconf.uniform Policy.enhanced) in
+  let k = System.kernel sys in
+  let load = slot_named Kernel.Ph_user "load" in
+  let after_load = ref false and others_ran = ref false in
+  let preempted = ref 0 in
+  Kernel.set_cycle_hook k
+    (Some
+       (fun ep slot _ ->
+          if ep = Endpoint.mfs then begin
+            if slot = load && !after_load && !others_ran then incr preempted;
+            if Kernel.slot_phase slot <> Kernel.Ph_instr then begin
+              after_load := slot = load;
+              others_ran := false
+            end
+          end
+          else others_ran := true));
+  let root = Kernel.spawn_user k ~name:"init" ~prog:Testsuite.driver ~parent:0 in
+  Kernel.set_halt_on_exit k root;
+  (* 40M cycles of computing: it outlives the suite (about 17M), yet a
+     runner that never preempts fails here instead of hanging. *)
+  ignore
+    (Kernel.spawn_user k ~name:"spin"
+       ~prog:(Prog.repeat 200_000 (Prog.compute 200)) ~parent:0);
+  let halt = Kernel.run k in
+  let r = Testsuite.parse_results (System.log_lines sys) in
+  Alcotest.(check bool) "MFS preempted between two loads" true (!preempted > 0);
+  Alcotest.check halt_t "suite completes" (Kernel.H_completed 0) halt;
+  Alcotest.(check int) "every test passes" (List.length Testsuite.tests)
+    r.Testsuite.passed
+
+(* A fail-stop crash deep in find_child's scan (load occurrence 16 or
+   later of a lookup) discontinues MFS's fiber mid-scan; enhanced
+   recovery rolls MFS back, restarts it, and the suite completes. *)
+let test_crash_mid_scan_recovers () =
+  let sys = System.build ~seed:42 (Sysconf.uniform Policy.enhanced) in
+  let k = System.kernel sys in
+  let fired = ref false in
+  Kernel.set_fault_hook k
+    (Some
+       (fun s ->
+          if (not !fired) && s.Kernel.site_ep = Endpoint.mfs
+             && s.Kernel.site_kind = Kernel.Op_load
+             && s.Kernel.site_occ >= 16
+             && s.Kernel.site_handler = Some Message.Tag.T_mfs_lookup
+          then begin
+            fired := true;
+            Some (Kernel.F_crash "injected")
+          end
+          else None));
+  let restarted = ref false in
+  Kernel.set_event_hook k
+    (Some
+       (function
+         | Kernel.E_restart { ep; _ } when ep = Endpoint.mfs -> restarted := true
+         | _ -> ()));
+  let halt = System.run sys ~root:Testsuite.driver in
+  let r = Testsuite.parse_results (System.log_lines sys) in
+  Alcotest.(check bool) "fault fired" true !fired;
+  Alcotest.(check bool) "MFS restarted" true !restarted;
+  Alcotest.check halt_t "suite completes" (Kernel.H_completed 0) halt;
+  Alcotest.(check int) "every test passes" (List.length Testsuite.tests)
+    r.Testsuite.passed
+
 let () =
   Alcotest.run "osiris_kernel"
     [ ( "ipc",
@@ -365,4 +516,10 @@ let () =
           Alcotest.test_case "hang detection" `Quick test_hang_detection ] );
       ( "misc",
         [ Alcotest.test_case "alarm machinery" `Quick test_alarm_delivery;
-          Alcotest.test_case "determinism" `Quick test_deterministic_runs ] ) ]
+          Alcotest.test_case "determinism" `Quick test_deterministic_runs ] );
+      ( "fiber runner",
+        [ Alcotest.test_case "monadic = direct" `Quick
+            test_monadic_direct_equivalent;
+          Alcotest.test_case "preempted mid-scan" `Quick test_preempted_mid_scan;
+          Alcotest.test_case "crash mid-scan recovers" `Quick
+            test_crash_mid_scan_recovers ] ) ]
