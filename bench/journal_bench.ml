@@ -14,7 +14,11 @@
                                  stays under 5% (best of interleaved
                                  rounds); the close-time encode+flush
                                  sweep is reported separately as
-                                 finalize
+                                 finalize. The same cost is also
+                                 reported in ns per captured event,
+                                 which does not move when the unhooked
+                                 run gets faster, with its spread over
+                                 the paired rounds
      round_trip          exact   decode(encode(stream)) is structurally
                                  equal to the hooked stream, header
                                  included
@@ -34,11 +38,11 @@ let header ~workload ~crash =
 (* Wall-time rungs run two workloads. The gate holds on the generated
    mixed workload (workgen) — the same standard the tracer's 5% gate
    in obs_bench is held to. The regression-suite driver is reported
-   alongside as a stress figure: at ~28k events over ~20ms it is the
-   densest event stream the simulator can produce (~1.4 events/us —
-   every operation is an interpreted IPC), several times denser than
-   any evaluation workload, so it prices the recorder's per-event cost
-   rather than its overhead on a representative run. *)
+   alongside as a stress figure: at ~28k events it is the densest
+   event stream the simulator can produce (every operation is an IPC),
+   several times denser than any evaluation workload, so it prices the
+   recorder's per-event cost rather than its overhead on a
+   representative run. *)
 let run_once ?event_hook ?journal ~root () =
   let sys =
     System.build ?event_hook ?journal ~seed:workload_seed
@@ -156,6 +160,7 @@ let run () =
      gated; the suite-driver pair prices the worst case and is
      likewise reported, not gated. *)
   let fin_wg = ref infinity and fin_suite = ref infinity in
+  let events_wg = ref 0 and events_suite = ref 0 in
   (* Generated once, shared by every rung and round: programs are pure
      values, and generation time is not recording overhead. Scaled to
      5x the default action count so the rung runs long enough (~13 ms)
@@ -165,11 +170,12 @@ let run () =
       ~spec:{ Workgen.g_actions = 60; g_fork_depth = 2 }
       ~seed:workload_seed ()
   in
-  let recording_rung h root fin () =
+  let recording_rung h root fin events () =
     let w = Journal.to_file ~path h in
     let d = Benchkit.timed (fun () -> run_once ~journal:w ~root ()) () in
     let f = Benchkit.timed (fun () -> Journal.close w) () in
     if f < !fin then fin := f;
+    events := Journal.records_written w;
     d
   in
   (* Each rung times itself, keeping writer creation and the close-time
@@ -178,35 +184,51 @@ let run () =
      rung a fixed predecessor to inherit that GC debt from — five
      rungs, a prime count, make every stride of [Benchkit.measure] a
      full permutation. *)
-  let best, rounds =
-    Benchkit.best_of
+  let samples =
+    Benchkit.measure
       [ Benchkit.timed (fun () -> run_once ~root:wg_prog ());
         Benchkit.timed (fun () ->
             run_once ~event_hook:ignore ~root:wg_prog ());
-        recording_rung h_wg wg_prog fin_wg;
+        recording_rung h_wg wg_prog fin_wg events_wg;
         Benchkit.timed (fun () -> run_once ~root:Testsuite.driver ());
-        recording_rung h_suite Testsuite.driver fin_suite ]
+        recording_rung h_suite Testsuite.driver fin_suite events_suite ]
   in
   Sys.remove path;
+  let best = Array.map Benchkit.best samples in
+  let rounds = Array.length samples.(0) in
   let base_ns = best.(0) and hook_ns = best.(1) and journal_ns = best.(2) in
   let sbase_ns = best.(3) and sjournal_ns = best.(4) in
   let raw_pct = 100. *. (journal_ns -. base_ns) /. base_ns in
   let marginal_pct = 100. *. (journal_ns -. hook_ns) /. hook_ns in
   let stress_pct = 100. *. (sjournal_ns -. sbase_ns) /. sbase_ns in
-  (* ~28k events in the suite run: per-event in-run capture cost. *)
-  let stress_ns_per_event = (sjournal_ns -. sbase_ns) /. 28_000. in
+  (* The recording cost per captured event: the best-of difference the
+     gate's ratio is made of, and the quartiles of the same-round
+     differences, which show how far one round can stray from it. *)
+  let per_event diff events = diff /. float_of_int (max 1 events) in
+  let ns_per_event = per_event (journal_ns -. base_ns) !events_wg in
+  let paired =
+    Array.map2 (fun j b -> per_event (j -. b) !events_wg) samples.(2) samples.(0)
+  in
+  Array.sort compare paired;
+  let quartile q = paired.(q * (Array.length paired - 1) / 4) in
+  let stress_ns_per_event = per_event (sjournal_ns -. sbase_ns) !events_suite in
   Printf.printf
     "whole-run wall time (best of %d interleaved rounds):\n\
     \  workgen unhooked           %.2f ms\n\
     \  workgen no-op hook         %.2f ms (%+.2f%% construction+dispatch)\n\
     \  workgen recording attached %.2f ms (%+.2f%% vs unhooked) <- gate\n\
+    \  workgen recording per event %.1f ns over %d events (paired rounds:\n\
+    \  p25 %.1f, median %.1f, p75 %.1f ns)\n\
     \  workgen finalize (close)   %.2f ms encode+flush sweep after the run\n\
-     stress (IPC-dense suite driver, ~1.4 events/us — reported, not gated):\n\
+     stress (IPC-dense suite driver, %d events, %.1f events/us — reported,\n\
+     not gated):\n\
     \  unhooked %.2f ms, recording %.2f ms (%+.2f%%, ~%.0f ns/event\n\
     \  in-run capture), finalize %.2f ms\n"
     rounds (base_ns /. 1e6) (hook_ns /. 1e6)
     (100. *. (hook_ns -. base_ns) /. base_ns)
-    (journal_ns /. 1e6) raw_pct (!fin_wg /. 1e6)
+    (journal_ns /. 1e6) raw_pct ns_per_event !events_wg (quartile 1)
+    (quartile 2) (quartile 3) (!fin_wg /. 1e6) !events_suite
+    (float_of_int !events_suite /. (sbase_ns /. 1e3))
     (sbase_ns /. 1e6) (sjournal_ns /. 1e6) stress_pct stress_ns_per_event
     (!fin_suite /. 1e6);
   Benchkit.finish ~bench:"journal"
@@ -223,15 +245,20 @@ let run () =
         Printf.sprintf
           "{\"unhooked_ns\": %.0f, \"hook_ns\": %.0f, \"journal_ns\": %.0f,\n\
           \    \"finalize_ns\": %.0f, \"overhead_pct\": %.3f,\n\
+          \    \"events\": %d, \"ns_per_event\": %.1f,\n\
+          \    \"ns_per_event_paired\": {\"rounds\": %d, \"p25\": %.1f,\n\
+          \      \"median\": %.1f, \"p75\": %.1f},\n\
           \    \"overhead_vs_hook_pct\": %.3f, \"max_overhead_pct\": %.1f}"
-          base_ns hook_ns journal_ns !fin_wg raw_pct marginal_pct
+          base_ns hook_ns journal_ns !fin_wg raw_pct !events_wg ns_per_event
+          rounds (quartile 1) (quartile 2) (quartile 3) marginal_pct
           max_overhead_pct );
       ( "stress",
         Printf.sprintf
           "{\"unhooked_ns\": %.0f, \"journal_ns\": %.0f,\n\
           \    \"finalize_ns\": %.0f, \"overhead_pct\": %.3f,\n\
-          \    \"ns_per_event\": %.1f}"
-          sbase_ns sjournal_ns !fin_suite stress_pct stress_ns_per_event );
+          \    \"events\": %d, \"ns_per_event\": %.1f}"
+          sbase_ns sjournal_ns !fin_suite stress_pct !events_suite
+          stress_ns_per_event );
       (* The stress overhead (~11% on the reference host) is an un-gated
          trend figure from a wall-clock ratio on the densest event
          stream we can produce — inherently noisy run to run. Declare a

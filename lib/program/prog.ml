@@ -95,15 +95,9 @@ let now = Now (fun v -> Done v)
 let fail msg = Fail msg
 let direct f = Direct (fun () -> Done (f ()))
 
-let when_ cond p = if cond then p else Done ()
-
 let rec iter_list f = function
   | [] -> Done ()
   | x :: rest -> bind (f x) (fun () -> iter_list f rest)
-
-let iter_range ~lo ~hi f =
-  let rec go i = if i >= hi then Done () else bind (f i) (fun () -> go (i + 1)) in
-  go lo
 
 let repeat n p =
   let rec go i = if i >= n then Done () else bind p (fun () -> go (i + 1)) in

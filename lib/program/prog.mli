@@ -1,5 +1,7 @@
-(** The program DSL: server handlers and user processes as interpretable
-    operation trees.
+(** The program DSL: user processes as interpretable operation trees,
+    and [direct], which embeds the direct-style code every server is
+    written in ([Kernel.Op], [Srvlib]) so that server loops are
+    programs too.
 
     In the original OSIRIS, servers are C programs whose stores and IPC
     call sites are instrumented by LLVM passes. Here, programs are free-
@@ -138,10 +140,7 @@ val direct : (unit -> 'a) -> 'a t
 
 (** {2 Control helpers} *)
 
-val when_ : bool -> unit t -> unit t
 val iter_list : ('a -> unit t) -> 'a list -> unit t
-val iter_range : lo:int -> hi:int -> (int -> unit t) -> unit t
-(** [iter_range ~lo ~hi f] runs [f lo .. f (hi-1)] in order. *)
 
 val repeat : int -> unit t -> unit t
 (** Run the given program n times. The program value is reused, which is
@@ -155,8 +154,9 @@ val guard : bool -> string -> unit t
 (** {2 Typed memory access over layouts}
 
     Program-level counterparts of [Layout.Table] direct access: these
-    build [Load]/[Store] nodes so that server state access is costed,
-    instrumented and fault-injectable. *)
+    build [Load]/[Store] nodes so that state access is costed,
+    instrumented and fault-injectable. Direct-style code uses
+    [Kernel.Op.Mem]. *)
 
 module Mem : sig
   val get_int : Layout.Table.t -> row:int -> Layout.int_field -> int t

@@ -1,5 +1,3 @@
-open Prog.Syntax
-
 let block_size = 1024
 let block_count = 4096
 
@@ -24,22 +22,24 @@ let handle t src msg =
   match msg with
   | Message.Bdev_read { block } ->
     if block < 0 || block >= block_count then Srvlib.reply_err src Errno.EINVAL
-    else
+    else begin
       (* Device access latency. *)
-      let* () = Prog.compute Costs.microkernel.Costs.c_disk_block in
-      let* n = Prog.Mem.get_cell t.c_reads in
-      let* () = Prog.Mem.set_cell t.c_reads (n + 1) in
-      Prog.reply src (Message.R_read { data = peek_block t block })
+      Kernel.Op.compute Costs.microkernel.Costs.c_disk_block;
+      let n = Kernel.Op.Mem.get_cell t.c_reads in
+      Kernel.Op.Mem.set_cell t.c_reads (n + 1);
+      Kernel.Op.reply src (Message.R_read { data = peek_block t block })
+    end
   | Message.Bdev_write { block; data } ->
     if block < 0 || block >= block_count || String.length data > block_size then
       Srvlib.reply_err src Errno.EINVAL
-    else
-      let* () = Prog.compute Costs.microkernel.Costs.c_disk_block in
-      let* n = Prog.Mem.get_cell t.c_writes in
-      let* () = Prog.Mem.set_cell t.c_writes (n + 1) in
+    else begin
+      Kernel.Op.compute Costs.microkernel.Costs.c_disk_block;
+      let n = Kernel.Op.Mem.get_cell t.c_writes in
+      Kernel.Op.Mem.set_cell t.c_writes (n + 1);
       Hashtbl.replace t.blocks block data;
       Srvlib.reply_ok src (String.length data)
-  | Message.Ping -> Prog.reply src Message.R_pong
+    end
+  | Message.Ping -> Kernel.Op.reply src Message.R_pong
   | _ -> Srvlib.reply_err src Errno.ENOSYS
 
 let server t =

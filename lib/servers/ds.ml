@@ -1,5 +1,3 @@
-open Prog.Syntax
-
 let capacity = 48
 let max_subs = 16
 let key_len = 32
@@ -41,18 +39,15 @@ let create () =
   { image; kv; f_used; f_key; f_value; subs; s_used; s_ep; s_prefix;
     c_publishes; c_retrieves }
 
+module Mem = Kernel.Op.Mem
+
 let find_key t key =
   Srvlib.scan ~rows:capacity (fun row ->
-      let* used = Prog.Mem.get_int t.kv ~row t.f_used in
-      if used = 0 then Prog.return false
-      else
-        let* k = Prog.Mem.get_str t.kv ~row t.f_key in
-        Prog.return (String.equal k key))
+      Mem.get_int t.kv ~row t.f_used <> 0
+      && String.equal (Mem.get_str t.kv ~row t.f_key) key)
 
 let find_free t =
-  Srvlib.scan ~rows:capacity (fun row ->
-      let* used = Prog.Mem.get_int t.kv ~row t.f_used in
-      Prog.return (used = 0))
+  Srvlib.scan ~rows:capacity (fun row -> Mem.get_int t.kv ~row t.f_used = 0)
 
 let is_prefix ~prefix s =
   String.length prefix <= String.length s
@@ -62,26 +57,22 @@ let is_prefix ~prefix s =
    These notifications modify subscriber state, so they are
    state-modifying SEEPs and close the recovery window. *)
 let notify_subscribers t key =
-  Prog.iter_range ~lo:0 ~hi:max_subs (fun row ->
-      let* used = Prog.Mem.get_int t.subs ~row t.s_used in
-      if used = 0 then Prog.return ()
-      else
-        let* prefix = Prog.Mem.get_str t.subs ~row t.s_prefix in
-        if is_prefix ~prefix key then
-          let* ep = Prog.Mem.get_int t.subs ~row t.s_ep in
-          Prog.send ep (Message.Ds_notify { key })
-        else Prog.return ())
+  for row = 0 to max_subs - 1 do
+    if Mem.get_int t.subs ~row t.s_used <> 0
+       && is_prefix ~prefix:(Mem.get_str t.subs ~row t.s_prefix) key
+    then
+      let ep = Mem.get_int t.subs ~row t.s_ep in
+      Kernel.Op.send ep (Message.Ds_notify { key })
+  done
 
 (* A publish is subject to a grant check: the subscriber table doubles
    as the ACL (a prefix entry grants visibility). The check is pure
    reading and happens before the early diagnostic SEEP. *)
 let check_grants t _key =
   Srvlib.scan ~rows:max_subs (fun row ->
-      let* used = Prog.Mem.get_int t.subs ~row t.s_used in
-      if used = 0 then Prog.return false
-      else
-        let* _ = Prog.Mem.get_str t.subs ~row t.s_prefix in
-        Prog.return false)
+      if Mem.get_int t.subs ~row t.s_used <> 0 then
+        ignore (Mem.get_str t.subs ~row t.s_prefix);
+      false)
 
 (* Diagnostics placement mirrors the original DS: mutation handlers log
    the request after a pure validation pass (an early read-only SEEP,
@@ -92,63 +83,60 @@ let check_grants t _key =
 let handle t src msg =
   match msg with
   | Message.Ds_publish { key; value } ->
-    let* _ = check_grants t key in
-    let* () = Srvlib.diag "ds: publish" in
+    ignore (check_grants t key);
+    Srvlib.diag "ds: publish";
     if String.length key = 0 || String.length key >= key_len then
       Srvlib.reply_err src Errno.EINVAL
-    else
-      let* existing = find_key t key in
-      let* row_opt =
-        match existing with Some _ -> Prog.return existing | None -> find_free t
+    else (
+      let row_opt =
+        match find_key t key with Some _ as existing -> existing | None -> find_free t
       in
-      (match row_opt with
-       | None -> Srvlib.reply_err src Errno.ENOSPC
-       | Some row ->
-         let* () = Prog.Mem.set_int t.kv ~row t.f_used 1 in
-         let* () = Prog.Mem.set_str t.kv ~row t.f_key key in
-         let* () = Prog.Mem.set_int t.kv ~row t.f_value value in
-         let* n = Prog.Mem.get_cell t.c_publishes in
-         let* () = Prog.Mem.set_cell t.c_publishes (n + 1) in
-         let* () = notify_subscribers t key in
-         Srvlib.reply_ok src 0)
+      match row_opt with
+      | None -> Srvlib.reply_err src Errno.ENOSPC
+      | Some row ->
+        Mem.set_int t.kv ~row t.f_used 1;
+        Mem.set_str t.kv ~row t.f_key key;
+        Mem.set_int t.kv ~row t.f_value value;
+        let n = Mem.get_cell t.c_publishes in
+        Mem.set_cell t.c_publishes (n + 1);
+        notify_subscribers t key;
+        Srvlib.reply_ok src 0)
   | Message.Ds_retrieve { key } ->
-    let* row_opt = find_key t key in
-    let* () = Srvlib.diag "ds: retrieve" in
+    let row_opt = find_key t key in
+    Srvlib.diag "ds: retrieve";
     (match row_opt with
      | None -> Srvlib.reply_err src Errno.ENOENT
      | Some row ->
-       let* value = Prog.Mem.get_int t.kv ~row t.f_value in
-       let* n = Prog.Mem.get_cell t.c_retrieves in
-       let* () = Prog.Mem.set_cell t.c_retrieves (n + 1) in
-       Prog.reply src (Message.R_ds_value { value }))
+       let value = Mem.get_int t.kv ~row t.f_value in
+       let n = Mem.get_cell t.c_retrieves in
+       Mem.set_cell t.c_retrieves (n + 1);
+       Kernel.Op.reply src (Message.R_ds_value { value }))
   | Message.Ds_delete { key } ->
-    let* row_opt = find_key t key in
-    let* () = Srvlib.diag "ds: delete" in
+    let row_opt = find_key t key in
+    Srvlib.diag "ds: delete";
     (match row_opt with
      | None -> Srvlib.reply_err src Errno.ENOENT
      | Some row ->
-       let* () = Prog.Mem.set_int t.kv ~row t.f_used 0 in
+       Mem.set_int t.kv ~row t.f_used 0;
        Srvlib.reply_ok src 0)
   | Message.Ds_subscribe { prefix } ->
-    let* () = Srvlib.diag "ds: subscribe" in
-    let* row_opt =
-      Srvlib.scan ~rows:max_subs (fun row ->
-          let* used = Prog.Mem.get_int t.subs ~row t.s_used in
-          Prog.return (used = 0))
-    in
-    (match row_opt with
+    Srvlib.diag "ds: subscribe";
+    (match
+       Srvlib.scan ~rows:max_subs (fun row -> Mem.get_int t.subs ~row t.s_used = 0)
+     with
      | None -> Srvlib.reply_err src Errno.ENOSPC
      | Some row ->
-       let* () = Prog.Mem.set_int t.subs ~row t.s_used 1 in
-       let* () = Prog.Mem.set_int t.subs ~row t.s_ep src in
-       let* () = Prog.Mem.set_str t.subs ~row t.s_prefix prefix in
+       Mem.set_int t.subs ~row t.s_used 1;
+       Mem.set_int t.subs ~row t.s_ep src;
+       Mem.set_str t.subs ~row t.s_prefix prefix;
        Srvlib.reply_ok src 0)
-  | Message.Ping -> Prog.reply src Message.R_pong
+  | Message.Ping -> Kernel.Op.reply src Message.R_pong
   | _ -> Srvlib.reply_err src Errno.ENOSYS
 
 let init t =
-  let* () = Prog.Mem.set_cell t.c_publishes 0 in
-  Prog.Mem.set_cell t.c_retrieves 0
+  Prog.direct (fun () ->
+      Mem.set_cell t.c_publishes 0;
+      Mem.set_cell t.c_retrieves 0)
 
 let server t =
   { Kernel.srv_ep = Endpoint.ds;

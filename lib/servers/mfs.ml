@@ -78,10 +78,9 @@ let split_path path =
    [Kernel.Op] call, i.e. one costed, instrumented, fault-injectable
    operation, like a load or store of the original C server. *)
 module Mem = Kernel.Op.Mem
-module D = Srvlib.Direct
 
 let find_child t ~parent ~name =
-  D.scan ~rows:max_inodes (fun row ->
+  Srvlib.scan ~rows:max_inodes (fun row ->
       let kind = Mem.get_int t.inodes ~row t.i_kind in
       if kind = kind_free || row = 0 then false
       else
@@ -113,7 +112,7 @@ let resolve_parent t path =
       Result.map (fun dir_ino -> (dir_ino, leaf)) (resolve t ("/" ^ dir_path))
 
 let find_free_inode t =
-  D.scan ~rows:max_inodes (fun row ->
+  Srvlib.scan ~rows:max_inodes (fun row ->
       row <> 0 && Mem.get_int t.inodes ~row t.i_kind = kind_free)
 
 (* ---------------- block allocation -------------------------------- *)
@@ -322,7 +321,7 @@ let free_inode_blocks t ~ino ~from_idx =
   end
 
 let dir_is_empty t ~ino =
-  D.scan ~rows:max_inodes (fun row ->
+  Srvlib.scan ~rows:max_inodes (fun row ->
       row <> 0
       && Mem.get_int t.inodes ~row t.i_kind <> kind_free
       && Mem.get_int t.inodes ~row t.i_parent = ino)
@@ -335,13 +334,13 @@ let lookup_reply t src ino =
 
 let create_node t src path ~kind =
   match resolve_parent t path with
-  | Error e -> D.reply_err src e
+  | Error e -> Srvlib.reply_err src e
   | Ok (parent, leaf) ->
     if Option.is_some (find_child t ~parent ~name:leaf) then
-      D.reply_err src Errno.EEXIST
+      Srvlib.reply_err src Errno.EEXIST
     else
       match find_free_inode t with
-      | None -> D.reply_err src Errno.ENFILE
+      | None -> Srvlib.reply_err src Errno.ENFILE
       | Some ino ->
         Mem.set_int t.inodes ~row:ino t.i_kind kind;
         Mem.set_int t.inodes ~row:ino t.i_size 0;
@@ -359,78 +358,79 @@ let handle t src msg =
   match msg with
   | Message.Mfs_lookup { path } ->
     (match resolve t path with
-     | Error e -> D.reply_err src e
+     | Error e -> Srvlib.reply_err src e
      | Ok ino -> lookup_reply t src ino)
   | Message.Mfs_create { path } -> create_node t src path ~kind:kind_file
   | Message.Mfs_mkdir { path } -> create_node t src path ~kind:kind_dir
   | Message.Mfs_read { ino; off; len } ->
-    if (not (valid_ino ino)) || off < 0 || len < 0 then D.reply_err src Errno.EINVAL
+    if (not (valid_ino ino)) || off < 0 || len < 0 then
+      Srvlib.reply_err src Errno.EINVAL
     else if Mem.get_int t.inodes ~row:ino t.i_kind <> kind_file then
-      D.reply_err src Errno.EISDIR
+      Srvlib.reply_err src Errno.EISDIR
     else
       let data = read_data t ~ino ~off ~len in
       Kernel.Op.reply src (Message.R_read { data })
   | Message.Mfs_write { ino; off; data } ->
-    if (not (valid_ino ino)) || off < 0 then D.reply_err src Errno.EINVAL
+    if (not (valid_ino ino)) || off < 0 then Srvlib.reply_err src Errno.EINVAL
     else if Mem.get_int t.inodes ~row:ino t.i_kind <> kind_file then
-      D.reply_err src Errno.EISDIR
+      Srvlib.reply_err src Errno.EISDIR
     else (
       match write_data t ~ino ~off ~data with
-      | Error e -> D.reply_err src e
-      | Ok n -> D.reply_ok src n)
+      | Error e -> Srvlib.reply_err src e
+      | Ok n -> Srvlib.reply_ok src n)
   | Message.Mfs_trunc { ino; len } ->
     if (not (valid_ino ino)) || len < 0 || len > max_file_size then
-      D.reply_err src Errno.EINVAL
+      Srvlib.reply_err src Errno.EINVAL
     else if Mem.get_int t.inodes ~row:ino t.i_kind <> kind_file then
-      D.reply_err src Errno.EISDIR
+      Srvlib.reply_err src Errno.EISDIR
     else begin
       let keep = (len + Bdev.block_size - 1) / Bdev.block_size in
       free_inode_blocks t ~ino ~from_idx:keep;
       Mem.set_int t.inodes ~row:ino t.i_size len;
-      D.reply_ok src 0
+      Srvlib.reply_ok src 0
     end
   | Message.Mfs_unlink { path } ->
     (match resolve t path with
-     | Error e -> D.reply_err src e
-     | Ok 0 -> D.reply_err src Errno.EPERM
+     | Error e -> Srvlib.reply_err src e
+     | Ok 0 -> Srvlib.reply_err src Errno.EPERM
      | Ok ino ->
        if Mem.get_int t.inodes ~row:ino t.i_kind = kind_dir then
-         D.reply_err src Errno.EISDIR
+         Srvlib.reply_err src Errno.EISDIR
        else begin
          free_inode_blocks t ~ino ~from_idx:0;
          Mem.set_int t.inodes ~row:ino t.i_kind kind_free;
          let n = Mem.get_cell t.c_n_files in
          Mem.set_cell t.c_n_files (n - 1);
-         D.reply_ok src 0
+         Srvlib.reply_ok src 0
        end)
   | Message.Mfs_rmdir { path } ->
     (match resolve t path with
-     | Error e -> D.reply_err src e
-     | Ok 0 -> D.reply_err src Errno.EPERM
+     | Error e -> Srvlib.reply_err src e
+     | Ok 0 -> Srvlib.reply_err src Errno.EPERM
      | Ok ino ->
        if Mem.get_int t.inodes ~row:ino t.i_kind <> kind_dir then
-         D.reply_err src Errno.ENOTDIR
-       else if not (dir_is_empty t ~ino) then D.reply_err src Errno.ENOTEMPTY
+         Srvlib.reply_err src Errno.ENOTDIR
+       else if not (dir_is_empty t ~ino) then Srvlib.reply_err src Errno.ENOTEMPTY
        else begin
          Mem.set_int t.inodes ~row:ino t.i_kind kind_free;
-         D.reply_ok src 0
+         Srvlib.reply_ok src 0
        end)
   | Message.Mfs_stat { ino } ->
-    if not (valid_ino ino) then D.reply_err src Errno.EINVAL
+    if not (valid_ino ino) then Srvlib.reply_err src Errno.EINVAL
     else
       let kind = Mem.get_int t.inodes ~row:ino t.i_kind in
-      if kind = kind_free then D.reply_err src Errno.ENOENT
+      if kind = kind_free then Srvlib.reply_err src Errno.ENOENT
       else
         let size = Mem.get_int t.inodes ~row:ino t.i_size in
         Kernel.Op.reply src
           (Message.R_stat { st_ino = ino; st_size = size; st_is_dir = kind = kind_dir })
   | Message.Mfs_rename { src = from_path; dst = to_path } ->
     (match resolve t from_path with
-     | Error e -> D.reply_err src e
-     | Ok 0 -> D.reply_err src Errno.EPERM
+     | Error e -> Srvlib.reply_err src e
+     | Ok 0 -> Srvlib.reply_err src Errno.EPERM
      | Ok ino ->
        match resolve_parent t to_path with
-       | Error e -> D.reply_err src e
+       | Error e -> Srvlib.reply_err src e
        | Ok (nparent, nleaf) ->
          let clear =
            match find_child t ~parent:nparent ~name:nleaf with
@@ -445,15 +445,15 @@ let handle t src msg =
            | _ -> Ok ()
          in
          (match clear with
-          | Error e -> D.reply_err src e
+          | Error e -> Srvlib.reply_err src e
           | Ok () ->
             Mem.set_int t.inodes ~row:ino t.i_parent nparent;
             Mem.set_str t.inodes ~row:ino t.i_name nleaf;
-            D.reply_ok src 0))
+            Srvlib.reply_ok src 0))
   | Message.Mfs_readdir { ino } ->
-    if not (valid_ino ino) then D.reply_err src Errno.EINVAL
+    if not (valid_ino ino) then Srvlib.reply_err src Errno.EINVAL
     else if Mem.get_int t.inodes ~row:ino t.i_kind <> kind_dir then
-      D.reply_err src Errno.ENOTDIR
+      Srvlib.reply_err src Errno.ENOTDIR
     else begin
       let names = ref [] in
       for row = 1 to max_inodes - 1 do
@@ -466,9 +466,9 @@ let handle t src msg =
   | Message.Mfs_sync ->
     (* The RAM disk is always consistent; sync is a costed no-op. *)
     Kernel.Op.compute 50;
-    D.reply_ok src 0
+    Srvlib.reply_ok src 0
   | Message.Ping -> Kernel.Op.reply src Message.R_pong
-  | _ -> D.reply_err src Errno.ENOSYS
+  | _ -> Srvlib.reply_err src Errno.ENOSYS
 
 (* mkfs: root directory at inode 0 and a free list chaining all blocks.
    Done directly (pre-boot, uninstrumented), like building a disk image
@@ -656,7 +656,7 @@ let server t =
     srv_image = t.image;
     srv_clone_extra_kb = 512;
     srv_init = init t;
-    srv_loop = D.simple_loop (handle t);
+    srv_loop = Srvlib.simple_loop (handle t);
     srv_multithreaded = false }
 
 let summary =

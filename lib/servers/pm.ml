@@ -1,5 +1,3 @@
-open Prog.Syntax
-
 let max_procs = 64
 let name_len = 16
 
@@ -46,63 +44,57 @@ let create () =
   { image; procs; f_state; f_ep; f_parent; f_status; f_wait_for; f_ignmask;
     f_name; c_forks; c_execs; c_exits }
 
+module Op = Kernel.Op
+module Mem = Kernel.Op.Mem
+
 let find_by_ep t ?(state = st_alive) ep =
   Srvlib.scan ~rows:max_procs (fun row ->
-      let* st = Prog.Mem.get_int t.procs ~row t.f_state in
-      if st <> state then Prog.return false
-      else
-        let* e = Prog.Mem.get_int t.procs ~row t.f_ep in
-        Prog.return (e = ep))
+      Mem.get_int t.procs ~row t.f_state = state
+      && Mem.get_int t.procs ~row t.f_ep = ep)
 
 let find_free t =
   Srvlib.scan ~rows:max_procs (fun row ->
-      let* st = Prog.Mem.get_int t.procs ~row t.f_state in
-      Prog.return (st = st_free))
+      Mem.get_int t.procs ~row t.f_state = st_free)
 
 let set_row t ~row ~state ~ep ~parent ~name =
-  let* () = Prog.Mem.set_int t.procs ~row t.f_state state in
-  let* () = Prog.Mem.set_int t.procs ~row t.f_ep ep in
-  let* () = Prog.Mem.set_int t.procs ~row t.f_parent parent in
-  let* () = Prog.Mem.set_int t.procs ~row t.f_status 0 in
-  let* () = Prog.Mem.set_int t.procs ~row t.f_wait_for 0 in
-  let* () = Prog.Mem.set_int t.procs ~row t.f_ignmask 0 in
-  Prog.Mem.set_str t.procs ~row t.f_name name
+  Mem.set_int t.procs ~row t.f_state state;
+  Mem.set_int t.procs ~row t.f_ep ep;
+  Mem.set_int t.procs ~row t.f_parent parent;
+  Mem.set_int t.procs ~row t.f_status 0;
+  Mem.set_int t.procs ~row t.f_wait_for 0;
+  Mem.set_int t.procs ~row t.f_ignmask 0;
+  Mem.set_str t.procs ~row t.f_name name
 
 (* Deliver the exit status of [child_ep] to its parent: either wake a
    parent blocked in waitpid (deferred reply) or leave a zombie. Orphans
    (parent gone) are reaped immediately. *)
 let settle_exit t ~child_row ~child_ep ~status =
-  let* parent = Prog.Mem.get_int t.procs ~row:child_row t.f_parent in
-  let* prow_opt =
-    if parent = 0 then Prog.return None else find_by_ep t parent
-  in
-  match prow_opt with
+  let parent = Mem.get_int t.procs ~row:child_row t.f_parent in
+  match if parent = 0 then None else find_by_ep t parent with
   | None ->
     (* No live parent: reap immediately. *)
-    Prog.Mem.set_int t.procs ~row:child_row t.f_state st_free
+    Mem.set_int t.procs ~row:child_row t.f_state st_free
   | Some prow ->
-    let* wait_for = Prog.Mem.get_int t.procs ~row:prow t.f_wait_for in
-    if wait_for = -1 || wait_for = child_ep then
-      let* () = Prog.Mem.set_int t.procs ~row:prow t.f_wait_for 0 in
-      let* () = Prog.Mem.set_int t.procs ~row:child_row t.f_state st_free in
-      Prog.reply parent (Message.R_wait { pid = child_ep; status })
+    let wait_for = Mem.get_int t.procs ~row:prow t.f_wait_for in
+    if wait_for = -1 || wait_for = child_ep then begin
+      Mem.set_int t.procs ~row:prow t.f_wait_for 0;
+      Mem.set_int t.procs ~row:child_row t.f_state st_free;
+      Op.reply parent (Message.R_wait { pid = child_ep; status })
+    end
     else begin
-      let* () = Prog.Mem.set_int t.procs ~row:child_row t.f_state st_zombie in
-      Prog.Mem.set_int t.procs ~row:child_row t.f_status status
+      Mem.set_int t.procs ~row:child_row t.f_state st_zombie;
+      Mem.set_int t.procs ~row:child_row t.f_status status
     end
 
 (* Reparent children of a dying process to "nobody" and reap any that
    were already zombies (no one can wait for them anymore). *)
 let reparent_children t ~dead_ep =
-  Prog.iter_range ~lo:0 ~hi:max_procs (fun row ->
-      let* st = Prog.Mem.get_int t.procs ~row t.f_state in
-      if st = st_free then Prog.return ()
-      else
-        let* parent = Prog.Mem.get_int t.procs ~row t.f_parent in
-        if parent <> dead_ep then Prog.return ()
-        else if st = st_zombie then
-          Prog.Mem.set_int t.procs ~row t.f_state st_free
-        else Prog.Mem.set_int t.procs ~row t.f_parent 0)
+  for row = 0 to max_procs - 1 do
+    let st = Mem.get_int t.procs ~row t.f_state in
+    if st <> st_free && Mem.get_int t.procs ~row t.f_parent = dead_ep then
+      if st = st_zombie then Mem.set_int t.procs ~row t.f_state st_free
+      else Mem.set_int t.procs ~row t.f_parent 0
+  done
 
 (* Full exit path: VM teardown, VFS teardown, kernel destruction, and
    parent notification. Used by exit(), kill() and abnormal
@@ -110,57 +102,63 @@ let reparent_children t ~dead_ep =
 let do_exit t ~target_ep ~row ~status =
   (* Local bookkeeping first (recoverable while the window is open),
      then the teardown calls that make the exit visible to VM/VFS. *)
-  let* n = Prog.Mem.get_cell t.c_exits in
-  let* () = Prog.Mem.set_cell t.c_exits (n + 1) in
-  let* () = reparent_children t ~dead_ep:target_ep in
-  let* () = Srvlib.diag "pm: exit" in
+  let n = Mem.get_cell t.c_exits in
+  Mem.set_cell t.c_exits (n + 1);
+  reparent_children t ~dead_ep:target_ep;
+  Srvlib.diag "pm: exit";
   (* Teardown must not leak when a peer crashes mid-call: an E_CRASH
      reply means the rolled-back peer did nothing, so retry. *)
-  let* _ = Srvlib.call_retry Endpoint.vm (Message.Vm_exit { proc = target_ep }) in
-  let* _ = Srvlib.call_retry Endpoint.vfs (Message.Vfs_exit { proc = target_ep }) in
-  let* _ = Prog.kcall (Prog.K_kill { proc = target_ep; status }) in
+  ignore (Srvlib.call_retry Endpoint.vm (Message.Vm_exit { proc = target_ep }));
+  ignore (Srvlib.call_retry Endpoint.vfs (Message.Vfs_exit { proc = target_ep }));
+  ignore (Op.kcall (Prog.K_kill { proc = target_ep; status }));
   settle_exit t ~child_row:row ~child_ep:target_ep ~status
+
+(* The first zombie (or live) child of [parent]. *)
+let find_child t ~state ~parent =
+  Srvlib.scan ~rows:max_procs (fun row ->
+      Mem.get_int t.procs ~row t.f_state = state
+      && Mem.get_int t.procs ~row t.f_parent = parent)
 
 let handle t src msg =
   match msg with
   | Message.Fork ->
-    let* urow = find_by_ep t src in
-    let* () = Srvlib.diag "pm: fork" in
+    let urow = find_by_ep t src in
+    Srvlib.diag "pm: fork";
     (match urow with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some urow ->
-       let* slot = find_free t in
-       (match slot with
-        | None -> Srvlib.reply_err src Errno.EAGAIN
-        | Some row ->
-          let* kr = Prog.kcall (Prog.K_fork { parent = src }) in
-          (match kr with
-           | Prog.Kr_ep child ->
-             let* pname = Prog.Mem.get_str t.procs ~row:urow t.f_name in
-             let* () = set_row t ~row ~state:st_alive ~ep:child ~parent:src ~name:pname in
-             (* POSIX: the child inherits signal dispositions. *)
-             let* pmask = Prog.Mem.get_int t.procs ~row:urow t.f_ignmask in
-             let* () = Prog.Mem.set_int t.procs ~row t.f_ignmask pmask in
-             let* n = Prog.Mem.get_cell t.c_forks in
-             let* () = Prog.Mem.set_cell t.c_forks (n + 1) in
-             let* vr = Prog.call Endpoint.vm (Message.Vm_fork { parent = src; child }) in
-             (match Srvlib.err_of_reply vr with
+       match find_free t with
+       | None -> Srvlib.reply_err src Errno.EAGAIN
+       | Some row ->
+         match Op.kcall (Prog.K_fork { parent = src }) with
+         | Prog.Kr_ep child ->
+           let pname = Mem.get_str t.procs ~row:urow t.f_name in
+           set_row t ~row ~state:st_alive ~ep:child ~parent:src ~name:pname;
+           (* POSIX: the child inherits signal dispositions. *)
+           let pmask = Mem.get_int t.procs ~row:urow t.f_ignmask in
+           Mem.set_int t.procs ~row t.f_ignmask pmask;
+           let n = Mem.get_cell t.c_forks in
+           Mem.set_cell t.c_forks (n + 1);
+           let vr = Op.call Endpoint.vm (Message.Vm_fork { parent = src; child }) in
+           (match Srvlib.err_of_reply vr with
+            | Some e ->
+              Mem.set_int t.procs ~row t.f_state st_free;
+              ignore (Op.kcall (Prog.K_kill { proc = child; status = 0 }));
+              Srvlib.reply_err src e
+            | None ->
+              let fr =
+                Op.call Endpoint.vfs (Message.Vfs_fork { parent = src; child })
+              in
+              match Srvlib.err_of_reply fr with
               | Some e ->
-                let* () = Prog.Mem.set_int t.procs ~row t.f_state st_free in
-                let* _ = Prog.kcall (Prog.K_kill { proc = child; status = 0 }) in
+                ignore (Op.call Endpoint.vm (Message.Vm_exit { proc = child }));
+                Mem.set_int t.procs ~row t.f_state st_free;
+                ignore (Op.kcall (Prog.K_kill { proc = child; status = 0 }));
                 Srvlib.reply_err src e
               | None ->
-                let* fr = Prog.call Endpoint.vfs (Message.Vfs_fork { parent = src; child }) in
-                (match Srvlib.err_of_reply fr with
-                 | Some e ->
-                   let* _ = Prog.call Endpoint.vm (Message.Vm_exit { proc = child }) in
-                   let* () = Prog.Mem.set_int t.procs ~row t.f_state st_free in
-                   let* _ = Prog.kcall (Prog.K_kill { proc = child; status = 0 }) in
-                   Srvlib.reply_err src e
-                 | None ->
-                   let* _ = Prog.kcall (Prog.K_go child) in
-                   Prog.reply src (Message.R_fork { child })))
-           | _ -> Srvlib.reply_err src Errno.EAGAIN)))
+                ignore (Op.kcall (Prog.K_go child));
+                Op.reply src (Message.R_fork { child }))
+         | _ -> Srvlib.reply_err src Errno.EAGAIN)
   | Message.Adopt ->
     (* Open-loop load engine: a kernel-spawned request process
        introduces itself before issuing syscalls — the session-connect
@@ -168,193 +166,160 @@ let handle t src msg =
        reaps the row immediately; a full table sheds the request with
        EAGAIN, which is what saturation looks like to an open-loop
        client. *)
-    let* urow = find_by_ep t src in
-    let* () = Srvlib.diag "pm: adopt" in
+    let urow = find_by_ep t src in
+    Srvlib.diag "pm: adopt";
     (match urow with
      | Some _ -> Srvlib.reply_err src Errno.EEXIST
      | None ->
-       let* slot = find_free t in
-       (match slot with
-        | None -> Srvlib.reply_err src Errno.EAGAIN
-        | Some row ->
-          let* () =
-            set_row t ~row ~state:st_alive ~ep:src ~parent:0 ~name:"load"
-          in
-          let* vr =
-            Prog.call Endpoint.vm (Message.Vm_fork { parent = 0; child = src })
-          in
-          (match Srvlib.err_of_reply vr with
-           | Some e ->
-             let* () = Prog.Mem.set_int t.procs ~row t.f_state st_free in
-             Srvlib.reply_err src e
-           | None ->
-             let* fr =
-               Prog.call Endpoint.vfs
-                 (Message.Vfs_fork { parent = 0; child = src })
-             in
-             (match Srvlib.err_of_reply fr with
-              | Some e ->
-                let* _ =
-                  Prog.call Endpoint.vm (Message.Vm_exit { proc = src })
-                in
-                let* () = Prog.Mem.set_int t.procs ~row t.f_state st_free in
-                Srvlib.reply_err src e
-              | None -> Srvlib.reply_ok src 0))))
+       match find_free t with
+       | None -> Srvlib.reply_err src Errno.EAGAIN
+       | Some row ->
+         set_row t ~row ~state:st_alive ~ep:src ~parent:0 ~name:"load";
+         let vr = Op.call Endpoint.vm (Message.Vm_fork { parent = 0; child = src }) in
+         (match Srvlib.err_of_reply vr with
+          | Some e ->
+            Mem.set_int t.procs ~row t.f_state st_free;
+            Srvlib.reply_err src e
+          | None ->
+            let fr =
+              Op.call Endpoint.vfs (Message.Vfs_fork { parent = 0; child = src })
+            in
+            match Srvlib.err_of_reply fr with
+            | Some e ->
+              ignore (Op.call Endpoint.vm (Message.Vm_exit { proc = src }));
+              Mem.set_int t.procs ~row t.f_state st_free;
+              Srvlib.reply_err src e
+            | None -> Srvlib.reply_ok src 0))
   | Message.Exec { path; arg } ->
-    let* urow = find_by_ep t src in
-    let* () = Srvlib.diag "pm: exec" in
+    let urow = find_by_ep t src in
+    Srvlib.diag "pm: exec";
     (match urow with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some row ->
-       let* vr = Prog.call Endpoint.vfs (Message.Vfs_exec { proc = src; path }) in
-       (match Srvlib.err_of_reply vr with
-        | Some e -> Srvlib.reply_err src e
-        | None ->
-          let* mr =
-            Prog.call Endpoint.vm (Message.Vm_exec { proc = src; size = exec_image_bytes })
-          in
-          (match Srvlib.err_of_reply mr with
-           | Some e -> Srvlib.reply_err src e
-           | None ->
-             let* kr = Prog.kcall (Prog.K_exec { proc = src; path; arg }) in
-             (match kr with
-              | Prog.Kr_ok ->
-                let base = Filename.basename path in
-                let base =
-                  if String.length base >= name_len then
-                    String.sub base 0 (name_len - 1)
-                  else base
-                in
-                let* () = Prog.Mem.set_str t.procs ~row t.f_name base in
-                let* n = Prog.Mem.get_cell t.c_execs in
-                Prog.Mem.set_cell t.c_execs (n + 1)
-                (* No reply: the new program image is now running. *)
-              | _ -> Srvlib.reply_err src Errno.ENOENT))))
+       let vr = Op.call Endpoint.vfs (Message.Vfs_exec { proc = src; path }) in
+       match Srvlib.err_of_reply vr with
+       | Some e -> Srvlib.reply_err src e
+       | None ->
+         let mr =
+           Op.call Endpoint.vm (Message.Vm_exec { proc = src; size = exec_image_bytes })
+         in
+         match Srvlib.err_of_reply mr with
+         | Some e -> Srvlib.reply_err src e
+         | None ->
+           match Op.kcall (Prog.K_exec { proc = src; path; arg }) with
+           | Prog.Kr_ok ->
+             let base = Filename.basename path in
+             let base =
+               if String.length base >= name_len then String.sub base 0 (name_len - 1)
+               else base
+             in
+             Mem.set_str t.procs ~row t.f_name base;
+             let n = Mem.get_cell t.c_execs in
+             Mem.set_cell t.c_execs (n + 1)
+             (* No reply: the new program image is now running. *)
+           | _ -> Srvlib.reply_err src Errno.ENOENT)
   | Message.Exit { status } ->
-    let* urow = find_by_ep t src in
-    (match urow with
+    (match find_by_ep t src with
      | None ->
        (* Unknown caller (e.g. after stateless PM recovery lost the
           table): destroy it anyway so it does not linger. *)
-       let* _ = Prog.kcall (Prog.K_kill { proc = src; status }) in
-       Prog.return ()
+       ignore (Op.kcall (Prog.K_kill { proc = src; status }))
      | Some row -> do_exit t ~target_ep:src ~row ~status)
   | Message.Waitpid { pid } ->
-    let* urow = find_by_ep t src in
-    (match urow with
+    (match find_by_ep t src with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some urow ->
        if pid = -1 then
-         let* zrow =
-           Srvlib.scan ~rows:max_procs (fun row ->
-               let* st = Prog.Mem.get_int t.procs ~row t.f_state in
-               if st <> st_zombie then Prog.return false
-               else
-                 let* parent = Prog.Mem.get_int t.procs ~row t.f_parent in
-                 Prog.return (parent = src))
-         in
-         match zrow with
+         match find_child t ~state:st_zombie ~parent:src with
          | Some row ->
-           let* child = Prog.Mem.get_int t.procs ~row t.f_ep in
-           let* status = Prog.Mem.get_int t.procs ~row t.f_status in
-           let* () = Prog.Mem.set_int t.procs ~row t.f_state st_free in
-           Prog.reply src (Message.R_wait { pid = child; status })
+           let child = Mem.get_int t.procs ~row t.f_ep in
+           let status = Mem.get_int t.procs ~row t.f_status in
+           Mem.set_int t.procs ~row t.f_state st_free;
+           Op.reply src (Message.R_wait { pid = child; status })
          | None ->
-           let* arow =
-             Srvlib.scan ~rows:max_procs (fun row ->
-                 let* st = Prog.Mem.get_int t.procs ~row t.f_state in
-                 if st <> st_alive then Prog.return false
-                 else
-                   let* parent = Prog.Mem.get_int t.procs ~row t.f_parent in
-                   Prog.return (parent = src))
-           in
-           (match arow with
-            | None -> Srvlib.reply_err src Errno.ECHILD
-            | Some _ ->
-              (* Block the caller until a child exits. *)
-              Prog.Mem.set_int t.procs ~row:urow t.f_wait_for (-1))
+           match find_child t ~state:st_alive ~parent:src with
+           | None -> Srvlib.reply_err src Errno.ECHILD
+           | Some _ ->
+             (* Block the caller until a child exits. *)
+             Mem.set_int t.procs ~row:urow t.f_wait_for (-1)
        else
-         let* crow = find_by_ep t pid in
-         let* zrow = find_by_ep t ~state:st_zombie pid in
-         (match crow, zrow with
-          | None, None -> Srvlib.reply_err src Errno.ECHILD
-          | _, Some row ->
-            let* parent = Prog.Mem.get_int t.procs ~row t.f_parent in
-            if parent <> src then Srvlib.reply_err src Errno.ECHILD
-            else
-              let* status = Prog.Mem.get_int t.procs ~row t.f_status in
-              let* () = Prog.Mem.set_int t.procs ~row t.f_state st_free in
-              Prog.reply src (Message.R_wait { pid; status })
-          | Some row, None ->
-            let* parent = Prog.Mem.get_int t.procs ~row t.f_parent in
-            if parent <> src then Srvlib.reply_err src Errno.ECHILD
-            else Prog.Mem.set_int t.procs ~row:urow t.f_wait_for pid))
+         let crow = find_by_ep t pid in
+         let zrow = find_by_ep t ~state:st_zombie pid in
+         match crow, zrow with
+         | None, None -> Srvlib.reply_err src Errno.ECHILD
+         | _, Some row ->
+           if Mem.get_int t.procs ~row t.f_parent <> src then
+             Srvlib.reply_err src Errno.ECHILD
+           else begin
+             let status = Mem.get_int t.procs ~row t.f_status in
+             Mem.set_int t.procs ~row t.f_state st_free;
+             Op.reply src (Message.R_wait { pid; status })
+           end
+         | Some row, None ->
+           if Mem.get_int t.procs ~row t.f_parent <> src then
+             Srvlib.reply_err src Errno.ECHILD
+           else Mem.set_int t.procs ~row:urow t.f_wait_for pid)
   | Message.Getpid ->
-    let* urow = find_by_ep t src in
-    (match urow with
+    (match find_by_ep t src with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some _ -> Srvlib.reply_ok src src)
   | Message.Getppid ->
-    let* urow = find_by_ep t src in
-    (match urow with
+    (match find_by_ep t src with
      | None -> Srvlib.reply_err src Errno.ESRCH
-     | Some row ->
-       let* parent = Prog.Mem.get_int t.procs ~row t.f_parent in
-       Srvlib.reply_ok src parent)
+     | Some row -> Srvlib.reply_ok src (Mem.get_int t.procs ~row t.f_parent))
   | Message.Kill { pid; signal } ->
-    let* urow = find_by_ep t src in
-    let* () = Srvlib.diag "pm: kill" in
+    let urow = find_by_ep t src in
+    Srvlib.diag "pm: kill";
     (match urow with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some _ ->
-       let* trow = find_by_ep t pid in
-       (match trow with
-        | None -> Srvlib.reply_err src Errno.ESRCH
-        | Some row ->
-          let* ignmask = Prog.Mem.get_int t.procs ~row t.f_ignmask in
-          if signal <> 9 && signal >= 0 && signal < 62
-             && ignmask land (1 lsl signal) <> 0
-          then
-            (* Target ignores this signal; delivery is a no-op.
-               SIGKILL is never ignorable. *)
-            Srvlib.reply_ok src 0
-          else
-            let status = 128 + signal in
-            if pid = src then do_exit t ~target_ep:src ~row ~status
-            else
-              let* _ = Prog.kcall (Prog.K_kill { proc = pid; status }) in
-              let* () = do_exit t ~target_ep:pid ~row ~status in
-              Srvlib.reply_ok src 0))
+       match find_by_ep t pid with
+       | None -> Srvlib.reply_err src Errno.ESRCH
+       | Some row ->
+         let ignmask = Mem.get_int t.procs ~row t.f_ignmask in
+         if signal <> 9 && signal >= 0 && signal < 62
+            && ignmask land (1 lsl signal) <> 0
+         then
+           (* Target ignores this signal; delivery is a no-op.
+              SIGKILL is never ignorable. *)
+           Srvlib.reply_ok src 0
+         else
+           let status = 128 + signal in
+           if pid = src then do_exit t ~target_ep:src ~row ~status
+           else begin
+             ignore (Op.kcall (Prog.K_kill { proc = pid; status }));
+             do_exit t ~target_ep:pid ~row ~status;
+             Srvlib.reply_ok src 0
+           end)
   | Message.Signal_set { signal; ignore } ->
-    let* urow = find_by_ep t src in
-    (match urow with
+    (match find_by_ep t src with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some row ->
        if signal = 9 || signal < 1 || signal >= 62 then
          Srvlib.reply_err src Errno.EINVAL
-       else
-         let* mask = Prog.Mem.get_int t.procs ~row t.f_ignmask in
+       else begin
+         let mask = Mem.get_int t.procs ~row t.f_ignmask in
          let prev = if mask land (1 lsl signal) <> 0 then 1 else 0 in
          let nmask =
-           if ignore then mask lor (1 lsl signal)
-           else mask land lnot (1 lsl signal)
+           if ignore then mask lor (1 lsl signal) else mask land lnot (1 lsl signal)
          in
-         let* () = Prog.Mem.set_int t.procs ~row t.f_ignmask nmask in
-         Srvlib.reply_ok src prev)
-  | Message.Ping -> Prog.reply src Message.R_pong
+         Mem.set_int t.procs ~row t.f_ignmask nmask;
+         Srvlib.reply_ok src prev
+       end)
+  | Message.Ping -> Op.reply src Message.R_pong
   | _ -> Srvlib.reply_err src Errno.ENOSYS
 
 (* Boot: install the primordial workload root in the process table and
    make it known to VM and VFS. *)
 let init t =
-  let root = Endpoint.first_user in
-  let* () = set_row t ~row:0 ~state:st_alive ~ep:root ~parent:0 ~name:"init" in
-  let* () = Prog.Mem.set_cell t.c_forks 0 in
-  let* () = Prog.Mem.set_cell t.c_execs 0 in
-  let* () = Prog.Mem.set_cell t.c_exits 0 in
-  let* _ = Prog.call Endpoint.vm (Message.Vm_fork { parent = 0; child = root }) in
-  let* _ = Prog.call Endpoint.vfs (Message.Vfs_fork { parent = 0; child = root }) in
-  Prog.return ()
+  Prog.direct (fun () ->
+      let root = Endpoint.first_user in
+      set_row t ~row:0 ~state:st_alive ~ep:root ~parent:0 ~name:"init";
+      Mem.set_cell t.c_forks 0;
+      Mem.set_cell t.c_execs 0;
+      Mem.set_cell t.c_exits 0;
+      ignore (Op.call Endpoint.vm (Message.Vm_fork { parent = 0; child = root }));
+      ignore (Op.call Endpoint.vfs (Message.Vfs_fork { parent = 0; child = root })))
 
 let server t =
   { Kernel.srv_ep = Endpoint.pm;

@@ -1,5 +1,3 @@
-open Prog.Syntax
-
 let max_services = 8
 
 (* Heartbeat period, simulated cycles. *)
@@ -43,47 +41,50 @@ let create ?(policies = []) ?(budgets = []) policy =
   { policy_for; budget_for; image; services; s_used; s_ep; s_label;
     s_restarts; c_restarts; c_shutdowns; c_notices; c_heartbeats }
 
+module Op = Kernel.Op
+module Mem = Kernel.Op.Mem
+
 let find_service t ep =
   Srvlib.scan ~rows:max_services (fun row ->
-      let* used = Prog.Mem.get_int t.services ~row t.s_used in
-      if used = 0 then Prog.return false
-      else
-        let* e = Prog.Mem.get_int t.services ~row t.s_ep in
-        Prog.return (e = ep))
+      Mem.get_int t.services ~row t.s_used <> 0
+      && Mem.get_int t.services ~row t.s_ep = ep)
+
+(* The first unused service row: the number of registered services. *)
+let count_services t =
+  match
+    Srvlib.scan ~rows:max_services (fun row ->
+        Mem.get_int t.services ~row t.s_used = 0)
+  with
+  | Some n -> n
+  | None -> max_services
 
 let bump_restarts t ep =
-  let* row = find_service t ep in
-  let* () =
-    match row with
-    | None -> Prog.return ()
-    | Some row ->
-      let* n = Prog.Mem.get_int t.services ~row t.s_restarts in
-      Prog.Mem.set_int t.services ~row t.s_restarts (n + 1)
-  in
-  let* total = Prog.Mem.get_cell t.c_restarts in
-  Prog.Mem.set_cell t.c_restarts (total + 1)
+  (match find_service t ep with
+   | None -> ()
+   | Some row ->
+     let n = Mem.get_int t.services ~row t.s_restarts in
+     Mem.set_int t.services ~row t.s_restarts (n + 1));
+  let total = Mem.get_cell t.c_restarts in
+  Mem.set_cell t.c_restarts (total + 1)
 
-(* Restart-budget enforcement. Cost discipline: compartments without a
-   budget take the [None] branch, whose [Prog.return false] is a [Done]
-   — binding it interprets zero operations, so unbudgeted recoveries
-   execute the exact instruction stream they always did. Only budgeted
-   compartments pay the service-table scan. *)
+(* Restart-budget enforcement. Compartments without a budget perform no
+   operation here, so unbudgeted recoveries execute the exact
+   instruction stream they always did. Only budgeted compartments pay
+   the service-table scan. *)
 let budget_exhausted t ep =
   match t.budget_for ep with
-  | None -> Prog.return false
+  | None -> false
   | Some b ->
-    let* row = find_service t ep in
-    (match row with
-     | None -> Prog.return false
-     | Some row ->
-       let* n = Prog.Mem.get_int t.services ~row t.s_restarts in
-       Prog.return (n >= b))
+    (match find_service t ep with
+     | None -> false
+     | Some row -> Mem.get_int t.services ~row t.s_restarts >= b)
+
+let kcall kc = ignore (Op.kcall kc)
 
 let controlled_shutdown t reason =
-  let* n = Prog.Mem.get_cell t.c_shutdowns in
-  let* () = Prog.Mem.set_cell t.c_shutdowns (n + 1) in
-  let* _ = Prog.kcall (Prog.K_shutdown reason) in
-  Prog.return ()
+  let n = Mem.get_cell t.c_shutdowns in
+  Mem.set_cell t.c_shutdowns (n + 1);
+  kcall (Prog.K_shutdown reason)
 
 (* The recovery procedure. Phases: restart, rollback, reconciliation.
    Every decision is per compartment: the crashed component's own
@@ -91,13 +92,11 @@ let controlled_shutdown t reason =
    that exhausts its restart budget is taken down in a controlled
    shutdown instead of being restarted forever. *)
 let recover t ep reason =
-  let* () = Srvlib.diag (Printf.sprintf "rs: recovering %s (%s)"
-                           (Endpoint.server_name ep) reason) in
-  let* ctx = Prog.kcall (Prog.K_crash_context ep) in
-  match ctx with
+  Srvlib.diag (Printf.sprintf "rs: recovering %s (%s)"
+                 (Endpoint.server_name ep) reason);
+  match Op.kcall (Prog.K_crash_context ep) with
   | Prog.Kr_context { window_open; requester; reason = _; rlocal } ->
-    let* exhausted = budget_exhausted t ep in
-    if exhausted then
+    if budget_exhausted t ep then
       controlled_shutdown t
         (Printf.sprintf "%s exhausted its restart budget"
            (Endpoint.server_name ep))
@@ -105,52 +104,39 @@ let recover t ep reason =
     (match (t.policy_for ep).Policy.recovery with
      | Policy.No_recovery ->
        (* Unreachable: the kernel panics before notifying RS. *)
-       Prog.return ()
+       ()
      | Policy.Restart_fresh ->
        (* Stateless restart: pristine boot image, accumulated state and
           queued requests are lost; no error virtualization. *)
-       let* _ = Prog.kcall (Prog.K_mk_clone ep) in
-       let* _ = Prog.kcall (Prog.K_clear_state ep) in
-       let* () = bump_restarts t ep in
-       let* _ = Prog.kcall (Prog.K_go ep) in
-       Prog.return ()
+       kcall (Prog.K_mk_clone ep);
+       kcall (Prog.K_clear_state ep);
+       bump_restarts t ep;
+       kcall (Prog.K_go ep)
      | Policy.Restart_keep_state ->
        (* Naive restart: resume with the crashed state as-is. No
           consistency reasoning and no error virtualization — an
           in-flight requester is simply left waiting, like the
           best-effort restart systems this baseline stands for. *)
        ignore requester;
-       let* _ = Prog.kcall (Prog.K_mk_clone ep) in
-       let* () = bump_restarts t ep in
-       let* _ = Prog.kcall (Prog.K_go ep) in
-       Prog.return ()
+       kcall (Prog.K_mk_clone ep);
+       bump_restarts t ep;
+       kcall (Prog.K_go ep)
      | Policy.Rollback_or_shutdown ->
        if window_open then begin
-         let* _ = Prog.kcall (Prog.K_mk_clone ep) in
-         let* _ = Prog.kcall (Prog.K_rollback ep) in
-         let* () = bump_restarts t ep in
-         let* () =
-           if rlocal then
-             (* A requester-local SEEP was crossed: its effects live in
-                state owned by the requester, so terminating the
-                requester through the normal exit path reconciles them
-                (extension, paper Section VII). *)
-             match requester with
-             | Some req ->
-               let* _ = Prog.kcall (Prog.K_kill_requester { proc = req }) in
-               Prog.return ()
-             | None -> Prog.return ()
-           else
-             match requester with
-             | Some req ->
-               let* _ =
-                 Prog.kcall (Prog.K_reply_error { proc = req; err = Errno.E_CRASH })
-               in
-               Prog.return ()
-             | None -> Prog.return ()
-         in
-         let* _ = Prog.kcall (Prog.K_go ep) in
-         Prog.return ()
+         kcall (Prog.K_mk_clone ep);
+         kcall (Prog.K_rollback ep);
+         bump_restarts t ep;
+         (match requester with
+          | Some req when rlocal ->
+            (* A requester-local SEEP was crossed: its effects live in
+               state owned by the requester, so terminating the
+               requester through the normal exit path reconciles them
+               (extension, paper Section VII). *)
+            kcall (Prog.K_kill_requester { proc = req })
+          | Some req ->
+            kcall (Prog.K_reply_error { proc = req; err = Errno.E_CRASH })
+          | None -> ());
+         kcall (Prog.K_go ep)
        end
        else
          (* The crash happened past the recovery window: rolling back
@@ -161,15 +147,14 @@ let recover t ep reason =
               (Endpoint.server_name ep))
      | Policy.Rollback_replay ->
        if window_open then begin
-         let* _ = Prog.kcall (Prog.K_mk_clone ep) in
-         let* _ = Prog.kcall (Prog.K_rollback ep) in
-         let* () = bump_restarts t ep in
+         kcall (Prog.K_mk_clone ep);
+         kcall (Prog.K_rollback ep);
+         bump_restarts t ep;
          (* Replay reconciliation: re-deliver the crashed request
             instead of virtualizing the error. Transparent for
             transient faults; loops on persistent ones. *)
-         let* _ = Prog.kcall (Prog.K_replay ep) in
-         let* _ = Prog.kcall (Prog.K_go ep) in
-         Prog.return ()
+         kcall (Prog.K_replay ep);
+         kcall (Prog.K_go ep)
        end
        else
          controlled_shutdown t
@@ -177,90 +162,60 @@ let recover t ep reason =
               (Endpoint.server_name ep)))
   | _ ->
     (* Stale notification (component already recovered or gone). *)
-    Prog.return ()
+    ()
 
 let handle t src msg =
   match msg with
   | Message.Crash_notify { ep; reason } when src = Endpoint.kernel ->
-    let* n = Prog.Mem.get_cell t.c_notices in
-    let* () = Prog.Mem.set_cell t.c_notices (n + 1) in
+    let n = Mem.get_cell t.c_notices in
+    Mem.set_cell t.c_notices (n + 1);
     recover t ep reason
   | Message.Crash_notify _ -> Srvlib.reply_err src Errno.EPERM
   | Message.Rs_status ->
-    let* restarts = Prog.Mem.get_cell t.c_restarts in
-    let* shutdowns = Prog.Mem.get_cell t.c_shutdowns in
-    let* services =
-      Srvlib.scan ~rows:max_services (fun row ->
-          let* used = Prog.Mem.get_int t.services ~row t.s_used in
-          Prog.return (used = 0))
-    in
-    let count = match services with Some n -> n | None -> max_services in
-    Prog.reply src (Message.R_rs_status { restarts; shutdowns; services = count })
+    let restarts = Mem.get_cell t.c_restarts in
+    let shutdowns = Mem.get_cell t.c_shutdowns in
+    let services = count_services t in
+    Op.reply src (Message.R_rs_status { restarts; shutdowns; services })
   | Message.Rs_lookup { label } ->
-    let* row =
-      Srvlib.scan ~rows:max_services (fun row ->
-          let* used = Prog.Mem.get_int t.services ~row t.s_used in
-          if used = 0 then Prog.return false
-          else
-            let* l = Prog.Mem.get_str t.services ~row t.s_label in
-            Prog.return (String.equal l label))
-    in
-    (match row with
+    (match
+       Srvlib.scan ~rows:max_services (fun row ->
+           Mem.get_int t.services ~row t.s_used <> 0
+           && String.equal (Mem.get_str t.services ~row t.s_label) label)
+     with
      | None -> Srvlib.reply_err src Errno.ENOENT
-     | Some row ->
-       let* ep = Prog.Mem.get_int t.services ~row t.s_ep in
-       Srvlib.reply_ok src ep)
+     | Some row -> Srvlib.reply_ok src (Mem.get_int t.services ~row t.s_ep))
   | Message.Alarm ->
     (* Periodic housekeeping: account the beat, audit the service table,
        log, publish liveness to DS (asynchronously — a synchronous call
        could deadlock against a DS recovery in progress), audit again,
        and re-arm the timer. Hang *detection* is the kernel's heartbeat
        machinery; this handler is RS's bookkeeping half. *)
-    let* n = Prog.Mem.get_cell t.c_heartbeats in
-    let* () = Prog.Mem.set_cell t.c_heartbeats (n + 1) in
-    let* live1 =
-      Srvlib.scan ~rows:max_services (fun row ->
-          let* used = Prog.Mem.get_int t.services ~row t.s_used in
-          Prog.return (used = 0))
-    in
-    let count1 = match live1 with Some k -> k | None -> max_services in
-    let* () = Srvlib.diag (Printf.sprintf "rs: heartbeat %d" (n + 1)) in
-    let* () =
-      Prog.send Endpoint.ds
-        (Message.Ds_publish { key = "rs.heartbeat"; value = n + 1 })
-    in
-    let* live2 =
-      Srvlib.scan ~rows:max_services (fun row ->
-          let* used = Prog.Mem.get_int t.services ~row t.s_used in
-          Prog.return (used = 0))
-    in
-    let count2 = match live2 with Some k -> k | None -> max_services in
-    let* () = Prog.guard (count1 = count2) "rs service table stable" in
-    let* _ = Prog.kcall (Prog.K_alarm { ticks = heartbeat_ticks }) in
-    Prog.return ()
-  | Message.Ping -> Prog.reply src Message.R_pong
+    let n = Mem.get_cell t.c_heartbeats in
+    Mem.set_cell t.c_heartbeats (n + 1);
+    let count1 = count_services t in
+    Srvlib.diag (Printf.sprintf "rs: heartbeat %d" (n + 1));
+    Op.send Endpoint.ds (Message.Ds_publish { key = "rs.heartbeat"; value = n + 1 });
+    let count2 = count_services t in
+    if count1 <> count2 then Op.fail "assertion failed: rs service table stable";
+    kcall (Prog.K_alarm { ticks = heartbeat_ticks })
+  | Message.Ping -> Op.reply src Message.R_pong
   | _ -> Srvlib.reply_err src Errno.ENOSYS
 
 let init t =
-  let services =
-    [ (Endpoint.pm, "pm"); (Endpoint.vfs, "vfs"); (Endpoint.vm, "vm");
-      (Endpoint.ds, "ds"); (Endpoint.rs, "rs"); (Endpoint.mfs, "mfs") ]
-  in
-  let* () =
-    Prog.iter_list
-      (fun (row, (ep, label)) ->
-         let* () = Prog.Mem.set_int t.services ~row t.s_used 1 in
-         let* () = Prog.Mem.set_int t.services ~row t.s_ep ep in
-         let* () = Prog.Mem.set_str t.services ~row t.s_label label in
-         Prog.Mem.set_int t.services ~row t.s_restarts 0)
-      (List.mapi (fun i s -> (i, s)) services)
-  in
-  let* () = Prog.Mem.set_cell t.c_restarts 0 in
-  let* () = Prog.Mem.set_cell t.c_shutdowns 0 in
-  let* () = Prog.Mem.set_cell t.c_notices 0 in
-  let* () = Prog.Mem.set_cell t.c_heartbeats 0 in
-  let* _ = Prog.kcall (Prog.K_alarm { ticks = heartbeat_ticks }) in
-  Prog.return ()
+  Prog.direct (fun () ->
+      List.iteri
+        (fun row (ep, label) ->
+           Mem.set_int t.services ~row t.s_used 1;
+           Mem.set_int t.services ~row t.s_ep ep;
+           Mem.set_str t.services ~row t.s_label label;
+           Mem.set_int t.services ~row t.s_restarts 0)
+        [ (Endpoint.pm, "pm"); (Endpoint.vfs, "vfs"); (Endpoint.vm, "vm");
+          (Endpoint.ds, "ds"); (Endpoint.rs, "rs"); (Endpoint.mfs, "mfs") ];
+      Mem.set_cell t.c_restarts 0;
+      Mem.set_cell t.c_shutdowns 0;
+      Mem.set_cell t.c_notices 0;
+      Mem.set_cell t.c_heartbeats 0;
+      kcall (Prog.K_alarm { ticks = heartbeat_ticks }))
 
 let server t =
   { Kernel.srv_ep = Endpoint.rs;

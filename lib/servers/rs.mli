@@ -32,7 +32,7 @@ val create :
     once a crash-looping component has been restarted that many times,
     the next crash triggers a controlled shutdown instead of another
     restart. Unbudgeted compartments execute the exact pre-budget
-    instruction stream (the budget check compiles to a free bind). *)
+    instruction stream (the budget check performs no operation). *)
 
 val server : t -> Kernel.server
 

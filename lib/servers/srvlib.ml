@@ -1,8 +1,6 @@
-open Prog.Syntax
+let reply_ok dst v = Kernel.Op.reply dst (Message.R_ok v)
 
-let reply_ok dst v = Prog.reply dst (Message.R_ok v)
-
-let reply_err dst err = Prog.reply dst (Message.R_err err)
+let reply_err dst err = Kernel.Op.reply dst (Message.R_err err)
 
 let err_of_reply = function
   | Message.R_err e -> Some e
@@ -10,63 +8,32 @@ let err_of_reply = function
 
 let call_retry dst msg =
   let rec go n =
-    let* r = Prog.call dst msg in
-    match r with
+    match Kernel.Op.call dst msg with
     | Message.R_err Errno.E_CRASH when n > 0 -> go (n - 1)
-    | other -> Prog.return other
+    | other -> other
   in
   go 3
 
 let scan ~rows pred =
-  let rec go i =
-    if i >= rows then Prog.return None
-    else
-      let* hit = pred i in
-      if hit then Prog.return (Some i) else go (i + 1)
-  in
+  let rec go i = if i >= rows then None else if pred i then Some i else go (i + 1) in
   go 0
 
-let diag line = Prog.send Endpoint.kernel (Message.Diag { line })
+let diag line = Kernel.Op.send Endpoint.kernel (Message.Diag { line })
 
 let simple_loop handle =
-  let rec go () =
-    let* src, msg = Prog.receive in
-    let* () = handle src msg in
-    go ()
-  in
-  go ()
+  Prog.direct (fun () ->
+      let rec go () =
+        let src, msg = Kernel.Op.receive () in
+        handle src msg;
+        go ()
+      in
+      go ())
 
 let threaded_loop handle =
-  let rec go () =
-    let* src, msg = Prog.receive in
-    let* () = Prog.spawn (handle src msg) in
-    go ()
-  in
-  go ()
-
-module Direct = struct
-  let reply_ok dst v = Kernel.Op.reply dst (Message.R_ok v)
-
-  let reply_err dst err = Kernel.Op.reply dst (Message.R_err err)
-
-  let call_retry dst msg =
-    let rec go n =
-      match Kernel.Op.call dst msg with
-      | Message.R_err Errno.E_CRASH when n > 0 -> go (n - 1)
-      | other -> other
-    in
-    go 3
-
-  let scan ~rows pred =
-    let rec go i = if i >= rows then None else if pred i then Some i else go (i + 1) in
-    go 0
-
-  let simple_loop handle =
-    Prog.direct (fun () ->
-        let rec go () =
-          let src, msg = Kernel.Op.receive () in
-          handle src msg;
-          go ()
-        in
-        go ())
-end
+  Prog.direct (fun () ->
+      let rec go () =
+        let src, msg = Kernel.Op.receive () in
+        Kernel.Op.spawn (Prog.direct (fun () -> handle src msg));
+        go ()
+      in
+      go ())

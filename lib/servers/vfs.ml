@@ -1,5 +1,3 @@
-open Prog.Syntax
-
 let max_procs = 64
 let max_fds = 16
 let max_files = 128
@@ -71,77 +69,65 @@ let create () =
 
 (* ---------------- row helpers -------------------------------------- *)
 
+module Op = Kernel.Op
+module Mem = Kernel.Op.Mem
+
 let find_proc t ep =
   Srvlib.scan ~rows:max_procs (fun row ->
-      let* used = Prog.Mem.get_int t.procs ~row t.p_used in
-      if used = 0 then Prog.return false
-      else
-        let* e = Prog.Mem.get_int t.procs ~row t.p_ep in
-        Prog.return (e = ep))
+      Mem.get_int t.procs ~row t.p_used <> 0
+      && Mem.get_int t.procs ~row t.p_ep = ep)
 
 let with_proc t src k =
-  let* row = find_proc t src in
-  match row with
+  match find_proc t src with
   | None -> Srvlib.reply_err src Errno.ESRCH
   | Some row -> k row
 
 let find_free_file t =
-  Srvlib.scan ~rows:max_files (fun row ->
-      let* kind = Prog.Mem.get_int t.files ~row t.fi_kind in
-      Prog.return (kind = k_free))
+  Srvlib.scan ~rows:max_files (fun row -> Mem.get_int t.files ~row t.fi_kind = k_free)
 
 let find_free_fd t ~prow =
-  let rec go fd =
-    if fd >= max_fds then Prog.return None
-    else
-      let* v = Prog.Mem.get_int t.procs ~row:prow t.p_fds.(fd) in
-      if v = 0 then Prog.return (Some fd) else go (fd + 1)
-  in
-  go 0
+  Srvlib.scan ~rows:max_fds (fun fd -> Mem.get_int t.procs ~row:prow t.p_fds.(fd) = 0)
 
 (* File row index for an fd, or None. *)
 let file_of_fd t ~prow ~fd =
-  if fd < 0 || fd >= max_fds then Prog.return None
+  if fd < 0 || fd >= max_fds then None
   else
-    let* v = Prog.Mem.get_int t.procs ~row:prow t.p_fds.(fd) in
-    if v = 0 then Prog.return None else Prog.return (Some (v - 1))
+    let v = Mem.get_int t.procs ~row:prow t.p_fds.(fd) in
+    if v = 0 then None else Some (v - 1)
 
 let abs_path t ~prow path =
-  if String.length path > 0 && path.[0] = '/' then Prog.return path
+  if String.length path > 0 && path.[0] = '/' then path
   else
-    let* cwd = Prog.Mem.get_str t.procs ~row:prow t.p_cwd in
-    Prog.return (if cwd = "/" then "/" ^ path else cwd ^ "/" ^ path)
+    let cwd = Mem.get_str t.procs ~row:prow t.p_cwd in
+    if cwd = "/" then "/" ^ path else cwd ^ "/" ^ path
 
 (* Drop one reference to a file row, releasing it (and updating pipe
    endpoint counts) when the last reference goes. *)
 let deref_file t ~frow =
-  let* refs = Prog.Mem.get_int t.files ~row:frow t.fi_refs in
-  if refs > 1 then Prog.Mem.set_int t.files ~row:frow t.fi_refs (refs - 1)
-  else
-    let* kind = Prog.Mem.get_int t.files ~row:frow t.fi_kind in
-    let* () =
-      if kind = k_pipe_r || kind = k_pipe_w then
-        let* pipe = Prog.Mem.get_int t.files ~row:frow t.fi_pipe in
-        let field = if kind = k_pipe_r then t.pi_readers else t.pi_writers in
-        let* n = Prog.Mem.get_int t.pipes ~row:pipe field in
-        let* () = Prog.Mem.set_int t.pipes ~row:pipe field (n - 1) in
-        (* Free the pipe when both sides are gone. *)
-        let* r = Prog.Mem.get_int t.pipes ~row:pipe t.pi_readers in
-        let* w = Prog.Mem.get_int t.pipes ~row:pipe t.pi_writers in
-        Prog.when_ (r = 0 && w = 0)
-          (Prog.Mem.set_int t.pipes ~row:pipe t.pi_used 0)
-      else Prog.return ()
-    in
-    Prog.Mem.set_int t.files ~row:frow t.fi_kind k_free
+  let refs = Mem.get_int t.files ~row:frow t.fi_refs in
+  if refs > 1 then Mem.set_int t.files ~row:frow t.fi_refs (refs - 1)
+  else begin
+    let kind = Mem.get_int t.files ~row:frow t.fi_kind in
+    if kind = k_pipe_r || kind = k_pipe_w then begin
+      let pipe = Mem.get_int t.files ~row:frow t.fi_pipe in
+      let field = if kind = k_pipe_r then t.pi_readers else t.pi_writers in
+      let n = Mem.get_int t.pipes ~row:pipe field in
+      Mem.set_int t.pipes ~row:pipe field (n - 1);
+      (* Free the pipe when both sides are gone. *)
+      let r = Mem.get_int t.pipes ~row:pipe t.pi_readers in
+      let w = Mem.get_int t.pipes ~row:pipe t.pi_writers in
+      if r = 0 && w = 0 then Mem.set_int t.pipes ~row:pipe t.pi_used 0
+    end;
+    Mem.set_int t.files ~row:frow t.fi_kind k_free
+  end
 
 let close_fd t ~prow ~fd =
-  let* frow = file_of_fd t ~prow ~fd in
-  match frow with
-  | None -> Prog.return (Error Errno.EBADF)
+  match file_of_fd t ~prow ~fd with
+  | None -> Error Errno.EBADF
   | Some frow ->
-    let* () = Prog.Mem.set_int t.procs ~row:prow t.p_fds.(fd) 0 in
-    let* () = deref_file t ~frow in
-    Prog.return (Ok ())
+    Mem.set_int t.procs ~row:prow t.p_fds.(fd) 0;
+    deref_file t ~frow;
+    Ok ()
 
 (* ---------------- circular pipe buffer (pure helpers) -------------- *)
 
@@ -165,32 +151,33 @@ let pad_buf s =
 
 (* ---------------- pipe I/O ----------------------------------------- *)
 
+(* A blocked pipe operation yields and tries again. The code between
+   the yield and the retry's first load runs after the thread resumes;
+   it cannot raise, because the retry's first load is at a row the
+   previous attempt already read. *)
 let pipe_read t src ~pipe ~len =
   let rec attempt () =
-    let* used = Prog.Mem.get_int t.pipes ~row:pipe t.pi_used in
-    if used = 0 then Srvlib.reply_err src Errno.EBADF
+    if Mem.get_int t.pipes ~row:pipe t.pi_used = 0 then
+      Srvlib.reply_err src Errno.EBADF
     else
-      let* count = Prog.Mem.get_int t.pipes ~row:pipe t.pi_count in
+      let count = Mem.get_int t.pipes ~row:pipe t.pi_count in
       if count > 0 then begin
         let n = min len count in
-        let* buf = Prog.Mem.get_str t.pipes ~row:pipe t.pi_buf in
-        let* rstart = Prog.Mem.get_int t.pipes ~row:pipe t.pi_rstart in
+        let buf = Mem.get_str t.pipes ~row:pipe t.pi_buf in
+        let rstart = Mem.get_int t.pipes ~row:pipe t.pi_rstart in
         let data = circ_read (pad_buf buf) ~rstart ~n in
-        let* () =
-          Prog.Mem.set_int t.pipes ~row:pipe t.pi_rstart
-            ((rstart + n) mod pipe_capacity)
-        in
-        let* () = Prog.Mem.set_int t.pipes ~row:pipe t.pi_count (count - n) in
-        Prog.reply src (Message.R_read { data })
+        Mem.set_int t.pipes ~row:pipe t.pi_rstart ((rstart + n) mod pipe_capacity);
+        Mem.set_int t.pipes ~row:pipe t.pi_count (count - n);
+        Op.reply src (Message.R_read { data })
       end
-      else
-        let* writers = Prog.Mem.get_int t.pipes ~row:pipe t.pi_writers in
-        if writers = 0 then Prog.reply src (Message.R_read { data = "" })
-        else
-          (* Block: yield lets the writer's thread (or another process)
-             run; the yield closes the recovery window. *)
-          let* () = Prog.yield in
-          attempt ()
+      else if Mem.get_int t.pipes ~row:pipe t.pi_writers = 0 then
+        Op.reply src (Message.R_read { data = "" })
+      else begin
+        (* Block: yield lets the writer's thread (or another process)
+           run; the yield closes the recovery window. *)
+        Op.yield ();
+        attempt ()
+      end
   in
   attempt ()
 
@@ -198,413 +185,348 @@ let pipe_write t src ~pipe ~data =
   let total = String.length data in
   let rec push written =
     if written >= total then Srvlib.reply_ok src total
+    else if Mem.get_int t.pipes ~row:pipe t.pi_used = 0 then
+      Srvlib.reply_err src Errno.EBADF
+    else if Mem.get_int t.pipes ~row:pipe t.pi_readers = 0 then
+      Srvlib.reply_err src Errno.EPIPE
     else
-      let* used = Prog.Mem.get_int t.pipes ~row:pipe t.pi_used in
-      if used = 0 then Srvlib.reply_err src Errno.EBADF
-      else
-        let* readers = Prog.Mem.get_int t.pipes ~row:pipe t.pi_readers in
-        if readers = 0 then Srvlib.reply_err src Errno.EPIPE
-        else
-          let* count = Prog.Mem.get_int t.pipes ~row:pipe t.pi_count in
-          let space = pipe_capacity - count in
-          if space = 0 then
-            let* () = Prog.yield in
-            push written
-          else begin
-            let n = min space (total - written) in
-            let chunk = String.sub data written n in
-            let* buf = Prog.Mem.get_str t.pipes ~row:pipe t.pi_buf in
-            let* rstart = Prog.Mem.get_int t.pipes ~row:pipe t.pi_rstart in
-            let wstart = (rstart + count) mod pipe_capacity in
-            let nbuf = circ_write (pad_buf buf) ~wstart chunk in
-            let* () =
-              Prog.store_str
-                ~off:(Layout.Table.addr_str t.pipes ~row:pipe t.pi_buf)
-                ~len:pipe_capacity nbuf
-            in
-            let* () = Prog.Mem.set_int t.pipes ~row:pipe t.pi_count (count + n) in
-            push (written + n)
-          end
+      let count = Mem.get_int t.pipes ~row:pipe t.pi_count in
+      let space = pipe_capacity - count in
+      if space = 0 then begin
+        Op.yield ();
+        push written
+      end
+      else begin
+        let n = min space (total - written) in
+        let chunk = String.sub data written n in
+        let buf = Mem.get_str t.pipes ~row:pipe t.pi_buf in
+        let rstart = Mem.get_int t.pipes ~row:pipe t.pi_rstart in
+        let wstart = (rstart + count) mod pipe_capacity in
+        let nbuf = circ_write (pad_buf buf) ~wstart chunk in
+        Op.store_str
+          ~off:(Layout.Table.addr_str t.pipes ~row:pipe t.pi_buf)
+          ~len:pipe_capacity nbuf;
+        Mem.set_int t.pipes ~row:pipe t.pi_count (count + n);
+        push (written + n)
+      end
   in
   push 0
 
 (* ---------------- handlers ----------------------------------------- *)
 
+let lookup_result = function
+  | Message.R_lookup { ino; size; is_dir } -> Ok (ino, size, is_dir)
+  | Message.R_err e -> Error e
+  | _ -> Error Errno.EIO
+
 let mfs_lookup t ~prow path =
-  let* path = abs_path t ~prow path in
-  let* r = Prog.call Endpoint.mfs (Message.Mfs_lookup { path }) in
-  match r with
-  | Message.R_lookup { ino; size; is_dir } -> Prog.return (Ok (ino, size, is_dir))
-  | Message.R_err e -> Prog.return (Error e)
-  | _ -> Prog.return (Error Errno.EIO)
+  let path = abs_path t ~prow path in
+  lookup_result (Op.call Endpoint.mfs (Message.Mfs_lookup { path }))
 
 let do_open t src ~prow ~path ~flags =
   let open Message in
-  let* looked = mfs_lookup t ~prow path in
-  let* created =
-    match looked with
+  let created =
+    match mfs_lookup t ~prow path with
     | Error Errno.ENOENT when flags.o_create ->
-      let* path = abs_path t ~prow path in
-      let* r = Prog.call Endpoint.mfs (Mfs_create { path }) in
-      (match r with
-       | R_lookup { ino; size; is_dir } -> Prog.return (Ok (ino, size, is_dir))
-       | R_err e -> Prog.return (Error e)
-       | _ -> Prog.return (Error Errno.EIO))
-    | other -> Prog.return other
+      let path = abs_path t ~prow path in
+      lookup_result (Op.call Endpoint.mfs (Mfs_create { path }))
+    | other -> other
   in
   match created with
   | Error e -> Srvlib.reply_err src e
   | Ok (_, _, true) -> Srvlib.reply_err src Errno.EISDIR
   | Ok (ino, size, false) ->
-    let* () =
-      Prog.when_ (flags.o_trunc && size > 0)
-        (let* _ = Prog.call Endpoint.mfs (Mfs_trunc { ino; len = 0 }) in
-         Prog.return ())
-    in
-    let* frow = find_free_file t in
-    (match frow with
-     | None -> Srvlib.reply_err src Errno.ENFILE
-     | Some frow ->
-       let* fd = find_free_fd t ~prow in
-       (match fd with
-        | None -> Srvlib.reply_err src Errno.EMFILE
-        | Some fd ->
-          let pos = if flags.o_append then size else 0 in
-          let* () = Prog.Mem.set_int t.files ~row:frow t.fi_kind k_file in
-          let* () = Prog.Mem.set_int t.files ~row:frow t.fi_ino ino in
-          let* () =
-            Prog.Mem.set_int t.files ~row:frow t.fi_pos
-              (if flags.o_trunc then 0 else pos)
-          in
-          let* () = Prog.Mem.set_int t.files ~row:frow t.fi_refs 1 in
-          let* () = Prog.Mem.set_int t.files ~row:frow t.fi_pipe 0 in
-          let* () = Prog.Mem.set_int t.procs ~row:prow t.p_fds.(fd) (frow + 1) in
-          let* n = Prog.Mem.get_cell t.c_opens in
-          let* () = Prog.Mem.set_cell t.c_opens (n + 1) in
-          Srvlib.reply_ok src fd))
+    if flags.o_trunc && size > 0 then
+      ignore (Op.call Endpoint.mfs (Mfs_trunc { ino; len = 0 }));
+    match find_free_file t with
+    | None -> Srvlib.reply_err src Errno.ENFILE
+    | Some frow ->
+      match find_free_fd t ~prow with
+      | None -> Srvlib.reply_err src Errno.EMFILE
+      | Some fd ->
+        let pos = if flags.o_append then size else 0 in
+        Mem.set_int t.files ~row:frow t.fi_kind k_file;
+        Mem.set_int t.files ~row:frow t.fi_ino ino;
+        Mem.set_int t.files ~row:frow t.fi_pos (if flags.o_trunc then 0 else pos);
+        Mem.set_int t.files ~row:frow t.fi_refs 1;
+        Mem.set_int t.files ~row:frow t.fi_pipe 0;
+        Mem.set_int t.procs ~row:prow t.p_fds.(fd) (frow + 1);
+        let n = Mem.get_cell t.c_opens in
+        Mem.set_cell t.c_opens (n + 1);
+        Srvlib.reply_ok src fd
 
+(* Forward a path request to MFS and reply 0 or its error. *)
 let forward_to_mfs t src ~prow msg_of_path path =
-  let* path = abs_path t ~prow path in
-  let* r = Prog.call Endpoint.mfs (msg_of_path path) in
-  match Srvlib.err_of_reply r with
+  let path = abs_path t ~prow path in
+  match Srvlib.err_of_reply (Op.call Endpoint.mfs (msg_of_path path)) with
   | Some e -> Srvlib.reply_err src e
   | None -> Srvlib.reply_ok src 0
 
+(* Handlers run in a freshly spawned thread (see [Srvlib.threaded_loop]):
+   up to its first operation, each one below only matches on the
+   message. *)
 let handle t src msg =
   match msg with
   | Message.Open { path; flags } ->
     with_proc t src (fun prow -> do_open t src ~prow ~path ~flags)
   | Message.Close { fd } ->
     with_proc t src (fun prow ->
-        let* r = close_fd t ~prow ~fd in
-        match r with
+        match close_fd t ~prow ~fd with
         | Error e -> Srvlib.reply_err src e
         | Ok () -> Srvlib.reply_ok src 0)
   | Message.Read { fd; len } ->
     with_proc t src (fun prow ->
-        let* frow = file_of_fd t ~prow ~fd in
-        match frow with
+        match file_of_fd t ~prow ~fd with
         | None -> Srvlib.reply_err src Errno.EBADF
         | Some frow ->
-          let* kind = Prog.Mem.get_int t.files ~row:frow t.fi_kind in
+          let kind = Mem.get_int t.files ~row:frow t.fi_kind in
           if kind = k_file then
-            let* ino = Prog.Mem.get_int t.files ~row:frow t.fi_ino in
-            let* pos = Prog.Mem.get_int t.files ~row:frow t.fi_pos in
-            let* r = Prog.call Endpoint.mfs (Message.Mfs_read { ino; off = pos; len }) in
-            match r with
+            let ino = Mem.get_int t.files ~row:frow t.fi_ino in
+            let pos = Mem.get_int t.files ~row:frow t.fi_pos in
+            match Op.call Endpoint.mfs (Message.Mfs_read { ino; off = pos; len }) with
             | Message.R_read { data } ->
-              let* () =
-                Prog.Mem.set_int t.files ~row:frow t.fi_pos
-                  (pos + String.length data)
-              in
-              Prog.reply src (Message.R_read { data })
+              Mem.set_int t.files ~row:frow t.fi_pos (pos + String.length data);
+              Op.reply src (Message.R_read { data })
             | Message.R_err e -> Srvlib.reply_err src e
             | _ -> Srvlib.reply_err src Errno.EIO
           else if kind = k_pipe_r then
-            let* pipe = Prog.Mem.get_int t.files ~row:frow t.fi_pipe in
+            let pipe = Mem.get_int t.files ~row:frow t.fi_pipe in
             pipe_read t src ~pipe ~len
           else Srvlib.reply_err src Errno.EBADF)
   | Message.Write { fd; data } ->
     with_proc t src (fun prow ->
-        let* frow = file_of_fd t ~prow ~fd in
-        match frow with
+        match file_of_fd t ~prow ~fd with
         | None -> Srvlib.reply_err src Errno.EBADF
         | Some frow ->
-          let* kind = Prog.Mem.get_int t.files ~row:frow t.fi_kind in
+          let kind = Mem.get_int t.files ~row:frow t.fi_kind in
           if kind = k_file then
-            let* ino = Prog.Mem.get_int t.files ~row:frow t.fi_ino in
-            let* pos = Prog.Mem.get_int t.files ~row:frow t.fi_pos in
-            let* r =
-              Prog.call Endpoint.mfs (Message.Mfs_write { ino; off = pos; data })
-            in
-            match r with
+            let ino = Mem.get_int t.files ~row:frow t.fi_ino in
+            let pos = Mem.get_int t.files ~row:frow t.fi_pos in
+            match Op.call Endpoint.mfs (Message.Mfs_write { ino; off = pos; data }) with
             | Message.R_ok n ->
-              let* () = Prog.Mem.set_int t.files ~row:frow t.fi_pos (pos + n) in
+              Mem.set_int t.files ~row:frow t.fi_pos (pos + n);
               Srvlib.reply_ok src n
             | Message.R_err e -> Srvlib.reply_err src e
             | _ -> Srvlib.reply_err src Errno.EIO
           else if kind = k_pipe_w then
-            let* pipe = Prog.Mem.get_int t.files ~row:frow t.fi_pipe in
+            let pipe = Mem.get_int t.files ~row:frow t.fi_pipe in
             pipe_write t src ~pipe ~data
           else Srvlib.reply_err src Errno.EBADF)
   | Message.Lseek { fd; off; whence } ->
     with_proc t src (fun prow ->
-        let* frow = file_of_fd t ~prow ~fd in
-        match frow with
+        match file_of_fd t ~prow ~fd with
         | None -> Srvlib.reply_err src Errno.EBADF
         | Some frow ->
-          let* kind = Prog.Mem.get_int t.files ~row:frow t.fi_kind in
-          if kind <> k_file then Srvlib.reply_err src Errno.EINVAL
+          if Mem.get_int t.files ~row:frow t.fi_kind <> k_file then
+            Srvlib.reply_err src Errno.EINVAL
           else
-            let* pos = Prog.Mem.get_int t.files ~row:frow t.fi_pos in
-            let* base =
+            let pos = Mem.get_int t.files ~row:frow t.fi_pos in
+            let base =
               match whence with
-              | Message.Seek_set -> Prog.return 0
-              | Message.Seek_cur -> Prog.return pos
+              | Message.Seek_set -> 0
+              | Message.Seek_cur -> pos
               | Message.Seek_end ->
-                let* ino = Prog.Mem.get_int t.files ~row:frow t.fi_ino in
-                let* r = Prog.call Endpoint.mfs (Message.Mfs_stat { ino }) in
-                (match r with
-                 | Message.R_stat { st_size; _ } -> Prog.return st_size
-                 | _ -> Prog.return 0)
+                let ino = Mem.get_int t.files ~row:frow t.fi_ino in
+                (match Op.call Endpoint.mfs (Message.Mfs_stat { ino }) with
+                 | Message.R_stat { st_size; _ } -> st_size
+                 | _ -> 0)
             in
             let npos = base + off in
             if npos < 0 then Srvlib.reply_err src Errno.EINVAL
-            else
-              let* () = Prog.Mem.set_int t.files ~row:frow t.fi_pos npos in
-              Srvlib.reply_ok src npos)
+            else begin
+              Mem.set_int t.files ~row:frow t.fi_pos npos;
+              Srvlib.reply_ok src npos
+            end)
   | Message.Pipe ->
     with_proc t src (fun prow ->
-        let* pipe =
+        match
           Srvlib.scan ~rows:max_pipes (fun row ->
-              let* used = Prog.Mem.get_int t.pipes ~row t.pi_used in
-              Prog.return (used = 0))
-        in
-        match pipe with
+              Mem.get_int t.pipes ~row t.pi_used = 0)
+        with
         | None -> Srvlib.reply_err src Errno.ENFILE
         | Some pipe ->
-          let* fr = find_free_file t in
-          (match fr with
-           | None -> Srvlib.reply_err src Errno.ENFILE
-           | Some fr ->
-             (* Reserve the read end before searching for the write
-                end's slot. *)
-             let* () = Prog.Mem.set_int t.files ~row:fr t.fi_kind k_pipe_r in
-             let* fw = find_free_file t in
-             (match fw with
+          match find_free_file t with
+          | None -> Srvlib.reply_err src Errno.ENFILE
+          | Some fr ->
+            (* Reserve the read end before searching for the write
+               end's slot. *)
+            Mem.set_int t.files ~row:fr t.fi_kind k_pipe_r;
+            match find_free_file t with
+            | None ->
+              Mem.set_int t.files ~row:fr t.fi_kind k_free;
+              Srvlib.reply_err src Errno.ENFILE
+            | Some fw ->
+              match find_free_fd t ~prow with
               | None ->
-                let* () = Prog.Mem.set_int t.files ~row:fr t.fi_kind k_free in
-                Srvlib.reply_err src Errno.ENFILE
-              | Some fw ->
-                let* rfd = find_free_fd t ~prow in
-                (match rfd with
-                 | None ->
-                   let* () = Prog.Mem.set_int t.files ~row:fr t.fi_kind k_free in
-                   Srvlib.reply_err src Errno.EMFILE
-                 | Some rfd ->
-                   let* () = Prog.Mem.set_int t.procs ~row:prow t.p_fds.(rfd) (fr + 1) in
-                   let* wfd = find_free_fd t ~prow in
-                   (match wfd with
-                    | None ->
-                      let* () = Prog.Mem.set_int t.procs ~row:prow t.p_fds.(rfd) 0 in
-                      let* () = Prog.Mem.set_int t.files ~row:fr t.fi_kind k_free in
-                      Srvlib.reply_err src Errno.EMFILE
-                    | Some wfd ->
-                      let* () = Prog.Mem.set_int t.pipes ~row:pipe t.pi_used 1 in
-                      let* () = Prog.Mem.set_int t.pipes ~row:pipe t.pi_count 0 in
-                      let* () = Prog.Mem.set_int t.pipes ~row:pipe t.pi_rstart 0 in
-                      let* () = Prog.Mem.set_int t.pipes ~row:pipe t.pi_readers 1 in
-                      let* () = Prog.Mem.set_int t.pipes ~row:pipe t.pi_writers 1 in
-                      let* () = Prog.Mem.set_int t.files ~row:fr t.fi_refs 1 in
-                      let* () = Prog.Mem.set_int t.files ~row:fr t.fi_pipe pipe in
-                      let* () = Prog.Mem.set_int t.files ~row:fw t.fi_kind k_pipe_w in
-                      let* () = Prog.Mem.set_int t.files ~row:fw t.fi_refs 1 in
-                      let* () = Prog.Mem.set_int t.files ~row:fw t.fi_pipe pipe in
-                      let* () = Prog.Mem.set_int t.procs ~row:prow t.p_fds.(wfd) (fw + 1) in
-                      Prog.reply src (Message.R_pipe { rfd; wfd }))))))
+                Mem.set_int t.files ~row:fr t.fi_kind k_free;
+                Srvlib.reply_err src Errno.EMFILE
+              | Some rfd ->
+                Mem.set_int t.procs ~row:prow t.p_fds.(rfd) (fr + 1);
+                match find_free_fd t ~prow with
+                | None ->
+                  Mem.set_int t.procs ~row:prow t.p_fds.(rfd) 0;
+                  Mem.set_int t.files ~row:fr t.fi_kind k_free;
+                  Srvlib.reply_err src Errno.EMFILE
+                | Some wfd ->
+                  Mem.set_int t.pipes ~row:pipe t.pi_used 1;
+                  Mem.set_int t.pipes ~row:pipe t.pi_count 0;
+                  Mem.set_int t.pipes ~row:pipe t.pi_rstart 0;
+                  Mem.set_int t.pipes ~row:pipe t.pi_readers 1;
+                  Mem.set_int t.pipes ~row:pipe t.pi_writers 1;
+                  Mem.set_int t.files ~row:fr t.fi_refs 1;
+                  Mem.set_int t.files ~row:fr t.fi_pipe pipe;
+                  Mem.set_int t.files ~row:fw t.fi_kind k_pipe_w;
+                  Mem.set_int t.files ~row:fw t.fi_refs 1;
+                  Mem.set_int t.files ~row:fw t.fi_pipe pipe;
+                  Mem.set_int t.procs ~row:prow t.p_fds.(wfd) (fw + 1);
+                  Op.reply src (Message.R_pipe { rfd; wfd }))
   | Message.Dup { fd } ->
     with_proc t src (fun prow ->
-        let* frow = file_of_fd t ~prow ~fd in
-        match frow with
+        match file_of_fd t ~prow ~fd with
         | None -> Srvlib.reply_err src Errno.EBADF
         | Some frow ->
-          let* nfd = find_free_fd t ~prow in
-          (match nfd with
-           | None -> Srvlib.reply_err src Errno.EMFILE
-           | Some nfd ->
-             let* refs = Prog.Mem.get_int t.files ~row:frow t.fi_refs in
-             let* () = Prog.Mem.set_int t.files ~row:frow t.fi_refs (refs + 1) in
-             let* () = Prog.Mem.set_int t.procs ~row:prow t.p_fds.(nfd) (frow + 1) in
-             Srvlib.reply_ok src nfd))
+          match find_free_fd t ~prow with
+          | None -> Srvlib.reply_err src Errno.EMFILE
+          | Some nfd ->
+            let refs = Mem.get_int t.files ~row:frow t.fi_refs in
+            Mem.set_int t.files ~row:frow t.fi_refs (refs + 1);
+            Mem.set_int t.procs ~row:prow t.p_fds.(nfd) (frow + 1);
+            Srvlib.reply_ok src nfd)
   | Message.Unlink { path } ->
     with_proc t src (fun prow ->
         forward_to_mfs t src ~prow (fun path -> Message.Mfs_unlink { path }) path)
   | Message.Mkdir { path } ->
     with_proc t src (fun prow ->
-        let* path = abs_path t ~prow path in
-        let* r = Prog.call Endpoint.mfs (Message.Mfs_mkdir { path }) in
-        match Srvlib.err_of_reply r with
-        | Some e -> Srvlib.reply_err src e
-        | None -> Srvlib.reply_ok src 0)
+        forward_to_mfs t src ~prow (fun path -> Message.Mfs_mkdir { path }) path)
   | Message.Rmdir { path } ->
     with_proc t src (fun prow ->
         forward_to_mfs t src ~prow (fun path -> Message.Mfs_rmdir { path }) path)
   | Message.Rename { src = s; dst = d } ->
     with_proc t src (fun prow ->
-        let* s = abs_path t ~prow s in
-        let* d = abs_path t ~prow d in
-        let* r = Prog.call Endpoint.mfs (Message.Mfs_rename { src = s; dst = d }) in
-        match Srvlib.err_of_reply r with
+        let s = abs_path t ~prow s in
+        let d = abs_path t ~prow d in
+        match
+          Srvlib.err_of_reply
+            (Op.call Endpoint.mfs (Message.Mfs_rename { src = s; dst = d }))
+        with
         | Some e -> Srvlib.reply_err src e
         | None -> Srvlib.reply_ok src 0)
   | Message.Stat { path } ->
     with_proc t src (fun prow ->
-        let* looked = mfs_lookup t ~prow path in
-        match looked with
+        match mfs_lookup t ~prow path with
         | Error e -> Srvlib.reply_err src e
         | Ok (ino, size, is_dir) ->
-          Prog.reply src
+          Op.reply src
             (Message.R_stat { st_ino = ino; st_size = size; st_is_dir = is_dir }))
   | Message.Fstat { fd } ->
     with_proc t src (fun prow ->
-        let* frow = file_of_fd t ~prow ~fd in
-        match frow with
+        match file_of_fd t ~prow ~fd with
         | None -> Srvlib.reply_err src Errno.EBADF
         | Some frow ->
-          let* kind = Prog.Mem.get_int t.files ~row:frow t.fi_kind in
-          if kind = k_file then
-            let* ino = Prog.Mem.get_int t.files ~row:frow t.fi_ino in
-            let* r = Prog.call Endpoint.mfs (Message.Mfs_stat { ino }) in
-            match r with
-            | Message.R_stat _ as st -> Prog.reply src st
+          if Mem.get_int t.files ~row:frow t.fi_kind = k_file then
+            let ino = Mem.get_int t.files ~row:frow t.fi_ino in
+            match Op.call Endpoint.mfs (Message.Mfs_stat { ino }) with
+            | Message.R_stat _ as st -> Op.reply src st
             | Message.R_err e -> Srvlib.reply_err src e
             | _ -> Srvlib.reply_err src Errno.EIO
           else
-            let* pipe = Prog.Mem.get_int t.files ~row:frow t.fi_pipe in
-            let* count = Prog.Mem.get_int t.pipes ~row:pipe t.pi_count in
-            Prog.reply src
+            let pipe = Mem.get_int t.files ~row:frow t.fi_pipe in
+            let count = Mem.get_int t.pipes ~row:pipe t.pi_count in
+            Op.reply src
               (Message.R_stat { st_ino = -1; st_size = count; st_is_dir = false }))
   | Message.Readdir { path } ->
     with_proc t src (fun prow ->
-        let* looked = mfs_lookup t ~prow path in
-        match looked with
+        match mfs_lookup t ~prow path with
         | Error e -> Srvlib.reply_err src e
         | Ok (_, _, false) -> Srvlib.reply_err src Errno.ENOTDIR
         | Ok (ino, _, true) ->
-          let* r = Prog.call Endpoint.mfs (Message.Mfs_readdir { ino }) in
-          (match r with
-           | Message.R_names _ as names -> Prog.reply src names
-           | Message.R_err e -> Srvlib.reply_err src e
-           | _ -> Srvlib.reply_err src Errno.EIO))
+          match Op.call Endpoint.mfs (Message.Mfs_readdir { ino }) with
+          | Message.R_names _ as names -> Op.reply src names
+          | Message.R_err e -> Srvlib.reply_err src e
+          | _ -> Srvlib.reply_err src Errno.EIO)
   | Message.Dup2 { fd; tofd } ->
     with_proc t src (fun prow ->
-        let* frow = file_of_fd t ~prow ~fd in
-        match frow with
+        match file_of_fd t ~prow ~fd with
         | None -> Srvlib.reply_err src Errno.EBADF
         | Some frow ->
           if tofd < 0 || tofd >= max_fds then Srvlib.reply_err src Errno.EBADF
           else if tofd = fd then Srvlib.reply_ok src tofd
-          else
+          else begin
             (* Close the target slot first, POSIX-style. *)
-            let* old = file_of_fd t ~prow ~fd:tofd in
-            let* () =
-              match old with
-              | None -> Prog.return ()
-              | Some _ ->
-                let* _ = close_fd t ~prow ~fd:tofd in
-                Prog.return ()
-            in
-            let* refs = Prog.Mem.get_int t.files ~row:frow t.fi_refs in
-            let* () = Prog.Mem.set_int t.files ~row:frow t.fi_refs (refs + 1) in
-            let* () = Prog.Mem.set_int t.procs ~row:prow t.p_fds.(tofd) (frow + 1) in
-            Srvlib.reply_ok src tofd)
+            if Option.is_some (file_of_fd t ~prow ~fd:tofd) then
+              ignore (close_fd t ~prow ~fd:tofd);
+            let refs = Mem.get_int t.files ~row:frow t.fi_refs in
+            Mem.set_int t.files ~row:frow t.fi_refs (refs + 1);
+            Mem.set_int t.procs ~row:prow t.p_fds.(tofd) (frow + 1);
+            Srvlib.reply_ok src tofd
+          end)
   | Message.Chdir { path } ->
     with_proc t src (fun prow ->
-        let* apath = abs_path t ~prow path in
-        if String.length apath >= cwd_len then
-          Srvlib.reply_err src Errno.ENAMETOOLONG
+        let apath = abs_path t ~prow path in
+        if String.length apath >= cwd_len then Srvlib.reply_err src Errno.ENAMETOOLONG
         else
-          let* looked = mfs_lookup t ~prow apath in
-          match looked with
+          match mfs_lookup t ~prow apath with
           | Error e -> Srvlib.reply_err src e
           | Ok (_, _, false) -> Srvlib.reply_err src Errno.ENOTDIR
           | Ok (_, _, true) ->
-            let* () = Prog.Mem.set_str t.procs ~row:prow t.p_cwd apath in
+            Mem.set_str t.procs ~row:prow t.p_cwd apath;
             Srvlib.reply_ok src 0)
   | Message.Sync ->
-    let* r = Prog.call Endpoint.mfs Message.Mfs_sync in
-    (match Srvlib.err_of_reply r with
+    (match Srvlib.err_of_reply (Op.call Endpoint.mfs Message.Mfs_sync) with
      | Some e -> Srvlib.reply_err src e
      | None -> Srvlib.reply_ok src 0)
   | Message.Vfs_fork { parent; child } when src = Endpoint.pm ->
-    let* slot =
-      Srvlib.scan ~rows:max_procs (fun row ->
-          let* used = Prog.Mem.get_int t.procs ~row t.p_used in
-          Prog.return (used = 0))
-    in
-    (match slot with
+    (match
+       Srvlib.scan ~rows:max_procs (fun row -> Mem.get_int t.procs ~row t.p_used = 0)
+     with
      | None -> Srvlib.reply_err src Errno.EAGAIN
      | Some row ->
-       let* () = Prog.Mem.set_int t.procs ~row t.p_used 1 in
-       let* () = Prog.Mem.set_int t.procs ~row t.p_ep child in
-       let* prow_opt =
-         if parent = 0 then Prog.return None else find_proc t parent
-       in
-       (match prow_opt with
+       Mem.set_int t.procs ~row t.p_used 1;
+       Mem.set_int t.procs ~row t.p_ep child;
+       (match if parent = 0 then None else find_proc t parent with
         | None ->
-          let* () = Prog.Mem.set_str t.procs ~row t.p_cwd "/" in
-          let* () =
-            Prog.iter_range ~lo:0 ~hi:max_fds (fun fd ->
-                Prog.Mem.set_int t.procs ~row t.p_fds.(fd) 0)
-          in
-          Srvlib.reply_ok src 0
+          Mem.set_str t.procs ~row t.p_cwd "/";
+          for fd = 0 to max_fds - 1 do
+            Mem.set_int t.procs ~row t.p_fds.(fd) 0
+          done
         | Some prow ->
-          let* cwd = Prog.Mem.get_str t.procs ~row:prow t.p_cwd in
-          let* () = Prog.Mem.set_str t.procs ~row t.p_cwd cwd in
-          let* () =
-            Prog.iter_range ~lo:0 ~hi:max_fds (fun fd ->
-                let* v = Prog.Mem.get_int t.procs ~row:prow t.p_fds.(fd) in
-                let* () = Prog.Mem.set_int t.procs ~row t.p_fds.(fd) v in
-                if v = 0 then Prog.return ()
-                else begin
-                  (* Parent and child share the open-file description:
-                     bump its refcount. Pipe endpoint counts track
-                     descriptions, not descriptors, so they are NOT
-                     bumped here (EOF semantics). *)
-                  let frow = v - 1 in
-                  let* refs = Prog.Mem.get_int t.files ~row:frow t.fi_refs in
-                  Prog.Mem.set_int t.files ~row:frow t.fi_refs (refs + 1)
-                end)
-          in
-          Srvlib.reply_ok src 0))
+          let cwd = Mem.get_str t.procs ~row:prow t.p_cwd in
+          Mem.set_str t.procs ~row t.p_cwd cwd;
+          for fd = 0 to max_fds - 1 do
+            let v = Mem.get_int t.procs ~row:prow t.p_fds.(fd) in
+            Mem.set_int t.procs ~row t.p_fds.(fd) v;
+            if v <> 0 then begin
+              (* Parent and child share the open-file description:
+                 bump its refcount. Pipe endpoint counts track
+                 descriptions, not descriptors, so they are NOT
+                 bumped here (EOF semantics). *)
+              let frow = v - 1 in
+              let refs = Mem.get_int t.files ~row:frow t.fi_refs in
+              Mem.set_int t.files ~row:frow t.fi_refs (refs + 1)
+            end
+          done);
+       Srvlib.reply_ok src 0)
   | Message.Vfs_exec { proc; path } when src = Endpoint.pm ->
-    let* prow_opt = find_proc t proc in
-    (match prow_opt with
+    (match find_proc t proc with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some prow ->
-       let* looked = mfs_lookup t ~prow path in
-       (match looked with
-        | Error e -> Srvlib.reply_err src e
-        | Ok (_, _, true) -> Srvlib.reply_err src Errno.EISDIR
-        | Ok _ -> Srvlib.reply_ok src 0))
+       match mfs_lookup t ~prow path with
+       | Error e -> Srvlib.reply_err src e
+       | Ok (_, _, true) -> Srvlib.reply_err src Errno.EISDIR
+       | Ok _ -> Srvlib.reply_ok src 0)
   | Message.Vfs_exit { proc } when src = Endpoint.pm ->
-    let* prow_opt = find_proc t proc in
-    (match prow_opt with
+    (match find_proc t proc with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some prow ->
-       let* () =
-         Prog.iter_range ~lo:0 ~hi:max_fds (fun fd ->
-             let* v = Prog.Mem.get_int t.procs ~row:prow t.p_fds.(fd) in
-             if v = 0 then Prog.return ()
-             else
-               let* _ = close_fd t ~prow ~fd in
-               Prog.return ())
-       in
-       let* () = Prog.Mem.set_int t.procs ~row:prow t.p_used 0 in
+       for fd = 0 to max_fds - 1 do
+         if Mem.get_int t.procs ~row:prow t.p_fds.(fd) <> 0 then
+           ignore (close_fd t ~prow ~fd)
+       done;
+       Mem.set_int t.procs ~row:prow t.p_used 0;
        Srvlib.reply_ok src 0)
   | Message.Vfs_fork _ | Message.Vfs_exec _ | Message.Vfs_exit _ ->
     Srvlib.reply_err src Errno.EPERM
-  | Message.Ping -> Prog.reply src Message.R_pong
+  | Message.Ping -> Op.reply src Message.R_pong
   | _ -> Srvlib.reply_err src Errno.ENOSYS
 
 let dump_state t =
@@ -630,7 +552,7 @@ let dump_state t =
   done;
   List.rev !out
 
-let init t = Prog.Mem.set_cell t.c_opens 0
+let init t = Prog.direct (fun () -> Mem.set_cell t.c_opens 0)
 
 let server t =
   { Kernel.srv_ep = Endpoint.vfs;

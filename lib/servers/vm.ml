@@ -1,5 +1,3 @@
-open Prog.Syntax
-
 let page_size = 4096
 let total_pages = 16384      (* 64 MB of manageable memory *)
 let max_procs = 64
@@ -48,204 +46,182 @@ let create () =
   { image; procs; p_used; p_ep; p_pages; p_break; p_nregions; regions;
     r_used; r_owner; r_pages; c_pages_used; c_next_region }
 
+module Op = Kernel.Op
+module Mem = Kernel.Op.Mem
+
 let find_proc t ep =
   Srvlib.scan ~rows:max_procs (fun row ->
-      let* used = Prog.Mem.get_int t.procs ~row t.p_used in
-      if used = 0 then Prog.return false
-      else
-        let* e = Prog.Mem.get_int t.procs ~row t.p_ep in
-        Prog.return (e = ep))
+      Mem.get_int t.procs ~row t.p_used <> 0
+      && Mem.get_int t.procs ~row t.p_ep = ep)
 
 let find_free_proc t =
-  Srvlib.scan ~rows:max_procs (fun row ->
-      let* used = Prog.Mem.get_int t.procs ~row t.p_used in
-      Prog.return (used = 0))
+  Srvlib.scan ~rows:max_procs (fun row -> Mem.get_int t.procs ~row t.p_used = 0)
 
 let add_pages t n =
-  let* used = Prog.Mem.get_cell t.c_pages_used in
-  if used + n > total_pages then Prog.return false
-  else
-    let* () = Prog.Mem.set_cell t.c_pages_used (used + n) in
-    Prog.return true
+  let used = Mem.get_cell t.c_pages_used in
+  if used + n > total_pages then false
+  else begin
+    Mem.set_cell t.c_pages_used (used + n);
+    true
+  end
 
 let write_proc_row t ~row ~ep ~pages =
-  let* () = Prog.Mem.set_int t.procs ~row t.p_used 1 in
-  let* () = Prog.Mem.set_int t.procs ~row t.p_ep ep in
-  let* () = Prog.Mem.set_int t.procs ~row t.p_pages pages in
-  let* () = Prog.Mem.set_int t.procs ~row t.p_break (pages * page_size) in
-  Prog.Mem.set_int t.procs ~row t.p_nregions 0
+  Mem.set_int t.procs ~row t.p_used 1;
+  Mem.set_int t.procs ~row t.p_ep ep;
+  Mem.set_int t.procs ~row t.p_pages pages;
+  Mem.set_int t.procs ~row t.p_break (pages * page_size);
+  Mem.set_int t.procs ~row t.p_nregions 0
 
 let free_regions_of t ep =
-  Prog.iter_range ~lo:0 ~hi:max_regions (fun row ->
-      let* used = Prog.Mem.get_int t.regions ~row t.r_used in
-      if used = 0 then Prog.return ()
-      else
-        let* owner = Prog.Mem.get_int t.regions ~row t.r_owner in
-        if owner <> ep then Prog.return ()
-        else
-          let* pages = Prog.Mem.get_int t.regions ~row t.r_pages in
-          let* total = Prog.Mem.get_cell t.c_pages_used in
-          let* () = Prog.Mem.set_cell t.c_pages_used (total - pages) in
-          Prog.Mem.set_int t.regions ~row t.r_used 0)
+  for row = 0 to max_regions - 1 do
+    if Mem.get_int t.regions ~row t.r_used <> 0
+       && Mem.get_int t.regions ~row t.r_owner = ep
+    then begin
+      let pages = Mem.get_int t.regions ~row t.r_pages in
+      let total = Mem.get_cell t.c_pages_used in
+      Mem.set_cell t.c_pages_used (total - pages);
+      Mem.set_int t.regions ~row t.r_used 0
+    end
+  done
 
 let pages_of_bytes len = (len + page_size - 1) / page_size
+
+(* Adjust the region count of [ep]'s process row, if it has one. *)
+let adjust_nregions t ep f =
+  match find_proc t ep with
+  | None -> ()
+  | Some prow ->
+    let k = Mem.get_int t.procs ~row:prow t.p_nregions in
+    Mem.set_int t.procs ~row:prow t.p_nregions (f k)
 
 let handle t src msg =
   match msg with
   | Message.Vm_fork { parent; child } when src = Endpoint.pm ->
-    let* parent_pages, parent_break =
-      if parent = 0 then Prog.return (default_pages, default_pages * page_size)
+    let parent_pages, parent_break =
+      let default = (default_pages, default_pages * page_size) in
+      if parent = 0 then default
       else
-        let* prow = find_proc t parent in
-        match prow with
-        | None -> Prog.return (default_pages, default_pages * page_size)
+        match find_proc t parent with
+        | None -> default
         | Some row ->
-          let* pages = Prog.Mem.get_int t.procs ~row t.p_pages in
-          let* break = Prog.Mem.get_int t.procs ~row t.p_break in
-          Prog.return (pages, break)
+          let pages = Mem.get_int t.procs ~row t.p_pages in
+          let break = Mem.get_int t.procs ~row t.p_break in
+          (pages, break)
     in
     (* Validate and reserve, build the child's page tables (the kernel
        interaction that closes the window), then record bookkeeping. *)
-    let* slot = find_free_proc t in
-    (match slot with
+    (match find_free_proc t with
      | None -> Srvlib.reply_err src Errno.ENOMEM
      | Some row ->
-       let* ok = add_pages t parent_pages in
-       if not ok then Srvlib.reply_err src Errno.ENOMEM
-       else
-         let* _ = Prog.kcall (Prog.K_mmu { proc = child }) in
-         let* () = write_proc_row t ~row ~ep:child ~pages:parent_pages in
-         let* () = Prog.Mem.set_int t.procs ~row t.p_break parent_break in
-         Srvlib.reply_ok src 0)
+       if not (add_pages t parent_pages) then Srvlib.reply_err src Errno.ENOMEM
+       else begin
+         ignore (Op.kcall (Prog.K_mmu { proc = child }));
+         write_proc_row t ~row ~ep:child ~pages:parent_pages;
+         Mem.set_int t.procs ~row t.p_break parent_break;
+         Srvlib.reply_ok src 0
+       end)
   | Message.Vm_exec { proc; size } when src = Endpoint.pm ->
-    let* row_opt = find_proc t proc in
-    (match row_opt with
+    (match find_proc t proc with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some row ->
        let new_pages = max 1 (pages_of_bytes size) in
-       let* old_pages = Prog.Mem.get_int t.procs ~row t.p_pages in
-       let* total = Prog.Mem.get_cell t.c_pages_used in
+       let old_pages = Mem.get_int t.procs ~row t.p_pages in
+       let total = Mem.get_cell t.c_pages_used in
        if total - old_pages + new_pages > total_pages then
          Srvlib.reply_err src Errno.ENOMEM
-       else
-         let* _ = Prog.kcall (Prog.K_mmu { proc }) in
-         let* () = Prog.Mem.set_cell t.c_pages_used (total - old_pages + new_pages) in
-         let* () = Prog.Mem.set_int t.procs ~row t.p_pages new_pages in
-         let* () =
-           Prog.Mem.set_int t.procs ~row t.p_break (new_pages * page_size)
-         in
-         Srvlib.reply_ok src 0)
+       else begin
+         ignore (Op.kcall (Prog.K_mmu { proc }));
+         Mem.set_cell t.c_pages_used (total - old_pages + new_pages);
+         Mem.set_int t.procs ~row t.p_pages new_pages;
+         Mem.set_int t.procs ~row t.p_break (new_pages * page_size);
+         Srvlib.reply_ok src 0
+       end)
   | Message.Vm_exit { proc } when src = Endpoint.pm ->
-    let* row_opt = find_proc t proc in
-    (match row_opt with
+    (match find_proc t proc with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some row ->
-       let* pages = Prog.Mem.get_int t.procs ~row t.p_pages in
-       let* total = Prog.Mem.get_cell t.c_pages_used in
-       let* () = Prog.Mem.set_cell t.c_pages_used (total - pages) in
-       let* nregions = Prog.Mem.get_int t.procs ~row t.p_nregions in
-       let* _ = Prog.kcall (Prog.K_mmu { proc }) in
-       let* () = Prog.Mem.set_int t.procs ~row t.p_used 0 in
-       let* () = Prog.when_ (nregions > 0) (free_regions_of t proc) in
+       let pages = Mem.get_int t.procs ~row t.p_pages in
+       let total = Mem.get_cell t.c_pages_used in
+       Mem.set_cell t.c_pages_used (total - pages);
+       let nregions = Mem.get_int t.procs ~row t.p_nregions in
+       ignore (Op.kcall (Prog.K_mmu { proc }));
+       Mem.set_int t.procs ~row t.p_used 0;
+       if nregions > 0 then free_regions_of t proc;
        Srvlib.reply_ok src 0)
   | Message.Vm_fork _ | Message.Vm_exec _ | Message.Vm_exit _ ->
     (* Lifecycle calls are PM's privilege. *)
     Srvlib.reply_err src Errno.EPERM
   | Message.Brk { delta } ->
-    let* row_opt = find_proc t src in
-    (match row_opt with
+    (match find_proc t src with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some row ->
-       let* break = Prog.Mem.get_int t.procs ~row t.p_break in
-       let nbreak = break + delta in
+       let nbreak = Mem.get_int t.procs ~row t.p_break + delta in
        if nbreak < 0 then Srvlib.reply_err src Errno.EINVAL
        else
-         let* pages = Prog.Mem.get_int t.procs ~row t.p_pages in
+         let pages = Mem.get_int t.procs ~row t.p_pages in
          let need = pages_of_bytes nbreak in
-         let* ok =
-           if need > pages then add_pages t (need - pages) else Prog.return true
-         in
-         if not ok then Srvlib.reply_err src Errno.ENOMEM
-         else
-           let* () =
-             Prog.when_ (need <> pages)
-               (Prog.bind (Prog.kcall (Prog.K_mmu { proc = src }))
-                  (fun _ -> Prog.return ()))
-           in
-           let* () =
-             Prog.when_ (need > pages)
-               (Prog.Mem.set_int t.procs ~row t.p_pages need)
-           in
-           let* () = Prog.Mem.set_int t.procs ~row t.p_break nbreak in
-           Prog.reply src (Message.R_brk { break = nbreak }))
+         if need > pages && not (add_pages t (need - pages)) then
+           Srvlib.reply_err src Errno.ENOMEM
+         else begin
+           if need <> pages then ignore (Op.kcall (Prog.K_mmu { proc = src }));
+           if need > pages then Mem.set_int t.procs ~row t.p_pages need;
+           Mem.set_int t.procs ~row t.p_break nbreak;
+           Op.reply src (Message.R_brk { break = nbreak })
+         end)
   | Message.Brk_query ->
-    let* row_opt = find_proc t src in
-    (match row_opt with
+    (match find_proc t src with
      | None -> Srvlib.reply_err src Errno.ESRCH
      | Some row ->
-       let* break = Prog.Mem.get_int t.procs ~row t.p_break in
-       Prog.reply src (Message.R_brk { break }))
+       let break = Mem.get_int t.procs ~row t.p_break in
+       Op.reply src (Message.R_brk { break }))
   | Message.Mmap { len } ->
     if len <= 0 then Srvlib.reply_err src Errno.EINVAL
-    else
-      let* slot =
+    else (
+      match
         Srvlib.scan ~rows:max_regions (fun row ->
-            let* used = Prog.Mem.get_int t.regions ~row t.r_used in
-            Prog.return (used = 0))
-      in
-      (match slot with
-       | None -> Srvlib.reply_err src Errno.ENOMEM
-       | Some row ->
-         let pages = pages_of_bytes len in
-         let* ok = add_pages t pages in
-         if not ok then Srvlib.reply_err src Errno.ENOMEM
-         else
-           let* _ = Prog.kcall (Prog.K_mmu { proc = src }) in
-           let* () = Prog.Mem.set_int t.regions ~row t.r_used 1 in
-           let* () = Prog.Mem.set_int t.regions ~row t.r_owner src in
-           let* () = Prog.Mem.set_int t.regions ~row t.r_pages pages in
-           let* n = Prog.Mem.get_cell t.c_next_region in
-           let* () = Prog.Mem.set_cell t.c_next_region (n + 1) in
-           let* prow = find_proc t src in
-           let* () =
-             match prow with
-             | None -> Prog.return ()
-             | Some prow ->
-               let* k = Prog.Mem.get_int t.procs ~row:prow t.p_nregions in
-               Prog.Mem.set_int t.procs ~row:prow t.p_nregions (k + 1)
-           in
-           Prog.reply src (Message.R_mmap { id = row }))
+            Mem.get_int t.regions ~row t.r_used = 0)
+      with
+      | None -> Srvlib.reply_err src Errno.ENOMEM
+      | Some row ->
+        let pages = pages_of_bytes len in
+        if not (add_pages t pages) then Srvlib.reply_err src Errno.ENOMEM
+        else begin
+          ignore (Op.kcall (Prog.K_mmu { proc = src }));
+          Mem.set_int t.regions ~row t.r_used 1;
+          Mem.set_int t.regions ~row t.r_owner src;
+          Mem.set_int t.regions ~row t.r_pages pages;
+          let n = Mem.get_cell t.c_next_region in
+          Mem.set_cell t.c_next_region (n + 1);
+          adjust_nregions t src (fun k -> k + 1);
+          Op.reply src (Message.R_mmap { id = row })
+        end)
   | Message.Munmap { id } ->
     if id < 0 || id >= max_regions then Srvlib.reply_err src Errno.EINVAL
-    else
-      let* used = Prog.Mem.get_int t.regions ~row:id t.r_used in
-      let* owner = Prog.Mem.get_int t.regions ~row:id t.r_owner in
+    else begin
+      let used = Mem.get_int t.regions ~row:id t.r_used in
+      let owner = Mem.get_int t.regions ~row:id t.r_owner in
       if used = 0 || owner <> src then Srvlib.reply_err src Errno.EINVAL
-      else
-        let* _ = Prog.kcall (Prog.K_mmu { proc = src }) in
-        let* pages = Prog.Mem.get_int t.regions ~row:id t.r_pages in
-        let* total = Prog.Mem.get_cell t.c_pages_used in
-        let* () = Prog.Mem.set_cell t.c_pages_used (total - pages) in
-        let* () = Prog.Mem.set_int t.regions ~row:id t.r_used 0 in
-        let* prow = find_proc t src in
-        let* () =
-          match prow with
-          | None -> Prog.return ()
-          | Some prow ->
-            let* k = Prog.Mem.get_int t.procs ~row:prow t.p_nregions in
-            Prog.Mem.set_int t.procs ~row:prow t.p_nregions (max 0 (k - 1))
-        in
+      else begin
+        ignore (Op.kcall (Prog.K_mmu { proc = src }));
+        let pages = Mem.get_int t.regions ~row:id t.r_pages in
+        let total = Mem.get_cell t.c_pages_used in
+        Mem.set_cell t.c_pages_used (total - pages);
+        Mem.set_int t.regions ~row:id t.r_used 0;
+        adjust_nregions t src (fun k -> max 0 (k - 1));
         Srvlib.reply_ok src 0
+      end
+    end
   | Message.Vm_info ->
-    let* used = Prog.Mem.get_cell t.c_pages_used in
-    Prog.reply src
+    let used = Mem.get_cell t.c_pages_used in
+    Op.reply src
       (Message.R_vm_info { pages_used = used; pages_free = total_pages - used })
-  | Message.Ping -> Prog.reply src Message.R_pong
+  | Message.Ping -> Op.reply src Message.R_pong
   | _ -> Srvlib.reply_err src Errno.ENOSYS
 
 let init t =
-  let* () = Prog.Mem.set_cell t.c_pages_used 0 in
-  Prog.Mem.set_cell t.c_next_region 0
+  Prog.direct (fun () ->
+      Mem.set_cell t.c_pages_used 0;
+      Mem.set_cell t.c_next_region 0)
 
 let server t =
   { Kernel.srv_ep = Endpoint.vm;

@@ -261,9 +261,8 @@ let pm_stub () : Kernel.server =
   let handle src msg =
     match msg with
     | Message.Exit { status } ->
-      let* _ = Prog.kcall (Prog.K_kill { proc = src; status }) in
-      Prog.return ()
-    | Message.Getpid -> Prog.reply src (Message.R_ok src)
+      ignore (Kernel.Op.kcall (Prog.K_kill { proc = src; status }))
+    | Message.Getpid -> Kernel.Op.reply src (Message.R_ok src)
     | _ -> Srvlib.reply_err src Errno.ENOSYS
   in
   { Kernel.srv_ep = Endpoint.pm;
@@ -275,37 +274,35 @@ let pm_stub () : Kernel.server =
     srv_multithreaded = false }
 
 let echo_server () : Kernel.server =
+  let module Op = Kernel.Op in
   let image = Memimage.create ~name:"echo" ~size:4096 in
   let cell = Layout.Cell.alloc_int image "stored" in
   let handle src msg =
     match msg with
     | Message.Ds_retrieve { key } ->
-      Prog.reply src (Message.R_ds_value { value = String.length key })
+      Op.reply src (Message.R_ds_value { value = String.length key })
     | Message.Ds_publish { key = "crash"; _ } ->
       (* In-window fail-stop: recoverable under rollback policies. *)
-      let* () = Prog.Mem.set_cell cell 666 in
-      Prog.fail "requested crash"
+      Op.Mem.set_cell cell 666;
+      Op.fail "requested crash"
     | Message.Ds_publish { key = "crashafter"; value = j } ->
       (* j read-only SEEP crossings, then crash: probes the graduated
          hardening boundary. *)
-      let rec diags n =
-        if n = 0 then Prog.fail "crash after diags"
-        else
-          let* () = Srvlib.diag "echo: seep" in
-          diags (n - 1)
-      in
-      diags j
+      for _ = 1 to j do
+        Srvlib.diag "echo: seep"
+      done;
+      Op.fail "crash after diags"
     | Message.Ds_publish { value; _ } ->
-      let* () = Prog.Mem.set_cell cell value in
+      Op.Mem.set_cell cell value;
       Srvlib.reply_ok src 0
-    | Message.Ping -> Prog.reply src Message.R_pong
+    | Message.Ping -> Op.reply src Message.R_pong
     | _ -> Srvlib.reply_err src Errno.ENOSYS
   in
   { Kernel.srv_ep = Endpoint.ds;
     srv_name = "echo";
     srv_image = image;
     srv_clone_extra_kb = 0;
-    srv_init = Prog.Mem.set_cell cell 0;
+    srv_init = Prog.direct (fun () -> Op.Mem.set_cell cell 0);
     srv_loop = Srvlib.simple_loop handle;
     srv_multithreaded = false }
 
@@ -408,7 +405,10 @@ let test_call_retry_exhaustion () =
     else None
   in
   let prog =
-    let* r = Srvlib.call_retry Endpoint.ds (Message.Ds_retrieve { key = "k" }) in
+    let* r =
+      Prog.direct (fun () ->
+          Srvlib.call_retry Endpoint.ds (Message.Ds_retrieve { key = "k" }))
+    in
     match r with
     | Message.R_err Errno.E_CRASH -> Syscall.exit 0
     | _ -> Syscall.exit 98
@@ -436,7 +436,8 @@ let test_call_retry_transient_recovers () =
   in
   let prog =
     let* r =
-      Srvlib.call_retry Endpoint.ds (Message.Ds_retrieve { key = "four" })
+      Prog.direct (fun () ->
+          Srvlib.call_retry Endpoint.ds (Message.Ds_retrieve { key = "four" }))
     in
     match r with
     | Message.R_ds_value { value } -> Syscall.exit value

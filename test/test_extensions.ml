@@ -188,7 +188,7 @@ let test_live_update_preserves_state () =
                      match msg with
                      | Message.Ds_retrieve _ ->
                        (* v2 behaviour: constant-answer service *)
-                       Prog.reply src (Message.R_ds_value { value = 4242 })
+                       Kernel.Op.reply src (Message.R_ds_value { value = 4242 })
                      | Message.Ds_delete { key = "lv" } ->
                        (* v2 keeps v1 state: prove it by answering the
                           delete with the stored value via the old

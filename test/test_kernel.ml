@@ -12,9 +12,8 @@ let pm_stub () : Kernel.server =
   let handle src msg =
     match msg with
     | Message.Exit { status } ->
-      let* _ = Prog.kcall (Prog.K_kill { proc = src; status }) in
-      Prog.return ()
-    | Message.Getpid -> Prog.reply src (Message.R_ok src)
+      ignore (Kernel.Op.kcall (Prog.K_kill { proc = src; status }))
+    | Message.Getpid -> Kernel.Op.reply src (Message.R_ok src)
     | _ -> Srvlib.reply_err src Errno.ENOSYS
   in
   { Kernel.srv_ep = Endpoint.pm;
@@ -25,10 +24,25 @@ let pm_stub () : Kernel.server =
     srv_loop = Srvlib.simple_loop handle;
     srv_multithreaded = false }
 
-(* An echo/crash-on-demand server at the DS endpoint. *)
+(* A server loop written as a monadic program, with no server helper:
+   the reference the direct-style loops of [Srvlib] are checked
+   against. *)
+let rec monadic_loop handle =
+  let* src, msg = Prog.receive in
+  let* () = handle src msg in
+  monadic_loop handle
+
+let rec monadic_threaded_loop handle =
+  let* src, msg = Prog.receive in
+  let* () = Prog.spawn (handle src msg) in
+  monadic_threaded_loop handle
+
+(* An echo/crash-on-demand server at the DS endpoint, as a monadic
+   program. *)
 let echo_server () : Kernel.server =
   let image = Memimage.create ~name:"echo" ~size:4096 in
   let cell = Layout.Cell.alloc_int image "stored" in
+  let diag line = Prog.send Endpoint.kernel (Message.Diag { line }) in
   let handle src msg =
     match msg with
     | Message.Ds_retrieve { key } ->
@@ -43,24 +57,24 @@ let echo_server () : Kernel.server =
       let* () = Prog.send Endpoint.pm (Message.Ds_notify { key = "x" }) in
       Prog.fail "requested out-of-window crash"
     | Message.Ds_publish { key = "diag-then-reply"; _ } ->
-      let* () = Srvlib.diag "echo: read-only seep" in
-      Srvlib.reply_ok src 0
+      let* () = diag "echo: read-only seep" in
+      Prog.reply src (Message.R_ok 0)
     | Message.Ds_publish { value; _ } ->
       let* () = Prog.Mem.set_cell cell value in
-      Srvlib.reply_ok src 0
+      Prog.reply src (Message.R_ok 0)
     | Message.Ds_delete _ ->
       let* v = Prog.Mem.get_cell cell in
       Prog.reply src (Message.R_ds_value { value = v })
-    | Message.Alarm -> Srvlib.diag "echo: alarm fired"
+    | Message.Alarm -> diag "echo: alarm fired"
     | Message.Ping -> Prog.reply src Message.R_pong
-    | _ -> Srvlib.reply_err src Errno.ENOSYS
+    | _ -> Prog.reply src (Message.R_err Errno.ENOSYS)
   in
   { Kernel.srv_ep = Endpoint.ds;
     srv_name = "echo";
     srv_image = image;
     srv_clone_extra_kb = 0;
     srv_init = Prog.Mem.set_cell cell 0;
-    srv_loop = Srvlib.simple_loop handle;
+    srv_loop = monadic_loop handle;
     srv_multithreaded = false }
 
 (* The echo server again, in direct style: the same operations, in the
@@ -69,7 +83,6 @@ let echo_server_direct () : Kernel.server =
   let module Op = Kernel.Op in
   let image = Memimage.create ~name:"echo" ~size:4096 in
   let cell = Layout.Cell.alloc_int image "stored" in
-  let diag line = Op.send Endpoint.kernel (Message.Diag { line }) in
   let handle src msg =
     match msg with
     | Message.Ds_retrieve { key } ->
@@ -81,29 +94,78 @@ let echo_server_direct () : Kernel.server =
       Op.send Endpoint.pm (Message.Ds_notify { key = "x" });
       Op.fail "requested out-of-window crash"
     | Message.Ds_publish { key = "diag-then-reply"; _ } ->
-      diag "echo: read-only seep";
-      Srvlib.Direct.reply_ok src 0
+      Srvlib.diag "echo: read-only seep";
+      Srvlib.reply_ok src 0
     | Message.Ds_publish { value; _ } ->
       Op.Mem.set_cell cell value;
-      Srvlib.Direct.reply_ok src 0
+      Srvlib.reply_ok src 0
     | Message.Ds_delete _ ->
       let v = Op.Mem.get_cell cell in
       Op.reply src (Message.R_ds_value { value = v })
-    | Message.Alarm -> diag "echo: alarm fired"
+    | Message.Alarm -> Srvlib.diag "echo: alarm fired"
     | Message.Ping -> Op.reply src Message.R_pong
-    | _ -> Srvlib.Direct.reply_err src Errno.ENOSYS
+    | _ -> Srvlib.reply_err src Errno.ENOSYS
   in
   { Kernel.srv_ep = Endpoint.ds;
     srv_name = "echo";
     srv_image = image;
     srv_clone_extra_kb = 0;
     srv_init = Prog.direct (fun () -> Op.Mem.set_cell cell 0);
-    srv_loop = Srvlib.Direct.simple_loop handle;
+    srv_loop = Srvlib.simple_loop handle;
     srv_multithreaded = false }
+
+(* A multithreaded server at the DS endpoint, in the two styles: a
+   retrieve waits, yielding, until a publish has stored a value, then
+   replies with the number of loads it took. *)
+let waiter_server ~direct () : Kernel.server =
+  let image = Memimage.create ~name:"waiter" ~size:4096 in
+  let cell = Layout.Cell.alloc_int image "value" in
+  let srv_loop =
+    if direct then
+      let module Op = Kernel.Op in
+      Srvlib.threaded_loop (fun src msg ->
+          match msg with
+          | Message.Ds_retrieve _ ->
+            let rec attempt n =
+              if Op.Mem.get_cell cell = 0 then begin
+                Op.yield ();
+                attempt (n + 1)
+              end
+              else Op.reply src (Message.R_ds_value { value = n })
+            in
+            attempt 1
+          | Message.Ds_publish { value; _ } ->
+            Op.Mem.set_cell cell value;
+            Srvlib.reply_ok src 0
+          | _ -> Srvlib.reply_err src Errno.ENOSYS)
+    else
+      monadic_threaded_loop (fun src msg ->
+          match msg with
+          | Message.Ds_retrieve _ ->
+            let rec attempt n =
+              let* v = Prog.Mem.get_cell cell in
+              if v = 0 then
+                let* () = Prog.yield in
+                attempt (n + 1)
+              else Prog.reply src (Message.R_ds_value { value = n })
+            in
+            attempt 1
+          | Message.Ds_publish { value; _ } ->
+            let* () = Prog.Mem.set_cell cell value in
+            Prog.reply src (Message.R_ok 0)
+          | _ -> Prog.reply src (Message.R_err Errno.ENOSYS))
+  in
+  { Kernel.srv_ep = Endpoint.ds;
+    srv_name = "waiter";
+    srv_image = image;
+    srv_clone_extra_kb = 0;
+    srv_init = Prog.return ();
+    srv_loop;
+    srv_multithreaded = true }
 
 (* Build, boot, run a user program; RS is the real Recovery Server. *)
 let mini ?(policy = Policy.enhanced) ?fault_hook ?(echo = echo_server)
-    ?event_hook user_prog =
+    ?event_hook ?(others = []) user_prog =
   let log = ref [] in
   let base =
     Kernel.default_config policy ~lookup_program:(fun _ -> None) ()
@@ -121,6 +183,9 @@ let mini ?(policy = Policy.enhanced) ?fault_hook ?(echo = echo_server)
    | Some h -> Kernel.set_fault_hook kernel (Some h)
    | None -> ());
   let ep = Kernel.spawn_user kernel ~name:"u" ~prog:user_prog ~parent:0 in
+  List.iter
+    (fun prog -> ignore (Kernel.spawn_user kernel ~name:"v" ~prog ~parent:0))
+    others;
   Kernel.set_halt_on_exit kernel ep;
   let halt = Kernel.run kernel in
   (kernel, halt, List.rev !log)
@@ -412,6 +477,45 @@ let test_monadic_direct_equivalent () =
   Alcotest.(check bool) "Marshal-equal event lists" true
     (Marshal.to_string ev1 [] = Marshal.to_string ev2 [])
 
+(* The same for a multithreaded server: two overlapping requests, one
+   of which retries through yield until the other's store lands. The
+   event lists pin the order of spawns, yields and resumptions that a
+   direct-style threaded loop must keep. *)
+let test_threaded_monadic_direct_equivalent () =
+  let waiter = Prog.call Endpoint.ds (Message.Ds_retrieve { key = "w" }) in
+  let client =
+    let* r = waiter in
+    match r with
+    | Message.R_ds_value { value } -> Syscall.exit value
+    | _ -> Syscall.exit 99
+  in
+  let publisher =
+    let* () = Prog.compute 5_000 in
+    let* _ = Prog.call Endpoint.ds (Message.Ds_publish { key = "w"; value = 7 }) in
+    Syscall.exit 0
+  in
+  let run direct =
+    let events = ref [] in
+    let kernel, halt, log =
+      mini ~echo:(waiter_server ~direct)
+        ~event_hook:(fun e -> events := e :: !events)
+        ~others:[ publisher ] client
+    in
+    (halt, log, Kernel.total_ops kernel, Kernel.now kernel, List.rev !events)
+  in
+  let h1, l1, ops1, now1, ev1 = run false in
+  let h2, l2, ops2, now2, ev2 = run true in
+  (match h1 with
+   | Kernel.H_completed n ->
+     Alcotest.(check bool) "the waiter yielded before the store" true (n > 1)
+   | h -> Alcotest.failf "waiter did not complete: %s" (Kernel.halt_to_string h));
+  Alcotest.check halt_t "same halt" h1 h2;
+  Alcotest.(check (list string)) "same log" l1 l2;
+  Alcotest.(check int) "same operation count" ops1 ops2;
+  Alcotest.(check int) "same clock" now1 now2;
+  Alcotest.(check bool) "Marshal-equal event lists" true
+    (Marshal.to_string ev1 [] = Marshal.to_string ev2 [])
+
 let slot_named phase detail =
   List.find
     (fun s -> Kernel.slot_phase s = phase && Kernel.slot_detail s = detail)
@@ -486,6 +590,62 @@ let test_crash_mid_scan_recovers () =
   Alcotest.(check int) "every test passes" (List.length Testsuite.tests)
     r.Testsuite.passed
 
+(* A fail-stop crash at a VFS load while a pipe reader waits in its
+   pipe_read retry: the crash hits the writer's handler inside its
+   window, enhanced recovery rolls VFS back, and the reader's yielded
+   thread survives the restart. The writer retries its E_CRASH write,
+   and the reader gets the data. *)
+let test_crash_while_reader_blocked () =
+  let sys = System.build ~seed:42 (Sysconf.uniform Policy.enhanced) in
+  let k = System.kernel sys in
+  let yield = slot_named Kernel.Ph_user "yield" in
+  let vfs_yields = ref 0 in
+  Kernel.set_cycle_hook k
+    (Some (fun ep slot _ -> if ep = Endpoint.vfs && slot = yield then incr vfs_yields));
+  let yields_at_crash = ref 0 in
+  Kernel.set_fault_hook k
+    (Some
+       (fun s ->
+          if !yields_at_crash = 0 && !vfs_yields > 0
+             && s.Kernel.site_ep = Endpoint.vfs
+             && s.Kernel.site_kind = Kernel.Op_load
+             && s.Kernel.site_handler = Some Message.Tag.T_write
+          then begin
+            yields_at_crash := !vfs_yields;
+            Some (Kernel.F_crash "injected")
+          end
+          else None));
+  let restarted = ref false in
+  Kernel.set_event_hook k
+    (Some
+       (function
+         | Kernel.E_restart { ep; _ } when ep = Endpoint.vfs -> restarted := true
+         | _ -> ()));
+  let root =
+    let* p = Syscall.pipe in
+    match p with
+    | Error _ -> Syscall.exit 1
+    | Ok (rfd, wfd) ->
+      let* pid = Syscall.fork in
+      if pid = 0 then
+        let* r = Syscall.read ~fd:rfd ~len:4 in
+        Syscall.exit (match r with Ok "data" -> 0 | _ -> 1)
+      else
+        let rec write () =
+          let* n = Syscall.write ~fd:wfd "data" in
+          if n = Errno.to_code Errno.E_CRASH then write () else Prog.return n
+        in
+        let* () = Prog.compute 100_000 in
+        let* n = write () in
+        let* _, status = Syscall.waitpid pid in
+        Syscall.exit (if n = 4 && status = 0 then 0 else 2)
+  in
+  let halt = System.run sys ~root in
+  Alcotest.(check bool) "crashed while the reader was yielding" true
+    (!yields_at_crash > 0);
+  Alcotest.(check bool) "VFS restarted" true !restarted;
+  Alcotest.check halt_t "root completes" (Kernel.H_completed 0) halt
+
 let () =
   Alcotest.run "osiris_kernel"
     [ ( "ipc",
@@ -520,6 +680,10 @@ let () =
       ( "fiber runner",
         [ Alcotest.test_case "monadic = direct" `Quick
             test_monadic_direct_equivalent;
+          Alcotest.test_case "threaded monadic = direct" `Quick
+            test_threaded_monadic_direct_equivalent;
           Alcotest.test_case "preempted mid-scan" `Quick test_preempted_mid_scan;
           Alcotest.test_case "crash mid-scan recovers" `Quick
-            test_crash_mid_scan_recovers ] ) ]
+            test_crash_mid_scan_recovers;
+          Alcotest.test_case "crash while reader blocked" `Quick
+            test_crash_while_reader_blocked ] ) ]

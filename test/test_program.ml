@@ -102,24 +102,6 @@ let prop_bind_associative =
 
 (* ---------------- helpers ----------------------------------------- *)
 
-let test_iter_range_order () =
-  let img = mk () in
-  let p =
-    let* () =
-      Prog.iter_range ~lo:0 ~hi:8 (fun i ->
-          let* prev = Prog.load 0 in
-          Prog.store 0 ((prev * 10) + i))
-    in
-    Prog.load 0
-  in
-  check_value "in order" 1234567 (run img p)
-
-let test_iter_range_empty () =
-  let img = mk () in
-  let p = Prog.bind (Prog.iter_range ~lo:5 ~hi:5 (fun _ -> Prog.store 0 9))
-      (fun () -> Prog.load 0) in
-  check_value "empty range" 0 (run img p)
-
 let test_repeat () =
   let img = mk () in
   let p =
@@ -143,13 +125,6 @@ let test_iter_list () =
     Prog.load 0
   in
   check_value "sum" 10 (run img p)
-
-let test_when () =
-  let img = mk () in
-  ignore (run img (Prog.when_ false (Prog.store 0 1)));
-  Alcotest.(check int) "skipped" 0 (Memimage.get_word img 0);
-  ignore (run img (Prog.when_ true (Prog.store 0 1)));
-  Alcotest.(check int) "executed" 1 (Memimage.get_word img 0)
 
 let test_guard () =
   let img = mk () in
@@ -216,11 +191,8 @@ let () =
           Alcotest.test_case "map" `Quick test_map;
           QCheck_alcotest.to_alcotest prop_bind_associative ] );
       ( "helpers",
-        [ Alcotest.test_case "iter_range order" `Quick test_iter_range_order;
-          Alcotest.test_case "iter_range empty" `Quick test_iter_range_empty;
-          Alcotest.test_case "repeat" `Quick test_repeat;
+        [ Alcotest.test_case "repeat" `Quick test_repeat;
           Alcotest.test_case "iter_list" `Quick test_iter_list;
-          Alcotest.test_case "when_" `Quick test_when;
           Alcotest.test_case "guard" `Quick test_guard;
           QCheck_alcotest.to_alcotest prop_repeat_count ] );
       ( "mem",
