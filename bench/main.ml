@@ -603,25 +603,20 @@ let micro () =
   let t_ipc =
     Test.make ~name:"ipc roundtrip x100 (wall time)"
       (Staged.stage
-         (let open Prog.Syntax in
-          fun () ->
+         (fun () ->
             let sys = System.build (Sysconf.uniform Policy.enhanced) in
-            let root =
-              let rec go n =
-                if n = 0 then Syscall.exit 0
-                else
-                  let* _ = Syscall.getpid in
-                  go (n - 1)
-              in
-              go 100
+            let root () =
+              for _ = 1 to 100 do
+                ignore (Syscall.getpid ())
+              done;
+              Syscall.exit 0
             in
             ignore (System.run sys ~root)))
   in
   let t_recover =
     Test.make ~name:"crash+recovery cycle (wall time)"
       (Staged.stage
-         (let open Prog.Syntax in
-          fun () ->
+         (fun () ->
             let sys = System.build (Sysconf.uniform Policy.enhanced) in
             let fired = ref false in
             Kernel.set_fault_hook (System.kernel sys)
@@ -632,8 +627,8 @@ let micro () =
                       Some (Kernel.F_crash "bench")
                     end
                     else None));
-            let root =
-              let* _ = Syscall.ds_retrieve ~key:"micro" in
+            let root () =
+              let _ = Syscall.ds_retrieve ~key:"micro" in
               Syscall.exit 0
             in
             ignore (System.run sys ~root)))

@@ -7,8 +7,6 @@
 
      dune exec examples/crash_recovery.exe *)
 
-open Prog.Syntax
-
 let demo_in_window () =
   print_endline "--- scenario 1: crash INSIDE the recovery window ------------";
   print_endline "fault: PM dies at the start of fork() handling";
@@ -27,22 +25,18 @@ let demo_in_window () =
             Some (Kernel.F_crash "NULL dereference in do_fork()")
           end
           else None));
-  let root =
+  let root () =
     (* Call PM directly (without the libc retry) so the E_CRASH reply is
        visible, then retry by hand like the paper's shell would. *)
-    let* r = Prog.call Endpoint.pm Message.Fork in
-    match r with
+    let fault_missed () = Syscall.exit 50 in
+    match Kernel.Op.call ~child:fault_missed Endpoint.pm Message.Fork with
     | Message.R_err Errno.E_CRASH ->
-      let* () = Syscall.print "shell: fork failed with E_CRASH, retrying" in
-      let* pid = Syscall.fork in
-      if pid = 0 then Syscall.exit 0
-      else
-        let* _, status = Syscall.waitpid pid in
-        let* () =
-          Syscall.print (Printf.sprintf "shell: retried fork worked (child exited %d)" status)
-        in
-        Syscall.exit status
-    | Message.R_fork _ -> Syscall.exit 50 (* fault did not fire *)
+      Syscall.print "shell: fork failed with E_CRASH, retrying";
+      let pid = Syscall.fork (fun () -> Syscall.exit 0) in
+      let _, status = Syscall.waitpid pid in
+      Syscall.print (Printf.sprintf "shell: retried fork worked (child exited %d)" status);
+      Syscall.exit status
+    | Message.R_fork _ -> fault_missed ()
     | _ -> Syscall.exit 51
   in
   let halt = System.run sys ~root in
@@ -75,12 +69,10 @@ let demo_out_of_window () =
             Some (Kernel.F_crash "NULL dereference after sys_fork()")
           end
           else None));
-  let root =
-    let* pid = Syscall.fork in
-    if pid = 0 then Syscall.exit 0
-    else
-      let* _, _ = Syscall.waitpid pid in
-      Syscall.exit 0
+  let root () =
+    let pid = Syscall.fork (fun () -> Syscall.exit 0) in
+    let _, _ = Syscall.waitpid pid in
+    Syscall.exit 0
   in
   let halt = System.run sys ~root in
   Printf.printf "outcome: %s\n" (Kernel.halt_to_string halt);
@@ -101,18 +93,16 @@ let demo_persistent () =
              && site.Kernel.site_occ = 0
           then Some (Kernel.F_crash "persistent bug in lookup")
           else None));
-  let root =
-    let* v = Syscall.ds_retrieve ~key:"poison" in
-    let* () =
-      Syscall.print
-        (match v with
-         | Error Errno.E_CRASH ->
-           "app: lookup failed persistently (E_CRASH) - handled like any error"
-         | Error e -> "app: unexpected error " ^ Errno.to_string e
-         | Ok _ -> "app: unexpectedly succeeded")
-    in
+  let root () =
+    let v = Syscall.ds_retrieve ~key:"poison" in
+    Syscall.print
+      (match v with
+       | Error Errno.E_CRASH ->
+         "app: lookup failed persistently (E_CRASH) - handled like any error"
+       | Error e -> "app: unexpected error " ^ Errno.to_string e
+       | Ok _ -> "app: unexpectedly succeeded");
     (* The rest of the system is alive and well. *)
-    let* r = Syscall.ds_publish ~key:"alive" ~value:1 in
+    let r = Syscall.ds_publish ~key:"alive" ~value:1 in
     Syscall.exit (if r >= 0 then 0 else 1)
   in
   let halt = System.run sys ~root in

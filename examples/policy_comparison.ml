@@ -5,37 +5,33 @@
 
      dune exec examples/policy_comparison.exe *)
 
-open Prog.Syntax
-
-let workload =
+let workload () =
   (* Publish a value, trigger the crash, then check what survived. *)
-  let* r1 = Prog.call Endpoint.ds (Message.Ds_publish { key = "before"; value = 7 }) in
-  let* () =
-    Syscall.print
-      (match r1 with
-       | Message.R_ok _ -> "publish(before=7): ok"
-       | _ -> "publish(before=7): failed")
+  let r1 =
+    Kernel.Op.call Endpoint.ds (Message.Ds_publish { key = "before"; value = 7 })
   in
+  Syscall.print
+    (match r1 with
+     | Message.R_ok _ -> "publish(before=7): ok"
+     | _ -> "publish(before=7): failed");
   (* The poisoned request: the fault hook crashes DS inside this
      handler. Sent without the libc retry so each policy's raw answer is
      visible. *)
-  let* r2 = Prog.call Endpoint.ds (Message.Ds_publish { key = "poison"; value = 1 }) in
-  let* () =
-    Syscall.print
-      (match r2 with
-       | Message.R_ok _ -> "publish(poison): ok (fault did not fire?)"
-       | Message.R_err Errno.E_CRASH -> "publish(poison): E_CRASH (error virtualization)"
-       | Message.R_err e -> "publish(poison): error " ^ Errno.to_string e
-       | _ -> "publish(poison): ?")
+  let r2 =
+    Kernel.Op.call Endpoint.ds (Message.Ds_publish { key = "poison"; value = 1 })
   in
-  let* v = Syscall.ds_retrieve ~key:"before" in
-  let* () =
-    Syscall.print
-      (match v with
-       | Ok 7 -> "retrieve(before): 7 - state intact"
-       | Ok n -> Printf.sprintf "retrieve(before): %d - state corrupted!" n
-       | Error e -> "retrieve(before): lost (" ^ Errno.to_string e ^ ")")
-  in
+  Syscall.print
+    (match r2 with
+     | Message.R_ok _ -> "publish(poison): ok (fault did not fire?)"
+     | Message.R_err Errno.E_CRASH -> "publish(poison): E_CRASH (error virtualization)"
+     | Message.R_err e -> "publish(poison): error " ^ Errno.to_string e
+     | _ -> "publish(poison): ?");
+  let v = Syscall.ds_retrieve ~key:"before" in
+  Syscall.print
+    (match v with
+     | Ok 7 -> "retrieve(before): 7 - state intact"
+     | Ok n -> Printf.sprintf "retrieve(before): %d - state corrupted!" n
+     | Error e -> "retrieve(before): lost (" ^ Errno.to_string e ^ ")");
   Syscall.exit 0
 
 let run_under policy =

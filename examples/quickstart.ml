@@ -8,39 +8,33 @@
    Everything is deterministic — run it twice and you get the same
    virtual timeline. *)
 
-open Prog.Syntax
-
-let my_program =
+let my_program () =
   (* 1. A file: create, write, read back. *)
-  let* fd = Syscall.open_ "/tmp/greeting" Message.creat in
-  let* _ = Syscall.write ~fd "hello from userland" in
-  let* _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
-  let* contents = Syscall.read ~fd ~len:64 in
-  let* _ = Syscall.close fd in
-  let* () =
-    Syscall.print
-      (match contents with
-       | Ok s -> "read back: " ^ s
-       | Error e -> "read failed: " ^ Errno.to_string e)
-  in
+  let fd = Syscall.open_ "/tmp/greeting" Message.creat in
+  let _ = Syscall.write ~fd "hello from userland" in
+  let _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
+  let contents = Syscall.read ~fd ~len:64 in
+  let _ = Syscall.close fd in
+  Syscall.print
+    (match contents with
+     | Ok s -> "read back: " ^ s
+     | Error e -> "read failed: " ^ Errno.to_string e);
   (* 2. A child process running a registered binary. *)
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* _ = Syscall.exec "/bin/sh" 0 in
-    Syscall.exit 9
-  else
-    let* _, status = Syscall.waitpid pid in
-    let* () = Syscall.print (Printf.sprintf "shell child exited with %d" status) in
-    (* 3. The data store. *)
-    let* _ = Syscall.ds_publish ~key:"example.answer" ~value:42 in
-    let* v = Syscall.ds_retrieve ~key:"example.answer" in
-    let* () =
-      Syscall.print
-        (match v with
-         | Ok v -> Printf.sprintf "ds says: %d" v
-         | Error e -> "ds error: " ^ Errno.to_string e)
-    in
-    Syscall.exit 0
+  let pid =
+    Syscall.fork (fun () ->
+        let _ = Syscall.exec "/bin/sh" 0 in
+        Syscall.exit 9)
+  in
+  let _, status = Syscall.waitpid pid in
+  Syscall.print (Printf.sprintf "shell child exited with %d" status);
+  (* 3. The data store. *)
+  let _ = Syscall.ds_publish ~key:"example.answer" ~value:42 in
+  let v = Syscall.ds_retrieve ~key:"example.answer" in
+  Syscall.print
+    (match v with
+     | Ok v -> Printf.sprintf "ds says: %d" v
+     | Error e -> "ds error: " ^ Errno.to_string e);
+  Syscall.exit 0
 
 let () =
   print_endline "booting OSIRIS (enhanced recovery policy)...";

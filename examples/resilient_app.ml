@@ -8,30 +8,31 @@
 
      dune exec examples/resilient_app.exe *)
 
-open Prog.Syntax
-
 let items = 40
 
 (* Under sustained churn a retried call can itself be hit by the next
    fault; a bounded application-level retry finishes the job (always
    safe: an E_CRASH reply means the rolled-back server did nothing). *)
-let rec retrying ?(n = 8) prog =
-  let* r = prog in
-  if r = Errno.to_code Errno.E_CRASH && n > 0 then retrying ~n:(n - 1) prog
-  else Prog.return r
+let rec retrying ?(n = 8) call =
+  let r = call () in
+  if r = Errno.to_code Errno.E_CRASH && n > 0 then retrying ~n:(n - 1) call
+  else r
 
 let producer wfd =
   let rec go n =
-    if n > items then
-      let* _ = Syscall.close wfd in
+    if n > items then begin
+      let _ = Syscall.close wfd in
       Syscall.exit 0
+    end
     else
       let chunk = Printf.sprintf "item-%03d." n in
-      let* w = retrying (Syscall.write ~fd:wfd chunk) in
+      let w = retrying (fun () -> Syscall.write ~fd:wfd chunk) in
       if w <> String.length chunk then Syscall.exit 1
       else
         (* Checkpoint progress in DS after every item. *)
-        let* r = retrying (Syscall.ds_publish ~key:"app.produced" ~value:n) in
+        let r =
+          retrying (fun () -> Syscall.ds_publish ~key:"app.produced" ~value:n)
+        in
         if r < 0 then Syscall.exit 2 else go (n + 1)
   in
   go 1
@@ -40,12 +41,14 @@ let consumer rfd =
   let rec go seen buf =
     (* Items are 9 bytes each; consume them from the stream. *)
     if String.length buf >= 9 then
-      let* r = retrying (Syscall.ds_publish ~key:"app.consumed" ~value:(seen + 1)) in
+      let r =
+        retrying (fun () ->
+            Syscall.ds_publish ~key:"app.consumed" ~value:(seen + 1))
+      in
       if r < 0 then Syscall.exit 3
       else go (seen + 1) (String.sub buf 9 (String.length buf - 9))
     else
-      let* r = Syscall.read ~fd:rfd ~len:64 in
-      match r with
+      match Syscall.read ~fd:rfd ~len:64 with
       | Ok "" -> Syscall.exit (if seen = items then 0 else 4)
       | Ok s -> go seen (buf ^ s)
       | Error Errno.E_CRASH -> go seen buf (* retried away upstream *)
@@ -53,39 +56,32 @@ let consumer rfd =
   in
   go 0 ""
 
-let app =
-  let* p = Syscall.pipe in
-  match p with
+let app () =
+  match Syscall.pipe () with
   | Error _ -> Syscall.exit 10
   | Ok (rfd, wfd) ->
-    let* prod = Syscall.fork in
-    if prod = 0 then
-      let* _ = Syscall.close rfd in
-      producer wfd
-    else
-      let* cons = Syscall.fork in
-      if cons = 0 then
-        let* _ = Syscall.close wfd in
-        consumer rfd
-      else
-        let* _ = Syscall.close rfd in
-        let* _ = Syscall.close wfd in
-        let* _, s1 = Syscall.waitpid prod in
-        let* _, s2 = Syscall.waitpid cons in
-        let* produced = Syscall.ds_retrieve ~key:"app.produced" in
-        let* consumed = Syscall.ds_retrieve ~key:"app.consumed" in
-        ignore items;
-        let* () =
-          Syscall.print
-            (Printf.sprintf "producer exit %d, consumer exit %d" s1 s2)
-        in
-        let* () =
-          Syscall.print
-            (match produced, consumed with
-             | Ok p, Ok c -> Printf.sprintf "checkpointed: produced %d, consumed %d" p c
-             | _ -> "checkpoint lost!")
-        in
-        Syscall.exit (if s1 = 0 && s2 = 0 then 0 else 11)
+    let prod =
+      Syscall.fork (fun () ->
+          let _ = Syscall.close rfd in
+          producer wfd)
+    in
+    let cons =
+      Syscall.fork (fun () ->
+          let _ = Syscall.close wfd in
+          consumer rfd)
+    in
+    let _ = Syscall.close rfd in
+    let _ = Syscall.close wfd in
+    let _, s1 = Syscall.waitpid prod in
+    let _, s2 = Syscall.waitpid cons in
+    let produced = Syscall.ds_retrieve ~key:"app.produced" in
+    let consumed = Syscall.ds_retrieve ~key:"app.consumed" in
+    Syscall.print (Printf.sprintf "producer exit %d, consumer exit %d" s1 s2);
+    Syscall.print
+      (match produced, consumed with
+       | Ok p, Ok c -> Printf.sprintf "checkpointed: produced %d, consumed %d" p c
+       | _ -> "checkpoint lost!");
+    Syscall.exit (if s1 = 0 && s2 = 0 then 0 else 11)
 
 let () =
   print_endline

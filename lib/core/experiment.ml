@@ -74,21 +74,19 @@ type memory_row = {
 (* The Table VI workload: every Unixbench program run once, in one
    booted system, so per-server peak undo-log sizes reflect the whole
    suite. *)
-let memory_root =
-  let open Prog.Syntax in
-  let rec run = function
-    | [] -> Syscall.exit 0
-    | bench :: rest ->
-      let* pid = Syscall.fork in
-      if pid = 0 then
-        let* _ = Syscall.exec ("/bin/ub_" ^ bench.Unixbench.b_name) 0 in
-        Syscall.exit 9
-      else if pid < 0 then Syscall.exit 1
-      else
-        let* _, _ = Syscall.waitpid pid in
-        run rest
-  in
-  run Unixbench.all
+let memory_root () =
+  List.iter
+    (fun bench ->
+       let pid =
+         Syscall.fork (fun () ->
+             let _ = Syscall.exec ("/bin/ub_" ^ bench.Unixbench.b_name) 0 in
+             Syscall.exit 9)
+       in
+       if pid < 0 then Syscall.exit 1;
+       let _, _ = Syscall.waitpid pid in
+       ())
+    Unixbench.all;
+  Syscall.exit 0
 
 let memory_overhead ?(seed = 42) () =
   let sys = System.build ~seed (Sysconf.uniform Policy.enhanced) in

@@ -22,7 +22,7 @@ val workloads : (string * string) list
 (** Available workload names with one-line descriptions:
     ["quickstart"], ["suite"], ["workgen"]. *)
 
-val workload : name:string -> seed:int -> (unit Prog.t, string) result
+val workload : name:string -> seed:int -> (unit -> unit, string) result
 (** Resolve a header's workload name (["workgen"] is seed-derived). *)
 
 val server_of_name : string -> Endpoint.t option

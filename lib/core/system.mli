@@ -80,7 +80,7 @@ val mfs : t -> Mfs.t
 val vfs : t -> Vfs.t
 (** White-box handle for VFS state dumps in tests. *)
 
-val run : t -> root:unit Prog.t -> Kernel.halt
+val run : t -> root:(unit -> unit) -> Kernel.halt
 (** Spawn [root] as the primordial user process (endpoint
     [Endpoint.first_user], pre-registered in PM) and interpret until a
     halt condition. The run completes when [root] exits. *)

@@ -229,8 +229,8 @@ type server = {
   srv_name : string;
   srv_image : Memimage.t;
   srv_clone_extra_kb : int;
-  srv_init : unit Prog.t;
-  srv_loop : unit Prog.t;
+  srv_init : unit -> unit;
+  srv_loop : unit -> unit;
   srv_multithreaded : bool;
 }
 
@@ -258,7 +258,7 @@ type config = {
   max_vtime : int;
   hang_detect_cycles : int;
   max_crashes : int;
-  lookup_program : string -> (int -> unit Prog.t) option;
+  lookup_program : string -> (int -> unit) option;
   log_sink : (string -> unit) option;
 }
 
@@ -300,7 +300,7 @@ type req = {
 type tstate =
   | T_running
       (* Executing, or finished/released: holds no continuation. *)
-  | T_new of unit Prog.t
+  | T_new of (unit -> unit)
       (* Not started: the fiber begins by running this program. *)
   | T_ready of (unit, unit) Effect.Deep.continuation
       (* Suspended at an operation's entry, a yield or a hang. *)
@@ -310,14 +310,15 @@ type tstate =
   | T_call_wait of {
       callee : Endpoint.t;
       k : (Message.t, unit) Effect.Deep.continuation;
-      fork : (Message.t -> unit Prog.t) option;
-          (* The monadic continuation of a program's call, kept so
-             [K_fork] can start the child from it (a fiber continuation
-             is one-shot; a program's [k] can be applied twice). *)
+      child : (unit -> unit) option;
+          (* The body of the child a fork call starts: [K_fork] runs it
+             in the new process (a fiber continuation is one-shot, so
+             the caller's own cannot be resumed twice). Never part of
+             the message, which is journaled. *)
     }
   | T_recv_wait of (unit, unit) Effect.Deep.continuation
       (* Parked in Receive; resuming re-executes the receive. *)
-  | T_idle of unit Prog.t
+  | T_idle of (unit -> unit)
       (* Parked in Receive at the top of the server loop, with no
          fiber: a message starts the loop program afresh, whose first
          operation is that receive. *)
@@ -370,7 +371,7 @@ type proc = {
   mutable hung : bool;
   mutable in_heap : bool;
   mutable covering : bool;  (* booted server: coverage/site accounting applies *)
-  mutable loop_prog : unit Prog.t option;
+  mutable loop_prog : (unit -> unit) option;
   mutable baseline_ready : bool;  (* boot image recorded in the Memimage baseline *)
   mutable restore_saved : int;    (* bytes dirty-region restarts did not blit *)
   clone_extra_kb : int;
@@ -1024,9 +1025,10 @@ let register t ep p =
   t.by_ep.(ep) <- Some p
 
 (* The exit(status) through PM that ends a user thread whose program
-   returned, failed or was killed. *)
-let exit_prog status =
-  Prog.Call (Endpoint.pm, Message.Exit { status }, fun _ -> Prog.Done ())
+   returned, failed or was killed. The call is an operation, defined
+   with the others below; [Op] fills in [exit_call]. *)
+let exit_call : (int -> unit) ref = ref (fun _ -> ())
+let exit_prog status () = !exit_call status
 
 let get_proc t ep =
   match proc_of t ep with
@@ -1445,7 +1447,7 @@ let add_server t srv =
       prof = (if t.profiling then prof_row () else [||]) }
   in
   let main =
-    fresh_thread t p (Prog.bind srv.srv_init (fun () -> srv.srv_loop))
+    fresh_thread t p (fun () -> srv.srv_init (); srv.srv_loop ())
   in
   p.threads <- [ main ];
   Queue.push main p.runq;
@@ -1582,23 +1584,21 @@ let exec_kcall t p kc : Prog.kresult =
     (match proc_of t parent with
      | None -> Prog.Kr_err Errno.ESRCH
      | Some pp ->
-       let rec find_k = function
+       let rec find_child = function
          | [] -> None
          | th :: rest ->
            (match th.tstate with
-            | T_call_wait { callee; fork = Some f; _ } when callee = p.ep -> Some f
-            | _ -> find_k rest)
+            | T_call_wait { callee; child = Some f; _ } when callee = p.ep ->
+              Some f
+            | _ -> find_child rest)
        in
-       (match find_k pp.threads with
+       (match find_child pp.threads with
         | None -> Prog.Kr_err Errno.EINVAL
-        | Some f ->
-          (* The child applies the parent's continuation in its own
-             fiber, so its host exceptions are its own. *)
-          let child_prog =
-            Prog.Direct (fun () -> f (Message.R_fork { child = 0 }))
-          in
+        | Some body ->
+          (* The child runs the body the caller's fork supplied, in its
+             own fiber, so its host exceptions are its own. *)
           let cep =
-            spawn_user t ~name:(pp.pname ^ "+") ~prog:child_prog ~parent
+            spawn_user t ~name:(pp.pname ^ "+") ~prog:body ~parent
           in
           let cp = get_proc t cep in
           (* The child starts running only after PM finishes the fork
@@ -1613,7 +1613,10 @@ let exec_kcall t p kc : Prog.kresult =
        (match t.cfg.lookup_program path with
         | None -> Prog.Kr_err Errno.ENOENT
         | Some f ->
-          let th = fresh_thread t pp (f arg) in
+          (* The program runs from its first line in the exec'd
+             process' own fiber, so its exceptions are that process'
+             machine checks, never PM's. *)
+          let th = fresh_thread t pp (fun () -> f arg) in
           List.iter release pp.threads;
           pp.threads <- [ th ];
           Queue.clear pp.runq;
@@ -1863,17 +1866,17 @@ let finish_thread t p th =
 
    Operations that cannot block run as plain calls inside the fiber
    ([op_load], [op_store], ...), and so do the IPC and kernel calls up
-   to the point where they must wait. Monadic programs reach the same
-   calls through [run_prog], direct-style code through [Op]. *)
+   to the point where they must wait. Programs reach them through
+   [Op]. *)
 type _ Effect.t +=
   | Park : unit Effect.t
       (* Give the CPU back to the loop and stay ready: preemption,
          halt or a stopped process at an op's entry, a yield, a hang. *)
   | Park_recv : unit Effect.t
       (* Wait in Receive for a message. *)
-  | Park_call :
-      Endpoint.t * (Message.t -> unit Prog.t) option -> Message.t Effect.t
-      (* Wait for the reply to a call to the endpoint. *)
+  | Park_call : Endpoint.t * (unit -> unit) option -> Message.t Effect.t
+      (* Wait for the reply to a call to the endpoint; a fork call
+         carries the child's body. *)
 
 (* Ends the executing fiber: a crash, a skipped handler, a finished or
    failed program. The thread's state says what comes next. *)
@@ -2034,7 +2037,7 @@ let op_send t p th dst msg =
     deliver_to_inbox t ~src:p.ep ~src_tid:th.tid ~call:false
       ~rid:(alloc_rid t) ~parent:th.cause dst msg
 
-let op_call t p th ~fork dst msg =
+let op_call t p th ~child dst msg =
   enter t p;
   let wopen = window_open p in
   coverage p wopen;
@@ -2053,7 +2056,7 @@ let op_call t p th ~fork dst msg =
     deliver_to_inbox t ~at:p.vtime ~src:p.ep ~src_tid:th.tid ~call:true
       ~rid ~parent:th.cause dst msg;
     deactivate t p;
-    Effect.perform (Park_call (dst, fork))
+    Effect.perform (Park_call (dst, child))
   end
 
 (* A receive that finds the inbox empty parks; a message wakes it and
@@ -2151,16 +2154,11 @@ let op_reply t p th dst msg =
           schedule t rp
         | _ -> assert false))
 
-(* A yield is split around the code that follows it: a monadic
-   program's continuation runs before the thread parks, so a host
-   exception in it is a machine check before the yield takes effect. *)
-let op_yield t p =
+let op_yield t p th =
   enter t p;
   let wopen = window_open p in
   coverage p wopen;
-  charge t p ~logged:(logs p wopen) sl_yield t.cfg.costs.Costs.c_yield
-
-let yield_park t p th =
+  charge t p ~logged:(logs p wopen) sl_yield t.cfg.costs.Costs.c_yield;
   Queue.push th p.runq;
   deactivate t p;
   Effect.perform Park
@@ -2227,46 +2225,6 @@ let op_fail t p th reason =
     th.tstate <- T_new (exit_prog 255);
     raise Thread_finished
 
-(* The [Prog.t] adapter: executes a monadic program node by node
-   through the operations above, inside the thread's fiber. *)
-let rec run_prog t p th (prog : unit Prog.t) =
-  match prog with
-  | Prog.Load (off, k) -> run_prog t p th (k (op_load t p th off))
-  | Prog.Store (off, v, k) ->
-    op_store t p th off v;
-    run_prog t p th (k ())
-  | Prog.Compute (c, k) ->
-    op_compute t p th c;
-    run_prog t p th (k ())
-  | Prog.Load_str { off; len; k } ->
-    run_prog t p th (k (op_load_str t p th ~off ~len))
-  | Prog.Store_str { off; len; v; k } ->
-    op_store_str t p th ~off ~len v;
-    run_prog t p th (k ())
-  | Prog.Send (dst, msg, k) ->
-    op_send t p th dst msg;
-    run_prog t p th (k ())
-  | Prog.Call (dst, msg, k) ->
-    run_prog t p th (k (op_call t p th ~fork:(Some k) dst msg))
-  | Prog.Receive k -> run_prog t p th (k (op_receive t p th))
-  | Prog.Reply (dst, msg, k) ->
-    op_reply t p th dst msg;
-    run_prog t p th (k ())
-  | Prog.Yield k ->
-    op_yield t p;
-    let next = k () in
-    yield_park t p th;
-    run_prog t p th next
-  | Prog.Spawn (child, k) ->
-    op_spawn t p th child;
-    run_prog t p th (k ())
-  | Prog.Kcall (kc, k) -> run_prog t p th (k (op_kcall t p th kc))
-  | Prog.Rand (bound, k) -> run_prog t p th (k (op_rand t p bound))
-  | Prog.Now k -> run_prog t p th (k (op_now t p))
-  | Prog.Direct f -> run_prog t p th (f ())
-  | Prog.Done () -> op_done t p th
-  | Prog.Fail reason -> op_fail t p th reason
-
 (* Activate the next ready thread of [p], handling window bookkeeping
    for handler threads that start running for the first time. *)
 let activate_next t p =
@@ -2305,7 +2263,7 @@ let machine_check t p th exn =
     Log.debug (fun m -> m "user %s %s" p.pname reason);
     th.tstate <- T_new (exit_prog 255)
 
-(* The executing thread, for direct-style code ([Op]). One slot per
+(* The executing thread, for [Op]. One slot per
    domain: campaign runs kernels on several pool domains at once. *)
 type running = { rt : t; rp : proc; rth : thread }
 
@@ -2330,9 +2288,9 @@ let fiber_handler t p th : (unit, unit) Effect.Deep.handler =
          | Park_recv ->
            Some (fun (k : (a, unit) Effect.Deep.continuation) ->
                th.tstate <- T_recv_wait k)
-         | Park_call (callee, fork) ->
+         | Park_call (callee, child) ->
            Some (fun (k : (a, unit) Effect.Deep.continuation) ->
-               th.tstate <- T_call_wait { callee; k; fork })
+               th.tstate <- T_call_wait { callee; k; child })
          | _ -> None) }
 
 (* Run the active thread for one slice. *)
@@ -2343,7 +2301,9 @@ let resume t p th =
   (match th.tstate with
    | T_new prog ->
      th.tstate <- T_running;
-     Effect.Deep.match_with (run_prog t p th) prog (fiber_handler t p th)
+     Effect.Deep.match_with
+       (fun f -> f (); op_done t p th)
+       prog (fiber_handler t p th)
    | T_ready k ->
      th.tstate <- T_running;
      Effect.Deep.continue k ()
@@ -2377,7 +2337,7 @@ let exec_proc t p =
   bump_now t p.vtime
 
 (* ------------------------------------------------------------------ *)
-(* Direct-style operations                                             *)
+(* Operations                                                          *)
 (* ------------------------------------------------------------------ *)
 
 module Op = struct
@@ -2410,9 +2370,9 @@ module Op = struct
     let r = cur () in
     op_send r.rt r.rp r.rth dst msg
 
-  let call dst msg =
+  let call ?child dst msg =
     let r = cur () in
-    op_call r.rt r.rp r.rth ~fork:None dst msg
+    op_call r.rt r.rp r.rth ~child dst msg
 
   let receive () =
     let r = cur () in
@@ -2424,8 +2384,7 @@ module Op = struct
 
   let yield () =
     let r = cur () in
-    op_yield r.rt r.rp;
-    yield_park r.rt r.rp r.rth
+    op_yield r.rt r.rp r.rth
 
   let spawn prog =
     let r = cur () in
@@ -2463,6 +2422,9 @@ module Op = struct
     let set_cell c v = store (Layout.Cell.addr c) v
   end
 end
+
+let () =
+  exit_call := fun status -> ignore (Op.call Endpoint.pm (Message.Exit { status }))
 
 (* ------------------------------------------------------------------ *)
 (* Main loops                                                          *)

@@ -1,11 +1,11 @@
 (** The discrete-event microkernel.
 
     The kernel owns the virtual clock, schedules processes by virtual
-    time, runs every thread as an OCaml effect fiber — executing
-    {!Prog.t} programs node by node and direct-style code through
+    time, runs every thread as an OCaml effect fiber — a program is a
+    plain [unit -> unit] function whose operations are calls into
     {!Op} — and implements the privileged mechanics of OSIRIS'
     recovery protocol (restart / rollback / reconciliation primitives
-    invoked by the Recovery Server through [Kcall]s).
+    invoked by the Recovery Server through kernel calls).
 
     Simulation structure:
     - every process (OS server or user process) is an event-driven
@@ -79,9 +79,9 @@ type server = {
   srv_clone_extra_kb : int;
       (** Memory the Recovery Server pre-allocates for this component's
           clone beyond the image itself (large for VM — Table VI). *)
-  srv_init : unit Prog.t;
+  srv_init : unit -> unit;
       (** Instrumented initialization, run once at boot. *)
-  srv_loop : unit Prog.t;
+  srv_loop : unit -> unit;
       (** The request-processing loop; also used to restart clones. *)
   srv_multithreaded : bool;
 }
@@ -119,8 +119,9 @@ type config = {
   max_vtime : int;          (** Virtual-time deadline; past it, hang. *)
   hang_detect_cycles : int; (** Heartbeat latency for hung components. *)
   max_crashes : int;        (** Crash-storm cutoff (panic beyond it). *)
-  lookup_program : string -> (int -> unit Prog.t) option;
-      (** Executable registry used by [K_exec]. *)
+  lookup_program : string -> (int -> unit) option;
+      (** Executable registry used by [K_exec]: the program run with
+          the exec argument, in the exec'd process. *)
   log_sink : (string -> unit) option;
       (** Receives [Diag] lines. *)
 }
@@ -131,7 +132,7 @@ val costs_of_arch : arch -> Costs.t
 
 val default_config : ?arch:arch -> ?seed:int ->
   ?policies:(Endpoint.t * Policy.t) list -> Policy.t ->
-  lookup_program:(string -> (int -> unit Prog.t) option) -> unit -> config
+  lookup_program:(string -> (int -> unit) option) -> unit -> config
 
 type t
 
@@ -149,13 +150,14 @@ val boot : t -> unit
     server is at the top of its loop, and the loop starts afresh at
     its first message. *)
 
-val spawn_user : t -> name:string -> prog:unit Prog.t -> parent:Endpoint.t ->
-  Endpoint.t
+val spawn_user : t -> name:string -> prog:(unit -> unit) ->
+  parent:Endpoint.t -> Endpoint.t
 (** Create a user process (the workload root; everything else is
     forked/exec'd through PM). It must be registered in PM separately
-    — the core library's boot protocol handles that. *)
+    — the core library's boot protocol handles that. A program that
+    returns exits 0 through PM; one that raises exits 255. *)
 
-val spawn_user_at : t -> at:int -> name:string -> prog:unit Prog.t ->
+val spawn_user_at : t -> at:int -> name:string -> prog:(unit -> unit) ->
   parent:Endpoint.t -> Endpoint.t
 (** {!spawn_user}, but the process first runs at virtual instant
     [at]: its clock starts there and it enters the scheduler's timer
@@ -182,17 +184,18 @@ val run : t -> halt
 (** Run until a halt condition. On return every thread's fiber has been
     released: a kernel runs once. *)
 
-(** {1 Direct-style operations}
+(** {1 Operations}
 
-    The operations a thread performs, as plain calls. Each one acts on
-    the thread the kernel is running — reached through a per-domain
-    slot — exactly as the matching {!Prog.t} node does: it counts
-    against [max_ops], is a coverage unit and a fault site, pays its
-    {!Costs.t} entry, and may be preempted at its entry. [call],
-    [receive] and [yield] suspend the thread's fiber until it can go
-    on. Calling any of them outside a running thread raises
-    [Invalid_argument]. Embed direct-style code in a program with
-    {!Prog.direct}. *)
+    The operations a program performs, as plain calls. Each one acts
+    on the thread the kernel is running — reached through a
+    per-domain slot: it counts against [max_ops], is a coverage unit
+    and a fault site, pays its {!Costs.t} entry, and may be preempted
+    at its entry. [call], [receive] and [yield] suspend the thread's
+    fiber until it can go on. Calling any of them outside a running
+    thread raises [Invalid_argument]. The end of a thread's program is
+    an operation too. Programs must be deterministic: randomness comes
+    from [rand] (the kernel's seeded stream) and time from [now] (the
+    virtual clock). *)
 module Op : sig
   val compute : int -> unit
   val load : int -> int
@@ -200,19 +203,30 @@ module Op : sig
   val load_str : off:int -> len:int -> string
   val store_str : off:int -> len:int -> string -> unit
   val send : Endpoint.t -> Message.t -> unit
-  val call : Endpoint.t -> Message.t -> Message.t
+
+  val call : ?child:(unit -> unit) -> Endpoint.t -> Message.t -> Message.t
+  (** Send a request and wait for the reply. [child] is the body of
+      the process a fork request creates: it rides in the caller's
+      wait state, never in the message, and [K_fork] starts the child
+      with it; a fork call without one fails with [EINVAL]. *)
+
   val receive : unit -> Endpoint.t * Message.t
   val reply : Endpoint.t -> Message.t -> unit
   val yield : unit -> unit
-  val spawn : unit Prog.t -> unit
+
+  val spawn : (unit -> unit) -> unit
+  (** Start a cothread in the same component. *)
+
   val kcall : Prog.kcall -> Prog.kresult
   val rand : int -> int
   val now : unit -> int
 
   val fail : string -> 'a
-  (** Fail-stop crash of the executing component ({!Prog.Fail}). *)
+  (** Fail-stop crash of the executing component (the NULL-deref /
+      failed-assertion analogue); a user process exits 255. *)
 
-  (** Typed memory access over layouts, as {!Prog.Mem}. *)
+  (** Typed memory access over layouts: costed, instrumented and
+      fault-injectable loads and stores of table fields and cells. *)
   module Mem : sig
     val get_int : Layout.Table.t -> row:int -> Layout.int_field -> int
     val set_int : Layout.Table.t -> row:int -> Layout.int_field -> int -> unit
@@ -485,7 +499,7 @@ val request_root_of : t -> int -> int
 (** The root rid a delivered rid was charged under (0 = system /
     unknown). *)
 
-val live_update : t -> Endpoint.t -> unit Prog.t -> (unit, string) result
+val live_update : t -> Endpoint.t -> (unit -> unit) -> (unit, string) result
 (** Replace a server's request-processing loop with a new version,
     preserving its state — a live update built from the recovery
     substrate (paper Section VII, "generality of the framework"): the

@@ -47,6 +47,6 @@ let server t =
     srv_name = "bdev";
     srv_image = t.image;
     srv_clone_extra_kb = 0;
-    srv_init = Prog.return ();
+    srv_init = ignore;
     srv_loop = Srvlib.simple_loop (handle t);
     srv_multithreaded = false }

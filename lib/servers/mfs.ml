@@ -552,7 +552,7 @@ let add_file t ~bdev ~path ~content =
   done;
   Layout.Table.set_int t.inodes ~row:ino t.i_size len
 
-let init _t = Prog.return ()
+let init _t () = ()
 
 let corrupt_for_test t =
   (* Point the free-list head at the root of an allocated chain: the

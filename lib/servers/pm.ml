@@ -311,15 +311,14 @@ let handle t src msg =
 
 (* Boot: install the primordial workload root in the process table and
    make it known to VM and VFS. *)
-let init t =
-  Prog.direct (fun () ->
-      let root = Endpoint.first_user in
-      set_row t ~row:0 ~state:st_alive ~ep:root ~parent:0 ~name:"init";
-      Mem.set_cell t.c_forks 0;
-      Mem.set_cell t.c_execs 0;
-      Mem.set_cell t.c_exits 0;
-      ignore (Op.call Endpoint.vm (Message.Vm_fork { parent = 0; child = root }));
-      ignore (Op.call Endpoint.vfs (Message.Vfs_fork { parent = 0; child = root })))
+let init t () =
+  let root = Endpoint.first_user in
+  set_row t ~row:0 ~state:st_alive ~ep:root ~parent:0 ~name:"init";
+  Mem.set_cell t.c_forks 0;
+  Mem.set_cell t.c_execs 0;
+  Mem.set_cell t.c_exits 0;
+  ignore (Op.call Endpoint.vm (Message.Vm_fork { parent = 0; child = root }));
+  ignore (Op.call Endpoint.vfs (Message.Vfs_fork { parent = 0; child = root }))
 
 let server t =
   { Kernel.srv_ep = Endpoint.pm;

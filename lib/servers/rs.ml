@@ -201,21 +201,20 @@ let handle t src msg =
   | Message.Ping -> Op.reply src Message.R_pong
   | _ -> Srvlib.reply_err src Errno.ENOSYS
 
-let init t =
-  Prog.direct (fun () ->
-      List.iteri
-        (fun row (ep, label) ->
-           Mem.set_int t.services ~row t.s_used 1;
-           Mem.set_int t.services ~row t.s_ep ep;
-           Mem.set_str t.services ~row t.s_label label;
-           Mem.set_int t.services ~row t.s_restarts 0)
-        [ (Endpoint.pm, "pm"); (Endpoint.vfs, "vfs"); (Endpoint.vm, "vm");
-          (Endpoint.ds, "ds"); (Endpoint.rs, "rs"); (Endpoint.mfs, "mfs") ];
-      Mem.set_cell t.c_restarts 0;
-      Mem.set_cell t.c_shutdowns 0;
-      Mem.set_cell t.c_notices 0;
-      Mem.set_cell t.c_heartbeats 0;
-      kcall (Prog.K_alarm { ticks = heartbeat_ticks }))
+let init t () =
+  List.iteri
+    (fun row (ep, label) ->
+       Mem.set_int t.services ~row t.s_used 1;
+       Mem.set_int t.services ~row t.s_ep ep;
+       Mem.set_str t.services ~row t.s_label label;
+       Mem.set_int t.services ~row t.s_restarts 0)
+    [ (Endpoint.pm, "pm"); (Endpoint.vfs, "vfs"); (Endpoint.vm, "vm");
+      (Endpoint.ds, "ds"); (Endpoint.rs, "rs"); (Endpoint.mfs, "mfs") ];
+  Mem.set_cell t.c_restarts 0;
+  Mem.set_cell t.c_shutdowns 0;
+  Mem.set_cell t.c_notices 0;
+  Mem.set_cell t.c_heartbeats 0;
+  kcall (Prog.K_alarm { ticks = heartbeat_ticks })
 
 let server t =
   { Kernel.srv_ep = Endpoint.rs;

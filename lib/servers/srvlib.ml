@@ -20,20 +20,18 @@ let scan ~rows pred =
 
 let diag line = Kernel.Op.send Endpoint.kernel (Message.Diag { line })
 
-let simple_loop handle =
-  Prog.direct (fun () ->
-      let rec go () =
-        let src, msg = Kernel.Op.receive () in
-        handle src msg;
-        go ()
-      in
-      go ())
+let simple_loop handle () =
+  let rec go () =
+    let src, msg = Kernel.Op.receive () in
+    handle src msg;
+    go ()
+  in
+  go ()
 
-let threaded_loop handle =
-  Prog.direct (fun () ->
-      let rec go () =
-        let src, msg = Kernel.Op.receive () in
-        Kernel.Op.spawn (Prog.direct (fun () -> handle src msg));
-        go ()
-      in
-      go ())
+let threaded_loop handle () =
+  let rec go () =
+    let src, msg = Kernel.Op.receive () in
+    Kernel.Op.spawn (fun () -> handle src msg);
+    go ()
+  in
+  go ()

@@ -29,15 +29,10 @@ val diag : string -> unit
     modifying SEEP (the kind that separates pessimistic from enhanced
     coverage). *)
 
-val simple_loop : (Endpoint.t -> Message.t -> unit) -> unit Prog.t
-(** Single-threaded event loop: receive, dispatch, repeat. The loop is
-    a program ({!Prog.direct}) because the kernel starts, restarts and
-    live-updates server loops as program values. *)
+val simple_loop : (Endpoint.t -> Message.t -> unit) -> unit -> unit
+(** Single-threaded event loop: receive, dispatch, repeat. *)
 
-val threaded_loop : (Endpoint.t -> Message.t -> unit) -> unit Prog.t
+val threaded_loop : (Endpoint.t -> Message.t -> unit) -> unit -> unit
 (** Multithreaded event loop: each request is handled in a freshly
     spawned cooperative thread (the VFS model, paper Section IV-E).
-    The handler runs entirely in the new thread. Keep its code up to
-    its first operation free of effects and exceptions, so that the
-    thread it runs in cannot change a run (ARCHITECTURE §2, "Fiber
-    runner"). *)
+    The handler runs entirely in the new thread. *)

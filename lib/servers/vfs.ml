@@ -552,7 +552,7 @@ let dump_state t =
   done;
   List.rev !out
 
-let init t = Prog.direct (fun () -> Mem.set_cell t.c_opens 0)
+let init t () = Mem.set_cell t.c_opens 0
 
 let server t =
   { Kernel.srv_ep = Endpoint.vfs;

@@ -218,10 +218,9 @@ let handle t src msg =
   | Message.Ping -> Op.reply src Message.R_pong
   | _ -> Srvlib.reply_err src Errno.ENOSYS
 
-let init t =
-  Prog.direct (fun () ->
-      Mem.set_cell t.c_pages_used 0;
-      Mem.set_cell t.c_next_region 0)
+let init t () =
+  Mem.set_cell t.c_pages_used 0;
+  Mem.set_cell t.c_next_region 0
 
 let server t =
   { Kernel.srv_ep = Endpoint.vm;

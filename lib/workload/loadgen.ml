@@ -1,4 +1,3 @@
-open Prog.Syntax
 module Rng = Osiris_util.Rng
 
 type arrival = Poisson | Bursty of { on_mean : int; off_mean : int }
@@ -99,60 +98,57 @@ let arrivals spec =
    service failure. *)
 let shed_code = 75
 
-let with_session body =
-  let* a = Syscall.adopt in
-  if a < 0 then Syscall.exit shed_code
-  else
-    let* code = body in
-    Syscall.exit code
+let with_session body () =
+  let a = Syscall.adopt () in
+  if a < 0 then Syscall.exit shed_code else Syscall.exit (body ())
 
-let file_request ~key ~size =
+let file_request ~key ~size () =
   let path = Printf.sprintf "/tmp/ld%d" key in
   let data = String.make size 'x' in
-  let* fd = Syscall.open_ path Message.creat in
-  if fd < 0 then Prog.return 1
-  else
-    let* w = Syscall.write ~fd data in
-    let* _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
-    let* r = Syscall.read ~fd ~len:size in
-    let* c = Syscall.close fd in
+  let fd = Syscall.open_ path Message.creat in
+  if fd < 0 then 1
+  else begin
+    let w = Syscall.write ~fd data in
+    let _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
+    let r = Syscall.read ~fd ~len:size in
+    let c = Syscall.close fd in
     (* Hot paths are shared: a concurrent request may interleave, so
        success is "every call succeeded", not "read back my bytes". *)
-    Prog.return
-      (match r with Ok _ when w >= 0 && c >= 0 -> 0 | _ -> 1)
+    match r with Ok _ when w >= 0 && c >= 0 -> 0 | _ -> 1
+  end
 
-let ds_request ~key ~value =
+let ds_request ~key ~value () =
   let k = Printf.sprintf "ld.%d" key in
-  let* p = Syscall.ds_publish ~key:k ~value in
-  let* r = Syscall.ds_retrieve ~key:k in
-  Prog.return (match r with Ok _ when p >= 0 -> 0 | _ -> 2)
+  let p = Syscall.ds_publish ~key:k ~value in
+  let r = Syscall.ds_retrieve ~key:k in
+  match r with Ok _ when p >= 0 -> 0 | _ -> 2
 
-let pipe_request ~size =
+let pipe_request ~size () =
   let data = String.make size 'p' in
-  let* pr = Syscall.pipe in
-  match pr with
-  | Error _ -> Prog.return 3
+  match Syscall.pipe () with
+  | Error _ -> 3
   | Ok (rfd, wfd) ->
-    let* w = Syscall.write ~fd:wfd data in
-    let* r = Syscall.read ~fd:rfd ~len:size in
-    let* _ = Syscall.close rfd in
-    let* _ = Syscall.close wfd in
-    Prog.return (match r with Ok _ when w >= 0 -> 0 | _ -> 3)
+    let w = Syscall.write ~fd:wfd data in
+    let r = Syscall.read ~fd:rfd ~len:size in
+    let _ = Syscall.close rfd in
+    let _ = Syscall.close wfd in
+    (match r with Ok _ when w >= 0 -> 0 | _ -> 3)
 
-let mem_request ~size =
-  let* b0 = Syscall.brk_current in
-  let* b1 = Syscall.sbrk size in
-  Prog.return (if b1 = b0 + size then 0 else 4)
+let mem_request ~size () =
+  let b0 = Syscall.brk_current () in
+  let b1 = Syscall.sbrk size in
+  if b1 = b0 + size then 0 else 4
 
-let exec_request =
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* _ = Syscall.exec "/bin/true" 0 in
-    Syscall.exit 5
-  else if pid < 0 then Prog.return 5
+let exec_request () =
+  let pid =
+    Syscall.fork (fun () ->
+        let _ = Syscall.exec "/bin/true" 0 in
+        Syscall.exit 5)
+  in
+  if pid < 0 then 5
   else
-    let* _, status = Syscall.waitpid pid in
-    Prog.return (if status = 0 then 0 else 5)
+    let _, status = Syscall.waitpid pid in
+    if status = 0 then 0 else 5
 
 (* ---------------- planning and injection ----------------------- *)
 
@@ -183,7 +179,8 @@ let inject k spec =
      spawn takes that endpoint, so occupy it with a trivial root
      before the request processes adopt themselves. *)
   let (_ : Endpoint.t) =
-    Kernel.spawn_user k ~name:"init" ~prog:(Syscall.exit 0) ~parent:0
+    Kernel.spawn_user k ~name:"init" ~prog:(fun () -> Syscall.exit 0)
+      ~parent:0
   in
   let reqs =
     Array.init spec.l_requests (fun i ->

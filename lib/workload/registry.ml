@@ -1,4 +1,4 @@
-type t = (string, int -> unit Prog.t) Hashtbl.t
+type t = (string, int -> unit) Hashtbl.t
 
 let create () = Hashtbl.create 64
 

@@ -9,11 +9,12 @@ type t
 
 val create : unit -> t
 
-val register : t -> string -> (int -> unit Prog.t) -> unit
-(** Bind an absolute path to a program factory (the int is the argv
-    analogue). Re-registering a path replaces the binding. *)
+val register : t -> string -> (int -> unit) -> unit
+(** Bind an absolute path to a program, which exec runs with its
+    integer argument (the argv analogue) in the exec'd process.
+    Re-registering a path replaces the binding. *)
 
-val lookup : t -> string -> (int -> unit Prog.t) option
+val lookup : t -> string -> (int -> unit) option
 
 val paths : t -> string list
 (** All registered paths, sorted (deterministic boot order). *)

@@ -1,1226 +1,1179 @@
-open Prog.Syntax
-
 (* Test-programs are written defensively: every syscall result is
    checked and the first unexpected value terminates the test with a
    distinct nonzero status. Under fault injection a recovered server
    answers E_CRASH (-999), which surfaces here as a failed — but
    cleanly terminated — test, the "fail" bucket of Tables II/III. *)
 
-let ok = Syscall.exit 0
+let ok () = Syscall.exit 0
 
 let fail n = Syscall.exit n
 
-(* Run [next] if [cond] holds, else exit with [code]. *)
-let require cond code next = if cond then next else fail code
+(* Go on if [cond] holds, else exit with [code]. *)
+let require cond code = if not cond then fail code
 
-let require_ok v code next = require (v >= 0) code next
+let require_ok v code = require (v >= 0) code
+
+let compute = Kernel.Op.compute
 
 (* ------------------------------------------------------------------ *)
 (* Process management                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let t_fork_basic =
-  let* pid = Syscall.fork in
-  if pid = 0 then ok
-  else
-    require_ok pid 1
-      (let* p, status = Syscall.waitpid pid in
-       require (p = pid) 2 (require (status = 0) 3 ok))
+let t_fork_basic () =
+  let pid = Syscall.fork ok in
+  require_ok pid 1;
+  let p, status = Syscall.waitpid pid in
+  require (p = pid) 2;
+  require (status = 0) 3;
+  ok ()
 
-let t_fork_status =
-  let* pid = Syscall.fork in
-  if pid = 0 then fail 42
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 42) 1 ok
+let t_fork_status () =
+  let pid = Syscall.fork (fun () -> fail 42) in
+  let _, status = Syscall.waitpid pid in
+  require (status = 42) 1;
+  ok ()
 
-let t_fork_many =
+let t_fork_many () =
   (* Several live children at once, reaped in order. *)
   let rec spawn n acc =
-    if n = 0 then Prog.return (List.rev acc)
+    if n = 0 then List.rev acc
     else
-      let* pid = Syscall.fork in
-      if pid = 0 then Syscall.exit (10 + n)
-      else if pid < 0 then Prog.return (List.rev acc)
-      else spawn (n - 1) (pid :: acc)
+      let pid = Syscall.fork (fun () -> Syscall.exit (10 + n)) in
+      if pid < 0 then List.rev acc else spawn (n - 1) (pid :: acc)
   in
-  let* pids = spawn 4 [] in
-  require (List.length pids = 4) 1
-    (let rec reap expected = function
-       | [] -> ok
-       | pid :: rest ->
-         let* p, status = Syscall.waitpid pid in
-         require (p = pid) 2
-           (require (status = 10 + expected) 3 (reap (expected - 1) rest))
-     in
-     reap 4 pids)
+  let pids = spawn 4 [] in
+  require (List.length pids = 4) 1;
+  List.iteri
+    (fun i pid ->
+       let p, status = Syscall.waitpid pid in
+       require (p = pid) 2;
+       require (status = 10 + 4 - i) 3)
+    pids;
+  ok ()
 
-let t_wait_any =
-  let* pid = Syscall.fork in
-  if pid = 0 then ok
-  else
-    let* p, _ = Syscall.wait in
-    require (p = pid) 1 ok
+let t_wait_any () =
+  let pid = Syscall.fork ok in
+  let p, _ = Syscall.wait () in
+  require (p = pid) 1;
+  ok ()
 
-let t_wait_blocks =
+let t_wait_blocks () =
   (* Parent waits before the child exits: the deferred-reply path. *)
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    (* Burn time so the parent reaches waitpid first. *)
-    let* () = Prog.compute 50_000 in
-    Syscall.exit 7
-  else
-    let* p, status = Syscall.waitpid pid in
-    require (p = pid) 1 (require (status = 7) 2 ok)
+  let pid =
+    Syscall.fork (fun () ->
+        (* Burn time so the parent reaches waitpid first. *)
+        compute 50_000;
+        Syscall.exit 7)
+  in
+  let p, status = Syscall.waitpid pid in
+  require (p = pid) 1;
+  require (status = 7) 2;
+  ok ()
 
-let t_wait_no_child =
-  let* p, _ = Syscall.wait in
-  require (p = Errno.to_code Errno.ECHILD) 1 ok
+let t_wait_no_child () =
+  let p, _ = Syscall.wait () in
+  require (p = Errno.to_code Errno.ECHILD) 1;
+  ok ()
 
-let t_wait_wrong_pid =
-  let* p, _ = Syscall.waitpid 99999 in
-  require (p = Errno.to_code Errno.ECHILD) 1 ok
+let t_wait_wrong_pid () =
+  let p, _ = Syscall.waitpid 99999 in
+  require (p = Errno.to_code Errno.ECHILD) 1;
+  ok ()
 
-let t_zombie_reap =
-  let* pid = Syscall.fork in
-  if pid = 0 then Syscall.exit 3
-  else
-    (* Let the child become a zombie before waiting. *)
-    let* () = Prog.compute 100_000 in
-    let* p, status = Syscall.waitpid pid in
-    require (p = pid) 1 (require (status = 3) 2 ok)
+let t_zombie_reap () =
+  let pid = Syscall.fork (fun () -> Syscall.exit 3) in
+  (* Let the child become a zombie before waiting. *)
+  compute 100_000;
+  let p, status = Syscall.waitpid pid in
+  require (p = pid) 1;
+  require (status = 3) 2;
+  ok ()
 
-let t_getpid =
-  let* pid = Syscall.getpid in
-  require_ok pid 1
-    (let* pid2 = Syscall.getpid in
-     require (pid = pid2) 2 ok)
+let t_getpid () =
+  let pid = Syscall.getpid () in
+  require_ok pid 1;
+  let pid2 = Syscall.getpid () in
+  require (pid = pid2) 2;
+  ok ()
 
-let t_getppid =
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* ppid = Syscall.getppid in
-    let* () = Prog.guard (ppid > 0) "ppid positive" in
-    Syscall.exit (if ppid > 0 then 0 else 1)
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 0) 1 ok
+let t_getppid () =
+  let pid =
+    Syscall.fork (fun () ->
+        let ppid = Syscall.getppid () in
+        if not (ppid > 0) then Kernel.Op.fail "assertion failed: ppid positive";
+        Syscall.exit 0)
+  in
+  let _, status = Syscall.waitpid pid in
+  require (status = 0) 1;
+  ok ()
 
-let t_fork_pid_differs =
-  let* mypid = Syscall.getpid in
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* cpid = Syscall.getpid in
-    Syscall.exit (if cpid <> mypid then 0 else 1)
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (pid <> mypid) 1 (require (status = 0) 2 ok)
+let t_fork_pid_differs () =
+  let mypid = Syscall.getpid () in
+  let pid =
+    Syscall.fork (fun () ->
+        let cpid = Syscall.getpid () in
+        Syscall.exit (if cpid <> mypid then 0 else 1))
+  in
+  let _, status = Syscall.waitpid pid in
+  require (pid <> mypid) 1;
+  require (status = 0) 2;
+  ok ()
 
-let t_kill_child =
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    (* Child spins until killed. *)
-    let rec spin () = Prog.bind (Prog.compute 1000) spin in
-    spin ()
-  else
-    let* r = Syscall.kill ~pid ~signal:9 in
-    require_ok r 1
-      (let* p, status = Syscall.waitpid pid in
-       require (p = pid) 2 (require (status = 128 + 9) 3 ok))
+(* A child that computes until it is killed. *)
+let rec spin () =
+  compute 1000;
+  spin ()
 
-let t_kill_no_target =
-  let* r = Syscall.kill ~pid:99999 ~signal:9 in
-  require (r = Errno.to_code Errno.ESRCH) 1 ok
+let t_kill_child () =
+  let pid = Syscall.fork spin in
+  let r = Syscall.kill ~pid ~signal:9 in
+  require_ok r 1;
+  let p, status = Syscall.waitpid pid in
+  require (p = pid) 2;
+  require (status = 128 + 9) 3;
+  ok ()
 
-let t_exec_child =
+let t_kill_no_target () =
+  let r = Syscall.kill ~pid:99999 ~signal:9 in
+  require (r = Errno.to_code Errno.ESRCH) 1;
+  ok ()
+
+(* A child that execs [path] with [arg], exiting 9 if exec returns. *)
+let exec_child path arg () =
+  let _ = Syscall.exec path arg in
+  fail 9
+
+(* Fork [child] and exit 0 if it exits with [expected], else 1. *)
+let expect_child_status child expected =
+  let pid = Syscall.fork child in
+  let _, status = Syscall.waitpid pid in
+  require (status = expected) 1;
+  ok ()
+
+let t_exec_child () =
   (* /bin/true exits 0; /bin/false exits 1. *)
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* _ = Syscall.exec "/bin/true" 0 in
-    fail 9
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 0) 1 ok
+  expect_child_status (exec_child "/bin/true" 0) 0
 
-let t_exec_status =
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* _ = Syscall.exec "/bin/false" 0 in
-    fail 9
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 1) 1 ok
+let t_exec_status () = expect_child_status (exec_child "/bin/false" 0) 1
 
-let t_exec_arg =
+let t_exec_arg () =
   (* /bin/exitarg exits with its argument. *)
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* _ = Syscall.exec "/bin/exitarg" 23 in
-    fail 9
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 23) 1 ok
+  expect_child_status (exec_child "/bin/exitarg" 23) 23
 
-let t_exec_enoent =
-  let* r = Syscall.exec "/bin/no_such_program" 0 in
-  require (r = Errno.to_code Errno.ENOENT) 1 ok
+let t_exec_enoent () =
+  let r = Syscall.exec "/bin/no_such_program" 0 in
+  require (r = Errno.to_code Errno.ENOENT) 1;
+  ok ()
 
-let t_exec_chain =
+let t_exec_chain () =
   (* /bin/chain execs itself recursively, decrementing its argument. *)
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* _ = Syscall.exec "/bin/chain" 3 in
-    fail 9
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 0) 1 ok
+  expect_child_status (exec_child "/bin/chain" 3) 0
 
-let t_orphan =
+let t_orphan () =
   (* Child outlives parent; the orphan is reparented and reaped by PM. *)
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* gpid = Syscall.fork in
-    if gpid = 0 then
-      let* () = Prog.compute 200_000 in
-      ok
-    else ok (* exits immediately, orphaning the grandchild *)
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 0) 1 ok
+  expect_child_status
+    (fun () ->
+       let _ =
+         Syscall.fork (fun () ->
+             compute 200_000;
+             ok ())
+       in
+       ok () (* exits immediately, orphaning the grandchild *))
+    0
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let with_new_file path body =
-  let* fd = Syscall.open_ path Message.creat in
-  require_ok fd 81 (body fd)
+  let fd = Syscall.open_ path Message.creat in
+  require_ok fd 81;
+  body fd
 
-let t_creat_write_read =
+let t_creat_write_read () =
   with_new_file "/tmp/f_cwr" (fun fd ->
-      let* n = Syscall.write ~fd "hello world" in
-      require (n = 11) 1
-        (let* p = Syscall.lseek ~fd ~off:0 Message.Seek_set in
-         require (p = 0) 2
-           (let* r = Syscall.read ~fd ~len:32 in
-            match r with
-            | Ok "hello world" ->
-              let* _ = Syscall.close fd in
-              let* _ = Syscall.unlink "/tmp/f_cwr" in
-              ok
-            | Ok _ -> fail 3
-            | Error _ -> fail 4)))
+      let n = Syscall.write ~fd "hello world" in
+      require (n = 11) 1;
+      let p = Syscall.lseek ~fd ~off:0 Message.Seek_set in
+      require (p = 0) 2;
+      match Syscall.read ~fd ~len:32 with
+      | Ok "hello world" ->
+        let _ = Syscall.close fd in
+        let _ = Syscall.unlink "/tmp/f_cwr" in
+        ok ()
+      | Ok _ -> fail 3
+      | Error _ -> fail 4)
 
-let t_open_enoent =
-  let* fd = Syscall.open_ "/tmp/does_not_exist" Message.rdonly in
-  require (fd = Errno.to_code Errno.ENOENT) 1 ok
+let t_open_enoent () =
+  let fd = Syscall.open_ "/tmp/does_not_exist" Message.rdonly in
+  require (fd = Errno.to_code Errno.ENOENT) 1;
+  ok ()
 
-let t_read_eof =
+let t_read_eof () =
   with_new_file "/tmp/f_eof" (fun fd ->
-      let* _ = Syscall.write ~fd "abc" in
-      let* _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
-      let* r1 = Syscall.read ~fd ~len:3 in
-      let* r2 = Syscall.read ~fd ~len:3 in
+      let _ = Syscall.write ~fd "abc" in
+      let _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
+      let r1 = Syscall.read ~fd ~len:3 in
+      let r2 = Syscall.read ~fd ~len:3 in
       match r1, r2 with
       | Ok "abc", Ok "" ->
-        let* _ = Syscall.close fd in
-        let* _ = Syscall.unlink "/tmp/f_eof" in
-        ok
+        let _ = Syscall.close fd in
+        let _ = Syscall.unlink "/tmp/f_eof" in
+        ok ()
       | _ -> fail 1)
 
-let t_lseek_modes =
+let t_lseek_modes () =
   with_new_file "/tmp/f_seek" (fun fd ->
-      let* _ = Syscall.write ~fd "0123456789" in
-      let* p1 = Syscall.lseek ~fd ~off:4 Message.Seek_set in
-      let* p2 = Syscall.lseek ~fd ~off:2 Message.Seek_cur in
-      let* p3 = Syscall.lseek ~fd ~off:(-3) Message.Seek_end in
-      let* bad = Syscall.lseek ~fd ~off:(-99) Message.Seek_set in
-      let* _ = Syscall.close fd in
-      let* _ = Syscall.unlink "/tmp/f_seek" in
-      require (p1 = 4) 1
-        (require (p2 = 6) 2
-           (require (p3 = 7) 3
-              (require (bad = Errno.to_code Errno.EINVAL) 4 ok))))
+      let _ = Syscall.write ~fd "0123456789" in
+      let p1 = Syscall.lseek ~fd ~off:4 Message.Seek_set in
+      let p2 = Syscall.lseek ~fd ~off:2 Message.Seek_cur in
+      let p3 = Syscall.lseek ~fd ~off:(-3) Message.Seek_end in
+      let bad = Syscall.lseek ~fd ~off:(-99) Message.Seek_set in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_seek" in
+      require (p1 = 4) 1;
+      require (p2 = 6) 2;
+      require (p3 = 7) 3;
+      require (bad = Errno.to_code Errno.EINVAL) 4;
+      ok ())
 
-let t_sparse_read =
+let t_sparse_read () =
   (* Write past a hole; the hole reads back as NULs. *)
   with_new_file "/tmp/f_hole" (fun fd ->
-      let* _ = Syscall.lseek ~fd ~off:100 Message.Seek_set in
-      let* _ = Syscall.write ~fd "x" in
-      let* _ = Syscall.lseek ~fd ~off:98 Message.Seek_set in
-      let* r = Syscall.read ~fd ~len:3 in
-      let* _ = Syscall.close fd in
-      let* _ = Syscall.unlink "/tmp/f_hole" in
+      let _ = Syscall.lseek ~fd ~off:100 Message.Seek_set in
+      let _ = Syscall.write ~fd "x" in
+      let _ = Syscall.lseek ~fd ~off:98 Message.Seek_set in
+      let r = Syscall.read ~fd ~len:3 in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_hole" in
       match r with
-      | Ok s when String.length s = 3 && s.[0] = '\000' && s.[2] = 'x' -> ok
+      | Ok s when String.length s = 3 && s.[0] = '\000' && s.[2] = 'x' -> ok ()
       | _ -> fail 1)
 
-let t_trunc_on_open =
+let t_trunc_on_open () =
   with_new_file "/tmp/f_trunc" (fun fd ->
-      let* _ = Syscall.write ~fd "old contents" in
-      let* _ = Syscall.close fd in
-      let* fd2 = Syscall.open_ "/tmp/f_trunc" Message.creat in
-      require_ok fd2 1
-        (let* r = Syscall.stat "/tmp/f_trunc" in
-         let* _ = Syscall.close fd2 in
-         let* _ = Syscall.unlink "/tmp/f_trunc" in
-         match r with
-         | Ok { Message.st_size = 0; _ } -> ok
-         | _ -> fail 2))
+      let _ = Syscall.write ~fd "old contents" in
+      let _ = Syscall.close fd in
+      let fd2 = Syscall.open_ "/tmp/f_trunc" Message.creat in
+      require_ok fd2 1;
+      let r = Syscall.stat "/tmp/f_trunc" in
+      let _ = Syscall.close fd2 in
+      let _ = Syscall.unlink "/tmp/f_trunc" in
+      match r with
+      | Ok { Message.st_size = 0; _ } -> ok ()
+      | _ -> fail 2)
 
-let t_append =
+let t_append () =
   with_new_file "/tmp/f_app" (fun fd ->
-      let* _ = Syscall.write ~fd "abc" in
-      let* _ = Syscall.close fd in
+      let _ = Syscall.write ~fd "abc" in
+      let _ = Syscall.close fd in
       let flags =
         { Message.o_create = false; o_trunc = false; o_append = true }
       in
-      let* fd2 = Syscall.open_ "/tmp/f_app" flags in
-      require_ok fd2 1
-        (let* _ = Syscall.write ~fd:fd2 "def" in
-         let* _ = Syscall.lseek ~fd:fd2 ~off:0 Message.Seek_set in
-         let* r = Syscall.read ~fd:fd2 ~len:10 in
-         let* _ = Syscall.close fd2 in
-         let* _ = Syscall.unlink "/tmp/f_app" in
-         match r with Ok "abcdef" -> ok | _ -> fail 2))
+      let fd2 = Syscall.open_ "/tmp/f_app" flags in
+      require_ok fd2 1;
+      let _ = Syscall.write ~fd:fd2 "def" in
+      let _ = Syscall.lseek ~fd:fd2 ~off:0 Message.Seek_set in
+      let r = Syscall.read ~fd:fd2 ~len:10 in
+      let _ = Syscall.close fd2 in
+      let _ = Syscall.unlink "/tmp/f_app" in
+      match r with Ok "abcdef" -> ok () | _ -> fail 2)
 
-let t_unlink_then_open =
+let t_unlink_then_open () =
   with_new_file "/tmp/f_gone" (fun fd ->
-      let* _ = Syscall.close fd in
-      let* r = Syscall.unlink "/tmp/f_gone" in
-      require_ok r 1
-        (let* fd2 = Syscall.open_ "/tmp/f_gone" Message.rdonly in
-         require (fd2 = Errno.to_code Errno.ENOENT) 2 ok))
+      let _ = Syscall.close fd in
+      let r = Syscall.unlink "/tmp/f_gone" in
+      require_ok r 1;
+      let fd2 = Syscall.open_ "/tmp/f_gone" Message.rdonly in
+      require (fd2 = Errno.to_code Errno.ENOENT) 2;
+      ok ())
 
-let t_unlink_enoent =
-  let* r = Syscall.unlink "/tmp/never_created" in
-  require (r = Errno.to_code Errno.ENOENT) 1 ok
+let t_unlink_enoent () =
+  let r = Syscall.unlink "/tmp/never_created" in
+  require (r = Errno.to_code Errno.ENOENT) 1;
+  ok ()
 
-let t_stat_file =
+let t_stat_file () =
   with_new_file "/tmp/f_stat" (fun fd ->
-      let* _ = Syscall.write ~fd (String.make 100 'a') in
-      let* r = Syscall.stat "/tmp/f_stat" in
-      let* _ = Syscall.close fd in
-      let* _ = Syscall.unlink "/tmp/f_stat" in
+      let _ = Syscall.write ~fd (String.make 100 'a') in
+      let r = Syscall.stat "/tmp/f_stat" in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_stat" in
       match r with
-      | Ok { Message.st_size = 100; st_is_dir = false; _ } -> ok
+      | Ok { Message.st_size = 100; st_is_dir = false; _ } -> ok ()
       | _ -> fail 1)
 
-let t_fstat =
+let t_fstat () =
   with_new_file "/tmp/f_fstat" (fun fd ->
-      let* _ = Syscall.write ~fd "12345" in
-      let* r = Syscall.fstat fd in
-      let* _ = Syscall.close fd in
-      let* _ = Syscall.unlink "/tmp/f_fstat" in
-      match r with Ok { Message.st_size = 5; _ } -> ok | _ -> fail 1)
+      let _ = Syscall.write ~fd "12345" in
+      let r = Syscall.fstat fd in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_fstat" in
+      match r with Ok { Message.st_size = 5; _ } -> ok () | _ -> fail 1)
 
-let t_close_ebadf =
-  let* r = Syscall.close 13 in
-  require (r = Errno.to_code Errno.EBADF) 1
-    (let* r2 = Syscall.read ~fd:13 ~len:1 in
-     match r2 with Error Errno.EBADF -> ok | _ -> fail 2)
+let t_close_ebadf () =
+  let r = Syscall.close 13 in
+  require (r = Errno.to_code Errno.EBADF) 1;
+  match Syscall.read ~fd:13 ~len:1 with
+  | Error Errno.EBADF -> ok ()
+  | _ -> fail 2
 
-let t_dup_shares_offset =
+let t_dup_shares_offset () =
   with_new_file "/tmp/f_dup" (fun fd ->
-      let* _ = Syscall.write ~fd "abcdef" in
-      let* fd2 = Syscall.dup fd in
-      require_ok fd2 1
-        (let* _ = Syscall.lseek ~fd ~off:1 Message.Seek_set in
-         let* r = Syscall.read ~fd:fd2 ~len:2 in
-         let* _ = Syscall.close fd in
-         let* _ = Syscall.close fd2 in
-         let* _ = Syscall.unlink "/tmp/f_dup" in
-         match r with Ok "bc" -> ok | _ -> fail 2))
+      let _ = Syscall.write ~fd "abcdef" in
+      let fd2 = Syscall.dup fd in
+      require_ok fd2 1;
+      let _ = Syscall.lseek ~fd ~off:1 Message.Seek_set in
+      let r = Syscall.read ~fd:fd2 ~len:2 in
+      let _ = Syscall.close fd in
+      let _ = Syscall.close fd2 in
+      let _ = Syscall.unlink "/tmp/f_dup" in
+      match r with Ok "bc" -> ok () | _ -> fail 2)
 
-let t_fd_exhaustion =
+let t_fd_exhaustion () =
   (* Open until EMFILE, then close everything. *)
   let rec open_all acc n =
-    if n > Vfs.max_fds + 2 then Prog.return (acc, Errno.to_code Errno.EMFILE)
+    if n > Vfs.max_fds + 2 then (acc, Errno.to_code Errno.EMFILE)
     else
-      let* fd = Syscall.open_ "/etc/data" Message.rdonly in
-      if fd >= 0 then open_all (fd :: acc) (n + 1)
-      else Prog.return (acc, fd)
+      let fd = Syscall.open_ "/etc/data" Message.rdonly in
+      if fd >= 0 then open_all (fd :: acc) (n + 1) else (acc, fd)
   in
-  let* fds, last = open_all [] 0 in
-  let* () =
-    Prog.iter_list
-      (fun fd -> Prog.bind (Syscall.close fd) (fun _ -> Prog.return ()))
-      fds
-  in
-  require (last = Errno.to_code Errno.EMFILE) 1
-    (require (List.length fds > 0) 2 ok)
+  let fds, last = open_all [] 0 in
+  List.iter (fun fd -> ignore (Syscall.close fd)) fds;
+  require (last = Errno.to_code Errno.EMFILE) 1;
+  require (List.length fds > 0) 2;
+  ok ()
 
-let t_rename =
+let t_rename () =
   with_new_file "/tmp/f_ren_a" (fun fd ->
-      let* _ = Syscall.write ~fd "payload" in
-      let* _ = Syscall.close fd in
-      let* r = Syscall.rename ~src:"/tmp/f_ren_a" ~dst:"/tmp/f_ren_b" in
-      require_ok r 1
-        (let* gone = Syscall.open_ "/tmp/f_ren_a" Message.rdonly in
-         require (gone = Errno.to_code Errno.ENOENT) 2
-           (let* fd2 = Syscall.open_ "/tmp/f_ren_b" Message.rdonly in
-            require_ok fd2 3
-              (let* r = Syscall.read ~fd:fd2 ~len:10 in
-               let* _ = Syscall.close fd2 in
-               let* _ = Syscall.unlink "/tmp/f_ren_b" in
-               match r with Ok "payload" -> ok | _ -> fail 4))))
+      let _ = Syscall.write ~fd "payload" in
+      let _ = Syscall.close fd in
+      let r = Syscall.rename ~src:"/tmp/f_ren_a" ~dst:"/tmp/f_ren_b" in
+      require_ok r 1;
+      let gone = Syscall.open_ "/tmp/f_ren_a" Message.rdonly in
+      require (gone = Errno.to_code Errno.ENOENT) 2;
+      let fd2 = Syscall.open_ "/tmp/f_ren_b" Message.rdonly in
+      require_ok fd2 3;
+      let r = Syscall.read ~fd:fd2 ~len:10 in
+      let _ = Syscall.close fd2 in
+      let _ = Syscall.unlink "/tmp/f_ren_b" in
+      match r with Ok "payload" -> ok () | _ -> fail 4)
 
-let t_rename_overwrites =
+let t_rename_overwrites () =
   with_new_file "/tmp/f_ro_a" (fun fd ->
-      let* _ = Syscall.write ~fd "new" in
-      let* _ = Syscall.close fd in
+      let _ = Syscall.write ~fd "new" in
+      let _ = Syscall.close fd in
       with_new_file "/tmp/f_ro_b" (fun fd2 ->
-          let* _ = Syscall.write ~fd:fd2 "old" in
-          let* _ = Syscall.close fd2 in
-          let* r = Syscall.rename ~src:"/tmp/f_ro_a" ~dst:"/tmp/f_ro_b" in
-          require_ok r 1
-            (let* fd3 = Syscall.open_ "/tmp/f_ro_b" Message.rdonly in
-             let* c = Syscall.read ~fd:fd3 ~len:8 in
-             let* _ = Syscall.close fd3 in
-             let* _ = Syscall.unlink "/tmp/f_ro_b" in
-             match c with Ok "new" -> ok | _ -> fail 2)))
+          let _ = Syscall.write ~fd:fd2 "old" in
+          let _ = Syscall.close fd2 in
+          let r = Syscall.rename ~src:"/tmp/f_ro_a" ~dst:"/tmp/f_ro_b" in
+          require_ok r 1;
+          let fd3 = Syscall.open_ "/tmp/f_ro_b" Message.rdonly in
+          let c = Syscall.read ~fd:fd3 ~len:8 in
+          let _ = Syscall.close fd3 in
+          let _ = Syscall.unlink "/tmp/f_ro_b" in
+          match c with Ok "new" -> ok () | _ -> fail 2))
 
-let t_big_file =
+(* Write [n] [chunk]s: whether every write took the whole chunk (the
+   writes stop at the first that does not). *)
+let rec fill ~fd chunk n =
+  n = 0
+  || (Syscall.write ~fd chunk = String.length chunk && fill ~fd chunk (n - 1))
+
+let t_big_file () =
   (* Fill a file to the 8-block maximum and verify both ends. *)
   with_new_file "/tmp/f_big" (fun fd ->
-      let chunk = String.make 1024 'z' in
-      let rec fill n =
-        if n = 0 then Prog.return true
-        else
-          let* w = Syscall.write ~fd chunk in
-          if w = 1024 then fill (n - 1) else Prog.return false
-      in
-      let* full = fill (Mfs.max_file_size / 1024) in
-      require full 1
-        (let* over = Syscall.write ~fd "x" in
-         require (over = Errno.to_code Errno.ENOSPC) 2
-           (let* _ = Syscall.lseek ~fd ~off:(-1) Message.Seek_end in
-            let* r = Syscall.read ~fd ~len:1 in
-            let* _ = Syscall.close fd in
-            let* _ = Syscall.unlink "/tmp/f_big" in
-            match r with Ok "z" -> ok | _ -> fail 3)))
+      let full = fill ~fd (String.make 1024 'z') (Mfs.max_file_size / 1024) in
+      require full 1;
+      let over = Syscall.write ~fd "x" in
+      require (over = Errno.to_code Errno.ENOSPC) 2;
+      let _ = Syscall.lseek ~fd ~off:(-1) Message.Seek_end in
+      let r = Syscall.read ~fd ~len:1 in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_big" in
+      match r with Ok "z" -> ok () | _ -> fail 3)
 
-let t_write_cross_block =
+let t_write_cross_block () =
   (* A write spanning a block boundary must read-modify-write. *)
   with_new_file "/tmp/f_cross" (fun fd ->
-      let* _ = Syscall.write ~fd (String.make 1020 '.') in
-      let* _ = Syscall.write ~fd "ABCDEFGH" in
-      let* _ = Syscall.lseek ~fd ~off:1018 Message.Seek_set in
-      let* r = Syscall.read ~fd ~len:6 in
-      let* _ = Syscall.close fd in
-      let* _ = Syscall.unlink "/tmp/f_cross" in
-      match r with Ok "..ABCD" -> ok | _ -> fail 1)
+      let _ = Syscall.write ~fd (String.make 1020 '.') in
+      let _ = Syscall.write ~fd "ABCDEFGH" in
+      let _ = Syscall.lseek ~fd ~off:1018 Message.Seek_set in
+      let r = Syscall.read ~fd ~len:6 in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_cross" in
+      match r with Ok "..ABCD" -> ok () | _ -> fail 1)
 
-let t_sync =
-  let* r = Syscall.sync in
-  require_ok r 1 ok
+let t_sync () =
+  let r = Syscall.sync () in
+  require_ok r 1;
+  ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Directories                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let t_mkdir_rmdir =
-  let* r = Syscall.mkdir "/tmp/d_mk" in
-  require_ok r 1
-    (let* s = Syscall.stat "/tmp/d_mk" in
-     match s with
-     | Ok { Message.st_is_dir = true; _ } ->
-       let* r2 = Syscall.rmdir "/tmp/d_mk" in
-       require_ok r2 2
-         (let* s2 = Syscall.stat "/tmp/d_mk" in
-          match s2 with Error Errno.ENOENT -> ok | _ -> fail 3)
-     | _ -> fail 4)
+let t_mkdir_rmdir () =
+  let r = Syscall.mkdir "/tmp/d_mk" in
+  require_ok r 1;
+  match Syscall.stat "/tmp/d_mk" with
+  | Ok { Message.st_is_dir = true; _ } ->
+    let r2 = Syscall.rmdir "/tmp/d_mk" in
+    require_ok r2 2;
+    (match Syscall.stat "/tmp/d_mk" with
+     | Error Errno.ENOENT -> ok ()
+     | _ -> fail 3)
+  | _ -> fail 4
 
-let t_mkdir_eexist =
-  let* _ = Syscall.mkdir "/tmp/d_dup" in
-  let* r = Syscall.mkdir "/tmp/d_dup" in
-  let* _ = Syscall.rmdir "/tmp/d_dup" in
-  require (r = Errno.to_code Errno.EEXIST) 1 ok
+let t_mkdir_eexist () =
+  let _ = Syscall.mkdir "/tmp/d_dup" in
+  let r = Syscall.mkdir "/tmp/d_dup" in
+  let _ = Syscall.rmdir "/tmp/d_dup" in
+  require (r = Errno.to_code Errno.EEXIST) 1;
+  ok ()
 
-let t_rmdir_notempty =
-  let* _ = Syscall.mkdir "/tmp/d_full" in
-  let* fd = Syscall.open_ "/tmp/d_full/child" Message.creat in
-  require_ok fd 1
-    (let* _ = Syscall.close fd in
-     let* r = Syscall.rmdir "/tmp/d_full" in
-     require (r = Errno.to_code Errno.ENOTEMPTY) 2
-       (let* _ = Syscall.unlink "/tmp/d_full/child" in
-        let* r2 = Syscall.rmdir "/tmp/d_full" in
-        require_ok r2 3 ok))
+let t_rmdir_notempty () =
+  let _ = Syscall.mkdir "/tmp/d_full" in
+  let fd = Syscall.open_ "/tmp/d_full/child" Message.creat in
+  require_ok fd 1;
+  let _ = Syscall.close fd in
+  let r = Syscall.rmdir "/tmp/d_full" in
+  require (r = Errno.to_code Errno.ENOTEMPTY) 2;
+  let _ = Syscall.unlink "/tmp/d_full/child" in
+  let r2 = Syscall.rmdir "/tmp/d_full" in
+  require_ok r2 3;
+  ok ()
 
-let t_nested_dirs =
-  let* _ = Syscall.mkdir "/tmp/d_n1" in
-  let* _ = Syscall.mkdir "/tmp/d_n1/d_n2" in
-  let* fd = Syscall.open_ "/tmp/d_n1/d_n2/leaf" Message.creat in
-  require_ok fd 1
-    (let* _ = Syscall.write ~fd "deep" in
-     let* _ = Syscall.close fd in
-     let* r = Syscall.stat "/tmp/d_n1/d_n2/leaf" in
-     let* _ = Syscall.unlink "/tmp/d_n1/d_n2/leaf" in
-     let* _ = Syscall.rmdir "/tmp/d_n1/d_n2" in
-     let* _ = Syscall.rmdir "/tmp/d_n1" in
-     match r with Ok { Message.st_size = 4; _ } -> ok | _ -> fail 2)
+let t_nested_dirs () =
+  let _ = Syscall.mkdir "/tmp/d_n1" in
+  let _ = Syscall.mkdir "/tmp/d_n1/d_n2" in
+  let fd = Syscall.open_ "/tmp/d_n1/d_n2/leaf" Message.creat in
+  require_ok fd 1;
+  let _ = Syscall.write ~fd "deep" in
+  let _ = Syscall.close fd in
+  let r = Syscall.stat "/tmp/d_n1/d_n2/leaf" in
+  let _ = Syscall.unlink "/tmp/d_n1/d_n2/leaf" in
+  let _ = Syscall.rmdir "/tmp/d_n1/d_n2" in
+  let _ = Syscall.rmdir "/tmp/d_n1" in
+  match r with Ok { Message.st_size = 4; _ } -> ok () | _ -> fail 2
 
-let t_chdir_relative =
-  let* _ = Syscall.mkdir "/tmp/d_cwd" in
-  let* r = Syscall.chdir "/tmp/d_cwd" in
-  require_ok r 1
-    (let* fd = Syscall.open_ "relfile" Message.creat in
-     require_ok fd 2
-       (let* _ = Syscall.write ~fd "rel" in
-        let* _ = Syscall.close fd in
-        let* s = Syscall.stat "/tmp/d_cwd/relfile" in
-        let* _ = Syscall.chdir "/" in
-        let* _ = Syscall.unlink "/tmp/d_cwd/relfile" in
-        let* _ = Syscall.rmdir "/tmp/d_cwd" in
-        match s with Ok { Message.st_size = 3; _ } -> ok | _ -> fail 3))
+let t_chdir_relative () =
+  let _ = Syscall.mkdir "/tmp/d_cwd" in
+  let r = Syscall.chdir "/tmp/d_cwd" in
+  require_ok r 1;
+  let fd = Syscall.open_ "relfile" Message.creat in
+  require_ok fd 2;
+  let _ = Syscall.write ~fd "rel" in
+  let _ = Syscall.close fd in
+  let s = Syscall.stat "/tmp/d_cwd/relfile" in
+  let _ = Syscall.chdir "/" in
+  let _ = Syscall.unlink "/tmp/d_cwd/relfile" in
+  let _ = Syscall.rmdir "/tmp/d_cwd" in
+  match s with Ok { Message.st_size = 3; _ } -> ok () | _ -> fail 3
 
-let t_chdir_enotdir =
+let t_chdir_enotdir () =
   with_new_file "/tmp/f_nd" (fun fd ->
-      let* _ = Syscall.close fd in
-      let* r = Syscall.chdir "/tmp/f_nd" in
-      let* _ = Syscall.unlink "/tmp/f_nd" in
-      require (r = Errno.to_code Errno.ENOTDIR) 1 ok)
+      let _ = Syscall.close fd in
+      let r = Syscall.chdir "/tmp/f_nd" in
+      let _ = Syscall.unlink "/tmp/f_nd" in
+      require (r = Errno.to_code Errno.ENOTDIR) 1;
+      ok ())
 
-let t_open_dir_fails =
-  let* _ = Syscall.mkdir "/tmp/d_open" in
-  let* fd = Syscall.open_ "/tmp/d_open" Message.rdonly in
-  let* _ = Syscall.rmdir "/tmp/d_open" in
-  require (fd = Errno.to_code Errno.EISDIR) 1 ok
+let t_open_dir_fails () =
+  let _ = Syscall.mkdir "/tmp/d_open" in
+  let fd = Syscall.open_ "/tmp/d_open" Message.rdonly in
+  let _ = Syscall.rmdir "/tmp/d_open" in
+  require (fd = Errno.to_code Errno.EISDIR) 1;
+  ok ()
 
-let t_cwd_inherited =
-  let* _ = Syscall.mkdir "/tmp/d_inh" in
-  let* _ = Syscall.chdir "/tmp/d_inh" in
-  let* pid = Syscall.fork in
-  if pid = 0 then begin
-    let* fd = Syscall.open_ "childfile" Message.creat in
-    let* _ = Syscall.close fd in
-    Syscall.exit (if fd >= 0 then 0 else 1)
-  end
-  else
-    let* _, status = Syscall.waitpid pid in
-    let* s = Syscall.stat "/tmp/d_inh/childfile" in
-    let* _ = Syscall.chdir "/" in
-    let* _ = Syscall.unlink "/tmp/d_inh/childfile" in
-    let* _ = Syscall.rmdir "/tmp/d_inh" in
-    require (status = 0) 1 (match s with Ok _ -> ok | Error _ -> fail 2)
+let t_cwd_inherited () =
+  let _ = Syscall.mkdir "/tmp/d_inh" in
+  let _ = Syscall.chdir "/tmp/d_inh" in
+  let pid =
+    Syscall.fork (fun () ->
+        let fd = Syscall.open_ "childfile" Message.creat in
+        let _ = Syscall.close fd in
+        Syscall.exit (if fd >= 0 then 0 else 1))
+  in
+  let _, status = Syscall.waitpid pid in
+  let s = Syscall.stat "/tmp/d_inh/childfile" in
+  let _ = Syscall.chdir "/" in
+  let _ = Syscall.unlink "/tmp/d_inh/childfile" in
+  let _ = Syscall.rmdir "/tmp/d_inh" in
+  require (status = 0) 1;
+  match s with Ok _ -> ok () | Error _ -> fail 2
 
 (* ------------------------------------------------------------------ *)
 (* Pipes                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let t_pipe_basic =
-  let* p = Syscall.pipe in
-  match p with
+(* Run [body] on a fresh pipe's read and write ends; exit 1 if the
+   pipe cannot be made. *)
+let with_pipe body =
+  match Syscall.pipe () with
   | Error _ -> fail 1
-  | Ok (rfd, wfd) ->
-    let* n = Syscall.write ~fd:wfd "ping" in
-    require (n = 4) 2
-      (let* r = Syscall.read ~fd:rfd ~len:8 in
-       let* _ = Syscall.close rfd in
-       let* _ = Syscall.close wfd in
-       match r with Ok "ping" -> ok | _ -> fail 3)
+  | Ok (rfd, wfd) -> body rfd wfd
 
-let t_pipe_eof =
-  let* p = Syscall.pipe in
-  match p with
-  | Error _ -> fail 1
-  | Ok (rfd, wfd) ->
-    let* _ = Syscall.write ~fd:wfd "zz" in
-    let* _ = Syscall.close wfd in
-    let* r1 = Syscall.read ~fd:rfd ~len:8 in
-    let* r2 = Syscall.read ~fd:rfd ~len:8 in
-    let* _ = Syscall.close rfd in
-    (match r1, r2 with Ok "zz", Ok "" -> ok | _ -> fail 2)
+let t_pipe_basic () =
+  with_pipe (fun rfd wfd ->
+      let n = Syscall.write ~fd:wfd "ping" in
+      require (n = 4) 2;
+      let r = Syscall.read ~fd:rfd ~len:8 in
+      let _ = Syscall.close rfd in
+      let _ = Syscall.close wfd in
+      match r with Ok "ping" -> ok () | _ -> fail 3)
 
-let t_pipe_epipe =
-  let* p = Syscall.pipe in
-  match p with
-  | Error _ -> fail 1
-  | Ok (rfd, wfd) ->
-    let* _ = Syscall.close rfd in
-    let* n = Syscall.write ~fd:wfd "doomed" in
-    let* _ = Syscall.close wfd in
-    require (n = Errno.to_code Errno.EPIPE) 2 ok
+let t_pipe_eof () =
+  with_pipe (fun rfd wfd ->
+      let _ = Syscall.write ~fd:wfd "zz" in
+      let _ = Syscall.close wfd in
+      let r1 = Syscall.read ~fd:rfd ~len:8 in
+      let r2 = Syscall.read ~fd:rfd ~len:8 in
+      let _ = Syscall.close rfd in
+      match r1, r2 with Ok "zz", Ok "" -> ok () | _ -> fail 2)
 
-let t_pipe_blocking_read =
+let t_pipe_epipe () =
+  with_pipe (fun rfd wfd ->
+      let _ = Syscall.close rfd in
+      let n = Syscall.write ~fd:wfd "doomed" in
+      let _ = Syscall.close wfd in
+      require (n = Errno.to_code Errno.EPIPE) 2;
+      ok ())
+
+let t_pipe_blocking_read () =
   (* Child reads before the parent writes: exercises the yield-retry
      path in VFS (and the forced window close on yield). *)
-  let* p = Syscall.pipe in
-  match p with
-  | Error _ -> fail 1
-  | Ok (rfd, wfd) ->
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      let* r = Syscall.read ~fd:rfd ~len:4 in
-      Syscall.exit (match r with Ok "data" -> 0 | _ -> 1)
-    else
-      let* () = Prog.compute 100_000 in
-      let* _ = Syscall.write ~fd:wfd "data" in
-      let* _, status = Syscall.waitpid pid in
-      let* _ = Syscall.close rfd in
-      let* _ = Syscall.close wfd in
-      require (status = 0) 2 ok
+  with_pipe (fun rfd wfd ->
+      let pid =
+        Syscall.fork (fun () ->
+            let r = Syscall.read ~fd:rfd ~len:4 in
+            Syscall.exit (match r with Ok "data" -> 0 | _ -> 1))
+      in
+      compute 100_000;
+      let _ = Syscall.write ~fd:wfd "data" in
+      let _, status = Syscall.waitpid pid in
+      let _ = Syscall.close rfd in
+      let _ = Syscall.close wfd in
+      require (status = 0) 2;
+      ok ())
 
-let t_pipe_fill_drain =
+let t_pipe_fill_drain () =
   (* Writer fills beyond capacity and blocks until the reader drains. *)
-  let* p = Syscall.pipe in
-  match p with
-  | Error _ -> fail 1
-  | Ok (rfd, wfd) ->
-    let payload = String.make (Vfs.pipe_capacity + 100) 'q' in
-    let* pid = Syscall.fork in
-    if pid = 0 then
+  with_pipe (fun rfd wfd ->
+      let payload = String.make (Vfs.pipe_capacity + 100) 'q' in
       let rec drain got =
         if got >= String.length payload then Syscall.exit 0
         else
-          let* r = Syscall.read ~fd:rfd ~len:200 in
-          match r with
+          match Syscall.read ~fd:rfd ~len:200 with
           | Ok "" -> Syscall.exit 1
           | Ok s -> drain (got + String.length s)
           | Error _ -> Syscall.exit 2
       in
-      drain 0
-    else
-      let* n = Syscall.write ~fd:wfd payload in
-      let* _, status = Syscall.waitpid pid in
-      let* _ = Syscall.close rfd in
-      let* _ = Syscall.close wfd in
-      require (n = String.length payload) 2 (require (status = 0) 3 ok)
+      let pid = Syscall.fork (fun () -> drain 0) in
+      let n = Syscall.write ~fd:wfd payload in
+      let _, status = Syscall.waitpid pid in
+      let _ = Syscall.close rfd in
+      let _ = Syscall.close wfd in
+      require (n = String.length payload) 2;
+      require (status = 0) 3;
+      ok ())
 
-let t_pipe_inherited =
+let t_pipe_inherited () =
   (* Classic parent-to-child pipe across fork. *)
-  let* p = Syscall.pipe in
-  match p with
-  | Error _ -> fail 1
-  | Ok (rfd, wfd) ->
-    let* pid = Syscall.fork in
-    if pid = 0 then begin
-      let* _ = Syscall.close wfd in
-      let* r = Syscall.read ~fd:rfd ~len:16 in
-      Syscall.exit (match r with Ok "from parent" -> 0 | _ -> 1)
-    end
-    else
-      let* _ = Syscall.close rfd in
-      let* _ = Syscall.write ~fd:wfd "from parent" in
-      let* _ = Syscall.close wfd in
-      let* _, status = Syscall.waitpid pid in
-      require (status = 0) 2 ok
+  with_pipe (fun rfd wfd ->
+      let pid =
+        Syscall.fork (fun () ->
+            let _ = Syscall.close wfd in
+            let r = Syscall.read ~fd:rfd ~len:16 in
+            Syscall.exit (match r with Ok "from parent" -> 0 | _ -> 1))
+      in
+      let _ = Syscall.close rfd in
+      let _ = Syscall.write ~fd:wfd "from parent" in
+      let _ = Syscall.close wfd in
+      let _, status = Syscall.waitpid pid in
+      require (status = 0) 2;
+      ok ())
 
-let t_pipe_fstat =
-  let* p = Syscall.pipe in
-  match p with
-  | Error _ -> fail 1
-  | Ok (rfd, wfd) ->
-    let* _ = Syscall.write ~fd:wfd "1234567" in
-    let* r = Syscall.fstat rfd in
-    let* _ = Syscall.close rfd in
-    let* _ = Syscall.close wfd in
-    (match r with Ok { Message.st_size = 7; _ } -> ok | _ -> fail 2)
+let t_pipe_fstat () =
+  with_pipe (fun rfd wfd ->
+      let _ = Syscall.write ~fd:wfd "1234567" in
+      let r = Syscall.fstat rfd in
+      let _ = Syscall.close rfd in
+      let _ = Syscall.close wfd in
+      match r with Ok { Message.st_size = 7; _ } -> ok () | _ -> fail 2)
 
 (* ------------------------------------------------------------------ *)
 (* Memory (VM)                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let t_sbrk_grow =
-  let* b0 = Syscall.brk_current in
-  require_ok b0 1
-    (let* b1 = Syscall.sbrk 10_000 in
-     require (b1 = b0 + 10_000) 2
-       (let* b2 = Syscall.brk_current in
-        require (b2 = b1) 3 ok))
+let t_sbrk_grow () =
+  let b0 = Syscall.brk_current () in
+  require_ok b0 1;
+  let b1 = Syscall.sbrk 10_000 in
+  require (b1 = b0 + 10_000) 2;
+  let b2 = Syscall.brk_current () in
+  require (b2 = b1) 3;
+  ok ()
 
-let t_sbrk_shrink =
-  let* b0 = Syscall.brk_current in
-  let* _ = Syscall.sbrk 8192 in
-  let* b1 = Syscall.sbrk (-8192) in
-  require (b1 = b0) 1 ok
+let t_sbrk_shrink () =
+  let b0 = Syscall.brk_current () in
+  let _ = Syscall.sbrk 8192 in
+  let b1 = Syscall.sbrk (-8192) in
+  require (b1 = b0) 1;
+  ok ()
 
-let t_sbrk_negative_break =
-  let* b0 = Syscall.brk_current in
-  let* r = Syscall.sbrk (-(b0 + 4096)) in
-  require (r = Errno.to_code Errno.EINVAL) 1 ok
+let t_sbrk_negative_break () =
+  let b0 = Syscall.brk_current () in
+  let r = Syscall.sbrk (-(b0 + 4096)) in
+  require (r = Errno.to_code Errno.EINVAL) 1;
+  ok ()
 
-let t_mmap_munmap =
-  let* id = Syscall.mmap ~len:65536 in
-  require_ok id 1
-    (let* used0, _ = Syscall.vm_info in
-     let* r = Syscall.munmap ~id in
-     require_ok r 2
-       (let* used1, _ = Syscall.vm_info in
-        require (used1 = used0 - (65536 / Vm.page_size)) 3 ok))
+let t_mmap_munmap () =
+  let id = Syscall.mmap ~len:65536 in
+  require_ok id 1;
+  let used0, _ = Syscall.vm_info () in
+  let r = Syscall.munmap ~id in
+  require_ok r 2;
+  let used1, _ = Syscall.vm_info () in
+  require (used1 = used0 - (65536 / Vm.page_size)) 3;
+  ok ()
 
-let t_munmap_einval =
-  let* r = Syscall.munmap ~id:77 in
-  require (r = Errno.to_code Errno.EINVAL) 1 ok
+let t_munmap_einval () =
+  let r = Syscall.munmap ~id:77 in
+  require (r = Errno.to_code Errno.EINVAL) 1;
+  ok ()
 
-let t_mmap_zero =
-  let* r = Syscall.mmap ~len:0 in
-  require (r = Errno.to_code Errno.EINVAL) 1 ok
+let t_mmap_zero () =
+  let r = Syscall.mmap ~len:0 in
+  require (r = Errno.to_code Errno.EINVAL) 1;
+  ok ()
 
-let t_vm_fork_accounting =
+let t_vm_fork_accounting () =
   (* Fork doubles the address-space pages; exit releases them. *)
-  let* used0, _ = Syscall.vm_info in
-  let* pid = Syscall.fork in
-  if pid = 0 then ok
-  else
-    let* _, _ = Syscall.waitpid pid in
-    let* used1, _ = Syscall.vm_info in
-    require (used1 = used0) 1 ok
+  let used0, _ = Syscall.vm_info () in
+  let pid = Syscall.fork ok in
+  let _, _ = Syscall.waitpid pid in
+  let used1, _ = Syscall.vm_info () in
+  require (used1 = used0) 1;
+  ok ()
 
-let t_brk_inherited =
-  let* _ = Syscall.sbrk 20_000 in
-  let* b = Syscall.brk_current in
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* cb = Syscall.brk_current in
-    Syscall.exit (if cb = b then 0 else 1)
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 0) 1 ok
+let t_brk_inherited () =
+  let _ = Syscall.sbrk 20_000 in
+  let b = Syscall.brk_current () in
+  let pid =
+    Syscall.fork (fun () ->
+        let cb = Syscall.brk_current () in
+        Syscall.exit (if cb = b then 0 else 1))
+  in
+  let _, status = Syscall.waitpid pid in
+  require (status = 0) 1;
+  ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Data store                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let t_ds_roundtrip =
-  let* r = Syscall.ds_publish ~key:"t.round" ~value:12345 in
-  require_ok r 1
-    (let* v = Syscall.ds_retrieve ~key:"t.round" in
-     let* _ = Syscall.ds_delete ~key:"t.round" in
-     match v with Ok 12345 -> ok | _ -> fail 2)
+let t_ds_roundtrip () =
+  let r = Syscall.ds_publish ~key:"t.round" ~value:12345 in
+  require_ok r 1;
+  let v = Syscall.ds_retrieve ~key:"t.round" in
+  let _ = Syscall.ds_delete ~key:"t.round" in
+  match v with Ok 12345 -> ok () | _ -> fail 2
 
-let t_ds_overwrite =
-  let* _ = Syscall.ds_publish ~key:"t.ow" ~value:1 in
-  let* _ = Syscall.ds_publish ~key:"t.ow" ~value:2 in
-  let* v = Syscall.ds_retrieve ~key:"t.ow" in
-  let* _ = Syscall.ds_delete ~key:"t.ow" in
-  (match v with Ok 2 -> ok | _ -> fail 1)
+let t_ds_overwrite () =
+  let _ = Syscall.ds_publish ~key:"t.ow" ~value:1 in
+  let _ = Syscall.ds_publish ~key:"t.ow" ~value:2 in
+  let v = Syscall.ds_retrieve ~key:"t.ow" in
+  let _ = Syscall.ds_delete ~key:"t.ow" in
+  match v with Ok 2 -> ok () | _ -> fail 1
 
-let t_ds_missing =
-  let* v = Syscall.ds_retrieve ~key:"t.absent" in
-  match v with Error Errno.ENOENT -> ok | _ -> fail 1
+let t_ds_missing () =
+  match Syscall.ds_retrieve ~key:"t.absent" with
+  | Error Errno.ENOENT -> ok ()
+  | _ -> fail 1
 
-let t_ds_delete_missing =
-  let* r = Syscall.ds_delete ~key:"t.absent2" in
-  require (r = Errno.to_code Errno.ENOENT) 1 ok
+let t_ds_delete_missing () =
+  let r = Syscall.ds_delete ~key:"t.absent2" in
+  require (r = Errno.to_code Errno.ENOENT) 1;
+  ok ()
 
-let t_ds_bad_key =
-  let* r = Syscall.ds_publish ~key:"" ~value:1 in
-  require (r = Errno.to_code Errno.EINVAL) 1 ok
+let t_ds_bad_key () =
+  let r = Syscall.ds_publish ~key:"" ~value:1 in
+  require (r = Errno.to_code Errno.EINVAL) 1;
+  ok ()
 
-let t_ds_many_keys =
+let t_ds_many_keys () =
   let rec publish n =
-    if n = 0 then Prog.return true
-    else
-      let* r = Syscall.ds_publish ~key:(Printf.sprintf "t.many%d" n) ~value:n in
-      if r >= 0 then publish (n - 1) else Prog.return false
+    n = 0
+    || (Syscall.ds_publish ~key:(Printf.sprintf "t.many%d" n) ~value:n >= 0
+        && publish (n - 1))
   in
-  let* all = publish 20 in
-  require all 1
-    (let rec verify n =
-       if n = 0 then ok
-       else
-         let* v = Syscall.ds_retrieve ~key:(Printf.sprintf "t.many%d" n) in
-         match v with
-         | Ok x when x = n ->
-           let* _ = Syscall.ds_delete ~key:(Printf.sprintf "t.many%d" n) in
-           verify (n - 1)
-         | _ -> fail 2
-     in
-     verify 20)
+  let all = publish 20 in
+  require all 1;
+  let rec verify n =
+    if n = 0 then ok ()
+    else
+      match Syscall.ds_retrieve ~key:(Printf.sprintf "t.many%d" n) with
+      | Ok x when x = n ->
+        let _ = Syscall.ds_delete ~key:(Printf.sprintf "t.many%d" n) in
+        verify (n - 1)
+      | _ -> fail 2
+  in
+  verify 20
 
-let t_ds_subscribe_notify =
+let t_ds_subscribe_notify () =
   (* Subscription generates a DS notification on matching publishes;
      the notification is fire-and-forget, so here we only verify the
      subscribe+publish path stays healthy. *)
-  let* r = Syscall.ds_subscribe ~prefix:"t.sub" in
-  require_ok r 1
-    (let* r2 = Syscall.ds_publish ~key:"t.sub.x" ~value:5 in
-     require_ok r2 2
-       (let* v = Syscall.ds_retrieve ~key:"t.sub.x" in
-        let* _ = Syscall.ds_delete ~key:"t.sub.x" in
-        match v with Ok 5 -> ok | _ -> fail 3))
+  let r = Syscall.ds_subscribe ~prefix:"t.sub" in
+  require_ok r 1;
+  let r2 = Syscall.ds_publish ~key:"t.sub.x" ~value:5 in
+  require_ok r2 2;
+  let v = Syscall.ds_retrieve ~key:"t.sub.x" in
+  let _ = Syscall.ds_delete ~key:"t.sub.x" in
+  match v with Ok 5 -> ok () | _ -> fail 3
 
 (* ------------------------------------------------------------------ *)
 (* RS                                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let t_rs_status =
-  let* r = Syscall.rs_status in
-  match r with
+let t_rs_status () =
+  match Syscall.rs_status () with
   | Ok (restarts, shutdowns, _) ->
-    require (restarts >= 0 && shutdowns >= 0) 1 ok
+    require (restarts >= 0 && shutdowns >= 0) 1;
+    ok ()
   | Error _ -> fail 2
 
 (* ------------------------------------------------------------------ *)
 (* Cross-cutting scenarios                                             *)
 (* ------------------------------------------------------------------ *)
 
-let t_fork_fd_isolation =
+let t_fork_fd_isolation () =
   (* Closing an fd in the child must not close it in the parent. *)
   with_new_file "/tmp/f_iso" (fun fd ->
-      let* _ = Syscall.write ~fd "keep" in
-      let* pid = Syscall.fork in
-      if pid = 0 then
-        let* _ = Syscall.close fd in
-        ok
-      else
-        let* _, _ = Syscall.waitpid pid in
-        let* p = Syscall.lseek ~fd ~off:0 Message.Seek_set in
-        require (p = 0) 1
-          (let* r = Syscall.read ~fd ~len:8 in
-           let* _ = Syscall.close fd in
-           let* _ = Syscall.unlink "/tmp/f_iso" in
-           match r with Ok "keep" -> ok | _ -> fail 2))
+      let _ = Syscall.write ~fd "keep" in
+      let pid =
+        Syscall.fork (fun () ->
+            let _ = Syscall.close fd in
+            ok ())
+      in
+      let _, _ = Syscall.waitpid pid in
+      let p = Syscall.lseek ~fd ~off:0 Message.Seek_set in
+      require (p = 0) 1;
+      let r = Syscall.read ~fd ~len:8 in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_iso" in
+      match r with Ok "keep" -> ok () | _ -> fail 2)
 
-let t_exec_keeps_fds =
+let t_exec_keeps_fds () =
   (* /bin/readfd reads from fd given as arg and exits 0 on "mark". *)
   with_new_file "/tmp/f_execfd" (fun fd ->
-      let* _ = Syscall.write ~fd "mark" in
-      let* _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
-      let* pid = Syscall.fork in
-      if pid = 0 then
-        let* _ = Syscall.exec "/bin/readfd" fd in
-        fail 9
-      else
-        let* _, status = Syscall.waitpid pid in
-        let* _ = Syscall.close fd in
-        let* _ = Syscall.unlink "/tmp/f_execfd" in
-        require (status = 0) 1 ok)
+      let _ = Syscall.write ~fd "mark" in
+      let _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
+      let pid = Syscall.fork (exec_child "/bin/readfd" fd) in
+      let _, status = Syscall.waitpid pid in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_execfd" in
+      require (status = 0) 1;
+      ok ())
 
-let t_double_fork =
-  let* pid = Syscall.fork in
-  if pid = 0 then begin
-    let* pid2 = Syscall.fork in
-    if pid2 = 0 then Syscall.exit 5
-    else
-      let* _, status = Syscall.waitpid pid2 in
-      Syscall.exit (if status = 5 then 0 else 1)
-  end
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 0) 1 ok
+let t_double_fork () =
+  expect_child_status
+    (fun () ->
+       let pid2 = Syscall.fork (fun () -> Syscall.exit 5) in
+       let _, status = Syscall.waitpid pid2 in
+       Syscall.exit (if status = 5 then 0 else 1))
+    0
 
-let t_fork_file_positions =
+let t_fork_file_positions () =
   (* Parent and child share the open-file offset (POSIX). *)
   with_new_file "/tmp/f_share" (fun fd ->
-      let* _ = Syscall.write ~fd "0123456789" in
-      let* _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
-      let* pid = Syscall.fork in
-      if pid = 0 then
-        let* r = Syscall.read ~fd ~len:3 in
-        Syscall.exit (match r with Ok "012" -> 0 | _ -> 1)
-      else
-        let* _, status = Syscall.waitpid pid in
-        let* r = Syscall.read ~fd ~len:3 in
-        let* _ = Syscall.close fd in
-        let* _ = Syscall.unlink "/tmp/f_share" in
-        require (status = 0) 1
-          (match r with Ok "345" -> ok | _ -> fail 2))
+      let _ = Syscall.write ~fd "0123456789" in
+      let _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
+      let pid =
+        Syscall.fork (fun () ->
+            let r = Syscall.read ~fd ~len:3 in
+            Syscall.exit (match r with Ok "012" -> 0 | _ -> 1))
+      in
+      let _, status = Syscall.waitpid pid in
+      let r = Syscall.read ~fd ~len:3 in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_share" in
+      require (status = 0) 1;
+      match r with Ok "345" -> ok () | _ -> fail 2)
 
-let t_many_procs =
+let t_many_procs () =
   (* Grandchildren under several children: PM table churn. *)
-  let rec spawn_tree depth =
-    if depth = 0 then ok
+  let rec spawn_tree depth () =
+    if depth = 0 then ok ()
     else
-      let* pid = Syscall.fork in
-      if pid = 0 then spawn_tree (depth - 1)
-      else
-        let* _, status = Syscall.waitpid pid in
-        Syscall.exit status
+      let pid = Syscall.fork (spawn_tree (depth - 1)) in
+      let _, status = Syscall.waitpid pid in
+      Syscall.exit status
   in
-  let* pid = Syscall.fork in
-  if pid = 0 then spawn_tree 5
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 0) 1 ok
+  expect_child_status (spawn_tree 5) 0
 
-let t_file_via_ds_name =
+let t_file_via_ds_name () =
   (* A file whose name is coordinated through DS. *)
-  let* _ = Syscall.ds_publish ~key:"t.fname" ~value:4242 in
-  let* v = Syscall.ds_retrieve ~key:"t.fname" in
-  match v with
+  let _ = Syscall.ds_publish ~key:"t.fname" ~value:4242 in
+  match Syscall.ds_retrieve ~key:"t.fname" with
   | Ok tag ->
     let path = Printf.sprintf "/tmp/f_viads_%d" tag in
     with_new_file path (fun fd ->
-        let* _ = Syscall.write ~fd "indirect" in
-        let* _ = Syscall.close fd in
-        let* r = Syscall.stat path in
-        let* _ = Syscall.unlink path in
-        let* _ = Syscall.ds_delete ~key:"t.fname" in
-        match r with Ok { Message.st_size = 8; _ } -> ok | _ -> fail 1)
+        let _ = Syscall.write ~fd "indirect" in
+        let _ = Syscall.close fd in
+        let r = Syscall.stat path in
+        let _ = Syscall.unlink path in
+        let _ = Syscall.ds_delete ~key:"t.fname" in
+        match r with Ok { Message.st_size = 8; _ } -> ok () | _ -> fail 1)
   | Error _ -> fail 2
 
-let t_exec_missing_after_unlink =
+let t_exec_missing_after_unlink () =
   (* Unlinking a binary makes exec fail path validation in VFS. *)
-  let* fd = Syscall.open_ "/bin/ephemeral" Message.creat in
-  require_ok fd 1
-    (let* _ = Syscall.close fd in
-     let* _ = Syscall.unlink "/bin/ephemeral" in
-     let* pid = Syscall.fork in
-     if pid = 0 then
-       let* r = Syscall.exec "/bin/ephemeral" 0 in
-       Syscall.exit (if r = Errno.to_code Errno.ENOENT then 0 else 1)
-     else
-       let* _, status = Syscall.waitpid pid in
-       require (status = 0) 2 ok)
+  let fd = Syscall.open_ "/bin/ephemeral" Message.creat in
+  require_ok fd 1;
+  let _ = Syscall.close fd in
+  let _ = Syscall.unlink "/bin/ephemeral" in
+  let pid =
+    Syscall.fork (fun () ->
+        let r = Syscall.exec "/bin/ephemeral" 0 in
+        Syscall.exit (if r = Errno.to_code Errno.ENOENT then 0 else 1))
+  in
+  let _, status = Syscall.waitpid pid in
+  require (status = 0) 2;
+  ok ()
 
-let t_pipeline_two_stage =
+let t_pipeline_two_stage () =
   (* producer | consumer through a pipe, like a tiny shell pipeline. *)
-  let* p = Syscall.pipe in
-  match p with
-  | Error _ -> fail 1
-  | Ok (rfd, wfd) ->
-    let* producer = Syscall.fork in
-    if producer = 0 then begin
-      let* _ = Syscall.close rfd in
-      let rec produce n =
-        if n = 0 then
-          let* _ = Syscall.close wfd in
-          ok
-        else
-          let* _ = Syscall.write ~fd:wfd "x" in
-          produce (n - 1)
+  with_pipe (fun rfd wfd ->
+      let producer =
+        Syscall.fork (fun () ->
+            let _ = Syscall.close rfd in
+            for _ = 1 to 50 do
+              ignore (Syscall.write ~fd:wfd "x")
+            done;
+            let _ = Syscall.close wfd in
+            ok ())
       in
-      produce 50
-    end
-    else
-      let* consumer = Syscall.fork in
-      if consumer = 0 then begin
-        let* _ = Syscall.close wfd in
-        let rec consume got =
-          let* r = Syscall.read ~fd:rfd ~len:16 in
-          match r with
-          | Ok "" -> Syscall.exit (if got = 50 then 0 else 1)
-          | Ok s -> consume (got + String.length s)
-          | Error _ -> Syscall.exit 2
-        in
-        consume 0
-      end
-      else
-        let* _ = Syscall.close rfd in
-        let* _ = Syscall.close wfd in
-        let* _, s1 = Syscall.waitpid producer in
-        let* _, s2 = Syscall.waitpid consumer in
-        require (s1 = 0) 2 (require (s2 = 0) 3 ok)
-
+      let consumer =
+        Syscall.fork (fun () ->
+            let _ = Syscall.close wfd in
+            let rec consume got =
+              match Syscall.read ~fd:rfd ~len:16 with
+              | Ok "" -> Syscall.exit (if got = 50 then 0 else 1)
+              | Ok s -> consume (got + String.length s)
+              | Error _ -> Syscall.exit 2
+            in
+            consume 0)
+      in
+      let _ = Syscall.close rfd in
+      let _ = Syscall.close wfd in
+      let _, s1 = Syscall.waitpid producer in
+      let _, s2 = Syscall.waitpid consumer in
+      require (s1 = 0) 2;
+      require (s2 = 0) 3;
+      ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Additional coverage programs                                        *)
 (* ------------------------------------------------------------------ *)
 
-let t_dup_after_close =
+let t_dup_after_close () =
   (* A dup'd descriptor keeps the file alive after the original close. *)
   with_new_file "/tmp/f_dac" (fun fd ->
-      let* _ = Syscall.write ~fd "live" in
-      let* fd2 = Syscall.dup fd in
-      let* _ = Syscall.close fd in
-      let* p = Syscall.lseek ~fd:fd2 ~off:0 Message.Seek_set in
-      require (p = 0) 1
-        (let* r = Syscall.read ~fd:fd2 ~len:8 in
-         let* _ = Syscall.close fd2 in
-         let* _ = Syscall.unlink "/tmp/f_dac" in
-         match r with Ok "live" -> ok | _ -> fail 2))
+      let _ = Syscall.write ~fd "live" in
+      let fd2 = Syscall.dup fd in
+      let _ = Syscall.close fd in
+      let p = Syscall.lseek ~fd:fd2 ~off:0 Message.Seek_set in
+      require (p = 0) 1;
+      let r = Syscall.read ~fd:fd2 ~len:8 in
+      let _ = Syscall.close fd2 in
+      let _ = Syscall.unlink "/tmp/f_dac" in
+      match r with Ok "live" -> ok () | _ -> fail 2)
 
-let t_rename_into_dir =
-  let* _ = Syscall.mkdir "/tmp/d_rid" in
+let t_rename_into_dir () =
+  let _ = Syscall.mkdir "/tmp/d_rid" in
   with_new_file "/tmp/f_rid" (fun fd ->
-      let* _ = Syscall.write ~fd "mv" in
-      let* _ = Syscall.close fd in
-      let* r = Syscall.rename ~src:"/tmp/f_rid" ~dst:"/tmp/d_rid/f_rid" in
-      require_ok r 1
-        (let* st = Syscall.stat "/tmp/d_rid/f_rid" in
-         let* _ = Syscall.unlink "/tmp/d_rid/f_rid" in
-         let* _ = Syscall.rmdir "/tmp/d_rid" in
-         match st with Ok { Message.st_size = 2; _ } -> ok | _ -> fail 2))
+      let _ = Syscall.write ~fd "mv" in
+      let _ = Syscall.close fd in
+      let r = Syscall.rename ~src:"/tmp/f_rid" ~dst:"/tmp/d_rid/f_rid" in
+      require_ok r 1;
+      let st = Syscall.stat "/tmp/d_rid/f_rid" in
+      let _ = Syscall.unlink "/tmp/d_rid/f_rid" in
+      let _ = Syscall.rmdir "/tmp/d_rid" in
+      match st with Ok { Message.st_size = 2; _ } -> ok () | _ -> fail 2)
 
-let t_lseek_past_eof_write =
+let t_lseek_past_eof_write () =
   (* Seeking past EOF and writing creates a sparse extension. *)
   with_new_file "/tmp/f_peof" (fun fd ->
-      let* _ = Syscall.write ~fd "ab" in
-      let* p = Syscall.lseek ~fd ~off:10 Message.Seek_end in
-      require (p = 12) 1
-        (let* _ = Syscall.write ~fd "z" in
-         let* st = Syscall.fstat fd in
-         let* _ = Syscall.close fd in
-         let* _ = Syscall.unlink "/tmp/f_peof" in
-         match st with Ok { Message.st_size = 13; _ } -> ok | _ -> fail 2))
+      let _ = Syscall.write ~fd "ab" in
+      let p = Syscall.lseek ~fd ~off:10 Message.Seek_end in
+      require (p = 12) 1;
+      let _ = Syscall.write ~fd "z" in
+      let st = Syscall.fstat fd in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_peof" in
+      match st with Ok { Message.st_size = 13; _ } -> ok () | _ -> fail 2)
 
-let t_stat_dir =
-  let* st = Syscall.stat "/bin" in
-  match st with
-  | Ok { Message.st_is_dir = true; _ } -> ok
+let t_stat_dir () =
+  match Syscall.stat "/bin" with
+  | Ok { Message.st_is_dir = true; _ } -> ok ()
   | _ -> fail 1
 
-let t_stat_root =
-  let* st = Syscall.stat "/" in
-  match st with
-  | Ok { Message.st_ino = 0; st_is_dir = true; _ } -> ok
+let t_stat_root () =
+  match Syscall.stat "/" with
+  | Ok { Message.st_ino = 0; st_is_dir = true; _ } -> ok ()
   | _ -> fail 1
 
-let t_chdir_then_unlink_relative =
-  let* _ = Syscall.mkdir "/tmp/d_rel" in
-  let* _ = Syscall.chdir "/tmp/d_rel" in
-  let* fd = Syscall.open_ "victim" Message.creat in
-  require_ok fd 1
-    (let* _ = Syscall.close fd in
-     let* r = Syscall.unlink "victim" in
-     let* _ = Syscall.chdir "/" in
-     let* _ = Syscall.rmdir "/tmp/d_rel" in
-     require_ok r 2 ok)
+let t_chdir_then_unlink_relative () =
+  let _ = Syscall.mkdir "/tmp/d_rel" in
+  let _ = Syscall.chdir "/tmp/d_rel" in
+  let fd = Syscall.open_ "victim" Message.creat in
+  require_ok fd 1;
+  let _ = Syscall.close fd in
+  let r = Syscall.unlink "victim" in
+  let _ = Syscall.chdir "/" in
+  let _ = Syscall.rmdir "/tmp/d_rel" in
+  require_ok r 2;
+  ok ()
 
-let t_pipe_write_after_reader_exits =
+let t_pipe_write_after_reader_exits () =
   (* EPIPE must also fire when the reading *process* exits, not only on
      an explicit close. *)
-  let* p = Syscall.pipe in
-  match p with
-  | Error _ -> fail 1
-  | Ok (rfd, wfd) ->
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      let* _ = Syscall.close rfd in
-      let* _ = Syscall.close wfd in
-      ok
-    else
-      let* _, _ = Syscall.waitpid pid in
-      let* _ = Syscall.close rfd in
-      let* n = Syscall.write ~fd:wfd "dead" in
-      let* _ = Syscall.close wfd in
-      require (n = Errno.to_code Errno.EPIPE) 2 ok
+  with_pipe (fun rfd wfd ->
+      let pid =
+        Syscall.fork (fun () ->
+            let _ = Syscall.close rfd in
+            let _ = Syscall.close wfd in
+            ok ())
+      in
+      let _, _ = Syscall.waitpid pid in
+      let _ = Syscall.close rfd in
+      let n = Syscall.write ~fd:wfd "dead" in
+      let _ = Syscall.close wfd in
+      require (n = Errno.to_code Errno.EPIPE) 2;
+      ok ())
 
-let t_exec_preserves_pid =
+let t_exec_preserves_pid () =
   (* exec replaces the image but not the process identity: the parent
      waits on the same pid. *)
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* _ = Syscall.exec "/bin/exitarg" 17 in
-    fail 9
-  else
-    let* reaped, status = Syscall.waitpid pid in
-    require (reaped = pid) 1 (require (status = 17) 2 ok)
+  let pid = Syscall.fork (exec_child "/bin/exitarg" 17) in
+  let reaped, status = Syscall.waitpid pid in
+  require (reaped = pid) 1;
+  require (status = 17) 2;
+  ok ()
 
-let t_kill_self =
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* me = Syscall.getpid in
-    let* _ = Syscall.kill ~pid:me ~signal:15 in
-    fail 9 (* unreachable: kill of self terminates *)
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 128 + 15) 1 ok
+let t_kill_self () =
+  expect_child_status
+    (fun () ->
+       let me = Syscall.getpid () in
+       let _ = Syscall.kill ~pid:me ~signal:15 in
+       fail 9 (* unreachable: kill of self terminates *))
+    (128 + 15)
 
-let t_brk_reset_on_exec =
+let t_brk_reset_on_exec () =
   (* /bin/exitarg runs with a fresh image; our break must not leak into
      it. Verified indirectly: grow the break, exec, and the child's
      clean exit implies a sane address space. *)
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* _ = Syscall.sbrk 100_000 in
-    let* _ = Syscall.exec "/bin/exitarg" 0 in
-    fail 9
-  else
-    let* _, status = Syscall.waitpid pid in
-    require (status = 0) 1
-      (let* used, _ = Syscall.vm_info in
-       require (used < Vm.total_pages) 2 ok)
+  let pid =
+    Syscall.fork (fun () ->
+        let _ = Syscall.sbrk 100_000 in
+        exec_child "/bin/exitarg" 0 ())
+  in
+  let _, status = Syscall.waitpid pid in
+  require (status = 0) 1;
+  let used, _ = Syscall.vm_info () in
+  require (used < Vm.total_pages) 2;
+  ok ()
 
-let t_mmap_two_regions =
-  let* id1 = Syscall.mmap ~len:8192 in
-  let* id2 = Syscall.mmap ~len:8192 in
-  require_ok id1 1
-    (require_ok id2 2
-       (require (id1 <> id2) 3
-          (let* r1 = Syscall.munmap ~id:id1 in
-           let* r2 = Syscall.munmap ~id:id2 in
-           require_ok r1 4 (require_ok r2 5 ok))))
+let t_mmap_two_regions () =
+  let id1 = Syscall.mmap ~len:8192 in
+  let id2 = Syscall.mmap ~len:8192 in
+  require_ok id1 1;
+  require_ok id2 2;
+  require (id1 <> id2) 3;
+  let r1 = Syscall.munmap ~id:id1 in
+  let r2 = Syscall.munmap ~id:id2 in
+  require_ok r1 4;
+  require_ok r2 5;
+  ok ()
 
-let t_munmap_foreign_region =
+let t_munmap_foreign_region () =
   (* A region mapped by the child must not be unmappable by the parent. *)
-  let* id = Syscall.mmap ~len:4096 in
-  require_ok id 1
-    (let* pid = Syscall.fork in
-     if pid = 0 then
-       let* r = Syscall.munmap ~id in
-       Syscall.exit (if r = Errno.to_code Errno.EINVAL then 0 else 1)
-     else
-       let* _, status = Syscall.waitpid pid in
-       let* _ = Syscall.munmap ~id in
-       require (status = 0) 2 ok)
+  let id = Syscall.mmap ~len:4096 in
+  require_ok id 1;
+  let pid =
+    Syscall.fork (fun () ->
+        let r = Syscall.munmap ~id in
+        Syscall.exit (if r = Errno.to_code Errno.EINVAL then 0 else 1))
+  in
+  let _, status = Syscall.waitpid pid in
+  let _ = Syscall.munmap ~id in
+  require (status = 0) 2;
+  ok ()
 
-let t_ds_capacity_pressure =
+let t_ds_capacity_pressure () =
   (* Fill a good chunk of DS and drain it again; capacity accounting
      must hold. *)
   let n = 24 in
   let rec fill i =
-    if i = 0 then Prog.return true
-    else
-      let* r = Syscall.ds_publish ~key:(Printf.sprintf "t.cap%d" i) ~value:i in
-      if r >= 0 then fill (i - 1) else Prog.return false
+    i = 0
+    || (Syscall.ds_publish ~key:(Printf.sprintf "t.cap%d" i) ~value:i >= 0
+        && fill (i - 1))
   in
-  let rec drain i =
-    if i = 0 then ok
-    else
-      let* r = Syscall.ds_delete ~key:(Printf.sprintf "t.cap%d" i) in
-      require_ok r 2 (drain (i - 1))
-  in
-  let* full = fill n in
-  require full 1 (drain n)
+  let full = fill n in
+  require full 1;
+  for i = n downto 1 do
+    let r = Syscall.ds_delete ~key:(Printf.sprintf "t.cap%d" i) in
+    require_ok r 2
+  done;
+  ok ()
 
-
-let t_signal_ignore =
+let t_signal_ignore () =
   (* An ignored SIGTERM does not kill; SIGKILL always does. *)
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* r = Syscall.signal_ignore ~signal:15 true in
-    if r < 0 then Syscall.exit 9
-    else
-      let rec spin () = Prog.bind (Prog.compute 1000) spin in
-      spin ()
-  else
-    let* () = Prog.compute 100_000 in
-    let* r1 = Syscall.kill ~pid ~signal:15 in
-    require_ok r1 1
-      (let* () = Prog.compute 50_000 in
-       (* still alive: SIGKILL it *)
-       let* r2 = Syscall.kill ~pid ~signal:9 in
-       require_ok r2 2
-         (let* _, status = Syscall.waitpid pid in
-          require (status = 128 + 9) 3 ok))
+  let pid =
+    Syscall.fork (fun () ->
+        let r = Syscall.signal_ignore ~signal:15 true in
+        if r < 0 then Syscall.exit 9 else spin ())
+  in
+  compute 100_000;
+  let r1 = Syscall.kill ~pid ~signal:15 in
+  require_ok r1 1;
+  compute 50_000;
+  (* still alive: SIGKILL it *)
+  let r2 = Syscall.kill ~pid ~signal:9 in
+  require_ok r2 2;
+  let _, status = Syscall.waitpid pid in
+  require (status = 128 + 9) 3;
+  ok ()
 
-let t_signal_prev_disposition =
-  let* p0 = Syscall.signal_ignore ~signal:10 true in
-  require (p0 = 0) 1
-    (let* p1 = Syscall.signal_ignore ~signal:10 false in
-     require (p1 = 1) 2
-       (let* p2 = Syscall.signal_ignore ~signal:10 false in
-        require (p2 = 0) 3 ok))
+let t_signal_prev_disposition () =
+  let p0 = Syscall.signal_ignore ~signal:10 true in
+  require (p0 = 0) 1;
+  let p1 = Syscall.signal_ignore ~signal:10 false in
+  require (p1 = 1) 2;
+  let p2 = Syscall.signal_ignore ~signal:10 false in
+  require (p2 = 0) 3;
+  ok ()
 
-let t_sigkill_not_ignorable =
-  let* r = Syscall.signal_ignore ~signal:9 true in
-  require (r = Errno.to_code Errno.EINVAL) 1 ok
+let t_sigkill_not_ignorable () =
+  let r = Syscall.signal_ignore ~signal:9 true in
+  require (r = Errno.to_code Errno.EINVAL) 1;
+  ok ()
 
-let t_signal_mask_inherited =
-  let* _ = Syscall.signal_ignore ~signal:15 true in
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    (* The child inherited the disposition: clearing it reports 1. *)
-    let* prev = Syscall.signal_ignore ~signal:15 false in
-    Syscall.exit (if prev = 1 then 0 else 1)
-  else
-    let* _, status = Syscall.waitpid pid in
-    let* _ = Syscall.signal_ignore ~signal:15 false in
-    require (status = 0) 1 ok
+let t_signal_mask_inherited () =
+  let _ = Syscall.signal_ignore ~signal:15 true in
+  let pid =
+    Syscall.fork (fun () ->
+        (* The child inherited the disposition: clearing it reports 1. *)
+        let prev = Syscall.signal_ignore ~signal:15 false in
+        Syscall.exit (if prev = 1 then 0 else 1))
+  in
+  let _, status = Syscall.waitpid pid in
+  let _ = Syscall.signal_ignore ~signal:15 false in
+  require (status = 0) 1;
+  ok ()
 
-let t_readdir_lists_children =
-  let* _ = Syscall.mkdir "/tmp/d_ls" in
-  let* fd = Syscall.open_ "/tmp/d_ls/alpha" Message.creat in
-  let* _ = Syscall.close fd in
-  let* fd2 = Syscall.open_ "/tmp/d_ls/beta" Message.creat in
-  let* _ = Syscall.close fd2 in
-  let* names = Syscall.readdir "/tmp/d_ls" in
-  let* _ = Syscall.unlink "/tmp/d_ls/alpha" in
-  let* _ = Syscall.unlink "/tmp/d_ls/beta" in
-  let* _ = Syscall.rmdir "/tmp/d_ls" in
-  (match names with
-   | Ok names ->
-     require (List.mem "alpha" names && List.mem "beta" names
-              && List.length names = 2) 1 ok
-   | Error _ -> fail 2)
-
-let t_readdir_of_file_fails =
-  let* names = Syscall.readdir "/etc/data" in
-  match names with Error Errno.ENOTDIR -> ok | _ -> fail 1
-
-let t_readdir_bin_nonempty =
-  let* names = Syscall.readdir "/bin" in
+let t_readdir_lists_children () =
+  let _ = Syscall.mkdir "/tmp/d_ls" in
+  let fd = Syscall.open_ "/tmp/d_ls/alpha" Message.creat in
+  let _ = Syscall.close fd in
+  let fd2 = Syscall.open_ "/tmp/d_ls/beta" Message.creat in
+  let _ = Syscall.close fd2 in
+  let names = Syscall.readdir "/tmp/d_ls" in
+  let _ = Syscall.unlink "/tmp/d_ls/alpha" in
+  let _ = Syscall.unlink "/tmp/d_ls/beta" in
+  let _ = Syscall.rmdir "/tmp/d_ls" in
   match names with
-  | Ok names -> require (List.length names > 50) 1 ok
+  | Ok names ->
+    require (List.mem "alpha" names && List.mem "beta" names
+             && List.length names = 2) 1;
+    ok ()
   | Error _ -> fail 2
 
-let t_dup2_basic =
+let t_readdir_of_file_fails () =
+  match Syscall.readdir "/etc/data" with
+  | Error Errno.ENOTDIR -> ok ()
+  | _ -> fail 1
+
+let t_readdir_bin_nonempty () =
+  match Syscall.readdir "/bin" with
+  | Ok names ->
+    require (List.length names > 50) 1;
+    ok ()
+  | Error _ -> fail 2
+
+let t_dup2_basic () =
   with_new_file "/tmp/f_d2" (fun fd ->
-      let* _ = Syscall.write ~fd "second" in
-      let* r = Syscall.dup2 ~fd ~tofd:9 in
-      require (r = 9) 1
-        (let* _ = Syscall.lseek ~fd:9 ~off:0 Message.Seek_set in
-         let* c = Syscall.read ~fd:9 ~len:8 in
-         let* _ = Syscall.close fd in
-         let* _ = Syscall.close 9 in
-         let* _ = Syscall.unlink "/tmp/f_d2" in
-         match c with Ok "second" -> ok | _ -> fail 2))
+      let _ = Syscall.write ~fd "second" in
+      let r = Syscall.dup2 ~fd ~tofd:9 in
+      require (r = 9) 1;
+      let _ = Syscall.lseek ~fd:9 ~off:0 Message.Seek_set in
+      let c = Syscall.read ~fd:9 ~len:8 in
+      let _ = Syscall.close fd in
+      let _ = Syscall.close 9 in
+      let _ = Syscall.unlink "/tmp/f_d2" in
+      match c with Ok "second" -> ok () | _ -> fail 2)
 
-let t_dup2_closes_target =
+let t_dup2_closes_target () =
   with_new_file "/tmp/f_d2a" (fun fd_a ->
-      let* fd_b = Syscall.open_ "/tmp/f_d2b" Message.creat in
-      require_ok fd_b 1
-        (let* _ = Syscall.write ~fd:fd_b "bee" in
-         let* r = Syscall.dup2 ~fd:fd_a ~tofd:fd_b in
-         require (r = fd_b) 2
-           (* fd_b now refers to file A; writing through it must land in A *)
-           (let* _ = Syscall.write ~fd:fd_b "aaa" in
-            let* st = Syscall.stat "/tmp/f_d2b" in
-            let* _ = Syscall.close fd_a in
-            let* _ = Syscall.close fd_b in
-            let* _ = Syscall.unlink "/tmp/f_d2a" in
-            let* _ = Syscall.unlink "/tmp/f_d2b" in
-            match st with
-            | Ok { Message.st_size = 3; _ } -> ok  (* B unchanged after close *)
-            | _ -> fail 3)))
+      let fd_b = Syscall.open_ "/tmp/f_d2b" Message.creat in
+      require_ok fd_b 1;
+      let _ = Syscall.write ~fd:fd_b "bee" in
+      let r = Syscall.dup2 ~fd:fd_a ~tofd:fd_b in
+      require (r = fd_b) 2;
+      (* fd_b now refers to file A; writing through it must land in A *)
+      let _ = Syscall.write ~fd:fd_b "aaa" in
+      let st = Syscall.stat "/tmp/f_d2b" in
+      let _ = Syscall.close fd_a in
+      let _ = Syscall.close fd_b in
+      let _ = Syscall.unlink "/tmp/f_d2a" in
+      let _ = Syscall.unlink "/tmp/f_d2b" in
+      match st with
+      | Ok { Message.st_size = 3; _ } -> ok () (* B unchanged after close *)
+      | _ -> fail 3)
 
-let t_dup2_same_fd =
+let t_dup2_same_fd () =
   with_new_file "/tmp/f_d2s" (fun fd ->
-      let* r = Syscall.dup2 ~fd ~tofd:fd in
-      let* _ = Syscall.close fd in
-      let* _ = Syscall.unlink "/tmp/f_d2s" in
-      require (r = fd) 1 ok)
+      let r = Syscall.dup2 ~fd ~tofd:fd in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_d2s" in
+      require (r = fd) 1;
+      ok ())
 
-let t_indirect_blocks_file =
+let t_indirect_blocks_file () =
   (* Cross the direct-block boundary (8 KiB with 1 KiB blocks) and read
      back both sides of it. *)
   with_new_file "/tmp/f_big2" (fun fd ->
-      let chunk = String.make 1024 'i' in
-      let rec fill n =
-        if n = 0 then Prog.return true
-        else
-          let* w = Syscall.write ~fd chunk in
-          if w = 1024 then fill (n - 1) else Prog.return false
-      in
-      let* okw = fill 20 in  (* 20 KiB: 8 direct + 12 indirect blocks *)
-      require okw 1
-        (let* st = Syscall.fstat fd in
-         match st with
-         | Ok { Message.st_size = 20480; _ } ->
-           let* _ = Syscall.lseek ~fd ~off:10_000 Message.Seek_set in
-           let* r = Syscall.read ~fd ~len:4 in
-           let* _ = Syscall.close fd in
-           let* _ = Syscall.unlink "/tmp/f_big2" in
-           (match r with Ok "iiii" -> ok | _ -> fail 2)
-         | _ -> fail 3))
+      (* 20 KiB: 8 direct + 12 indirect blocks *)
+      let okw = fill ~fd (String.make 1024 'i') 20 in
+      require okw 1;
+      match Syscall.fstat fd with
+      | Ok { Message.st_size = 20480; _ } ->
+        let _ = Syscall.lseek ~fd ~off:10_000 Message.Seek_set in
+        let r = Syscall.read ~fd ~len:4 in
+        let _ = Syscall.close fd in
+        let _ = Syscall.unlink "/tmp/f_big2" in
+        (match r with Ok "iiii" -> ok () | _ -> fail 2)
+      | _ -> fail 3)
 
-let t_indirect_blocks_freed =
+let t_indirect_blocks_freed () =
   (* Blocks of a large file must return to the free pool on unlink:
      write/delete twice and confirm the second pass still succeeds. *)
   let pass () =
-    let* fd = Syscall.open_ "/tmp/f_bigfree" Message.creat in
-    if fd < 0 then Prog.return false
+    let fd = Syscall.open_ "/tmp/f_bigfree" Message.creat in
+    if fd < 0 then false
     else
-      let chunk = String.make 1024 'f' in
-      let rec fill n =
-        if n = 0 then Prog.return true
-        else
-          let* w = Syscall.write ~fd chunk in
-          if w = 1024 then fill (n - 1) else Prog.return false
-      in
-      let* okw = fill 30 in
-      let* _ = Syscall.close fd in
-      let* _ = Syscall.unlink "/tmp/f_bigfree" in
-      Prog.return okw
+      let okw = fill ~fd (String.make 1024 'f') 30 in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink "/tmp/f_bigfree" in
+      okw
   in
-  let* ok1 = pass () in
-  require ok1 1
-    (let* ok2 = pass () in
-     require ok2 2 ok)
+  let ok1 = pass () in
+  require ok1 1;
+  let ok2 = pass () in
+  require ok2 2;
+  ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Registry of all tests                                               *)
@@ -1235,11 +1188,11 @@ let aux_programs =
      fun arg ->
        if arg = 0 then Syscall.exit 0
        else
-         let* r = Syscall.exec "/bin/chain" (arg - 1) in
+         let r = Syscall.exec "/bin/chain" (arg - 1) in
          Syscall.exit (if r < 0 then 9 else 8));
     ("/bin/readfd",
      fun fd ->
-       let* r = Syscall.read ~fd ~len:4 in
+       let r = Syscall.read ~fd ~len:4 in
        Syscall.exit (match r with Ok "mark" -> 0 | _ -> 1)) ]
 
 let tests =
@@ -1351,28 +1304,22 @@ let names = List.map fst tests
 let register reg =
   List.iter (fun (path, f) -> Registry.register reg path f) aux_programs;
   List.iter
-    (fun (name, prog) -> Registry.register reg ("/bin/t_" ^ name) (fun _ -> prog))
+    (fun (name, prog) -> Registry.register reg ("/bin/t_" ^ name) (fun _ -> prog ()))
     tests
 
-let driver =
-  let rec run = function
-    | [] ->
-      let* () = Syscall.print "SUITE_DONE" in
-      Syscall.exit 0
-    | (name, _) :: rest ->
-      let* pid = Syscall.fork in
-      if pid = 0 then
-        let* r = Syscall.exec ("/bin/t_" ^ name) 0 in
-        Syscall.exit (if r < 0 then 120 else 121)
-      else if pid < 0 then
-        let* () = Syscall.print (Printf.sprintf "RESULT %s %d" name 125) in
-        run rest
-      else
-        let* _, status = Syscall.waitpid pid in
-        let* () = Syscall.print (Printf.sprintf "RESULT %s %d" name status) in
-        run rest
-  in
-  run tests
+let driver () =
+  List.iter
+    (fun (name, _) ->
+       let pid =
+         Syscall.fork (fun () ->
+             let r = Syscall.exec ("/bin/t_" ^ name) 0 in
+             Syscall.exit (if r < 0 then 120 else 121))
+       in
+       let status = if pid < 0 then 125 else snd (Syscall.waitpid pid) in
+       Syscall.print (Printf.sprintf "RESULT %s %d" name status))
+    tests;
+  Syscall.print "SUITE_DONE";
+  Syscall.exit 0
 
 type results = {
   passed : int;

@@ -8,7 +8,7 @@
     ["RESULT <name> <status>"] lines and finally ["SUITE_DONE"] on the
     kernel log sink; {!parse_results} decodes them. *)
 
-val tests : (string * unit Prog.t) list
+val tests : (string * (unit -> unit)) list
 (** All tests, in execution order. Each program terminates via exit. *)
 
 val names : string list
@@ -16,7 +16,7 @@ val names : string list
 val register : Registry.t -> unit
 (** Register each test under ["/bin/t_<name>"]. *)
 
-val driver : unit Prog.t
+val driver : unit -> unit
 (** The suite driver, to be run as the workload root: forks and execs
     every test, waits for it, reports, and exits 0. *)
 

@@ -12,7 +12,7 @@
 type bench = {
   b_name : string;
   b_iters : int;
-  b_driver : unit Prog.t;
+  b_driver : unit -> unit;
   b_uses_pm : bool;
       (** Heavy PM dependence — the property Figure 3 keys on. *)
 }

@@ -1,4 +1,3 @@
-open Prog.Syntax
 module Rng = Osiris_util.Rng
 
 type spec = {
@@ -49,118 +48,108 @@ let rec describe_act = function
   | G_fork acts ->
     Printf.sprintf "fork{%s}" (String.concat "; " (List.map describe_act acts))
 
-(* Compile an action; [bad] collects the first unexpected result code. *)
+(* Run an action: 0 when every result was as expected, else a code
+   naming the first unexpected one. *)
 let rec run_act act =
   match act with
   | G_file (i, data) ->
     let path = Printf.sprintf "/tmp/wg%d" i in
-    let* fd = Syscall.open_ path Message.creat in
-    if fd < 0 then Prog.return 1
-    else
-      let* w = Syscall.write ~fd data in
-      let* _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
-      let* r = Syscall.read ~fd ~len:(String.length data) in
-      let* _ = Syscall.close fd in
-      let* _ = Syscall.unlink path in
-      Prog.return
-        (match r with
-         | Ok s when s = data && w = String.length data -> 0
-         | _ -> 2)
+    let fd = Syscall.open_ path Message.creat in
+    if fd < 0 then 1
+    else begin
+      let w = Syscall.write ~fd data in
+      let _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
+      let r = Syscall.read ~fd ~len:(String.length data) in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink path in
+      match r with
+      | Ok s when s = data && w = String.length data -> 0
+      | _ -> 2
+    end
   | G_dir i ->
     let path = Printf.sprintf "/tmp/wgd%d" i in
-    let* a = Syscall.mkdir path in
-    let* b = Syscall.rmdir path in
+    let a = Syscall.mkdir path in
+    let b = Syscall.rmdir path in
     (* EEXIST is possible when a concurrent child races the same id. *)
-    Prog.return
-      (if (a >= 0 || a = Errno.to_code Errno.EEXIST) && b <= 0 then 0 else 3)
+    if (a >= 0 || a = Errno.to_code Errno.EEXIST) && b <= 0 then 0 else 3
   | G_ds (k, v) ->
     let key = Printf.sprintf "wg.%d" k in
-    let* p = Syscall.ds_publish ~key ~value:v in
-    let* r = Syscall.ds_retrieve ~key in
-    Prog.return
-      (match r with
-       | Ok _ when p >= 0 -> 0
-       | _ -> 4)
+    let p = Syscall.ds_publish ~key ~value:v in
+    let r = Syscall.ds_retrieve ~key in
+    (match r with Ok _ when p >= 0 -> 0 | _ -> 4)
   | G_pipe n ->
     let data = String.make n 'w' in
-    let* p = Syscall.pipe in
-    (match p with
-     | Error _ -> Prog.return 5
+    (match Syscall.pipe () with
+     | Error _ -> 5
      | Ok (rfd, wfd) ->
-       let* _ = Syscall.write ~fd:wfd data in
+       let _ = Syscall.write ~fd:wfd data in
        let rec drain got =
-         if got >= n then Prog.return 0
+         if got >= n then 0
          else
-           let* r = Syscall.read ~fd:rfd ~len:(n - got) in
-           match r with
-           | Ok "" -> Prog.return 6
+           match Syscall.read ~fd:rfd ~len:(n - got) with
+           | Ok "" -> 6
            | Ok s -> drain (got + String.length s)
-           | Error _ -> Prog.return 7
+           | Error _ -> 7
        in
-       let* code = drain 0 in
-       let* _ = Syscall.close rfd in
-       let* _ = Syscall.close wfd in
-       Prog.return code)
+       let code = drain 0 in
+       let _ = Syscall.close rfd in
+       let _ = Syscall.close wfd in
+       code)
   | G_sbrk n ->
-    let* b0 = Syscall.brk_current in
-    let* b1 = Syscall.sbrk n in
-    Prog.return (if b1 = b0 + n then 0 else 8)
+    let b0 = Syscall.brk_current () in
+    let b1 = Syscall.sbrk n in
+    if b1 = b0 + n then 0 else 8
   | G_exec ->
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      let* _ = Syscall.exec "/bin/true" 0 in
-      Syscall.exit 9
-    else if pid < 0 then Prog.return 9
+    let pid =
+      Syscall.fork (fun () ->
+          let _ = Syscall.exec "/bin/true" 0 in
+          Syscall.exit 9)
+    in
+    if pid < 0 then 9
     else
-      let* _, status = Syscall.waitpid pid in
-      Prog.return (if status = 0 then 0 else 10)
+      let _, status = Syscall.waitpid pid in
+      if status = 0 then 0 else 10
   | G_readdir ->
-    let* r = Syscall.readdir "/bin" in
-    Prog.return (match r with Ok (_ :: _) -> 0 | _ -> 11)
+    (match Syscall.readdir "/bin" with Ok (_ :: _) -> 0 | _ -> 11)
   | G_fork acts ->
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      let* code = run_all acts in
-      Syscall.exit code
-    else if pid < 0 then Prog.return 12
+    let pid = Syscall.fork (fun () -> Syscall.exit (run_all acts)) in
+    if pid < 0 then 12
     else
-      let* _, status = Syscall.waitpid pid in
-      Prog.return status
+      let _, status = Syscall.waitpid pid in
+      status
 
 and run_all acts =
-  let rec go code = function
-    | [] -> Prog.return code
-    | act :: rest ->
-      let* c = run_act act in
-      go (if code <> 0 then code else c) rest
-  in
-  go 0 acts
+  List.fold_left
+    (fun code act ->
+       let c = run_act act in
+       if code <> 0 then code else c)
+    0 acts
 
 let generate ?spec ~seed () =
   let acts = gen_acts ?spec ~seed () in
-  let* code = run_all acts in
-  Syscall.exit code
+  fun () -> Syscall.exit (run_all acts)
 
 let describe ?spec ~seed () = List.map describe_act (gen_acts ?spec ~seed ())
 
 (* The README quickstart program as a reusable workload root: a file
    round trip through VFS/MFS/bdev, a fork/exec/wait through PM and VM,
    and a DS publish/retrieve — every core server sees traffic. *)
-let quickstart =
-  let* fd = Syscall.open_ "/tmp/greeting" Message.creat in
-  let* _ = Syscall.write ~fd "hello from userland" in
-  let* _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
-  let* contents = Syscall.read ~fd ~len:64 in
-  let* _ = Syscall.close fd in
-  let* pid = Syscall.fork in
-  if pid = 0 then
-    let* _ = Syscall.exec "/bin/sh" 0 in
-    Syscall.exit 9
-  else if pid < 0 then Syscall.exit 1
+let quickstart () =
+  let fd = Syscall.open_ "/tmp/greeting" Message.creat in
+  let _ = Syscall.write ~fd "hello from userland" in
+  let _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
+  let contents = Syscall.read ~fd ~len:64 in
+  let _ = Syscall.close fd in
+  let pid =
+    Syscall.fork (fun () ->
+        let _ = Syscall.exec "/bin/sh" 0 in
+        Syscall.exit 9)
+  in
+  if pid < 0 then Syscall.exit 1
   else
-    let* _, status = Syscall.waitpid pid in
-    let* p = Syscall.ds_publish ~key:"example.answer" ~value:42 in
-    let* v = Syscall.ds_retrieve ~key:"example.answer" in
+    let _, status = Syscall.waitpid pid in
+    let p = Syscall.ds_publish ~key:"example.answer" ~value:42 in
+    let v = Syscall.ds_retrieve ~key:"example.answer" in
     Syscall.exit
       (match contents, v with
        | Ok "hello from userland", Ok 42 when status = 0 && p >= 0 -> 0

@@ -19,13 +19,14 @@ type spec = {
 
 val default_spec : spec
 
-val generate : ?spec:spec -> seed:int -> unit -> unit Prog.t
-(** A runnable workload-root program. *)
+val generate : ?spec:spec -> seed:int -> unit -> unit -> unit
+(** A runnable workload-root program; the actions are drawn when it is
+    built. *)
 
 val describe : ?spec:spec -> seed:int -> unit -> string list
 (** Human-readable action list of the same generation (for logs). *)
 
-val quickstart : unit Prog.t
+val quickstart : unit -> unit
 (** The fixed README quickstart workload (file round trip, fork/exec,
     data store; exits 0 when all behaved). [osiris trace] and the
     observability tests run it so traces in the docs are

@@ -4,8 +4,6 @@
    resolution, restart budgets, call_retry exhaustion, the graduated
    hardening boundary, and mixed-policy observability attribution. *)
 
-open Prog.Syntax
-
 let halt_t = Alcotest.testable (Fmt.of_to_string Kernel.halt_to_string) ( = )
 
 (* ---------------- refactor equivalence fixtures ------------------- *)
@@ -269,7 +267,7 @@ let pm_stub () : Kernel.server =
     srv_name = "pm-stub";
     srv_image = image;
     srv_clone_extra_kb = 0;
-    srv_init = Prog.return ();
+    srv_init = ignore;
     srv_loop = Srvlib.simple_loop handle;
     srv_multithreaded = false }
 
@@ -302,7 +300,7 @@ let echo_server () : Kernel.server =
     srv_name = "echo";
     srv_image = image;
     srv_clone_extra_kb = 0;
-    srv_init = Prog.direct (fun () -> Op.Mem.set_cell cell 0);
+    srv_init = (fun () -> Op.Mem.set_cell cell 0);
     srv_loop = Srvlib.simple_loop handle;
     srv_multithreaded = false }
 
@@ -330,18 +328,15 @@ let mini ?(policy = Policy.enhanced) ?(policies = []) ?(budgets = [])
   (kernel, halt, List.rev !log)
 
 (* n in-window crashes, each expected to be virtualized as E_CRASH. *)
-let crash_n_times n =
-  let rec go i =
-    if i = 0 then Syscall.exit 0
-    else
-      let* r =
-        Prog.call Endpoint.ds (Message.Ds_publish { key = "crash"; value = 0 })
-      in
-      match r with
-      | Message.R_err Errno.E_CRASH -> go (i - 1)
-      | _ -> Syscall.exit 97
-  in
-  go n
+let crash_n_times n () =
+  for _ = 1 to n do
+    match
+      Kernel.Op.call Endpoint.ds (Message.Ds_publish { key = "crash"; value = 0 })
+    with
+    | Message.R_err Errno.E_CRASH -> ()
+    | _ -> Syscall.exit 97
+  done;
+  Syscall.exit 0
 
 let test_budget_allows_up_to_limit () =
   (* Budget 2: the first two crashes both recover. *)
@@ -380,8 +375,8 @@ let test_unused_budget_costs_nothing () =
   (* A budget on an endpoint that never crashes must not perturb the
      virtual clock: the budget check is only interpreted on the
      recovery path. *)
-  let prog =
-    let* _ = Prog.call Endpoint.ds (Message.Ds_retrieve { key = "four" }) in
+  let prog () =
+    let _ = Kernel.Op.call Endpoint.ds (Message.Ds_retrieve { key = "four" }) in
     Syscall.exit 0
   in
   let k1, h1, _ = mini prog in
@@ -404,12 +399,8 @@ let test_call_retry_exhaustion () =
     then Some (Kernel.F_crash "persistent reply fault")
     else None
   in
-  let prog =
-    let* r =
-      Prog.direct (fun () ->
-          Srvlib.call_retry Endpoint.ds (Message.Ds_retrieve { key = "k" }))
-    in
-    match r with
+  let prog () =
+    match Srvlib.call_retry Endpoint.ds (Message.Ds_retrieve { key = "k" }) with
     | Message.R_err Errno.E_CRASH -> Syscall.exit 0
     | _ -> Syscall.exit 98
   in
@@ -434,12 +425,8 @@ let test_call_retry_transient_recovers () =
     end
     else None
   in
-  let prog =
-    let* r =
-      Prog.direct (fun () ->
-          Srvlib.call_retry Endpoint.ds (Message.Ds_retrieve { key = "four" }))
-    in
-    match r with
+  let prog () =
+    match Srvlib.call_retry Endpoint.ds (Message.Ds_retrieve { key = "four" }) with
     | Message.R_ds_value { value } -> Syscall.exit value
     | _ -> Syscall.exit 98
   in
@@ -449,11 +436,10 @@ let test_call_retry_transient_recovers () =
 (* ---------------- graduated hardening boundary -------------------- *)
 
 let graduated_run j =
-  let prog =
-    let* r =
-      Prog.call Endpoint.ds (Message.Ds_publish { key = "crashafter"; value = j })
-    in
-    match r with
+  let prog () =
+    match
+      Kernel.Op.call Endpoint.ds (Message.Ds_publish { key = "crashafter"; value = j })
+    with
     | Message.R_err Errno.E_CRASH -> Syscall.exit 0
     | _ -> Syscall.exit 96
   in

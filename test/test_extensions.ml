@@ -3,8 +3,6 @@
    kill-requester reconciliation, and full-copy (snapshot) checkpoints
    as the undo log's expensive alternative. *)
 
-open Prog.Syntax
-
 let halt_t = Alcotest.testable (Fmt.of_to_string Kernel.halt_to_string) ( = )
 
 let with_fault ?(policy = Policy.enhanced) ?(persistent = false) pred action
@@ -30,10 +28,11 @@ let site_in ep tag (site : Kernel.site) =
 let test_replay_transparent_for_transient () =
   (* With replay, even a *raw* call (no libc retry) never sees the
      crash: the recovered clone re-executes the request and answers. *)
-  let root =
-    let* _ = Prog.call Endpoint.ds (Message.Ds_publish { key = "rp"; value = 5 }) in
-    let* r = Prog.call Endpoint.ds (Message.Ds_retrieve { key = "rp" }) in
-    match r with
+  let root () =
+    let _ =
+      Kernel.Op.call Endpoint.ds (Message.Ds_publish { key = "rp"; value = 5 })
+    in
+    match Kernel.Op.call Endpoint.ds (Message.Ds_retrieve { key = "rp" }) with
     | Message.R_ds_value { value = 5 } -> Syscall.exit 0
     | Message.R_err Errno.E_CRASH -> Syscall.exit 7  (* not transparent *)
     | _ -> Syscall.exit 8
@@ -49,8 +48,8 @@ let test_replay_transparent_for_transient () =
 let test_replay_loops_on_persistent () =
   (* The paper's argument against replay: a persistent fault re-fires on
      every replay until the crash-storm cutoff. *)
-  let root =
-    let* _ = Prog.call Endpoint.ds (Message.Ds_retrieve { key = "poison" }) in
+  let root () =
+    let _ = Kernel.Op.call Endpoint.ds (Message.Ds_retrieve { key = "poison" }) in
     Syscall.exit 0
   in
   let sys, halt =
@@ -68,9 +67,8 @@ let test_replay_loops_on_persistent () =
 let test_error_virtualization_survives_same_fault () =
   (* Control for the previous test: same persistent fault, standard
      enhanced policy — the system survives. *)
-  let root =
-    let* v = Syscall.ds_retrieve ~key:"poison" in
-    match v with
+  let root () =
+    match Syscall.ds_retrieve ~key:"poison" with
     | Error Errno.E_CRASH -> Syscall.exit 0
     | _ -> Syscall.exit 9
   in
@@ -101,23 +99,24 @@ let test_kill_requester_reconciliation () =
      then DS crashes. Reconciliation kills the publisher through the
      normal exit path; the parent observes status 137 and the system
      stays consistent. *)
-  let root =
-    let* _ = Syscall.ds_subscribe ~prefix:"klr" in
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      let* _ = Prog.call Endpoint.ds (Message.Ds_publish { key = "klr.x"; value = 1 }) in
-      (* Only reached if the reconciliation did not kill us. *)
-      Syscall.exit 3
-    else
-      let* _, status = Syscall.waitpid pid in
-      if status <> 137 then Syscall.exit status
-      else
-        (* The store must be healthy and rolled back. *)
-        let* v = Syscall.ds_retrieve ~key:"klr.x" in
-        (match v with
-         | Error Errno.ENOENT -> Syscall.exit 0
-         | Ok _ -> Syscall.exit 4
-         | Error _ -> Syscall.exit 5)
+  let root () =
+    let _ = Syscall.ds_subscribe ~prefix:"klr" in
+    let pid =
+      Syscall.fork (fun () ->
+          let _ =
+            Kernel.Op.call Endpoint.ds
+              (Message.Ds_publish { key = "klr.x"; value = 1 })
+          in
+          (* Only reached if the reconciliation did not kill us. *)
+          Syscall.exit 3)
+    in
+    let _, status = Syscall.waitpid pid in
+    if status <> 137 then Syscall.exit status;
+    (* The store must be healthy and rolled back. *)
+    match Syscall.ds_retrieve ~key:"klr.x" with
+    | Error Errno.ENOENT -> Syscall.exit 0
+    | Ok _ -> Syscall.exit 4
+    | Error _ -> Syscall.exit 5
   in
   (* Crash at the reply, but only in a publish that actually notified a
      subscriber (the second send of the handler): under the plain
@@ -144,9 +143,9 @@ let test_requester_local_keeps_window_open () =
   (* Same crash under plain enhanced: the notify closed the window, so
      the outcome is a controlled shutdown — demonstrating exactly what
      the new SEEP class buys. *)
-  let root =
-    let* _ = Syscall.ds_subscribe ~prefix:"klr" in
-    let* _ = Syscall.ds_publish ~key:"klr.x" ~value:1 in
+  let root () =
+    let _ = Syscall.ds_subscribe ~prefix:"klr" in
+    let _ = Syscall.ds_publish ~key:"klr.x" ~value:1 in
     Syscall.exit 0
   in
   let saw_notify = ref false in
@@ -175,34 +174,31 @@ let test_live_update_preserves_state () =
      value; the update happens from inside the running system, like
      MINIX's `service update`. *)
   let sys = System.build (Sysconf.uniform Policy.enhanced) in
-  let root =
-    let* r0 = Syscall.ds_publish ~key:"lv" ~value:7 in
-    if r0 < 0 then Syscall.exit 1
-    else
-      let* kr =
-        Prog.kcall
-          (Prog.K_live_update
-             { proc = Endpoint.ds;
-               loop =
-                 Srvlib.simple_loop (fun src msg ->
-                     match msg with
-                     | Message.Ds_retrieve _ ->
-                       (* v2 behaviour: constant-answer service *)
-                       Kernel.Op.reply src (Message.R_ds_value { value = 4242 })
-                     | Message.Ds_delete { key = "lv" } ->
-                       (* v2 keeps v1 state: prove it by answering the
-                          delete with the stored value via the old
-                          protocol trick used in the kernel tests. *)
-                       Srvlib.reply_err src Errno.ENOSYS
-                     | _ -> Srvlib.reply_err src Errno.ENOSYS) })
-      in
-      match kr with
-      | Prog.Kr_ok ->
-        let* v = Syscall.ds_retrieve ~key:"anything" in
-        (match v with
-         | Ok 4242 -> Syscall.exit 0
-         | _ -> Syscall.exit 2)
-      | _ -> Syscall.exit 3
+  let root () =
+    if Syscall.ds_publish ~key:"lv" ~value:7 < 0 then Syscall.exit 1;
+    let kr =
+      Kernel.Op.kcall
+        (Prog.K_live_update
+           { proc = Endpoint.ds;
+             loop =
+               Srvlib.simple_loop (fun src msg ->
+                   match msg with
+                   | Message.Ds_retrieve _ ->
+                     (* v2 behaviour: constant-answer service *)
+                     Kernel.Op.reply src (Message.R_ds_value { value = 4242 })
+                   | Message.Ds_delete { key = "lv" } ->
+                     (* v2 keeps v1 state: prove it by answering the
+                        delete with the stored value via the old
+                        protocol trick used in the kernel tests. *)
+                     Srvlib.reply_err src Errno.ENOSYS
+                   | _ -> Srvlib.reply_err src Errno.ENOSYS) })
+    in
+    match kr with
+    | Prog.Kr_ok ->
+      (match Syscall.ds_retrieve ~key:"anything" with
+       | Ok 4242 -> Syscall.exit 0
+       | _ -> Syscall.exit 2)
+    | _ -> Syscall.exit 3
   in
   let halt = System.run sys ~root in
   Alcotest.check halt_t "updated behaviour visible" (Kernel.H_completed 0) halt
@@ -210,30 +206,28 @@ let test_live_update_preserves_state () =
 let test_live_update_rejects_busy () =
   (* VFS with a blocked pipe reader is not quiescent: the update must be
      refused with EAGAIN and the system must keep working. *)
-  let root =
-    let* p = Syscall.pipe in
-    match p with
+  let root () =
+    match Syscall.pipe () with
     | Error _ -> Syscall.exit 1
     | Ok (rfd, wfd) ->
-      let* pid = Syscall.fork in
-      if pid = 0 then
-        let* r = Syscall.read ~fd:rfd ~len:4 in
-        Syscall.exit (match r with Ok "data" -> 0 | _ -> 2)
-      else
-        let* () = Prog.compute 200_000 in
-        let* kr =
-          Prog.kcall
-            (Prog.K_live_update
-               { proc = Endpoint.vfs;
-                 loop = Srvlib.simple_loop (fun src _ ->
-                     Srvlib.reply_err src Errno.ENOSYS) })
-        in
-        (match kr with
-         | Prog.Kr_err Errno.EAGAIN ->
-           let* _ = Syscall.write ~fd:wfd "data" in
-           let* _, status = Syscall.waitpid pid in
-           Syscall.exit status
-         | _ -> Syscall.exit 3)
+      let pid =
+        Syscall.fork (fun () ->
+            let r = Syscall.read ~fd:rfd ~len:4 in
+            Syscall.exit (match r with Ok "data" -> 0 | _ -> 2))
+      in
+      Kernel.Op.compute 200_000;
+      (match
+         Kernel.Op.kcall
+           (Prog.K_live_update
+              { proc = Endpoint.vfs;
+                loop = Srvlib.simple_loop (fun src _ ->
+                    Srvlib.reply_err src Errno.ENOSYS) })
+       with
+       | Prog.Kr_err Errno.EAGAIN ->
+         let _ = Syscall.write ~fd:wfd "data" in
+         let _, status = Syscall.waitpid pid in
+         Syscall.exit status
+       | _ -> Syscall.exit 3)
   in
   let sys = System.build (Sysconf.uniform Policy.enhanced) in
   let halt = System.run sys ~root in
@@ -244,7 +238,7 @@ let test_live_update_rejects_busy () =
 let test_live_update_unknown_target () =
   let sys = System.build (Sysconf.uniform Policy.enhanced) in
   match
-    Kernel.live_update (System.kernel sys) 4242 (Prog.return ())
+    Kernel.live_update (System.kernel sys) 4242 ignore
   with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "update of unknown endpoint accepted"
@@ -272,10 +266,11 @@ let test_snapshot_policy_suite_passes () =
   Alcotest.(check int) "all pass" (List.length Testsuite.tests) r.Testsuite.passed
 
 let test_snapshot_recovers_crashes () =
-  let root =
-    let* _ = Syscall.ds_publish ~key:"snap" ~value:9 in
-    let* v = Syscall.ds_retrieve ~key:"snap" in
-    match v with Ok 9 -> Syscall.exit 0 | _ -> Syscall.exit 1
+  let root () =
+    let _ = Syscall.ds_publish ~key:"snap" ~value:9 in
+    match Syscall.ds_retrieve ~key:"snap" with
+    | Ok 9 -> Syscall.exit 0
+    | _ -> Syscall.exit 1
   in
   let sys, halt =
     with_fault ~policy:Policy.enhanced_snapshot
@@ -312,10 +307,11 @@ let test_dedup_policy_suite_and_savings () =
   Alcotest.(check bool) "log entries actually saved" true (total_deduped > 0)
 
 let test_dedup_recovery_correct () =
-  let root =
-    let* _ = Syscall.ds_publish ~key:"dd" ~value:31 in
-    let* v = Syscall.ds_retrieve ~key:"dd" in
-    match v with Ok 31 -> Syscall.exit 0 | _ -> Syscall.exit 1
+  let root () =
+    let _ = Syscall.ds_publish ~key:"dd" ~value:31 in
+    match Syscall.ds_retrieve ~key:"dd" with
+    | Ok 31 -> Syscall.exit 0
+    | _ -> Syscall.exit 1
   in
   let sys, halt =
     with_fault ~policy:Policy.enhanced_dedup
@@ -360,9 +356,8 @@ let test_graduated_suite_passes () =
     (halt = Kernel.H_completed 0 && r.Testsuite.failed = 0)
 
 let test_graduated_still_recovers () =
-  let root =
-    let* v = Syscall.ds_retrieve ~key:"g" in
-    match v with
+  let root () =
+    match Syscall.ds_retrieve ~key:"g" with
     | Error Errno.ENOENT -> Syscall.exit 0
     | _ -> Syscall.exit 1
   in

@@ -236,9 +236,11 @@ let test_machine_check_campaign_classifies () =
 
 (* A host exception in a user program's own code is that program's
    machine check: it exits 255 through PM. The exception must never be
-   charged to the server whose reply (or fork) resumed the program. *)
-let run_raising_root root =
-  let sys = System.build ~seed:42 (Sysconf.uniform Policy.enhanced) in
+   charged to the server whose reply, fork or exec started the code. *)
+let run_raising_root ?extra_register root =
+  let sys =
+    System.build ~seed:42 ?extra_register (Sysconf.uniform Policy.enhanced)
+  in
   let k = System.kernel sys in
   let crashed = ref [] in
   Kernel.set_event_hook k
@@ -252,18 +254,29 @@ let run_raising_root root =
     (Kernel.halt_to_string halt)
 
 let test_machine_check_after_reply () =
-  run_raising_root
-    (let open Prog.Syntax in
-     let* _ = Syscall.getpid in
-     invalid_arg "x")
+  run_raising_root (fun () ->
+      let _ = Syscall.getpid () in
+      invalid_arg "x")
 
 let test_machine_check_in_forked_child () =
+  run_raising_root (fun () ->
+      let pid = Syscall.fork (fun () -> invalid_arg "child") in
+      let _, status = Syscall.waitpid pid in
+      Syscall.exit status)
+
+(* The exec'd program runs in the exec'd process, never in PM's fiber,
+   so an exception it raises is that process' machine check. *)
+let test_machine_check_in_execd_program () =
   run_raising_root
-    (let open Prog.Syntax in
-     let* pid = Syscall.fork in
-     if pid = 0 then invalid_arg "child"
-     else
-       let* _, status = Syscall.waitpid pid in
+    ~extra_register:(fun reg ->
+        Registry.register reg "/bin/bad" (fun _ -> invalid_arg "bad factory"))
+    (fun () ->
+       let pid =
+         Syscall.fork (fun () ->
+             let _ = Syscall.exec "/bin/bad" 0 in
+             Syscall.exit 9)
+       in
+       let _, status = Syscall.waitpid pid in
        Syscall.exit status)
 
 (* With no fault armed, nothing may ever trip a machine check: one
@@ -371,6 +384,8 @@ let () =
             test_machine_check_after_reply;
           Alcotest.test_case "raise in a forked child" `Quick
             test_machine_check_in_forked_child;
+          Alcotest.test_case "raise in an exec'd program" `Quick
+            test_machine_check_in_execd_program;
           Alcotest.test_case "none without faults" `Quick
             test_no_spontaneous_machine_checks ] );
       ( "disruption",

@@ -5,7 +5,6 @@
    resolution, offsets, EOF behaviour, errno choices, DS replacement
    semantics. *)
 
-open Prog.Syntax
 module Rng = Osiris_util.Rng
 
 (* ------------------------------------------------------------------ *)
@@ -112,90 +111,85 @@ end
 let run_fs_op op =
   match op with
   | F_create_write (i, data) ->
-    let* fd = Syscall.open_ (file_path i) Message.creat in
-    if fd < 0 then Prog.return "open failed"
+    let fd = Syscall.open_ (file_path i) Message.creat in
+    if fd < 0 then "open failed"
     else
-      let* w = Syscall.write ~fd data in
-      let* _ = Syscall.close fd in
-      Prog.return (Printf.sprintf "write %d" w)
+      let w = Syscall.write ~fd data in
+      let _ = Syscall.close fd in
+      Printf.sprintf "write %d" w
   | F_append (i, data) ->
     let flags = { Message.o_create = true; o_trunc = false; o_append = true } in
-    let* fd = Syscall.open_ (file_path i) flags in
-    if fd < 0 then Prog.return "open failed"
-    else
-      let* _ = Syscall.write ~fd data in
-      let* st = Syscall.fstat fd in
-      let* _ = Syscall.close fd in
-      (match st with
-       | Ok { Message.st_size; _ } ->
-         Prog.return
-           (if st_size = String.length data then
-              Printf.sprintf "append-new %d" st_size
-            else Printf.sprintf "append %d" st_size)
-       | Error _ -> Prog.return "append fstat failed")
+    let fd = Syscall.open_ (file_path i) flags in
+    if fd < 0 then "open failed"
+    else begin
+      let _ = Syscall.write ~fd data in
+      let st = Syscall.fstat fd in
+      let _ = Syscall.close fd in
+      match st with
+      | Ok { Message.st_size; _ } ->
+        if st_size = String.length data then
+          Printf.sprintf "append-new %d" st_size
+        else Printf.sprintf "append %d" st_size
+      | Error _ -> "append fstat failed"
+    end
   | F_read_at (i, off, len) ->
-    let* fd = Syscall.open_ (file_path i) Message.rdonly in
-    if fd = Errno.to_code Errno.ENOENT then Prog.return "read ENOENT"
-    else if fd < 0 then Prog.return "open failed"
-    else
-      let* _ = Syscall.lseek ~fd ~off Message.Seek_set in
-      let* r = Syscall.read ~fd ~len in
-      let* _ = Syscall.close fd in
-      (match r with
-       | Ok chunk -> Prog.return (Printf.sprintf "read %S" chunk)
-       | Error e -> Prog.return ("read " ^ Errno.to_string e))
+    let fd = Syscall.open_ (file_path i) Message.rdonly in
+    if fd = Errno.to_code Errno.ENOENT then "read ENOENT"
+    else if fd < 0 then "open failed"
+    else begin
+      let _ = Syscall.lseek ~fd ~off Message.Seek_set in
+      let r = Syscall.read ~fd ~len in
+      let _ = Syscall.close fd in
+      match r with
+      | Ok chunk -> Printf.sprintf "read %S" chunk
+      | Error e -> "read " ^ Errno.to_string e
+    end
   | F_unlink i ->
-    let* r = Syscall.unlink (file_path i) in
-    Prog.return
-      (if r >= 0 then "unlink ok"
-       else if r = Errno.to_code Errno.ENOENT then "unlink ENOENT"
-       else "unlink ?")
+    let r = Syscall.unlink (file_path i) in
+    if r >= 0 then "unlink ok"
+    else if r = Errno.to_code Errno.ENOENT then "unlink ENOENT"
+    else "unlink ?"
   | F_stat i ->
-    let* r = Syscall.stat (file_path i) in
-    Prog.return
-      (match r with
-       | Ok { Message.st_size; _ } -> Printf.sprintf "stat %d" st_size
-       | Error Errno.ENOENT -> "stat ENOENT"
-       | Error e -> "stat " ^ Errno.to_string e)
+    (match Syscall.stat (file_path i) with
+     | Ok { Message.st_size; _ } -> Printf.sprintf "stat %d" st_size
+     | Error Errno.ENOENT -> "stat ENOENT"
+     | Error e -> "stat " ^ Errno.to_string e)
   | F_mkdir i ->
-    let* r = Syscall.mkdir (dir_path i) in
-    Prog.return
-      (if r >= 0 then "mkdir ok"
-       else if r = Errno.to_code Errno.EEXIST then "mkdir EEXIST"
-       else "mkdir ?")
+    let r = Syscall.mkdir (dir_path i) in
+    if r >= 0 then "mkdir ok"
+    else if r = Errno.to_code Errno.EEXIST then "mkdir EEXIST"
+    else "mkdir ?"
   | F_rmdir i ->
-    let* r = Syscall.rmdir (dir_path i) in
-    Prog.return
-      (if r >= 0 then "rmdir ok"
-       else if r = Errno.to_code Errno.ENOENT then "rmdir ENOENT"
-       else "rmdir ?")
+    let r = Syscall.rmdir (dir_path i) in
+    if r >= 0 then "rmdir ok"
+    else if r = Errno.to_code Errno.ENOENT then "rmdir ENOENT"
+    else "rmdir ?"
   | F_rename (a, b) ->
-    let* r = Syscall.rename ~src:(file_path a) ~dst:(file_path b) in
-    Prog.return
-      (if r >= 0 then "rename ok"
-       else if r = Errno.to_code Errno.ENOENT then "rename ENOENT"
-       else "rename ?")
+    let r = Syscall.rename ~src:(file_path a) ~dst:(file_path b) in
+    if r >= 0 then "rename ok"
+    else if r = Errno.to_code Errno.ENOENT then "rename ENOENT"
+    else "rename ?"
 
-let observe_system ops =
+(* Run [observe] on each op in a root program, printing each result,
+   and collect the printed observations. *)
+let observe_in_system observe ops =
   let sys = System.build (Sysconf.uniform Policy.enhanced) in
-  let collected = ref [] in
-  let root =
-    let* () =
-      Prog.iter_list
-        (fun op ->
-           let* obs = run_fs_op op in
-           Syscall.print ("OBS " ^ obs))
-        ops
-    in
+  let root () =
+    List.iter (fun op -> Syscall.print ("OBS " ^ observe op)) ops;
     Syscall.exit 0
   in
   let halt = System.run sys ~root in
-  List.iter
-    (fun line ->
-       if String.length line > 4 && String.sub line 0 4 = "OBS " then
-         collected := String.sub line 4 (String.length line - 4) :: !collected)
-    (System.log_lines sys);
-  (halt, List.rev !collected)
+  let collected =
+    List.filter_map
+      (fun line ->
+         if String.length line > 4 && String.sub line 0 4 = "OBS " then
+           Some (String.sub line 4 (String.length line - 4))
+         else None)
+      (System.log_lines sys)
+  in
+  (halt, collected)
+
+let observe_system ops = observe_in_system run_fs_op ops
 
 let observe_model ops =
   let m = Model.create () in
@@ -260,44 +254,22 @@ let observe_ds_model ops =
         else "del ENOENT")
     ops
 
-let observe_ds_system ops =
-  let sys = System.build (Sysconf.uniform Policy.enhanced) in
-  let collected = ref [] in
-  let root =
-    let* () =
-      Prog.iter_list
-        (fun op ->
-           let* obs =
-             match op with
-             | D_pub (k, v) ->
-               let* r = Syscall.ds_publish ~key:(ds_key k) ~value:v in
-               Prog.return (if r >= 0 then "pub ok" else "pub ?")
-             | D_get k ->
-               let* r = Syscall.ds_retrieve ~key:(ds_key k) in
-               Prog.return
-                 (match r with
-                  | Ok v -> Printf.sprintf "get %d" v
-                  | Error Errno.ENOENT -> "get ENOENT"
-                  | Error e -> "get " ^ Errno.to_string e)
-             | D_del k ->
-               let* r = Syscall.ds_delete ~key:(ds_key k) in
-               Prog.return
-                 (if r >= 0 then "del ok"
-                  else if r = Errno.to_code Errno.ENOENT then "del ENOENT"
-                  else "del ?")
-           in
-           Syscall.print ("OBS " ^ obs))
-        ops
-    in
-    Syscall.exit 0
-  in
-  let (_ : Kernel.halt) = System.run sys ~root in
-  List.iter
-    (fun line ->
-       if String.length line > 4 && String.sub line 0 4 = "OBS " then
-         collected := String.sub line 4 (String.length line - 4) :: !collected)
-    (System.log_lines sys);
-  List.rev !collected
+let run_ds_op = function
+  | D_pub (k, v) ->
+    if Syscall.ds_publish ~key:(ds_key k) ~value:v >= 0 then "pub ok"
+    else "pub ?"
+  | D_get k ->
+    (match Syscall.ds_retrieve ~key:(ds_key k) with
+     | Ok v -> Printf.sprintf "get %d" v
+     | Error Errno.ENOENT -> "get ENOENT"
+     | Error e -> "get " ^ Errno.to_string e)
+  | D_del k ->
+    let r = Syscall.ds_delete ~key:(ds_key k) in
+    if r >= 0 then "del ok"
+    else if r = Errno.to_code Errno.ENOENT then "del ENOENT"
+    else "del ?"
+
+let observe_ds_system ops = snd (observe_in_system run_ds_op ops)
 
 let ds_ops_gen =
   QCheck.Gen.(

@@ -10,7 +10,6 @@
      and architecture (recovery machinery is invisible when nothing
      crashes). *)
 
-open Prog.Syntax
 
 (* ---------------- exhaustive fail-stop guarantee ------------------- *)
 
@@ -130,71 +129,67 @@ let rec run_act act =
   match act with
   | A_file_roundtrip (i, payload) ->
     let path = Printf.sprintf "/tmp/prop%d" i in
-    let* fd = Syscall.open_ path Message.creat in
+    let fd = Syscall.open_ path Message.creat in
     if fd < 0 then Syscall.print "open failed"
-    else
-      let* _ = Syscall.write ~fd payload in
-      let* _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
-      let* r = Syscall.read ~fd ~len:(String.length payload) in
-      let* _ = Syscall.close fd in
-      let* _ = Syscall.unlink path in
+    else begin
+      let _ = Syscall.write ~fd payload in
+      let _ = Syscall.lseek ~fd ~off:0 Message.Seek_set in
+      let r = Syscall.read ~fd ~len:(String.length payload) in
+      let _ = Syscall.close fd in
+      let _ = Syscall.unlink path in
       Syscall.print
         (match r with
          | Ok s when s = payload -> "file ok " ^ string_of_int (String.length s)
          | Ok s -> "file mismatch " ^ s
          | Error e -> "file err " ^ Errno.to_string e)
+    end
   | A_mkdir_rmdir i ->
     let path = Printf.sprintf "/tmp/propd%d" i in
-    let* a = Syscall.mkdir path in
-    let* b = Syscall.rmdir path in
+    let a = Syscall.mkdir path in
+    let b = Syscall.rmdir path in
     Syscall.print (Printf.sprintf "dir %d %d" a b)
   | A_ds (k, v) ->
     let key = Printf.sprintf "prop.%d" k in
-    let* _ = Syscall.ds_publish ~key ~value:v in
-    let* r = Syscall.ds_retrieve ~key in
+    let _ = Syscall.ds_publish ~key ~value:v in
+    let r = Syscall.ds_retrieve ~key in
     Syscall.print
       (match r with
        | Ok got -> Printf.sprintf "ds %d" got
        | Error e -> "ds err " ^ Errno.to_string e)
   | A_pipe payload ->
-    let* p = Syscall.pipe in
-    (match p with
+    (match Syscall.pipe () with
      | Error e -> Syscall.print ("pipe err " ^ Errno.to_string e)
      | Ok (rfd, wfd) ->
-       let* _ = Syscall.write ~fd:wfd payload in
-       let* r = Syscall.read ~fd:rfd ~len:(String.length payload) in
-       let* _ = Syscall.close rfd in
-       let* _ = Syscall.close wfd in
+       let _ = Syscall.write ~fd:wfd payload in
+       let r = Syscall.read ~fd:rfd ~len:(String.length payload) in
+       let _ = Syscall.close rfd in
+       let _ = Syscall.close wfd in
        Syscall.print
          (match r with
           | Ok s when s = payload -> "pipe ok"
           | _ -> "pipe bad"))
   | A_getpid_parity ->
-    let* pid = Syscall.getpid in
+    let pid = Syscall.getpid () in
     Syscall.print (Printf.sprintf "pid>0 %b" (pid > 0))
   | A_sbrk n ->
-    let* b0 = Syscall.brk_current in
-    let* b1 = Syscall.sbrk n in
+    let b0 = Syscall.brk_current () in
+    let b1 = Syscall.sbrk n in
     Syscall.print (Printf.sprintf "sbrk %d" (b1 - b0))
   | A_fork acts ->
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      let* () = Prog.iter_list run_act acts in
-      Syscall.exit 0
-    else
-      let* _, status = Syscall.waitpid pid in
-      Syscall.print (Printf.sprintf "child %d" status)
+    let pid = Syscall.fork (program_of acts) in
+    let _, status = Syscall.waitpid pid in
+    Syscall.print (Printf.sprintf "child %d" status)
   | A_exec_true ->
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      let* _ = Syscall.exec "/bin/true" 0 in
-      Syscall.exit 9
-    else
-      let* _, status = Syscall.waitpid pid in
-      Syscall.print (Printf.sprintf "true %d" status)
+    let pid =
+      Syscall.fork (fun () ->
+          let _ = Syscall.exec "/bin/true" 0 in
+          Syscall.exit 9)
+    in
+    let _, status = Syscall.waitpid pid in
+    Syscall.print (Printf.sprintf "true %d" status)
 
-let program_of acts =
-  let* () = Prog.iter_list run_act acts in
+and program_of acts () =
+  List.iter run_act acts;
   Syscall.exit 0
 
 let observe ?(arch = Kernel.Microkernel) policy acts =
@@ -263,10 +258,10 @@ let test_fsck_after_boot () =
 let test_fsck_detects_corruption () =
   (* Mutation check: the checker must actually catch broken states. *)
   let sys = System.build (Sysconf.uniform Policy.enhanced) in
-  let root =
-    let* fd = Syscall.open_ "/tmp/fsckx" Message.creat in
-    let* _ = Syscall.write ~fd (String.make 2048 'c') in
-    let* _ = Syscall.close fd in
+  let root () =
+    let fd = Syscall.open_ "/tmp/fsckx" Message.creat in
+    let _ = Syscall.write ~fd (String.make 2048 'c') in
+    let _ = Syscall.close fd in
     Syscall.exit 0
   in
   let (_ : Kernel.halt) = System.run sys ~root in

@@ -4,8 +4,6 @@
    handling via error virtualization, and survival of parked VFS
    threads across a VFS recovery (Section IV-E). *)
 
-open Prog.Syntax
-
 let halt_t = Alcotest.testable (Fmt.of_to_string Kernel.halt_to_string) ( = )
 
 (* Build a system with a hook that arms one fault at [site_pred]'s first
@@ -33,13 +31,11 @@ let site_in ep tag (site : Kernel.site) =
 let test_pm_fork_crash_recovers_transparently () =
   (* Crash PM at the very start of fork handling (inside the window).
      The libc retry makes the failure invisible to the caller. *)
-  let root =
-    let* pid = Syscall.fork in
-    if pid = 0 then Syscall.exit 0
-    else if pid < 0 then Syscall.exit 1
-    else
-      let* _, status = Syscall.waitpid pid in
-      Syscall.exit status
+  let root () =
+    let pid = Syscall.fork (fun () -> Syscall.exit 0) in
+    if pid < 0 then Syscall.exit 1;
+    let _, status = Syscall.waitpid pid in
+    Syscall.exit status
   in
   let sys, halt =
     with_fault (site_in Endpoint.pm Message.Tag.T_fork)
@@ -49,10 +45,11 @@ let test_pm_fork_crash_recovers_transparently () =
   Alcotest.(check int) "pm restarted once" 1 (Kernel.restarts (System.kernel sys))
 
 let test_ds_retrieve_crash_recovers () =
-  let root =
-    let* _ = Syscall.ds_publish ~key:"rk" ~value:9 in
-    let* v = Syscall.ds_retrieve ~key:"rk" in
-    match v with Ok 9 -> Syscall.exit 0 | _ -> Syscall.exit 1
+  let root () =
+    let _ = Syscall.ds_publish ~key:"rk" ~value:9 in
+    match Syscall.ds_retrieve ~key:"rk" with
+    | Ok 9 -> Syscall.exit 0
+    | _ -> Syscall.exit 1
   in
   let sys, halt =
     with_fault (site_in Endpoint.ds Message.Tag.T_ds_retrieve)
@@ -65,18 +62,14 @@ let test_rollback_preserves_pre_checkpoint_state () =
   (* Publish a value, then crash DS *while it handles a later publish*
      (in-window). The rollback must keep the first value and discard the
      partial second one; the second publish is then retried by libc. *)
-  let root =
-    let* r1 = Syscall.ds_publish ~key:"stable" ~value:1 in
-    if r1 < 0 then Syscall.exit 1
-    else
-      let* r2 = Syscall.ds_publish ~key:"victim" ~value:2 in
-      if r2 < 0 then Syscall.exit 2
-      else
-        let* a = Syscall.ds_retrieve ~key:"stable" in
-        let* b = Syscall.ds_retrieve ~key:"victim" in
-        match a, b with
-        | Ok 1, Ok 2 -> Syscall.exit 0
-        | _ -> Syscall.exit 3
+  let root () =
+    if Syscall.ds_publish ~key:"stable" ~value:1 < 0 then Syscall.exit 1;
+    if Syscall.ds_publish ~key:"victim" ~value:2 < 0 then Syscall.exit 2;
+    let a = Syscall.ds_retrieve ~key:"stable" in
+    let b = Syscall.ds_retrieve ~key:"victim" in
+    match a, b with
+    | Ok 1, Ok 2 -> Syscall.exit 0
+    | _ -> Syscall.exit 3
   in
   let fired = ref false in
   let pred (site : Kernel.site) =
@@ -123,25 +116,22 @@ let test_vfs_parked_threads_survive_recovery () =
      the internal wait). VFS then crashes handling an unrelated stat
      (in its window) and is recovered. The parked request must survive:
      when the parent finally writes, the child's read completes. *)
-  let root =
-    let* p = Syscall.pipe in
-    match p with
+  let root () =
+    match Syscall.pipe () with
     | Error _ -> Syscall.exit 1
     | Ok (rfd, wfd) ->
-      let* pid = Syscall.fork in
-      if pid = 0 then
-        let* r = Syscall.read ~fd:rfd ~len:4 in
-        Syscall.exit (match r with Ok "data" -> 0 | _ -> 2)
-      else
-        (* Give the child time to block, then crash VFS via stat. *)
-        let* () = Prog.compute 200_000 in
-        let* _ = Syscall.stat "/etc/data" in
-        let* () = Prog.compute 200_000 in
-        let* w = Syscall.write ~fd:wfd "data" in
-        if w <> 4 then Syscall.exit 3
-        else
-          let* _, status = Syscall.waitpid pid in
-          Syscall.exit status
+      let pid =
+        Syscall.fork (fun () ->
+            let r = Syscall.read ~fd:rfd ~len:4 in
+            Syscall.exit (match r with Ok "data" -> 0 | _ -> 2))
+      in
+      (* Give the child time to block, then crash VFS via stat. *)
+      Kernel.Op.compute 200_000;
+      let _ = Syscall.stat "/etc/data" in
+      Kernel.Op.compute 200_000;
+      if Syscall.write ~fd:wfd "data" <> 4 then Syscall.exit 3;
+      let _, status = Syscall.waitpid pid in
+      Syscall.exit status
   in
   let sys, halt =
     with_fault (site_in Endpoint.vfs Message.Tag.T_stat)
@@ -158,12 +148,11 @@ let test_out_of_window_crash_controlled_shutdown () =
   (* VFS file-write handler: the first store (position update) happens
      after the MFS call, i.e. after the thread switch closed the
      window. Crashing there is not provably recoverable. *)
-  let root =
-    let* fd = Syscall.open_ "/tmp/oow" Message.creat in
-    if fd < 0 then Syscall.exit 1
-    else
-      let* _ = Syscall.write ~fd "xyz" in
-      Syscall.exit 0
+  let root () =
+    let fd = Syscall.open_ "/tmp/oow" Message.creat in
+    if fd < 0 then Syscall.exit 1;
+    let _ = Syscall.write ~fd "xyz" in
+    Syscall.exit 0
   in
   let _, halt =
     with_fault
@@ -181,8 +170,8 @@ let test_pessimistic_shuts_down_where_enhanced_recovers () =
   (* DS publish emits a diagnostic before mutating. Pessimistic closes
      the window at that read-only SEEP; enhanced keeps it open. A crash
      right after the diagnostic separates the two policies. *)
-  let root =
-    let* r = Syscall.ds_publish ~key:"split.key" ~value:5 in
+  let root () =
+    let r = Syscall.ds_publish ~key:"split.key" ~value:5 in
     Syscall.exit (if r >= 0 then 0 else 10)
   in
   let pred site =
@@ -208,9 +197,8 @@ let test_persistent_fault_survived_via_error_virtualization () =
   (* The fault re-fires on every execution of the site: replay would
      loop forever; error virtualization surfaces a persistent E_CRASH
      which the caller handles like any error (paper Section III-C). *)
-  let root =
-    let* v = Syscall.ds_retrieve ~key:"nope" in
-    match v with
+  let root () =
+    match Syscall.ds_retrieve ~key:"nope" with
     | Error Errno.E_CRASH -> Syscall.exit 0   (* persistent failure, survived *)
     | Error Errno.ENOENT -> Syscall.exit 7    (* fault failed to re-fire *)
     | _ -> Syscall.exit 8
@@ -228,14 +216,11 @@ let test_crash_storm_panics () =
   (* A persistent fault hammered forever must eventually trip the
      crash-storm cutoff rather than livelock, if the caller keeps
      retrying. *)
-  let root =
-    let rec hammer n =
-      if n = 0 then Syscall.exit 0
-      else
-        let* _ = Syscall.ds_retrieve ~key:"nope" in
-        hammer (n - 1)
-    in
-    hammer 100
+  let root () =
+    for _ = 1 to 100 do
+      ignore (Syscall.ds_retrieve ~key:"nope")
+    done;
+    Syscall.exit 0
   in
   let _, halt =
     with_fault ~persistent:true (site_in Endpoint.ds Message.Tag.T_ds_retrieve)
@@ -253,13 +238,11 @@ let test_e_crash_propagates_through_pm () =
   (* Crash VFS while it serves PM's Vfs_fork: PM sees E_CRASH from its
      own call, cleans up, and fails the fork; the user's libc retries
      the fork, which then succeeds. *)
-  let root =
-    let* pid = Syscall.fork in
-    if pid = 0 then Syscall.exit 0
-    else if pid < 0 then Syscall.exit 1
-    else
-      let* _, status = Syscall.waitpid pid in
-      Syscall.exit status
+  let root () =
+    let pid = Syscall.fork (fun () -> Syscall.exit 0) in
+    if pid < 0 then Syscall.exit 1;
+    let _, status = Syscall.waitpid pid in
+    Syscall.exit status
   in
   let sys, halt =
     with_fault (site_in Endpoint.vfs Message.Tag.T_vfs_fork)
@@ -273,15 +256,14 @@ let test_mfs_crash_recovers_through_two_layers () =
      E_CRASH on its call, VFS forwards the error to the user, and the
      libc retry makes the second attempt succeed — recovery composes
      across server layers. *)
-  let root =
-    let* fd = Syscall.open_ "/etc/data" Message.rdonly in
-    if fd < 0 then Syscall.exit 1
-    else
-      let* r = Syscall.read ~fd ~len:16 in
-      let* _ = Syscall.close fd in
-      match r with
-      | Ok s when String.length s = 16 -> Syscall.exit 0
-      | _ -> Syscall.exit 2
+  let root () =
+    let fd = Syscall.open_ "/etc/data" Message.rdonly in
+    if fd < 0 then Syscall.exit 1;
+    let r = Syscall.read ~fd ~len:16 in
+    let _ = Syscall.close fd in
+    match r with
+    | Ok s when String.length s = 16 -> Syscall.exit 0
+    | _ -> Syscall.exit 2
   in
   let sys, halt =
     with_fault (site_in Endpoint.mfs Message.Tag.T_mfs_lookup)
@@ -295,18 +277,16 @@ let test_mfs_crash_recovers_through_two_layers () =
 let test_exit_teardown_does_not_leak_on_crash () =
   (* Crash VFS while it handles PM's Vfs_exit: PM retries the teardown
      call, so the dead process's descriptors are still reclaimed. *)
-  let root =
-    let* p = Syscall.pipe in
-    match p with
+  let root () =
+    match Syscall.pipe () with
     | Error _ -> Syscall.exit 1
     | Ok (rfd, wfd) ->
-      let* pid = Syscall.fork in
-      if pid = 0 then Syscall.exit 0   (* child exits, triggering Vfs_exit *)
-      else
-        let* _, _ = Syscall.waitpid pid in
-        let* _ = Syscall.close rfd in
-        let* _ = Syscall.close wfd in
-        Syscall.exit 0
+      (* The child exits, triggering Vfs_exit. *)
+      let pid = Syscall.fork (fun () -> Syscall.exit 0) in
+      let _, _ = Syscall.waitpid pid in
+      let _ = Syscall.close rfd in
+      let _ = Syscall.close wfd in
+      Syscall.exit 0
   in
   let sys, halt =
     with_fault (site_in Endpoint.vfs Message.Tag.T_vfs_exit)
@@ -327,22 +307,22 @@ let test_queued_requests_survive_recovery () =
   (* Two children each make a DS request; DS crashes while serving the
      first — the second request, queued in the stalled inbox, must be
      served by the clone. *)
-  let root =
-    let* _ = Syscall.ds_publish ~key:"q1" ~value:1 in
-    let* _ = Syscall.ds_publish ~key:"q2" ~value:2 in
-    let* a = Syscall.fork in
-    if a = 0 then
-      let* v = Syscall.ds_retrieve ~key:"q1" in
-      Syscall.exit (match v with Ok 1 -> 0 | _ -> 1)
-    else
-      let* b = Syscall.fork in
-      if b = 0 then
-        let* v = Syscall.ds_retrieve ~key:"q2" in
-        Syscall.exit (match v with Ok 2 -> 0 | _ -> 2)
-      else
-        let* _, s1 = Syscall.waitpid a in
-        let* _, s2 = Syscall.waitpid b in
-        Syscall.exit (s1 + s2)
+  let root () =
+    let _ = Syscall.ds_publish ~key:"q1" ~value:1 in
+    let _ = Syscall.ds_publish ~key:"q2" ~value:2 in
+    let a =
+      Syscall.fork (fun () ->
+          let v = Syscall.ds_retrieve ~key:"q1" in
+          Syscall.exit (match v with Ok 1 -> 0 | _ -> 1))
+    in
+    let b =
+      Syscall.fork (fun () ->
+          let v = Syscall.ds_retrieve ~key:"q2" in
+          Syscall.exit (match v with Ok 2 -> 0 | _ -> 2))
+    in
+    let _, s1 = Syscall.waitpid a in
+    let _, s2 = Syscall.waitpid b in
+    Syscall.exit (s1 + s2)
   in
   let sys, halt =
     with_fault (site_in Endpoint.ds Message.Tag.T_ds_retrieve)
@@ -356,12 +336,11 @@ let test_notification_context_crash_recovers_silently () =
   (* The crashing request is an async notification (no caller blocked):
      reconciliation has no one to reply to; the component still
      recovers, its partial state rolled back. *)
-  let root =
-    let* () = Prog.send Endpoint.ds (Message.Ds_publish { key = "async"; value = 9 }) in
-    let* () = Prog.compute 500_000 in
-    let* v = Syscall.ds_retrieve ~key:"async" in
+  let root () =
+    Kernel.Op.send Endpoint.ds (Message.Ds_publish { key = "async"; value = 9 });
+    Kernel.Op.compute 500_000;
     (* Rolled back: the async publish never committed. *)
-    match v with
+    match Syscall.ds_retrieve ~key:"async" with
     | Error Errno.ENOENT -> Syscall.exit 0
     | Ok _ -> Syscall.exit 1
     | Error _ -> Syscall.exit 2
@@ -380,14 +359,14 @@ let test_notification_context_crash_recovers_silently () =
 let test_rs_self_recovery () =
   (* Crash RS in its own status handler; the kernel recovers RS with a
      prepared clone and the system continues. *)
-  let root =
-    let* r = Syscall.rs_status in
-    match r with
+  let root () =
+    match Syscall.rs_status () with
     | Ok _ | Error Errno.E_CRASH ->
       (* Either the retried call succeeded or the error surfaced; in
          both cases RS must be alive again. *)
-      let* r2 = Syscall.rs_status in
-      (match r2 with Ok _ -> Syscall.exit 0 | _ -> Syscall.exit 2)
+      (match Syscall.rs_status () with
+       | Ok _ -> Syscall.exit 0
+       | _ -> Syscall.exit 2)
     | Error _ -> Syscall.exit 3
   in
   let sys, halt =

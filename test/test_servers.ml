@@ -2,8 +2,6 @@
    test suite under every policy and architecture, plus targeted
    cross-server scenarios driven by custom root programs. *)
 
-open Prog.Syntax
-
 let halt_t = Alcotest.testable (Fmt.of_to_string Kernel.halt_to_string) ( = )
 
 let run_root ?(policy = Policy.enhanced) ?(arch = Kernel.Microkernel) root =
@@ -47,54 +45,50 @@ let test_seed_changes_nothing_functional () =
 
 let test_ds_shared_between_processes () =
   (* A value published by a child is visible to the parent. *)
-  let root =
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      let* r = Syscall.ds_publish ~key:"shared.key" ~value:1234 in
-      Syscall.exit (if r >= 0 then 0 else 1)
-    else
-      let* _, status = Syscall.waitpid pid in
-      if status <> 0 then Syscall.exit 1
-      else
-        let* v = Syscall.ds_retrieve ~key:"shared.key" in
-        match v with Ok 1234 -> Syscall.exit 0 | _ -> Syscall.exit 2
+  let root () =
+    let pid =
+      Syscall.fork (fun () ->
+          let r = Syscall.ds_publish ~key:"shared.key" ~value:1234 in
+          Syscall.exit (if r >= 0 then 0 else 1))
+    in
+    let _, status = Syscall.waitpid pid in
+    if status <> 0 then Syscall.exit 1;
+    match Syscall.ds_retrieve ~key:"shared.key" with
+    | Ok 1234 -> Syscall.exit 0
+    | _ -> Syscall.exit 2
   in
   let _, halt = run_root root in
   Alcotest.check halt_t "shared" (Kernel.H_completed 0) halt
 
 let test_file_survives_process () =
   (* Data written by an exec'd child persists in the filesystem. *)
-  let root =
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      (* /bin/sortish copies /etc/data to /tmp/sort.<pid> and unlinks
-         it; use a direct write instead. *)
-      let* fd = Syscall.open_ "/tmp/persist" Message.creat in
-      if fd < 0 then Syscall.exit 1
-      else
-        let* _ = Syscall.write ~fd "legacy" in
-        let* _ = Syscall.close fd in
-        Syscall.exit 0
-    else
-      let* _, status = Syscall.waitpid pid in
-      if status <> 0 then Syscall.exit 1
-      else
-        let* fd = Syscall.open_ "/tmp/persist" Message.rdonly in
-        if fd < 0 then Syscall.exit 2
-        else
-          let* r = Syscall.read ~fd ~len:16 in
-          let* _ = Syscall.close fd in
-          let* _ = Syscall.unlink "/tmp/persist" in
-          match r with Ok "legacy" -> Syscall.exit 0 | _ -> Syscall.exit 3
+  let root () =
+    let pid =
+      Syscall.fork (fun () ->
+          (* /bin/sortish copies /etc/data to /tmp/sort.<pid> and unlinks
+             it; use a direct write instead. *)
+          let fd = Syscall.open_ "/tmp/persist" Message.creat in
+          if fd < 0 then Syscall.exit 1;
+          let _ = Syscall.write ~fd "legacy" in
+          let _ = Syscall.close fd in
+          Syscall.exit 0)
+    in
+    let _, status = Syscall.waitpid pid in
+    if status <> 0 then Syscall.exit 1;
+    let fd = Syscall.open_ "/tmp/persist" Message.rdonly in
+    if fd < 0 then Syscall.exit 2;
+    let r = Syscall.read ~fd ~len:16 in
+    let _ = Syscall.close fd in
+    let _ = Syscall.unlink "/tmp/persist" in
+    match r with Ok "legacy" -> Syscall.exit 0 | _ -> Syscall.exit 3
   in
   let _, halt = run_root root in
   Alcotest.check halt_t "persisted" (Kernel.H_completed 0) halt
 
 let test_exec_binary_exists_in_fs () =
   (* The boot protocol creates a file per registered executable. *)
-  let root =
-    let* r = Syscall.stat "/bin/true" in
-    match r with
+  let root () =
+    match Syscall.stat "/bin/true" with
     | Ok { Message.st_is_dir = false; st_size; _ } when st_size > 0 ->
       Syscall.exit 0
     | _ -> Syscall.exit 1
@@ -103,9 +97,8 @@ let test_exec_binary_exists_in_fs () =
   Alcotest.check halt_t "binary present" (Kernel.H_completed 0) halt
 
 let test_rs_status_reports_services () =
-  let root =
-    let* r = Syscall.rs_status in
-    match r with
+  let root () =
+    match Syscall.rs_status () with
     | Ok (0, 0, services) when services >= 5 -> Syscall.exit 0
     | Ok _ -> Syscall.exit 1
     | Error _ -> Syscall.exit 2
@@ -117,19 +110,14 @@ let test_vm_accounting_balanced_after_suite () =
   (* After the whole suite, every exited process must have released its
      pages: only the root remains. *)
   let sys = System.build (Sysconf.uniform Policy.enhanced) in
-  let root =
-    let rec spawn_some n =
-      if n = 0 then
-        let* used, _ = Syscall.vm_info in
-        Syscall.exit (min used 200)
-      else
-        let* pid = Syscall.fork in
-        if pid = 0 then Syscall.exit 0
-        else
-          let* _, _ = Syscall.waitpid pid in
-          spawn_some (n - 1)
-    in
-    spawn_some 10
+  let root () =
+    for _ = 1 to 10 do
+      let pid = Syscall.fork (fun () -> Syscall.exit 0) in
+      let _, _ = Syscall.waitpid pid in
+      ()
+    done;
+    let used, _ = Syscall.vm_info () in
+    Syscall.exit (min used 200)
   in
   let halt = System.run sys ~root in
   match halt with
@@ -140,21 +128,20 @@ let test_vm_accounting_balanced_after_suite () =
 
 let test_pipe_across_exec () =
   (* fds survive exec: /bin/readfd reads from an inherited pipe fd. *)
-  let root =
-    let* p = Syscall.pipe in
-    match p with
+  let root () =
+    match Syscall.pipe () with
     | Error _ -> Syscall.exit 1
     | Ok (rfd, wfd) ->
-      let* _ = Syscall.write ~fd:wfd "mark" in
-      let* pid = Syscall.fork in
-      if pid = 0 then
-        let* _ = Syscall.exec "/bin/readfd" rfd in
-        Syscall.exit 9
-      else
-        let* _, status = Syscall.waitpid pid in
-        let* _ = Syscall.close rfd in
-        let* _ = Syscall.close wfd in
-        Syscall.exit status
+      let _ = Syscall.write ~fd:wfd "mark" in
+      let pid =
+        Syscall.fork (fun () ->
+            let _ = Syscall.exec "/bin/readfd" rfd in
+            Syscall.exit 9)
+      in
+      let _, status = Syscall.waitpid pid in
+      let _ = Syscall.close rfd in
+      let _ = Syscall.close wfd in
+      Syscall.exit status
   in
   let _, halt = run_root root in
   Alcotest.check halt_t "pipe across exec" (Kernel.H_completed 0) halt

@@ -3,8 +3,6 @@
    limits by design). Each test drives the real system with a targeted
    root program. *)
 
-open Prog.Syntax
-
 let halt_t = Alcotest.testable (Fmt.of_to_string Kernel.halt_to_string) ( = )
 
 let run root =
@@ -20,15 +18,16 @@ let expect_exit name root expected =
 let test_pm_table_exhaustion () =
   (* Spawn children that never exit until fork fails with EAGAIN;
      PM's table (64 rows) must fill and the error must be clean. *)
-  let root =
+  let rec spin () =
+    Kernel.Op.compute 10_000;
+    spin ()
+  in
+  let root () =
     let rec spawn n =
       if n > Pm.max_procs + 4 then Syscall.exit 1 (* never hit the limit *)
       else
-        let* pid = Syscall.fork in
-        if pid = 0 then
-          let rec spin () = Prog.bind (Prog.compute 10_000) spin in
-          spin ()
-        else if pid = Errno.to_code Errno.EAGAIN then Syscall.exit 0
+        let pid = Syscall.fork spin in
+        if pid = Errno.to_code Errno.EAGAIN then Syscall.exit 0
         else if pid < 0 then Syscall.exit 2
         else spawn (n + 1)
     in
@@ -38,48 +37,49 @@ let test_pm_table_exhaustion () =
 
 let test_pm_waitpid_for_non_child () =
   (* Waiting on a process that exists but is not our child. *)
-  let root =
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      (* grandchild, so the middle child can target a live non-child *)
-      let* gp = Syscall.fork in
-      if gp = 0 then
-        let* () = Prog.compute 300_000 in
-        Syscall.exit 0
-      else
-        let* ppid = Syscall.getppid in
-        let* p, _ = Syscall.waitpid ppid in
-        (* the parent is alive but not our child *)
-        let* _, _ = Syscall.waitpid gp in
-        Syscall.exit (if p = Errno.to_code Errno.ECHILD then 0 else 1)
-    else
-      let* _, status = Syscall.waitpid pid in
-      Syscall.exit status
+  let root () =
+    let pid =
+      Syscall.fork (fun () ->
+          (* grandchild, so the middle child can target a live non-child *)
+          let gp =
+            Syscall.fork (fun () ->
+                Kernel.Op.compute 300_000;
+                Syscall.exit 0)
+          in
+          let ppid = Syscall.getppid () in
+          let p, _ = Syscall.waitpid ppid in
+          (* the parent is alive but not our child *)
+          let _, _ = Syscall.waitpid gp in
+          Syscall.exit (if p = Errno.to_code Errno.ECHILD then 0 else 1))
+    in
+    let _, status = Syscall.waitpid pid in
+    Syscall.exit status
   in
   expect_exit "ECHILD for non-child" root 0
 
 let test_pm_kill_invalid_signal_range () =
-  let root =
-    let* r = Syscall.signal_ignore ~signal:99 true in
+  let root () =
+    let r = Syscall.signal_ignore ~signal:99 true in
     Syscall.exit (if r = Errno.to_code Errno.EINVAL then 0 else 1)
   in
   expect_exit "signal range checked" root 0
 
 let test_pm_getppid_of_orphan () =
-  let root =
-    let* pid = Syscall.fork in
-    if pid = 0 then
-      let* g = Syscall.fork in
-      if g = 0 then
-        let* () = Prog.compute 300_000 in
-        let* ppid = Syscall.getppid in
-        (* reparented to "nobody" after the parent died *)
-        Syscall.exit (if ppid = 0 then 0 else 1)
-      else Syscall.exit 0
-    else
-      let* _, _ = Syscall.waitpid pid in
-      let* () = Prog.compute 600_000 in
-      Syscall.exit 0
+  let root () =
+    let pid =
+      Syscall.fork (fun () ->
+          let _ =
+            Syscall.fork (fun () ->
+                Kernel.Op.compute 300_000;
+                let ppid = Syscall.getppid () in
+                (* reparented to "nobody" after the parent died *)
+                Syscall.exit (if ppid = 0 then 0 else 1))
+          in
+          Syscall.exit 0)
+    in
+    let _, _ = Syscall.waitpid pid in
+    Kernel.Op.compute 600_000;
+    Syscall.exit 0
   in
   (* The orphan's status is unobservable (no one waits); completion of
      the root with status 0 is the assertion. *)
@@ -88,25 +88,23 @@ let test_pm_getppid_of_orphan () =
 (* ---------------- VFS ----------------------------------------------- *)
 
 let test_vfs_pipe_table_exhaustion () =
-  let root =
+  let root () =
     let rec mk n acc =
       if n > Vfs.max_pipes then Syscall.exit 1
       else
-        let* p = Syscall.pipe in
-        match p with
+        match Syscall.pipe () with
         | Ok (r, w) -> mk (n + 1) ((r, w) :: acc)
         | Error Errno.ENFILE | Error Errno.EMFILE ->
           (* Clean exhaustion; close everything and confirm reuse. *)
-          let* () =
-            Prog.iter_list
-              (fun (r, w) ->
-                 let* _ = Syscall.close r in
-                 let* _ = Syscall.close w in
-                 Prog.return ())
-              acc
-          in
-          let* p2 = Syscall.pipe in
-          (match p2 with Ok _ -> Syscall.exit 0 | Error _ -> Syscall.exit 2)
+          List.iter
+            (fun (r, w) ->
+               let _ = Syscall.close r in
+               let _ = Syscall.close w in
+               ())
+            acc;
+          (match Syscall.pipe () with
+           | Ok _ -> Syscall.exit 0
+           | Error _ -> Syscall.exit 2)
         | Error _ -> Syscall.exit 3
     in
     mk 0 []
@@ -114,16 +112,15 @@ let test_vfs_pipe_table_exhaustion () =
   expect_exit "pipe slots recycle" root 0
 
 let test_vfs_cwd_too_long () =
-  let root =
+  let root () =
     (* Build nested dirs until the cwd string field (64 bytes) rejects. *)
     let rec deepen path n =
       if n = 0 then Syscall.exit 1
       else
         let next = path ^ "/d23456789" in
-        let* r = Syscall.mkdir next in
-        if r < 0 then Syscall.exit 2
+        if Syscall.mkdir next < 0 then Syscall.exit 2
         else
-          let* c = Syscall.chdir next in
+          let c = Syscall.chdir next in
           if c = Errno.to_code Errno.ENAMETOOLONG then Syscall.exit 0
           else if c < 0 then Syscall.exit 3
           else deepen next (n - 1)
@@ -133,15 +130,14 @@ let test_vfs_cwd_too_long () =
   expect_exit "cwd length guarded" root 0
 
 let test_vfs_write_to_pipe_read_end () =
-  let root =
-    let* p = Syscall.pipe in
-    match p with
+  let root () =
+    match Syscall.pipe () with
     | Error _ -> Syscall.exit 1
     | Ok (rfd, wfd) ->
-      let* w = Syscall.write ~fd:rfd "nope" in
-      let* r = Syscall.read ~fd:wfd ~len:4 in
-      let* _ = Syscall.close rfd in
-      let* _ = Syscall.close wfd in
+      let w = Syscall.write ~fd:rfd "nope" in
+      let r = Syscall.read ~fd:wfd ~len:4 in
+      let _ = Syscall.close rfd in
+      let _ = Syscall.close wfd in
       Syscall.exit
         (if w = Errno.to_code Errno.EBADF
             && r = Error Errno.EBADF
@@ -151,12 +147,12 @@ let test_vfs_write_to_pipe_read_end () =
   expect_exit "pipe ends direction-checked" root 0
 
 let test_vfs_lseek_negative_cur () =
-  let root =
-    let* fd = Syscall.open_ "/tmp/u_neg" Message.creat in
-    let* _ = Syscall.write ~fd "abc" in
-    let* bad = Syscall.lseek ~fd ~off:(-10) Message.Seek_cur in
-    let* _ = Syscall.close fd in
-    let* _ = Syscall.unlink "/tmp/u_neg" in
+  let root () =
+    let fd = Syscall.open_ "/tmp/u_neg" Message.creat in
+    let _ = Syscall.write ~fd "abc" in
+    let bad = Syscall.lseek ~fd ~off:(-10) Message.Seek_cur in
+    let _ = Syscall.close fd in
+    let _ = Syscall.unlink "/tmp/u_neg" in
     Syscall.exit (if bad = Errno.to_code Errno.EINVAL then 0 else 1)
   in
   expect_exit "negative position rejected" root 0
@@ -164,23 +160,19 @@ let test_vfs_lseek_negative_cur () =
 (* ---------------- VM ------------------------------------------------ *)
 
 let test_vm_region_exhaustion_and_reuse () =
-  let root =
+  let root () =
     let rec grab n acc =
       if n > 200 then Syscall.exit 1
       else
-        let* id = Syscall.mmap ~len:4096 in
+        let id = Syscall.mmap ~len:4096 in
         if id >= 0 then grab (n + 1) (id :: acc)
-        else if id = Errno.to_code Errno.ENOMEM then
-          let* () =
-            Prog.iter_list
-              (fun id -> Prog.bind (Syscall.munmap ~id) (fun _ -> Prog.return ()))
-              acc
-          in
-          let* again = Syscall.mmap ~len:4096 in
-          if again >= 0 then
-            let* _ = Syscall.munmap ~id:again in
-            Syscall.exit 0
-          else Syscall.exit 2
+        else if id = Errno.to_code Errno.ENOMEM then begin
+          List.iter (fun id -> ignore (Syscall.munmap ~id)) acc;
+          let again = Syscall.mmap ~len:4096 in
+          if again < 0 then Syscall.exit 2;
+          let _ = Syscall.munmap ~id:again in
+          Syscall.exit 0
+        end
         else Syscall.exit 3
     in
     grab 0 []
@@ -190,10 +182,10 @@ let test_vm_region_exhaustion_and_reuse () =
 let test_vm_page_budget () =
   (* One mmap bigger than the whole pool must fail without disturbing
      accounting. *)
-  let root =
-    let* used0, _ = Syscall.vm_info in
-    let* id = Syscall.mmap ~len:(Vm.total_pages * Vm.page_size * 2) in
-    let* used1, _ = Syscall.vm_info in
+  let root () =
+    let used0, _ = Syscall.vm_info () in
+    let id = Syscall.mmap ~len:(Vm.total_pages * Vm.page_size * 2) in
+    let used1, _ = Syscall.vm_info () in
     Syscall.exit
       (if id = Errno.to_code Errno.ENOMEM && used0 = used1 then 0 else 1)
   in
@@ -202,17 +194,18 @@ let test_vm_page_budget () =
 (* ---------------- DS ------------------------------------------------ *)
 
 let test_ds_capacity_exhaustion () =
-  let root =
+  let root () =
     let rec fill n =
       if n > Ds.capacity + 4 then Syscall.exit 1
       else
-        let* r = Syscall.ds_publish ~key:(Printf.sprintf "ux.%d" n) ~value:n in
+        let r = Syscall.ds_publish ~key:(Printf.sprintf "ux.%d" n) ~value:n in
         if r >= 0 then fill (n + 1)
-        else if r = Errno.to_code Errno.ENOSPC then
+        else if r = Errno.to_code Errno.ENOSPC then begin
           (* free one and confirm the slot is reusable *)
-          let* _ = Syscall.ds_delete ~key:"ux.0" in
-          let* r2 = Syscall.ds_publish ~key:"ux.again" ~value:1 in
+          let _ = Syscall.ds_delete ~key:"ux.0" in
+          let r2 = Syscall.ds_publish ~key:"ux.again" ~value:1 in
           Syscall.exit (if r2 >= 0 then 0 else 2)
+        end
         else Syscall.exit 3
     in
     fill 0
@@ -220,8 +213,8 @@ let test_ds_capacity_exhaustion () =
   expect_exit "kv slots recycle" root 0
 
 let test_ds_key_length_guard () =
-  let root =
-    let* r = Syscall.ds_publish ~key:(String.make 64 'k') ~value:1 in
+  let root () =
+    let r = Syscall.ds_publish ~key:(String.make 64 'k') ~value:1 in
     Syscall.exit (if r = Errno.to_code Errno.EINVAL then 0 else 1)
   in
   expect_exit "long keys rejected" root 0
@@ -229,9 +222,9 @@ let test_ds_key_length_guard () =
 (* ---------------- MFS ----------------------------------------------- *)
 
 let test_mfs_component_too_long () =
-  let root =
+  let root () =
     let path = "/tmp/" ^ String.make 40 'n' in
-    let* fd = Syscall.open_ path Message.creat in
+    let fd = Syscall.open_ path Message.creat in
     Syscall.exit (if fd = Errno.to_code Errno.ENAMETOOLONG then 0 else 1)
   in
   expect_exit "long components rejected" root 0
@@ -239,22 +232,23 @@ let test_mfs_component_too_long () =
 let test_mfs_inode_exhaustion () =
   (* The boot image already holds ~110 files; creating until ENFILE
      must be clean, and unlinking must free inodes for reuse. *)
-  let root =
+  let root () =
     let rec fill n =
       if n > Mfs.max_inodes then Syscall.exit 1
       else
         let path = Printf.sprintf "/tmp/ino%d" n in
-        let* fd = Syscall.open_ path Message.creat in
-        if fd >= 0 then
-          let* _ = Syscall.close fd in
+        let fd = Syscall.open_ path Message.creat in
+        if fd >= 0 then begin
+          let _ = Syscall.close fd in
           fill (n + 1)
-        else if fd = Errno.to_code Errno.ENFILE then
-          let* _ = Syscall.unlink "/tmp/ino0" in
-          let* fd2 = Syscall.open_ "/tmp/ino_again" Message.creat in
-          if fd2 >= 0 then
-            let* _ = Syscall.close fd2 in
-            Syscall.exit 0
-          else Syscall.exit 2
+        end
+        else if fd = Errno.to_code Errno.ENFILE then begin
+          let _ = Syscall.unlink "/tmp/ino0" in
+          let fd2 = Syscall.open_ "/tmp/ino_again" Message.creat in
+          if fd2 < 0 then Syscall.exit 2;
+          let _ = Syscall.close fd2 in
+          Syscall.exit 0
+        end
         else Syscall.exit 3
     in
     fill 0
@@ -266,22 +260,20 @@ let test_mfs_inode_exhaustion () =
     (Mfs.check_invariants (System.mfs sys) ~bdev:(System.bdev sys) = Ok ())
 
 let test_mfs_deep_nesting () =
-  let root =
+  let root () =
     let rec deepen base n =
-      if n = 0 then
-        let* fd = Syscall.open_ (base ^ "/leaf") Message.creat in
-        if fd < 0 then Syscall.exit 2
-        else
-          let* _ = Syscall.write ~fd "deep" in
-          let* _ = Syscall.close fd in
-          let* st = Syscall.stat (base ^ "/leaf") in
-          (match st with
-           | Ok { Message.st_size = 4; _ } -> Syscall.exit 0
-           | _ -> Syscall.exit 3)
+      if n = 0 then begin
+        let fd = Syscall.open_ (base ^ "/leaf") Message.creat in
+        if fd < 0 then Syscall.exit 2;
+        let _ = Syscall.write ~fd "deep" in
+        let _ = Syscall.close fd in
+        match Syscall.stat (base ^ "/leaf") with
+        | Ok { Message.st_size = 4; _ } -> Syscall.exit 0
+        | _ -> Syscall.exit 3
+      end
       else
         let next = Printf.sprintf "%s/n%d" base n in
-        let* r = Syscall.mkdir next in
-        if r < 0 then Syscall.exit 4 else deepen next (n - 1)
+        if Syscall.mkdir next < 0 then Syscall.exit 4 else deepen next (n - 1)
     in
     deepen "/tmp" 6
   in
@@ -290,12 +282,10 @@ let test_mfs_deep_nesting () =
 (* ---------------- RS ------------------------------------------------ *)
 
 let test_rs_lookup_labels () =
-  let root =
-    let* r = Prog.call Endpoint.rs (Message.Rs_lookup { label = "vm" }) in
-    match r with
+  let root () =
+    match Kernel.Op.call Endpoint.rs (Message.Rs_lookup { label = "vm" }) with
     | Message.R_ok ep when ep = Endpoint.vm ->
-      let* r2 = Prog.call Endpoint.rs (Message.Rs_lookup { label = "nope" }) in
-      (match r2 with
+      (match Kernel.Op.call Endpoint.rs (Message.Rs_lookup { label = "nope" }) with
        | Message.R_err Errno.ENOENT -> Syscall.exit 0
        | _ -> Syscall.exit 2)
     | _ -> Syscall.exit 1

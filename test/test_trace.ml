@@ -1,8 +1,6 @@
 (* Tests for the event tracer: ring semantics, event ordering, and the
    recovery sequence visible through a crash. *)
 
-open Prog.Syntax
-
 let run_traced ?capacity ?fault root =
   let sys = System.build (Sysconf.uniform Policy.enhanced) in
   let tracer = Tracer.create ?capacity () in
@@ -21,8 +19,8 @@ let run_traced ?capacity ?fault root =
   let halt = System.run sys ~root in
   (tracer, halt)
 
-let simple_root =
-  let* _ = Syscall.ds_publish ~key:"tr" ~value:1 in
+let simple_root () =
+  let _ = Syscall.ds_publish ~key:"tr" ~value:1 in
   Syscall.exit 0
 
 let test_events_recorded_in_order () =

@@ -1,14 +1,12 @@
 (* Tests for the workload library: registry, result parsing, test-suite
    integrity, and the Unixbench descriptors. *)
 
-open Prog.Syntax
-
 (* ---------------- registry ---------------------------------------- *)
 
 let test_registry_roundtrip () =
   let reg = Registry.create () in
-  Registry.register reg "/bin/a" (fun _ -> Prog.return ());
-  Registry.register reg "/bin/b" (fun _ -> Prog.return ());
+  Registry.register reg "/bin/a" ignore;
+  Registry.register reg "/bin/b" ignore;
   Alcotest.(check bool) "lookup hit" true (Registry.lookup reg "/bin/a" <> None);
   Alcotest.(check bool) "lookup miss" true (Registry.lookup reg "/bin/c" = None);
   Alcotest.(check (list string)) "sorted paths" [ "/bin/a"; "/bin/b" ]
@@ -16,8 +14,8 @@ let test_registry_roundtrip () =
 
 let test_registry_replace () =
   let reg = Registry.create () in
-  Registry.register reg "/bin/x" (fun _ -> Prog.return ());
-  Registry.register reg "/bin/x" (fun _ -> Prog.return ());
+  Registry.register reg "/bin/x" ignore;
+  Registry.register reg "/bin/x" ignore;
   Alcotest.(check int) "one path" 1 (List.length (Registry.paths reg))
 
 (* ---------------- result parsing ---------------------------------- *)
@@ -113,23 +111,20 @@ let run_root root =
 
 let test_stub_error_codes () =
   (* Stubs must surface errno codes with the C sign convention. *)
-  let root =
-    let* fd = Syscall.open_ "/no/such/file" Message.rdonly in
-    if fd <> Errno.to_code Errno.ENOENT then Syscall.exit 1
-    else
-      let* r = Syscall.close 42 in
-      if r <> Errno.to_code Errno.EBADF then Syscall.exit 2
-      else
-        let* k = Syscall.kill ~pid:4242 ~signal:9 in
-        if k <> Errno.to_code Errno.ESRCH then Syscall.exit 3
-        else Syscall.exit 0
+  let root () =
+    if Syscall.open_ "/no/such/file" Message.rdonly <> Errno.to_code Errno.ENOENT
+    then Syscall.exit 1;
+    if Syscall.close 42 <> Errno.to_code Errno.EBADF then Syscall.exit 2;
+    if Syscall.kill ~pid:4242 ~signal:9 <> Errno.to_code Errno.ESRCH then
+      Syscall.exit 3;
+    Syscall.exit 0
   in
   Alcotest.check halt_t "codes" (Kernel.H_completed 0) (run_root root)
 
 let test_stub_print_reaches_log () =
   let sys = System.build (Sysconf.uniform Policy.enhanced) in
-  let root =
-    let* () = Syscall.print "custom-marker-line" in
+  let root () =
+    Syscall.print "custom-marker-line";
     Syscall.exit 0
   in
   let (_ : Kernel.halt) = System.run sys ~root in
