@@ -14,7 +14,13 @@ type t = {
   mutable bytes_written : int;
   dirty : Bytes.t;                 (* '\001' = granule written since last clean point *)
   mutable n_dirty : int;
-  mutable baseline : Bytes.t option;
+  (* The baseline, kept granule by granule: a granule's baseline
+     contents are copied into [base_arena] just before its first write
+     after [set_baseline], at offset [base_slot.(g)]; -1 while the image
+     still holds them. [base_slot] is empty when no baseline is set. *)
+  mutable base_slot : int array;
+  mutable base_arena : Bytes.t;
+  mutable base_used : int;
   mutable restore_ops : int;
   mutable restore_bytes : int;
   mutable restore_bytes_saved : int;
@@ -31,7 +37,9 @@ let create ~name ~size =
     bytes_written = 0;
     dirty = Bytes.make (n_granules size) '\000';
     n_dirty = 0;
-    baseline = None;
+    base_slot = [||];
+    base_arena = Bytes.empty;
+    base_used = 0;
     restore_ops = 0;
     restore_bytes = 0;
     restore_bytes_saved = 0 }
@@ -52,11 +60,35 @@ let allocated t = t.cursor
 
 let set_write_hook t hook = t.hook <- hook
 
+(* Copy granule [g]'s baseline contents aside unless already saved.
+   Called before the granule first changes, while it still holds them.
+   A granule outside the image is left to the write's own bounds
+   check. *)
+let save_granule t g =
+  if g < Array.length t.base_slot && Array.unsafe_get t.base_slot g < 0 then begin
+    let off = g lsl granule_shift in
+    let glen = min granule (Bytes.length t.data - off) in
+    if t.base_used + granule > Bytes.length t.base_arena then begin
+      let a = Bytes.create (max 4096 (2 * Bytes.length t.base_arena)) in
+      Bytes.blit t.base_arena 0 a 0 t.base_used;
+      t.base_arena <- a
+    end;
+    Bytes.blit t.data off t.base_arena t.base_used glen;
+    Array.unsafe_set t.base_slot g t.base_used;
+    t.base_used <- t.base_used + granule
+  end
+
+let save_all t =
+  for g = 0 to Array.length t.base_slot - 1 do
+    save_granule t g
+  done
+
 let mark_dirty t ~off ~len =
   let g1 = (off + len - 1) lsr granule_shift in
   let g = ref (off lsr granule_shift) in
   while !g <= g1 do
     if Bytes.unsafe_get t.dirty !g <> '\001' then begin
+      save_granule t !g;
       Bytes.unsafe_set t.dirty !g '\001';
       t.n_dirty <- t.n_dirty + 1
     end;
@@ -147,6 +179,7 @@ let snapshot t = Bytes.copy t.data
 let restore t snap =
   if Bytes.length snap <> Bytes.length t.data then
     invalid_arg "Memimage.restore: size mismatch";
+  save_all t;
   Bytes.blit snap 0 t.data 0 (Bytes.length snap);
   (* An arbitrary snapshot has no known relation to the baseline:
      conservatively consider everything modified. *)
@@ -155,18 +188,16 @@ let restore t snap =
   t.restore_bytes <- t.restore_bytes + Bytes.length snap
 
 let set_baseline t =
-  t.baseline <- Some (Bytes.copy t.data);
+  t.base_slot <- Array.make (Bytes.length t.dirty) (-1);
+  t.base_used <- 0;
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
   t.n_dirty <- 0
 
-let has_baseline t = t.baseline <> None
+let has_baseline t = Array.length t.base_slot > 0
 
 let restore_baseline t =
-  let base =
-    match t.baseline with
-    | Some b -> b
-    | None -> invalid_arg "Memimage.restore_baseline: no baseline set"
-  in
+  if not (has_baseline t) then
+    invalid_arg "Memimage.restore_baseline: no baseline set";
   let len = Bytes.length t.data in
   let restored = ref 0 in
   if t.n_dirty > 0 then begin
@@ -175,7 +206,7 @@ let restore_baseline t =
       if Bytes.unsafe_get t.dirty g = '\001' then begin
         let off = g lsl granule_shift in
         let glen = min granule (len - off) in
-        Bytes.blit base off t.data off glen;
+        Bytes.blit t.base_arena (Array.unsafe_get t.base_slot g) t.data off glen;
         Bytes.unsafe_set t.dirty g '\000';
         restored := !restored + glen
       end
@@ -206,12 +237,15 @@ let clone t ~name =
        start conservatively all-dirty until a baseline is set. *)
     dirty = Bytes.make (n_granules (Bytes.length t.data)) '\001';
     n_dirty = n_granules (Bytes.length t.data);
-    baseline = None;
+    base_slot = [||];
+    base_arena = Bytes.empty;
+    base_used = 0;
     restore_ops = 0;
     restore_bytes = 0;
     restore_bytes_saved = 0 }
 
 let clear t =
+  save_all t;
   Bytes.fill t.data 0 (Bytes.length t.data) '\000';
   mark_all_dirty t
 

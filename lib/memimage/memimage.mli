@@ -99,7 +99,9 @@ val restore : t -> bytes -> unit
 val set_baseline : t -> unit
 (** Record the current contents as the pristine baseline (the paper's
     prepared-clone image) and mark every granule clean. Restart paths
-    use {!restore_baseline} to return to this state in O(dirty). *)
+    use {!restore_baseline} to return to this state in O(dirty). The
+    baseline costs memory only for the granules written since: each is
+    copied aside just before its first write. *)
 
 val has_baseline : t -> bool
 

@@ -203,16 +203,38 @@ let prop_baseline_restore_inverse =
        done;
        Memimage.set_baseline img;
        let pristine = Memimage.snapshot img in
+       (* Every fifth write is preceded by a restart, so granules are
+          dirtied again after being restored. *)
+       let restarts_exact = ref true in
        List.iteri
          (fun i (off, len) ->
+            if i mod 5 = 4 then begin
+              ignore (Memimage.restore_baseline img);
+              if Memimage.snapshot img <> pristine then restarts_exact := false
+            end;
             if i land 1 = 0 then
               Memimage.set_bytes img ~off (Bytes.make len 'w')
             else
               Memimage.write_raw img ~off (Bytes.make len 'r') ~src_off:0 ~len)
          writes;
        ignore (Memimage.restore_baseline img);
-       Memimage.snapshot img = pristine
+       !restarts_exact
+       && Memimage.snapshot img = pristine
        && Memimage.dirty_granules img = 0)
+
+(* Whole-image overwrites after a baseline is set: a restart still
+   returns to the baseline. *)
+let test_baseline_survives_whole_image_writes () =
+  let img = mk () in
+  Memimage.set_word img 8 5;
+  Memimage.set_baseline img;
+  let pristine = Memimage.snapshot img in
+  Memimage.clear img;
+  ignore (Memimage.restore_baseline img);
+  Alcotest.(check bytes) "after clear" pristine (Memimage.snapshot img);
+  Memimage.restore img (Bytes.make (Memimage.size img) 'z');
+  ignore (Memimage.restore_baseline img);
+  Alcotest.(check bytes) "after restore" pristine (Memimage.snapshot img)
 
 (* ---------------- layout ------------------------------------------ *)
 
@@ -314,6 +336,8 @@ let () =
             test_write_raw_marks_dirty;
           Alcotest.test_case "generic restore conservative" `Quick
             test_generic_restore_conservative;
+          Alcotest.test_case "baseline survives clear and restore" `Quick
+            test_baseline_survives_whole_image_writes;
           QCheck_alcotest.to_alcotest prop_baseline_restore_inverse ] );
       ( "layout",
         [ Alcotest.test_case "sizeof" `Quick test_layout_sizeof;
