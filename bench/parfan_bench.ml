@@ -49,7 +49,7 @@ let probe_chunk () =
   ignore (Sys.opaque_identity !acc)
 
 let bump_nursery () =
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 }
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 }
 
 (* An ideal pool: static partition over raw domains, no queue, same
    per-domain nursery as Parfan workers. Deliberately does NOT go

@@ -32,17 +32,23 @@ let resolve_jobs ?jobs n_tasks =
    stop-the-world minor collections serialize allocation-heavy
    domains badly at that size: every domain hitting its 2 MB nursery
    every few ms forces a global pause.  A simulation run allocates
-   heavily, so workers bump their nursery to 8M words (64 MB on
+   heavily, so workers bump their nursery to 4M words (32 MB on
    64-bit) — measured to recover near-linear scaling where the
-   default collapses below sequential throughput.  Overridable via
-   OSIRIS_MINOR_HEAP (words); the calling domain is never touched. *)
+   default collapses below sequential throughput.  A larger nursery
+   costs resident memory without a measured throughput gain: on a
+   2-vCPU host the e2e campaign's peak RSS was about 210 MB at 4M
+   words and 360-410 MB at 8M, at runs/s within noise.  Overridable
+   via OSIRIS_MINOR_HEAP (words); the calling domain is never
+   touched. *)
+let default_worker_minor_heap_words = 4 * 1024 * 1024
+
 let worker_minor_heap_words () =
   match Sys.getenv_opt "OSIRIS_MINOR_HEAP" with
   | Some s ->
     (match int_of_string_opt (String.trim s) with
      | Some n when n > 0 -> n
-     | _ -> 8 * 1024 * 1024)
-  | None -> 8 * 1024 * 1024
+     | _ -> default_worker_minor_heap_words)
+  | None -> default_worker_minor_heap_words
 
 (* One task's landing slot. Exceptions are values too: the merger
    re-raises the first failure in submission order, after the pool has

@@ -21,7 +21,7 @@
     Determinator contract — parallel execution, results deterministic
     by construction — applied at campaign granularity.
 
-    Worker domains enlarge their minor heap to 8M words at startup
+    Worker domains enlarge their minor heap to 4M words at startup
     (override with [OSIRIS_MINOR_HEAP], in words): at the runtime's
     default nursery size, OCaml 5's stop-the-world minor collections
     serialize allocation-heavy domains badly enough that a pool can be
