@@ -422,13 +422,13 @@ type event =
   | E_halt of { time : int; halt : halt }
   | E_spawn of { time : int; ep : Endpoint.t; parent : int }
 
-(* Raw event capture: the flight recorder's zero-dispatch tap. The
-   emission sites append each event's scalar fields straight into the
-   owner's buffers — a handful of unboxed int stores, no closure call,
-   no event construction — and invoke [cap_drain] only when an append
-   would overflow. Entry layout is documented in the .mli; it is the
-   contract between these append sites and the journal's batched
-   encoder. *)
+(* Raw event capture: the only place an event is written. The
+   emission sites append each event's scalar fields to a log — a
+   handful of unboxed int stores, no closure call — and invoke
+   [cap_drain] only when an append would overflow. Entry layout is
+   documented in the .mli; it is written by the appenders below and
+   read by [event_at] (the event hook's decoder) and the journal's
+   transcoder. *)
 type capture = {
   mutable cap_buf : int array;
   mutable cap_pos : int;
@@ -463,10 +463,14 @@ type t = {
      runs per op and must not pay two polymorphic compares there. *)
   mutable siting : bool;
   mutable event_hook : (event -> unit) option;
-  mutable capture : capture option;
-  (* event_hook <> None || capture <> None, cached: the emission
-     sites test observability once per event, and a single flag load
-     beats two polymorphic option compares on the hot path. *)
+  (* The log emission appends to: the installed capture, else
+     [hook_log] — the kernel's own log for a hook alone, reset after
+     every decode so it holds at most one entry and never drains. *)
+  mutable tap : capture;
+  hook_log : capture;
+  (* A hook or a capture is installed, cached: the emission sites test
+     observability once per event, and a single flag load beats two
+     compares on the hot path. *)
   mutable observing : bool;
   mutable cycle_hook : (Endpoint.t -> slot -> int -> unit) option;
   mutable profiling : bool;  (* procs carry per-slot counter rows *)
@@ -515,6 +519,11 @@ type t = {
 }
 
 let create cfg =
+  let rec hook_log =
+    { cap_buf = Array.make 16 0; cap_pos = 0;
+      cap_strs = Array.make 2 ""; cap_spos = 0;
+      cap_drain = (fun () -> hook_log.cap_pos <- 0; hook_log.cap_spos <- 0) }
+  in
   { cfg;
     rng = Osiris_util.Rng.create cfg.seed;
     procs = Hashtbl.create 64;
@@ -531,7 +540,8 @@ let create cfg =
     site_recorder = None;
     siting = false;
     event_hook = None;
-    capture = None;
+    tap = hook_log;
+    hook_log;
     observing = false;
     cycle_hook = None;
     profiling = false;
@@ -572,10 +582,10 @@ let set_fault_hook t hook =
 
 let set_event_hook t hook =
   t.event_hook <- hook;
-  t.observing <- hook <> None || t.capture <> None
+  t.observing <- hook <> None || t.tap != t.hook_log
 
 let set_capture t c =
-  t.capture <- c;
+  t.tap <- Option.value c ~default:t.hook_log;
   t.observing <- t.event_hook <> None || c <> None
 
 let set_vtime_sampler t ~interval hook =
@@ -615,12 +625,14 @@ let[@inline] bump_now t v =
   end
 
 (* Every emission site must check this first: with no observer
-   installed nothing is constructed and the hot path pays a single
-   branch. Per-constructor helpers below then append the scalar
-   fields to the capture log directly and build the event record only
-   when a closure hook is also installed — the capture path allocates
-   nothing. *)
+   installed nothing is appended and the hot path pays a single
+   branch. The per-constructor helpers below then append the entry to
+   [t.tap] and, when a hook is installed, hand it the event decoded
+   from the slots just written — the only place an event record is
+   built. *)
 let[@inline] observed t = t.observing
+
+(* ---- the entry appenders: the layout's one writer ---------------- *)
 
 (* Reserve room for a whole entry before writing any slot, so the log
    always sits at an entry boundary when [cap_drain] sweeps it. The
@@ -649,45 +661,33 @@ let[@inline] halt_kind = function
   | H_panic _ -> 2
   | H_hang -> 3
 
-let[@inline never] emit_msg t ~time ~src ~dst ~tag ~call ~rid ~parent ~cls =
-  (match t.capture with
-   | Some c ->
-     cap_room c 9;
-     let a = c.cap_buf and p = c.cap_pos in
-     Array.unsafe_set a p 0;
-     Array.unsafe_set a (p + 1) time;
-     Array.unsafe_set a (p + 2) src;
-     Array.unsafe_set a (p + 3) dst;
-     Array.unsafe_set a (p + 4) (Message.Tag.to_index tag);
-     Array.unsafe_set a (p + 5) (if call then 1 else 0);
-     Array.unsafe_set a (p + 6) rid;
-     Array.unsafe_set a (p + 7) parent;
-     Array.unsafe_set a (p + 8) (cls_code cls);
-     c.cap_pos <- p + 9
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_msg { time; src; dst; tag; call; rid; parent; cls })
-  | None -> ()
+let[@inline] cap_msg c ~time ~src ~dst ~tag ~call ~rid ~parent ~cls =
+  cap_room c 9;
+  let a = c.cap_buf and p = c.cap_pos in
+  Array.unsafe_set a p 0;
+  Array.unsafe_set a (p + 1) time;
+  Array.unsafe_set a (p + 2) src;
+  Array.unsafe_set a (p + 3) dst;
+  Array.unsafe_set a (p + 4) (Message.Tag.to_index tag);
+  Array.unsafe_set a (p + 5) (Bool.to_int call);
+  Array.unsafe_set a (p + 6) rid;
+  Array.unsafe_set a (p + 7) parent;
+  Array.unsafe_set a (p + 8) (cls_code cls);
+  c.cap_pos <- p + 9
 
-let[@inline never] emit_reply t ~time ~src ~dst ~tag ~rid =
-  (match t.capture with
-   | Some c ->
-     cap_room c 6;
-     let a = c.cap_buf and p = c.cap_pos in
-     Array.unsafe_set a p 1;
-     Array.unsafe_set a (p + 1) time;
-     Array.unsafe_set a (p + 2) src;
-     Array.unsafe_set a (p + 3) dst;
-     Array.unsafe_set a (p + 4) (Message.Tag.to_index tag);
-     Array.unsafe_set a (p + 5) rid;
-     c.cap_pos <- p + 6
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_reply { time; src; dst; tag; rid })
-  | None -> ()
+let[@inline] cap_reply c ~time ~src ~dst ~tag ~rid =
+  cap_room c 6;
+  let a = c.cap_buf and p = c.cap_pos in
+  Array.unsafe_set a p 1;
+  Array.unsafe_set a (p + 1) time;
+  Array.unsafe_set a (p + 2) src;
+  Array.unsafe_set a (p + 3) dst;
+  Array.unsafe_set a (p + 4) (Message.Tag.to_index tag);
+  Array.unsafe_set a (p + 5) rid;
+  c.cap_pos <- p + 6
 
-(* The 3/4/5-slot entry shapes below share these appenders; [kind] is
-   the entry's wire code (see the .mli layout table). *)
+(* The 3/4/5-slot entry shapes share these appenders; [kind] is the
+   entry's wire code (see the .mli layout table). *)
 let[@inline] cap3 c kind ~time ~ep =
   cap_room c 3;
   let a = c.cap_buf and p = c.cap_pos in
@@ -725,123 +725,183 @@ let[@inline] cap_str4 c kind ~time ~ep ~rid ~s =
   c.cap_pos <- p + 4;
   cap_str c s
 
-let[@inline never] emit_window_open t ~time ~ep ~rid =
-  (match t.capture with
-   | Some c -> cap4 c 2 ~time ~ep ~rid
-   | None -> ());
+let[@inline] cap_crash c ~time ~ep ~reason ~window_open ~rid ~policy =
+  cap_room_s c 5 2;
+  let a = c.cap_buf and p = c.cap_pos in
+  Array.unsafe_set a p 7;
+  Array.unsafe_set a (p + 1) time;
+  Array.unsafe_set a (p + 2) ep;
+  Array.unsafe_set a (p + 3) (Bool.to_int window_open);
+  Array.unsafe_set a (p + 4) rid;
+  c.cap_pos <- p + 5;
+  cap_str c reason;
+  cap_str c policy
+
+let[@inline] cap_halt c ~time ~halt =
+  (match halt with
+   | H_shutdown s | H_panic s ->
+     cap_room_s c 4 1;
+     cap_str c s
+   | H_completed _ | H_hang -> cap_room c 4);
+  let a = c.cap_buf and p = c.cap_pos in
+  Array.unsafe_set a p 12;
+  Array.unsafe_set a (p + 1) time;
+  Array.unsafe_set a (p + 2) (halt_kind halt);
+  Array.unsafe_set a (p + 3)
+    (match halt with H_completed status -> status | _ -> 0);
+  c.cap_pos <- p + 4
+
+let capture_event c = function
+  | E_msg { time; src; dst; tag; call; rid; parent; cls } ->
+    cap_msg c ~time ~src ~dst ~tag ~call ~rid ~parent ~cls
+  | E_reply { time; src; dst; tag; rid } ->
+    cap_reply c ~time ~src ~dst ~tag ~rid
+  | E_window_open { time; ep; rid } -> cap4 c 2 ~time ~ep ~rid
+  | E_window_close { time; ep; rid; policy } ->
+    cap5 c 3 ~time ~ep ~rid ~x:(Bool.to_int policy)
+  | E_checkpoint { time; ep; rid; cycles } -> cap5 c 4 ~time ~ep ~rid ~x:cycles
+  | E_store_logged { time; ep; rid; bytes } -> cap5 c 5 ~time ~ep ~rid ~x:bytes
+  | E_kcall { time; ep; rid; kc } -> cap_str4 c 6 ~time ~ep ~rid ~s:kc
+  | E_crash { time; ep; reason; window_open; rid; policy } ->
+    cap_crash c ~time ~ep ~reason ~window_open ~rid ~policy
+  | E_hang_detected { time; ep } -> cap3 c 8 ~time ~ep
+  | E_rollback_begin { time; ep; rid } -> cap4 c 9 ~time ~ep ~rid
+  | E_rollback_end { time; ep; rid; bytes } -> cap5 c 10 ~time ~ep ~rid ~x:bytes
+  | E_restart { time; ep; rid; policy } ->
+    cap_str4 c 11 ~time ~ep ~rid ~s:policy
+  | E_halt { time; halt } -> cap_halt c ~time ~halt
+  | E_spawn { time; ep; parent } -> cap4 c 13 ~time ~ep ~rid:parent
+
+(* ---- the entry decoder: what the event hook sees ----------------- *)
+
+(* Slots per entry, by wire code, and the strings the entry at [p]
+   carries. *)
+let entry_slots = [| 9; 6; 4; 5; 5; 5; 4; 5; 3; 4; 5; 4; 4; 4 |]
+
+let[@inline] entry_strs a p =
+  match a.(p) with
+  | 6 | 11 -> 1
+  | 7 -> 2
+  | 12 -> (match a.(p + 2) with 1 | 2 -> 1 | _ -> 0)
+  | _ -> 0
+
+(* Indexed by [Message.Tag.to_index]: decoding a tag is an array read,
+   where [Message.Tag.of_index] would box an option. *)
+let tag_of_index = Array.of_list Message.Tag.all
+
+(* The event of the entry at slot [p], whose strings start at [si].
+   The record (and a halt's payload) is all it allocates. *)
+let event_at c p si =
+  let a = c.cap_buf and s = c.cap_strs in
+  let time = a.(p + 1) in
+  match a.(p) with
+  | 0 ->
+    E_msg { time; src = a.(p + 2); dst = a.(p + 3);
+            tag = tag_of_index.(a.(p + 4)); call = a.(p + 5) <> 0;
+            rid = a.(p + 6); parent = a.(p + 7);
+            cls = (match a.(p + 8) with
+                | 0 -> Seep.Read_only
+                | 1 -> Seep.State_modifying
+                | _ -> Seep.Reply) }
+  | 1 ->
+    E_reply { time; src = a.(p + 2); dst = a.(p + 3);
+              tag = tag_of_index.(a.(p + 4)); rid = a.(p + 5) }
+  | 2 -> E_window_open { time; ep = a.(p + 2); rid = a.(p + 3) }
+  | 3 ->
+    E_window_close { time; ep = a.(p + 2); rid = a.(p + 3);
+                     policy = a.(p + 4) <> 0 }
+  | 4 ->
+    E_checkpoint { time; ep = a.(p + 2); rid = a.(p + 3); cycles = a.(p + 4) }
+  | 5 ->
+    E_store_logged { time; ep = a.(p + 2); rid = a.(p + 3); bytes = a.(p + 4) }
+  | 6 -> E_kcall { time; ep = a.(p + 2); rid = a.(p + 3); kc = s.(si) }
+  | 7 ->
+    E_crash { time; ep = a.(p + 2); reason = s.(si);
+              window_open = a.(p + 3) <> 0; rid = a.(p + 4);
+              policy = s.(si + 1) }
+  | 8 -> E_hang_detected { time; ep = a.(p + 2) }
+  | 9 -> E_rollback_begin { time; ep = a.(p + 2); rid = a.(p + 3) }
+  | 10 ->
+    E_rollback_end { time; ep = a.(p + 2); rid = a.(p + 3); bytes = a.(p + 4) }
+  | 11 -> E_restart { time; ep = a.(p + 2); rid = a.(p + 3); policy = s.(si) }
+  | 12 ->
+    E_halt { time;
+             halt = (match a.(p + 2) with
+                 | 0 -> H_completed a.(p + 3)
+                 | 1 -> H_shutdown s.(si)
+                 | 2 -> H_panic s.(si)
+                 | _ -> H_hang) }
+  | 13 -> E_spawn { time; ep = a.(p + 2); parent = a.(p + 3) }
+  | k -> invalid_arg (Printf.sprintf "Kernel: corrupt capture entry kind %d" k)
+
+let iter_capture c f =
+  let p = ref 0 and si = ref 0 in
+  while !p < c.cap_pos do
+    let ev = event_at c !p !si in
+    si := !si + entry_strs c.cap_buf !p;
+    p := !p + entry_slots.(c.cap_buf.(!p));
+    f ev
+  done;
+  if !p <> c.cap_pos || !si <> c.cap_spos then
+    invalid_arg "Kernel.iter_capture: entries do not tile the log"
+
+(* After an entry of wire code [kind] is appended to [t.tap]: hand the
+   hook that entry, decoded. [hook_log] is reset before the call, so
+   it never holds more than the one entry. *)
+let[@inline] tell t kind =
   match t.event_hook with
-  | Some f -> f (E_window_open { time; ep; rid })
   | None -> ()
+  | Some f ->
+    let c = t.tap in
+    let p = c.cap_pos - entry_slots.(kind) in
+    let ev = event_at c p (c.cap_spos - entry_strs c.cap_buf p) in
+    if c == t.hook_log then begin
+      c.cap_pos <- 0;
+      c.cap_spos <- 0
+    end;
+    f ev
+
+let[@inline never] emit_msg t ~time ~src ~dst ~tag ~call ~rid ~parent ~cls =
+  cap_msg t.tap ~time ~src ~dst ~tag ~call ~rid ~parent ~cls; tell t 0
+
+let[@inline never] emit_reply t ~time ~src ~dst ~tag ~rid =
+  cap_reply t.tap ~time ~src ~dst ~tag ~rid; tell t 1
+
+let[@inline never] emit_window_open t ~time ~ep ~rid =
+  cap4 t.tap 2 ~time ~ep ~rid; tell t 2
 
 let[@inline never] emit_window_close t ~time ~ep ~rid ~policy =
-  (match t.capture with
-   | Some c -> cap5 c 3 ~time ~ep ~rid ~x:(if policy then 1 else 0)
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_window_close { time; ep; rid; policy })
-  | None -> ()
+  cap5 t.tap 3 ~time ~ep ~rid ~x:(Bool.to_int policy); tell t 3
 
 let[@inline never] emit_checkpoint t ~time ~ep ~rid ~cycles =
-  (match t.capture with
-   | Some c -> cap5 c 4 ~time ~ep ~rid ~x:cycles
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_checkpoint { time; ep; rid; cycles })
-  | None -> ()
+  cap5 t.tap 4 ~time ~ep ~rid ~x:cycles; tell t 4
 
 let[@inline never] emit_store_logged t ~time ~ep ~rid ~bytes =
-  (match t.capture with
-   | Some c -> cap5 c 5 ~time ~ep ~rid ~x:bytes
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_store_logged { time; ep; rid; bytes })
-  | None -> ()
+  cap5 t.tap 5 ~time ~ep ~rid ~x:bytes; tell t 5
 
 let[@inline never] emit_kcall t ~time ~ep ~rid ~kc =
-  (match t.capture with
-   | Some c -> cap_str4 c 6 ~time ~ep ~rid ~s:kc
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_kcall { time; ep; rid; kc })
-  | None -> ()
+  cap_str4 t.tap 6 ~time ~ep ~rid ~s:kc; tell t 6
 
 let[@inline never] emit_crash t ~time ~ep ~reason ~window_open ~rid ~policy =
-  (match t.capture with
-   | Some c ->
-     cap_room_s c 5 2;
-     let a = c.cap_buf and p = c.cap_pos in
-     Array.unsafe_set a p 7;
-     Array.unsafe_set a (p + 1) time;
-     Array.unsafe_set a (p + 2) ep;
-     Array.unsafe_set a (p + 3) (if window_open then 1 else 0);
-     Array.unsafe_set a (p + 4) rid;
-     c.cap_pos <- p + 5;
-     cap_str c reason;
-     cap_str c policy
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_crash { time; ep; reason; window_open; rid; policy })
-  | None -> ()
+  cap_crash t.tap ~time ~ep ~reason ~window_open ~rid ~policy; tell t 7
 
 let[@inline never] emit_hang_detected t ~time ~ep =
-  (match t.capture with
-   | Some c -> cap3 c 8 ~time ~ep
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_hang_detected { time; ep })
-  | None -> ()
+  cap3 t.tap 8 ~time ~ep; tell t 8
 
 let[@inline never] emit_rollback_begin t ~time ~ep ~rid =
-  (match t.capture with
-   | Some c -> cap4 c 9 ~time ~ep ~rid
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_rollback_begin { time; ep; rid })
-  | None -> ()
+  cap4 t.tap 9 ~time ~ep ~rid; tell t 9
 
 let[@inline never] emit_rollback_end t ~time ~ep ~rid ~bytes =
-  (match t.capture with
-   | Some c -> cap5 c 10 ~time ~ep ~rid ~x:bytes
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_rollback_end { time; ep; rid; bytes })
-  | None -> ()
+  cap5 t.tap 10 ~time ~ep ~rid ~x:bytes; tell t 10
 
 let[@inline never] emit_restart t ~time ~ep ~rid ~policy =
-  (match t.capture with
-   | Some c -> cap_str4 c 11 ~time ~ep ~rid ~s:policy
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_restart { time; ep; rid; policy })
-  | None -> ()
+  cap_str4 t.tap 11 ~time ~ep ~rid ~s:policy; tell t 11
 
 let[@inline never] emit_halt t ~time ~halt =
-  (match t.capture with
-   | Some c ->
-     (match halt with
-      | H_shutdown s | H_panic s ->
-        cap_room_s c 4 1;
-        cap_str c s
-      | H_completed _ | H_hang -> cap_room c 4);
-     let a = c.cap_buf and p = c.cap_pos in
-     Array.unsafe_set a p 12;
-     Array.unsafe_set a (p + 1) time;
-     Array.unsafe_set a (p + 2) (halt_kind halt);
-     Array.unsafe_set a (p + 3)
-       (match halt with H_completed status -> status | _ -> 0);
-     c.cap_pos <- p + 4
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_halt { time; halt })
-  | None -> ()
+  cap_halt t.tap ~time ~halt; tell t 12
 
 let[@inline never] emit_spawn t ~time ~ep ~parent =
-  (match t.capture with
-   | Some c -> cap4 c 13 ~time ~ep ~rid:parent
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_spawn { time; ep; parent })
-  | None -> ()
+  cap4 t.tap 13 ~time ~ep ~rid:parent; tell t 13
 
 let set_cycle_hook t hook = t.cycle_hook <- hook
 

@@ -299,33 +299,36 @@ type event =
 val set_event_hook : t -> (event -> unit) option -> unit
 (** Structured observability: invoked for every IPC delivery, reply,
     window transition, checkpoint, logged store, kcall, crash,
-    rollback, restart and halt. When unset the emission sites skip
-    event construction entirely — one branch per event, zero
-    allocation (a bench gate in [bench/obs_bench.ml]). *)
+    rollback, restart and halt, right after the event's entry is
+    appended to the capture log ({!capture}), with the event decoded
+    from that entry. Without a capture installed the entry goes to a
+    one-entry log the kernel owns. With neither a hook nor a capture
+    installed an emission site is one branch and allocates nothing (a
+    bench gate in [bench/obs_bench.ml]). *)
 
-(** Raw event capture: the flight recorder's zero-dispatch tap, the
-    scalar-field twin of {!set_event_hook}.
+(** Raw event capture: the flight recorder's zero-dispatch tap, and
+    the only place an event is written.
 
     A [capture] is a consumer-owned scalar log. The emission sites
     append each event as a few plain [int] stores into [cap_buf]
     (string fields ride as shared pointers in [cap_strs] — the
-    kernel's strings are immutable, so no copy) and return: no closure
-    call, no event construction, no encoding. Only when an append
-    would overflow does the kernel invoke [cap_drain], which must make
-    room again — grow the arrays, or consume the log and reset
-    [cap_pos]/[cap_spos] — leaving at least 16 free [cap_buf] slots
-    and 2 free [cap_strs] slots (one entry of any kind). The journal
-    writer's drain batch-encodes the log into its wire format
-    ([Journal.capture]); deferring every codec byte off the emission
-    path is what holds the <5% attached-recording overhead gate in
-    [bench/journal_bench.ml].
+    kernel's strings are immutable, so no copy): no closure call, no
+    encoding. Only when an append would overflow does the kernel
+    invoke [cap_drain], which must make room again — grow the arrays,
+    or consume the log and reset [cap_pos]/[cap_spos] — leaving at
+    least 16 free [cap_buf] slots and 2 free [cap_strs] slots (one
+    entry of any kind). The journal writer's drain batch-encodes the
+    log into its wire format ([Journal.capture]); deferring every
+    codec byte off the emission path is what holds the <5%
+    attached-recording overhead gate in [bench/journal_bench.ml].
 
-    Entry layout — the contract between the kernel's append sites and
-    any drain. The first slot is the event's wire code (constructor
-    declaration order); booleans are 0/1, [tag] is
-    [Message.Tag.to_index], [cls] is 0 = read-only, 1 =
-    state-modifying, 2 = reply; trailing strings ride in [cap_strs]
-    in append order:
+    Entry layout — written only by the kernel's appenders (the
+    emission sites and {!capture_event}), read by the event hook's
+    decoder ({!iter_capture}) and the journal's transcoder. The first
+    slot is the event's wire code (constructor declaration order);
+    booleans are 0/1, [tag] is [Message.Tag.to_index], [cls] is 0 =
+    read-only, 1 = state-modifying, 2 = reply; trailing strings ride
+    in [cap_strs] in append order:
 
     {v
      0  E_msg            time src dst tag call rid parent cls (9 slots)
@@ -346,10 +349,10 @@ val set_event_hook : t -> (event -> unit) option -> unit
     13  E_spawn          time ep parent                       (4)
     v}
 
-    A capture and an event hook can be installed together; per event
-    the capture append happens first, then the hook fires, with
-    identical field values — so a journal recorded through the capture
-    is byte-equivalent to encoding the hook's event stream. *)
+    A capture and an event hook can be installed together; the hook
+    then decodes each entry from the capture itself, so the hook's
+    events and a journal recorded through the capture are the same
+    data by construction. *)
 type capture = {
   mutable cap_buf : int array;
   mutable cap_pos : int;
@@ -359,6 +362,15 @@ type capture = {
 }
 
 val set_capture : t -> capture option -> unit
+
+val capture_event : capture -> event -> unit
+(** Append [event]'s entry to the log, with the appenders the
+    emission sites use (draining first if the entry does not fit). *)
+
+val iter_capture : capture -> (event -> unit) -> unit
+(** Decode the log's entries in order, with the decoder the event
+    hook sees. Raises [Invalid_argument] on an unknown wire code or if
+    the entries do not end exactly at [cap_pos] and [cap_spos]. *)
 
 val set_vtime_sampler : t -> interval:int -> (int -> unit) option -> unit
 (** Virtual-time sampling hook, the telemetry engine's tap

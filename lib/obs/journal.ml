@@ -384,14 +384,9 @@ let[@inline] drid w rid =
   dput w (rid - w.last_rid);
   w.last_rid <- rid
 
-let[@inline] cls_code = function
-  | Seep.Read_only -> 0
-  | Seep.State_modifying -> 1
-  | Seep.Reply -> 2
-
 (* One encoder per constructor, the targets of [transcode]'s batched
    sweep over the raw capture log. Tags and SEEP classes arrive as the
-   integer codes the log stores ([Message.Tag.to_index], [cls_code]).
+   integer codes the log stores (see the layout table in kernel.mli).
    Only [transcode] (and [put_header]'s scratch path) reaches these. *)
 
 let enc_msg w ~time ~src ~dst ~tagi ~call ~rid ~parent ~clsc =
@@ -513,12 +508,6 @@ let enc_spawn w ~time ~ep ~parent =
   dbyte w 13; dtime w time; dput w ep; dput w parent;
   finish_direct w start
 
-let[@inline] halt_kind = function
-  | Kernel.H_completed _ -> 0
-  | Kernel.H_shutdown _ -> 1
-  | Kernel.H_panic _ -> 2
-  | Kernel.H_hang -> 3
-
 (* Halt arrives pre-decomposed (kind code, exit status, reason) so the
    transcode loop never reconstructs a [Kernel.halt] value — the
    encode sweep must allocate nothing. [reason] is "" except for
@@ -547,12 +536,11 @@ let enc_halt w ~time ~hkind ~status ~reason =
 
 (* ---- raw capture log -> wire format --------------------------------
 
-   The entry layout lives in [w.w_cap], a [Kernel.capture]: the
-   kernel's own emission sites append entries with no closure call
-   (see the layout table in kernel.mli), and [write] below appends
-   the identical entries from event values — so a journal recorded
-   through the kernel capture is byte-identical to one written from
-   the equivalent event stream. *)
+   The entry layout lives in [w.w_cap], a [Kernel.capture]. The
+   kernel's appenders are its only writer: its emission sites during
+   a run, [Kernel.capture_event] for [write] below — so a journal
+   recorded through the kernel capture is byte-identical to one
+   written from the equivalent event stream. *)
 
 (* Sweep the raw log through the encoders in one batch. Strings are
    cleared afterwards so the log never pins kernel strings past their
@@ -681,8 +669,8 @@ let str_cap = 1 lsl 17
 
 (* The capture's drain: restore the room contract (>= 16 buffer slots,
    >= 2 string slots free) by growing up to the caps, then by encoding
-   the log away. The kernel invokes this from its append sites; the
-   [write] path below funnels through it too. *)
+   the log away. The kernel's appenders invoke it, for its emission
+   sites and for [write] alike. *)
 let cap_ensure w =
   let c = w.w_cap in
   if c.Kernel.cap_pos + 16 > Array.length c.Kernel.cap_buf then begin
@@ -735,150 +723,11 @@ let to_file ~path header = make_writer (S_file (open_out_bin path)) header
 
 let to_memory header = make_writer (S_mem (Buffer.create 4096)) header
 
-(* Per-event appends for the event-value path ([write]): the same
-   entries the kernel's capture sites lay down, so both paths produce
-   byte-identical journals for the same logical event stream. *)
-
-let[@inline] room w ni ns =
-  let c = w.w_cap in
-  if c.Kernel.cap_pos + ni > Array.length c.Kernel.cap_buf
-     || (ns > 0 && c.Kernel.cap_spos + ns > Array.length c.Kernel.cap_strs)
-  then cap_ensure w
-
-let[@inline] push_str w s =
-  let c = w.w_cap in
-  Array.unsafe_set c.Kernel.cap_strs c.Kernel.cap_spos s;
-  c.Kernel.cap_spos <- c.Kernel.cap_spos + 1
-
-let[@inline] app_msg w ~time ~src ~dst ~tagi ~call ~rid ~parent ~clsc =
-  room w 9 0;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p 0;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) src;
-  Array.unsafe_set a (p + 3) dst;
-  Array.unsafe_set a (p + 4) tagi;
-  Array.unsafe_set a (p + 5) (if call then 1 else 0);
-  Array.unsafe_set a (p + 6) rid;
-  Array.unsafe_set a (p + 7) parent;
-  Array.unsafe_set a (p + 8) clsc;
-  c.Kernel.cap_pos <- p + 9
-
-let[@inline] app_reply w ~time ~src ~dst ~tagi ~rid =
-  room w 6 0;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p 1;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) src;
-  Array.unsafe_set a (p + 3) dst;
-  Array.unsafe_set a (p + 4) tagi;
-  Array.unsafe_set a (p + 5) rid;
-  c.Kernel.cap_pos <- p + 6
-
-let[@inline] app3 w kind ~time ~ep =
-  room w 3 0;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  c.Kernel.cap_pos <- p + 3
-
-let[@inline] app4 w kind ~time ~ep ~rid =
-  room w 4 0;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) rid;
-  c.Kernel.cap_pos <- p + 4
-
-let[@inline] app5 w kind ~time ~ep ~rid ~x =
-  room w 5 0;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) rid;
-  Array.unsafe_set a (p + 4) x;
-  c.Kernel.cap_pos <- p + 5
-
-let[@inline] app_str4 w kind ~time ~ep ~rid ~s =
-  room w 4 1;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) rid;
-  c.Kernel.cap_pos <- p + 4;
-  push_str w s
-
-let[@inline] app_crash w ~time ~ep ~reason ~window_open ~rid ~policy =
-  room w 5 2;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p 7;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) (if window_open then 1 else 0);
-  Array.unsafe_set a (p + 4) rid;
-  c.Kernel.cap_pos <- p + 5;
-  push_str w reason;
-  push_str w policy
-
-let[@inline] app_halt w ~time ~halt =
-  let hkind = halt_kind halt in
-  (match halt with
-   | Kernel.H_shutdown s | Kernel.H_panic s ->
-     room w 4 1;
-     push_str w s
-   | Kernel.H_completed _ | Kernel.H_hang -> room w 4 0);
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p 12;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) hkind;
-  Array.unsafe_set a (p + 3)
-    (match halt with Kernel.H_completed status -> status | _ -> 0);
-  c.Kernel.cap_pos <- p + 4
-
-let write w ev =
-  if not w.closed then
-    match ev with
-    | Kernel.E_msg { time; src; dst; tag; call; rid; parent; cls } ->
-      app_msg w ~time ~src ~dst ~tagi:(Message.Tag.to_index tag) ~call ~rid
-        ~parent ~clsc:(cls_code cls)
-    | Kernel.E_reply { time; src; dst; tag; rid } ->
-      app_reply w ~time ~src ~dst ~tagi:(Message.Tag.to_index tag) ~rid
-    | Kernel.E_window_open { time; ep; rid } -> app4 w 2 ~time ~ep ~rid
-    | Kernel.E_window_close { time; ep; rid; policy } ->
-      app5 w 3 ~time ~ep ~rid ~x:(if policy then 1 else 0)
-    | Kernel.E_checkpoint { time; ep; rid; cycles } ->
-      app5 w 4 ~time ~ep ~rid ~x:cycles
-    | Kernel.E_store_logged { time; ep; rid; bytes } ->
-      app5 w 5 ~time ~ep ~rid ~x:bytes
-    | Kernel.E_kcall { time; ep; rid; kc } -> app_str4 w 6 ~time ~ep ~rid ~s:kc
-    | Kernel.E_crash { time; ep; reason; window_open; rid; policy } ->
-      app_crash w ~time ~ep ~reason ~window_open ~rid ~policy
-    | Kernel.E_hang_detected { time; ep } -> app3 w 8 ~time ~ep
-    | Kernel.E_rollback_begin { time; ep; rid } -> app4 w 9 ~time ~ep ~rid
-    | Kernel.E_rollback_end { time; ep; rid; bytes } ->
-      app5 w 10 ~time ~ep ~rid ~x:bytes
-    | Kernel.E_restart { time; ep; rid; policy } ->
-      app_str4 w 11 ~time ~ep ~rid ~s:policy
-    | Kernel.E_halt { time; halt } -> app_halt w ~time ~halt
-    | Kernel.E_spawn { time; ep; parent } -> app4 w 13 ~time ~ep ~rid:parent
+let write w ev = if not w.closed then Kernel.capture_event w.w_cap ev
 
 (* The kernel-side tap: hand the run's [Kernel.capture] to
-   [Kernel.set_capture] and the emission sites append the same entries
-   [write] lays down, with no closure call per event — [write w ev]
-   and the capture path produce byte-identical journals for the same
-   logical event stream. *)
+   [Kernel.set_capture] and the emission sites append to it with no
+   closure call per event. *)
 let capture w = w.w_cap
 
 let close w =

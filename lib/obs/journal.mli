@@ -17,7 +17,7 @@
       detected per record with the index of the damaged record;
     - payload fields are zigzag varints; strings are length-prefixed
       raw bytes; each event payload opens with a packed lead byte:
-      the constructor's wire tag (declaration order, 0–12) in the low
+      the constructor's wire tag (declaration order, 0–13) in the low
       4 bits, constructor flags above — [call] and the SEEP class for
       [E_msg], [policy] for [E_window_close], [window_open] for
       [E_crash], the halt kind for [E_halt];
@@ -73,9 +73,11 @@ val to_memory : header -> writer
     {!contents}. Used by tests and the replay property. *)
 
 val write : writer -> Kernel.event -> unit
-(** Append one framed event record from a constructed event — the
-    event-hook form of the encoder, used by {!of_events} and anywhere
-    an event value already exists. No-op after {!close}. *)
+(** Append one framed event record from a constructed event — its
+    entry goes into the writer's capture through
+    [Kernel.capture_event], the kernel's own appenders. Used by
+    {!of_events} and anywhere an event value already exists. No-op
+    after {!close}. *)
 
 val capture : writer -> Kernel.capture
 (** The writer's raw capture log, for [Kernel.set_capture] (this is

@@ -42,6 +42,8 @@ let sample_events =
                             policy = false };
     Kernel.E_reply { time = 700_002; src = ds; dst = Endpoint.first_user;
                      tag = Message.Tag.T_ds_publish; rid = 1 };
+    Kernel.E_spawn { time = 700_002; ep = Endpoint.first_user + 1;
+                     parent = Endpoint.first_user };
     Kernel.E_halt { time = 700_003; halt = Kernel.H_completed 0 };
     Kernel.E_halt { time = 700_004; halt = Kernel.H_shutdown "rs says so" };
     Kernel.E_halt { time = 700_005; halt = Kernel.H_panic "oops" };
@@ -57,6 +59,40 @@ let test_roundtrip_all_constructors () =
       (Array.length events);
     Alcotest.(check bool) "events identical" true
       (Array.to_list events = sample_events)
+
+(* The entry layout has one writer, [Kernel.capture_event] (the
+   emission sites' appenders), and the event hook reads it back with
+   the decoder [Kernel.iter_capture] walks. Every constructor must
+   decode structurally equal, with the entries tiling the log exactly,
+   so an appender and the decoder that disagree on an entry's slot or
+   string count fail here. The last append starts one slot short of
+   its room, so the drain runs first. *)
+let test_entry_layout_round_trip () =
+  let log ~slots ~strs =
+    let drains = ref 0 in
+    let c =
+      { Kernel.cap_buf = Array.make slots 0; cap_pos = 0;
+        cap_strs = Array.make strs ""; cap_spos = 0; cap_drain = ignore }
+    in
+    c.Kernel.cap_drain <-
+      (fun () ->
+         incr drains;
+         c.Kernel.cap_buf <- Array.append c.Kernel.cap_buf (Array.make 16 0);
+         c.Kernel.cap_strs <- Array.append c.Kernel.cap_strs [| ""; "" |]);
+    (c, drains)
+  in
+  let sized, _ = log ~slots:0 ~strs:0 in
+  List.iter (Kernel.capture_event sized) sample_events;
+  (* room for the sample stream exactly, then an E_msg (9 slots) *)
+  let c, drains =
+    log ~slots:(sized.Kernel.cap_pos + 8) ~strs:sized.Kernel.cap_spos
+  in
+  let events = sample_events @ [ List.hd sample_events ] in
+  List.iter (Kernel.capture_event c) events;
+  Alcotest.(check int) "only the last append drained" 1 !drains;
+  let decoded = ref [] in
+  Kernel.iter_capture c (fun ev -> decoded := ev :: !decoded);
+  Alcotest.(check bool) "decode . encode = id" true (List.rev !decoded = events)
 
 let test_empty_journal_roundtrip () =
   match Journal.read_string (Journal.of_events sample_header []) with
@@ -261,11 +297,12 @@ let seed42_journal =
             | Error m -> Alcotest.fail ("read back: " ^ m)
             | Ok (h, events) -> (r, h, events))))
 
-(* The two encoder entry points — the kernel capture path that
-   [System.build ?journal] installs, and the event-value [write] path
-   behind [of_events] and the ring spill — must lay down identical
-   raw-log entries, so for the same logical event stream the journals
-   are byte-identical. *)
+(* One encoder, two ways in: a recording appends through the kernel
+   capture [System.build ?journal] installs, and [of_events] re-encodes
+   the hook's events of the same run with [Kernel.capture_event]. The
+   hook's events are decoded from the appended entries, so the
+   journals are byte-identical only if decode . encode is the identity
+   over a real run. *)
 let test_capture_write_identity () =
   with_temp_journal (fun path ->
       let header = seed42_header () in
@@ -717,6 +754,8 @@ let () =
     [ ( "codec",
         [ Alcotest.test_case "all constructors round-trip" `Quick
             test_roundtrip_all_constructors;
+          Alcotest.test_case "entry layout round-trip" `Quick
+            test_entry_layout_round_trip;
           Alcotest.test_case "empty journal" `Quick
             test_empty_journal_roundtrip;
           Alcotest.test_case "writer counters" `Quick test_writer_counters ] );
