@@ -5,7 +5,12 @@
    x every profiled fault site, one isolated kernel per run) is
    executed twice — sequentially (jobs:1, the oracle) and on the pool
    — and the result rows must be structurally byte-identical. Wall
-   times give the speedup. Because hosts differ wildly in how well
+   times give the speedup, but only when the host has a core per pool
+   domain: with [jobs] above the host's core count ([nproc], as
+   [Domain.recommended_domain_count] reports it) the domains share
+   cores and stop-the-world minor collections, so the artifact records
+   both and labels the sequential/pool wall ratio "oversubscribed"
+   instead of "speedup". Because hosts differ wildly in how well
    OCaml 5 domains scale on allocation-heavy work (stop-the-world
    minor collections; container CPU quotas; hyperthread siblings), the
    speedup gate is calibrated: a raw Domain.spawn static partition of
@@ -28,11 +33,17 @@
      parfan_isolation   exact   per-run kernel counters are identical
                                 whether a run executes alone or beside
                                 concurrent domains
-     parfan_speedup     timing  campaign speedup >= min(3, 0.7 x
-                                calibrated ideal scaling), one timed
-                                run of each side *)
+     parfan_speedup     timing  sequential/pool wall ratio >= min(3,
+                                0.7 x calibrated ideal scaling), one
+                                timed run of each side; the calibration
+                                runs the same [jobs] domains on the
+                                same cores, so the threshold holds an
+                                oversubscribed pool to what raw domains
+                                reach there *)
 
 let jobs = 4 (* pool width under test *)
+let nproc = Domain.recommended_domain_count ()
+let oversubscribed = jobs > nproc
 let min_speedup = 3. (* absolute speedup target *)
 let efficiency = 0.7 (* fraction of the calibrated ideal to reach *)
 
@@ -123,14 +134,20 @@ let run () =
   let identical =
     Marshal.to_string seq_rows [] = Marshal.to_string par_rows []
   in
-  let speedup = seq_ns /. par_ns in
+  let ratio = seq_ns /. par_ns in
+  (* Only a pool with a core per domain has a speedup to report. *)
+  let reading = if oversubscribed then "oversubscribed" else "speedup" in
   Printf.printf
     "campaign: %d policies x %s sites = %d runs\n\
     \  sequential (jobs 1)   %8.2f s\n\
-    \  pool       (jobs %d)   %8.2f s  -> speedup %.2fx\n"
+    \  pool       (jobs %d)   %8.2f s  -> %s\n"
     (List.length seq_rows)
     (if sample = 0 then "all" else string_of_int sample)
-    n_runs (seq_ns /. 1e9) jobs (par_ns /. 1e9) speedup;
+    n_runs (seq_ns /. 1e9) jobs (par_ns /. 1e9)
+    (if oversubscribed then
+       Printf.sprintf "%.2fx sequential, oversubscribed (%d domains on %d cores)"
+         ratio jobs nproc
+     else Printf.sprintf "speedup %.2fx (%d domains on %d cores)" ratio jobs nproc);
   (match !pool_stats with
    | Some s -> Printf.printf "  %s\n" (Parfan.speedup_line s)
    | None -> ());
@@ -139,11 +156,11 @@ let run () =
   (* ---- calibrated speedup gate ---- *)
   let cal_seq_ns, cal_par_ns, calib = calibrate jobs in
   let threshold = Float.min min_speedup (efficiency *. calib) in
-  let speedup_ok = speedup >= threshold in
+  let speedup_ok = ratio >= threshold in
   Printf.printf
     "calibration (raw domains, %d-way static partition): %.2fx ideal\n\
-    \  gate: speedup %.2fx >= min(%.1f, %.2f x %.2f) = %.2fx -> %s\n"
-    jobs calib speedup min_speedup efficiency calib threshold
+    \  gate: sequential/pool %.2fx >= min(%.1f, %.2f x %.2f) = %.2fx -> %s\n"
+    jobs calib ratio min_speedup efficiency calib threshold
     (if speedup_ok then "ok" else "FAILED");
   let pool =
     match !pool_stats with
@@ -166,11 +183,12 @@ let run () =
     ([ ("seed", string_of_int seed);
        ("sample", string_of_int sample);
        ("jobs", string_of_int jobs);
+       ("nproc", string_of_int nproc);
        ("runs", string_of_int n_runs);
        ( "wall",
          Printf.sprintf
-           "{\"seq_ns\": %.0f, \"par_ns\": %.0f, \"speedup\": %.3f}" seq_ns
-           par_ns speedup );
+           "{\"seq_ns\": %.0f, \"par_ns\": %.0f, \"seq_over_par\": %.3f,\n\
+           \    \"reading\": %S}" seq_ns par_ns ratio reading );
        ( "calibration",
          Printf.sprintf
            "{\"seq_ns\": %.0f, \"par_ns\": %.0f, \"ideal\": %.3f,\n\
@@ -182,7 +200,7 @@ let run () =
             baseline so only real structural drift is flagged. *)
          ( "tolerances",
            "{\"wall.seq_ns\": 300, \"wall.par_ns\": 300,\n\
-           \    \"wall.speedup\": 700, \"calibration.seq_ns\": 300,\n\
+           \    \"wall.seq_over_par\": 700, \"calibration.seq_ns\": 300,\n\
            \    \"calibration.par_ns\": 300, \"calibration.ideal\": 700,\n\
            \    \"calibration.threshold\": 700, \"pool.runs_per_sec\": 700,\n\
            \    \"pool.imbalance_pct\": 200}" ) ])

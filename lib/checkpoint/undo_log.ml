@@ -124,7 +124,9 @@ let append t data ~offset ~len =
 let record t ~image ~offset ~len =
   if len <= 0 then true
   else begin
-    let data = Memimage.raw_bytes image in
+    (* Within the image, [cover] backs the range, so the check below
+       rejects exactly the ranges outside it. *)
+    let data = Memimage.cover image ~off:offset ~len in
     if offset < 0 || offset > Bytes.length data - len then
       invalid_arg "Undo_log.record: range outside image";
     if not t.coalesce then begin
@@ -215,15 +217,14 @@ let rollback t image =
      straight from the arena. The raw writes bypass the write hook, so
      undoing cannot generate fresh undo entries; dirty granules are
      still marked, keeping dirty-region restarts sound. *)
-  let data = Memimage.raw_bytes image in
-  let size = Bytes.length data in
   let pos = ref t.used in
   for i = t.n - 1 downto 0 do
     let len = Array.unsafe_get t.lens i in
     let off = Array.unsafe_get t.offsets i in
     let p = !pos - len in
     pos := p;
-    if off < 0 || off > size - len then
+    let data = Memimage.cover image ~off ~len in
+    if off < 0 || off > Bytes.length data - len then
       invalid_arg "Undo_log.rollback: entry outside image";
     Memimage.mark_dirty image ~off ~len;
     if len = 8 then

@@ -2647,6 +2647,11 @@ let server_image t ep =
   | Some { image = Some img; _ } -> Some (Memimage.snapshot img)
   | _ -> None
 
+let server_resident_bytes t ep =
+  match proc_of t ep with
+  | Some { image = Some img; _ } -> Some (Memimage.resident_bytes img)
+  | _ -> None
+
 let server_endpoints t = t.servers
 
 let handler_counts t ep =

@@ -563,6 +563,12 @@ val server_image : t -> Endpoint.t -> bytes option
     or image-less endpoints). Test support: lets equivalence tests
     compare post-recovery state byte-for-byte across configurations. *)
 
+val server_resident_bytes : t -> Endpoint.t -> int option
+(** Host bytes backing the server's memory image
+    ({!Memimage.resident_bytes}; [None] for unknown or image-less
+    endpoints). Test support: pins the sparse backing. It feeds no
+    simulated figure and no printed output. *)
+
 val handler_counts : t -> Endpoint.t -> (Message.Tag.t * int) list
 (** How many times each request type was handled (post-boot), the
     workload-frequency input to the static recovery-window analysis. *)

@@ -5,9 +5,16 @@ type write_hook = offset:int -> len:int -> unit
 let granule_shift = 8
 let granule = 1 lsl granule_shift
 
+(* Sparse backing: [data] holds only a granule-aligned prefix of the
+   [size]-byte image and every byte past it reads as zero. The prefix
+   grows (zero-filled, at least doubling) on the first write past its
+   end, so an image costs host memory for the state its server touches,
+   not for its logical size. Every accessor checks against [size], so
+   out-of-image accesses fail exactly as they would on a dense image. *)
 type t = {
   img_name : string;
-  data : Bytes.t;
+  size : int;
+  mutable data : Bytes.t;
   mutable cursor : int;
   mutable hook : write_hook option;
   mutable writes : int;
@@ -17,7 +24,10 @@ type t = {
   (* The baseline, kept granule by granule: a granule's baseline
      contents are copied into [base_arena] just before its first write
      after [set_baseline], at offset [base_slot.(g)]; -1 while the image
-     still holds them. [base_slot] is empty when no baseline is set. *)
+     still holds them. [base_slot] covers the granules backed at
+     [set_baseline]; the baseline of every later granule is zero, so
+     none of its bytes is ever kept. *)
+  mutable base_set : bool;
   mutable base_slot : int array;
   mutable base_arena : Bytes.t;
   mutable base_used : int;
@@ -29,14 +39,17 @@ type t = {
 let n_granules size = (size + granule - 1) lsr granule_shift
 
 let create ~name ~size =
+  if size < 0 then invalid_arg "Memimage.create: negative size";
   { img_name = name;
-    data = Bytes.make size '\000';
+    size;
+    data = Bytes.empty;
     cursor = 0;
     hook = None;
     writes = 0;
     bytes_written = 0;
     dirty = Bytes.make (n_granules size) '\000';
     n_dirty = 0;
+    base_set = false;
     base_slot = [||];
     base_arena = Bytes.empty;
     base_used = 0;
@@ -46,13 +59,15 @@ let create ~name ~size =
 
 let name t = t.img_name
 
-let size t = Bytes.length t.data
+let size t = t.size
+
+let resident_bytes t = Bytes.length t.data
 
 let alloc t ?(align = 8) n =
   let base = (t.cursor + align - 1) / align * align in
-  if base + n > Bytes.length t.data then
+  if base + n > t.size then
     failwith (Printf.sprintf "Memimage.alloc: %s exhausted (%d + %d > %d)"
-                t.img_name base n (Bytes.length t.data));
+                t.img_name base n t.size);
   t.cursor <- base + n;
   base
 
@@ -60,14 +75,36 @@ let allocated t = t.cursor
 
 let set_write_hook t hook = t.hook <- hook
 
+(* Extend the backing, zero-filled, to cover [0, upto): to [upto]
+   rounded up to a granule, or twice the current backing if larger,
+   capped at the image size. Caller has checked [upto <= t.size]. *)
+let grow t upto =
+  let old = Bytes.length t.data in
+  let want = max ((upto + granule - 1) land lnot (granule - 1)) (2 * old) in
+  let len = min want t.size in
+  let d = Bytes.create len in
+  Bytes.blit t.data 0 d 0 old;
+  Bytes.fill d old (len - old) '\000';
+  t.data <- d
+
+let in_image t ~off ~len = off >= 0 && len >= 0 && off <= t.size - len
+
+(* Copy the in-image range [off, off+len) into [dst] at [dst_off]: the
+   backed part from [data], zeros past it. *)
+let read_sparse t ~off ~len dst dst_off =
+  let n = Bytes.length t.data in
+  let backed = if off >= n then 0 else min len (n - off) in
+  if backed > 0 then Bytes.blit t.data off dst dst_off backed;
+  Bytes.fill dst (dst_off + backed) (len - backed) '\000'
+
 (* Copy granule [g]'s baseline contents aside unless already saved.
    Called before the granule first changes, while it still holds them.
-   A granule outside the image is left to the write's own bounds
-   check. *)
+   A granule past [base_slot] (unbacked at [set_baseline], or outside
+   the image) keeps nothing: its baseline is zero. *)
 let save_granule t g =
   if g < Array.length t.base_slot && Array.unsafe_get t.base_slot g < 0 then begin
     let off = g lsl granule_shift in
-    let glen = min granule (Bytes.length t.data - off) in
+    let glen = min granule (t.size - off) in
     if t.base_used + granule > Bytes.length t.base_arena then begin
       let a = Bytes.create (max 4096 (2 * Bytes.length t.base_arena)) in
       Bytes.blit t.base_arena 0 a 0 t.base_used;
@@ -83,10 +120,12 @@ let save_all t =
     save_granule t g
   done
 
+(* An empty range marks nothing: its [off + len - 1] lies before [off]
+   (at [off = 0], [lsr] makes it the largest granule index). *)
 let mark_dirty t ~off ~len =
   let g1 = (off + len - 1) lsr granule_shift in
   let g = ref (off lsr granule_shift) in
-  while !g <= g1 do
+  while len > 0 && !g <= g1 do
     if Bytes.unsafe_get t.dirty !g <> '\001' then begin
       save_granule t !g;
       Bytes.unsafe_set t.dirty !g '\001';
@@ -103,27 +142,65 @@ let mark_all_dirty t =
 let pre_write t ~off ~len =
   t.writes <- t.writes + 1;
   t.bytes_written <- t.bytes_written + len;
-  mark_dirty t ~off ~len;
+  (* Back the range first, so the hook below reads its old contents
+     (zeros, past the old backing) straight out of the image. A range
+     outside the image is neither backed nor marked: the write's own
+     bounds check rejects it. *)
+  if off >= 0 && off + len <= Bytes.length t.data then mark_dirty t ~off ~len
+  else if in_image t ~off ~len then begin
+    grow t (off + len);
+    mark_dirty t ~off ~len
+  end;
   (* The hook runs *before* the overwrite: the image still holds the
      previous contents, which the undo log blits out directly. *)
   match t.hook with
   | None -> ()
   | Some hook -> hook ~offset:off ~len
 
-let get_word t off = Int64.to_int (Bytes.get_int64_le t.data off)
+external unsafe_get_i64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* A word at least partly past the backing: assemble it byte by byte,
+   zeros past the backing, without allocating. *)
+let get_word_sparse t off =
+  if off < 0 || off > t.size - 8 then invalid_arg "index out of bounds";
+  let d = t.data in
+  let n = Bytes.length d in
+  let v = ref 0 in
+  for k = 7 downto 0 do
+    let i = off + k in
+    v := (!v lsl 8) lor (if i < n then Char.code (Bytes.unsafe_get d i) else 0)
+  done;
+  !v
+
+let get_word t off =
+  let d = t.data in
+  if off >= 0 && off <= Bytes.length d - 8 then begin
+    let w = unsafe_get_i64 d off in
+    Int64.to_int (if Sys.big_endian then swap64 w else w)
+  end
+  else get_word_sparse t off
 
 let set_word t off v =
   pre_write t ~off ~len:8;
   Bytes.set_int64_le t.data off (Int64.of_int v)
 
-let get_bytes t ~off ~len = Bytes.sub t.data off len
+let get_bytes t ~off ~len =
+  if off >= 0 && len >= 0 && off <= Bytes.length t.data - len then
+    Bytes.sub t.data off len
+  else if in_image t ~off ~len then begin
+    let b = Bytes.create len in
+    read_sparse t ~off ~len b 0;
+    b
+  end
+  else invalid_arg "String.sub / Bytes.sub"
 
 let set_bytes t ~off b =
   pre_write t ~off ~len:(Bytes.length b);
   Bytes.blit b 0 t.data off (Bytes.length b)
 
 let get_string t ~off ~len =
-  let raw = Bytes.sub_string t.data off len in
+  let raw = Bytes.unsafe_to_string (get_bytes t ~off ~len) in
   match String.index_opt raw '\000' with
   | None -> raw
   | Some i -> String.sub raw 0 i
@@ -138,28 +215,21 @@ let set_string t ~off ~len s =
 
 (* ---------------- RCB raw access (checkpoint library) -------------- *)
 
-let raw_bytes t = t.data
+let cover t ~off ~len =
+  if off + len > Bytes.length t.data && in_image t ~off ~len then
+    grow t (off + len);
+  t.data
 
 (* Stores are overwhelmingly word-sized: for small ranges a hand-rolled
    copy (one bounds check, then unsafe byte moves) beats the out-of-line
    [Bytes.blit] C call that dominates the checkpoint hot path. *)
 let small_copy_max = 16
 
-let blit_out t ~off ~len dst dst_off =
-  if len <= small_copy_max then begin
-    if off < 0 || len < 0
-       || off > Bytes.length t.data - len
-       || dst_off < 0
-       || dst_off > Bytes.length dst - len
-    then invalid_arg "Memimage.blit_out";
-    for k = 0 to len - 1 do
-      Bytes.unsafe_set dst (dst_off + k) (Bytes.unsafe_get t.data (off + k))
-    done
-  end
-  else Bytes.blit t.data off dst dst_off len
-
 let write_raw t ~off src ~src_off ~len =
-  mark_dirty t ~off ~len;
+  if in_image t ~off ~len then begin
+    if off + len > Bytes.length t.data then grow t (off + len);
+    mark_dirty t ~off ~len
+  end;
   if len <= small_copy_max then begin
     if off < 0 || len < 0
        || off > Bytes.length t.data - len
@@ -174,13 +244,27 @@ let write_raw t ~off src ~src_off ~len =
 
 (* ---------------- whole-image operations --------------------------- *)
 
-let snapshot t = Bytes.copy t.data
+let snapshot t =
+  let b = Bytes.create t.size in
+  read_sparse t ~off:0 ~len:t.size b 0;
+  b
 
 let restore t snap =
-  if Bytes.length snap <> Bytes.length t.data then
+  if Bytes.length snap <> t.size then
     invalid_arg "Memimage.restore: size mismatch";
   save_all t;
-  Bytes.blit snap 0 t.data 0 (Bytes.length snap);
+  (* Back the snapshot up to its last non-zero byte; past that it
+     matches the zeros an unbacked image reads. *)
+  let n = Bytes.length t.data in
+  let e = ref t.size in
+  while !e - 8 >= n && unsafe_get_i64 snap (!e - 8) = 0L do
+    e := !e - 8
+  done;
+  while !e > n && Bytes.unsafe_get snap (!e - 1) = '\000' do
+    decr e
+  done;
+  if !e > n then grow t !e;
+  Bytes.blit snap 0 t.data 0 (Bytes.length t.data);
   (* An arbitrary snapshot has no known relation to the baseline:
      conservatively consider everything modified. *)
   mark_all_dirty t;
@@ -188,25 +272,31 @@ let restore t snap =
   t.restore_bytes <- t.restore_bytes + Bytes.length snap
 
 let set_baseline t =
-  t.base_slot <- Array.make (Bytes.length t.dirty) (-1);
+  t.base_set <- true;
+  t.base_slot <- Array.make (n_granules (Bytes.length t.data)) (-1);
   t.base_used <- 0;
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
   t.n_dirty <- 0
 
-let has_baseline t = Array.length t.base_slot > 0
+let has_baseline t = t.base_set
 
 let restore_baseline t =
   if not (has_baseline t) then
     invalid_arg "Memimage.restore_baseline: no baseline set";
-  let len = Bytes.length t.data in
+  let len = t.size in
   let restored = ref 0 in
   if t.n_dirty > 0 then begin
     let ng = Bytes.length t.dirty in
+    let nb = Array.length t.base_slot in
     for g = 0 to ng - 1 do
       if Bytes.unsafe_get t.dirty g = '\001' then begin
         let off = g lsl granule_shift in
         let glen = min granule (len - off) in
-        Bytes.blit t.base_arena (Array.unsafe_get t.base_slot g) t.data off glen;
+        (if g < nb then
+           Bytes.blit t.base_arena (Array.unsafe_get t.base_slot g) t.data off glen
+         else if off < Bytes.length t.data then
+           (* Unbacked at [set_baseline]: the baseline is zero. *)
+           Bytes.fill t.data off glen '\000');
         Bytes.unsafe_set t.dirty g '\000';
         restored := !restored + glen
       end
@@ -222,12 +312,13 @@ let dirty_granules t = t.n_dirty
 
 let dirty_bytes t =
   (* Upper bound: the last granule may be partial. *)
-  let len = Bytes.length t.data in
+  let len = t.size in
   let full = t.n_dirty * granule in
   if full > len then len else full
 
 let clone t ~name =
   { img_name = name;
+    size = t.size;
     data = Bytes.copy t.data;
     cursor = t.cursor;
     hook = None;
@@ -235,8 +326,9 @@ let clone t ~name =
     bytes_written = 0;
     (* The clone's contents bear no relation to a zero/baseline state:
        start conservatively all-dirty until a baseline is set. *)
-    dirty = Bytes.make (n_granules (Bytes.length t.data)) '\001';
-    n_dirty = n_granules (Bytes.length t.data);
+    dirty = Bytes.make (n_granules t.size) '\001';
+    n_dirty = n_granules t.size;
+    base_set = false;
     base_slot = [||];
     base_arena = Bytes.empty;
     base_used = 0;

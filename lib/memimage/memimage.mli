@@ -7,6 +7,14 @@
     checkpointing library's undo log attaches (the simulation analogue of
     the paper's LLVM store instrumentation).
 
+    The image is sparse: its logical {!size} (the paper's Table VI
+    figure, which the cost model charges) is fixed at {!create}, but the
+    host backing covers only a granule-aligned prefix that grows on the
+    first write past its end. Bytes past the backing read as zero, so
+    every accessor behaves exactly as on a zero-filled image of {!size}
+    bytes, and an image costs host memory for the state its server
+    touches rather than for its logical size.
+
     The image additionally tracks *dirty regions* at a coarse
     {!granule} granularity (the simulated analogue of the paper's
     copy-on-write clone pages): every hook-visible or raw write marks
@@ -24,18 +32,28 @@ type write_hook = offset:int -> len:int -> unit
 (** Called before a write with the location and length of the range
     about to be overwritten. The image still holds the *previous*
     contents when the hook runs: a hook that needs the old value reads
-    it straight out of the image (e.g. {!blit_out} into an undo-log
-    arena), with no intermediate copy materialized. *)
+    it straight out of the image (the undo log copies it from the
+    {!cover}ed buffer into its arena), with no intermediate copy
+    materialized. *)
 
 val granule : int
 (** Dirty-tracking granularity in bytes (256). *)
 
 val create : name:string -> size:int -> t
-(** Zero-filled image of [size] bytes, no granule dirty. *)
+(** Image of logical size [size] that reads as all zeros, no granule
+    dirty. No backing is allocated until the first write.
+    @raise Invalid_argument if [size] is negative. *)
 
 val name : t -> string
 
 val size : t -> int
+(** Logical size in bytes, independent of how much is backed. *)
+
+val resident_bytes : t -> int
+(** Bytes of host backing currently allocated: a granule-aligned
+    prefix (or the whole image), at most twice the highest byte written
+    rounded up to a granule. A host-memory measure only; it is in no
+    simulated figure or printed output. *)
 
 val alloc : t -> ?align:int -> int -> int
 (** Bump-allocate [n] bytes of layout space; returns the base offset.
@@ -66,19 +84,20 @@ val set_string : t -> off:int -> len:int -> string -> unit
 (** {2 RCB raw access} — allocation-free, hook-bypassing primitives for
     the checkpoint library. Not for instrumented server code. *)
 
-val raw_bytes : t -> bytes
-(** The live backing store itself, not a copy. Strictly for the
-    checkpoint hot path (undo-log record/rollback), which performs its
-    own bounds checks; writes made through it MUST be paired with
-    {!mark_dirty} or dirty-region restarts become unsound. *)
+val cover : t -> off:int -> len:int -> bytes
+(** [cover t ~off ~len] backs the range [\[off, off+len)] (growing the
+    backing with zeros if needed) and returns the live backing store
+    itself, not a copy. A range outside the image is not backed, so the
+    caller's own check against the returned buffer's length rejects
+    exactly the out-of-image ranges. Strictly for the checkpoint hot
+    path (undo-log record/rollback). The buffer is replaced whenever
+    the backing grows: never keep it across a write, and {!cover} each
+    range before touching it. Writes made through it MUST be paired
+    with {!mark_dirty} or dirty-region restarts become unsound. *)
 
 val mark_dirty : t -> off:int -> len:int -> unit
 (** Mark the granules covering a range as written, for callers that
-    mutate via {!raw_bytes}. *)
-
-val blit_out : t -> off:int -> len:int -> bytes -> int -> unit
-(** [blit_out t ~off ~len dst dst_off] copies [len] image bytes at
-    [off] into [dst] at [dst_off] without allocating. *)
+    mutate via {!cover}. The range must be in the image. *)
 
 val write_raw : t -> off:int -> bytes -> src_off:int -> len:int -> unit
 (** Overwrite a range from [src], bypassing the write hook and the
@@ -89,7 +108,8 @@ val write_raw : t -> off:int -> bytes -> src_off:int -> len:int -> unit
 (** {2 Whole-image operations (RCB only)} *)
 
 val snapshot : t -> bytes
-(** Copy of the full contents (used to seed clones). *)
+(** Copy of the full contents, all {!size} bytes (used to seed
+    clones). *)
 
 val restore : t -> bytes -> unit
 (** Overwrite contents from a snapshot of equal size, bypassing the
@@ -101,7 +121,8 @@ val set_baseline : t -> unit
     prepared-clone image) and mark every granule clean. Restart paths
     use {!restore_baseline} to return to this state in O(dirty). The
     baseline costs memory only for the granules written since: each is
-    copied aside just before its first write. *)
+    copied aside just before its first write, and granules not backed
+    yet (baseline zero) never cost any. *)
 
 val has_baseline : t -> bool
 
@@ -119,8 +140,8 @@ val dirty_bytes : t -> int
 (** Upper bound on the bytes covered by dirty granules. *)
 
 val clone : t -> name:string -> t
-(** Fresh image with identical contents and layout cursor, no hook, no
-    baseline, conservatively all-dirty. *)
+(** Fresh image with identical contents, backing and layout cursor, no
+    hook, no baseline, conservatively all-dirty. *)
 
 val clear : t -> unit
 (** Zero the contents, bypassing the hook; marks everything dirty. *)

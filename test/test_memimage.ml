@@ -146,6 +146,15 @@ let test_dirty_marking () =
   Alcotest.(check int) "boundary write marks two" 3
     (Memimage.dirty_granules img)
 
+(* A zero-length write covers no granule, even at offset 0, where its
+   last-granule index [(0 + 0 - 1) lsr 8] is the largest int. *)
+let test_empty_write_marks_nothing () =
+  let img = mk () in
+  Memimage.set_bytes img ~off:0 Bytes.empty;
+  Memimage.set_string img ~off:300 ~len:0 "";
+  Memimage.write_raw img ~off:0 Bytes.empty ~src_off:0 ~len:0;
+  Alcotest.(check int) "nothing dirty" 0 (Memimage.dirty_granules img)
+
 let test_baseline_restore_exact () =
   let img = mk () in
   Memimage.set_word img 0 7;
@@ -235,6 +244,379 @@ let test_baseline_survives_whole_image_writes () =
   Memimage.restore img (Bytes.make (Memimage.size img) 'z');
   ignore (Memimage.restore_baseline img);
   Alcotest.(check bytes) "after restore" pristine (Memimage.snapshot img)
+
+(* ---------------- sparse backing vs a dense reference ------------- *)
+
+(* The image backs only a prefix of its logical size. A plain
+   [Bytes.make size] model with the same dirty/baseline/undo semantics
+   must agree with it on every result, every exception and every
+   counter, for random operation sequences that straddle the backing
+   edge, step outside the image and rewind through the undo log. *)
+
+type op =
+  | Set_word of int * int
+  | Get_word of int
+  | Set_string of int * int * string
+  | Get_string of int * int
+  | Set_bytes of int * int * char
+  | Get_bytes of int * int
+  | Write_raw of int * int * char
+  | Snapshot                     (* keep a full copy for [Restore_kept] *)
+  | Restore_kept
+  | Restore_pattern of int * int * char  (* zeros but for one run *)
+  | Restore_wrong_size
+  | Clone
+  | Fresh                        (* a new, unbacked image of the same size *)
+  | Clear
+  | Set_baseline
+  | Restore_baseline
+  | Log_open                     (* clear the undo log, hook it in *)
+  | Log_close
+  | Record of int * int          (* direct Undo_log.record *)
+  | Rollback
+
+let show_op = function
+  | Set_word (o, v) -> Printf.sprintf "set_word %d %d" o v
+  | Get_word o -> Printf.sprintf "get_word %d" o
+  | Set_string (o, l, s) -> Printf.sprintf "set_string %d %d %S" o l s
+  | Get_string (o, l) -> Printf.sprintf "get_string %d %d" o l
+  | Set_bytes (o, l, c) -> Printf.sprintf "set_bytes %d %d %C" o l c
+  | Get_bytes (o, l) -> Printf.sprintf "get_bytes %d %d" o l
+  | Write_raw (o, l, c) -> Printf.sprintf "write_raw %d %d %C" o l c
+  | Snapshot -> "snapshot"
+  | Restore_kept -> "restore_kept"
+  | Restore_pattern (o, l, c) -> Printf.sprintf "restore_pattern %d %d %C" o l c
+  | Restore_wrong_size -> "restore_wrong_size"
+  | Clone -> "clone"
+  | Fresh -> "fresh"
+  | Clear -> "clear"
+  | Set_baseline -> "set_baseline"
+  | Restore_baseline -> "restore_baseline"
+  | Log_open -> "log_open"
+  | Log_close -> "log_close"
+  | Record (o, l) -> Printf.sprintf "record %d %d" o l
+  | Rollback -> "rollback"
+
+(* Offsets: mostly low in the image, so the backing stays a strict
+   prefix for long stretches; many at the edges a doubling backing
+   grows to, and at other granule edges; a few outside the image on
+   either side. *)
+let gen_off size =
+  QCheck.Gen.(
+    frequency
+      [ (6, int_range 0 700);
+        (4, map (fun (k, d) -> (Memimage.granule lsl k) + d)
+              (pair (int_range 0 3) (int_range (-12) 12)));
+        (2, map (fun (g, d) -> (g * Memimage.granule) + d)
+              (pair (int_range 0 (size / Memimage.granule)) (int_range (-12) 12)));
+        (2, int_range 0 size);
+        (1, int_range (-10) (-1));
+        (1, int_range (size - 10) (size + 10)) ])
+
+let gen_op size =
+  let open QCheck.Gen in
+  let off = gen_off size in
+  let len = int_range 0 40 in
+  let ch = oneofl [ 'a'; 'z'; '\000'; '\255' ] in
+  frequency
+    [ (5, map2 (fun o v -> Set_word (o, v)) off int);
+      (5, map (fun o -> Get_word o) off);
+      (2, map3 (fun o l n -> Set_string (o, l, String.make n 's')) off
+            (int_range 0 24) (int_range 0 26));
+      (3, map2 (fun o l -> Get_string (o, l)) off len);
+      (2, map3 (fun o l c -> Set_bytes (o, l, c)) off len ch);
+      (3, map2 (fun o l -> Get_bytes (o, l)) off len);
+      (3, map3 (fun o l c -> Write_raw (o, l, c)) off len ch);
+      (1, return Snapshot);
+      (1, return Restore_kept);
+      (1, map3 (fun o l c -> Restore_pattern (o, l, c)) off (int_range 0 600) ch);
+      (1, return Restore_wrong_size);
+      (1, return Clone);
+      (1, return Fresh);
+      (1, return Clear);
+      (2, return Set_baseline);
+      (2, return Restore_baseline);
+      (2, return Log_open);
+      (1, return Log_close);
+      (2, map2 (fun o l -> Record (o, l)) off len);
+      (2, return Rollback) ]
+
+type res = R_unit | R_int of int | R_str of string | R_bool of bool | R_err of string
+
+let show_res = function
+  | R_unit -> "()"
+  | R_int n -> string_of_int n
+  | R_str s -> Printf.sprintf "%S" s
+  | R_bool b -> string_of_bool b
+  | R_err m -> "Invalid_argument " ^ m
+
+let attempt f = try f () with Invalid_argument m -> R_err m
+
+(* The dense reference: the image as one zero-filled [Bytes] of its
+   full size, a full baseline copy, one dirty flag per granule, and
+   the undo log as a list of (offset, old bytes), newest first. *)
+type model = {
+  msize : int;
+  mutable mem : Bytes.t;
+  mutable mdirty : bool array;
+  mutable mbase : Bytes.t option;
+  mutable mwrites : int;
+  mutable mwritten : int;
+  mutable mrestored : int;
+  mutable msaved : int;
+  mutable mlog : (int * Bytes.t) list;
+  mutable mhooked : bool;
+}
+
+let in_model m ~off ~len = off >= 0 && len >= 0 && off <= m.msize - len
+
+let model_mark m ~off ~len =
+  if len > 0 then
+    for g = off / Memimage.granule to (off + len - 1) / Memimage.granule do
+      m.mdirty.(g) <- true
+    done
+
+let model_record m ~off ~len =
+  if len > 0 then begin
+    if not (in_model m ~off ~len) then
+      invalid_arg "Undo_log.record: range outside image";
+    m.mlog <- (off, Bytes.sub m.mem off len) :: m.mlog
+  end
+
+(* What [pre_write] does: count, mark (in-image only), call the hook. *)
+let model_pre_write m ~off ~len =
+  m.mwrites <- m.mwrites + 1;
+  m.mwritten <- m.mwritten + len;
+  if in_model m ~off ~len then model_mark m ~off ~len;
+  if m.mhooked then model_record m ~off ~len
+
+(* [write_raw] checks small ranges itself and leaves larger ones to
+   [Bytes.blit]. *)
+let model_write_raw m ~off src len =
+  if len <= 16
+     && (len < 0 || len > Bytes.length src || off < 0 || off > m.msize - len)
+  then invalid_arg "Memimage.write_raw";
+  Bytes.blit src 0 m.mem off len
+
+let model_restore_baseline m =
+  match m.mbase with
+  | None -> invalid_arg "Memimage.restore_baseline: no baseline set"
+  | Some base ->
+    let restored = ref 0 in
+    Array.iteri
+      (fun g d ->
+         if d then begin
+           let off = g * Memimage.granule in
+           let glen = min Memimage.granule (m.msize - off) in
+           Bytes.blit base off m.mem off glen;
+           m.mdirty.(g) <- false;
+           restored := !restored + glen
+         end)
+      m.mdirty;
+    m.mrestored <- m.mrestored + !restored;
+    m.msaved <- m.msaved + (m.msize - !restored);
+    !restored
+
+let model_rollback m =
+  List.iter
+    (fun (off, old) ->
+       let len = Bytes.length old in
+       model_mark m ~off ~len;
+       Bytes.blit old 0 m.mem off len)
+    m.mlog;
+  m.mlog <- []
+
+let pattern size (o, l, c) =
+  let b = Bytes.make size '\000' in
+  let o = max 0 (min o size) in
+  Bytes.fill b o (min l (size - o)) c;
+  b
+
+(* Run one op on both sides; the results must match. *)
+let step ~img ~log ~kept m op =
+  let hook_on i =
+    Memimage.set_write_hook i
+      (Some (fun ~offset ~len -> ignore (Undo_log.record log ~image:i ~offset ~len)))
+  in
+  let real, expect =
+    match op with
+    | Set_word (off, v) ->
+      ( attempt (fun () -> Memimage.set_word !img off v; R_unit),
+        attempt (fun () ->
+            model_pre_write m ~off ~len:8;
+            Bytes.set_int64_le m.mem off (Int64.of_int v);
+            R_unit) )
+    | Get_word off ->
+      ( attempt (fun () -> R_int (Memimage.get_word !img off)),
+        attempt (fun () -> R_int (Int64.to_int (Bytes.get_int64_le m.mem off))) )
+    | Set_string (off, len, s) ->
+      ( attempt (fun () -> Memimage.set_string !img ~off ~len s; R_unit),
+        attempt (fun () ->
+            if String.length s > len then
+              invalid_arg
+                (Printf.sprintf "Memimage.set_string: %S exceeds field of %d bytes"
+                   s len);
+            model_pre_write m ~off ~len;
+            Bytes.fill m.mem off len '\000';
+            Bytes.blit_string s 0 m.mem off (String.length s);
+            R_unit) )
+    | Get_string (off, len) ->
+      let cut s = match String.index_opt s '\000' with
+        | None -> s | Some i -> String.sub s 0 i in
+      ( attempt (fun () -> R_str (Memimage.get_string !img ~off ~len)),
+        attempt (fun () -> R_str (cut (Bytes.sub_string m.mem off len))) )
+    | Set_bytes (off, len, c) ->
+      let b = Bytes.make len c in
+      ( attempt (fun () -> Memimage.set_bytes !img ~off b; R_unit),
+        attempt (fun () ->
+            model_pre_write m ~off ~len;
+            Bytes.blit b 0 m.mem off len;
+            R_unit) )
+    | Get_bytes (off, len) ->
+      ( attempt (fun () -> R_str (Bytes.to_string (Memimage.get_bytes !img ~off ~len))),
+        attempt (fun () -> R_str (Bytes.sub_string m.mem off len)) )
+    | Write_raw (off, len, c) ->
+      let b = Bytes.make len c in
+      ( attempt (fun () -> Memimage.write_raw !img ~off b ~src_off:0 ~len; R_unit),
+        attempt (fun () ->
+            if in_model m ~off ~len then model_mark m ~off ~len;
+            model_write_raw m ~off b len;
+            R_unit) )
+    | Snapshot ->
+      let snap = Memimage.snapshot !img in
+      kept := Some snap;
+      (R_str (Bytes.to_string snap), R_str (Bytes.to_string m.mem))
+    | Restore_kept | Restore_pattern _ ->
+      let snap =
+        match op, !kept with
+        | Restore_pattern (o, l, c), _ -> pattern m.msize (o, l, c)
+        | _, Some s -> s
+        | _, None -> Bytes.make m.msize 'k'
+      in
+      Memimage.restore !img (Bytes.copy snap);
+      m.mem <- Bytes.copy snap;
+      Array.fill m.mdirty 0 (Array.length m.mdirty) true;
+      m.mrestored <- m.mrestored + m.msize;
+      (R_unit, R_unit)
+    | Restore_wrong_size ->
+      ( attempt (fun () -> Memimage.restore !img (Bytes.create (m.msize + 1)); R_unit),
+        R_err "Memimage.restore: size mismatch" )
+    | Clone ->
+      (* Carry on with the clone: no hook, no baseline, all dirty,
+         counters from zero. *)
+      img := Memimage.clone !img ~name:"clone";
+      m.mdirty <- Array.make (Array.length m.mdirty) true;
+      m.mbase <- None;
+      m.mwrites <- 0;
+      m.mwritten <- 0;
+      m.mrestored <- 0;
+      m.msaved <- 0;
+      m.mhooked <- false;
+      (R_unit, R_unit)
+    | Fresh ->
+      (* The undo log keeps its entries: a rollback onto the fresh
+         image must back them first. *)
+      img := Memimage.create ~name:"fresh" ~size:m.msize;
+      Bytes.fill m.mem 0 m.msize '\000';
+      m.mdirty <- Array.make (Array.length m.mdirty) false;
+      m.mbase <- None;
+      m.mwrites <- 0;
+      m.mwritten <- 0;
+      m.mrestored <- 0;
+      m.msaved <- 0;
+      m.mhooked <- false;
+      (R_unit, R_unit)
+    | Clear ->
+      Memimage.clear !img;
+      Bytes.fill m.mem 0 m.msize '\000';
+      Array.fill m.mdirty 0 (Array.length m.mdirty) true;
+      (R_unit, R_unit)
+    | Set_baseline ->
+      Memimage.set_baseline !img;
+      m.mbase <- Some (Bytes.copy m.mem);
+      Array.fill m.mdirty 0 (Array.length m.mdirty) false;
+      (R_unit, R_unit)
+    | Restore_baseline ->
+      ( attempt (fun () -> R_int (Memimage.restore_baseline !img)),
+        attempt (fun () -> R_int (model_restore_baseline m)) )
+    | Log_open ->
+      Undo_log.clear log;
+      hook_on !img;
+      m.mlog <- [];
+      m.mhooked <- true;
+      (R_unit, R_unit)
+    | Log_close ->
+      Memimage.set_write_hook !img None;
+      m.mhooked <- false;
+      (R_unit, R_unit)
+    | Record (off, len) ->
+      ( attempt (fun () -> R_bool (Undo_log.record log ~image:!img ~offset:off ~len)),
+        attempt (fun () -> model_record m ~off ~len; R_bool true) )
+    | Rollback ->
+      Undo_log.rollback log !img;
+      model_rollback m;
+      (R_unit, R_unit)
+  in
+  let img = !img in
+  let counters i =
+    [ Memimage.dirty_granules i; Memimage.dirty_bytes i; Memimage.writes i;
+      Memimage.bytes_written i; Memimage.restore_bytes i;
+      Memimage.restore_bytes_saved i ]
+  in
+  let n_dirty = Array.fold_left (fun a d -> if d then a + 1 else a) 0 m.mdirty in
+  let mcounters =
+    [ n_dirty; min m.msize (n_dirty * Memimage.granule); m.mwrites; m.mwritten;
+      m.mrestored; m.msaved ]
+  in
+  if real <> expect then
+    QCheck.Test.fail_reportf "%s: image %s, dense model %s" (show_op op)
+      (show_res real) (show_res expect);
+  if counters img <> mcounters then
+    QCheck.Test.fail_reportf "%s: counters [%s], dense model [%s]" (show_op op)
+      (String.concat "; " (List.map string_of_int (counters img)))
+      (String.concat "; " (List.map string_of_int mcounters));
+  if Memimage.has_baseline img <> (m.mbase <> None)
+  || Memimage.size img <> m.msize
+  || Memimage.resident_bytes img > m.msize
+  then QCheck.Test.fail_reportf "%s: baseline/size/backing disagree" (show_op op)
+
+let prop_sparse_matches_dense =
+  let gen =
+    QCheck.Gen.(int_range 300 2100 >>= fun size ->
+                map (fun ops -> (size, ops)) (list_size (int_range 1 60) (gen_op size)))
+  in
+  let print (size, ops) =
+    Printf.sprintf "size %d: %s" size (String.concat "; " (List.map show_op ops))
+  in
+  QCheck.Test.make ~name:"sparse image agrees with a dense Bytes model" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (size, ops) ->
+       let img = ref (Memimage.create ~name:"sparse" ~size) in
+       let m =
+         { msize = size; mem = Bytes.make size '\000';
+           mdirty = Array.make ((size + Memimage.granule - 1) / Memimage.granule) false;
+           mbase = None; mwrites = 0; mwritten = 0; mrestored = 0; msaved = 0;
+           mlog = []; mhooked = false }
+       in
+       let log = Undo_log.create () and kept = ref None in
+       List.iter (step ~img ~log ~kept m) ops;
+       Bytes.equal (Memimage.snapshot !img) m.mem)
+
+(* A word straddling the backing's end reads its backed bytes and
+   zeros; writing it backs the rest. *)
+let test_word_straddles_backing () =
+  let img = mk () in
+  Memimage.set_word img 0 1;
+  let edge = Memimage.resident_bytes img in
+  Alcotest.(check int) "one granule backed" Memimage.granule edge;
+  Memimage.set_word img (edge - 8) (-1);
+  Alcotest.(check int) "straddling read" 0xffff_ffff
+    (Memimage.get_word img (edge - 4));
+  Memimage.set_word img (edge - 4) 0x1234_5678_9abc;
+  Alcotest.(check int) "straddling write" 0x1234_5678_9abc
+    (Memimage.get_word img (edge - 4));
+  Alcotest.(check bool) "backing grew" true (Memimage.resident_bytes img > edge);
+  Alcotest.(check int) "logical size unchanged" 4096 (Memimage.size img)
 
 (* ---------------- layout ------------------------------------------ *)
 
@@ -328,6 +710,8 @@ let () =
           Alcotest.test_case "alloc exhaustion" `Quick test_alloc_exhaustion ] );
       ( "dirty",
         [ Alcotest.test_case "granule marking" `Quick test_dirty_marking;
+          Alcotest.test_case "empty write marks nothing" `Quick
+            test_empty_write_marks_nothing;
           Alcotest.test_case "baseline restore exact" `Quick
             test_baseline_restore_exact;
           Alcotest.test_case "baseline required" `Quick
@@ -339,6 +723,10 @@ let () =
           Alcotest.test_case "baseline survives clear and restore" `Quick
             test_baseline_survives_whole_image_writes;
           QCheck_alcotest.to_alcotest prop_baseline_restore_inverse ] );
+      ( "sparse",
+        [ Alcotest.test_case "word straddles backing" `Quick
+            test_word_straddles_backing;
+          QCheck_alcotest.to_alcotest prop_sparse_matches_dense ] );
       ( "layout",
         [ Alcotest.test_case "sizeof" `Quick test_layout_sizeof;
           Alcotest.test_case "sealed" `Quick test_layout_sealed;

@@ -178,6 +178,45 @@ let test_all_benches_complete () =
          (Kernel.H_completed 0) r.Experiment.br_halt)
     Unixbench.all
 
+(* Each server image keeps its paper Table VI logical size (the figure
+   the cost model charges), while the host backs only the state the
+   server touches: at most twice its allocated layout, rounded up to a
+   granule. A dense (full-size) backing fails this. *)
+let table_vi_kb =
+  [ (Endpoint.pm, 628); (Endpoint.vfs, 1252); (Endpoint.vm, 4532);
+    (Endpoint.ds, 248); (Endpoint.rs, 1696); (Endpoint.mfs, 512) ]
+
+let check_images ~stage sys =
+  let k = System.kernel sys in
+  List.iter
+    (fun ep ->
+       let st = Kernel.server_stats k ep in
+       let what = Printf.sprintf "%s %s %s" (System.policy sys).Policy.name
+           stage (Endpoint.server_name ep) in
+       (match List.assoc_opt ep table_vi_kb with
+        | Some kb ->
+          Alcotest.(check int) (what ^ " logical size") (kb * 1024)
+            st.Kernel.ss_image_bytes
+        | None -> ());
+       match Kernel.server_resident_bytes k ep with
+       | None -> ()
+       | Some resident ->
+         let g = Memimage.granule in
+         let bound = (2 * st.Kernel.ss_image_used_bytes + g - 1) / g * g in
+         if resident > bound then
+           Alcotest.failf "%s: %d bytes backed, bound %d (layout %d)" what
+             resident bound st.Kernel.ss_image_used_bytes)
+    (Kernel.server_endpoints k)
+
+let test_images_sparse () =
+  List.iter
+    (fun policy ->
+       let sys = System.build (Sysconf.uniform policy) in
+       check_images ~stage:"boot" sys;
+       let (_ : Kernel.halt) = System.run sys ~root:Testsuite.driver in
+       check_images ~stage:"suite" sys)
+    Policy.all_evaluated
+
 let () =
   Alcotest.run "osiris_system"
     [ ( "suite",
@@ -204,6 +243,9 @@ let () =
             test_vm_accounting_balanced_after_suite;
           Alcotest.test_case "pipe across exec" `Quick test_pipe_across_exec;
           Alcotest.test_case "no orphan replies" `Quick test_orphan_replies_are_rare ] );
+      ( "memory",
+        [ Alcotest.test_case "images sparse, Table VI sizes" `Quick
+            test_images_sparse ] );
       ( "performance",
         [ Alcotest.test_case "monolithic faster" `Quick
             test_monolithic_faster_than_microkernel;
