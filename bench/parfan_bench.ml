@@ -27,6 +27,14 @@
    non-zero when an enforced gate fails.
 
    Gates:
+     armed_site_alloc_exact
+                        exact   a suite run with one armed fault site
+                                that no operation reaches (matched at
+                                every server operation, never fired)
+                                allocates at most [max_armed_residual]
+                                minor words more than an unarmed run,
+                                on one domain: matching an armed site
+                                builds nothing per operation
      parfan_identical   exact   jobs:1 and jobs:4 produce structurally
                                 byte-identical campaign rows (Marshal
                                 equality)
@@ -88,6 +96,34 @@ let calibrate jobs =
   in
   (seq_ns, par_ns, seq_ns /. par_ns)
 
+(* ---- armed sites: matched without allocating ---------------------- *)
+
+let max_armed_residual = 16. (* words per run, whatever its length *)
+
+(* Minor words of one suite run on this domain, after [arm] has set its
+   kernel up. *)
+let run_words arm =
+  let sys = System.build ~seed:42 (Sysconf.uniform Policy.enhanced) in
+  arm (System.kernel sys);
+  let w0 = Gc.minor_words () in
+  ignore (System.run sys ~root:Testsuite.driver);
+  Gc.minor_words () -. w0
+
+(* On an endpoint no server has: every server operation is matched
+   against it, and it never fires. *)
+let unreached =
+  { Kernel.site_ep = Endpoint.first_user - 1; site_handler = None;
+    site_kind = Kernel.Op_load; site_occ = 0 }
+
+(* The same site through a closure hook that compares site records,
+   for scale: what matching cost per run before sites were data. *)
+let hook_unreached k =
+  Kernel.set_fault_hook k
+    (Some
+       (fun s ->
+          if Kernel.compare_site s unreached = 0 then Some Kernel.F_benign
+          else None))
+
 (* ---- isolation: per-run counters beside concurrent domains -------- *)
 
 let counter_probe () =
@@ -109,6 +145,19 @@ let run () =
      ================================================================\n";
   let sample = if !Benchkit.smoke then 6 else 0 in
   let seed = 42 in
+  (* ---- armed-site allocation, before any other domain runs ---- *)
+  let plain_words = run_words ignore in
+  let armed_words =
+    run_words (fun k -> Kernel.arm k [ (unreached, Kernel.F_benign) ])
+  in
+  let hook_words = run_words hook_unreached in
+  let armed_alloc_ok = armed_words -. plain_words <= max_armed_residual in
+  Printf.printf
+    "suite run minor words: unarmed %.0f, armed unreached site %+.0f (<= %.0f \
+     -> %s), same site as a closure hook %+.0f\n"
+    plain_words (armed_words -. plain_words) max_armed_residual
+    (if armed_alloc_ok then "ok" else "FAILED")
+    (hook_words -. plain_words);
   (* ---- isolation ---- *)
   let alone = counter_probe () in
   let d1 = Domain.spawn counter_probe and d2 = Domain.spawn counter_probe in
@@ -185,6 +234,11 @@ let run () =
        ("jobs", string_of_int jobs);
        ("nproc", string_of_int nproc);
        ("runs", string_of_int n_runs);
+       ( "armed_alloc",
+         Printf.sprintf
+           "{\"plain_words\": %.0f, \"armed_words\": %.0f, \"hook_words\": %.0f,\n\
+           \    \"max_residual\": %.0f}" plain_words armed_words hook_words
+           max_armed_residual );
        ( "wall",
          Printf.sprintf
            "{\"seq_ns\": %.0f, \"par_ns\": %.0f, \"seq_over_par\": %.3f,\n\
@@ -204,6 +258,7 @@ let run () =
            \    \"calibration.par_ns\": 300, \"calibration.ideal\": 700,\n\
            \    \"calibration.threshold\": 700, \"pool.runs_per_sec\": 700,\n\
            \    \"pool.imbalance_pct\": 200}" ) ])
-    [ Benchkit.exact "parfan_identical" identical;
+    [ Benchkit.exact "armed_site_alloc_exact" armed_alloc_ok;
+      Benchkit.exact "parfan_identical" identical;
       Benchkit.exact "parfan_isolation" isolation;
       Benchkit.timing "parfan_speedup" speedup_ok ]

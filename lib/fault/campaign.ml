@@ -9,17 +9,28 @@ let outcome_name = function
 let core_server_site (s : Kernel.site) =
   List.mem s.Kernel.site_ep System.core_servers
 
+module Keys = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash k = k land max_int
+  end)
+
 let profile_sites_conf ?(seed = 42) conf =
   let sys = System.build ~seed conf in
-  let seen = Hashtbl.create 4096 in
+  let seen = Keys.create 4096 in
   let order = ref [] in
-  Kernel.set_site_recorder (System.kernel sys)
+  Kernel.set_fault_hook (System.kernel sys)
     (Some
        (fun site ->
-          if core_server_site site && not (Hashtbl.mem seen site) then begin
-            Hashtbl.replace seen site ();
-            order := site :: !order
-          end));
+          if core_server_site site then begin
+            let key = Kernel.site_key site in
+            if not (Keys.mem seen key) then begin
+              Keys.add seen key ();
+              order := site :: !order
+            end
+          end;
+          None));
   let (_ : Kernel.halt) = System.run sys ~root:Testsuite.driver in
   List.rev !order
 
@@ -68,20 +79,16 @@ let classify halt (results : Testsuite.results) =
     else if results.Testsuite.failed > 0 || status <> 0 then Fail
     else Pass
 
-let run_one_conf ?(seed = 42) conf site action =
+(* One injection run: a fresh boot with [faults] armed, the suite, and
+   the outcome. *)
+let armed_run ~seed conf faults =
   let sys = System.build ~seed conf in
-  let fired = ref false in
-  Kernel.set_fault_hook (System.kernel sys)
-    (Some
-       (fun s ->
-          if (not !fired) && Kernel.compare_site s site = 0 then begin
-            fired := true;
-            Some action
-          end
-          else None));
+  Kernel.arm (System.kernel sys) faults;
   let halt = System.run sys ~root:Testsuite.driver in
-  let results = Testsuite.parse_results (System.log_lines sys) in
-  classify halt results
+  (sys, classify halt (Testsuite.parse_results (System.log_lines sys)))
+
+let run_one_conf ?(seed = 42) conf site action =
+  snd (armed_run ~seed conf [ (site, action) ])
 
 let run_one ?seed policy site action =
   run_one_conf ?seed (Sysconf.uniform policy) site action
@@ -128,20 +135,9 @@ let summarize ~spec ~site sys outcome =
     sm_mttr = h }
 
 let run_one_summary ?(seed = 42) conf site action =
-  let sys = System.build ~seed conf in
-  let fired = ref false in
-  Kernel.set_fault_hook (System.kernel sys)
-    (Some
-       (fun s ->
-          if (not !fired) && Kernel.compare_site s site = 0 then begin
-            fired := true;
-            Some action
-          end
-          else None));
-  let halt = System.run sys ~root:Testsuite.driver in
-  let results = Testsuite.parse_results (System.log_lines sys) in
+  let sys, outcome = armed_run ~seed conf [ (site, action) ] in
   summarize ~spec:(Sysconf.name conf) ~site:(Kernel.site_to_string site) sys
-    (classify halt results)
+    outcome
 
 type row = {
   row_policy : string;
@@ -153,25 +149,7 @@ type row = {
 }
 
 let run_multi ?(seed = 42) policy faults =
-  let sys = System.build ~seed (Sysconf.uniform policy) in
-  let armed =
-    List.map (fun (site, action) -> (site, action, ref false)) faults
-  in
-  Kernel.set_fault_hook (System.kernel sys)
-    (Some
-       (fun s ->
-          let rec find = function
-            | [] -> None
-            | (site, action, fired) :: rest ->
-              if (not !fired) && Kernel.compare_site s site = 0 then begin
-                fired := true;
-                Some action
-              end
-              else find rest
-          in
-          find armed));
-  let halt = System.run sys ~root:Testsuite.driver in
-  classify halt (Testsuite.parse_results (System.log_lines sys))
+  snd (armed_run ~seed (Sysconf.uniform policy) faults)
 
 (* ---- parallel fan-out ----
 

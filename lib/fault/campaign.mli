@@ -149,7 +149,8 @@ val rollup_to_json : ?pool:Parfan.stats -> rollup -> string
 val run_multi :
   ?seed:int -> Policy.t -> (Kernel.site * Kernel.fault_action) list -> outcome
 (** Arm several faults in one run (each fires once, at its site's first
-    execution). Probes the boundary of the paper's single-fault
+    execution; {!Kernel.arm} keeps list order, so of two unfired
+    faults at the same site the earlier fires first). Probes the boundary of the paper's single-fault
     assumption (Section II-E). *)
 
 val survivability_multi :

@@ -213,7 +213,41 @@ let site_to_string s =
     (op_kind_to_string s.site_kind)
     s.site_occ
 
-let compare_site a b = compare a b
+(* Handler code in a site key: 0 for loop/init code, else 1 + the
+   tag's dense index — [None] before every [Some], as [compare] had it. *)
+let[@inline] handler_code = function
+  | None -> 0
+  | Some tag -> 1 + Message.Tag.to_index tag
+
+let compare_site a b =
+  let c = Int.compare a.site_ep b.site_ep in
+  if c <> 0 then c
+  else
+    let c =
+      Int.compare (handler_code a.site_handler) (handler_code b.site_handler)
+    in
+    if c <> 0 then c
+    else
+      let c =
+        Int.compare (op_kind_index a.site_kind) (op_kind_index b.site_kind)
+      in
+      if c <> 0 then c else Int.compare a.site_occ b.site_occ
+
+(* Occurrence indices are capped here (see [op_site_hooked]), so a
+   site is one int in mixed radix over (ep, handler code, kind, occ):
+   injective for ep >= 0 and occ in [0, occ_cap]. *)
+let occ_cap = 16
+
+let[@inline] pack_site ep handler kind occ =
+  (((((ep * (Message.Tag.n_tags + 1)) + handler) * n_op_kinds) + kind)
+   * (occ_cap + 1))
+  + occ
+
+let site_key s =
+  if s.site_ep < 0 || s.site_occ < 0 || s.site_occ > occ_cap then -1
+  else
+    pack_site s.site_ep (handler_code s.site_handler)
+      (op_kind_index s.site_kind) s.site_occ
 
 type fault_action =
   | F_crash of string
@@ -458,9 +492,14 @@ type t = {
   mutable halt_on_exit : Endpoint.t option;
   mutable next_user_ep : int;
   mutable fault_hook : (site -> fault_action option) option;
-  mutable site_recorder : (site -> unit) option;
-  (* Cached [fault_hook <> None || site_recorder <> None]: [op_site]
-     runs per op and must not pay two polymorphic compares there. *)
+  (* One-shot faults armed by [arm]: each site's [site_key] (-1 once it
+     has fired; no operation's key is negative) beside its action,
+     boxed once here so that firing allocates nothing. *)
+  mutable armed_keys : int array;
+  mutable armed_fire : fault_action option array;
+  mutable armed_left : int;
+  (* Cached [fault_hook <> None || armed_left > 0]: [op_site] runs per
+     op and must not pay a polymorphic compare there. *)
   mutable siting : bool;
   mutable event_hook : (event -> unit) option;
   (* The log emission appends to: the installed capture, else
@@ -537,7 +576,9 @@ let create cfg =
     halt_on_exit = None;
     next_user_ep = Endpoint.first_user;
     fault_hook = None;
-    site_recorder = None;
+    armed_keys = [||];
+    armed_fire = [||];
+    armed_left = 0;
     siting = false;
     event_hook = None;
     tap = hook_log;
@@ -570,14 +611,16 @@ let create cfg =
     req_prof = [||];
     n_shed = 0 }
 
-let refresh_siting t =
-  t.siting <-
-    (match t.fault_hook, t.site_recorder with
-     | None, None -> false
-     | _ -> true)
+let refresh_siting t = t.siting <- t.fault_hook <> None || t.armed_left > 0
 
 let set_fault_hook t hook =
   t.fault_hook <- hook;
+  refresh_siting t
+
+let arm t faults =
+  t.armed_keys <- Array.of_list (List.map (fun (s, _) -> site_key s) faults);
+  t.armed_fire <- Array.of_list (List.map (fun (_, a) -> Some a) faults);
+  t.armed_left <- Array.length t.armed_keys;
   refresh_siting t
 
 let set_event_hook t hook =
@@ -1041,9 +1084,6 @@ let request_root_of t rid =
 
 let shed_exits t = t.n_shed
 
-let set_site_recorder t recorder =
-  t.site_recorder <- recorder;
-  refresh_siting t
 let set_halt_on_exit t ep = t.halt_on_exit <- Some ep
 
 let fresh_thread t p ?(started = true) ?req prog =
@@ -1834,24 +1874,52 @@ let[@inline] coverage p wopen =
     if wopen then p.ops_in_window <- p.ops_in_window + 1
   end
 
-(* Build the site for this op and consult recorder/fault hook. *)
+(* The first armed, unfired site whose key is [key] fires: it is
+   disarmed, and siting turns off once none is left and no hook is
+   set. Integer compares only; allocates nothing. *)
+let rec find_armed (keys : int array) (key : int) i =
+  if i >= Array.length keys then -1
+  else if Array.unsafe_get keys i = key then i
+  else find_armed keys key (i + 1)
+
+let fire_armed t key =
+  let i = find_armed t.armed_keys key 0 in
+  if i < 0 then None
+  else begin
+    Array.unsafe_set t.armed_keys i (-1);
+    t.armed_left <- t.armed_left - 1;
+    if t.armed_left = 0 then refresh_siting t;
+    Array.unsafe_get t.armed_fire i
+  end
+
+(* Match this op's site against the armed sites, then build it for the
+   fault hook if none fired. *)
 let op_site_hooked t p th kind =
   let idx = op_kind_index kind in
   (* Cap the occurrence index: a fault site models a *static* program
      location, and loop iterations re-execute the same location. The
      cap collapses spins and long scans into one trailing site. *)
-  let occ = min th.occ.(idx) 16 in
-  th.occ.(idx) <- th.occ.(idx) + 1;
-  let site =
-    { site_ep = p.ep;
-      site_handler = Option.map (fun r -> r.rq_tag) th.treq;
-      site_kind = kind;
-      site_occ = occ }
+  let n = th.occ.(idx) in
+  let occ = if n < occ_cap then n else occ_cap in
+  th.occ.(idx) <- n + 1;
+  let fired =
+    if t.armed_left = 0 then None
+    else
+      let handler =
+        match th.treq with
+        | None -> 0
+        | Some r -> 1 + Message.Tag.to_index r.rq_tag
+      in
+      fire_armed t (pack_site p.ep handler idx occ)
   in
-  (match t.site_recorder with Some f -> f site | None -> ());
-  match t.fault_hook with
-  | Some hook -> hook site
-  | None -> None
+  match fired, t.fault_hook with
+  | Some _, _ | None, None -> fired
+  | None, Some hook ->
+    hook
+      { site_ep = p.ep;
+        site_handler = Option.map (fun r -> r.rq_tag) th.treq;
+        site_kind = kind;
+        site_occ = occ }
 
 let[@inline] op_site t p th kind =
   if p.covering && t.siting then op_site_hooked t p th kind else None

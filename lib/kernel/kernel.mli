@@ -17,7 +17,8 @@
       (multithreaded servers additionally close the window whenever the
       active thread is switched out, per paper Section IV-E);
     - every executed server operation is counted for recovery coverage
-      (Table I) and offered to the fault hook (Tables II/III);
+      (Table I) and, while a fault is armed or a hook is set, matched
+      against fault sites (Tables II/III);
     - every operation advances the owning process' virtual time by its
       {!Costs.t} entry.
 
@@ -27,8 +28,9 @@ type arch = Microkernel | Monolithic
 
 (** {1 Fault interface}
 
-    The fault library installs hooks; the kernel only defines the
-    vocabulary. A {!site} identifies an executed server operation the
+    The fault library arms sites ({!arm}) or installs a hook
+    ({!set_fault_hook}); the kernel defines the vocabulary and matches
+    armed sites. A {!site} identifies an executed server operation the
     way EDFI identifies a static program location: by component,
     handler, operation kind, and occurrence index within the handler
     activation. *)
@@ -57,6 +59,15 @@ type site = {
 
 val site_to_string : site -> string
 val compare_site : site -> site -> int
+(** Total order: by endpoint, then handler ([None] first, then tag
+    declaration order), then op kind (declaration order), then
+    occurrence — the order polymorphic [compare] gives, field by field. *)
+
+val site_key : site -> int
+(** The site as one non-negative int, the key {!arm} matches on:
+    injective over the sites an operation can have (endpoint >= 0,
+    occurrence in [0, 16]) and ordered like {!compare_site} there;
+    -1 for any other site. *)
 
 type fault_action =
   | F_crash of string      (** Fail-stop: NULL-deref analogue. *)
@@ -522,11 +533,24 @@ val live_update : t -> Endpoint.t -> (unit -> unit) -> (unit, string) result
 
 (** {1 Fault hooks} *)
 
-val set_fault_hook : t -> (site -> fault_action option) option -> unit
-(** Consulted for every post-boot server operation. *)
+val arm : t -> (site * fault_action) list -> unit
+(** Arm one-shot faults as data, replacing any armed before ([arm t []]
+    disarms). At every post-boot server operation the kernel matches
+    the operation's site against the armed sites that have not fired,
+    in list order, on integers alone — no site record, no closure, no
+    allocation. The first match fires its action and is disarmed, so a
+    site listed twice fires at its first two occurrences. Once every
+    armed site has fired and no hook is set, operations stop being
+    sited at all. A site no operation can have (occurrence outside
+    [0, 16], negative endpoint) never fires. Use this for faults fixed
+    before the run (EDFI campaigns); use {!set_fault_hook} when the
+    condition depends on run state. *)
 
-val set_site_recorder : t -> (site -> unit) option -> unit
-(** Profiling support: called for every post-boot server operation. *)
+val set_fault_hook : t -> (site -> fault_action option) option -> unit
+(** Consulted for every post-boot server operation that no armed site
+    ({!arm}) fires at: armed sites are matched first, and the hook sees
+    only the operations they leave. Also the profiling tap — a hook
+    that records its site and returns [None]. *)
 
 (** {1 Introspection} *)
 

@@ -43,6 +43,52 @@ let test_profile_covers_all_servers () =
          (List.exists (fun s -> s.Kernel.site_ep = ep) sites))
     System.core_servers
 
+(* The seed-42 profile, pinned whole: its length and a digest of the
+   site names in first-seen order. Any change to how sites are
+   recorded, deduplicated or ordered moves it. *)
+let test_profile_order_fixture () =
+  let sites = Campaign.profile_sites ~seed:42 Policy.enhanced in
+  Alcotest.(check int) "site count" 660 (List.length sites);
+  Alcotest.(check string) "first-seen order"
+    "c0a8a58b2e6d863e541c3166bf0bf5d2"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "," (List.map Kernel.site_to_string sites))))
+
+(* [compare_site] compares field by field; it must order sites exactly
+   as polymorphic [compare] on the record does, and [site_key] must be
+   injective and ordered the same way. Loop-code sites ([None]
+   handler) are mixed in so both handler cases meet. *)
+let test_compare_site_matches_compare () =
+  let profiled = Campaign.profile_sites ~seed:42 Policy.enhanced in
+  let loop_sites =
+    List.map
+      (fun (s : Kernel.site) -> { s with Kernel.site_handler = None })
+      (List.filteri (fun i _ -> i mod 7 = 0) profiled)
+  in
+  let sites = List.rev_append loop_sites profiled in
+  let names l = List.map Kernel.site_to_string l in
+  let by_compare = List.sort compare sites in
+  Alcotest.(check (list string)) "same sorted order" (names by_compare)
+    (names (List.sort Kernel.compare_site sites));
+  Alcotest.(check (list string)) "site_key orders the same" (names by_compare)
+    (names
+       (List.sort
+          (fun a b -> Int.compare (Kernel.site_key a) (Kernel.site_key b))
+          sites));
+  let a = Array.of_list sites in
+  let n = Array.length a in
+  for i = 0 to n - 1 do
+    let j = (i * 37 + 11) mod n in
+    Alcotest.(check int) "same sign"
+      (compare (compare a.(i) a.(j)) 0)
+      (compare (Kernel.compare_site a.(i) a.(j)) 0);
+    Alcotest.(check bool) "key equal iff site equal" (a.(i) = a.(j))
+      (Kernel.site_key a.(i) = Kernel.site_key a.(j))
+  done;
+  Alcotest.(check int) "no operation has occurrence 17" (-1)
+    (Kernel.site_key { a.(0) with Kernel.site_occ = 17 })
+
 (* ---------------- selection --------------------------------------- *)
 
 let test_select_sample_size () =
@@ -176,6 +222,146 @@ let test_survivability_small () =
   let enhanced = List.nth rows 1 in
   Alcotest.(check int) "enhanced never crashes under fail-stop" 0
     enhanced.Campaign.crash
+
+(* ---------------- armed sites vs the closure oracle ---------------- *)
+
+(* The closure every campaign armed its faults with before
+   [Kernel.arm]: a hook that compares each operation's site record and
+   fires each fault once, the first unfired match in list order. *)
+let closure_oracle k faults =
+  let armed = List.map (fun (site, action) -> (site, action, ref false)) faults in
+  Kernel.set_fault_hook k
+    (Some
+       (fun s ->
+          let rec find = function
+            | [] -> None
+            | (site, action, fired) :: rest ->
+              if (not !fired) && Kernel.compare_site s site = 0 then begin
+                fired := true;
+                Some action
+              end
+              else find rest
+          in
+          find armed))
+
+let classify halt (r : Testsuite.results) =
+  match halt with
+  | Kernel.H_shutdown _ -> Campaign.Shutdown
+  | Kernel.H_panic _ | Kernel.H_hang -> Campaign.Crash
+  | Kernel.H_completed status ->
+    if not r.Testsuite.complete then Campaign.Crash
+    else if r.Testsuite.failed > 0 || status <> 0 then Campaign.Fail
+    else Campaign.Pass
+
+(* A run armed through [arm] (or the oracle), reduced to what a
+   campaign reads of it. *)
+let armed_run ~arm conf faults =
+  let sys = System.build ~seed:42 conf in
+  let k = System.kernel sys in
+  arm k faults;
+  let halt = System.run sys ~root:Testsuite.driver in
+  let outcome = classify halt (Testsuite.parse_results (System.log_lines sys)) in
+  (outcome, Kernel.now k, List.rev (Kernel.crash_times k),
+   List.rev (Kernel.recovery_episodes k), Kernel.restarts k)
+
+let test_arm_summary_matches_oracle () =
+  let sites =
+    Campaign.select_sites ~seed:43 ~sample:40
+      (Campaign.profile_sites ~seed:42 Policy.enhanced)
+  in
+  let crashed = ref 0 in
+  List.iter
+    (fun policy ->
+       let conf = Sysconf.uniform policy in
+       List.iter
+         (fun model ->
+            List.iter
+              (fun site ->
+                 let action = Edfi.action_for model site in
+                 let what =
+                   Printf.sprintf "%s %s %s" policy.Policy.name
+                     (Edfi.model_name model) (Kernel.site_to_string site)
+                 in
+                 let sm = Campaign.run_one_summary ~seed:42 conf site action in
+                 let outcome, vtime, crash_times, episodes, restarts =
+                   armed_run ~arm:closure_oracle conf [ (site, action) ]
+                 in
+                 let eps =
+                   List.map
+                     (fun (ep, c, r) -> (Endpoint.server_name ep, c, r))
+                     episodes
+                 in
+                 let h = Histogram.create () in
+                 List.iter (fun (_, c, r) -> Histogram.observe h (r - c)) eps;
+                 let check_int name = Alcotest.(check int) (what ^ " " ^ name) in
+                 Alcotest.(check string) (what ^ " outcome")
+                   (Campaign.outcome_name outcome)
+                   (Campaign.outcome_name sm.Campaign.sm_outcome);
+                 Alcotest.(check string) (what ^ " spec") (Sysconf.name conf)
+                   sm.Campaign.sm_spec;
+                 Alcotest.(check string) (what ^ " site")
+                   (Kernel.site_to_string site) sm.Campaign.sm_site;
+                 check_int "final vtime" vtime sm.Campaign.sm_final_vtime;
+                 check_int "crashes" (List.length crash_times)
+                   sm.Campaign.sm_crashes;
+                 check_int "restarts" restarts sm.Campaign.sm_restarts;
+                 Alcotest.(check (list int)) (what ^ " crash times") crash_times
+                   sm.Campaign.sm_crash_times;
+                 Alcotest.(check (list (triple string int int)))
+                   (what ^ " episodes") eps sm.Campaign.sm_episodes;
+                 Alcotest.(check (list (pair int int))) (what ^ " mttr buckets")
+                   (Histogram.buckets h)
+                   (Histogram.buckets sm.Campaign.sm_mttr);
+                 check_int "mttr sum" (Histogram.sum h)
+                   (Histogram.sum sm.Campaign.sm_mttr);
+                 if crash_times <> [] then incr crashed)
+              sites)
+         [ Edfi.Fail_stop; Edfi.Full_edfi ])
+    [ Policy.enhanced; Policy.pessimistic ];
+  (* The comparison means something only if faults fired. *)
+  Alcotest.(check bool) "most fail-stop faults crashed a server" true
+    (!crashed > 40)
+
+(* Several armed faults: list order decides between unfired faults at
+   one site, and faults at one endpoint do not disarm each other. *)
+let test_arm_multi_matches_oracle () =
+  let sites = Array.of_list (Campaign.profile_sites ~seed:42 Policy.enhanced) in
+  let at ep nth =
+    List.nth (List.filter (fun s -> s.Kernel.site_ep = ep) (Array.to_list sites)) nth
+  in
+  let crash s = (s, Kernel.F_crash "multi") in
+  let edfi s = (s, Edfi.action_for Edfi.Full_edfi s) in
+  let pm0 = at Endpoint.pm 3 and pm1 = at Endpoint.pm 40 in
+  let vfs0 = at Endpoint.vfs 25 and ds0 = at Endpoint.ds 5 in
+  let groups =
+    [ [ crash pm0; crash pm1 ];
+      [ crash pm0; edfi pm1; crash vfs0 ];
+      [ edfi vfs0; crash ds0; crash pm1 ];
+      [ (pm0, Kernel.F_benign); crash pm0 ];
+      [ crash pm0; (pm0, Kernel.F_benign); crash pm0 ] ]
+  in
+  let multi_crash = ref 0 in
+  List.iter
+    (fun policy ->
+       List.iter
+         (fun faults ->
+            let conf = Sysconf.uniform policy in
+            let what =
+              String.concat "+"
+                (List.map (fun (s, _) -> Kernel.site_to_string s) faults)
+            in
+            let oracle = armed_run ~arm:closure_oracle conf faults in
+            let outcome, _, crash_times, _, _ = oracle in
+            Alcotest.(check bool) (what ^ " same run") true
+              (oracle = armed_run ~arm:Kernel.arm conf faults);
+            Alcotest.(check string) (what ^ " run_multi outcome")
+              (Campaign.outcome_name outcome)
+              (Campaign.outcome_name (Campaign.run_multi ~seed:42 policy faults));
+            if List.length crash_times > 1 then incr multi_crash)
+         groups)
+    [ Policy.enhanced; Policy.pessimistic ];
+  Alcotest.(check bool) "some runs fired more than one fault" true
+    (!multi_crash > 0)
 
 (* ---------------- machine checks ---------------------------------- *)
 
@@ -357,7 +543,11 @@ let () =
             test_profile_occurrence_capped;
           Alcotest.test_case "distinct" `Quick test_profile_distinct;
           Alcotest.test_case "covers all servers" `Quick
-            test_profile_covers_all_servers ] );
+            test_profile_covers_all_servers;
+          Alcotest.test_case "seed-42 order fixture" `Quick
+            test_profile_order_fixture;
+          Alcotest.test_case "compare_site orders like compare" `Quick
+            test_compare_site_matches_compare ] );
       ( "selection",
         [ Alcotest.test_case "sample size" `Quick test_select_sample_size;
           Alcotest.test_case "zero takes all" `Quick test_select_zero_takes_all;
@@ -375,6 +565,11 @@ let () =
         [ Alcotest.test_case "outcome names" `Quick test_outcome_names;
           Alcotest.test_case "benign passes" `Quick test_run_one_benign_site_passes;
           Alcotest.test_case "small survivability" `Slow test_survivability_small ] );
+      ( "arm",
+        [ Alcotest.test_case "summaries match the closure oracle" `Slow
+            test_arm_summary_matches_oracle;
+          Alcotest.test_case "run_multi matches the closure oracle" `Quick
+            test_arm_multi_matches_oracle ] );
       ( "machine-check",
         [ Alcotest.test_case "absorbed and recovered" `Quick
             test_machine_check_absorbed_and_recovered;

@@ -292,15 +292,7 @@ let prop_fsck_after_faulted_runs =
        let sites = Lazy.force all_sites in
        let site = sites.(si mod Array.length sites) in
        let sys = System.build (Sysconf.uniform Policy.enhanced) in
-       let fired = ref false in
-       Kernel.set_fault_hook (System.kernel sys)
-         (Some
-            (fun s ->
-               if (not !fired) && Kernel.compare_site s site = 0 then begin
-                 fired := true;
-                 Some (Kernel.F_crash "prop")
-               end
-               else None));
+       Kernel.arm (System.kernel sys) [ (site, Kernel.F_crash "prop") ];
        let (_ : Kernel.halt) = System.run sys ~root:Testsuite.driver in
        fsck sys)
 

@@ -143,16 +143,7 @@ let test_campaign_slice () =
               + check_run ~label ~run:(fun hook ->
                   let sys = System.build ~event_hook:hook conf in
                   let k = System.kernel sys in
-                  let fired = ref false in
-                  Kernel.set_fault_hook k
-                    (Some
-                       (fun s ->
-                          if (not !fired) && Kernel.compare_site s site = 0
-                          then begin
-                            fired := true;
-                            Some (Edfi.action_for Edfi.Fail_stop site)
-                          end
-                          else None));
+                  Kernel.arm k [ (site, Edfi.action_for Edfi.Fail_stop site) ];
                   ignore (System.run sys ~root:Testsuite.driver : Kernel.halt);
                   k))
          sites)
