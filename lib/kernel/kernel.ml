@@ -501,6 +501,9 @@ type t = {
   (* Cached [fault_hook <> None || armed_left > 0]: [op_site] runs per
      op and must not pay a polymorphic compare there. *)
   mutable siting : bool;
+  (* By endpoint, '\001' where an armed site can fire: without a fault
+     hook only those processes are sited (see [sited]). *)
+  mutable site_scope : Bytes.t;
   mutable event_hook : (event -> unit) option;
   (* The log emission appends to: the installed capture, else
      [hook_log] — the kernel's own log for a hook alone, reset after
@@ -555,6 +558,13 @@ type t = {
   mutable n_roots : int;
   mutable req_prof : int array;    (* [root * n_phases + phase] cycles *)
   mutable n_shed : int;  (* user exits with EAGAIN shed status 75 *)
+  (* Row-search state (see [scan_batch]): each column test's absolute
+     offset in row 0 and string length, by position in the test
+     sequence, and where a batch stopped for the per-load path. *)
+  mutable sc_off : int array;
+  mutable sc_len : int array;
+  mutable sc_row : int;
+  mutable sc_i : int;
 }
 
 let create cfg =
@@ -580,6 +590,7 @@ let create cfg =
     armed_fire = [||];
     armed_left = 0;
     siting = false;
+    site_scope = Bytes.empty;
     event_hook = None;
     tap = hook_log;
     hook_log;
@@ -609,7 +620,11 @@ let create cfg =
     root_owner = [||];
     n_roots = 1;
     req_prof = [||];
-    n_shed = 0 }
+    n_shed = 0;
+    sc_off = Array.make 8 0;
+    sc_len = Array.make 8 0;
+    sc_row = 0;
+    sc_i = 0 }
 
 let refresh_siting t = t.siting <- t.fault_hook <> None || t.armed_left > 0
 
@@ -621,6 +636,14 @@ let arm t faults =
   t.armed_keys <- Array.of_list (List.map (fun (s, _) -> site_key s) faults);
   t.armed_fire <- Array.of_list (List.map (fun (_, a) -> Some a) faults);
   t.armed_left <- Array.length t.armed_keys;
+  (* A site matches only operations of its own endpoint, so the other
+     processes need not be sited at all. *)
+  let top = List.fold_left (fun m (s, _) -> max m s.site_ep) (-1) faults in
+  let scope = Bytes.make (max 0 (top + 1)) '\000' in
+  List.iter
+    (fun (s, _) -> if site_key s >= 0 then Bytes.set scope s.site_ep '\001')
+    faults;
+  t.site_scope <- scope;
   refresh_siting t
 
 let set_event_hook t hook =
@@ -1892,6 +1915,10 @@ let fire_armed t key =
     Array.unsafe_get t.armed_fire i
   end
 
+(* [Some tag] by tag index, boxed once: a site record for the fault
+   hook shares them. *)
+let some_tag = Array.map Option.some tag_of_index
+
 (* Match this op's site against the armed sites, then build it for the
    fault hook if none fired. *)
 let op_site_hooked t p th kind =
@@ -1917,12 +1944,27 @@ let op_site_hooked t p th kind =
   | None, Some hook ->
     hook
       { site_ep = p.ep;
-        site_handler = Option.map (fun r -> r.rq_tag) th.treq;
+        site_handler =
+          (match th.treq with
+           | None -> None
+           | Some r -> Array.unsafe_get some_tag (Message.Tag.to_index r.rq_tag));
         site_kind = kind;
         site_occ = occ }
 
+(* Whether [p]'s operations are sited: every post-boot server's while
+   a fault hook is set, else those at an endpoint with an armed site
+   (the only ones that can fire). *)
+let[@inline] sited t p =
+  p.covering && t.siting
+  && (match t.fault_hook with
+      | Some _ -> true
+      | None ->
+        let scope = t.site_scope in
+        p.ep >= 0 && p.ep < Bytes.length scope
+        && Bytes.unsafe_get scope p.ep = '\001')
+
 let[@inline] op_site t p th kind =
-  if p.covering && t.siting then op_site_hooked t p th kind else None
+  if sited t p then op_site_hooked t p th kind else None
 
 (* Constant strings: naming a kcall for the event stream allocates
    nothing. *)
@@ -2095,8 +2137,9 @@ let op_store t p th off v =
     Memimage.set_word img off (v lxor (1 lsl Osiris_util.Rng.int t.rng 16))
   | _ -> Memimage.set_word img off v
 
-(* String accesses know no hang action. *)
-let op_load_str t p th ~off ~len =
+(* A string load up to its read, which the caller makes in the image
+   returned. String accesses know no hang action. *)
+let load_str t p th ~len =
   enter t p;
   let wopen = window_open p in
   coverage p wopen;
@@ -2107,7 +2150,14 @@ let op_load_str t p th ~off ~len =
    | _ -> ());
   charge t p ~logged:(logs p wopen) sl_load
     (t.cfg.costs.Costs.c_load + (len / 8));
-  Memimage.get_string img ~off ~len
+  img
+
+let op_load_str t p th ~off ~len =
+  Memimage.get_string (load_str t p th ~len) ~off ~len
+
+(* The same load, compared with [s] in place instead of returned. *)
+let op_load_str_eq t p th ~off ~len s =
+  Memimage.equal_string (load_str t p th ~len) ~off ~len s
 
 let op_store_str t p th ~off ~len v =
   enter t p;
@@ -2353,6 +2403,259 @@ let op_fail t p th reason =
     th.tstate <- T_new (exit_prog 255);
     raise Thread_finished
 
+(* ---- Row searches ------------------------------------------------- *)
+
+(* A table walk of the C servers ([Op.Mem.scan]) with its predicate as
+   data: each row evaluates the tests in order and fails at the first
+   that fails, as [&&] does, so the kernel knows every load a row
+   makes. Each load is an [Op.Mem.get_int] / [get_str] of its own —
+   entered, covered, sited, charged — but a walk of many rows runs in
+   one host call. *)
+type scan_test =
+  | Hit
+  | Int_eq of Layout.int_field * int * scan_test
+  | Int_ne of Layout.int_field * int * scan_test
+  | Str_eq of Layout.str_field * string * scan_test
+  | Row_ne of int * scan_test
+
+let next_test = function
+  | Hit -> Hit
+  | Int_eq (_, _, next) | Int_ne (_, _, next) | Str_eq (_, _, next)
+  | Row_ne (_, next) ->
+    next
+
+let rec nth_test node i = if i = 0 then node else nth_test (next_test node) (i - 1)
+
+(* A test's load through the per-load path: exactly the [Op.Mem]
+   access and comparison the C loop makes, minus the string. *)
+let scan_load t p th tbl row = function
+  | Int_eq (f, v, _) -> op_load t p th (Layout.Table.addr_int tbl ~row f) = v
+  | Int_ne (f, v, _) -> op_load t p th (Layout.Table.addr_int tbl ~row f) <> v
+  | Str_eq (f, s, _) ->
+    op_load_str_eq t p th ~off:(Layout.Table.addr_str tbl ~row f)
+      ~len:(Layout.Table.str_len f) s
+  | Hit | Row_ne _ -> true
+
+let scan_room t i =
+  let n = Array.length t.sc_off in
+  if i >= n then begin
+    let off = Array.make (2 * (i + 1)) 0 and len = Array.make (2 * (i + 1)) 0 in
+    Array.blit t.sc_off 0 off 0 n;
+    Array.blit t.sc_len 0 len 0 n;
+    t.sc_off <- off;
+    t.sc_len <- len
+  end
+
+let rec scan_prepare t base node i =
+  match node with
+  | Hit -> ()
+  | Row_ne (_, next) -> scan_prepare t base next (i + 1)
+  | Int_eq (f, _, next) | Int_ne (f, _, next) ->
+    scan_room t i;
+    Array.unsafe_set t.sc_off i (base + Layout.int_offset f);
+    scan_prepare t base next (i + 1)
+  | Str_eq (f, _, next) ->
+    scan_room t i;
+    Array.unsafe_set t.sc_off i (base + Layout.str_offset f);
+    Array.unsafe_set t.sc_len i (Layout.Table.str_len f);
+    scan_prepare t base next (i + 1)
+
+(* [cycles] for [n] advances of [slot] totalling [c] cycles, none of
+   them zero, with no cycle hook installed. *)
+let cycles_bulk t p slot c n =
+  if c > 0 then begin
+    (let a = p.prof in
+     if Array.length a <> 0 then begin
+       let i = 2 * slot in
+       Array.unsafe_set a i (Array.unsafe_get a i + c);
+       Array.unsafe_set a (i + 1) (Array.unsafe_get a (i + 1) + n);
+       let ph = Array.unsafe_get slot_phase_idx slot in
+       let g = t.phase_prof in
+       Array.unsafe_set g ph (Array.unsafe_get g ph + c)
+     end);
+    if t.req_counting then begin
+      let ri = match p.active with Some th -> th.root | None -> 0 in
+      let i = (ri * n_phases) + Array.unsafe_get slot_phase_idx slot in
+      let rp = t.req_prof in
+      Array.unsafe_set rp i (Array.unsafe_get rp i + c)
+    end
+  end
+
+let sl_load_drag = slot_drag.(sl_load)
+
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* The word at [off] of an image whose backing is [d], [blen] bytes
+   long: [off] is in the image and the word is wholly in the backing
+   or wholly past it. *)
+let[@inline] scan_word d blen off =
+  if off <= blen - 8 then begin
+    let w = bytes_get64 d off in
+    Int64.to_int (if Sys.big_endian then bswap64 w else w)
+  end
+  else 0
+
+(* [scan_batch]'s results besides a matched row (>= 0). *)
+let scan_none = -1
+let scan_slow = -2 (* the load at [t.sc_row], test [t.sc_i], takes the per-load path *)
+let scan_more = -3
+
+(* The batched path, for a process that is not sited while no cycle
+   hook is installed: nothing observes a single load, so the rows run
+   with the load count, clock, busy cycles and charged cycles in
+   locals, read straight out of the image's backing, and are written
+   back once. Between two loads no other process runs, so the stop
+   tests of a load's entry reduce to the clock against [t.due] and the
+   [max_ops] budget. The first load that would stop there, read past
+   the table or outside the image, or read a word the backing only
+   partly holds, ends the batch: it takes the per-load path, which
+   parks, halts or raises exactly as an [Op.Mem] load does. Rows past
+   the backed prefix read as zeros. *)
+let scan_batch t p img tbl rows head row0 node0 i0 =
+  let base = Layout.Table.base tbl in
+  scan_prepare t base head 0;
+  let rs = Layout.Table.row_size tbl and trows = Layout.Table.rows tbl in
+  let d = Memimage.backing img in
+  let blen = Bytes.length d and size = Memimage.size img in
+  let costs = t.cfg.costs in
+  let c_int = costs.Costs.c_load in
+  let wopen = window_open p in
+  let drag = if logs p wopen then costs.Costs.c_instr_op else 0 in
+  let ci = c_int + drag in
+  let checked = t.op_check in
+  (* A load parks at its entry when the clock is past [due] (or, with
+     the process already stopped, at any clock), unless it is the
+     slice's first operation ([checked] false, no load made yet). *)
+  let due =
+    if (match t.halted with Some _ -> true | None -> false)
+       || (not p.alive) || p.stalled || p.hung
+    then min_int
+    else t.due
+  in
+  let ops0 = t.n_ops in
+  let budget = t.cfg.max_ops - ops0 in
+  let sc_off = t.sc_off and sc_len = t.sc_len in
+  let vt = ref p.vtime and n = ref 0 in
+  (* String loads, apart: their cost depends on the field length. *)
+  let ns = ref 0 and cs = ref 0 and es = ref 0 in
+  let row = ref row0 and node = ref node0 and i = ref i0 in
+  let res = ref (if row0 >= rows then scan_none else scan_more) in
+  while !res = scan_more do
+    let fail =
+      match !node with
+      | Hit ->
+        res := !row;
+        false
+      | Row_ne (v, next) ->
+        if !row <> v then begin
+          node := next;
+          incr i;
+          false
+        end
+        else true
+      | (Int_eq (_, v, next) | Int_ne (_, v, next)) as test ->
+        let off = Array.unsafe_get sc_off !i + (!row * rs) in
+        if (due < !vt && (checked || !n > 0)) || !n >= budget || !row >= trows
+           || off < 0
+           || (off > blen - 8 && (off < blen || off > size - 8))
+        then begin
+          res := scan_slow;
+          false
+        end
+        else begin
+          incr n;
+          vt := !vt + ci;
+          let w = scan_word d blen off in
+          if (match test with Int_eq _ -> w = v | _ -> w <> v) then begin
+            node := next;
+            incr i;
+            false
+          end
+          else true
+        end
+      | Str_eq (_, key, next) ->
+        let off = Array.unsafe_get sc_off !i + (!row * rs)
+        and len = Array.unsafe_get sc_len !i in
+        if (due < !vt && (checked || !n > 0)) || !n >= budget || !row >= trows
+           || off < 0 || off > size - len
+        then begin
+          res := scan_slow;
+          false
+        end
+        else begin
+          let c = c_int + (len / 8) in
+          incr n;
+          vt := !vt + c + drag;
+          incr ns;
+          if c > 0 then begin
+            cs := !cs + c;
+            incr es
+          end;
+          if Memimage.equal_string img ~off ~len key then begin
+            node := next;
+            incr i;
+            false
+          end
+          else true
+        end
+    in
+    if fail then begin
+      incr row;
+      if !row >= rows then res := scan_none
+      else begin
+        node := head;
+        i := 0
+      end
+    end
+  done;
+  let n = !n in
+  if n > 0 then begin
+    t.op_check <- true;
+    t.n_ops <- ops0 + n;
+    if p.covering then begin
+      p.ops_total <- p.ops_total + n;
+      if wopen then p.ops_in_window <- p.ops_in_window + n
+    end;
+    let ni = n - !ns in
+    let cu = (ni * c_int) + !cs and dr = n * drag in
+    p.vtime <- !vt;
+    p.busy_cycles <- p.busy_cycles + cu + dr;
+    cycles_bulk t p sl_load cu ((if c_int > 0 then ni else 0) + !es);
+    cycles_bulk t p sl_load_drag dr n
+  end;
+  if !res = scan_slow then begin
+    t.sc_row <- !row;
+    t.sc_i <- !i
+  end;
+  !res
+
+(* Rows [row, rows) from test [node], the [i]th: batched while
+   [scan_batch] applies, else load by load. A load that parks at its
+   entry goes straight to the per-load path. *)
+let rec scan_go t p th tbl rows head row node i =
+  if row >= rows then None
+  else
+    match node with
+    | Hit -> Some row
+    | Row_ne (v, next) ->
+      if row <> v then scan_go t p th tbl rows head row next (i + 1)
+      else scan_go t p th tbl rows head (row + 1) head 0
+    | Int_eq _ | Int_ne _ | Str_eq _ ->
+      match p.image, t.cycle_hook with
+      | Some img, None when not (sited t p || (t.op_check && t.due < p.vtime)) ->
+        let r = scan_batch t p img tbl rows head row node i in
+        if r >= 0 then Some r
+        else if r = scan_none then None
+        else
+          scan_step t p th tbl rows head t.sc_row (nth_test head t.sc_i) t.sc_i
+      | _ -> scan_step t p th tbl rows head row node i
+
+and scan_step t p th tbl rows head row node i =
+  if scan_load t p th tbl row node then
+    scan_go t p th tbl rows head row (next_test node) (i + 1)
+  else scan_go t p th tbl rows head (row + 1) head 0
+
 (* Activate the next ready thread of [p], handling window bookkeeping
    for handler threads that start running for the first time. *)
 let activate_next t p =
@@ -2548,6 +2851,17 @@ module Op = struct
 
     let get_cell c = load (Layout.Cell.addr c)
     let set_cell c v = store (Layout.Cell.addr c) v
+
+    type test = scan_test =
+      | Hit
+      | Int_eq of Layout.int_field * int * test
+      | Int_ne of Layout.int_field * int * test
+      | Str_eq of Layout.str_field * string * test
+      | Row_ne of int * test
+
+    let scan tbl ~rows tests =
+      let r = cur () in
+      scan_go r.rt r.rp r.rth tbl rows tests 0 tests 0
   end
 end
 

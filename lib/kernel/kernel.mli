@@ -245,6 +245,34 @@ module Op : sig
     val set_str : Layout.Table.t -> row:int -> Layout.str_field -> string -> unit
     val get_cell : Layout.Cell.t -> int
     val set_cell : Layout.Cell.t -> int -> unit
+
+    (** {2 Row searches}
+
+        The table walks of the C servers. A walk's predicate is a
+        sequence of column tests, evaluated on each row in order: the
+        row fails at the first test that fails, as C's [&&] stops, and
+        matches if it reaches [Hit]. Each test but [Row_ne] is one load
+        of the row's column, a {!get_int} or {!get_str} of its own. *)
+    type test =
+      | Hit  (** The row matches. *)
+      | Int_eq of Layout.int_field * int * test
+          (** Load the int column; go on if it equals the value. *)
+      | Int_ne of Layout.int_field * int * test
+          (** Load the int column; go on unless it equals the value. *)
+      | Str_eq of Layout.str_field * string * test
+          (** Load the string column; go on if it equals the string. *)
+      | Row_ne of int * test
+          (** No load: go on unless the row index is the value. *)
+
+    val scan : Layout.Table.t -> rows:int -> test -> int option
+    (** [scan tbl ~rows tests] is the first of rows [0..rows-1] whose
+        tests pass. One call makes every load of the walk, each with
+        the costs, coverage, fault sites, preemption point and
+        [max_ops] budget of a single load; a row past the table raises
+        at its first load, as {!get_int} does. A process that is not
+        sited (no fault hook, no armed site at its endpoint) while no
+        cycle hook is installed runs the rows batched, allocating
+        nothing but the result; otherwise load by load. *)
   end
 end
 
@@ -541,7 +569,9 @@ val arm : t -> (site * fault_action) list -> unit
     allocation. The first match fires its action and is disarmed, so a
     site listed twice fires at its first two occurrences. Once every
     armed site has fired and no hook is set, operations stop being
-    sited at all. A site no operation can have (occurrence outside
+    sited at all; without a hook, only the servers at the endpoint of
+    an armed site are sited (a site matches operations of its own
+    endpoint alone). A site no operation can have (occurrence outside
     [0, 16], negative endpoint) never fires. Use this for faults fixed
     before the run (EDFI campaigns); use {!set_fault_hook} when the
     condition depends on run state. *)

@@ -35,6 +35,9 @@ let sizeof spec =
 let int_field_name f = f.f_name
 let str_field_name f = f.f_name
 
+let int_offset f = f.f_offset
+let str_offset f = f.f_offset
+
 module Table = struct
   type t = {
     image : Memimage.t;

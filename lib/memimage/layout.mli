@@ -37,6 +37,10 @@ val sizeof : spec -> int
 val int_field_name : int_field -> string
 val str_field_name : str_field -> string
 
+val int_offset : int_field -> int
+val str_offset : str_field -> int
+(** A field's byte offset within its record. *)
+
 module Table : sig
   type t
 

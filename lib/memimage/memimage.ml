@@ -199,11 +199,37 @@ let set_bytes t ~off b =
   pre_write t ~off ~len:(Bytes.length b);
   Bytes.blit b 0 t.data off (Bytes.length b)
 
+(* A field's string ends at its first NUL, and every byte past the
+   backing is one: find the end in the backing, then copy once. *)
 let get_string t ~off ~len =
-  let raw = Bytes.unsafe_to_string (get_bytes t ~off ~len) in
-  match String.index_opt raw '\000' with
-  | None -> raw
-  | Some i -> String.sub raw 0 i
+  if not (in_image t ~off ~len) then invalid_arg "String.sub / Bytes.sub";
+  let d = t.data in
+  let stop = min (off + len) (Bytes.length d) in
+  let e = ref off in
+  while !e < stop && Bytes.unsafe_get d !e <> '\000' do
+    incr e
+  done;
+  if !e = off then "" else Bytes.sub_string d off (!e - off)
+
+let equal_string t ~off ~len s =
+  if not (in_image t ~off ~len) then invalid_arg "String.sub / Bytes.sub";
+  let d = t.data in
+  let n = Bytes.length d in
+  let k = String.length s in
+  (* A stored string holds no NUL, so a key with one never equals it;
+     every byte past the backing is a NUL. *)
+  k <= len
+  && begin
+    let i = ref 0 in
+    while
+      !i < k
+      && (let c = String.unsafe_get s !i in
+          c <> '\000' && off + !i < n && Bytes.unsafe_get d (off + !i) = c)
+    do
+      incr i
+    done;
+    !i = k && (k = len || off + k >= n || Bytes.unsafe_get d (off + k) = '\000')
+  end
 
 let set_string t ~off ~len s =
   if String.length s > len then
@@ -214,6 +240,8 @@ let set_string t ~off ~len s =
   Bytes.blit_string s 0 t.data off (String.length s)
 
 (* ---------------- RCB raw access (checkpoint library) -------------- *)
+
+let backing t = t.data
 
 let cover t ~off ~len =
   if off + len > Bytes.length t.data && in_image t ~off ~len then

@@ -78,11 +78,24 @@ val set_bytes : t -> off:int -> bytes -> unit
 (** {2 Fixed-size string fields} — NUL-padded, like C char arrays. *)
 
 val get_string : t -> off:int -> len:int -> string
+(** The field's bytes up to its first NUL, in one allocation. *)
+
+val equal_string : t -> off:int -> len:int -> string -> bool
+(** [equal_string t ~off ~len s] is [String.equal (get_string t ~off
+    ~len) s], compared in place without allocating. Raises exactly
+    where {!get_string} does. *)
+
 val set_string : t -> off:int -> len:int -> string -> unit
 (** @raise Invalid_argument if the string exceeds the field length. *)
 
 (** {2 RCB raw access} — allocation-free, hook-bypassing primitives for
     the checkpoint library. Not for instrumented server code. *)
+
+val backing : t -> bytes
+(** The live backing store: the image's first [Bytes.length] bytes;
+    every byte past it reads as zero. For allocation-free reads on the
+    kernel's hot path only: never write through it, and never keep it
+    across a write to the image (a write may replace it). *)
 
 val cover : t -> off:int -> len:int -> bytes
 (** [cover t ~off ~len] backs the range [\[off, off+len)] (growing the

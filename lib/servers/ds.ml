@@ -42,12 +42,10 @@ let create () =
 module Mem = Kernel.Op.Mem
 
 let find_key t key =
-  Srvlib.scan ~rows:capacity (fun row ->
-      Mem.get_int t.kv ~row t.f_used <> 0
-      && String.equal (Mem.get_str t.kv ~row t.f_key) key)
+  Mem.(scan t.kv ~rows:capacity (Int_ne (t.f_used, 0, Str_eq (t.f_key, key, Hit))))
 
 let find_free t =
-  Srvlib.scan ~rows:capacity (fun row -> Mem.get_int t.kv ~row t.f_used = 0)
+  Mem.(scan t.kv ~rows:capacity (Int_eq (t.f_used, 0, Hit)))
 
 let is_prefix ~prefix s =
   String.length prefix <= String.length s
@@ -69,10 +67,10 @@ let notify_subscribers t key =
    as the ACL (a prefix entry grants visibility). The check is pure
    reading and happens before the early diagnostic SEEP. *)
 let check_grants t _key =
-  Srvlib.scan ~rows:max_subs (fun row ->
-      if Mem.get_int t.subs ~row t.s_used <> 0 then
-        ignore (Mem.get_str t.subs ~row t.s_prefix);
-      false)
+  for row = 0 to max_subs - 1 do
+    if Mem.get_int t.subs ~row t.s_used <> 0 then
+      ignore (Mem.get_str t.subs ~row t.s_prefix)
+  done
 
 (* Diagnostics placement mirrors the original DS: mutation handlers log
    the request after a pure validation pass (an early read-only SEEP,
@@ -83,7 +81,7 @@ let check_grants t _key =
 let handle t src msg =
   match msg with
   | Message.Ds_publish { key; value } ->
-    ignore (check_grants t key);
+    check_grants t key;
     Srvlib.diag "ds: publish";
     if String.length key = 0 || String.length key >= key_len then
       Srvlib.reply_err src Errno.EINVAL
@@ -122,7 +120,7 @@ let handle t src msg =
   | Message.Ds_subscribe { prefix } ->
     Srvlib.diag "ds: subscribe";
     (match
-       Srvlib.scan ~rows:max_subs (fun row -> Mem.get_int t.subs ~row t.s_used = 0)
+       Mem.(scan t.subs ~rows:max_subs (Int_eq (t.s_used, 0, Hit)))
      with
      | None -> Srvlib.reply_err src Errno.ENOSPC
      | Some row ->

@@ -80,12 +80,10 @@ let split_path path =
 module Mem = Kernel.Op.Mem
 
 let find_child t ~parent ~name =
-  Srvlib.scan ~rows:max_inodes (fun row ->
-      let kind = Mem.get_int t.inodes ~row t.i_kind in
-      if kind = kind_free || row = 0 then false
-      else
-        Mem.get_int t.inodes ~row t.i_parent = parent
-        && String.equal (Mem.get_str t.inodes ~row t.i_name) name)
+  Mem.(scan t.inodes ~rows:max_inodes
+         (Int_ne (t.i_kind, kind_free,
+                  Row_ne (0, Int_eq (t.i_parent, parent,
+                                     Str_eq (t.i_name, name, Hit))))))
 
 let resolve t path =
   let rec walk cur = function
@@ -112,8 +110,7 @@ let resolve_parent t path =
       Result.map (fun dir_ino -> (dir_ino, leaf)) (resolve t ("/" ^ dir_path))
 
 let find_free_inode t =
-  Srvlib.scan ~rows:max_inodes (fun row ->
-      row <> 0 && Mem.get_int t.inodes ~row t.i_kind = kind_free)
+  Mem.(scan t.inodes ~rows:max_inodes (Row_ne (0, Int_eq (t.i_kind, kind_free, Hit))))
 
 (* ---------------- block allocation -------------------------------- *)
 
@@ -321,10 +318,8 @@ let free_inode_blocks t ~ino ~from_idx =
   end
 
 let dir_is_empty t ~ino =
-  Srvlib.scan ~rows:max_inodes (fun row ->
-      row <> 0
-      && Mem.get_int t.inodes ~row t.i_kind <> kind_free
-      && Mem.get_int t.inodes ~row t.i_parent = ino)
+  Mem.(scan t.inodes ~rows:max_inodes
+         (Row_ne (0, Int_ne (t.i_kind, kind_free, Int_eq (t.i_parent, ino, Hit)))))
   = None
 
 let lookup_reply t src ino =

@@ -48,13 +48,11 @@ module Op = Kernel.Op
 module Mem = Kernel.Op.Mem
 
 let find_by_ep t ?(state = st_alive) ep =
-  Srvlib.scan ~rows:max_procs (fun row ->
-      Mem.get_int t.procs ~row t.f_state = state
-      && Mem.get_int t.procs ~row t.f_ep = ep)
+  Mem.(scan t.procs ~rows:max_procs
+         (Int_eq (t.f_state, state, Int_eq (t.f_ep, ep, Hit))))
 
 let find_free t =
-  Srvlib.scan ~rows:max_procs (fun row ->
-      Mem.get_int t.procs ~row t.f_state = st_free)
+  Mem.(scan t.procs ~rows:max_procs (Int_eq (t.f_state, st_free, Hit)))
 
 let set_row t ~row ~state ~ep ~parent ~name =
   Mem.set_int t.procs ~row t.f_state state;
@@ -115,9 +113,8 @@ let do_exit t ~target_ep ~row ~status =
 
 (* The first zombie (or live) child of [parent]. *)
 let find_child t ~state ~parent =
-  Srvlib.scan ~rows:max_procs (fun row ->
-      Mem.get_int t.procs ~row t.f_state = state
-      && Mem.get_int t.procs ~row t.f_parent = parent)
+  Mem.(scan t.procs ~rows:max_procs
+         (Int_eq (t.f_state, state, Int_eq (t.f_parent, parent, Hit))))
 
 let handle t src msg =
   match msg with

@@ -45,15 +45,13 @@ module Op = Kernel.Op
 module Mem = Kernel.Op.Mem
 
 let find_service t ep =
-  Srvlib.scan ~rows:max_services (fun row ->
-      Mem.get_int t.services ~row t.s_used <> 0
-      && Mem.get_int t.services ~row t.s_ep = ep)
+  Mem.(scan t.services ~rows:max_services
+         (Int_ne (t.s_used, 0, Int_eq (t.s_ep, ep, Hit))))
 
 (* The first unused service row: the number of registered services. *)
 let count_services t =
   match
-    Srvlib.scan ~rows:max_services (fun row ->
-        Mem.get_int t.services ~row t.s_used = 0)
+    Mem.(scan t.services ~rows:max_services (Int_eq (t.s_used, 0, Hit)))
   with
   | Some n -> n
   | None -> max_services
@@ -178,9 +176,8 @@ let handle t src msg =
     Op.reply src (Message.R_rs_status { restarts; shutdowns; services })
   | Message.Rs_lookup { label } ->
     (match
-       Srvlib.scan ~rows:max_services (fun row ->
-           Mem.get_int t.services ~row t.s_used <> 0
-           && String.equal (Mem.get_str t.services ~row t.s_label) label)
+       Mem.(scan t.services ~rows:max_services
+              (Int_ne (t.s_used, 0, Str_eq (t.s_label, label, Hit))))
      with
      | None -> Srvlib.reply_err src Errno.ENOENT
      | Some row -> Srvlib.reply_ok src (Mem.get_int t.services ~row t.s_ep))

@@ -14,10 +14,6 @@ let call_retry dst msg =
   in
   go 3
 
-let scan ~rows pred =
-  let rec go i = if i >= rows then None else if pred i then Some i else go (i + 1) in
-  go 0
-
 let diag line = Kernel.Op.send Endpoint.kernel (Message.Diag { line })
 
 let simple_loop handle () =

@@ -18,12 +18,6 @@ val call_retry : Endpoint.t -> Message.t -> Message.t
     of the libc retry. Up to three retries. Used on teardown paths that
     must not leak resources when a peer crashes mid-call. *)
 
-val scan : rows:int -> (int -> bool) -> int option
-(** [scan ~rows pred] evaluates [pred] on rows [0..rows-1] in order and
-    returns the first row for which it holds. The predicate's loads are
-    the scan's operations, like the table walks in the original C
-    servers. *)
-
 val diag : string -> unit
 (** Send a diagnostic line to the kernel log sink — a non-state-
     modifying SEEP (the kind that separates pessimistic from enhanced

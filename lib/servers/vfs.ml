@@ -73,9 +73,7 @@ module Op = Kernel.Op
 module Mem = Kernel.Op.Mem
 
 let find_proc t ep =
-  Srvlib.scan ~rows:max_procs (fun row ->
-      Mem.get_int t.procs ~row t.p_used <> 0
-      && Mem.get_int t.procs ~row t.p_ep = ep)
+  Mem.(scan t.procs ~rows:max_procs (Int_ne (t.p_used, 0, Int_eq (t.p_ep, ep, Hit))))
 
 let with_proc t src k =
   match find_proc t src with
@@ -83,10 +81,16 @@ let with_proc t src k =
   | Some row -> k row
 
 let find_free_file t =
-  Srvlib.scan ~rows:max_files (fun row -> Mem.get_int t.files ~row t.fi_kind = k_free)
+  Mem.(scan t.files ~rows:max_files (Int_eq (t.fi_kind, k_free, Hit)))
 
 let find_free_fd t ~prow =
-  Srvlib.scan ~rows:max_fds (fun fd -> Mem.get_int t.procs ~row:prow t.p_fds.(fd) = 0)
+  (* One row's fd columns: a walk no column test expresses. *)
+  let rec go fd =
+    if fd >= max_fds then None
+    else if Mem.get_int t.procs ~row:prow t.p_fds.(fd) = 0 then Some fd
+    else go (fd + 1)
+  in
+  go 0
 
 (* File row index for an fd, or None. *)
 let file_of_fd t ~prow ~fd =
@@ -340,8 +344,7 @@ let handle t src msg =
   | Message.Pipe ->
     with_proc t src (fun prow ->
         match
-          Srvlib.scan ~rows:max_pipes (fun row ->
-              Mem.get_int t.pipes ~row t.pi_used = 0)
+          Mem.(scan t.pipes ~rows:max_pipes (Int_eq (t.pi_used, 0, Hit)))
         with
         | None -> Srvlib.reply_err src Errno.ENFILE
         | Some pipe ->
@@ -477,7 +480,7 @@ let handle t src msg =
      | None -> Srvlib.reply_ok src 0)
   | Message.Vfs_fork { parent; child } when src = Endpoint.pm ->
     (match
-       Srvlib.scan ~rows:max_procs (fun row -> Mem.get_int t.procs ~row t.p_used = 0)
+       Mem.(scan t.procs ~rows:max_procs (Int_eq (t.p_used, 0, Hit)))
      with
      | None -> Srvlib.reply_err src Errno.EAGAIN
      | Some row ->

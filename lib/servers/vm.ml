@@ -50,12 +50,10 @@ module Op = Kernel.Op
 module Mem = Kernel.Op.Mem
 
 let find_proc t ep =
-  Srvlib.scan ~rows:max_procs (fun row ->
-      Mem.get_int t.procs ~row t.p_used <> 0
-      && Mem.get_int t.procs ~row t.p_ep = ep)
+  Mem.(scan t.procs ~rows:max_procs (Int_ne (t.p_used, 0, Int_eq (t.p_ep, ep, Hit))))
 
 let find_free_proc t =
-  Srvlib.scan ~rows:max_procs (fun row -> Mem.get_int t.procs ~row t.p_used = 0)
+  Mem.(scan t.procs ~rows:max_procs (Int_eq (t.p_used, 0, Hit)))
 
 let add_pages t n =
   let used = Mem.get_cell t.c_pages_used in
@@ -178,8 +176,7 @@ let handle t src msg =
     if len <= 0 then Srvlib.reply_err src Errno.EINVAL
     else (
       match
-        Srvlib.scan ~rows:max_regions (fun row ->
-            Mem.get_int t.regions ~row t.r_used = 0)
+        Mem.(scan t.regions ~rows:max_regions (Int_eq (t.r_used, 0, Hit)))
       with
       | None -> Srvlib.reply_err src Errno.ENOMEM
       | Some row ->

@@ -258,6 +258,7 @@ type op =
   | Get_word of int
   | Set_string of int * int * string
   | Get_string of int * int
+  | Equal_string of int * int * string
   | Set_bytes of int * int * char
   | Get_bytes of int * int
   | Write_raw of int * int * char
@@ -280,6 +281,7 @@ let show_op = function
   | Get_word o -> Printf.sprintf "get_word %d" o
   | Set_string (o, l, s) -> Printf.sprintf "set_string %d %d %S" o l s
   | Get_string (o, l) -> Printf.sprintf "get_string %d %d" o l
+  | Equal_string (o, l, s) -> Printf.sprintf "equal_string %d %d %S" o l s
   | Set_bytes (o, l, c) -> Printf.sprintf "set_bytes %d %d %C" o l c
   | Get_bytes (o, l) -> Printf.sprintf "get_bytes %d %d" o l
   | Write_raw (o, l, c) -> Printf.sprintf "write_raw %d %d %C" o l c
@@ -324,6 +326,8 @@ let gen_op size =
       (2, map3 (fun o l n -> Set_string (o, l, String.make n 's')) off
             (int_range 0 24) (int_range 0 26));
       (3, map2 (fun o l -> Get_string (o, l)) off len);
+      (3, map3 (fun o l s -> Equal_string (o, l, s)) off (int_range 0 24)
+            (oneofl [ ""; "s"; "ss"; String.make 8 's'; String.make 24 's'; "s\000" ]));
       (2, map3 (fun o l c -> Set_bytes (o, l, c)) off len ch);
       (3, map2 (fun o l -> Get_bytes (o, l)) off len);
       (3, map3 (fun o l c -> Write_raw (o, l, c)) off len ch);
@@ -465,6 +469,11 @@ let step ~img ~log ~kept m op =
         | None -> s | Some i -> String.sub s 0 i in
       ( attempt (fun () -> R_str (Memimage.get_string !img ~off ~len)),
         attempt (fun () -> R_str (cut (Bytes.sub_string m.mem off len))) )
+    | Equal_string (off, len, s) ->
+      let cut s = match String.index_opt s '\000' with
+        | None -> s | Some i -> String.sub s 0 i in
+      ( attempt (fun () -> R_bool (Memimage.equal_string !img ~off ~len s)),
+        attempt (fun () -> R_bool (String.equal (cut (Bytes.sub_string m.mem off len)) s)) )
     | Set_bytes (off, len, c) ->
       let b = Bytes.make len c in
       ( attempt (fun () -> Memimage.set_bytes !img ~off b; R_unit),
