@@ -14,7 +14,10 @@
     - one framed {e header record}, then one framed record per event;
     - each record is [varint payload_len ∥ payload ∥ crc32(payload)]
       (CRC-32/IEEE, little-endian), so truncation and bit flips are
-      detected per record with the index of the damaged record;
+      detected per record with the index of the damaged record; the
+      length is a raw (not zigzag) LEB128 varint padded to at least 2
+      bytes for event records and 1 for the header (readers accept any
+      padding);
     - payload fields are zigzag varints; strings are length-prefixed
       raw bytes; each event payload opens with a packed lead byte:
       the constructor's wire tag (declaration order, 0–13) in the low
@@ -265,13 +268,3 @@ val fold :
     {e could} contain a matching event — and then the fold over
     matching events is identical to a full scan's. Without [index] the
     whole journal is decoded ([select] is not consulted). *)
-
-val iter_blocks :
-  ?select:(block -> bool) ->
-  ?stats:scan_stats ->
-  index ->
-  string ->
-  f:(block -> Kernel.event -> unit) ->
-  (unit, string) result
-(** Block-at-a-time iteration (each event is passed with its block
-    summary) — the lower-level sibling of {!fold}. *)
