@@ -5,7 +5,6 @@
      bench     run one Unixbench workload and print its score
      coverage  print per-server recovery coverage (Table I style)
      memory    print per-server memory overhead (Table VI style)
-     survive   fault-injection survivability campaign (Tables II/III)
      disrupt   service-disruption sweep on one benchmark (Figure 3)
      sites     profile and list fault sites
      stress    run randomly generated workloads (deterministic per seed)
@@ -26,7 +25,8 @@
      health    recovery-health watchdog report (MTTR, crash loops,
                overhead vs baseline)
      survivability
-               mixed-policy survivability matrix over system specs
+               fault-injection survivability matrix over system specs
+               (Tables II/III by default)
      policies  list the named recovery policies and the spec grammar
      record    run a workload with the flight recorder attached
      replay    re-execute a journal, diff streams, report divergence
@@ -252,47 +252,6 @@ let memory_cmd =
   in
   Cmd.v (Cmd.info "memory" ~doc:"Per-server memory overhead (Table VI).")
     Term.(const run $ seed_arg)
-
-let survive_cmd =
-  let model_arg =
-    let model_c =
-      Arg.enum [ ("fail-stop", Edfi.Fail_stop); ("full-edfi", Edfi.Full_edfi) ]
-    in
-    Arg.(value & opt model_c Edfi.Fail_stop
-         & info [ "model" ] ~docv:"MODEL" ~doc:"Fault model.")
-  in
-  let sample_arg =
-    Arg.(value & opt int 0
-         & info [ "sample" ] ~docv:"N"
-           ~doc:"Fault sites per policy (0 = all, the default — the full \
-                 757-site-style sweep).")
-  in
-  let run model sample seed jobs =
-    setup_logs ();
-    let pool_stats = ref None in
-    let rows =
-      Campaign.survivability ~seed ~sample ~jobs
-        ~stats:(fun s -> pool_stats := Some s)
-        ~progress:sweep_progress model Policy.all_evaluated
-    in
-    Printf.printf "%-14s %6s %6s %9s %6s (%d runs each)
-" "policy" "pass%"
-      "fail%" "shutdown%" "crash%" (match rows with r :: _ -> r.Campaign.runs | [] -> 0);
-    List.iter
-      (fun r ->
-         let f o = 100. *. Campaign.fraction r o in
-         Printf.printf "%-14s %6.1f %6.1f %9.1f %6.1f
-" r.Campaign.row_policy
-           (f Campaign.Pass) (f Campaign.Fail) (f Campaign.Shutdown)
-           (f Campaign.Crash))
-      rows;
-    (match !pool_stats with
-     | Some s -> prerr_endline (Parfan.speedup_line s)
-     | None -> ());
-    0
-  in
-  Cmd.v (Cmd.info "survive" ~doc:"Survivability campaign (Tables II/III).")
-    Term.(const run $ model_arg $ sample_arg $ seed_arg $ jobs_arg)
 
 let disrupt_cmd =
   let bench_arg =
@@ -768,35 +727,13 @@ let load_cmd =
       (match arrival with `Poisson -> "poisson" | `Bursty -> "bursty");
     Printf.bprintf buf "  \"crash\": \"%s\",\n" crash;
     Printf.bprintf buf "  \"keys\": %d,\n  \"zipf\": \"%g\",\n" keys zipf;
-    let attribution_json att =
-      match att with
+    let attribution_json = function
       | None -> ""
       | Some (prof, incomplete) ->
         let b = Buffer.create 256 in
-        (match prof with
-         | None ->
-           Printf.bprintf b ",\n     \"attribution\": {\"n\": 0, \
-                            \"incomplete\": %d}" incomplete
-         | Some tp ->
-           Printf.bprintf b
-             ",\n     \"attribution\": {\"n\": %d, \"incomplete\": %d, \
-              \"p50_cut\": %d, \"p99_cut\": %d, \"blame10\": [\n"
-             tp.Tailprof.tp_n incomplete tp.Tailprof.tp_p50
-             tp.Tailprof.tp_p99;
-           let last = List.length tp.Tailprof.tp_blame - 1 in
-           List.iteri
-             (fun j (bk, delta) ->
-                let bi = Tailprof.bucket_index bk in
-                Printf.bprintf b
-                  "       {\"bucket\": \"%s\", \"p50_mean10\": %d, \
-                   \"p99_mean10\": %d, \"delta10\": %d}%s\n"
-                  (Tailprof.bucket_name bk)
-                  tp.Tailprof.tp_low.Tailprof.co_mean10.(bi)
-                  tp.Tailprof.tp_high.Tailprof.co_mean10.(bi)
-                  delta
-                  (if j = last then "" else ","))
-             tp.Tailprof.tp_blame;
-           Buffer.add_string b "     ]}");
+        Printf.bprintf b ",\n     \"incomplete\": %d, \"attribution\": "
+          incomplete;
+        Tailprof.to_json b prof;
         Buffer.contents b
     in
     Printf.bprintf buf "  \"steps\": [\n";
@@ -936,26 +873,6 @@ let why_cmd =
       b.Critpath.cp_queue (service_json b) b.Critpath.cp_checkpoint
       b.Critpath.cp_rollback b.Critpath.cp_restart b.Critpath.cp_collateral
       (String.concat ", " (List.map string_of_int b.Critpath.cp_path))
-  in
-  let profile_json buf = function
-    | None -> Buffer.add_string buf "null"
-    | Some tp ->
-      Printf.bprintf buf
-        "{\"n\": %d, \"p50_cut\": %d, \"p99_cut\": %d, \"blame10\": [\n"
-        tp.Tailprof.tp_n tp.Tailprof.tp_p50 tp.Tailprof.tp_p99;
-      let last = List.length tp.Tailprof.tp_blame - 1 in
-      List.iteri
-        (fun j (bk, delta) ->
-           let bi = Tailprof.bucket_index bk in
-           Printf.bprintf buf
-             "        {\"bucket\": \"%s\", \"p50_mean10\": %d, \
-              \"p99_mean10\": %d, \"delta10\": %d}%s\n"
-             (Tailprof.bucket_name bk)
-             tp.Tailprof.tp_low.Tailprof.co_mean10.(bi)
-             tp.Tailprof.tp_high.Tailprof.co_mean10.(bi)
-             delta
-             (if j = last then "      ]}" else ","))
-        tp.Tailprof.tp_blame
   in
   let run policy specs seed arch workload crash count jobs journal json
       perfetto top =
@@ -1116,7 +1033,7 @@ let why_cmd =
                reqs;
              if reqs = [] then Buffer.add_string buf "     ],\n";
              Buffer.add_string buf "     \"profile\": ";
-             profile_json buf prof;
+             Tailprof.to_json buf prof;
              Buffer.add_string buf (if i = nruns - 1 then "}\n" else "},\n"))
           analyzed;
         Printf.bprintf buf "  ]\n}\n";
@@ -1713,7 +1630,7 @@ let main =
   Cmd.group
     (Cmd.info "osiris" ~version:"1.0.0"
        ~doc:"OSIRIS: compartmentalized OS crash recovery (simulation)")
-    [ suite_cmd; bench_cmd; coverage_cmd; memory_cmd; survive_cmd;
+    [ suite_cmd; bench_cmd; coverage_cmd; memory_cmd;
       survivability_cmd; policies_cmd; disrupt_cmd; sites_cmd; fsck_cmd;
       stress_cmd; events_cmd; timeline_cmd; load_cmd; why_cmd; trace_cmd;
       report_cmd; profile_cmd; health_cmd; record_cmd; replay_cmd;

@@ -70,6 +70,3 @@ let report ?frequency ?(multithreaded = fun ep -> ep = Endpoint.vfs) policy
        server_coverage ?frequency ~multithreaded:(multithreaded s.Summary.sum_ep)
          policy s)
     summaries
-
-let mean_coverage reports =
-  Osiris_util.Stats.mean (List.map (fun r -> r.sr_coverage) reports)

@@ -100,6 +100,24 @@ let profile = function
       { tp_n = n; tp_p50 = p50; tp_p99 = p99; tp_low = low; tp_high = high;
         tp_blame = blame }
 
+let to_json buf = function
+  | None -> Buffer.add_string buf "null"
+  | Some tp ->
+    Printf.bprintf buf
+      "{\"n\": %d, \"p50_cut\": %d, \"p99_cut\": %d, \"blame10\": [\n"
+      tp.tp_n tp.tp_p50 tp.tp_p99;
+    let last = List.length tp.tp_blame - 1 in
+    List.iteri
+      (fun j (bk, delta) ->
+         let bi = bucket_index bk in
+         Printf.bprintf buf
+           "        {\"bucket\": \"%s\", \"p50_mean10\": %d, \
+            \"p99_mean10\": %d, \"delta10\": %d}%s\n"
+           (bucket_name bk) tp.tp_low.co_mean10.(bi) tp.tp_high.co_mean10.(bi)
+           delta
+           (if j = last then "      ]}" else ","))
+      tp.tp_blame
+
 let knee p99s =
   let n = Array.length p99s in
   if n = 0 then -1

@@ -60,6 +60,12 @@ type profile = {
 val profile : Critpath.breakdown list -> profile option
 (** [None] on an empty list. *)
 
+val to_json : Buffer.t -> profile option -> unit
+(** Append the profile as one JSON object — [n], [p50_cut],
+    [p99_cut] and the [blame10] rows in blame order, mean fields in
+    tenths of a cycle — or [null] for [None]. The [why] and
+    [load --attribute] artifacts both embed it. *)
+
 val knee : int array -> int
 (** Knee of a load sweep: index of the first step whose p99 latency is
     at least twice the sweep's minimum p99, or [-1] when the sweep

@@ -37,10 +37,6 @@ val select_sites : ?seed:int -> sample:int -> Kernel.site list -> Kernel.site li
 val run_one : ?seed:int -> Policy.t -> Kernel.site -> Kernel.fault_action -> outcome
 (** One injection run under a uniform spec of the policy. *)
 
-val run_one_conf :
-  ?seed:int -> Sysconf.t -> Kernel.site -> Kernel.fault_action -> outcome
-(** One injection run under an arbitrary spec. *)
-
 type row = {
   row_policy : string;
   runs : int;
@@ -107,8 +103,8 @@ type run_summary = {
 
 val run_one_summary :
   ?seed:int -> Sysconf.t -> Kernel.site -> Kernel.fault_action -> run_summary
-(** {!run_one_conf} returning the run's telemetry summary (the outcome
-    rides in [sm_outcome]). *)
+(** One injection run under an arbitrary spec, returning the run's
+    telemetry summary (the outcome rides in [sm_outcome]). *)
 
 type rollup = {
   ro_runs : int;
@@ -129,9 +125,6 @@ type rollup = {
   ro_bin_width : int;
   ro_max_vtime : int;
 }
-
-val rollup_of_summaries : run_summary list -> rollup
-(** Fold summaries (in submission order) into the campaign rollup. *)
 
 val survivability_matrix_rollup :
   ?seed:int -> ?sample:int -> ?jobs:int -> ?stats:(Parfan.stats -> unit) ->

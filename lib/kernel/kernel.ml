@@ -1086,7 +1086,6 @@ let enable_request_counts t =
     t.n_roots <- 1
   end
 
-let request_counts_enabled t = t.req_counting
 let request_count t = if t.req_counting then t.n_roots - 1 else 0
 
 let request_rows t =
@@ -1100,10 +1099,6 @@ let request_rows t =
 let system_request_row t =
   if t.req_counting then Array.sub t.req_prof 0 n_phases
   else Array.make n_phases 0
-
-let request_root_of t rid =
-  let ri = root_of t rid in
-  if ri = 0 then 0 else t.root_rids.(ri)
 
 let shed_exits t = t.n_shed
 
@@ -3075,11 +3070,6 @@ let proc_vtime t ep =
   | p -> p.vtime
   | exception Not_found -> 0
 
-let inbox_depth t ep =
-  match Hashtbl.find t.procs ep with
-  | p -> Queue.length p.inbox
-  | exception Not_found -> 0
-
 (* Server proc handles: server records are installed once by
    [add_server] and mutated in place across crash/recovery (only
    [spawn_user] ever replaces a procs entry), so a handle captured at
@@ -3103,20 +3093,6 @@ let slot_cycles t ep slot =
 let slot_events t ep slot =
   match Hashtbl.find t.procs ep with
   | p -> if Array.length p.prof <> 0 then p.prof.((2 * slot) + 1) else 0
-  | exception Not_found -> 0
-
-(* Top-level tail recursion over immediates (like [Histogram.bits]):
-   a local [ref] or closure would allocate, and this runs inside the
-   zero-alloc vtime sampler. *)
-let rec sum_phase_slots prof ph s acc =
-  if s >= n_slots then acc
-  else
-    sum_phase_slots prof ph (s + 1)
-      (if slot_phase s = ph then acc + prof.(2 * s) else acc)
-
-let phase_cycles t ep ph =
-  match Hashtbl.find t.procs ep with
-  | p -> if Array.length p.prof = 0 then 0 else sum_phase_slots p.prof ph 0 0
   | exception Not_found -> 0
 
 let total_phase_cycles t ph = t.phase_prof.(phase_index ph)

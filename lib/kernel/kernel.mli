@@ -484,20 +484,14 @@ val slot_events : t -> Endpoint.t -> slot -> int
     {!enable_cycle_counts}. Allocation-free (safe to call from a
     vtime-sampler hook). *)
 
-val phase_cycles : t -> Endpoint.t -> phase -> int
-(** Cycles the process has spent in the phase so far — the sum of its
-    counter rows over the phase's slots. 0 for unknown processes or
-    before {!enable_cycle_counts}. Allocation-free but O(slots): fine
-    for end-of-run reports, not for per-tick sampling. *)
-
 val total_phase_cycles : t -> phase -> int
 (** Kernel-global cycles attributed to the phase so far, over {e all}
     processes. Maintained incrementally on the attribution path (two
     array ops per emission while profiling), so a read is O(1) and
     allocation-free — this is what the telemetry engine samples per
     phase every tick. 0 before {!enable_cycle_counts}; unlike summing
-    {!phase_cycles}, the total survives process replacement across
-    restarts. *)
+    per-process {!slot_cycles}, the total survives process replacement
+    across restarts. *)
 
 val profiled_procs : t -> int
 (** Number of processes carrying counter rows (allocation accounting
@@ -532,8 +526,6 @@ val enable_request_counts : t -> unit
     Enable before {!boot} for the conservation identity to hold —
     rids allocated earlier fall into the system bucket. *)
 
-val request_counts_enabled : t -> bool
-
 val request_count : t -> int
 (** Number of request roots charged so far (system bucket excluded). *)
 
@@ -545,10 +537,6 @@ val request_rows : t -> (int * Endpoint.t * int array) list
 val system_request_row : t -> int array
 (** The system bucket's per-phase row (a fresh copy; zeros before
     {!enable_request_counts}). *)
-
-val request_root_of : t -> int -> int
-(** The root rid a delivered rid was charged under (0 = system /
-    unknown). *)
 
 val live_update : t -> Endpoint.t -> (unit -> unit) -> (unit, string) result
 (** Replace a server's request-processing loop with a new version,
@@ -659,10 +647,6 @@ val run_queue_depth : t -> int
 (** Ready-to-run scheduler items currently in the heap — a load gauge
     the telemetry engine samples. Allocation-free. *)
 
-val inbox_depth : t -> Endpoint.t -> int
-(** Pending inbox messages for the endpoint (0 for unknown endpoints).
-    Allocation-free. *)
-
 type proc_handle
 (** A stable reference to a {e server} process record. Server records
     are installed once and mutated in place across crash/recovery, so
@@ -679,8 +663,8 @@ val handle_alive : proc_handle -> bool
     sampler uses per tick. Allocation-free. *)
 
 val handle_inbox_depth : proc_handle -> int
-(** Direct field load — the O(1) form of {!inbox_depth} the vtime
-    sampler uses per tick. Allocation-free. *)
+(** Pending inbox messages, by a direct field load — what the vtime
+    sampler reads per tick. Allocation-free. *)
 
 val proc_alive : t -> Endpoint.t -> bool
 

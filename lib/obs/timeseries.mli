@@ -26,8 +26,8 @@
     closure construction, no boxing. Source read functions are bound
     once at registration and must themselves be allocation-free — the
     kernel accessors documented as such ([run_queue_depth],
-    [inbox_depth], [phase_cycles], ...) and [Metrics] handle reads
-    qualify.
+    [handle_inbox_depth], [total_phase_cycles], ...) and [Metrics]
+    handle reads qualify.
 
     {2 Ring sizing}
 
