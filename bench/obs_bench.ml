@@ -1,14 +1,15 @@
-(* Observability overhead benchmark: what the event hook, tracer, and
-   metrics registry cost on an IPC-heavy workload.
+(* Observability overhead benchmark: what the event hook, the live
+   event recorder (Obs_collector) and histogram updates cost on an
+   IPC-heavy workload.
 
    Run with [dune exec bench/main.exe obs] (artifact BENCH_obs.json;
    [--smoke] for the runtest variant, see benchkit.ml). Exits non-zero
    when an enforced gate fails.
 
    Gates:
-     metrics_zero_alloc      exact   counter/gauge/histogram updates
-                                     allocate nothing (minor-word delta
-                                     over 100k ops)
+     histogram_zero_alloc    exact   Histogram.observe allocates
+                                     nothing (minor-word delta over
+                                     100k observations)
      lazy_event_construction exact   an unhooked run allocates no event
                                      records — the hooked/unhooked
                                      minor-word difference accounts for
@@ -20,9 +21,10 @@
                                      than 64 — handing an event to the
                                      hook allocates nothing beyond the
                                      record itself
-     tracer_overhead         timing  attached-tracer wall-time overhead
-                                     on the full workload stays under
-                                     5% (best of interleaved rounds) *)
+     recorder_overhead       timing  attached-collector wall-time
+                                     overhead on the full workload stays
+                                     under 5% (best of interleaved
+                                     rounds) *)
 
 let max_overhead_pct = 5.
 
@@ -45,23 +47,17 @@ let run_once ?event_hook () =
 
 (* ------------------------------------------------------------------ *)
 
-let metrics_alloc_probe () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "probe.counter" in
-  let g = Metrics.gauge m "probe.gauge" in
-  let h = Metrics.histogram m "probe.hist" in
+let histogram_alloc_probe () =
+  let h = Histogram.create () in
   let ops = 100_000 in
   let storm () =
     for i = 1 to ops do
-      Metrics.incr c;
-      Metrics.add c i;
-      Metrics.set g i;
       Histogram.observe h i
     done
   in
   storm ();
-  (* warm: registration done, no growth left *)
-  (ops * 4, Benchkit.minor_words_of storm)
+  (* warm: every bucket the storm touches exists already *)
+  (ops, Benchkit.minor_words_of storm)
 
 let lazy_emission_probe () =
   let unhooked_words = Benchkit.minor_words_of (fun () -> run_once ()) in
@@ -80,12 +76,13 @@ let lazy_emission_probe () =
 let run () =
   Printf.printf
     "\n================================================================\n\
-     Observability substrate: hook, tracer, and metrics overhead\n\
+     Observability substrate: hook, recorder, and histogram overhead\n\
      ================================================================\n";
   (* ---- allocation ---- *)
-  let metric_ops, metric_words = metrics_alloc_probe () in
-  Printf.printf "metrics storm: %d updates -> %.0f minor words allocated\n"
-    metric_ops metric_words;
+  let hist_ops, hist_words = histogram_alloc_probe () in
+  Printf.printf
+    "histogram storm: %d observations -> %.0f minor words allocated\n"
+    hist_ops hist_words;
   let unhooked_words, hooked_words, events, event_words =
     lazy_emission_probe ()
   in
@@ -98,9 +95,7 @@ let run () =
     \  the event records themselves are %d words\n"
     events (hooked_words -. unhooked_words) words_per_event event_words;
   (* ---- wall time ---- *)
-  let tracer = Tracer.create ~capacity:4096 () in
-  let metrics = Metrics.create () in
-  let collector = Obs_collector.create ~metrics () in
+  let collector = Obs_collector.create () in
   (* Fresh-system runs are noisy (GC, page cache, and `dune runtest`
      runs this concurrently with other test binaries): best of
      interleaved rounds. *)
@@ -108,32 +103,27 @@ let run () =
     Benchkit.best_of
       [ Benchkit.timed (fun () -> run_once ());
         Benchkit.timed (fun () ->
-            run_once ~event_hook:(Tracer.record tracer) ());
-        Benchkit.timed (fun () ->
             Obs_collector.clear collector;
             run_once ~event_hook:(Obs_collector.record collector) ()) ]
   in
-  let base_ns = best.(0) and tracer_ns = best.(1) and full_ns = best.(2) in
-  let pct over base = 100. *. (over -. base) /. base in
-  let tracer_pct = pct tracer_ns base_ns in
-  let full_pct = pct full_ns base_ns in
+  let base_ns = best.(0) and collector_ns = best.(1) in
+  let collector_pct = 100. *. (collector_ns -. base_ns) /. base_ns in
   Printf.printf
     "whole-run wall time (best of %d interleaved rounds):\n\
-    \  unhooked          %.2f ms\n\
-    \  tracer attached   %.2f ms (%+.2f%%)\n\
-    \  collector+metrics %.2f ms (%+.2f%%)\n"
-    rounds (base_ns /. 1e6) (tracer_ns /. 1e6) tracer_pct (full_ns /. 1e6)
-    full_pct;
+    \  unhooked            %.2f ms\n\
+    \  collector attached  %.2f ms (%+.2f%%)\n"
+    rounds (base_ns /. 1e6) (collector_ns /. 1e6) collector_pct;
   (* ---- gates ---- *)
   (* 64-word slack: Gc.minor_words itself and the loop closure may box
-     a float or two; the 400k updates themselves must add nothing. *)
-  let metrics_ok = metric_words < 64. in
+     a float or two; the 100k observations themselves must add
+     nothing. *)
+  let histogram_ok = hist_words < 64. in
   (* A 14-variant event record averages well over 3 words; if emission
      were unconditional the hooked/unhooked difference would be ~0. *)
   let lazy_ok =
     events > 0 && hooked_words -. unhooked_words >= 3. *. float_of_int events
   in
-  (* Same 64-word slack as the metrics gate: whatever the hooked run
+  (* Same 64-word slack as the histogram gate: whatever the hooked run
      allocates beyond the event records it hands out is per-run noise,
      never per-event boxing. *)
   let event_alloc_ok =
@@ -141,9 +131,9 @@ let run () =
   in
   Benchkit.finish ~bench:"obs"
     [ ("workload_seed", string_of_int workload_seed);
-      ( "metrics_storm",
-        Printf.sprintf "{\"ops\": %d, \"minor_words\": %.0f}" metric_ops
-          metric_words );
+      ( "histogram_storm",
+        Printf.sprintf "{\"ops\": %d, \"minor_words\": %.0f}" hist_ops
+          hist_words );
       ( "emission",
         Printf.sprintf
           "{\"events_per_run\": %d, \"unhooked_minor_words\": %.0f,\n\
@@ -152,11 +142,10 @@ let run () =
           events unhooked_words hooked_words words_per_event event_words );
       ( "wall",
         Printf.sprintf
-          "{\"unhooked_ns\": %.0f, \"tracer_ns\": %.0f, \"collector_ns\": %.0f,\n\
-          \    \"tracer_overhead_pct\": %.3f, \"collector_overhead_pct\": %.3f,\n\
-          \    \"max_overhead_pct\": %.1f}"
-          base_ns tracer_ns full_ns tracer_pct full_pct max_overhead_pct ) ]
-    [ Benchkit.exact "metrics_zero_alloc" metrics_ok;
+          "{\"unhooked_ns\": %.0f, \"collector_ns\": %.0f,\n\
+          \    \"collector_overhead_pct\": %.3f, \"max_overhead_pct\": %.1f}"
+          base_ns collector_ns collector_pct max_overhead_pct ) ]
+    [ Benchkit.exact "histogram_zero_alloc" histogram_ok;
       Benchkit.exact "lazy_event_construction" lazy_ok;
       Benchkit.exact "event_alloc_exact" event_alloc_ok;
-      Benchkit.timing "tracer_overhead" (tracer_pct < max_overhead_pct) ]
+      Benchkit.timing "recorder_overhead" (collector_pct < max_overhead_pct) ]

@@ -166,7 +166,8 @@ let suite_cmd =
   let run policy seed verbose trace =
     setup_logs ();
     let event_hook =
-      if trace then Some (fun ev -> prerr_endline (Tracer.pp_event ev))
+      if trace then
+        Some (fun ev -> prerr_endline (Obs_collector.pp_event ev))
       else None
     in
     let sys, halt =
@@ -374,11 +375,14 @@ let events_cmd =
   let run policy seed last =
     setup_logs ();
     let sys = System.build ~seed (Sysconf.uniform policy) in
-    let tracer = Tracer.create ~capacity:(max 1 last) () in
-    Tracer.attach tracer (System.kernel sys);
+    let collector = Obs_collector.create () in
+    Kernel.set_event_hook (System.kernel sys)
+      (Some (Obs_collector.record collector));
     let halt = System.run sys ~root:(Workgen.generate ~seed ()) in
-    List.iter print_endline (Tracer.timeline tracer);
-    Printf.printf "(%d events total; halted: %s)\n" (Tracer.recorded tracer)
+    List.iter print_endline
+      (Obs_collector.timeline ~last:(max 1 last) collector);
+    Printf.printf "(%d events total; halted: %s)\n"
+      (Obs_collector.count collector)
       (Kernel.halt_to_string halt);
     0
   in
@@ -436,15 +440,15 @@ let trace_cmd =
 let report_cmd =
   let run policy seed crash =
     setup_logs ();
-    let metrics = Metrics.create () in
-    let collector = Obs_collector.create ~metrics () in
+    let collector = Obs_collector.create () in
     let sys, halt =
       Flight.run ~event_hook:(Obs_collector.record collector)
         (header ~seed ~spec:policy.Policy.name ~crash ())
     in
-    Obs_collector.snapshot_server_stats metrics (System.kernel sys);
-    let spans = Span.build (Obs_collector.events collector) in
-    print_endline (Obs_report.render ~metrics ~kernel:(System.kernel sys) spans);
+    let events = Obs_collector.events collector in
+    print_endline
+      (Obs_report.render ~kernel:(System.kernel sys) ~events
+         (Span.build events));
     Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
     0
   in
@@ -495,15 +499,13 @@ let timeline_cmd =
   in
   let run policy seed crash interval window json csv perfetto no_color =
     setup_logs ();
-    let metrics = Metrics.create () in
-    let collector = Obs_collector.create ~metrics () in
+    let collector = Obs_collector.create () in
     let ts = Timeseries.create ~interval () in
     let sys, halt =
       Flight.run ~event_hook:(Obs_collector.record collector) ~telemetry:ts
         (header ~seed ~spec:policy.Policy.name ~crash ())
     in
     let kernel = System.kernel sys in
-    Timeseries.publish ts metrics;
     let spans = Span.build (Obs_collector.events collector) in
     (* Request latency = completed top-level request spans, stamped at
        completion — what the sliding percentile windows consume. Since

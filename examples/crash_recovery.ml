@@ -11,8 +11,9 @@ let demo_in_window () =
   print_endline "--- scenario 1: crash INSIDE the recovery window ------------";
   print_endline "fault: PM dies at the start of fork() handling";
   let sys = System.build (Sysconf.uniform Policy.enhanced) in
-  let tracer = Tracer.create ~capacity:64 () in
-  Tracer.attach tracer (System.kernel sys);
+  let collector = Obs_collector.create () in
+  Kernel.set_event_hook (System.kernel sys)
+    (Some (Obs_collector.record collector));
   let fired = ref false in
   Kernel.set_fault_hook (System.kernel sys)
     (Some
@@ -43,7 +44,7 @@ let demo_in_window () =
   List.iter (fun l -> print_endline ("  [console] " ^ l)) (System.log_lines sys);
   print_endline "recovery timeline (PM events):";
   List.iter (fun l -> print_endline ("  " ^ l))
-    (Tracer.timeline ~only:Endpoint.pm tracer);
+    (Obs_collector.timeline ~only:Endpoint.pm ~last:64 collector);
   Printf.printf "outcome: %s, PM restarts: %d\n\n"
     (Kernel.halt_to_string halt)
     (Kernel.server_stats (System.kernel sys) Endpoint.pm).Kernel.ss_restarts

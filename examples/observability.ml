@@ -1,5 +1,5 @@
 (* Observability tour: run a random-but-deterministic workload with the
-   full lib/obs pipeline attached — collector + metrics from boot, a
+   full lib/obs pipeline attached — the event collector from boot, a
    mid-run fault, then span trees, latency/recovery/metrics tables, and
    a Perfetto-loadable Chrome trace.
 
@@ -17,17 +17,13 @@ let () =
   Printf.printf "workload plan (seed %d):\n" seed;
   List.iteri (fun i a -> Printf.printf "  %2d. %s\n" (i + 1) a)
     (Workgen.describe ~seed ());
-  (* Collector + metrics registry, attached before boot so the trace
-     includes boot traffic; a small tracer rides along on the same hook
-     as a cheap flight recorder for the closing timeline. *)
-  let metrics = Metrics.create () in
-  let collector = Obs_collector.create ~metrics () in
-  let tracer = Tracer.create ~capacity:24 () in
+  (* The collector, attached before boot so the trace includes boot
+     traffic; the closing timeline, the spans, the metrics table and
+     the Perfetto export all read its one event stream. *)
+  let collector = Obs_collector.create () in
   let sys =
-    System.build ~seed
-      ~event_hook:(fun ev ->
-        Obs_collector.record collector ev;
-        Tracer.record tracer ev) (Sysconf.uniform Policy.enhanced)
+    System.build ~seed ~event_hook:(Obs_collector.record collector)
+      (Sysconf.uniform Policy.enhanced)
   in
   (* Crash VFS once, mid-workload, inside a window. *)
   let fired = ref false in
@@ -48,7 +44,8 @@ let () =
     (Kernel.crashes (System.kernel sys))
     (Kernel.restarts (System.kernel sys));
   print_endline "last events:";
-  List.iter (fun l -> print_endline ("  " ^ l)) (Tracer.timeline tracer);
+  List.iter (fun l -> print_endline ("  " ^ l))
+    (Obs_collector.timeline ~last:24 collector);
   (match Mfs.check_invariants (System.mfs sys) ~bdev:(System.bdev sys) with
    | Ok () -> print_endline "\nfsck: clean — block conservation holds"
    | Error m -> Printf.printf "\nfsck: CORRUPT: %s\n" m);
@@ -66,9 +63,8 @@ let () =
   List.iter (fun l -> print_endline ("  " ^ l))
     (Span.render_tree recovering);
   (* Latency / recovery / metrics tables. *)
-  Obs_collector.snapshot_server_stats metrics (System.kernel sys);
   print_newline ();
-  print_endline (Obs_report.render ~metrics ~kernel:(System.kernel sys) spans);
+  print_endline (Obs_report.render ~kernel:(System.kernel sys) ~events spans);
   (* Perfetto export. *)
   let path = "observability_trace.json" in
   let oc = open_out path in

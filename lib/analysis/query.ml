@@ -493,14 +493,3 @@ let render o stats =
          sc.Journal.sc_records_decoded
    | None -> ());
   Buffer.contents b
-
-let publish stats m =
-  Metrics.set
-    (Metrics.gauge m "osiris.query.blocks_scanned")
-    stats.Journal.sc_blocks_scanned;
-  Metrics.set
-    (Metrics.gauge m "osiris.query.blocks_skipped")
-    stats.Journal.sc_blocks_skipped;
-  Metrics.set
-    (Metrics.gauge m "osiris.query.records_decoded")
-    stats.Journal.sc_records_decoded

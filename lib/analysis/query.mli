@@ -109,8 +109,7 @@ val run :
 (** Evaluate over encoded journal bytes in one streaming pass.
     Without [index], every block is decoded (full scan); with it,
     {!block_filter} prunes. [stats] accrues blocks scanned/skipped and
-    records decoded ({!publish}able as gauges). [Error] on undecodable
-    bytes. *)
+    records decoded. [Error] on undecodable bytes. *)
 
 val render : outcome -> Journal.scan_stats option -> string
 (** Human-readable result; scan statistics appended when given. *)
@@ -120,7 +119,3 @@ val to_csv : outcome -> string
 (** Deterministic artifacts. Scan statistics are deliberately {e not}
     included: indexed and full-scan runs of the same query must be
     byte-identical. *)
-
-val publish : Journal.scan_stats -> Metrics.t -> unit
-(** Set the [osiris.query.blocks_scanned] / [.blocks_skipped] /
-    [.records_decoded] gauges from a scan. *)

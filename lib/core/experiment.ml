@@ -61,8 +61,6 @@ let run_bench ?(arch = Kernel.Microkernel) ?(seed = 42) policy bench =
 let bench_suite ?(arch = Kernel.Microkernel) ?(seed = 42) ?jobs ?stats policy =
   Parfan.map ?jobs ?stats (run_bench ~arch ~seed policy) Unixbench.all
 
-let slowdown ~baseline r = Osiris_util.Stats.ratio baseline.br_score r.br_score
-
 type memory_row = {
   mem_server : string;
   mem_base_kb : int;

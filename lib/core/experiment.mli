@@ -46,9 +46,6 @@ val bench_suite :
     simulated-cycle ratios, so the result rows do not depend on the
     worker count. *)
 
-val slowdown : baseline:bench_result -> bench_result -> float
-(** baseline_score / score: > 1 means slower than baseline. *)
-
 (** {1 Memory overhead — Table VI} *)
 
 type memory_row = {

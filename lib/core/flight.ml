@@ -114,6 +114,40 @@ let write_sidecar ~path encoded =
     Ok ()
   | Error m -> Error m
 
+(* Ring mode's bounded memory: the newest [Array.length slots] events,
+   and a copy of them taken at every E_crash (the crash is its newest
+   event). A later crash replaces the copy, so the spill is the history
+   leading up to the newest crash even though recovery traffic keeps
+   evicting slots afterwards. *)
+type ring = {
+  slots : Kernel.event array;
+  mutable next : int;
+  mutable seen : int;
+  mutable frozen : Kernel.event list;
+  mutable crashes : int;
+}
+
+let ring_create capacity =
+  let blank = Kernel.E_halt { time = 0; halt = Kernel.H_hang } in
+  { slots = Array.make (max 1 capacity) blank;
+    next = 0; seen = 0; frozen = []; crashes = 0 }
+
+(* Oldest first: the occupied window ends just before [next]. *)
+let ring_contents r =
+  let cap = Array.length r.slots in
+  let n = min r.seen cap in
+  List.init n (fun i -> r.slots.((r.next - n + i + cap) mod cap))
+
+let ring_record r ev =
+  r.slots.(r.next) <- ev;
+  r.next <- (r.next + 1) mod Array.length r.slots;
+  r.seen <- r.seen + 1;
+  match ev with
+  | Kernel.E_crash _ ->
+    r.frozen <- ring_contents r;
+    r.crashes <- r.crashes + 1
+  | _ -> ()
+
 let record ~path ?ring ?costs ?(index = true) header =
   match resolve header with
   | Error m -> Error m
@@ -149,18 +183,13 @@ let record ~path ?ring ?costs ?(index = true) header =
            rec_bytes = Journal.bytes_written w;
            rec_snapshots = 0 }
      | Some capacity ->
-       let t = Tracer.create ~capacity () in
-       Tracer.set_snapshot_on t
-         (Some (function Kernel.E_crash _ -> true | _ -> false));
+       let r = ring_create capacity in
        let _, halt =
-         run_resolved ?costs ~event_hook:(Tracer.record t) header resolved
+         run_resolved ?costs ~event_hook:(ring_record r) header resolved
        in
-       let snapshots = Tracer.snapshots_taken t in
        (* Spill the crash snapshot — or, with no crash, the final ring
           contents, so the run's tail is preserved either way. *)
-       let events =
-         if snapshots > 0 then Tracer.last_snapshot t else Tracer.events t
-       in
+       let events = if r.crashes > 0 then r.frozen else ring_contents r in
        let encoded = Journal.of_events header events in
        (try
           Out_channel.with_open_bin path (fun oc ->
@@ -172,7 +201,7 @@ let record ~path ?ring ?costs ?(index = true) header =
               { rec_halt = halt;
                 rec_records = List.length events;
                 rec_bytes = String.length encoded;
-                rec_snapshots = snapshots }
+                rec_snapshots = r.crashes }
         with Sys_error m -> Error m))
 
 (* Replay re-executes under the header arch's table unless [costs]

@@ -10,7 +10,7 @@
     [record]) assembles a header with {!make_header} and calls {!run}
     (or {!record}, which runs the same path with a journal attached);
     [replay] re-runs a recorded header through it. Only [load]
-    (Loadgen-driven, no root program) and [events] (tracer attached
+    (Loadgen-driven, no root program) and [events] (recorder hooked
     after boot) build a system by hand.
 
     A run is re-executable iff everything that determines it is in the
@@ -66,11 +66,11 @@ val record :
 (** Execute the run the header describes — {!run}'s path, with the
     journal writer attached from boot — journaling to [path]. Full
     fidelity by default: every event streams to disk as it happens.
-    [ring] bounds memory instead: the last-N events ride a tracer ring
-    whose contents are frozen at each crash ({!Tracer.set_snapshot_on})
-    and spilled to [path] at halt — newest crash wins, and with no
-    crash the final ring contents are spilled, so the tail of the run
-    is always preserved.
+    [ring] bounds memory instead: the last-N events ride an N-slot
+    ring whose contents are copied at each [E_crash] (the crash
+    included, as the newest event) and spilled to [path] at halt —
+    newest crash wins, and with no crash the final ring contents are
+    spilled, so the tail of the run is always preserved.
 
     [index] (default true) writes the seekable sidecar block index to
     [path ^ Journal.index_suffix] after the journal closes — identical

@@ -78,7 +78,7 @@ let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_ops ?max_crashes
   in
   let kernel = Kernel.create cfg in
   (* Installed before boot so observers see boot traffic too; a hook
-     attached after build (e.g. Tracer.attach) only sees the run. The
+     set after build ([osiris events]) only sees the run. The
      journal rides the kernel's raw capture log, not the event hook:
      the emission sites append each event's scalar fields as a few
      int stores and all encoding happens in batched sweeps off the

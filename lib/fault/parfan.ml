@@ -205,6 +205,8 @@ let runs_per_sec s =
   if s.pf_wall_ns <= 0. then 0.
   else float_of_int s.pf_tasks /. (s.pf_wall_ns /. 1e9)
 
+(* Aggregate busy time over wall time: what the fan-out bought versus
+   running the same tasks back to back on one domain. *)
 let est_speedup s =
   if s.pf_wall_ns <= 0. then 1.
   else
@@ -235,18 +237,3 @@ let speedup_line s =
     (if s.pf_jobs = 1 then "" else "s")
     s.pf_tasks (s.pf_wall_ns /. 1e9) (runs_per_sec s) (est_speedup s)
     (imbalance_pct s)
-
-let publish metrics s =
-  let set name v = Metrics.set (Metrics.gauge metrics name) v in
-  set "parfan.jobs" s.pf_jobs;
-  set "parfan.tasks" s.pf_tasks;
-  set "parfan.wall_ms" (int_of_float (s.pf_wall_ns /. 1e6));
-  set "parfan.runs_per_sec" (int_of_float (runs_per_sec s));
-  set "parfan.est_speedup_x100" (int_of_float (100. *. est_speedup s));
-  set "parfan.imbalance_pct" (int_of_float (imbalance_pct s));
-  Array.iteri
-    (fun i w ->
-       set (Printf.sprintf "parfan.worker%d.tasks" i) w.w_tasks;
-       set (Printf.sprintf "parfan.worker%d.busy_ms" i)
-         (int_of_float (w.w_busy_ns /. 1e6)))
-    s.pf_workers

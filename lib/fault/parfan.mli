@@ -69,10 +69,6 @@ val map :
 
 val runs_per_sec : stats -> float
 
-val est_speedup : stats -> float
-(** Aggregate busy time over wall time — what the fan-out bought
-    versus running the same tasks back to back on one domain. *)
-
 val imbalance_pct : stats -> float
 (** [(max - min) / mean] of per-worker task counts, in percent; 0 for
     a perfectly balanced (or single-worker) pool. *)
@@ -80,9 +76,3 @@ val imbalance_pct : stats -> float
 val speedup_line : stats -> string
 (** One human line: workers, tasks, wall, runs/sec, estimated speedup,
     imbalance — what [osiris survivability --jobs N] prints. *)
-
-val publish : Metrics.t -> stats -> unit
-(** Publish the pool statistics as gauges: [parfan.jobs],
-    [parfan.tasks], [parfan.wall_ms], [parfan.runs_per_sec],
-    [parfan.est_speedup_x100], [parfan.imbalance_pct], and per-worker
-    [parfan.worker<i>.tasks] / [parfan.worker<i>.busy_ms]. *)

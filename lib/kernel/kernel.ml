@@ -42,10 +42,6 @@ let op_kind_to_string = function
   | Op_spawn -> "spawn"
   | Op_yield -> "yield"
 
-let all_op_kinds =
-  [ Op_compute; Op_load; Op_store; Op_send; Op_call; Op_reply; Op_receive;
-    Op_kcall; Op_spawn; Op_yield ]
-
 (* Cycle-attribution phases: every advance of a process' virtual clock
    is charged to exactly one of these, so a profiler summing hook
    emissions reconstructs each clock exactly (conservation). *)

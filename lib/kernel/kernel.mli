@@ -48,7 +48,6 @@ type op_kind =
   | Op_yield
 
 val op_kind_to_string : op_kind -> string
-val all_op_kinds : op_kind list
 
 type site = {
   site_ep : Endpoint.t;

@@ -16,7 +16,7 @@ let create ?(config = default_config) () =
   { cfg = config; model = Runmodel.create () }
 
 (* Feed from the kernel event stream: compose with any other consumer
-   (collector, tracer) in the same event hook. *)
+   (the collector, say) in the same event hook. *)
 let observe t ev = Runmodel.observe t.model ev
 
 type status = Healthy | Degraded | Crash_looping | Failed

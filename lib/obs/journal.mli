@@ -44,9 +44,9 @@
 
     Two writer modes cover the recording spectrum:
     - {!to_file} streams every record (full fidelity, unbounded);
-    - bounded-memory ring recording reuses {!Tracer}'s last-N ring
-      with {!Tracer.set_snapshot_on} and serializes the snapshot via
-      {!of_events} — the mid-run crash-history spill. *)
+    - bounded-memory ring recording ([Flight.record ~ring]) keeps a
+      last-N ring, copies it at each crash and serializes the newest
+      copy via {!of_events} — the mid-run crash-history spill. *)
 
 type header = {
   jh_version : int;           (** {!version} at write time. *)
@@ -104,8 +104,8 @@ val bytes_written : writer -> int
 
 val of_events : header -> Kernel.event list -> string
 (** Encode a complete journal from an in-memory event list — the ring
-    spill: feed it {!Tracer.last_snapshot} to persist the last-N
-    history captured at a crash. *)
+    spill: [Flight.record ~ring] feeds it the last-N history captured
+    at a crash. *)
 
 (** {1 Reading}
 

@@ -1,100 +1,11 @@
-(* Pre-bound handles: the record path must not touch the registry's
-   hash table. *)
-type meters = {
-  m_msgs : Metrics.counter;
-  m_calls : Metrics.counter;
-  m_replies : Metrics.counter;
-  m_window_opens : Metrics.counter;
-  m_window_closes : Metrics.counter;
-  m_policy_closes : Metrics.counter;
-  m_checkpoints : Metrics.counter;
-  m_checkpoint_cycles : Metrics.counter;
-  m_stores_logged : Metrics.counter;
-  m_store_bytes : Metrics.counter;
-  m_kcalls : Metrics.counter;
-  m_crashes : Metrics.counter;
-  m_hangs : Metrics.counter;
-  m_rollbacks : Metrics.counter;
-  m_rollback_bytes : Metrics.counter;
-  m_restarts : Metrics.counter;
-}
-
 type t = {
   mutable evs : Kernel.event array;
   mutable n : int;
-  registry : Metrics.t option;
-  meters : meters option;
 }
 
 let dummy_event = Kernel.E_halt { time = 0; halt = Kernel.H_hang }
 
-let make_meters m =
-  { m_msgs = Metrics.counter m "osiris.msgs_delivered";
-    m_calls = Metrics.counter m "osiris.calls";
-    m_replies = Metrics.counter m "osiris.replies";
-    m_window_opens = Metrics.counter m "osiris.window_opens";
-    m_window_closes = Metrics.counter m "osiris.window_closes";
-    m_policy_closes = Metrics.counter m "osiris.policy_closes";
-    m_checkpoints = Metrics.counter m "osiris.checkpoints";
-    m_checkpoint_cycles = Metrics.counter m "osiris.checkpoint_cycles";
-    m_stores_logged = Metrics.counter m "osiris.stores_logged";
-    m_store_bytes = Metrics.counter m "osiris.store_bytes_logged";
-    m_kcalls = Metrics.counter m "osiris.kcalls";
-    m_crashes = Metrics.counter m "osiris.crashes";
-    m_hangs = Metrics.counter m "osiris.hangs_detected";
-    m_rollbacks = Metrics.counter m "osiris.rollbacks";
-    m_rollback_bytes = Metrics.counter m "osiris.rollback_bytes";
-    m_restarts = Metrics.counter m "osiris.restarts" }
-
-(* The telemetry engine's summary gauges ([Timeseries.publish]) are
-   pre-registered at collector creation so [Metrics.dump] lists the
-   same deterministically sorted name set whether or not a sampler
-   ran — runs without telemetry report the series as 0. *)
-let preregister_timeline m =
-  List.iter
-    (fun name -> ignore (Metrics.gauge m ("osiris.timeline." ^ name)))
-    [ "interval"; "sources"; "samples"; "retained"; "dropped" ]
-
-(* Same treatment for the trace-query scan gauges (Query.publish):
-   dumps enumerate them at 0 even when no query ran this session. *)
-let preregister_query m =
-  List.iter
-    (fun name -> ignore (Metrics.gauge m ("osiris.query." ^ name)))
-    [ "blocks_scanned"; "blocks_skipped"; "records_decoded" ]
-
-let create ?metrics () =
-  (match metrics with
-   | None -> ()
-   | Some m ->
-     preregister_timeline m;
-     preregister_query m);
-  { evs = Array.make 1024 dummy_event;
-    n = 0;
-    registry = metrics;
-    meters = Option.map make_meters metrics }
-
-let update m = function
-  | Kernel.E_msg { call; _ } ->
-    Metrics.incr m.m_msgs;
-    if call then Metrics.incr m.m_calls
-  | Kernel.E_reply _ -> Metrics.incr m.m_replies
-  | Kernel.E_window_open _ -> Metrics.incr m.m_window_opens
-  | Kernel.E_window_close { policy; _ } ->
-    Metrics.incr m.m_window_closes;
-    if policy then Metrics.incr m.m_policy_closes
-  | Kernel.E_checkpoint { cycles; _ } ->
-    Metrics.incr m.m_checkpoints;
-    Metrics.add m.m_checkpoint_cycles cycles
-  | Kernel.E_store_logged { bytes; _ } ->
-    Metrics.incr m.m_stores_logged;
-    Metrics.add m.m_store_bytes bytes
-  | Kernel.E_kcall _ -> Metrics.incr m.m_kcalls
-  | Kernel.E_crash _ -> Metrics.incr m.m_crashes
-  | Kernel.E_hang_detected _ -> Metrics.incr m.m_hangs
-  | Kernel.E_rollback_begin _ -> Metrics.incr m.m_rollbacks
-  | Kernel.E_rollback_end { bytes; _ } -> Metrics.add m.m_rollback_bytes bytes
-  | Kernel.E_restart _ -> Metrics.incr m.m_restarts
-  | Kernel.E_halt _ | Kernel.E_spawn _ -> ()
+let create () = { evs = Array.make 1024 dummy_event; n = 0 }
 
 let record t ev =
   if t.n = Array.length t.evs then begin
@@ -103,10 +14,7 @@ let record t ev =
     t.evs <- bigger
   end;
   t.evs.(t.n) <- ev;
-  t.n <- t.n + 1;
-  match t.meters with None -> () | Some m -> update m ev
-
-let attach t kernel = Kernel.set_event_hook kernel (Some (record t))
+  t.n <- t.n + 1
 
 let events t = Array.to_list (Array.sub t.evs 0 t.n)
 
@@ -114,28 +22,78 @@ let count t = t.n
 
 let clear t = t.n <- 0
 
-let metrics t = t.registry
+(* Endpoint columns are 8 wide: long server names ("user100" is 7
+   chars, bdev/mfs are shorter) keep the arrows aligned. *)
+let pp_event = function
+  | Kernel.E_msg { time; src; dst; tag; call; rid; parent; cls = _ } ->
+    Printf.sprintf "%10d  %-8s -> %-8s %s%s [rid %d%s]" time
+      (Endpoint.server_name src) (Endpoint.server_name dst)
+      (Message.Tag.to_string tag)
+      (if call then " (call)" else "")
+      rid
+      (if parent = 0 then "" else Printf.sprintf " < %d" parent)
+  | Kernel.E_reply { time; src; dst; tag = _; rid } ->
+    Printf.sprintf "%10d  %-8s => %-8s reply [rid %d]" time
+      (Endpoint.server_name src) (Endpoint.server_name dst) rid
+  | Kernel.E_window_open { time; ep; rid } ->
+    Printf.sprintf "%10d  %-8s window open [rid %d]" time
+      (Endpoint.server_name ep) rid
+  | Kernel.E_window_close { time; ep; rid; policy } ->
+    Printf.sprintf "%10d  %-8s window close%s [rid %d]" time
+      (Endpoint.server_name ep)
+      (if policy then " (policy)" else "")
+      rid
+  | Kernel.E_checkpoint { time; ep; rid; cycles } ->
+    Printf.sprintf "%10d  %-8s checkpoint (%d cycles) [rid %d]" time
+      (Endpoint.server_name ep) cycles rid
+  | Kernel.E_store_logged { time; ep; rid; bytes } ->
+    Printf.sprintf "%10d  %-8s store logged (%dB) [rid %d]" time
+      (Endpoint.server_name ep) bytes rid
+  | Kernel.E_kcall { time; ep; rid; kc } ->
+    Printf.sprintf "%10d  %-8s kcall %s [rid %d]" time
+      (Endpoint.server_name ep) kc rid
+  | Kernel.E_crash { time; ep; reason; window_open; rid; policy } ->
+    Printf.sprintf "%10d  CRASH %s (%s) window=%s policy=%s [rid %d]" time
+      (Endpoint.server_name ep) reason
+      (if window_open then "open" else "closed")
+      policy rid
+  | Kernel.E_hang_detected { time; ep } ->
+    Printf.sprintf "%10d  HANG %s" time (Endpoint.server_name ep)
+  | Kernel.E_rollback_begin { time; ep; rid } ->
+    Printf.sprintf "%10d  %-8s rollback begin [rid %d]" time
+      (Endpoint.server_name ep) rid
+  | Kernel.E_rollback_end { time; ep; rid; bytes } ->
+    Printf.sprintf "%10d  %-8s rollback end (%dB) [rid %d]" time
+      (Endpoint.server_name ep) bytes rid
+  | Kernel.E_restart { time; ep; rid; policy } ->
+    Printf.sprintf "%10d  RESTART %s policy=%s [rid %d]" time
+      (Endpoint.server_name ep) policy rid
+  | Kernel.E_halt { time; halt } ->
+    Printf.sprintf "%10d  HALT %s" time (Kernel.halt_to_string halt)
+  | Kernel.E_spawn { time; ep; parent } ->
+    Printf.sprintf "%10d  SPAWN %s parent=%s" time
+      (Endpoint.server_name ep) (Endpoint.server_name parent)
 
-let snapshot_server_stats m kernel =
-  (* Kernel-wide load-shedding tally. Shed exits (status 75) are not in
-     the event stream — the exit status rides the PM call payload — so
-     the meter path can't count them; snapshot from the kernel's own
-     counter instead. *)
-  Metrics.set (Metrics.gauge m "osiris.shed_exits") (Kernel.shed_exits kernel);
-  List.iter
-    (fun ep ->
-       let ss = Kernel.server_stats kernel ep in
-       let g field v = Metrics.set (Metrics.gauge m (ss.Kernel.ss_name ^ "." ^ field)) v in
-       g "ops_total" ss.Kernel.ss_ops_total;
-       g "ops_in_window" ss.Kernel.ss_ops_in_window;
-       g "busy_cycles" ss.Kernel.ss_busy_cycles;
-       g "logged_stores" ss.Kernel.ss_logged_stores;
-       g "skipped_stores" ss.Kernel.ss_skipped_stores;
-       g "deduped_stores" ss.Kernel.ss_deduped_stores;
-       g "undo_peak_bytes" ss.Kernel.ss_undo_peak_bytes;
-       g "rollback_bytes" ss.Kernel.ss_rollback_bytes;
-       g "restore_bytes_saved" ss.Kernel.ss_restore_bytes_saved;
-       g "window_opens" ss.Kernel.ss_window_opens;
-       g "policy_closes" ss.Kernel.ss_policy_closes;
-       g "restarts" ss.Kernel.ss_restarts)
-    (Kernel.server_endpoints kernel)
+let touches ep = function
+  | Kernel.E_msg { src; dst; _ } | Kernel.E_reply { src; dst; _ } ->
+    src = ep || dst = ep
+  | Kernel.E_crash { ep = e; _ }
+  | Kernel.E_restart { ep = e; _ }
+  | Kernel.E_window_open { ep = e; _ }
+  | Kernel.E_window_close { ep = e; _ }
+  | Kernel.E_checkpoint { ep = e; _ }
+  | Kernel.E_store_logged { ep = e; _ }
+  | Kernel.E_kcall { ep = e; _ }
+  | Kernel.E_hang_detected { ep = e; _ }
+  | Kernel.E_rollback_begin { ep = e; _ }
+  | Kernel.E_rollback_end { ep = e; _ }
+  | Kernel.E_spawn { ep = e; _ } -> e = ep
+  | Kernel.E_halt _ -> true
+
+let timeline ?only ~last t =
+  let from = t.n - min t.n (max 0 last) in
+  let evs = List.init (t.n - from) (fun i -> t.evs.(from + i)) in
+  let evs =
+    match only with None -> evs | Some ep -> List.filter (touches ep) evs
+  in
+  List.map pp_event evs

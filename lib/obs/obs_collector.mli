@@ -1,30 +1,20 @@
-(** Event collector: the bridge between the kernel's event hook and the
-    span builder / metrics registry.
+(** Live event recorder: the one place a running kernel's event stream
+    is kept.
 
-    Unlike {!Tracer}, which keeps the last N events, the collector
-    keeps the whole stream (in a growable array) so span trees are
-    complete, and optionally folds every event into a {!Metrics.t} as
-    it arrives. The record path is array-append plus counter bumps —
-    no per-event allocation beyond amortized array growth. *)
+    Install {!record} as the kernel's event hook
+    ([System.build ?event_hook], or [Kernel.set_event_hook] after
+    build to skip boot traffic) and the collector keeps the whole
+    stream in a growable array, so span trees, the report's metrics
+    table, the critical path and the rendered timelines all read the
+    same events. The record path is an array append — no per-event
+    allocation beyond amortized array growth. *)
 
 type t
 
-val create : ?metrics:Metrics.t -> unit -> t
-(** With [metrics], pre-registers the ["osiris.*"] event series
-    (deliveries, replies, window opens/closes, checkpoint cycles,
-    logged stores and bytes, kcalls, crashes, hangs, rollbacks and
-    bytes rolled back, restarts) and updates them on every event. The
-    ["osiris.timeline.*"] summary gauges ([Timeseries.publish]) are
-    pre-registered too, so [Metrics.dump]'s sorted name set does not
-    depend on whether a vtime sampler ran. *)
+val create : unit -> t
 
 val record : t -> Kernel.event -> unit
 (** The hook body. *)
-
-val attach : t -> Kernel.t -> unit
-(** Install as the kernel's event hook (replaces any previous hook).
-    Attach before boot — via [System.build ?event_hook] — to capture
-    boot traffic too. *)
 
 val events : t -> Kernel.event list
 (** Everything recorded, oldest first. *)
@@ -33,11 +23,14 @@ val count : t -> int
 
 val clear : t -> unit
 
-val metrics : t -> Metrics.t option
+val pp_event : Kernel.event -> string
+(** One aligned line per event ([osiris suite --trace], {!timeline}).
+    The journal views render through [Replay.pp_event], whose format
+    their goldens pin. *)
 
-val snapshot_server_stats : Metrics.t -> Kernel.t -> unit
-(** Republish {!Kernel.server_stats} for every registered server as
-    gauges named ["<server>.<field>"] (e.g. ["pm.rollback_bytes"],
-    ["vfs.restore_bytes_saved"], ["ds.deduped_stores"]), making the
-    checkpoint-substrate counters first-class series next to the
-    event-derived ones. Call after (or during) a run. *)
+val timeline : ?only:Endpoint.t -> last:int -> t -> string list
+(** Render the newest [last] events, oldest first, one line each;
+    [only] then keeps the lines of events touching that endpoint. The
+    filter deliberately always lets [E_halt] through: a halt is a
+    system-wide event that terminates every per-endpoint story, so a
+    filtered timeline still ends with the run's outcome. *)

@@ -61,30 +61,80 @@ let recovery_table kernel =
           Tablefmt.fixed 0 s.Stats.p99;
           Tablefmt.fixed 0 s.Stats.max ] ]
 
-let metrics_table m =
-  let rows =
-    List.map
-      (fun (name, v) ->
-         match v with
-         | Metrics.V_counter c -> [ name; "counter"; string_of_int c ]
-         | Metrics.V_gauge g -> [ name; "gauge"; string_of_int g ]
-         | Metrics.V_hist h ->
-           [ name; "histogram";
-             Printf.sprintf "n=%d p50=%.0f p95=%.0f p99=%.0f max=%d"
-               (Histogram.count h) (Histogram.p50 h) (Histogram.p95 h)
-               (Histogram.p99 h) (Histogram.max_value h) ])
-      (Metrics.dump m)
-  in
-  if rows = [] then ""
-  else
-    Tablefmt.render ~title:"metrics" ~header:[ "series"; "kind"; "value" ]
-      ~align:[ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right ]
-      rows
+(* The [osiris.*] counters, each a count (or byte/cycle sum) over the
+   recorded event stream. *)
+let event_counters events =
+  let sum f = List.fold_left (fun acc ev -> acc + f ev) 0 events in
+  let count p = sum (fun ev -> if p ev then 1 else 0) in
+  [ "osiris.calls",
+    count (function Kernel.E_msg { call; _ } -> call | _ -> false);
+    "osiris.checkpoint_cycles",
+    sum (function Kernel.E_checkpoint { cycles; _ } -> cycles | _ -> 0);
+    "osiris.checkpoints",
+    count (function Kernel.E_checkpoint _ -> true | _ -> false);
+    "osiris.crashes", count (function Kernel.E_crash _ -> true | _ -> false);
+    "osiris.hangs_detected",
+    count (function Kernel.E_hang_detected _ -> true | _ -> false);
+    "osiris.kcalls", count (function Kernel.E_kcall _ -> true | _ -> false);
+    "osiris.msgs_delivered",
+    count (function Kernel.E_msg _ -> true | _ -> false);
+    "osiris.policy_closes",
+    count (function Kernel.E_window_close { policy; _ } -> policy | _ -> false);
+    "osiris.replies", count (function Kernel.E_reply _ -> true | _ -> false);
+    "osiris.restarts",
+    count (function Kernel.E_restart _ -> true | _ -> false);
+    "osiris.rollback_bytes",
+    sum (function Kernel.E_rollback_end { bytes; _ } -> bytes | _ -> 0);
+    "osiris.rollbacks",
+    count (function Kernel.E_rollback_begin _ -> true | _ -> false);
+    "osiris.store_bytes_logged",
+    sum (function Kernel.E_store_logged { bytes; _ } -> bytes | _ -> 0);
+    "osiris.stores_logged",
+    count (function Kernel.E_store_logged _ -> true | _ -> false);
+    "osiris.window_closes",
+    count (function Kernel.E_window_close _ -> true | _ -> false);
+    "osiris.window_opens",
+    count (function Kernel.E_window_open _ -> true | _ -> false) ]
 
-let render ?metrics ~kernel spans =
+(* Kernel-side gauges: the shed-exit tally (the exit status rides the PM
+   call payload, so no event carries it) and every server's lifetime
+   [Kernel.server_stats]. *)
+let kernel_gauges kernel =
+  ("osiris.shed_exits", Kernel.shed_exits kernel)
+  :: List.concat_map
+       (fun ep ->
+          let ss = Kernel.server_stats kernel ep in
+          List.map
+            (fun (field, v) -> (ss.Kernel.ss_name ^ "." ^ field, v))
+            [ "ops_total", ss.Kernel.ss_ops_total;
+              "ops_in_window", ss.Kernel.ss_ops_in_window;
+              "busy_cycles", ss.Kernel.ss_busy_cycles;
+              "logged_stores", ss.Kernel.ss_logged_stores;
+              "skipped_stores", ss.Kernel.ss_skipped_stores;
+              "deduped_stores", ss.Kernel.ss_deduped_stores;
+              "undo_peak_bytes", ss.Kernel.ss_undo_peak_bytes;
+              "rollback_bytes", ss.Kernel.ss_rollback_bytes;
+              "restore_bytes_saved", ss.Kernel.ss_restore_bytes_saved;
+              "window_opens", ss.Kernel.ss_window_opens;
+              "policy_closes", ss.Kernel.ss_policy_closes;
+              "restarts", ss.Kernel.ss_restarts ])
+       (Kernel.server_endpoints kernel)
+
+let metrics_table ~kernel events =
+  let rows kind =
+    List.map (fun (name, v) -> [ name; kind; string_of_int v ])
+  in
+  let rows =
+    List.sort compare
+      (rows "counter" (event_counters events)
+       @ rows "gauge" (kernel_gauges kernel))
+  in
+  Tablefmt.render ~title:"metrics" ~header:[ "series"; "kind"; "value" ]
+    ~align:[ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right ]
+    rows
+
+let render ~kernel ~events spans =
   let sections =
-    [ handler_table spans;
-      recovery_table kernel;
-      (match metrics with Some m -> metrics_table m | None -> "") ]
+    [ handler_table spans; recovery_table kernel; metrics_table ~kernel events ]
   in
   String.concat "\n" (List.filter (fun s -> s <> "") sections)

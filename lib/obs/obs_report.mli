@@ -1,7 +1,8 @@
-(** Aligned-text report over spans, metrics and kernel introspection:
-    per-handler latency quantiles, recovery latency quantiles, and the
-    registry dump. The CLI's [osiris report] and
-    [examples/observability.ml] render through this. *)
+(** Aligned-text report over a recorded run: per-handler latency
+    quantiles, recovery latency quantiles, and a metrics table derived
+    from the collected events and the kernel's own counters. The
+    CLI's [osiris report] and [examples/observability.ml] render
+    through this. *)
 
 val handler_table : Span.t list -> string
 (** Per (server, handler) virtual-cycle latency of completed request
@@ -11,8 +12,19 @@ val recovery_table : Kernel.t -> string
 (** Quantiles over {!Kernel.recovery_latencies}. Empty string when no
     recovery completed. *)
 
-val metrics_table : Metrics.t -> string
-(** Registry dump in registration order. *)
+val event_counters : Kernel.event list -> (string * int) list
+(** The sixteen [osiris.*] counters of an event stream, sorted by
+    name: deliveries, calls, replies, window opens/closes, policy
+    closes, checkpoints and their cycles, logged stores and their
+    bytes, kcalls, crashes, hangs, rollbacks and bytes rolled back,
+    restarts. *)
 
-val render : ?metrics:Metrics.t -> kernel:Kernel.t -> Span.t list -> string
+val metrics_table : kernel:Kernel.t -> Kernel.event list -> string
+(** {!event_counters} (kind [counter]) next to the kernel's gauges —
+    [osiris.shed_exits] and every server's {!Kernel.server_stats} as
+    ["<server>.<field>"] (e.g. ["ds.rollback_bytes"]) — one sorted
+    [series / kind / value] table. *)
+
+val render :
+  kernel:Kernel.t -> events:Kernel.event list -> Span.t list -> string
 (** All applicable sections, separated by blank lines. *)

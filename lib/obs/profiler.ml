@@ -44,12 +44,6 @@ let phase_cycles t ep phase =
   | Some k ->
     sum_slots (Kernel.slot_cycles k ep) phase_slots.(Kernel.phase_index phase)
 
-let phase_events t ep phase =
-  match t.kernel with
-  | None -> 0
-  | Some k ->
-    sum_slots (Kernel.slot_events k ep) phase_slots.(Kernel.phase_index phase)
-
 let proc_cycles t ep =
   match t.kernel with
   | None -> 0

@@ -43,7 +43,6 @@ val endpoints : t -> Endpoint.t list
 
 val proc_cycles : t -> Endpoint.t -> int
 val phase_cycles : t -> Endpoint.t -> Kernel.phase -> int
-val phase_events : t -> Endpoint.t -> Kernel.phase -> int
 val total_cycles : t -> int
 val total_phase : t -> Kernel.phase -> int
 val n_records : t -> int

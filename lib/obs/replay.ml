@@ -116,8 +116,8 @@ let run ~exec ?cost_fingerprint header recorded =
 
 let exit_code o = match o.rp_divergence with None -> 0 | Some _ -> 2
 
-(* Compact one-line event rendering for divergence reports. (Tracer has
-   a richer pretty-printer, but lib/trace sits above lib/obs.) *)
+(* Compact one-line event rendering for divergence reports; the live
+   views' aligned format is [Obs_collector.pp_event]. *)
 let pp_event = function
   | Kernel.E_msg { time; src; dst; tag; call; rid; parent; _ } ->
     Printf.sprintf "msg t=%d %s->%s %s%s rid=%d parent=%d" time

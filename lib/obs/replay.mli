@@ -81,9 +81,10 @@ val run :
     to the header's, i.e. no mismatch). *)
 
 val pp_event : Kernel.event -> string
-(** Compact one-line event rendering, shared with [Postmortem]
-    ([Tracer.pp_event] lives above this library in the dependency
-    order). *)
+(** Compact one-line event rendering, shared with [Postmortem] and
+    [Rundiff]. The live views render through
+    [Obs_collector.pp_event] instead; the two formats stay separate
+    because the replay, postmortem and diff goldens pin this one. *)
 
 val exit_code : outcome -> int
 (** 0 for a byte-identical replay, 2 on divergence — the

@@ -57,12 +57,6 @@ let add_source t ~name ~kind read =
   t.reg <- (name, kind, read) :: t.reg;
   t.n_reg <- t.n_reg + 1
 
-let add_counter t name c =
-  add_source t ~name ~kind:Delta (fun () -> Metrics.counter_value c)
-
-let add_gauge t name g =
-  add_source t ~name ~kind:Gauge (fun () -> Metrics.gauge_value g)
-
 let add_kernel_sources t k =
   add_source t ~name:"kernel.ops" ~kind:Delta (fun () -> Kernel.total_ops k);
   add_source t ~name:"kernel.delivered" ~kind:Delta
@@ -137,12 +131,6 @@ let attach t k =
   freeze t;
   t.attached <- true;
   Kernel.set_vtime_sampler k ~interval:t.ts_interval (Some (fun at -> sample t at))
-
-let detach t k =
-  if t.attached then begin
-    t.attached <- false;
-    Kernel.set_vtime_sampler k ~interval:0 None
-  end
 
 let n_sources t = if t.frozen then Array.length t.names else t.n_reg
 
@@ -250,11 +238,3 @@ let to_json t =
     names;
   Buffer.add_string b "]}";
   Buffer.contents b
-
-let publish t m =
-  let g name v = Metrics.set (Metrics.gauge m name) v in
-  g "osiris.timeline.interval" t.ts_interval;
-  g "osiris.timeline.sources" (n_sources t);
-  g "osiris.timeline.samples" t.total;
-  g "osiris.timeline.retained" (retained t);
-  g "osiris.timeline.dropped" (dropped t)

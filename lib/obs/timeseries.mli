@@ -26,8 +26,7 @@
     closure construction, no boxing. Source read functions are bound
     once at registration and must themselves be allocation-free — the
     kernel accessors documented as such ([run_queue_depth],
-    [handle_inbox_depth], [total_phase_cycles], ...) and [Metrics]
-    handle reads qualify.
+    [handle_inbox_depth], [total_phase_cycles], ...) qualify.
 
     {2 Ring sizing}
 
@@ -69,13 +68,6 @@ val add_source : t -> name:string -> kind:kind -> (unit -> int) -> unit
     the kernel's clock-advance path: it must be cheap and
     allocation-free. *)
 
-val add_counter : t -> string -> Metrics.counter -> unit
-(** Register a [Metrics] counter as a [Delta] source (per-interval
-    rate). *)
-
-val add_gauge : t -> string -> Metrics.gauge -> unit
-(** Register a [Metrics] gauge as a [Gauge] source (level). *)
-
 val add_kernel_sources : t -> Kernel.t -> unit
 (** Register the standard kernel source set, in this fixed order:
     - [kernel.ops], [kernel.delivered], [kernel.crashes],
@@ -95,9 +87,6 @@ val attach : t -> Kernel.t -> unit
 (** Freeze the source set and install the vtime sampler on the
     kernel. Raises [Invalid_argument] when no sources are registered
     or the series is already attached. *)
-
-val detach : t -> Kernel.t -> unit
-(** Remove the sampler; the recorded samples stay readable. *)
 
 val sample : t -> int -> unit
 (** Take one sample stamped [at] — what the kernel hook calls; exposed
@@ -150,9 +139,3 @@ val to_json : t -> string
 (** [{"interval":..,"samples":..,"retained":..,"dropped":..,
      "times":[..],"series":[{"name":..,"kind":..,"values":[..]},..]}]
     with names escaped via [Chrome_trace.escaped]. *)
-
-val publish : t -> Metrics.t -> unit
-(** Set the [osiris.timeline.*] summary gauges ([interval], [sources],
-    [samples], [retained], [dropped]) — pre-registered by
-    [Obs_collector] so [Metrics.dump] stays deterministically sorted
-    whether or not telemetry ran. *)

@@ -33,10 +33,6 @@ let float t x =
   (* 53 significant bits, scaled to [0, 1). *)
   v /. 9007199254740992.0 *. x
 
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

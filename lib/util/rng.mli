@@ -27,8 +27,5 @@ val bool : t -> bool
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -1,5 +1,6 @@
 (* Tests for lib/obs: the causal event sequence through a crash, span
-   trees, histogram/metrics primitives, and the Chrome trace export
+   trees, histogram primitives, the report's metrics table, and the
+   Chrome trace export
    (validated with a small structural JSON parser — no JSON library in
    the tree, and the export must stay loadable by Perfetto). *)
 
@@ -12,8 +13,7 @@
 
 let run_with_crash ?(policy = Policy.enhanced) ?(crash = Some Endpoint.ds)
     ?(root = Workgen.quickstart) () =
-  let metrics = Metrics.create () in
-  let collector = Obs_collector.create ~metrics () in
+  let collector = Obs_collector.create () in
   let sys =
     System.build ~event_hook:(Obs_collector.record collector) (Sysconf.uniform policy)
   in
@@ -35,7 +35,7 @@ let run_with_crash ?(policy = Policy.enhanced) ?(crash = Some Endpoint.ds)
              end
              else None)));
   let halt = System.run sys ~root in
-  (sys, collector, metrics, halt)
+  (sys, collector, halt)
 
 (* ------------------------------------------------------------------ *)
 (* The exact recovery event sequence                                   *)
@@ -51,7 +51,7 @@ let rec unmatched pattern events =
     if p e then unmatched ps es else unmatched pattern es
 
 let test_crash_event_sequence () =
-  let _sys, collector, _metrics, halt = run_with_crash () in
+  let _sys, collector, halt = run_with_crash () in
   Alcotest.(check bool) "run completed" true
     (match halt with Kernel.H_completed _ -> true | _ -> false);
   let ds = Endpoint.ds in
@@ -76,7 +76,7 @@ let test_crash_event_sequence () =
 let test_crash_rid_matches_request () =
   (* The E_crash rid is the rid of the request being handled, i.e. the
      rid of a prior call-E_msg into the crashed server. *)
-  let _sys, collector, _metrics, _halt = run_with_crash () in
+  let _sys, collector, _halt = run_with_crash () in
   let events = Obs_collector.events collector in
   let crash_rid =
     List.find_map
@@ -100,7 +100,7 @@ let test_crash_rid_matches_request () =
 (* ------------------------------------------------------------------ *)
 
 let test_recovery_span_nested_under_request () =
-  let _sys, collector, _metrics, _halt = run_with_crash () in
+  let _sys, collector, _halt = run_with_crash () in
   let spans = Span.build (Obs_collector.events collector) in
   let recovery =
     Span.find (fun s -> s.Span.sp_kind = Span.Recovery) spans
@@ -158,7 +158,7 @@ let prop_span_trees_well_formed =
          | 3 -> Some Endpoint.vm
          | _ -> Some Endpoint.ds
        in
-       let _sys, collector, _metrics, _halt =
+       let _sys, collector, _halt =
          run_with_crash ~crash ~root:(Workgen.generate ~seed ()) ()
        in
        let events = Obs_collector.events collector in
@@ -289,7 +289,7 @@ module Json = struct
 end
 
 let test_chrome_trace_structure () =
-  let _sys, collector, _metrics, _halt = run_with_crash () in
+  let _sys, collector, _halt = run_with_crash () in
   let events = Obs_collector.events collector in
   let spans = Span.build events in
   let json = Chrome_trace.of_spans ~events spans in
@@ -372,7 +372,7 @@ let test_chrome_trace_hostile_names () =
     Alcotest.fail ("export with hostile names is not valid JSON: " ^ m)
 
 (* ------------------------------------------------------------------ *)
-(* Histogram and metrics primitives                                    *)
+(* Histogram primitives and the derived metrics table                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_histogram_basics () =
@@ -555,77 +555,41 @@ let prop_histogram_merge_matches_union =
                ~max_value:(Histogram.max_value m) (Histogram.buckets m))
           = Histogram.buckets u)
 
-let test_metrics_registry () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "a.count" in
-  let g = Metrics.gauge m "a.gauge" in
-  let h = Metrics.histogram m "a.hist" in
-  Metrics.incr c;
-  Metrics.add c 41;
-  Metrics.set g 7;
-  Metrics.set g 9;
-  Histogram.observe h 5;
-  Alcotest.(check int) "counter accumulates" 42 (Metrics.counter_value c);
-  Alcotest.(check int) "gauge keeps last" 9 (Metrics.gauge_value g);
-  (* get-or-create returns the same cell *)
-  Metrics.incr (Metrics.counter m "a.count");
-  Alcotest.(check int) "same cell by name" 43 (Metrics.counter_value c);
-  (* dump sorts by name, not registration order: this series is
-     registered last but lists first *)
-  ignore (Metrics.counter m "a.a_registered_last");
-  Alcotest.(check (list string)) "dump sorted by name"
-    [ "a.a_registered_last"; "a.count"; "a.gauge"; "a.hist" ]
-    (List.map fst (Metrics.dump m));
-  (match Metrics.find m "a.gauge" with
-   | Some (Metrics.V_gauge 9) -> ()
-   | _ -> Alcotest.fail "find returned the wrong value");
-  Alcotest.check_raises "kind mismatch rejected"
-    (Invalid_argument
-       "Metrics: \"a.count\" already registered as a different kind")
-    (fun () -> ignore (Metrics.gauge m "a.count"))
-
-let test_collector_metrics_agree () =
-  (* the osiris.* series must agree with what the collector recorded *)
-  let _sys, collector, metrics, _halt = run_with_crash () in
-  let events = Obs_collector.events collector in
-  let count pred = List.length (List.filter pred events) in
+let test_derived_counters_agree () =
+  (* the event-derived osiris.* counters must agree with the kernel's
+     own lifetime counters over the same run *)
+  let sys, collector, _halt = run_with_crash () in
+  let kernel = System.kernel sys in
+  let counters = Obs_report.event_counters (Obs_collector.events collector) in
   let counter name =
-    match Metrics.find metrics name with
-    | Some (Metrics.V_counter v) -> v
-    | _ -> Alcotest.fail ("missing counter " ^ name)
+    match List.assoc_opt name counters with
+    | Some v -> v
+    | None -> Alcotest.fail ("missing counter " ^ name)
   in
-  Alcotest.(check int) "crashes"
-    (count (function Kernel.E_crash _ -> true | _ -> false))
+  Alcotest.(check int) "crashes" (Kernel.crashes kernel)
     (counter "osiris.crashes");
-  Alcotest.(check int) "rollbacks"
-    (count (function Kernel.E_rollback_end _ -> true | _ -> false))
-    (counter "osiris.rollbacks");
-  Alcotest.(check int) "window opens"
-    (count (function Kernel.E_window_open _ -> true | _ -> false))
-    (counter "osiris.window_opens");
+  Alcotest.(check int) "restarts" (Kernel.restarts kernel)
+    (counter "osiris.restarts");
+  Alcotest.(check int) "messages delivered" (Kernel.messages_delivered kernel)
+    (counter "osiris.msgs_delivered");
+  Alcotest.(check int) "sixteen counters" 16 (List.length counters);
   Alcotest.(check bool) "rollback bytes surfaced" true
     (counter "osiris.rollback_bytes" > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Interleaved observers: tracer + collector + vtime sampler together  *)
+(* Interleaved observers: collector + vtime sampler together           *)
 (* ------------------------------------------------------------------ *)
 
 let test_observers_interleaved () =
-  (* One run with every observer attached at once: a tracer and a
-     collector composed into the event hook, and a vtime-sampled
-     timeseries through [System.build ~telemetry]. Each must see the
-     complete picture, and the sampler must not disturb the others. *)
-  let metrics = Metrics.create () in
-  let collector = Obs_collector.create ~metrics () in
-  let tracer = Tracer.create ~capacity:65536 () in
+  (* One run with both observers attached at once: the collector as
+     the event hook, and a vtime-sampled timeseries through
+     [System.build ~telemetry]. Each must see the complete picture, and
+     the sampler must not disturb the collector or its views. *)
+  let collector = Obs_collector.create () in
   let interval = 1024 in
   let ts = Timeseries.create ~interval ~capacity:4096 () in
   let sys =
-    System.build
-      ~event_hook:(fun e ->
-        Tracer.record tracer e;
-        Obs_collector.record collector e)
-      ~telemetry:ts
+    System.build ~event_hook:(Obs_collector.record collector) ~telemetry:ts
       (Sysconf.uniform Policy.enhanced)
   in
   let kernel = System.kernel sys in
@@ -645,11 +609,15 @@ let test_observers_interleaved () =
   let halt = System.run sys ~root:Workgen.quickstart in
   Alcotest.(check bool) "run completed" true
     (match halt with Kernel.H_completed _ -> true | _ -> false);
-  (* both event observers saw the identical stream *)
-  Alcotest.(check int) "tracer and collector fed equally"
-    (Obs_collector.count collector) (Tracer.recorded tracer);
-  Alcotest.(check bool) "events recorded" true
-    (Obs_collector.count collector > 0);
+  (* the timeline renders the whole stream, one line per event, and
+     ends with the halt *)
+  let events = Obs_collector.events collector in
+  Alcotest.(check bool) "events recorded" true (events <> []);
+  Alcotest.(check (list string)) "timeline is the rendered stream"
+    (List.map Obs_collector.pp_event events)
+    (Obs_collector.timeline ~last:max_int collector);
+  Alcotest.(check bool) "stream ends with the halt" true
+    (match List.rev events with Kernel.E_halt _ :: _ -> true | _ -> false);
   (* the sampler ran on the fixed vtime grid, nothing dropped *)
   let n = Timeseries.samples_taken ts in
   Alcotest.(check bool) "samples taken" true (n > 0);
@@ -696,36 +664,16 @@ let test_observers_interleaved () =
   (* the collector still agrees with the kernel despite the sampler *)
   let crash_events =
     List.length
-      (List.filter
-         (function Kernel.E_crash _ -> true | _ -> false)
-         (Obs_collector.events collector))
+      (List.filter (function Kernel.E_crash _ -> true | _ -> false) events)
   in
   Alcotest.(check int) "collector crash count matches kernel" crash_events
-    (Kernel.crashes kernel);
-  (* osiris.timeline.* are pre-registered: publish adds no new names,
-     so the sorted dump is layout-stable with or without telemetry *)
-  let names () = List.map fst (Metrics.dump metrics) in
-  let before = names () in
-  List.iter
-    (fun g ->
-       Alcotest.(check bool) (g ^ " pre-registered") true
-         (List.mem g before))
-    [ "osiris.timeline.interval"; "osiris.timeline.sources";
-      "osiris.timeline.samples"; "osiris.timeline.retained";
-      "osiris.timeline.dropped" ];
-  Timeseries.publish ts metrics;
-  Alcotest.(check (list string)) "publish adds no names" before (names ());
-  (match Metrics.find metrics "osiris.timeline.samples" with
-   | Some (Metrics.V_gauge v) ->
-     Alcotest.(check int) "published sample count" n v
-   | _ -> Alcotest.fail "osiris.timeline.samples is not a gauge")
+    (Kernel.crashes kernel)
 
 let test_report_renders () =
-  let sys, collector, metrics, _halt = run_with_crash () in
-  Obs_collector.snapshot_server_stats metrics (System.kernel sys);
-  let spans = Span.build (Obs_collector.events collector) in
+  let sys, collector, _halt = run_with_crash () in
+  let events = Obs_collector.events collector in
   let report =
-    Obs_report.render ~metrics ~kernel:(System.kernel sys) spans
+    Obs_report.render ~kernel:(System.kernel sys) ~events (Span.build events)
   in
   List.iter
     (fun needle ->
@@ -763,9 +711,8 @@ let () =
           Alcotest.test_case "histogram of_buckets" `Quick
             test_histogram_of_buckets;
           QCheck_alcotest.to_alcotest prop_histogram_merge_matches_union;
-          Alcotest.test_case "registry" `Quick test_metrics_registry;
           Alcotest.test_case "collector series" `Quick
-            test_collector_metrics_agree;
+            test_derived_counters_agree;
           Alcotest.test_case "interleaved observers" `Quick
             test_observers_interleaved;
           Alcotest.test_case "report" `Quick test_report_renders ] ) ]

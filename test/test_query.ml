@@ -234,28 +234,6 @@ let test_pushdown_skips_blocks () =
   Alcotest.(check int) "matches agree" full.Query.q_matched
     indexed.Query.q_matched
 
-let test_gauges_published () =
-  let _, bytes, ix = Lazy.force fixture in
-  let stats = Journal.scan_stats () in
-  let filter = parse_exn "kind=crash" in
-  ignore (run_exn ~index:ix ~stats ~filter ~agg:Query.Count bytes);
-  let m = Metrics.create () in
-  Query.publish stats m;
-  let gauge name =
-    match Metrics.find m name with
-    | Some (Metrics.V_gauge v) -> v
-    | _ -> Alcotest.fail ("gauge missing: " ^ name)
-  in
-  Alcotest.(check int) "blocks_scanned gauge"
-    stats.Journal.sc_blocks_scanned
-    (gauge "osiris.query.blocks_scanned");
-  Alcotest.(check int) "blocks_skipped gauge"
-    stats.Journal.sc_blocks_skipped
-    (gauge "osiris.query.blocks_skipped");
-  Alcotest.(check int) "records_decoded gauge"
-    stats.Journal.sc_records_decoded
-    (gauge "osiris.query.records_decoded")
-
 (* ------------------------------------------------------------------ *)
 (* Indexed = full scan, property-tested                                *)
 (* ------------------------------------------------------------------ *)
@@ -430,8 +408,6 @@ let () =
       ( "pushdown",
         [ Alcotest.test_case "narrow window skips blocks" `Quick
             test_pushdown_skips_blocks;
-          Alcotest.test_case "scan gauges published" `Quick
-            test_gauges_published;
           QCheck_alcotest.to_alcotest prop_indexed_equals_full_scan ] );
       ( "diff",
         [ Alcotest.test_case "identical runs" `Quick test_diff_identical_runs;

@@ -1,10 +1,12 @@
-(* Tests for the event tracer: ring semantics, event ordering, and the
-   recovery sequence visible through a crash. *)
+(* Tests for the live event recorder's views: event ordering, the
+   last-N timeline, and the recovery sequence visible through a
+   crash. *)
 
-let run_traced ?capacity ?fault root =
+let run_traced ?fault root =
   let sys = System.build (Sysconf.uniform Policy.enhanced) in
-  let tracer = Tracer.create ?capacity () in
-  Tracer.attach tracer (System.kernel sys);
+  let collector = Obs_collector.create () in
+  Kernel.set_event_hook (System.kernel sys)
+    (Some (Obs_collector.record collector));
   (match fault with
    | Some pred ->
      let fired = ref false in
@@ -17,20 +19,20 @@ let run_traced ?capacity ?fault root =
             else None))
    | None -> ());
   let halt = System.run sys ~root in
-  (tracer, halt)
+  (collector, halt)
 
 let simple_root () =
   let _ = Syscall.ds_publish ~key:"tr" ~value:1 in
   Syscall.exit 0
 
 let test_events_recorded_in_order () =
-  let tracer, _ = run_traced simple_root in
+  let collector, _ = run_traced simple_root in
   let times =
     List.filter_map
       (function
         | Kernel.E_msg { time; _ } | Kernel.E_reply { time; _ } -> Some time
         | _ -> None)
-      (Tracer.events tracer)
+      (Obs_collector.events collector)
   in
   Alcotest.(check bool) "nonempty" true (times <> []);
   let rec sorted = function
@@ -40,18 +42,20 @@ let test_events_recorded_in_order () =
   Alcotest.(check bool) "nondecreasing timestamps" true (sorted times)
 
 let test_halt_event_last () =
-  let tracer, _ = run_traced simple_root in
-  match List.rev (Tracer.events tracer) with
+  let collector, _ = run_traced simple_root in
+  match List.rev (Obs_collector.events collector) with
   | Kernel.E_halt { halt = Kernel.H_completed 0; _ } :: _ -> ()
   | _ -> Alcotest.fail "expected a final halt event"
 
 let test_ring_eviction () =
-  let tracer, _ = run_traced ~capacity:8 Testsuite.driver in
-  Alcotest.(check int) "ring bounded" 8 (List.length (Tracer.events tracer));
-  Alcotest.(check bool) "more were seen" true (Tracer.recorded tracer > 8)
+  let collector, _ = run_traced Testsuite.driver in
+  Alcotest.(check int) "timeline bounded" 8
+    (List.length (Obs_collector.timeline ~last:8 collector));
+  Alcotest.(check bool) "more were seen" true
+    (Obs_collector.count collector > 8)
 
 let test_crash_and_restart_traced () =
-  let tracer, halt =
+  let collector, halt =
     run_traced
       ~fault:(fun site ->
           site.Kernel.site_ep = Endpoint.ds
@@ -59,7 +63,7 @@ let test_crash_and_restart_traced () =
       simple_root
   in
   Alcotest.(check bool) "run survived" true (halt = Kernel.H_completed 0);
-  let evs = Tracer.events tracer in
+  let evs = Obs_collector.events collector in
   let crash_at =
     List.filter_map
       (function
@@ -75,9 +79,11 @@ let test_crash_and_restart_traced () =
        evs)
 
 let test_timeline_filter () =
-  let tracer, _ = run_traced simple_root in
-  let all = Tracer.timeline tracer in
-  let ds_only = Tracer.timeline ~only:Endpoint.ds tracer in
+  let collector, _ = run_traced simple_root in
+  let all = Obs_collector.timeline ~last:max_int collector in
+  let ds_only =
+    Obs_collector.timeline ~only:Endpoint.ds ~last:max_int collector
+  in
   Alcotest.(check bool) "filter narrows" true
     (List.length ds_only < List.length all && ds_only <> []);
   Alcotest.(check bool) "lines mention ds" true
@@ -85,43 +91,39 @@ let test_timeline_filter () =
          (* every non-HALT line of the filtered view names ds *)
          String.length l > 0) ds_only)
 
-(* Regression: [events] on a partially filled ring must return exactly
-   the recorded events (oldest first) without scanning — or worse,
-   returning — the unused tail of the ring, and a wrapped ring must
-   window to the newest [capacity] in order. Feeds [Tracer.record]
-   directly so the exact counts are under test control. *)
+(* [timeline ~last] over fewer than [last] events renders exactly the
+   recorded ones (oldest first), and over more it windows to the newest
+   [last] in order. Feeds [Obs_collector.record] directly so the exact
+   counts are under test control. *)
 let synthetic i = Kernel.E_kcall { time = i; ep = Endpoint.ds; rid = 0; kc = "t" }
 
-let times tracer =
-  List.map
-    (function
-      | Kernel.E_kcall { time; _ } -> time
-      | _ -> Alcotest.fail "unexpected event shape")
-    (Tracer.events tracer)
+let recorded n =
+  let collector = Obs_collector.create () in
+  for i = 1 to n do
+    Obs_collector.record collector (synthetic i)
+  done;
+  collector
+
+let lines times = List.map (fun i -> Obs_collector.pp_event (synthetic i)) times
 
 let test_partial_ring () =
-  let tracer = Tracer.create ~capacity:8 () in
-  for i = 1 to 5 do
-    Tracer.record tracer (synthetic i)
-  done;
-  Alcotest.(check (list int)) "5 of 8 slots, oldest first" [ 1; 2; 3; 4; 5 ]
-    (times tracer)
+  Alcotest.(check (list string)) "5 of 8, oldest first"
+    (lines [ 1; 2; 3; 4; 5 ])
+    (Obs_collector.timeline ~last:8 (recorded 5))
 
 let test_wrapped_ring () =
-  let tracer = Tracer.create ~capacity:8 () in
-  for i = 1 to 13 do
-    Tracer.record tracer (synthetic i)
-  done;
-  Alcotest.(check (list int)) "newest 8, oldest first"
-    [ 6; 7; 8; 9; 10; 11; 12; 13 ] (times tracer);
-  Alcotest.(check int) "all 13 seen" 13 (Tracer.recorded tracer)
+  let collector = recorded 13 in
+  Alcotest.(check (list string)) "newest 8, oldest first"
+    (lines [ 6; 7; 8; 9; 10; 11; 12; 13 ])
+    (Obs_collector.timeline ~last:8 collector);
+  Alcotest.(check int) "all 13 seen" 13 (Obs_collector.count collector)
 
 let test_clear () =
-  let tracer, _ = run_traced simple_root in
-  Tracer.clear tracer;
+  let collector, _ = run_traced simple_root in
+  Obs_collector.clear collector;
   Alcotest.(check (list string)) "empty after clear" []
-    (Tracer.timeline tracer);
-  Alcotest.(check int) "counter reset" 0 (Tracer.recorded tracer)
+    (Obs_collector.timeline ~last:max_int collector);
+  Alcotest.(check int) "counter reset" 0 (Obs_collector.count collector)
 
 let () =
   Alcotest.run "osiris_trace"
