@@ -461,11 +461,10 @@ let ablation () =
      crash-loops; error virtualization degrades gracefully. *)
   let run_persistent policy =
     let sys = System.build (Sysconf.uniform policy) in
-    Kernel.set_fault_hook (System.kernel sys)
+    Kernel.set_fault_hook ~scope:[ Endpoint.ds ] (System.kernel sys)
       (Some
          (fun site ->
-            if site.Kernel.site_ep = Endpoint.ds
-               && site.Kernel.site_handler = Some Message.Tag.T_ds_retrieve
+            if site.Kernel.site_handler = Some Message.Tag.T_ds_retrieve
                && site.Kernel.site_kind = Kernel.Op_load
                && site.Kernel.site_occ = 0
             then Some (Kernel.F_crash "persistent bug")
@@ -478,11 +477,10 @@ let ablation () =
   let lat_sys = System.build ~max_crashes:10_000 (Sysconf.uniform Policy.enhanced) in
   let lat_kernel = System.kernel lat_sys in
   let every = ref 0 in
-  Kernel.set_fault_hook lat_kernel
+  Kernel.set_fault_hook ~scope:[ Endpoint.pm ] lat_kernel
     (Some
-       (fun site ->
-          if site.Kernel.site_ep = Endpoint.pm
-             && Kernel.window_is_open lat_kernel Endpoint.pm
+       (fun (_ : Kernel.site) ->
+          if Kernel.window_is_open lat_kernel Endpoint.pm
           then begin
             incr every;
             if !every mod 500 = 0 then Some (Kernel.F_crash "latency probe")
@@ -619,10 +617,10 @@ let micro () =
          (fun () ->
             let sys = System.build (Sysconf.uniform Policy.enhanced) in
             let fired = ref false in
-            Kernel.set_fault_hook (System.kernel sys)
+            Kernel.set_fault_hook ~scope:[ Endpoint.ds ] (System.kernel sys)
               (Some
-                 (fun site ->
-                    if (not !fired) && site.Kernel.site_ep = Endpoint.ds then begin
+                 (fun (_ : Kernel.site) ->
+                    if not !fired then begin
                       fired := true;
                       Some (Kernel.F_crash "bench")
                     end

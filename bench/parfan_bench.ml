@@ -35,6 +35,14 @@
                                 minor words more than an unarmed run,
                                 on one domain: matching an armed site
                                 builds nothing per operation
+     scoped_hook_alloc_exact
+                        exact   a suite run with a [None]-returning hook
+                                scoped to DS calls it once per post-boot
+                                DS operation ([ss_ops_total]), and
+                                allocates less than [max_scoped_residual]
+                                minor words more than an unhooked run
+                                beyond the site records it was handed:
+                                the other servers build no site
      parfan_identical   exact   jobs:1 and jobs:4 produce structurally
                                 byte-identical campaign rows (Marshal
                                 equality)
@@ -102,12 +110,14 @@ let max_armed_residual = 16. (* words per run, whatever its length *)
 
 (* Minor words of one suite run on this domain, after [arm] has set its
    kernel up. *)
-let run_words arm =
+let run_words ?(after = ignore) arm =
   let sys = System.build ~seed:42 (Sysconf.uniform Policy.enhanced) in
   arm (System.kernel sys);
   let w0 = Gc.minor_words () in
   ignore (System.run sys ~root:Testsuite.driver);
-  Gc.minor_words () -. w0
+  let words = Gc.minor_words () -. w0 in
+  after (System.kernel sys);
+  words
 
 (* On an endpoint no server has: every server operation is matched
    against it, and it never fires. *)
@@ -123,6 +133,10 @@ let hook_unreached k =
        (fun s ->
           if Kernel.compare_site s unreached = 0 then Some Kernel.F_benign
           else None))
+
+(* ---- scoped hooks: only the scope's servers are sited ------------- *)
+
+let max_scoped_residual = 64. (* words per run, whatever its length *)
 
 (* ---- isolation: per-run counters beside concurrent domains -------- *)
 
@@ -158,6 +172,34 @@ let run () =
     plain_words (armed_words -. plain_words) max_armed_residual
     (if armed_alloc_ok then "ok" else "FAILED")
     (hook_words -. plain_words);
+  (* A hook scoped to DS that fires nowhere: the calls it receives and
+     the words of the site records they carry. *)
+  let scoped_calls = ref 0 and scoped_record_words = ref 0 and ds_ops = ref 0 in
+  let hook_ds_scoped k =
+    Kernel.set_fault_hook ~scope:[ Endpoint.ds ] k
+      (Some
+         (fun s ->
+            incr scoped_calls;
+            scoped_record_words :=
+              !scoped_record_words + Obj.size (Obj.repr s) + 1;
+            None))
+  in
+  let scoped_words =
+    run_words hook_ds_scoped ~after:(fun k ->
+        ds_ops := (Kernel.server_stats k Endpoint.ds).Kernel.ss_ops_total)
+  in
+  let scoped_residual =
+    scoped_words -. plain_words -. float_of_int !scoped_record_words
+  in
+  let scoped_ok =
+    !scoped_calls = !ds_ops && scoped_residual < max_scoped_residual
+  in
+  Printf.printf
+    "hook scoped to ds: %d calls for %d post-boot ds ops, %+.0f words beyond \
+     its %d words of site records (< %.0f) -> %s\n"
+    !scoped_calls !ds_ops scoped_residual !scoped_record_words
+    max_scoped_residual
+    (if scoped_ok then "ok" else "FAILED");
   (* ---- isolation ---- *)
   let alone = counter_probe () in
   let d1 = Domain.spawn counter_probe and d2 = Domain.spawn counter_probe in
@@ -239,6 +281,12 @@ let run () =
            "{\"plain_words\": %.0f, \"armed_words\": %.0f, \"hook_words\": %.0f,\n\
            \    \"max_residual\": %.0f}" plain_words armed_words hook_words
            max_armed_residual );
+       ( "scoped_hook_alloc",
+         Printf.sprintf
+           "{\"calls\": %d, \"ds_ops\": %d, \"scoped_words\": %.0f,\n\
+           \    \"record_words\": %d, \"residual\": %.0f, \"max_residual\": %.0f}"
+           !scoped_calls !ds_ops scoped_words !scoped_record_words
+           scoped_residual max_scoped_residual );
        ( "wall",
          Printf.sprintf
            "{\"seq_ns\": %.0f, \"par_ns\": %.0f, \"seq_over_par\": %.3f,\n\
@@ -259,6 +307,7 @@ let run () =
            \    \"calibration.threshold\": 700, \"pool.runs_per_sec\": 700,\n\
            \    \"pool.imbalance_pct\": 200}" ) ])
     [ Benchkit.exact "armed_site_alloc_exact" armed_alloc_ok;
+      Benchkit.exact "scoped_hook_alloc_exact" scoped_ok;
       Benchkit.exact "parfan_identical" identical;
       Benchkit.exact "parfan_isolation" isolation;
       Benchkit.timing "parfan_speedup" speedup_ok ]

@@ -116,7 +116,8 @@ let recovery_bytes ?(seed = 42) ?(period = 400) policy =
   let kernel = System.kernel sys in
   (* A periodic crash probe across all servers: every [period]-th
      eligible fault site fires, so the run exercises both the rollback
-     path (in-window crashes) and the restart path. *)
+     path (in-window crashes) and the restart path. The tick counts
+     every site of every server, so the hook is left unscoped. *)
   let tick = ref 0 in
   Kernel.set_fault_hook kernel
     (Some

@@ -21,22 +21,23 @@ let server_of_name = function
   | "rs" -> Some Endpoint.rs
   | _ -> None
 
+(* The hook sites [ep] alone and removes itself at its last crash, so
+   every other server, and [ep] after that, runs unsited. *)
 let arm_crash ?(count = 1) kernel = function
-  | None -> ()
-  | Some ep ->
-    let armed = ref count in
-    Kernel.set_fault_hook kernel
+  | Some ep when count > 0 ->
+    let left = ref count in
+    Kernel.set_fault_hook ~scope:[ ep ] kernel
       (Some
          (fun site ->
-            if !armed > 0
-               && site.Kernel.site_ep = ep
-               && site.Kernel.site_kind = Kernel.Op_reply
+            if site.Kernel.site_kind = Kernel.Op_reply
                && Kernel.window_is_open kernel ep
             then begin
-              decr armed;
+              decr left;
+              if !left = 0 then Kernel.set_fault_hook kernel None;
               Some (Kernel.F_crash "injected for tracing")
             end
             else None))
+  | _ -> ()
 
 let perturbed_costs arch =
   let base = Kernel.costs_of_arch arch in

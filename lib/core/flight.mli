@@ -32,7 +32,10 @@ val arm_crash : ?count:int -> Kernel.t -> Endpoint.t option -> unit
 (** Install a fault hook that fail-stop crashes the given server at
     its first [count] in-window reply sites — the deterministic crash
     injection used by the tracing/obs commands and recorded in the
-    journal header as [jh_crash]/[jh_crash_count]. *)
+    journal header as [jh_crash]/[jh_crash_count]. The hook is scoped
+    to that server ([Kernel.set_fault_hook ~scope]) and removes itself
+    once its [count] crashes have fired; with [count <= 0] or no
+    server, no hook is installed. *)
 
 val make_header :
   ?arch:Kernel.arch ->

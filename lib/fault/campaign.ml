@@ -6,9 +6,6 @@ let outcome_name = function
   | Shutdown -> "shutdown"
   | Crash -> "crash"
 
-let core_server_site (s : Kernel.site) =
-  List.mem s.Kernel.site_ep System.core_servers
-
 module Keys = Hashtbl.Make (struct
     type t = int
 
@@ -20,15 +17,13 @@ let profile_sites_conf ?(seed = 42) conf =
   let sys = System.build ~seed conf in
   let seen = Keys.create 4096 in
   let order = ref [] in
-  Kernel.set_fault_hook (System.kernel sys)
+  Kernel.set_fault_hook ~scope:System.core_servers (System.kernel sys)
     (Some
        (fun site ->
-          if core_server_site site then begin
-            let key = Kernel.site_key site in
-            if not (Keys.mem seen key) then begin
-              Keys.add seen key ();
-              order := site :: !order
-            end
+          let key = Kernel.site_key site in
+          if not (Keys.mem seen key) then begin
+            Keys.add seen key ();
+            order := site :: !order
           end;
           None));
   let (_ : Kernel.halt) = System.run sys ~root:Testsuite.driver in

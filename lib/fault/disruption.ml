@@ -13,11 +13,10 @@ let run ?(seed = 42) ~bench ~interval () =
   let kernel = System.kernel sys in
   if interval > 0 then begin
     let last = ref 0 in
-    Kernel.set_fault_hook kernel
+    Kernel.set_fault_hook ~scope:[ Endpoint.pm ] kernel
       (Some
-         (fun site ->
-            if site.Kernel.site_ep = Endpoint.pm
-               && Kernel.window_is_open kernel Endpoint.pm
+         (fun (_ : Kernel.site) ->
+            if Kernel.window_is_open kernel Endpoint.pm
                && Kernel.proc_vtime kernel Endpoint.pm - !last >= interval
             then begin
               last := Kernel.proc_vtime kernel Endpoint.pm;

@@ -488,6 +488,10 @@ type t = {
   mutable halt_on_exit : Endpoint.t option;
   mutable next_user_ep : int;
   mutable fault_hook : (site -> fault_action option) option;
+  (* The endpoints [fault_hook] is called at ([None]: every server's),
+     and the same as a mask by endpoint, '\001' where it is called. *)
+  mutable hook_scope : Endpoint.t list option;
+  mutable hook_mask : Bytes.t;
   (* One-shot faults armed by [arm]: each site's [site_key] (-1 once it
      has fired; no operation's key is negative) beside its action,
      boxed once here so that firing allocates nothing. *)
@@ -497,9 +501,10 @@ type t = {
   (* Cached [fault_hook <> None || armed_left > 0]: [op_site] runs per
      op and must not pay a polymorphic compare there. *)
   mutable siting : bool;
-  (* By endpoint, '\001' where an armed site can fire: without a fault
-     hook only those processes are sited (see [sited]). *)
-  mutable site_scope : Bytes.t;
+  (* By endpoint, '\001' where operations are sited (see [sited]): the
+     hook's endpoints and, while an armed site is left, the endpoints
+     of the armed sites. Nowhere else can a fault fire. *)
+  mutable site_mask : Bytes.t;
   mutable event_hook : (event -> unit) option;
   (* The log emission appends to: the installed capture, else
      [hook_log] — the kernel's own log for a hook alone, reset after
@@ -582,11 +587,13 @@ let create cfg =
     halt_on_exit = None;
     next_user_ep = Endpoint.first_user;
     fault_hook = None;
+    hook_scope = None;
+    hook_mask = Bytes.empty;
     armed_keys = [||];
     armed_fire = [||];
     armed_left = 0;
     siting = false;
-    site_scope = Bytes.empty;
+    site_mask = Bytes.empty;
     event_hook = None;
     tap = hook_log;
     hook_log;
@@ -622,24 +629,48 @@ let create cfg =
     sc_row = 0;
     sc_i = 0 }
 
-let refresh_siting t = t.siting <- t.fault_hook <> None || t.armed_left > 0
+(* '\001' at each endpoint of [eps]; negative ones are dropped. *)
+let endpoint_mask eps =
+  let m = Bytes.make (List.fold_left max (-1) eps + 1) '\000' in
+  List.iter (fun ep -> if ep >= 0 then Bytes.set m ep '\001') eps;
+  m
 
-let set_fault_hook t hook =
+let[@inline] in_mask m ep =
+  ep >= 0 && ep < Bytes.length m && Bytes.unsafe_get m ep = '\001'
+
+let hook_endpoints t =
+  match t.fault_hook, t.hook_scope with
+  | None, _ -> []
+  | Some _, Some eps -> eps
+  | Some _, None -> t.servers
+
+(* The endpoint of a [site_key]: its most significant digit. *)
+let key_ep key = key / ((Message.Tag.n_tags + 1) * n_op_kinds * (occ_cap + 1))
+
+(* Once no armed site is left this allocates nothing: the site mask is
+   the hook's. *)
+let refresh_siting t =
+  t.siting <- t.fault_hook <> None || t.armed_left > 0;
+  t.site_mask <-
+    (if t.armed_left = 0 then t.hook_mask
+     else
+       endpoint_mask
+         (Array.fold_left
+            (fun acc key -> if key >= 0 then key_ep key :: acc else acc)
+            (hook_endpoints t) t.armed_keys))
+
+let set_fault_hook ?scope t hook =
   t.fault_hook <- hook;
+  t.hook_scope <- scope;
+  t.hook_mask <- endpoint_mask (hook_endpoints t);
   refresh_siting t
 
+(* A site matches only operations of its own endpoint, so the armed
+   sites widen [site_mask] by their endpoints alone. *)
 let arm t faults =
   t.armed_keys <- Array.of_list (List.map (fun (s, _) -> site_key s) faults);
   t.armed_fire <- Array.of_list (List.map (fun (_, a) -> Some a) faults);
   t.armed_left <- Array.length t.armed_keys;
-  (* A site matches only operations of its own endpoint, so the other
-     processes need not be sited at all. *)
-  let top = List.fold_left (fun m (s, _) -> max m s.site_ep) (-1) faults in
-  let scope = Bytes.make (max 0 (top + 1)) '\000' in
-  List.iter
-    (fun (s, _) -> if site_key s >= 0 then Bytes.set scope s.site_ep '\001')
-    faults;
-  t.site_scope <- scope;
   refresh_siting t
 
 let set_event_hook t hook =
@@ -1567,6 +1598,8 @@ let add_server t srv =
   Queue.push main p.runq;
   register t srv.srv_ep p;
   t.servers <- t.servers @ [ srv.srv_ep ];
+  (* An unscoped hook is called at this server too. *)
+  if t.fault_hook <> None then set_fault_hook ?scope:t.hook_scope t t.fault_hook;
   schedule t p
 
 let spawn_user_at t ~at ~name ~prog ~parent =
@@ -1932,7 +1965,7 @@ let op_site_hooked t p th kind =
   in
   match fired, t.fault_hook with
   | Some _, _ | None, None -> fired
-  | None, Some hook ->
+  | None, Some hook when in_mask t.hook_mask p.ep ->
     hook
       { site_ep = p.ep;
         site_handler =
@@ -1941,18 +1974,11 @@ let op_site_hooked t p th kind =
            | Some r -> Array.unsafe_get some_tag (Message.Tag.to_index r.rq_tag));
         site_kind = kind;
         site_occ = occ }
+  | None, Some _ -> None
 
-(* Whether [p]'s operations are sited: every post-boot server's while
-   a fault hook is set, else those at an endpoint with an armed site
-   (the only ones that can fire). *)
-let[@inline] sited t p =
-  p.covering && t.siting
-  && (match t.fault_hook with
-      | Some _ -> true
-      | None ->
-        let scope = t.site_scope in
-        p.ep >= 0 && p.ep < Bytes.length scope
-        && Bytes.unsafe_get scope p.ep = '\001')
+(* Whether [p]'s operations are sited: a post-boot server's at an
+   endpoint where a fault can fire. *)
+let[@inline] sited t p = p.covering && t.siting && in_mask t.site_mask p.ep
 
 let[@inline] op_site t p th kind =
   if sited t p then op_site_hooked t p th kind else None

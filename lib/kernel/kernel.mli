@@ -550,24 +550,32 @@ val live_update : t -> Endpoint.t -> (unit -> unit) -> (unit, string) result
 
 val arm : t -> (site * fault_action) list -> unit
 (** Arm one-shot faults as data, replacing any armed before ([arm t []]
-    disarms). At every post-boot server operation the kernel matches
-    the operation's site against the armed sites that have not fired,
-    in list order, on integers alone — no site record, no closure, no
+    disarms). At every sited operation (below) the kernel matches the
+    operation's site against the armed sites that have not fired, in
+    list order, on integers alone — no site record, no closure, no
     allocation. The first match fires its action and is disarmed, so a
-    site listed twice fires at its first two occurrences. Once every
-    armed site has fired and no hook is set, operations stop being
-    sited at all; without a hook, only the servers at the endpoint of
-    an armed site are sited (a site matches operations of its own
-    endpoint alone). A site no operation can have (occurrence outside
-    [0, 16], negative endpoint) never fires. Use this for faults fixed
-    before the run (EDFI campaigns); use {!set_fault_hook} when the
-    condition depends on run state. *)
+    site listed twice fires at its first two occurrences. A site
+    matches operations of its own endpoint alone, so the operations
+    sited are the post-boot server operations at the endpoints of the
+    armed sites, together with those of the hook's scope
+    ({!set_fault_hook}); once every armed site has fired, only the
+    hook's remain, and with no hook set none at all. Every other server
+    runs unsited — its row searches batched. A site no operation can
+    have (occurrence outside [0, 16], negative endpoint) never fires.
+    Use this for faults fixed before the run (EDFI campaigns); use
+    {!set_fault_hook} when the condition depends on run state. *)
 
-val set_fault_hook : t -> (site -> fault_action option) option -> unit
-(** Consulted for every post-boot server operation that no armed site
-    ({!arm}) fires at: armed sites are matched first, and the hook sees
-    only the operations they leave. Also the profiling tap — a hook
-    that records its site and returns [None]. *)
+val set_fault_hook :
+  ?scope:Endpoint.t list -> t -> (site -> fault_action option) option -> unit
+(** Consulted for every post-boot server operation at an endpoint of
+    [scope] (default: every server) that no armed site ({!arm}) fires
+    at: armed sites are matched first, and the hook sees only the
+    operations they leave. A hook sees no other endpoint's site, and
+    its scope's servers alone (with the armed sites') pay for building
+    site records; give the endpoints a hook can fire at when it cannot
+    fire everywhere. Also the profiling tap — a hook that records its
+    site and returns [None]. [set_fault_hook t None] removes the hook;
+    a hook may remove itself. *)
 
 (** {1 Introspection} *)
 

@@ -82,6 +82,10 @@ type hook =
   | Cycle_hook             (* per-row path: a cycle hook is installed *)
   | Site_recorder          (* per-row path: a fault hook records sites *)
   | Fire of int * Kernel.fault_action  (* the hook fires at the k-th DS load *)
+  | Fire_here of int * Kernel.fault_action
+  (* per-row path: the same hook scoped to DS, the scanning endpoint *)
+  | Fire_elsewhere of int * Kernel.fault_action
+  (* batched: a hook scoped to PM fires at PM's k-th operation *)
   | Armed of int * Kernel.fault_action (* [Kernel.arm] at the k-th handler load *)
 
 type case = {
@@ -126,6 +130,9 @@ let show_case c =
      | Cycle_hook -> "cycle"
      | Site_recorder -> "sites"
      | Fire (k, a) -> Printf.sprintf "fire %s at %d" (show_action a) k
+     | Fire_here (k, a) -> Printf.sprintf "fire %s at %d, scoped to ds" (show_action a) k
+     | Fire_elsewhere (k, a) ->
+       Printf.sprintf "fire %s at pm op %d, scoped to pm" (show_action a) k
      | Armed (k, a) -> Printf.sprintf "armed %s at %d" (show_action a) k)
     (String.concat "; "
        (List.map
@@ -226,6 +233,24 @@ let run_case ?max_ops c scan =
   let boot_ops = Kernel.total_ops k in
   let sites = ref [] in
   let ds_loads = ref 0 in
+  let fire_at_ds_load nth action s =
+    sites := Kernel.site_to_string s :: !sites;
+    if s.Kernel.site_ep = Endpoint.ds && s.Kernel.site_kind = Kernel.Op_load
+    then begin
+      incr ds_loads;
+      if !ds_loads = nth then Some action else None
+    end
+    else None
+  in
+  (* A scoped hook handed another endpoint's site leaves a mark the
+     property rejects. *)
+  let in_scope ep hook s =
+    if s.Kernel.site_ep <> ep then begin
+      sites := "out of scope" :: !sites;
+      None
+    end
+    else hook s
+  in
   let advances = ref 0 in
   (match c.hook with
    | No_hook -> ()
@@ -235,17 +260,18 @@ let run_case ?max_ops c scan =
    | Site_recorder ->
      Kernel.set_fault_hook k
        (Some (fun s -> sites := Kernel.site_to_string s :: !sites; None))
-   | Fire (nth, action) ->
-     Kernel.set_fault_hook k
+   | Fire (nth, action) -> Kernel.set_fault_hook k (Some (fire_at_ds_load nth action))
+   | Fire_here (nth, action) ->
+     Kernel.set_fault_hook ~scope:[ Endpoint.ds ] k
+       (Some (in_scope Endpoint.ds (fire_at_ds_load nth action)))
+   | Fire_elsewhere (nth, action) ->
+     let pm_ops = ref 0 in
+     Kernel.set_fault_hook ~scope:[ Endpoint.pm ] k
        (Some
-          (fun s ->
-             sites := Kernel.site_to_string s :: !sites;
-             if s.Kernel.site_ep = Endpoint.ds && s.Kernel.site_kind = Kernel.Op_load
-             then begin
-               incr ds_loads;
-               if !ds_loads = nth then Some action else None
-             end
-             else None))
+          (in_scope Endpoint.pm (fun s ->
+               sites := Kernel.site_to_string s :: !sites;
+               incr pm_ops;
+               if !pm_ops = nth then Some action else None)))
    | Armed (occ, action) ->
      Kernel.arm k
        [ ( { Kernel.site_ep = Endpoint.ds;
@@ -338,6 +364,8 @@ let gen_case =
       (2, return Cycle_hook);
       (2, return Site_recorder);
       (2, map2 (fun k a -> Fire (k, a)) (int_range 1 60) gen_action);
+      (2, map2 (fun k a -> Fire_here (k, a)) (int_range 1 60) gen_action);
+      (2, map2 (fun k a -> Fire_elsewhere (k, a)) (int_range 1 8) gen_action);
       (2, map2 (fun k a -> Armed (k, a)) (int_range 0 16) gen_action) ]
   >>= fun hook ->
   return
@@ -357,7 +385,9 @@ let check_same c =
   let max_ops = max_ops_of c in
   let fused, _ = run_case ?max_ops c Mem.scan in
   let per_op, _ = run_case ?max_ops c ref_scan in
-  if fused <> per_op then
+  if List.mem "out of scope" fused.o_sites || List.mem "out of scope" per_op.o_sites
+  then QCheck.Test.fail_reportf "a scoped hook saw another endpoint's site"
+  else if fused <> per_op then
     QCheck.Test.fail_reportf
       "fused %s / per-load %s: results %b halt %b now %d/%d ops %d/%d stats %b \
        slots %b phases %b requests %b sites %b events %b crashes %b advances %b"
@@ -380,6 +410,7 @@ let test_cases_reach_every_path () =
   let rand = Random.State.make [| 7 |] in
   let cases = QCheck.Gen.generate ~rand ~n:300 gen_case in
   let halted = ref 0 and crashed = ref 0 and hit = ref 0 and unbacked = ref 0 in
+  let fired_elsewhere = ref 0 in
   let row_size = Layout.Table.row_size (make_table ~pad:0 ~rows:1).tbl in
   List.iter
     (fun c ->
@@ -387,6 +418,10 @@ let test_cases_reach_every_path () =
        if List.exists (fun r -> r <> None) o.o_results then incr hit;
        if o.o_crashes <> [] then incr crashed;
        if o.o_halt = "hang" then incr halted;
+       (match c.hook with
+        | Fire_elsewhere (nth, _) when List.length o.o_sites >= nth ->
+          incr fired_elsewhere
+        | _ -> ());
        if List.exists
            (fun (_, n) -> c.pad + (min n c.rows * row_size) > o.o_resident)
            c.queries
@@ -398,7 +433,8 @@ let test_cases_reach_every_path () =
   at_least "runs with a matching scan" 50 !hit;
   at_least "runs with a crashed server" 20 !crashed;
   at_least "runs halted by their budget" 10 !halted;
-  at_least "runs scanning rows past the backing" 50 !unbacked
+  at_least "runs scanning rows past the backing" 50 !unbacked;
+  at_least "runs where a hook scoped to PM fired" 10 !fired_elsewhere
 
 (* ---------------- allocation -------------------------------------- *)
 
