@@ -3,11 +3,20 @@
 
    - conservation as a QCheck property: across random workloads,
      seeds and crash injections, every process's attributed cycles
-     equal its virtual clock exactly;
+     equal its virtual clock exactly, and the kernel's running
+     per-phase totals equal the profiler's per-process sums;
    - an exact fixture for the seed-42 quickstart crash run, pinning
      the per-phase breakdown so attribution changes are loud;
    - the folded flamegraph format and Perfetto counter samples;
    - health: MTTR, success ratio, crash-loop detection. *)
+
+(* The kernel's incrementally maintained per-phase totals against the
+   profiler's sum over every compartment's counter row. *)
+let phase_totals_agree profiler kernel =
+  List.find_opt
+    (fun ph ->
+       Kernel.total_phase_cycles kernel ph <> Profiler.total_phase profiler ph)
+    Kernel.all_phases
 
 let arm_crash ?(count = 1) kernel ep =
   let armed = ref count in
@@ -57,9 +66,16 @@ let prop_conservation =
            ~crashes:(1 + (crashes mod 3))
            ~root ()
        in
-       match Profiler.check_conservation profiler kernel with
-       | Ok () -> true
-       | Error m -> QCheck.Test.fail_reportf "conservation violated: %s" m)
+       (match Profiler.check_conservation profiler kernel with
+        | Ok () -> ()
+        | Error m -> QCheck.Test.fail_reportf "conservation violated: %s" m);
+       match phase_totals_agree profiler kernel with
+       | None -> true
+       | Some ph ->
+         QCheck.Test.fail_reportf "phase total %s: kernel %d, profiler %d"
+           (Kernel.phase_to_string ph)
+           (Kernel.total_phase_cycles kernel ph)
+           (Profiler.total_phase profiler ph))
 
 (* ---------------- seed-42 crash-run fixture ----------------------- *)
 
@@ -76,6 +92,13 @@ let test_seed42_fixture () =
   (match Profiler.check_conservation profiler kernel with
    | Ok () -> ()
    | Error m -> Alcotest.fail ("conservation violated: " ^ m));
+  List.iter
+    (fun ph ->
+       Alcotest.(check int)
+         ("phase total " ^ Kernel.phase_to_string ph)
+         (Profiler.total_phase profiler ph)
+         (Kernel.total_phase_cycles kernel ph))
+    Kernel.all_phases;
   Alcotest.(check int) "total cycles" 4586478 (Profiler.total_cycles profiler);
   let ds = Endpoint.ds in
   List.iter
