@@ -886,7 +886,7 @@ let why_cmd =
          | Error m ->
            prerr_endline ("why: " ^ m);
            Error 1
-         | Ok (_header, events) -> Ok [ (Array.to_list events, None) ])
+         | Ok (_header, events) -> Ok [ Array.to_list events ])
       | None ->
         let specs = if specs = [] then [ policy.Policy.name ] else specs in
         Ok
@@ -894,20 +894,11 @@ let why_cmd =
              ?jobs:(if jobs = 0 then None else Some jobs)
              (fun spec ->
                 let c = Obs_collector.create () in
-                let sys, _ =
-                  Flight.run
-                    ~prepare:(fun sys ->
-                        let k = System.kernel sys in
-                        (* Kernel-side charging is the independent
-                           cross-check on the event-derived attribution;
-                           it observes the run without perturbing it. *)
-                        Kernel.enable_cycle_counts k;
-                        Kernel.enable_request_counts k)
-                    ~event_hook:(Obs_collector.record c)
-                    (header ~arch ~seed ~spec ~workload ~crash
-                       ~crash_count:count ())
-                in
-                (Obs_collector.events c, Some (System.kernel sys)))
+                ignore
+                  (Flight.run ~event_hook:(Obs_collector.record c)
+                     (header ~arch ~seed ~spec ~workload ~crash
+                        ~crash_count:count ()));
+                Obs_collector.events c)
              specs)
     in
     match runs with
@@ -915,10 +906,10 @@ let why_cmd =
     | Ok runs ->
       let analyzed =
         List.map
-          (fun (events, kernel) ->
+          (fun events ->
              let model = Runmodel.of_list events in
              let cp = Critpath.analyze_model model events in
-             (events, model, kernel, cp,
+             (events, model, cp,
               Tailprof.profile cp.Critpath.cr_requests))
           runs
       in
@@ -926,7 +917,7 @@ let why_cmd =
          artifact whose buckets don't sum back to the latencies. *)
       let violations =
         List.concat_map
-          (fun (_, _, _, cp, _) ->
+          (fun (_, _, cp, _) ->
              List.filter
                (fun b -> Critpath.breakdown_sum b <> Critpath.total b)
                cp.Critpath.cr_requests)
@@ -944,7 +935,7 @@ let why_cmd =
       end
       else begin
         List.iteri
-          (fun i (_, _, kernel, cp, prof) ->
+          (fun i (_, _, cp, prof) ->
              let reqs = cp.Critpath.cr_requests in
              Printf.printf
                "run %d: %d completed request(s), %d incomplete — \
@@ -992,38 +983,13 @@ let why_cmd =
                            (Endpoint.server_name ep) c)
                       b.Critpath.cp_service
                   end)
-               slowest;
-             (* Live runs carry the kernel: check the charging identity
-                (sum of per-root rows = global phase totals). Stdout
-                only — the JSON artifact stays a pure function of the
-                events so journal attribution matches byte-for-byte. *)
-             match kernel with
-             | None -> ()
-             | Some k ->
-               let rows = Kernel.request_rows k in
-               let sys_row = Kernel.system_request_row k in
-               let ok =
-                 List.for_all
-                   (fun ph ->
-                      let pi = Kernel.phase_index ph in
-                      let s =
-                        List.fold_left
-                          (fun acc (_, _, row) -> acc + row.(pi))
-                          sys_row.(pi) rows
-                      in
-                      s = Kernel.total_phase_cycles k ph)
-                   Kernel.all_phases
-               in
-               Printf.printf
-                 "  kernel charging cross-check: %s (%d roots)\n"
-                 (if ok then "exact" else "MISMATCH")
-                 (Kernel.request_count k))
+               slowest)
           analyzed;
         let buf = Buffer.create 4096 in
         Printf.bprintf buf "{\n  \"tool\": \"why\",\n  \"runs\": [\n";
         let nruns = List.length analyzed in
         List.iteri
-          (fun i (_, _, _, cp, prof) ->
+          (fun i (_, _, cp, prof) ->
              Printf.bprintf buf "    {\"incomplete\": %d,\n     \"requests\": [\n"
                cp.Critpath.cr_incomplete;
              let reqs = cp.Critpath.cr_requests in
@@ -1041,7 +1007,7 @@ let why_cmd =
         Printf.bprintf buf "  ]\n}\n";
         write_file json (Buffer.contents buf);
         (match perfetto, analyzed with
-         | Some path, (events, model, _, cp, prof) :: _ ->
+         | Some path, (events, model, cp, prof) :: _ ->
            let spans = Span.of_model model in
            let anchor_of = Hashtbl.create 256 in
            List.iter

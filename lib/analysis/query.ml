@@ -247,6 +247,8 @@ let rec eval parents p ev =
 (* Predicate pushdown                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* May any record in the block satisfy the predicate? Conservative:
+   [true] on uncertainty (negation, policies, saturated bitmap bits). *)
 let rec can_match p (b : Journal.block) =
   match p with
   | True -> true

@@ -62,17 +62,6 @@ val eval : (int, int) Hashtbl.t -> pred -> Kernel.event -> bool
 (** [eval parents p ev]: does [ev] satisfy [p]? [parents] is the
     rid -> parent map accrued so far (only consulted by [Chain]). *)
 
-val can_match : pred -> Journal.block -> bool
-(** May any record in the block satisfy the predicate? Conservative:
-    [true] on uncertainty (negation, policies, saturated bitmap bits). *)
-
-val block_filter : pred -> Journal.block -> bool
-(** The pushdown actually used by {!run}: {!can_match}, except that
-    blocks whose rid range reaches a [Chain] target are always decoded
-    — their [E_msg] records feed the rid -> parent map that chain
-    walks read, even when the block itself can contain no match. *)
-
-val agg_to_string : agg -> string
 val field_of_name : string -> field option
 val dim_of_name : string -> dim option
 
@@ -107,9 +96,12 @@ val run :
   string ->
   (outcome, string) result
 (** Evaluate over encoded journal bytes in one streaming pass.
-    Without [index], every block is decoded (full scan); with it,
-    {!block_filter} prunes. [stats] accrues blocks scanned/skipped and
-    records decoded. [Error] on undecodable bytes. *)
+    Without [index], every block is decoded (full scan); with it, the
+    index summaries prune every block no record of which can match
+    (conservatively; a block whose rid range reaches a [chain] target
+    is always decoded, since chain walks read its parent bindings).
+    [stats] accrues blocks scanned/skipped and records decoded.
+    [Error] on undecodable bytes. *)
 
 val render : outcome -> Journal.scan_stats option -> string
 (** Human-readable result; scan statistics appended when given. *)

@@ -37,6 +37,8 @@ let bucket_of_index = function
   | 6 -> B_collateral
   | i -> invalid_arg (Printf.sprintf "Tailprof.bucket_of_index %d" i)
 
+(* Indexed in declaration order; sums to [Critpath.total]
+   (conservation carries over). *)
 let bucket_totals b =
   [| b.Critpath.cp_own;
      b.Critpath.cp_queue;

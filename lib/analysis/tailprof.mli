@@ -35,10 +35,6 @@ val bucket_index : bucket -> int
 
 val bucket_of_index : int -> bucket
 
-val bucket_totals : Critpath.breakdown -> int array
-(** Length {!n_buckets}, indexed in declaration order; sums to
-    [Critpath.total] (conservation carries over). *)
-
 type cohort = {
   co_n : int;           (** Requests in the cohort (>= 1). *)
   co_cut : int;         (** The latency cut that selected them. *)

@@ -1,10 +1,5 @@
 type criticality = Critical | Important | Best_effort
 
-let criticality_to_string = function
-  | Critical -> "critical"
-  | Important -> "important"
-  | Best_effort -> "best-effort"
-
 type t = {
   c_name : string;
   c_ep : Endpoint.t;
@@ -28,9 +23,3 @@ let ep t = t.c_ep
 let policy t = t.c_policy
 let budget t = t.c_budget
 let criticality t = t.c_criticality
-
-let describe t =
-  Printf.sprintf "%s(ep=%d): policy=%s budget=%s criticality=%s" t.c_name
-    t.c_ep t.c_policy.Policy.name
-    (match t.c_budget with None -> "unlimited" | Some b -> string_of_int b)
-    (criticality_to_string t.c_criticality)

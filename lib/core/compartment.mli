@@ -14,8 +14,6 @@ type criticality =
   | Important     (** default: recovered on crash, no special claim *)
   | Best_effort   (** losing it degrades but does not doom the system *)
 
-val criticality_to_string : criticality -> string
-
 type t = {
   c_name : string;
   c_ep : Endpoint.t;
@@ -38,6 +36,3 @@ val ep : t -> Endpoint.t
 val policy : t -> Policy.t
 val budget : t -> int option
 val criticality : t -> criticality
-
-val describe : t -> string
-(** One line: ["ds(ep=4): policy=stateless budget=3 criticality=best-effort"]. *)

@@ -41,8 +41,9 @@ val bench_suite :
   ?arch:Kernel.arch -> ?seed:int -> ?jobs:int ->
   ?stats:(Parfan.stats -> unit) -> Policy.t -> bench_result list
 (** One freshly booted system per benchmark, fanned out across the
-    {!Parfan} domain pool ([jobs] defaults to {!Parfan.default_jobs};
-    [jobs:1] runs sequentially in the calling domain). Scores are
+    {!Parfan} domain pool ([jobs] defaults to the pool's automatic
+    count, see {!Parfan.resolve_jobs}; [jobs:1] runs sequentially in
+    the calling domain). Scores are
     simulated-cycle ratios, so the result rows do not depend on the
     worker count. *)
 

@@ -76,22 +76,20 @@ let make_header ?(arch = Kernel.Microkernel) ?(seed = 42) ?(spec = "enhanced")
   in
   match resolve header with Ok _ -> Ok header | Error m -> Error m
 
-let run_resolved ?costs ?event_hook ?journal ?profiler ?telemetry ?prepare
-    header (conf, root, crash) =
+let run_resolved ?costs ?event_hook ?journal ?profiler ?telemetry header
+    (conf, root, crash) =
   let sys =
     System.build ~arch:header.Journal.jh_arch ~seed:header.Journal.jh_seed
       ?costs ?event_hook ?journal ?profiler ?telemetry conf
   in
   arm_crash ~count:header.Journal.jh_crash_count (System.kernel sys) crash;
-  (match prepare with Some f -> f sys | None -> ());
   (sys, System.run sys ~root)
 
-let run ?costs ?event_hook ?profiler ?telemetry ?prepare header =
+let run ?costs ?event_hook ?profiler ?telemetry header =
   match resolve header with
   | Error m -> invalid_arg ("Flight.run: " ^ m)
   | Ok resolved ->
-    run_resolved ?costs ?event_hook ?profiler ?telemetry ?prepare header
-      resolved
+    run_resolved ?costs ?event_hook ?profiler ?telemetry header resolved
 
 type recording = {
   rec_halt : Kernel.halt;

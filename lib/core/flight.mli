@@ -87,7 +87,6 @@ val run :
   ?event_hook:(Kernel.event -> unit) ->
   ?profiler:Profiler.t ->
   ?telemetry:Timeseries.t ->
-  ?prepare:(System.t -> unit) ->
   Journal.header ->
   System.t * Kernel.halt
 (** Build the system a header describes — spec parsed, crash injection
@@ -96,10 +95,7 @@ val run :
     log). [event_hook], [profiler] and [telemetry] are attached before
     boot through {!System.build}, so they see the whole run; [costs]
     overrides the header arch's cost table without touching the
-    header. [prepare] runs on the built system just before the
-    workload starts — [osiris why] uses it to switch on the kernel's
-    per-request cycle charging, which observes but never perturbs the
-    run.
+    header.
     @raise Invalid_argument on a header that fails {!make_header}'s
     validation (CLI paths validate first). *)
 

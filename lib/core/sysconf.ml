@@ -107,16 +107,14 @@ let validate t =
     t.sc_compartments;
   match !problems with [] -> Ok () | ps -> Error (List.rev ps)
 
-let describe t =
-  Printf.sprintf "%s: default=%s" t.sc_name t.sc_default.Policy.name
-  :: List.map (fun c -> "  " ^ Compartment.describe c) t.sc_compartments
-
 (* Spec strings, the CLI surface: "default[,server=policy[/budget]]...",
    e.g. "enhanced,ds=stateless,vm=pessimistic/3". *)
 
 let ep_of_server_name n =
   List.find_opt (fun ep -> Endpoint.server_name ep = n) server_eps
 
+(* [Policy.by_name] extended with on-demand graduated policies
+   ("enhanced-grad3"). *)
 let policy_of_string n =
   match Policy.by_name n with
   | Some p -> Some p

@@ -36,7 +36,6 @@ val name : t -> string
 val default : t -> Policy.t
 val compartments : t -> Compartment.t list
 
-val compartment_for : t -> Endpoint.t -> Compartment.t option
 val policy_for : t -> Endpoint.t -> Policy.t
 val budget_for : t -> Endpoint.t -> int option
 
@@ -47,15 +46,8 @@ val validate : t -> (unit, string list) result
 (** Static sanity: budgets non-negative, [Critical] compartments have a
     real recovery action. *)
 
-val describe : t -> string list
-(** Human-readable rendering, one line per compartment. *)
-
 val server_eps : Endpoint.t list
 (** The seven system servers, boot order. *)
-
-val policy_of_string : string -> Policy.t option
-(** {!Policy.by_name} extended with on-demand graduated policies
-    (["enhanced-grad3"]). *)
 
 val parse : string -> (t, string) result
 (** Spec strings for the CLI:

@@ -1,6 +1,5 @@
 type t = {
   sys_kernel : Kernel.t;
-  sys_registry : Registry.t;
   sys_conf : Sysconf.t;
   sys_bdev : Bdev.t;
   sys_mfs : Mfs.t;
@@ -113,7 +112,6 @@ let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_ops ?max_crashes
    | None -> ());
   Kernel.boot kernel;
   { sys_kernel = kernel;
-    sys_registry = registry;
     sys_conf = conf;
     sys_bdev = bdev;
     sys_mfs = mfs;
@@ -121,7 +119,6 @@ let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_ops ?max_crashes
     sys_log = log }
 
 let kernel t = t.sys_kernel
-let registry t = t.sys_registry
 let sysconf t = t.sys_conf
 let policy t = Sysconf.default t.sys_conf
 let policy_of t ep = Sysconf.policy_for t.sys_conf ep

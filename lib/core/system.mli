@@ -60,7 +60,6 @@ val build :
     @raise Invalid_argument when {!Sysconf.validate} rejects the spec. *)
 
 val kernel : t -> Kernel.t
-val registry : t -> Registry.t
 
 val sysconf : t -> Sysconf.t
 (** The spec the system was built from. *)

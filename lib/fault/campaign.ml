@@ -82,11 +82,8 @@ let armed_run ~seed conf faults =
   let halt = System.run sys ~root:Testsuite.driver in
   (sys, classify halt (Testsuite.parse_results (System.log_lines sys)))
 
-let run_one_conf ?(seed = 42) conf site action =
-  snd (armed_run ~seed conf [ (site, action) ])
-
-let run_one ?seed policy site action =
-  run_one_conf ?seed (Sysconf.uniform policy) site action
+let run_one ?(seed = 42) policy site action =
+  snd (armed_run ~seed (Sysconf.uniform policy) [ (site, action) ])
 
 (* ---- per-run telemetry summaries ----
 
@@ -222,40 +219,6 @@ let fraction row outcome =
   in
   if row.runs = 0 then 0. else float_of_int n /. float_of_int row.runs
 
-(* Profiling runs under uniform enhanced: the site stream is produced
-   by a fault-free suite run, and the enhanced stream is a superset of
-   every evaluation policy's (asserted by test_compartment's profile-
-   superset test, replacing the old "in practice" hand-wave).
-
-   [sample] defaults to 0 — the full profiled site set, as in the
-   paper's 757-site campaigns. The domain pool makes that the normal
-   path; pass a positive [sample] for a quick sampled estimate. *)
-let survivability_matrix ?(seed = 42) ?(sample = 0) ?jobs ?stats ?progress
-    model confs =
-  let sites = profile_sites ~seed Policy.enhanced in
-  let sites = select_sites ~seed:(seed + 1) ~sample sites in
-  let faults = List.map (fun s -> (s, Edfi.action_for model s)) sites in
-  let tasks =
-    List.concat_map
-      (fun conf ->
-         List.map (fun (site, action) -> (conf, site, action)) faults)
-      confs
-  in
-  let outcomes =
-    Parfan.map ?jobs ?stats ?progress
-      (fun (conf, site, action) -> run_one_conf ~seed conf site action)
-      tasks
-  in
-  count_rows ~label:Sysconf.name ~runs_per_row:(List.length faults) confs
-    outcomes
-
-(* Tables II/III are the uniform diagonal of the matrix: a uniform spec
-   of each evaluation policy (row labels coincide — [Sysconf.uniform p]
-   is named [p.name]). *)
-let survivability ?seed ?sample ?jobs ?stats ?progress model policies =
-  survivability_matrix ?seed ?sample ?jobs ?stats ?progress model
-    (List.map Sysconf.uniform policies)
-
 (* ---- campaign rollup ----
 
    Per-run summaries merged in submission order into one campaign-level
@@ -344,6 +307,14 @@ let rollup_of_summaries summaries =
     ro_bin_width = bin_width;
     ro_max_vtime = max_vtime }
 
+(* Profiling runs under uniform enhanced: the site stream is produced
+   by a fault-free suite run, and the enhanced stream is a superset of
+   every evaluation policy's (asserted by test_compartment's profile-
+   superset test, replacing the old "in practice" hand-wave).
+
+   [sample] defaults to 0 — the full profiled site set, as in the
+   paper's 757-site campaigns. The domain pool makes that the normal
+   path; pass a positive [sample] for a quick sampled estimate. *)
 let survivability_matrix_rollup ?(seed = 42) ?(sample = 0) ?jobs ?stats
     ?progress model confs =
   let sites = profile_sites ~seed Policy.enhanced in
@@ -365,6 +336,18 @@ let survivability_matrix_rollup ?(seed = 42) ?(sample = 0) ?jobs ?stats
       (List.map (fun s -> s.sm_outcome) summaries)
   in
   (rows, rollup_of_summaries summaries)
+
+let survivability_matrix ?seed ?sample ?jobs ?stats ?progress model confs =
+  fst
+    (survivability_matrix_rollup ?seed ?sample ?jobs ?stats ?progress model
+       confs)
+
+(* Tables II/III are the uniform diagonal of the matrix: a uniform spec
+   of each evaluation policy (row labels coincide — [Sysconf.uniform p]
+   is named [p.name]). *)
+let survivability ?seed ?sample ?jobs ?stats ?progress model policies =
+  survivability_matrix ?seed ?sample ?jobs ?stats ?progress model
+    (List.map Sysconf.uniform policies)
 
 let add_int_array b vals =
   Buffer.add_char b '[';

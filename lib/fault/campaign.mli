@@ -23,9 +23,6 @@ val profile_sites : ?seed:int -> Policy.t -> Kernel.site list
 (** Distinct post-boot sites in the five core servers, in first-
     execution order (uniform spec of the policy). *)
 
-val profile_sites_conf : ?seed:int -> Sysconf.t -> Kernel.site list
-(** Same, under an arbitrary (possibly mixed-policy) spec. *)
-
 val select_sites : ?seed:int -> sample:int -> Kernel.site list -> Kernel.site list
 (** Deterministic sample of [sample] sites; pass [sample <= 0] for all
     sites. The selection is derived from site {e identity} (a seeded
@@ -59,8 +56,9 @@ val survivability :
     [sample] defaults to 0 — {e every} triggered site, as in the
     paper's campaigns (757 fail-stop, 992 full-EDFI faults) — which is
     affordable because the runs fan out across a {!Parfan} domain pool
-    ([jobs] defaults to {!Parfan.default_jobs}; [jobs:1] is the
-    sequential oracle and produces byte-identical rows). Pass a
+    ([jobs] defaults to the pool's automatic count, see
+    {!Parfan.resolve_jobs}; [jobs:1] is the sequential oracle and
+    produces byte-identical rows). Pass a
     positive [sample] for a quick sampled estimate. Equivalent to
     {!survivability_matrix} over uniform specs — Tables II/III are the
     matrix's uniform diagonal. *)
@@ -74,7 +72,8 @@ val survivability_matrix :
     compartment ("enhanced everywhere except a stateless DS"). The same
     profiled fault set is applied under every spec; rows are labeled
     with {!Sysconf.name}. Runs fan out over the domain pool exactly as
-    in {!survivability}; row counts are independent of [jobs]. *)
+    in {!survivability}; row counts are independent of [jobs]. The rows
+    of {!survivability_matrix_rollup}, without the rollup. *)
 
 (** {1 Telemetry summaries and campaign rollup}
 
@@ -131,8 +130,7 @@ val survivability_matrix_rollup :
   ?progress:(completed:int -> total:int -> unit) ->
   Edfi.model -> Sysconf.t list -> row list * rollup
 (** {!survivability_matrix} with the telemetry rollup: the same runs,
-    each additionally summarized; the rows are byte-identical to what
-    {!survivability_matrix} returns for the same arguments. *)
+    each additionally summarized. *)
 
 val rollup_to_json : ?pool:Parfan.stats -> rollup -> string
 (** Deterministic JSON artifact (fixed field order, sorted servers).

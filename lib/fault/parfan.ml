@@ -12,6 +12,7 @@ type stats = {
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
+(* One domain is left for the submitting/merging domain. *)
 let default_jobs () =
   match Sys.getenv_opt "OSIRIS_JOBS" with
   | Some s ->

@@ -40,16 +40,13 @@ type stats = {
   pf_workers : worker_stat array; (** Length [pf_jobs], worker id order. *)
 }
 
-val default_jobs : unit -> int
-(** [max 1 (recommended_domain_count - 1)] — one domain is left for
-    the submitting/merging domain — overridable with [OSIRIS_JOBS]
-    (a positive integer; anything else is ignored). *)
-
 val resolve_jobs : ?jobs:int -> int -> int
 (** [resolve_jobs ?jobs n_tasks] is the worker count a map over
     [n_tasks] tasks will use: [jobs] when given and positive
-    ([jobs <= 0] means "auto", i.e. {!default_jobs}), clamped to
-    [n_tasks] (no idle workers) and to at least 1. *)
+    ([jobs <= 0] means "auto": [max 1 (recommended_domain_count - 1)],
+    leaving one domain for the submitting/merging domain, overridable
+    with [OSIRIS_JOBS], a positive integer; anything else is ignored),
+    clamped to [n_tasks] (no idle workers) and to at least 1. *)
 
 val map :
   ?jobs:int ->

@@ -359,7 +359,6 @@ type thread = {
   mutable treq : req option;
   mutable started : bool;
   mutable cause : int;    (* rid of the request this thread is handling; 0 = root *)
-  mutable root : int;     (* compact root index of [cause]; 0 = system bucket *)
   mutable out_rid : int;  (* rid of this thread's outstanding Call, for reply matching *)
   occ : int array;
 }
@@ -546,18 +545,6 @@ type t = {
   mutable next_sample : int;
   mutable sample_hook : (int -> unit) option;
   mutable next_rid : int;
-  (* Per-request cycle charging ([enable_request_counts]): every rid is
-     mapped at delivery to the compact index of its causal root (the
-     nearest ancestor delivered with parent = 0), and every clock
-     advance bumps one row of the flat [req_prof] matrix for the active
-     thread's root. Index 0 is the system bucket (boot, idle inbox
-     waits, work outside any request). *)
-  mutable req_counting : bool;
-  mutable rid_slot : int array;    (* rid -> root index; 0 = system *)
-  mutable root_rids : int array;   (* root index -> the root's own rid *)
-  mutable root_owner : int array;  (* root index -> source endpoint *)
-  mutable n_roots : int;
-  mutable req_prof : int array;    (* [root * n_phases + phase] cycles *)
   mutable n_shed : int;  (* user exits with EAGAIN shed status 75 *)
   (* Row-search state (see [scan_batch]): each column test's absolute
      offset in row 0 and string length, by position in the test
@@ -617,12 +604,6 @@ let create cfg =
     next_sample = max_int;
     sample_hook = None;
     next_rid = 0;
-    req_counting = false;
-    rid_slot = [||];
-    root_rids = [||];
-    root_owner = [||];
-    n_roots = 1;
-    req_prof = [||];
     n_shed = 0;
     sc_off = Array.make 8 0;
     sc_len = Array.make 8 0;
@@ -1005,32 +986,29 @@ let set_cycle_hook t hook = t.cycle_hook <- hook
    - the optional closure hook, for consumers that need the event
      stream itself (e.g. the profiler's counter-track sampler). Its
      arguments are immediate ints, so an invocation allocates nothing.
-   With neither enabled an emission point pays two branches. *)
-let[@inline] cycles t p slot c =
+   With neither enabled an emission point pays two branches.
+   [cycles_bulk] is the counter half alone, for [n] advances of [slot]
+   totalling [c] cycles, none of them zero (the row search charges a
+   whole batch of loads at once, with no cycle hook installed). *)
+let[@inline] cycles_bulk t p slot c n =
   if c > 0 then begin
-    (let a = p.prof in
-     if Array.length a <> 0 then begin
-       let i = 2 * slot in
-       Array.unsafe_set a i (Array.unsafe_get a i + c);
-       Array.unsafe_set a (i + 1) (Array.unsafe_get a (i + 1) + 1);
-       let ph = Array.unsafe_get slot_phase_idx slot in
-       let g = t.phase_prof in
-       Array.unsafe_set g ph (Array.unsafe_get g ph + c)
-     end);
-    (* Per-request charging rides the same emission: one more flat
-       array bump keyed by the active thread's cached root index, so
-       the identity "sum over roots of a phase's row = the kernel's
-       phase total" holds exactly whenever both counters are on. *)
-    if t.req_counting then begin
-      let ri = match p.active with Some th -> th.root | None -> 0 in
-      let i = (ri * n_phases) + Array.unsafe_get slot_phase_idx slot in
-      let rp = t.req_prof in
-      Array.unsafe_set rp i (Array.unsafe_get rp i + c)
-    end;
+    let a = p.prof in
+    if Array.length a <> 0 then begin
+      let i = 2 * slot in
+      Array.unsafe_set a i (Array.unsafe_get a i + c);
+      Array.unsafe_set a (i + 1) (Array.unsafe_get a (i + 1) + n);
+      let ph = Array.unsafe_get slot_phase_idx slot in
+      let g = t.phase_prof in
+      Array.unsafe_set g ph (Array.unsafe_get g ph + c)
+    end
+  end
+
+let[@inline] cycles t p slot c =
+  cycles_bulk t p slot c 1;
+  if c > 0 then
     match t.cycle_hook with
     | Some f -> f p.ep slot c
     | None -> ()
-  end
 
 let prof_row () = Array.make (2 * n_slots) 0
 
@@ -1064,79 +1042,15 @@ let[@inline] alloc_rid t =
   t.next_rid <- t.next_rid + 1;
   t.next_rid
 
-(* Root-index lookup for a rid; 0 (system) for anything unmapped. *)
-let[@inline] root_of t rid =
-  if rid > 0 && rid < Array.length t.rid_slot then
-    Array.unsafe_get t.rid_slot rid
-  else 0
-
-(* Record a freshly delivered rid's causal root. Delivery with
-   parent = 0 opens a new root (a top-level request); anything else
-   inherits its parent's root, so a whole sendrec subtree shares one
-   row of [req_prof]. Growth is amortized doubling; recording is off
-   the per-op hot path (once per delivered message). *)
-let record_rid_root t ~rid ~parent ~src =
-  (if rid >= Array.length t.rid_slot then begin
-     let ncap = max (rid + 1) (max 1024 (2 * Array.length t.rid_slot)) in
-     let a = Array.make ncap 0 in
-     Array.blit t.rid_slot 0 a 0 (Array.length t.rid_slot);
-     t.rid_slot <- a
-   end);
-  if parent = 0 then begin
-    let ri = t.n_roots in
-    (if ri >= Array.length t.root_rids then begin
-       let ncap = max 256 (2 * Array.length t.root_rids) in
-       let rr = Array.make ncap 0 in
-       Array.blit t.root_rids 0 rr 0 (Array.length t.root_rids);
-       t.root_rids <- rr;
-       let ro = Array.make ncap 0 in
-       Array.blit t.root_owner 0 ro 0 (Array.length t.root_owner);
-       t.root_owner <- ro;
-       let pf = Array.make (ncap * n_phases) 0 in
-       Array.blit t.req_prof 0 pf 0 (Array.length t.req_prof);
-       t.req_prof <- pf
-     end);
-    t.n_roots <- ri + 1;
-    t.root_rids.(ri) <- rid;
-    t.root_owner.(ri) <- src;
-    t.rid_slot.(rid) <- ri
-  end
-  else t.rid_slot.(rid) <- root_of t parent
-
-let enable_request_counts t =
-  if not t.req_counting then begin
-    t.req_counting <- true;
-    t.rid_slot <- Array.make (max 1024 (t.next_rid + 1)) 0;
-    t.root_rids <- Array.make 256 0;
-    t.root_owner <- Array.make 256 0;
-    t.req_prof <- Array.make (256 * n_phases) 0;
-    t.n_roots <- 1
-  end
-
-let request_count t = if t.req_counting then t.n_roots - 1 else 0
-
-let request_rows t =
-  if not t.req_counting then []
-  else
-    List.init (t.n_roots - 1) (fun i ->
-        let ri = i + 1 in
-        (t.root_rids.(ri), t.root_owner.(ri),
-         Array.sub t.req_prof (ri * n_phases) n_phases))
-
-let system_request_row t =
-  if t.req_counting then Array.sub t.req_prof 0 n_phases
-  else Array.make n_phases 0
-
 let shed_exits t = t.n_shed
 
 let set_halt_on_exit t ep = t.halt_on_exit <- Some ep
 
-let fresh_thread t p ?(started = true) ?req prog =
+let fresh_thread p ?(started = true) ?req prog =
   let tid = p.tid_counter in
   p.tid_counter <- p.tid_counter + 1;
   let cause = match req with Some r -> r.rq_rid | None -> 0 in
-  { tid; tstate = T_new prog; treq = req; started; cause;
-    root = root_of t cause; out_rid = 0;
+  { tid; tstate = T_new prog; treq = req; started; cause; out_rid = 0;
     occ = Array.make n_op_kinds 0 }
 
 (* The payload a released fiber is discontinued with; its handler
@@ -1312,7 +1226,6 @@ let requester_of p =
 
 let deliver_to_inbox t ?at ~src ~src_tid ~call ~rid ~parent dst msg =
   let at = match at with Some a -> a | None -> t.global_now in
-  if t.req_counting then record_rid_root t ~rid ~parent ~src;
   match proc_of t dst with
   | None ->
     t.n_orphans <- t.n_orphans + 1;
@@ -1459,7 +1372,7 @@ and k_go t p =
    | Server_proc ->
      (match p.loop_prog with
       | Some loop ->
-        let th = fresh_thread t p loop in
+        let th = fresh_thread p loop in
         p.threads <- p.threads @ [ th ];
         Queue.push th p.runq
       | None -> ())
@@ -1592,7 +1505,7 @@ let add_server t srv =
       prof = (if t.profiling then prof_row () else [||]) }
   in
   let main =
-    fresh_thread t p (fun () -> srv.srv_init (); srv.srv_loop ())
+    fresh_thread p (fun () -> srv.srv_init (); srv.srv_loop ())
   in
   p.threads <- [ main ];
   Queue.push main p.runq;
@@ -1645,7 +1558,7 @@ let spawn_user_at t ~at ~name ~prog ~parent =
       exit_vtime = -1;
       prof = (if t.profiling then prof_row () else [||]) }
   in
-  let th = fresh_thread t p prog in
+  let th = fresh_thread p prog in
   p.threads <- [ th ];
   Queue.push th p.runq;
   register t ep p;
@@ -1705,7 +1618,7 @@ let live_update_internal t ep loop =
          preserved state, exactly like a recovered clone. *)
       List.iter release p.threads;
       p.threads <- [];
-      let th = fresh_thread t p loop in
+      let th = fresh_thread p loop in
       p.threads <- [ th ];
       Queue.push th p.runq;
       sync_to t p sl_wait_resume t.global_now;
@@ -1763,7 +1676,7 @@ let exec_kcall t p kc : Prog.kresult =
           (* The program runs from its first line in the exec'd
              process' own fiber, so its exceptions are that process'
              machine checks, never PM's. *)
-          let th = fresh_thread t pp (fun () -> f arg) in
+          let th = fresh_thread pp (fun () -> f arg) in
           List.iter release pp.threads;
           pp.threads <- [ th ];
           Queue.clear pp.runq;
@@ -2268,7 +2181,6 @@ let rec op_receive t p th =
   if p.kind = Server_proc then close_window_if_open ~rid:th.cause t p;
   th.treq <- None;
   th.cause <- 0;
-  th.root <- 0;
   (match op_site t p th Op_receive with
    | Some (F_crash r) -> crash_now t p r
    | Some F_hang -> hang t p
@@ -2295,7 +2207,6 @@ let rec op_receive t p th =
              rq_msg = entry.ib_msg;
              rq_rid = entry.ib_rid };
     th.cause <- entry.ib_rid;
-    th.root <- root_of t entry.ib_rid;
     if t.booted then begin
       let i = Message.Tag.to_index (Message.Tag.of_msg entry.ib_msg) in
       p.handler_tally.(i) <- p.handler_tally.(i) + 1
@@ -2366,7 +2277,7 @@ let op_spawn t p th prog =
    | Some (F_crash r) -> crash_now t p r
    | _ -> ());
   charge t p ~logged:(logs p wopen) sl_spawn t.cfg.costs.Costs.c_spawn;
-  let nth = fresh_thread t p ~started:false ?req:th.treq prog in
+  let nth = fresh_thread p ~started:false ?req:th.treq prog in
   p.threads <- p.threads @ [ nth ];
   Queue.push nth p.runq
 
@@ -2476,27 +2387,6 @@ let rec scan_prepare t base node i =
     Array.unsafe_set t.sc_off i (base + Layout.str_offset f);
     Array.unsafe_set t.sc_len i (Layout.Table.str_len f);
     scan_prepare t base next (i + 1)
-
-(* [cycles] for [n] advances of [slot] totalling [c] cycles, none of
-   them zero, with no cycle hook installed. *)
-let cycles_bulk t p slot c n =
-  if c > 0 then begin
-    (let a = p.prof in
-     if Array.length a <> 0 then begin
-       let i = 2 * slot in
-       Array.unsafe_set a i (Array.unsafe_get a i + c);
-       Array.unsafe_set a (i + 1) (Array.unsafe_get a (i + 1) + n);
-       let ph = Array.unsafe_get slot_phase_idx slot in
-       let g = t.phase_prof in
-       Array.unsafe_set g ph (Array.unsafe_get g ph + c)
-     end);
-    if t.req_counting then begin
-      let ri = match p.active with Some th -> th.root | None -> 0 in
-      let i = (ri * n_phases) + Array.unsafe_get slot_phase_idx slot in
-      let rp = t.req_prof in
-      Array.unsafe_set rp i (Array.unsafe_get rp i + c)
-    end
-  end
 
 let sl_load_drag = slot_drag.(sl_load)
 

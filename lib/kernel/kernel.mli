@@ -47,8 +47,6 @@ type op_kind =
   | Op_spawn
   | Op_yield
 
-val op_kind_to_string : op_kind -> string
-
 type site = {
   site_ep : Endpoint.t;
   site_handler : Message.Tag.t option;  (** None in loop/init code. *)
@@ -504,38 +502,6 @@ val set_cycle_hook : t -> (Endpoint.t -> slot -> int -> unit) option -> unit
     invocation allocates nothing, and with no hook installed each
     emission point pays a single branch (gated in
     [bench/profiler_bench.ml]). *)
-
-(** {1 Per-request cycle charging}
-
-    The per-process/per-slot counters above answer {e where} cycles
-    went; these answer {e on whose behalf}. Every delivered rid is
-    mapped to its causal root — the nearest ancestor delivered with
-    [parent = 0], i.e. a top-level request — and each clock advance
-    also bumps one per-phase row keyed by the active thread's root.
-    Root index 0 is the system bucket: boot, idle inbox waits, and
-    work outside any request. Enabled before {!boot}, the counters
-    satisfy the exact identity: for every phase, the sum over all
-    roots (system included) of that phase's row equals
-    {!total_phase_cycles} — gated with zero tolerance in
-    [bench/critpath_bench.ml], alongside its <3% attached-overhead
-    gate vs per-slot counting alone. *)
-
-val enable_request_counts : t -> unit
-(** Switch per-request charging on (idempotent; cannot be disabled).
-    Enable before {!boot} for the conservation identity to hold —
-    rids allocated earlier fall into the system bucket. *)
-
-val request_count : t -> int
-(** Number of request roots charged so far (system bucket excluded). *)
-
-val request_rows : t -> (int * Endpoint.t * int array) list
-(** [(root_rid, src, row)] per root in creation order: the root's own
-    rid, the endpoint that sent it, and its per-phase cycle row
-    (indexed by {!phase_index}, a fresh copy). *)
-
-val system_request_row : t -> int array
-(** The system bucket's per-phase row (a fresh copy; zeros before
-    {!enable_request_counts}). *)
 
 val live_update : t -> Endpoint.t -> (unit -> unit) -> (unit, string) result
 (** Replace a server's request-processing loop with a new version,

@@ -1,23 +1,20 @@
 module Tablefmt = Osiris_util.Tablefmt
 
-type config = {
-  hc_crash_loop_n : int;
-  hc_crash_loop_window : int;
-}
+(* Crashes within the window that flag a loop when the compartment has
+   no restart budget. *)
+let crash_loop_n = 3
 
-let default_config = { hc_crash_loop_n = 3; hc_crash_loop_window = 2_000_000 }
+(* Sliding-window width in virtual cycles: the kernel's hang-detection
+   horizon. *)
+let crash_loop_window = 2_000_000
 
-type t = {
-  cfg : config;
-  model : Runmodel.t;
-}
+type t = Runmodel.t
 
-let create ?(config = default_config) () =
-  { cfg = config; model = Runmodel.create () }
+let create () = Runmodel.create ()
 
 (* Feed from the kernel event stream: compose with any other consumer
    (the collector, say) in the same event hook. *)
-let observe t ev = Runmodel.observe t.model ev
+let observe = Runmodel.observe
 
 type status = Healthy | Degraded | Crash_looping | Failed
 
@@ -47,9 +44,9 @@ let snapshot ?profiler ?budget_for t kernel =
   let now = Kernel.now kernel in
   List.map
     (fun ep ->
-       let eps = Runmodel.server_episodes t.model ep in
+       let eps = Runmodel.server_episodes t ep in
        let crashes = List.length eps in
-       let restarts = Runmodel.restarts t.model ep in
+       let restarts = Runmodel.restarts t ep in
        let threshold =
          match budget_for with
          | Some f ->
@@ -58,10 +55,10 @@ let snapshot ?profiler ?budget_for t kernel =
               unbudgeted compartment uses the global default. *)
            (match f ep with
             | Some b -> max 2 b
-            | None -> t.cfg.hc_crash_loop_n)
-         | None -> t.cfg.hc_crash_loop_n
+            | None -> crash_loop_n)
+         | None -> crash_loop_n
        in
-       let horizon = now - t.cfg.hc_crash_loop_window in
+       let horizon = now - crash_loop_window in
        let recent =
          List.length
            (List.filter (fun (e : Runmodel.episode) -> e.e_crash >= horizon) eps)

@@ -4,23 +4,14 @@
     reports per-compartment recovery health: MTTR (mean virtual
     cycles from crash to the matching restart), recovery-success
     ratio, and crash-loop detection over a sliding window of virtual
-    time. With a profiler attached it also reports overhead
-    percentages — the live analogue of the paper's Table IV. *)
-
-type config = {
-  hc_crash_loop_n : int;
-      (** Crashes within the window that flag a loop when the
-          compartment has no restart budget (default 3). *)
-  hc_crash_loop_window : int;
-      (** Sliding-window width in virtual cycles (default 2M — the
-          kernel's hang-detection horizon). *)
-}
-
-val default_config : config
+    time: three crashes (or a compartment's whole restart budget)
+    within 2M virtual cycles, the kernel's hang-detection horizon. With
+    a profiler attached it also reports overhead percentages — the
+    live analogue of the paper's Table IV. *)
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 
 val observe : t -> Kernel.event -> unit
 (** Feed every kernel event into the watchdog's {!Runmodel}: crashes

@@ -4,14 +4,6 @@
     CLI's [osiris report] and [examples/observability.ml] render
     through this. *)
 
-val handler_table : Span.t list -> string
-(** Per (server, handler) virtual-cycle latency of completed request
-    spans: count, p50/p95/p99 (log-bucketed estimates) and exact max. *)
-
-val recovery_table : Kernel.t -> string
-(** Quantiles over {!Kernel.recovery_latencies}. Empty string when no
-    recovery completed. *)
-
 val event_counters : Kernel.event list -> (string * int) list
 (** The sixteen [osiris.*] counters of an event stream, sorted by
     name: deliveries, calls, replies, window opens/closes, policy
@@ -19,12 +11,13 @@ val event_counters : Kernel.event list -> (string * int) list
     bytes, kcalls, crashes, hangs, rollbacks and bytes rolled back,
     restarts. *)
 
-val metrics_table : kernel:Kernel.t -> Kernel.event list -> string
-(** {!event_counters} (kind [counter]) next to the kernel's gauges —
-    [osiris.shed_exits] and every server's {!Kernel.server_stats} as
-    ["<server>.<field>"] (e.g. ["ds.rollback_bytes"]) — one sorted
-    [series / kind / value] table. *)
-
 val render :
   kernel:Kernel.t -> events:Kernel.event list -> Span.t list -> string
-(** All applicable sections, separated by blank lines. *)
+(** All applicable sections, separated by blank lines: per (server,
+    handler) virtual-cycle latency of completed request spans (count,
+    p50/p95/p99 as log-bucketed estimates, exact max); quantiles over
+    {!Kernel.recovery_latencies} when a recovery completed; and
+    {!event_counters} (kind [counter]) next to the kernel's gauges —
+    [osiris.shed_exits] and every server's {!Kernel.server_stats} as
+    ["<server>.<field>"] (e.g. ["ds.rollback_bytes"]) — in one sorted
+    [series / kind / value] table. *)

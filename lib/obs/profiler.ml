@@ -63,6 +63,7 @@ let known_endpoints kernel =
   done;
   servers @ !users
 
+(* Compartments with attributed cycles, sorted. *)
 let endpoints t =
   match t.kernel with
   | None -> []

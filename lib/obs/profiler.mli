@@ -38,9 +38,6 @@ val attach : t -> Kernel.t -> unit
 
 (** {1 Queries} *)
 
-val endpoints : t -> Endpoint.t list
-(** Compartments with attributed cycles, sorted. *)
-
 val proc_cycles : t -> Endpoint.t -> int
 val phase_cycles : t -> Endpoint.t -> Kernel.phase -> int
 val total_cycles : t -> int

@@ -2,14 +2,12 @@
    sum back to end-to-end latency, exactly, on deterministic and
    QCheck-randomized runs), journal/live attribution parity, session
    spans anchored at arrival vtime, the unified nearest-rank
-   definition, the kernel's per-request charging identity, and
-   shed-exit accounting. *)
+   definition, and shed-exit accounting. *)
 
 module Stats = Osiris_util.Stats
 
 (* Run the workload a header describes with a collector hooked from
-   boot and both kernel charging facilities on; return the events and
-   the kernel for cross-checks. *)
+   boot; return the header and the events. *)
 let collect_run ?(spec = "enhanced") ?(workload = "quickstart")
     ?(crash = "none") ?(count = 1) ~seed () =
   let header =
@@ -20,15 +18,8 @@ let collect_run ?(spec = "enhanced") ?(workload = "quickstart")
     | Error m -> Alcotest.fail m
   in
   let c = Obs_collector.create () in
-  let sys, _ =
-    Flight.run
-      ~prepare:(fun sys ->
-          let k = System.kernel sys in
-          Kernel.enable_cycle_counts k;
-          Kernel.enable_request_counts k)
-      ~event_hook:(Obs_collector.record c) header
-  in
-  (header, Obs_collector.events c, System.kernel sys)
+  ignore (Flight.run ~event_hook:(Obs_collector.record c) header);
+  (header, Obs_collector.events c)
 
 let check_conserved what (r : Critpath.result) =
   List.iter
@@ -50,7 +41,7 @@ let check_conserved what (r : Critpath.result) =
 (* ---------------- conservation ------------------------------------ *)
 
 let test_conservation_quickstart () =
-  let _, events, _ = collect_run ~seed:42 ~crash:"ds" () in
+  let _, events = collect_run ~seed:42 ~crash:"ds" () in
   let r = Critpath.analyze events in
   Alcotest.(check bool) "has requests" true (r.Critpath.cr_requests <> []);
   Alcotest.(check int) "all complete" 0 r.Critpath.cr_incomplete;
@@ -109,7 +100,7 @@ let prop_conservation =
 (* ---------------- journal parity ---------------------------------- *)
 
 let test_journal_parity () =
-  let header, events, _ = collect_run ~seed:42 ~crash:"ds" () in
+  let header, events = collect_run ~seed:42 ~crash:"ds" () in
   let live = Critpath.analyze events in
   let encoded = Journal.of_events header events in
   match Journal.read_string encoded with
@@ -210,26 +201,6 @@ let prop_percentile_surfaces_agree =
        in
        via_loadgen = via_rank && via_stats = via_rank)
 
-(* ---------------- kernel charging identity ------------------------ *)
-
-let test_kernel_charging_identity () =
-  let _, _, k = collect_run ~seed:42 ~crash:"ds" () in
-  Alcotest.(check bool) "roots charged" true (Kernel.request_count k > 0);
-  let rows = Kernel.request_rows k in
-  let sys_row = Kernel.system_request_row k in
-  List.iter
-    (fun ph ->
-       let pi = Kernel.phase_index ph in
-       let s =
-         List.fold_left (fun acc (_, _, row) -> acc + row.(pi)) sys_row.(pi)
-           rows
-       in
-       Alcotest.(check int)
-         (Printf.sprintf "phase %s conserved" (Kernel.phase_to_string ph))
-         (Kernel.total_phase_cycles k ph)
-         s)
-    Kernel.all_phases
-
 (* ---------------- shed accounting --------------------------------- *)
 
 let test_shed_accounting () =
@@ -266,7 +237,5 @@ let () =
         [ Alcotest.test_case "rank definition" `Quick test_rank_definition;
           QCheck_alcotest.to_alcotest prop_percentile_surfaces_agree ] );
       ( "kernel",
-        [ Alcotest.test_case "charging identity" `Quick
-            test_kernel_charging_identity;
-          Alcotest.test_case "shed accounting" `Quick test_shed_accounting ]
-      ) ]
+        [ Alcotest.test_case "shed accounting" `Quick test_shed_accounting ] )
+    ]

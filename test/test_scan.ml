@@ -98,7 +98,7 @@ type case = {
   rival_at : int;                  (* arrival of a computing rival process *)
   pessimistic : bool;
   diag_between : bool;             (* a read-only SEEP between the queries *)
-  counts : bool;                   (* cycle and request counts on *)
+  counts : bool;                   (* cycle counts on *)
   free_loads : bool;               (* loads cost 0 cycles *)
   budget : int option;             (* max_ops: a share (%) of the post-boot ops *)
   hook : hook;
@@ -160,8 +160,6 @@ type outcome = {
   o_stats : int * int * int;
   o_slots : (int * int) list;
   o_phases : int list;
-  o_requests : (int * int * int list) list;
-  o_system : int list;
   o_sites : string list;
   o_events : string list;
   o_crashes : int list;
@@ -225,10 +223,7 @@ let run_case ?max_ops c scan =
   Kernel.add_server k (pm_stub ());
   Kernel.add_server k (table_server tb ~init ~handle);
   Kernel.add_server k (Rs.server (Rs.create policy));
-  if c.counts then begin
-    Kernel.enable_cycle_counts k;
-    Kernel.enable_request_counts k
-  end;
+  if c.counts then Kernel.enable_cycle_counts k;
   Kernel.boot k;
   let boot_ops = Kernel.total_ops k in
   let sites = ref [] in
@@ -310,10 +305,6 @@ let run_case ?max_ops c scan =
                Kernel.all_slots)
           [ Endpoint.ds; Endpoint.pm; Endpoint.rs ];
       o_phases = List.map (Kernel.total_phase_cycles k) Kernel.all_phases;
-      o_requests =
-        List.map (fun (rid, owner, row) -> (rid, owner, Array.to_list row))
-          (Kernel.request_rows k);
-      o_system = Array.to_list (Kernel.system_request_row k);
       o_sites = List.rev !sites;
       o_events = List.rev !events;
       o_crashes = Kernel.crash_times k;
@@ -390,11 +381,11 @@ let check_same c =
   else if fused <> per_op then
     QCheck.Test.fail_reportf
       "fused %s / per-load %s: results %b halt %b now %d/%d ops %d/%d stats %b \
-       slots %b phases %b requests %b sites %b events %b crashes %b advances %b"
+       slots %b phases %b sites %b events %b crashes %b advances %b"
       fused.o_halt per_op.o_halt (fused.o_results = per_op.o_results)
       (fused.o_halt = per_op.o_halt) fused.o_now per_op.o_now fused.o_ops
       per_op.o_ops (fused.o_stats = per_op.o_stats) (fused.o_slots = per_op.o_slots)
-      (fused.o_phases = per_op.o_phases) (fused.o_requests = per_op.o_requests)
+      (fused.o_phases = per_op.o_phases)
       (fused.o_sites = per_op.o_sites) (fused.o_events = per_op.o_events)
       (fused.o_crashes = per_op.o_crashes) (fused.o_advances = per_op.o_advances)
   else true
