@@ -202,21 +202,31 @@ let prop_rollup_artifact_jobs_invariant =
        && String.equal a1 a2 && String.equal a1 a4
        && String.equal a4 again)
 
+(* [survivability_matrix] is [fst] of the rollup, so comparing the two
+   would hold by construction: the rows are pinned instead, as the plain
+   matrix reported them for seed 42, [~sample:3] (spec, runs, pass,
+   fail, shutdown, crash). *)
+let seed42_sample3_rows =
+  [ ("enhanced", 3, 0, 0, 3, 0);
+    ("stateless", 3, 3, 0, 0, 0);
+    ("enhanced+ds=naive", 3, 0, 0, 3, 0) ]
+
 let test_rollup_rows_match_plain_matrix () =
-  (* the rollup variant must not perturb the rows the plain matrix
-     reports for the same arguments *)
-  let plain =
-    Campaign.survivability_matrix ~seed:42 ~sample:3 ~jobs:2 Edfi.Fail_stop
-      specs_pool
-  in
   let rows, ro =
     Campaign.survivability_matrix_rollup ~seed:42 ~sample:3 ~jobs:2
       Edfi.Fail_stop specs_pool
   in
-  Alcotest.(check bool) "rows identical" true
-    (List.map row_to_tuple plain = List.map row_to_tuple rows);
+  Alcotest.(check (list (pair string (list int)))) "rows pinned"
+    (List.map
+       (fun (p, r, a, b, c, d) -> (p, [ r; a; b; c; d ]))
+       seed42_sample3_rows)
+    (List.map
+       (fun row ->
+          let p, r, a, b, c, d = row_to_tuple row in
+          (p, [ r; a; b; c; d ]))
+       rows);
   Alcotest.(check int) "rollup counts every run"
-    (List.fold_left (fun acc r -> acc + r.Campaign.runs) 0 plain)
+    (List.fold_left (fun acc r -> acc + r.Campaign.runs) 0 rows)
     ro.Campaign.ro_runs;
   Alcotest.(check int) "outcome split resums"
     ro.Campaign.ro_runs
