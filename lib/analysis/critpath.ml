@@ -10,6 +10,8 @@
    lengths over one partition, so the buckets sum to the latency
    exactly — no tolerance needed. *)
 
+module Inttbl = Osiris_util.Inttbl
+
 type breakdown = {
   cp_ep : Endpoint.t;
   cp_rid : int;
@@ -45,56 +47,54 @@ type result = {
 
 (* Deliveries, replies, causal roots, recovery episodes and sessions
    come from the shared run model; this index adds only what no other
-   view needs. *)
+   view needs. Every table is keyed by rid or endpoint and only looked
+   up, never iterated. *)
 type index = {
   ix_model : Runmodel.t;
-  ix_children : (int, int list) Hashtbl.t;  (* rid -> call-child rids, rev *)
-  ix_marks : (int, int list) Hashtbl.t;     (* rid -> activity times, rev *)
-  ix_ckpts : (int, (int * int) list) Hashtbl.t;  (* rid -> (open, done), rev *)
-  ix_ck_open : (int, int) Hashtbl.t;        (* rid -> pending window open *)
-  ix_tops : (int, int list) Hashtbl.t;      (* src ep -> root-call rids, rev *)
+  ix_children : int list Inttbl.t;  (* rid -> call-child rids, rev *)
+  ix_marks : int list Inttbl.t;     (* rid -> activity times, rev *)
+  ix_ckpts : (int * int) list Inttbl.t;  (* rid -> (open, done), rev *)
+  ix_ck_open : int Inttbl.t;        (* rid -> pending window open *)
+  ix_tops : int list Inttbl.t;      (* src ep -> root-call rids, rev *)
 }
-
-let push tbl k v =
-  Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
 
 let index model events =
   let ix =
     { ix_model = model;
-      ix_children = Hashtbl.create 256;
-      ix_marks = Hashtbl.create 1024;
-      ix_ckpts = Hashtbl.create 256;
-      ix_ck_open = Hashtbl.create 16;
-      ix_tops = Hashtbl.create 256 }
+      ix_children = Inttbl.create 256;
+      ix_marks = Inttbl.create 1024;
+      ix_ckpts = Inttbl.create 256;
+      ix_ck_open = Inttbl.create 16;
+      ix_tops = Inttbl.create 256 }
   in
   List.iter
     (fun ev ->
        match ev with
        | Kernel.E_msg { time; src; call; rid; parent; _ } ->
          if parent = 0 then begin
-           if call then push ix.ix_tops src rid
+           if call then Inttbl.push ix.ix_tops src rid
          end
          else begin
-           if call then push ix.ix_children parent rid;
-           push ix.ix_marks parent time
+           if call then Inttbl.push ix.ix_children parent rid;
+           Inttbl.push ix.ix_marks parent time
          end
        | Kernel.E_window_open { time; rid; _ } ->
          if rid <> 0 then begin
-           push ix.ix_marks rid time;
-           Hashtbl.replace ix.ix_ck_open rid time
+           Inttbl.push ix.ix_marks rid time;
+           Inttbl.replace ix.ix_ck_open rid time
          end
        | Kernel.E_checkpoint { time; rid; _ } ->
          if rid <> 0 then begin
-           push ix.ix_marks rid time;
-           (match Hashtbl.find_opt ix.ix_ck_open rid with
-            | Some op when op <= time ->
-              push ix.ix_ckpts rid (op, time);
-              Hashtbl.remove ix.ix_ck_open rid
-            | _ -> ())
+           Inttbl.push ix.ix_marks rid time;
+           (match Inttbl.find ix.ix_ck_open rid with
+            | op when op <= time ->
+              Inttbl.push ix.ix_ckpts rid (op, time);
+              Inttbl.remove ix.ix_ck_open rid
+            | _ | (exception Not_found) -> ())
          end
        | Kernel.E_kcall { time; rid; _ } | Kernel.E_store_logged { time; rid; _ }
        | Kernel.E_crash { time; rid; _ } ->
-         if rid <> 0 then push ix.ix_marks rid time
+         if rid <> 0 then Inttbl.push ix.ix_marks rid time
        | _ -> ())
     events;
   ix
@@ -106,7 +106,7 @@ let index model events =
 type acc = {
   mutable x_own : int;
   mutable x_queue : int;
-  x_service : (int, int) Hashtbl.t;
+  x_service : int Inttbl.t;  (* server ep -> service cycles *)
   mutable x_checkpoint : int;
   mutable x_rollback : int;
   mutable x_restart : int;
@@ -127,14 +127,15 @@ let cut_episodes ix acc server root a z =
     let out = ref [] in
     List.iter
       (fun (e : Runmodel.episode) ->
-         let lo = max !cur e.e_crash and hi = min z e.e_restart in
+         let lo = Int.max !cur e.e_crash and hi = Int.min z e.e_restart in
          if hi > lo then begin
            if lo > !cur then out := (!cur, lo) :: !out;
            (if e.e_root = root && root <> 0 then begin
               let rb =
                 List.fold_left
                   (fun s (r : Runmodel.rollback) ->
-                     let x = max lo r.rb_begin and y = min hi r.rb_end in
+                     let x = Int.max lo r.rb_begin
+                     and y = Int.min hi r.rb_end in
                      if r.rb_end >= 0 && y > x then s + (y - x) else s)
                   0 e.e_rollbacks
               in
@@ -153,36 +154,25 @@ let cut_episodes ix acc server root a z =
    plain service. *)
 let classify_residual ix acc server rid root a z =
   let rem = cut_episodes ix acc server root a z in
-  let ckpts =
-    match Hashtbl.find_opt ix.ix_ckpts rid with
-    | None -> []
-    | Some l -> List.rev l
-  in
+  let ckpts = List.rev (Inttbl.find_or ix.ix_ckpts rid []) in
   List.iter
     (fun (a, z) ->
        let cur = ref a in
        List.iter
          (fun (ca, cz) ->
-            let lo = max !cur ca and hi = min z cz in
+            let lo = Int.max !cur ca and hi = Int.min z cz in
             if hi > lo then begin
               acc.x_checkpoint <- acc.x_checkpoint + (hi - lo);
-              let s =
-                Option.value ~default:0
-                  (Hashtbl.find_opt acc.x_service server)
-              in
-              Hashtbl.replace acc.x_service server (s + (lo - !cur));
+              Inttbl.add_int acc.x_service server (lo - !cur);
               cur := hi
             end)
          ckpts;
-       let s =
-         Option.value ~default:0 (Hashtbl.find_opt acc.x_service server)
-       in
-       Hashtbl.replace acc.x_service server (s + (z - !cur)))
+       Inttbl.add_int acc.x_service server (z - !cur))
     rem
 
 let reply_end ix rid t =
   match Runmodel.reply_time ix.ix_model rid with
-  | Some r -> max t r
+  | Some r -> Int.max t r
   | None -> t
 
 (* Decompose [rid]'s handling as its requester saw it over [lo, hi). *)
@@ -194,9 +184,9 @@ let rec walk ix acc rid lo hi =
       let root = Runmodel.root ix.ix_model rid in
       (* Dispatch: the server's first observable act on this rid. *)
       let d =
-        match Hashtbl.find_opt ix.ix_marks rid with
-        | None -> lo
-        | Some marks ->
+        match Inttbl.find ix.ix_marks rid with
+        | exception Not_found -> lo
+        | marks ->
           let best =
             List.fold_left
               (fun best t -> if t >= lo && t <= hi && t < best then t else best)
@@ -217,17 +207,15 @@ let rec walk ix acc rid lo hi =
              | Some (Kernel.E_msg { call = true; time; _ }) ->
                Some (crid, time, reply_end ix crid time)
              | _ -> None)
-          (List.rev
-             (Option.value ~default:[]
-                (Hashtbl.find_opt ix.ix_children rid)))
+          (List.rev (Inttbl.find_or ix.ix_children rid []))
       in
       let kids =
-        List.sort (fun (_, a, _) (_, b, _) -> compare a b) kids
+        List.sort (fun (_, a, _) (_, b, _) -> Int.compare a b) kids
       in
       let cur = ref d in
       List.iter
         (fun (crid, ct, cr) ->
-           let ct = max ct !cur and cr = min cr hi in
+           let ct = Int.max ct !cur and cr = Int.min cr hi in
            if cr > ct then begin
              if ct > !cur then classify_residual ix acc dst rid root !cur ct;
              walk ix acc crid ct cr;
@@ -248,7 +236,7 @@ let analyze_model model events =
        if exit_t < 0 then incr incomplete
        else begin
          let acc =
-           { x_own = 0; x_queue = 0; x_service = Hashtbl.create 8;
+           { x_own = 0; x_queue = 0; x_service = Inttbl.create 8;
              x_checkpoint = 0; x_rollback = 0; x_restart = 0;
              x_collateral = 0; x_path = [] }
          in
@@ -261,13 +249,12 @@ let analyze_model model events =
              (fun rid ->
                 match Runmodel.delivery model rid with
                 | Some (Kernel.E_msg { time; _ }) when time < exit_t ->
-                  Some (rid, time, min exit_t (reply_end ix rid time))
+                  Some (rid, time, Int.min exit_t (reply_end ix rid time))
                 | _ -> None)
-             (List.rev
-                (Option.value ~default:[] (Hashtbl.find_opt ix.ix_tops ep)))
+             (List.rev (Inttbl.find_or ix.ix_tops ep []))
          in
          let tops =
-           List.sort (fun (_, a, _) (_, b, _) -> compare a b) tops
+           List.sort (fun (_, a, _) (_, b, _) -> Int.compare a b) tops
          in
          let away = ref 0 in
          List.iter
@@ -276,9 +263,11 @@ let analyze_model model events =
               walk ix acc rid t r)
            tops;
          acc.x_own <- acc.x_own + (exit_t - arrival - !away);
+         (* Keys are unique, so ordering by endpoint alone is total. *)
          let service =
-           List.sort compare
-             (Hashtbl.fold (fun ep c l -> (ep, c) :: l) acc.x_service [])
+           List.sort
+             (fun (a, _) (b, _) -> Int.compare a b)
+             (Inttbl.fold (fun ep c l -> (ep, c) :: l) acc.x_service [])
          in
          let first_rid = match tops with (rid, _, _) :: _ -> rid | [] -> 0 in
          out :=

@@ -1,6 +1,8 @@
 (* Typed trace queries over journal bytes: one streaming pass,
    predicate pushdown into the sidecar block index. See the .mli. *)
 
+module Inttbl = Osiris_util.Inttbl
+
 type field = F_bytes | F_cycles | F_latency
 
 let field_name = function
@@ -217,9 +219,9 @@ let chain_contains parents target rid =
     if rid < target || rid <= 0 || steps > 4096 then false
     else if rid = target then true
     else
-      match Hashtbl.find_opt parents rid with
-      | Some p when p < rid -> walk p (steps + 1)
-      | _ -> false
+      match Inttbl.find parents rid with
+      | p when p < rid -> walk p (steps + 1)
+      | _ | (exception Not_found) -> false
   in
   walk rid 0
 
@@ -318,36 +320,53 @@ type outcome = {
   q_result : agg_result;
 }
 
-let bump tbl key =
-  Hashtbl.replace tbl key
-    (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+(* Group-by on server, kind and tag counts by the int code and names
+   the codes once, at the end; each name belongs to one code, so the
+   rows sorted by name are those a string-keyed count would give.
+   Endpoints, kinds and tag indices are never negative: [-1] is an
+   event with no value on the dimension. Policy is counted by name. *)
+let group_code dim ev =
+  match dim with
+  | D_server -> (match Journal.event_ep ev with Some ep -> ep | None -> -1)
+  | D_kind -> Journal.event_kind ev
+  | D_tag ->
+    (match event_tag ev with Some t -> Message.Tag.to_index t | None -> -1)
+  | D_policy -> -1
+
+let group_name dim code =
+  match dim with
+  | D_server -> Endpoint.server_name code
+  | D_kind -> Journal.kind_name code
+  | D_tag -> Message.Tag.to_string (Option.get (Message.Tag.of_index code))
+  | D_policy -> assert false
 
 let run ?index ?stats ~filter ~agg journal =
   match Journal.header_of_string journal with
   | Error m -> Error m
   | Ok (header, _) ->
-    let parents = Hashtbl.create 256 in
+    let parents = Inttbl.create 256 in
     let track_parents = chain_targets filter <> [] in
     let matched = ref 0 in
-    let rate_tbl = Hashtbl.create 64 in
-    let group_tbl = Hashtbl.create 64 in
+    let rate_tbl = Inttbl.create 64 in
+    let code_tbl = Inttbl.create 64 in
+    (* Only crash and restart events carry a policy: few enough to key
+       by the string. *)
+    let policy_tbl = Hashtbl.create 4 in
     let hist = Histogram.create () in
-    let pending = Hashtbl.create 64 in
+    let pending = Inttbl.create 64 in
     let apply ev =
       match agg with
       | Count -> ()
-      | Rate w -> bump rate_tbl (Journal.event_time ev / w)
-      | Group_by dim ->
-        (match
-           (match dim with
-            | D_server ->
-              Option.map Endpoint.server_name (Journal.event_ep ev)
-            | D_kind -> Some (Journal.kind_name (Journal.event_kind ev))
-            | D_tag -> Option.map Message.Tag.to_string (event_tag ev)
-            | D_policy -> event_policy ev)
-         with
-         | Some key -> bump group_tbl key
+      | Rate w -> Inttbl.add_int rate_tbl (Journal.event_time ev / w) 1
+      | Group_by D_policy ->
+        (match event_policy ev with
+         | Some p ->
+           Hashtbl.replace policy_tbl p
+             (1 + Option.value ~default:0 (Hashtbl.find_opt policy_tbl p))
          | None -> ())
+      | Group_by dim ->
+        let code = group_code dim ev in
+        if code >= 0 then Inttbl.add_int code_tbl code 1
       | Percentiles F_bytes ->
         (match ev with
          | Kernel.E_store_logged { bytes; _ }
@@ -360,19 +379,19 @@ let run ?index ?stats ~filter ~agg journal =
       | Percentiles F_latency ->
         (match ev with
          | Kernel.E_msg { call = true; rid; time; _ } ->
-           Hashtbl.replace pending rid time
+           Inttbl.replace pending rid time
          | Kernel.E_reply { rid; time; _ } ->
-           (match Hashtbl.find_opt pending rid with
-            | Some t0 ->
-              Hashtbl.remove pending rid;
+           (match Inttbl.find pending rid with
+            | t0 ->
+              Inttbl.remove pending rid;
               Histogram.observe hist (time - t0)
-            | None -> ())
+            | exception Not_found -> ())
          | _ -> ())
     in
     let f () ev =
       (if track_parents then
          match ev with
-         | Kernel.E_msg { rid; parent; _ } -> Hashtbl.replace parents rid parent
+         | Kernel.E_msg { rid; parent; _ } -> Inttbl.replace parents rid parent
          | _ -> ());
       if eval parents filter ev then begin
         incr matched;
@@ -388,14 +407,21 @@ let run ?index ?stats ~filter ~agg journal =
          | Count -> R_count
          | Rate w ->
            let rows =
-             Hashtbl.fold (fun b c acc -> (b * w, c) :: acc) rate_tbl []
+             Inttbl.fold (fun b c acc -> (b * w, c) :: acc) rate_tbl []
            in
-           R_rate (List.sort compare rows)
-         | Group_by _ ->
+           R_rate (List.sort (fun (a, _) (b, _) -> Int.compare a b) rows)
+         | Group_by D_policy ->
            let rows =
-             Hashtbl.fold (fun k c acc -> (k, c) :: acc) group_tbl []
+             Hashtbl.fold (fun k c acc -> (k, c) :: acc) policy_tbl []
            in
            R_groups (List.sort compare rows)
+         | Group_by dim ->
+           let rows =
+             Inttbl.fold
+               (fun code c acc -> (group_name dim code, c) :: acc)
+               code_tbl []
+           in
+           R_groups (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
          | Percentiles _ ->
            let pc p = int_of_float (Histogram.percentile hist p) in
            R_percentiles

@@ -58,7 +58,7 @@ val parse_filter : string -> (pred, string) result
     Empty input means [True]. Example:
     ["server=vfs kind=reply time>=5000 time<9000"]. *)
 
-val eval : (int, int) Hashtbl.t -> pred -> Kernel.event -> bool
+val eval : int Osiris_util.Inttbl.t -> pred -> Kernel.event -> bool
 (** [eval parents p ev]: does [ev] satisfy [p]? [parents] is the
     rid -> parent map accrued so far (only consulted by [Chain]). *)
 

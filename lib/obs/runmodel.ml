@@ -1,6 +1,9 @@
 (* Lists are consed newest first while the stream runs and reversed
    once by [finish]; before it the accessors reverse a copy, so a live
-   consumer (Health) can read a model that is still being fed. *)
+   consumer (Health) can read a model that is still being fed. Every
+   table is keyed by rid or endpoint, so each is an [Inttbl]. *)
+
+module Inttbl = Osiris_util.Inttbl
 
 type rollback = {
   rb_pos : int;
@@ -32,12 +35,12 @@ type session = {
 }
 
 type t = {
-  msgs : (int, Kernel.event) Hashtbl.t;   (* rid -> its E_msg *)
-  roots : (int, int) Hashtbl.t;           (* rid -> causal root rid *)
-  replies : (int, int) Hashtbl.t;         (* rid -> first reply time *)
-  by_server : (int, episode list) Hashtbl.t;
-  restart_counts : (int, int) Hashtbl.t;
-  session_of : (int, session) Hashtbl.t;
+  msgs : Kernel.event Inttbl.t;           (* rid -> its E_msg *)
+  roots : int Inttbl.t;                   (* rid -> causal root rid *)
+  replies : int Inttbl.t;                 (* rid -> first reply time *)
+  by_server : episode list Inttbl.t;      (* ep -> episodes, newest first *)
+  restart_counts : int Inttbl.t;          (* ep -> restarts *)
+  session_of : session Inttbl.t;          (* ep -> its session *)
   mutable episodes : episode list;
   mutable sessions : session list;
   mutable pos : int;
@@ -46,23 +49,21 @@ type t = {
 }
 
 let create () =
-  { msgs = Hashtbl.create 1024;
-    roots = Hashtbl.create 1024;
-    replies = Hashtbl.create 1024;
-    by_server = Hashtbl.create 16;
-    restart_counts = Hashtbl.create 16;
-    session_of = Hashtbl.create 64;
+  { msgs = Inttbl.create 1024;
+    roots = Inttbl.create 1024;
+    replies = Inttbl.create 1024;
+    by_server = Inttbl.create 16;
+    restart_counts = Inttbl.create 16;
+    session_of = Inttbl.create 64;
     episodes = [];
     sessions = [];
     pos = 0;
     trunc = 0;
     finished = false }
 
-let root t rid =
-  if rid = 0 then 0 else Option.value ~default:rid (Hashtbl.find_opt t.roots rid)
+let root t rid = if rid = 0 then 0 else Inttbl.find_or t.roots rid rid
 
-let server_episodes_raw t ep =
-  Option.value ~default:[] (Hashtbl.find_opt t.by_server ep)
+let server_episodes_raw t ep = Inttbl.find_or t.by_server ep []
 
 let open_episode t ep =
   match server_episodes_raw t ep with
@@ -77,7 +78,7 @@ let observe t ev =
   t.pos <- pos + 1;
   (match ev with
    | Kernel.E_spawn _ -> ()
-   | _ -> t.trunc <- max t.trunc (Journal.event_time ev));
+   | _ -> t.trunc <- Int.max t.trunc (Journal.event_time ev));
   match ev with
   | Kernel.E_spawn { time; ep; parent } ->
     let s =
@@ -85,16 +86,16 @@ let observe t ev =
         s_exit = -1 }
     in
     t.sessions <- s :: t.sessions;
-    Hashtbl.replace t.session_of ep s
+    Inttbl.replace t.session_of ep s
   | Kernel.E_msg { time; src; tag; rid; parent; _ } ->
-    Hashtbl.replace t.msgs rid ev;
-    Hashtbl.replace t.roots rid (if parent = 0 then rid else root t parent);
+    Inttbl.replace t.msgs rid ev;
+    Inttbl.replace t.roots rid (if parent = 0 then rid else root t parent);
     if parent = 0 && tag = Message.Tag.T_exit then
-      (match Hashtbl.find_opt t.session_of src with
-       | Some s -> s.s_exit <- time
-       | None -> ())
+      (match Inttbl.find t.session_of src with
+       | s -> s.s_exit <- time
+       | exception Not_found -> ())
   | Kernel.E_reply { time; rid; _ } ->
-    if not (Hashtbl.mem t.replies rid) then Hashtbl.add t.replies rid time
+    if not (Inttbl.mem t.replies rid) then Inttbl.replace t.replies rid time
   | Kernel.E_crash { time; ep; reason; window_open; rid; policy } ->
     let e =
       { e_pos = pos; e_ep = ep; e_crash = time; e_rid = rid;
@@ -103,7 +104,7 @@ let observe t ev =
         e_restart = max_int; e_restart_policy = "" }
     in
     t.episodes <- e :: t.episodes;
-    Hashtbl.replace t.by_server ep (e :: server_episodes_raw t ep)
+    Inttbl.push t.by_server ep e
   | Kernel.E_rollback_begin { time; ep; _ } ->
     (match open_episode t ep with
      | Some e ->
@@ -118,8 +119,7 @@ let observe t ev =
        rb.rb_bytes <- bytes
      | _ -> ())
   | Kernel.E_restart { time; ep; policy; _ } ->
-    Hashtbl.replace t.restart_counts ep
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.restart_counts ep));
+    Inttbl.add_int t.restart_counts ep 1;
     (match open_episode t ep with
      | Some e ->
        e.e_restart <- time;
@@ -132,7 +132,7 @@ let finish t =
     t.finished <- true;
     t.episodes <- List.rev t.episodes;
     t.sessions <- List.rev t.sessions;
-    Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) t.by_server
+    Inttbl.map_inplace List.rev t.by_server
   end;
   t
 
@@ -146,20 +146,19 @@ let of_array events = of_iter (fun f -> Array.iter f events)
 
 let ordered t l = if t.finished then l else List.rev l
 
-let delivery t rid = Hashtbl.find_opt t.msgs rid
+let delivery t rid = Inttbl.find_opt t.msgs rid
 
 let parent t rid =
-  match Hashtbl.find_opt t.msgs rid with
-  | Some (Kernel.E_msg { parent; _ }) -> Some parent
-  | _ -> None
+  match Inttbl.find t.msgs rid with
+  | Kernel.E_msg { parent; _ } -> Some parent
+  | _ | (exception Not_found) -> None
 
-let reply_time t rid = Hashtbl.find_opt t.replies rid
-let iter_deliveries t f = Hashtbl.iter f t.msgs
+let reply_time t rid = Inttbl.find_opt t.replies rid
+let iter_deliveries t f = Inttbl.iter f t.msgs
 let episodes t = ordered t t.episodes
 let server_episodes t ep = ordered t (server_episodes_raw t ep)
 
-let restarts t ep =
-  Option.value ~default:0 (Hashtbl.find_opt t.restart_counts ep)
+let restarts t ep = Inttbl.find_or t.restart_counts ep 0
 
 let sessions t = ordered t t.sessions
 let length t = t.pos

@@ -79,6 +79,11 @@ val reply_time : t -> int -> int option
 (** Time of the first [E_reply] to a rid. *)
 
 val iter_deliveries : t -> (int -> Kernel.event -> unit) -> unit
+(** Every delivered rid with its [E_msg], in the slot order of the
+    model's rid table ({!Osiris_util.Inttbl}): neither stream nor rid
+    order, and it may change with the table's size. No output may
+    depend on it; a consumer sorts what it prints ({!Span} orders
+    spans by start and id). *)
 
 val episodes : t -> episode list
 (** Every episode, open or closed, oldest first. *)

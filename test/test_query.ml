@@ -68,7 +68,7 @@ let test_parse_filter () =
                    tag = Message.Tag.T_open; call = true; rid = 1;
                    parent = 0; cls = Seep.Read_only }
   in
-  let parents = Hashtbl.create 8 in
+  let parents = Osiris_util.Inttbl.create 8 in
   Alcotest.(check bool) "server=vfs matches" true
     (Query.eval parents (parse_exn "server=vfs") ev);
   Alcotest.(check bool) "!server=vfs rejects" false

@@ -1,6 +1,8 @@
-(* Tests for osiris_util: deterministic RNG and the statistics helpers.
-   (The scheduler queue moved to lib/kernel/sched; see test_sched.) *)
+(* Tests for osiris_util: deterministic RNG, the statistics helpers and
+   the int-keyed table. (The scheduler queue moved to lib/kernel/sched;
+   see test_sched.) *)
 
+module Inttbl = Osiris_util.Inttbl
 module Rng = Osiris_util.Rng
 module Stats = Osiris_util.Stats
 module Tablefmt = Osiris_util.Tablefmt
@@ -144,6 +146,149 @@ let test_tablefmt_alignment () =
 let test_tablefmt_pct () =
   Alcotest.(check string) "pct" "50.0%" (Tablefmt.pct 0.5)
 
+(* ---------------- inttbl ------------------------------------------ *)
+
+type tbl_op =
+  | Replace of int * int
+  | Add of int * int
+  | Find of int
+  | Mem of int
+  | Remove of int
+  | Fold
+
+let show_tbl_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Add (k, n) -> Printf.sprintf "add_int %d %d" k n
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Fold -> "fold"
+
+(* Dense small keys, negative keys, the extremes ([min_int] is also the
+   free-slot marker) and strided keys whose low 12 bits are 0 or 1:
+   below 4096 slots every strided key shares a home slot with 0 or 1,
+   so chains run long and removals land in their middle. *)
+let tbl_key =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range 0 63);
+        (2, int_range (-64) (-1));
+        (1, oneofl [ min_int; min_int + 1; max_int; max_int - 1; 0 ]);
+        (4, map2 (fun i off -> (i * 4096) + off) (int_range (-8) 15)
+              (oneofl [ 0; 1 ])) ])
+
+let tbl_ops =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (5, map2 (fun k v -> Replace (k, v)) tbl_key small_int);
+          (2, map2 (fun k n -> Add (k, n)) tbl_key small_int);
+          (3, map (fun k -> Find k) tbl_key);
+          (2, map (fun k -> Mem k) tbl_key);
+          (4, map (fun k -> Remove k) tbl_key);
+          (1, return Fold) ])
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_tbl_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 0 300) op)
+
+let sorted_bindings fold t =
+  List.sort compare (fold (fun k v l -> (k, v) :: l) t [])
+
+let prop_inttbl_model =
+  QCheck.Test.make ~name:"Inttbl = Hashtbl model" ~count:500 tbl_ops
+    (fun ops ->
+       let t = Inttbl.create 1 and m = Hashtbl.create 8 in
+       let same what a b =
+         if a <> b then QCheck.Test.fail_reportf "%s differs" what
+       in
+       List.iter
+         (fun op ->
+            (match op with
+             | Replace (k, v) ->
+               Inttbl.replace t k v;
+               Hashtbl.replace m k v
+             | Add (k, n) ->
+               Inttbl.add_int t k n;
+               Hashtbl.replace m k
+                 (n + Option.value ~default:0 (Hashtbl.find_opt m k))
+             | Find k ->
+               same (show_tbl_op op)
+                 (match Inttbl.find t k with
+                  | v -> Some v
+                  | exception Not_found -> None)
+                 (Hashtbl.find_opt m k)
+             | Mem k -> same (show_tbl_op op) (Inttbl.mem t k) (Hashtbl.mem m k)
+             | Remove k ->
+               Inttbl.remove t k;
+               Hashtbl.remove m k
+             | Fold ->
+               same "fold" (sorted_bindings Inttbl.fold t)
+                 (sorted_bindings Hashtbl.fold m));
+            same "length" (Inttbl.length t) (Hashtbl.length m))
+         ops;
+       same "final contents" (sorted_bindings Inttbl.fold t)
+         (sorted_bindings Hashtbl.fold m);
+       Hashtbl.iter
+         (fun k v -> same "find_opt" (Inttbl.find_opt t k) (Some v))
+         m;
+       true)
+
+(* The table under the analysis layers must not allocate per event:
+   once grown, binding, reading and unbinding ints costs no words. *)
+let test_inttbl_no_alloc () =
+  let n = 4096 in
+  let t = Inttbl.create 16 in
+  for k = 0 to n - 1 do Inttbl.replace t (k * 7) k done;
+  Inttbl.replace t min_int 1;
+  let round () =
+    let s = ref 0 in
+    for k = 0 to n - 1 do
+      let k = k * 7 in
+      Inttbl.replace t k (k + 1);
+      s := !s + Inttbl.find t k;
+      Inttbl.remove t k;
+      Inttbl.replace t k k
+    done;
+    Inttbl.remove t min_int;
+    Inttbl.replace t min_int 2;
+    s := !s + Inttbl.find t min_int;
+    !s
+  in
+  ignore (Sys.opaque_identity (round ()));
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let empty = w1 -. w0 in
+  let w0 = Gc.minor_words () in
+  let r = round () in
+  let w1 = Gc.minor_words () in
+  ignore (Sys.opaque_identity r);
+  Alcotest.(check (float 0.)) "minor words" 0. (w1 -. w0 -. empty);
+  Alcotest.(check int) "every key kept" (n + 1) (Inttbl.length t)
+
+let test_inttbl_helpers () =
+  let t = Inttbl.create 0 in
+  Inttbl.push t 5 "a";
+  Inttbl.push t 5 "b";
+  Inttbl.push t min_int "c";
+  Alcotest.(check (list string)) "push conses" [ "b"; "a" ] (Inttbl.find t 5);
+  Inttbl.map_inplace List.rev t;
+  Alcotest.(check (list string)) "map_inplace" [ "a"; "b" ] (Inttbl.find t 5);
+  Alcotest.(check (list string)) "marker key mapped" [ "c" ]
+    (Inttbl.find t min_int);
+  Alcotest.(check (list string)) "find_or absent" [] (Inttbl.find_or t 6 []);
+  let seen = ref [] in
+  Inttbl.iter (fun k _ -> seen := k :: !seen) t;
+  Alcotest.(check (list int)) "iter visits each key" [ min_int; 5 ]
+    (List.sort compare !seen);
+  (* Floats are stored boxed, past a growth and a removal. *)
+  let f = Inttbl.create 0 in
+  for k = 0 to 99 do Inttbl.replace f k (float_of_int k +. 0.5) done;
+  Inttbl.remove f 3;
+  Alcotest.(check (float 0.)) "float value" 42.5 (Inttbl.find f 42);
+  Alcotest.(check int) "float entries" 99 (Inttbl.length f)
+
 let () =
   Alcotest.run "osiris_util"
     [ ( "rng",
@@ -167,4 +312,11 @@ let () =
           Alcotest.test_case "ratio" `Quick test_stats_ratio ] );
       ( "tablefmt",
         [ Alcotest.test_case "alignment" `Quick test_tablefmt_alignment;
-          Alcotest.test_case "pct" `Quick test_tablefmt_pct ] ) ]
+          Alcotest.test_case "pct" `Quick test_tablefmt_pct ] );
+      ( "inttbl",
+        [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+            prop_inttbl_model;
+          Alcotest.test_case "no allocation once grown" `Quick
+            test_inttbl_no_alloc;
+          Alcotest.test_case "push, map, find_or, iter, floats" `Quick
+            test_inttbl_helpers ] ) ]
