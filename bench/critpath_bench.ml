@@ -3,8 +3,12 @@
 
    Run with [dune exec bench/main.exe critpath] (artifact
    BENCH_critpath.json; [--smoke] for the runtest variant, see
-   benchkit.ml). Nothing here is timed, so both modes run the same
-   checks. Exits non-zero when a gate fails.
+   benchkit.ml). Both modes run the same checks. Exits non-zero when a
+   gate fails.
+
+   Informational, no gate: the host ns per event of [Runmodel.of_list]
+   and of [Critpath.analyze] (which builds its own run model) over the
+   fixture stream, best of the interleaved rounds ("ns_per_event").
 
    Gates:
      conservation       exact   every analyzed request's buckets sum to
@@ -122,7 +126,19 @@ let run () =
     (List.length blame_specs)
     (if String.equal b1 b1' then "identical" else "DIFFERS")
     (if String.equal b1 b4 then "identical" else "DIFFERS");
-  Benchkit.finish ~bench:"critpath" ~budget:false
+  (* ---- per-event cost of the two layers ---- *)
+  let n_events = List.length events in
+  let best, rounds =
+    Benchkit.best_of
+      [ Benchkit.timed (fun () -> ignore (Runmodel.of_list events));
+        Benchkit.timed (fun () -> ignore (Critpath.analyze events)) ]
+  in
+  let per_event i = best.(i) /. float_of_int n_events in
+  Printf.printf
+    "per event (%d events, best of %d rounds): Runmodel.of_list %.0f ns, \
+     Critpath.analyze %.0f ns\n"
+    n_events rounds (per_event 0) (per_event 1);
+  Benchkit.finish ~bench:"critpath"
     [ ("workload_seed", string_of_int workload_seed);
       ( "conservation",
         Printf.sprintf "{\"requests\": %d, \"event_exact\": %b}" n_requests
@@ -130,7 +146,12 @@ let run () =
       ("journal_parity", string_of_bool parity);
       ( "blame",
         Printf.sprintf "{\"specs\": %d, \"bytes\": %d, \"identical\": %b}"
-          (List.length blame_specs) (String.length b1) blame_identical ) ]
+          (List.length blame_specs) (String.length b1) blame_identical );
+      ( "ns_per_event",
+        Printf.sprintf
+          "{\"events\": %d, \"rounds\": %d, \"runmodel_of_list\": %.1f, \
+           \"critpath_analyze\": %.1f}"
+          n_events rounds (per_event 0) (per_event 1) ) ]
     [ Benchkit.exact "conservation" conserved;
       Benchkit.exact "journal_parity" parity;
       Benchkit.exact "blame_identity" blame_identical ]
