@@ -32,6 +32,15 @@ let minor_words_of f =
   f ();
   Gc.minor_words () -. w0
 
+(* Minor words one fiber park allocates: its continuation and the
+   thread state holding it, two words each with their headers (4.000
+   measured by [sched_bench]'s ping-pong, whose [preempt_alloc_exact]
+   holds a preemption to it). The hooked-run allocation gates allow it
+   per extra park: a hook sends row searches load by load, and there
+   every preemption parks the fiber, where an unhooked walk parks once
+   and the kernel runs it on. *)
+let park_words = 4.
+
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
 (* Interleaved timing. Each variant is a thunk that times itself and

@@ -35,7 +35,18 @@
                                   byte-identical between wheel and
                                   oracle: halt, every ss_* server
                                   counter row, log lines, journal
-                                  bytes *)
+                                  bytes
+     preempt_alloc_exact  exact   two user processes computing 1 cycle
+                                  at a time preempt each other at every
+                                  operation; each preemption allocates
+                                  at most [Benchkit.park_words] minor
+                                  words (the fiber's continuation and
+                                  the thread state holding it)
+
+   Informational, no gate: [switches], the fiber runner's counters
+   over one seed-42 load step at 80k req/s (fiber parks, walks the
+   kernel ran on from their parked load, and the row searches' loads
+   batched and load by load). *)
 
 (* The pre-refactor per-event reference. *)
 let baseline_ns = 78.6
@@ -158,6 +169,51 @@ let trajectory_pair ~root ~workload ~crash =
   let oracle = run_fingerprint ~oracle:true ~root ~workload ~crash () in
   wheel = oracle
 
+(* ---- fiber switches ----------------------------------------------- *)
+
+(* Two compute-only user processes whose clocks leapfrog: each runs
+   1-cycle computes until its clock passes the other's (two of them)
+   and parks at the next one's entry. The words allocated and the
+   fiber parks made by [n] computes each. *)
+let ping_pong n =
+  let sys = System.build ~seed:42 (Sysconf.uniform Policy.enhanced) in
+  let k = System.kernel sys in
+  let prog () =
+    for _ = 1 to n do
+      Kernel.Op.compute 1
+    done
+  in
+  let a = Kernel.spawn_user k ~name:"ping" ~prog ~parent:0 in
+  ignore (Kernel.spawn_user k ~name:"pong" ~prog ~parent:0);
+  Kernel.set_halt_on_exit k a;
+  let parks0 = Kernel.fiber_parks k in
+  let words = Benchkit.minor_words_of (fun () -> ignore (Kernel.run k)) in
+  (words, Kernel.fiber_parks k - parks0)
+
+(* The words one preemption allocates: the difference between two
+   ping-pong lengths, so boot, spawn and exit cancel. *)
+let preemption_words () =
+  let n = 20_000 in
+  let w1, p1 = ping_pong n and w2, p2 = ping_pong (2 * n) in
+  ((w2 -. w1) /. float_of_int (p2 - p1), p2 - p1)
+
+(* The workload's first 80k req/s load step at seed 42. *)
+let load_step () =
+  let spec =
+    { Loadgen.default_spec with
+      Loadgen.l_seed = 42 * 1009; l_requests = 1000; l_rate = 80_000 }
+  in
+  let sys = System.build ~seed:spec.Loadgen.l_seed (Sysconf.uniform Policy.enhanced) in
+  let k = System.kernel sys in
+  let reqs = Loadgen.inject k spec in
+  let parks0 = Kernel.fiber_parks k and resumes0 = Kernel.walk_resumes k in
+  let batched0, single0 = Kernel.walk_loads k in
+  let halt = Kernel.run k in
+  let o = Loadgen.collect k reqs in
+  let batched, single = Kernel.walk_loads k in
+  ( halt, o.Loadgen.o_completed, Kernel.fiber_parks k - parks0,
+    Kernel.walk_resumes k - resumes0, batched - batched0, single - single0 )
+
 (* ------------------------------------------------------------------ *)
 
 let run () =
@@ -210,6 +266,20 @@ let run () =
     \  quickstart + vfs crash   %s\n"
     (if driver_ok then "identical" else "DIVERGED")
     (if crash_ok then "identical" else "DIVERGED");
+  (* ---- fiber switches ---- *)
+  let per_preemption, preemptions = preemption_words () in
+  let preempt_ok = preemptions > 10_000 && per_preemption <= Benchkit.park_words in
+  Printf.printf
+    "compute ping-pong: %.3f minor words per preemption over %d preemptions \
+     (<= %.0f -> %s)\n"
+    per_preemption preemptions Benchkit.park_words
+    (if preempt_ok then "ok" else "FAILED");
+  let halt, completed, parks, resumes, batched, single = load_step () in
+  Printf.printf
+    "load step (seed 42, 80k req/s, %d requests exited, %s):\n\
+    \  fiber parks %d, walks run on in the kernel %d\n\
+    \  row-search loads: batched %d, load by load %d\n"
+    completed (Kernel.halt_to_string halt) parks resumes batched single;
   Benchkit.finish ~bench:"sched" ~budget:false
     [ ("seed", "42");
       ( "trace",
@@ -220,6 +290,17 @@ let run () =
           \    \"baseline_ns\": %.1f, \"efficiency\": %.2f, \"threshold_ns\": %.2f}"
           wheel_ns oracle_ns baseline_ns efficiency threshold );
       ("alloc", Printf.sprintf "{\"minor_words_per_pass\": %.0f}" words);
+      ( "preempt_alloc",
+        Printf.sprintf
+          "{\"preemptions\": %d, \"words_per_preemption\": %.3f,\n\
+          \    \"park_words\": %.0f}"
+          preemptions per_preemption Benchkit.park_words );
+      ( "switches",
+        Printf.sprintf
+          "{\"load_step\": {\"seed\": %d, \"rate\": 80000, \"completed\": %d},\n\
+          \    \"fiber_parks\": %d, \"walk_resumes\": %d,\n\
+          \    \"walk_loads_batched\": %d, \"walk_loads_single\": %d}"
+          (42 * 1009) completed parks resumes batched single );
       (* Wall-clock figures swing with the host; bench_diff reads these
          per-path tolerances from the baseline so only structural drift
          is flagged. *)
@@ -229,4 +310,5 @@ let run () =
     [ Benchkit.timing "sched_ns_per_event" ns_ok;
       Benchkit.timing "sched_vs_oracle" vs_oracle_ok;
       Benchkit.exact "sched_zero_alloc" alloc_ok;
-      Benchkit.exact "sched_trajectory" (driver_ok && crash_ok) ]
+      Benchkit.exact "sched_trajectory" (driver_ok && crash_ok);
+      Benchkit.exact "preempt_alloc_exact" preempt_ok ]

@@ -31,6 +31,52 @@ let chain_of_parents parent_of rid =
 let rid_chain recorded rid =
   chain_of_parents (Runmodel.parent (Runmodel.of_array recorded)) rid
 
+let same_halt (a : Kernel.halt) (b : Kernel.halt) =
+  match a, b with
+  | H_completed x, H_completed y -> x = y
+  | H_shutdown x, H_shutdown y | H_panic x, H_panic y -> String.equal x y
+  | H_hang, H_hang -> true
+  | (H_completed _ | H_shutdown _ | H_panic _ | H_hang), _ -> false
+
+(* Whether a replayed event is the recorded one, field by field at
+   each field's type: no generic walk over the record per event. *)
+let same_event (a : Kernel.event) (b : Kernel.event) =
+  match a, b with
+  | E_msg a, E_msg b ->
+    a.time = b.time && a.src = b.src && a.dst = b.dst && a.tag = b.tag
+    && a.call = b.call && a.rid = b.rid && a.parent = b.parent && a.cls = b.cls
+  | E_reply a, E_reply b ->
+    a.time = b.time && a.src = b.src && a.dst = b.dst && a.tag = b.tag
+    && a.rid = b.rid
+  | E_window_open a, E_window_open b ->
+    a.time = b.time && a.ep = b.ep && a.rid = b.rid
+  | E_window_close a, E_window_close b ->
+    a.time = b.time && a.ep = b.ep && a.rid = b.rid && a.policy = b.policy
+  | E_checkpoint a, E_checkpoint b ->
+    a.time = b.time && a.ep = b.ep && a.rid = b.rid && a.cycles = b.cycles
+  | E_store_logged a, E_store_logged b ->
+    a.time = b.time && a.ep = b.ep && a.rid = b.rid && a.bytes = b.bytes
+  | E_kcall a, E_kcall b ->
+    a.time = b.time && a.ep = b.ep && a.rid = b.rid && String.equal a.kc b.kc
+  | E_crash a, E_crash b ->
+    a.time = b.time && a.ep = b.ep && String.equal a.reason b.reason
+    && a.window_open = b.window_open && a.rid = b.rid
+    && String.equal a.policy b.policy
+  | E_hang_detected a, E_hang_detected b -> a.time = b.time && a.ep = b.ep
+  | E_rollback_begin a, E_rollback_begin b ->
+    a.time = b.time && a.ep = b.ep && a.rid = b.rid
+  | E_rollback_end a, E_rollback_end b ->
+    a.time = b.time && a.ep = b.ep && a.rid = b.rid && a.bytes = b.bytes
+  | E_restart a, E_restart b ->
+    a.time = b.time && a.ep = b.ep && a.rid = b.rid && String.equal a.policy b.policy
+  | E_halt a, E_halt b -> a.time = b.time && same_halt a.halt b.halt
+  | E_spawn a, E_spawn b -> a.time = b.time && a.ep = b.ep && a.parent = b.parent
+  | ( ( E_msg _ | E_reply _ | E_window_open _ | E_window_close _ | E_checkpoint _
+      | E_store_logged _ | E_kcall _ | E_crash _ | E_hang_detected _
+      | E_rollback_begin _ | E_rollback_end _ | E_restart _ | E_halt _ | E_spawn _ ),
+      _ ) ->
+    false
+
 (* The streaming core: the recorded side is a pull cursor, consumed
    exactly once and in order, so the journal never materializes. The
    parents map accrues from every record pulled; after the run the
@@ -63,7 +109,8 @@ let run_stream ~exec ?cost_fingerprint header ~next =
        match pull () with
        | None -> first_mismatch := Some (!i, None, Some ev)
        | Some want ->
-         if ev <> want then first_mismatch := Some (!i, Some want, Some ev));
+         if not (same_event ev want) then
+           first_mismatch := Some (!i, Some want, Some ev));
     incr i
   in
   let halt = exec header ~hook in

@@ -491,6 +491,99 @@ let test_perturbed_cost_divergence () =
         Alcotest.(check int) "chain starts at the divergent rid"
           d.Replay.div_rid rid))
 
+(* Every field of every event kind takes part in the replay's compare:
+   each sample event, replayed with one field changed, diverges at
+   that record; replayed as a decoded copy (equal, not the same
+   strings), it does not. *)
+let one_field_changed (e : Kernel.event) : Kernel.event list =
+  let s x = x ^ "'" in
+  match e with
+  | E_msg r ->
+    [ E_msg { r with time = r.time + 1 }; E_msg { r with src = r.src + 1 };
+      E_msg { r with dst = r.dst + 1 }; E_msg { r with tag = Message.Tag.T_ping };
+      E_msg { r with call = not r.call }; E_msg { r with rid = r.rid + 1 };
+      E_msg { r with parent = r.parent + 1 }; E_msg { r with cls = Seep.Reply } ]
+  | E_reply r ->
+    [ E_reply { r with time = r.time + 1 }; E_reply { r with src = r.src + 1 };
+      E_reply { r with dst = r.dst + 1 }; E_reply { r with tag = Message.Tag.T_ping };
+      E_reply { r with rid = r.rid + 1 } ]
+  | E_window_open r ->
+    [ E_window_open { r with time = r.time + 1 }; E_window_open { r with ep = r.ep + 1 };
+      E_window_open { r with rid = r.rid + 1 } ]
+  | E_window_close r ->
+    [ E_window_close { r with time = r.time + 1 };
+      E_window_close { r with ep = r.ep + 1 }; E_window_close { r with rid = r.rid + 1 };
+      E_window_close { r with policy = not r.policy } ]
+  | E_checkpoint r ->
+    [ E_checkpoint { r with time = r.time + 1 }; E_checkpoint { r with ep = r.ep + 1 };
+      E_checkpoint { r with rid = r.rid + 1 }; E_checkpoint { r with cycles = r.cycles + 1 } ]
+  | E_store_logged r ->
+    [ E_store_logged { r with time = r.time + 1 };
+      E_store_logged { r with ep = r.ep + 1 }; E_store_logged { r with rid = r.rid + 1 };
+      E_store_logged { r with bytes = r.bytes + 1 } ]
+  | E_kcall r ->
+    [ E_kcall { r with time = r.time + 1 }; E_kcall { r with ep = r.ep + 1 };
+      E_kcall { r with rid = r.rid + 1 }; E_kcall { r with kc = s r.kc } ]
+  | E_crash r ->
+    [ E_crash { r with time = r.time + 1 }; E_crash { r with ep = r.ep + 1 };
+      E_crash { r with reason = s r.reason };
+      E_crash { r with window_open = not r.window_open };
+      E_crash { r with rid = r.rid + 1 }; E_crash { r with policy = s r.policy } ]
+  | E_hang_detected r ->
+    [ E_hang_detected { r with time = r.time + 1 }; E_hang_detected { r with ep = r.ep + 1 } ]
+  | E_rollback_begin r ->
+    [ E_rollback_begin { r with time = r.time + 1 };
+      E_rollback_begin { r with ep = r.ep + 1 }; E_rollback_begin { r with rid = r.rid + 1 } ]
+  | E_rollback_end r ->
+    [ E_rollback_end { r with time = r.time + 1 }; E_rollback_end { r with ep = r.ep + 1 };
+      E_rollback_end { r with rid = r.rid + 1 };
+      E_rollback_end { r with bytes = r.bytes + 1 } ]
+  | E_restart r ->
+    [ E_restart { r with time = r.time + 1 }; E_restart { r with ep = r.ep + 1 };
+      E_restart { r with rid = r.rid + 1 }; E_restart { r with policy = s r.policy } ]
+  | E_halt r ->
+    E_halt { r with time = r.time + 1 }
+    :: List.map
+         (fun halt -> Kernel.E_halt { r with halt })
+         (match r.halt with
+          | H_completed n -> [ Kernel.H_completed (n + 1); H_hang ]
+          | H_shutdown m -> [ H_shutdown (s m); H_panic m ]
+          | H_panic m -> [ H_panic (s m); H_shutdown m ]
+          | H_hang -> [ H_completed 0 ])
+  | E_spawn r ->
+    [ E_spawn { r with time = r.time + 1 }; E_spawn { r with ep = r.ep + 1 };
+      E_spawn { r with parent = r.parent + 1 } ]
+
+let test_replay_compares_every_field () =
+  let replay recorded replayed =
+    Replay.run
+      ~exec:(fun _ ~hook ->
+          hook replayed;
+          Kernel.H_completed 0)
+      sample_header [| recorded |]
+  in
+  let copies =
+    match Journal.read_string (Journal.of_events sample_header sample_events) with
+    | Ok (_, events) -> Array.to_list events
+    | Error m -> Alcotest.fail m
+  in
+  let changed = ref 0 in
+  List.iter2
+    (fun e copy ->
+       Alcotest.(check bool) ("a copy replays: " ^ Replay.pp_event e) true
+         ((replay e copy).Replay.rp_divergence = None);
+       List.iter
+         (fun v ->
+            incr changed;
+            match (replay e v).Replay.rp_divergence with
+            | Some d -> Alcotest.(check int) "diverges at the record" 0 d.Replay.div_index
+            | None ->
+              Alcotest.failf "%s replayed as %s: no divergence" (Replay.pp_event e)
+                (Replay.pp_event v))
+         (one_field_changed e))
+    sample_events copies;
+  Alcotest.(check int) "every field of the sample events changed" 65 !changed
+
 let prop_record_replay_deterministic =
   QCheck.Test.make
     ~name:"record->replay yields zero divergences (seeds/specs/crashes)"
@@ -1068,6 +1161,8 @@ let () =
             test_decode_allocation;
           Alcotest.test_case "seed-42 replay identical" `Quick
             test_replay_seed42_identical;
+          Alcotest.test_case "every event field compared" `Quick
+            test_replay_compares_every_field;
           Alcotest.test_case "perturbed cost pinpointed" `Quick
             test_perturbed_cost_divergence;
           QCheck_alcotest.to_alcotest prop_record_replay_deterministic ] );
