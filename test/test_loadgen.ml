@@ -139,6 +139,44 @@ let test_run_deterministic () =
   Alcotest.(check bool) "latency vector identical" true
     (o1.Loadgen.o_latencies = o2.Loadgen.o_latencies)
 
+(* ---------------- load-step trajectory ---------------------------- *)
+
+(* The workload's first 80k req/s load step at seed 42, the run where
+   several servers walk their tables at once: hundreds of pending
+   processes keep items due, so walks park and are run on by the
+   kernel, and any change to who runs when moves a server's counters.
+   Pinned: the halt, every core server's [server_stats] row and the
+   outcome (by MD5 of their values), and the fiber runner's counters. *)
+let step_spec =
+  { Loadgen.default_spec with
+    Loadgen.l_seed = 42 * 1009; l_requests = 1000; l_rate = 80_000 }
+
+let test_load_step_trajectory () =
+  let sys =
+    System.build ~seed:step_spec.Loadgen.l_seed (Sysconf.uniform Policy.enhanced)
+  in
+  let k = System.kernel sys in
+  let reqs = Loadgen.inject k step_spec in
+  let parks0 = Kernel.fiber_parks k and resumes0 = Kernel.walk_resumes k in
+  let batched0, single0 = Kernel.walk_loads k in
+  let halt = Kernel.run k in
+  let o = Loadgen.collect k reqs in
+  let batched, single = Kernel.walk_loads k in
+  Alcotest.(check string) "halt" "completed(0)" (Kernel.halt_to_string halt);
+  Alcotest.(check (list int)) "completed, ok, shed, makespan"
+    [ 1000; 793; 196; 31576915 ]
+    [ o.Loadgen.o_completed; o.Loadgen.o_ok; o.Loadgen.o_shed;
+      o.Loadgen.o_makespan ];
+  Alcotest.(check (list int)) "fiber parks, walk resumes, loads batched/single"
+    [ 47597; 191168; 695030; 0 ]
+    [ Kernel.fiber_parks k - parks0; Kernel.walk_resumes k - resumes0;
+      batched - batched0; single - single0 ];
+  let stats = List.map (Kernel.server_stats k) System.core_servers in
+  Alcotest.(check string) "server_stats + outcome digest"
+    "ba18451c7d4c68647cddb8d7a36e22ae"
+    (Digest.to_hex
+       (Digest.string (Marshal.to_string (halt, stats, o) [ Marshal.No_sharing ])))
+
 let () =
   Alcotest.run "loadgen"
     [ ( "distributions",
@@ -157,4 +195,6 @@ let () =
         [ Alcotest.test_case "inject/run/collect" `Quick
             test_inject_run_collect;
           Alcotest.test_case "run deterministic" `Quick
-            test_run_deterministic ] ) ]
+            test_run_deterministic;
+          Alcotest.test_case "80k load step trajectory (seed 42378)" `Quick
+            test_load_step_trajectory ] ) ]
