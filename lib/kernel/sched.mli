@@ -30,9 +30,13 @@
     bit-for-bit — [bench/sched_bench.ml] gates byte-identical run
     trajectories against the embedded old-heap oracle.
 
-    All state lives in flat int arrays with a free-list node pool:
-    after warm-up, {!push} and {!pop} allocate nothing (gated in
-    [bench/sched_bench.ml]).  Values are ints — the kernel packs
+    All state lives in flat int arrays with a free-list node pool, and
+    every loop is a top-level function over ints: once the pools have
+    grown, {!push}, {!pop} and {!peek} allocate nothing.  The
+    [sched_zero_alloc] gate in [bench/sched_bench.ml] backs this: it
+    clears the queue (keeping the pools) and replays a 131k-operation
+    kernel-shaped trace through wheel levels, cascades, the ready ring
+    and the far chain, and requires no minor words.  Values are ints — the kernel packs
     [(endpoint, item-tag)] into one word.  Sentinel returns
     ([max_int] / [-1]) replace option boxing on the hot path. *)
 
@@ -81,6 +85,12 @@ val pop : t -> int
 (** Remove and return the value with the smallest [(key, seq)], or
     [-1] when empty.  The popped key is readable via {!popped_key}
     until the next pop.  Allocation-free after warm-up. *)
+
+val peek : t -> int
+(** The value {!pop} would return, or [-1] when empty, without
+    removing it: the queue's order and sequence counter are unchanged
+    (the wheel may cascade its front down to level 0, as {!pop} does
+    before it takes it).  Allocation-free. *)
 
 val popped_key : t -> int
 (** Key of the most recent successful {!pop} (0 before any pop). *)

@@ -18,13 +18,15 @@ let test_basic () =
   Sched.push s ~key:3 30;
   Alcotest.(check int) "length" 3 (Sched.length s);
   Alcotest.(check int) "next_key" 1 (Sched.next_key s);
+  Alcotest.(check int) "peek" 10 (Sched.peek s);
   Alcotest.(check int) "pop one" 10 (Sched.pop s);
   Alcotest.(check int) "popped_key one" 1 (Sched.popped_key s);
   Alcotest.(check int) "pop three" 30 (Sched.pop s);
   Alcotest.(check int) "popped_key three" 3 (Sched.popped_key s);
   Alcotest.(check int) "pop five" 50 (Sched.pop s);
   Alcotest.(check int) "drained" (-1) (Sched.pop s);
-  Alcotest.(check int) "next_key drained" max_int (Sched.next_key s)
+  Alcotest.(check int) "next_key drained" max_int (Sched.next_key s);
+  Alcotest.(check int) "peek drained" (-1) (Sched.peek s)
 
 let test_fifo_ties () =
   (* Equal keys pop in push order. *)
@@ -198,6 +200,24 @@ let prop_matches_heap_oracle =
       assert (Sched.is_oracle h && not (Sched.is_oracle s));
       sched_replay ops s = sched_replay ops h)
 
+(* [peek] names what the next [pop] returns, and peeking before every
+   pop leaves the pop stream unchanged. *)
+let prop_peek_is_next_pop =
+  QCheck.Test.make ~name:"peek = next pop, order unchanged" ~count:300 op_gen
+    (fun ops ->
+      let s = Sched.create () in
+      let agree = ref true in
+      let peeked =
+        replay_ops ops
+          (fun ~key v -> Sched.push s ~key v)
+          (fun () ->
+             let want = Sched.peek s in
+             let v = Sched.pop s in
+             if want <> v then agree := false;
+             if v < 0 then None else Some (Sched.popped_key s, v))
+      in
+      !agree && peeked = sched_replay ops (Sched.create ()))
+
 let prop_sorted =
   QCheck.Test.make ~name:"pops keys in nondecreasing order" ~count:200
     QCheck.(list (int_range 0 1000))
@@ -240,5 +260,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_matches_sorted_oracle;
             prop_matches_heap_oracle;
+            prop_peek_is_next_pop;
             prop_sorted;
             prop_fifo_at_equal_key ] ) ]
