@@ -271,7 +271,12 @@ module Op : sig
         cycle hook is installed runs the rows batched, allocating
         nothing but the result; otherwise load by load. A batched walk
         preempted at a load parks as data and the kernel runs it on
-        from that load without resuming the calling fiber. *)
+        from that load without resuming the calling fiber. When the
+        item due next is another process' parked walk, the kernel
+        runs the two on in turn, each until its clock passes the
+        other's or a third item falls due, without a pass through the
+        run queue between them: the interleaving, and every counter
+        and event, are those of the queued schedule. *)
 
     val scan_from : Layout.Table.t -> rows:int -> from:int -> test -> int option
     (** [scan_from tbl ~rows ~from tests] is {!scan} over rows
@@ -573,6 +578,11 @@ val fiber_parks : t -> int
 val walk_resumes : t -> int
 (** Times the kernel ran a preempted row search on from its parked
     load without resuming the fiber. *)
+
+val walk_switches : t -> int
+(** Of {!walk_resumes}, those made by the walk lockstep: two processes'
+    parked row searches run on in turn inside the kernel, without a
+    pass through the run queue between them. *)
 
 val walk_fallbacks : t -> int
 (** Parked row searches handed back to their fiber to go on load by

@@ -198,9 +198,15 @@ let show_event = function
   | _ -> "-"
 
 (* What the kernel's counters say the fused scan did in a run: the most
-   walks one scan ran on from a parked load, and the walks handed back
-   to their fiber, in all and after the rival installed a hook. *)
-type paths = { most_resumes : int; fallbacks : int; fallbacks_after_install : int }
+   walks one scan ran on from a parked load, the walks run on in
+   lockstep with another server's, and the walks handed back to their
+   fiber, in all and after the rival installed a hook. *)
+type paths = {
+  most_resumes : int;
+  switches : int;
+  fallbacks : int;
+  fallbacks_after_install : int;
+}
 
 (* Run a case with [scan] as the table walk. [max_ops] none: the
    kernel's default. *)
@@ -374,6 +380,7 @@ let run_case ?max_ops c
   let fallbacks = Kernel.walk_fallbacks k in
   let paths =
     { most_resumes = !most_resumes;
+      switches = Kernel.walk_switches k;
       fallbacks;
       fallbacks_after_install =
         (match !fallbacks_at_install with Some f0 -> fallbacks - f0 | None -> 0) }
@@ -520,7 +527,7 @@ let test_cases_reach_every_path () =
   in
   let halted = ref 0 and crashed = ref 0 and hit = ref 0 and unbacked = ref 0 in
   let fired_elsewhere = ref 0 and resumed_twice = ref 0 and fell_back = ref 0 in
-  let fell_back_on_install = ref 0 in
+  let fell_back_on_install = ref 0 and lockstep = ref 0 in
   let row_size = Layout.Table.row_size (make_table ~pad:0 ~rows:1).tbl in
   List.iter
     (fun c ->
@@ -532,6 +539,7 @@ let test_cases_reach_every_path () =
        (* With a second server, a walk's window counts its resumptions
           too. *)
        if paths.most_resumes >= 2 && not c.second then incr resumed_twice;
+       if paths.switches > 0 then incr lockstep;
        if paths.fallbacks > 0 then incr fell_back;
        if paths.fallbacks_after_install > 0 && not c.second then
          incr fell_back_on_install;
@@ -556,6 +564,7 @@ let test_cases_reach_every_path () =
   at_least "runs scanning rows past the backing" 50 !unbacked;
   at_least "runs where a hook scoped to PM fired" 10 !fired_elsewhere;
   at_least "runs where the kernel ran one walk on twice" 10 !resumed_twice;
+  at_least "runs where two servers' walks ran on in lockstep" 10 !lockstep;
   at_least "runs where a parked walk went on load by load" 10 !fell_back;
   at_least "runs where a hook installed mid-walk sent it load by load" 10
     !fell_back_on_install
