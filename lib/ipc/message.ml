@@ -181,18 +181,6 @@ module Tag = struct
     | R_lookup _ | R_ds_value _ | R_brk _ | R_mmap _ | R_vm_info _
     | R_rs_status _ | R_names _ | R_pong -> T_reply
 
-  let to_string t =
-    (* show produces "Message.Tag.T_fork"; strip to "fork". *)
-    let s = show t in
-    let s =
-      match String.rindex_opt s '.' with
-      | Some i -> String.sub s (i + 1) (String.length s - i - 1)
-      | None -> s
-    in
-    if String.length s > 2 && String.sub s 0 2 = "T_" then
-      String.sub s 2 (String.length s - 2)
-    else s
-
   let all =
     [ T_fork; T_exec; T_exit; T_waitpid; T_getpid; T_getppid; T_kill;
       T_signal_set; T_adopt;
@@ -234,6 +222,24 @@ module Tag = struct
 
   let of_index i =
     if i >= 0 && i < n_tags then Some by_index.(i) else None
+
+  (* Each tag's name, built once: [show] goes through [Format]. *)
+  let names =
+    Array.map
+      (fun t ->
+         (* show produces "Message.Tag.T_fork"; strip to "fork". *)
+         let s = show t in
+         let s =
+           match String.rindex_opt s '.' with
+           | Some i -> String.sub s (i + 1) (String.length s - i - 1)
+           | None -> s
+         in
+         if String.length s > 2 && String.sub s 0 2 = "T_" then
+           String.sub s 2 (String.length s - 2)
+         else s)
+      by_index
+
+  let to_string t = names.(to_index t)
 end
 
 let is_reply m = Tag.of_msg m = Tag.T_reply

@@ -20,13 +20,19 @@ type t = {
   sp_children : t list;
 }
 
+module Inttbl = Osiris_util.Inttbl
+
+let by_start a b =
+  let c = Int.compare a.sp_start b.sp_start in
+  if c <> 0 then c else Int.compare a.sp_id b.sp_id
+
 let of_model m =
   let trunc = Runmodel.truncation m in
-  let spans : (int, t) Hashtbl.t = Hashtbl.create 256 in
+  let spans : t Inttbl.t = Inttbl.create 256 in
   (* [stop < 0]: still open when the stream ends, capped at its last
      event time. *)
   let add ~id ~parent ~kind ~name ~src ~ep ~start ~stop =
-    Hashtbl.replace spans id
+    Inttbl.replace spans id
       { sp_id = id; sp_parent = parent; sp_kind = kind; sp_name = name;
         sp_src = src; sp_ep = ep; sp_start = start;
         sp_end = max start (if stop >= 0 then stop else trunc);
@@ -44,20 +50,20 @@ let of_model m =
                 e.e_rollbacks)
         (Runmodel.episodes m)
   in
-  let session_id = Hashtbl.create 64 in
-  let recovery_id = Hashtbl.create 8 in
+  let session_id : int Inttbl.t = Inttbl.create 64 in
+  let recovery_id : int Inttbl.t = Inttbl.create 8 in
   List.iteri
     (fun i (_, syn) ->
        let id = -(i + 1) in
        match syn with
        | `Session { Runmodel.s_ep = ep; s_arrival; s_parent; s_exit; _ } ->
-         Hashtbl.replace session_id ep id;
+         Inttbl.replace session_id ep id;
          add ~id ~parent:0 ~kind:Session
            ~name:(if s_parent = 0 then "session" else "session (forked)")
            ~src:(if s_parent = 0 then ep else s_parent) ~ep ~start:s_arrival
            ~stop:s_exit
        | `Recovery (e : Runmodel.episode) ->
-         Hashtbl.replace recovery_id e.e_pos id;
+         Inttbl.replace recovery_id e.e_pos id;
          (* The compartment's policy in the name keeps mixed-policy
             traces attributable span by span. *)
          add ~id ~parent:e.e_rid ~kind:Recovery
@@ -65,7 +71,7 @@ let of_model m =
            ~ep:e.e_ep ~start:e.e_crash
            ~stop:(if Runmodel.closed e then e.e_restart else -1)
        | `Rollback ((e : Runmodel.episode), (r : Runmodel.rollback)) ->
-         add ~id ~parent:(Hashtbl.find recovery_id e.e_pos) ~kind:Rollback
+         add ~id ~parent:(Inttbl.find recovery_id e.e_pos) ~kind:Rollback
            ~name:
              (if r.rb_end >= 0 then Printf.sprintf "rollback %dB" r.rb_bytes
               else "rollback")
@@ -78,9 +84,7 @@ let of_model m =
            nests under its session root instead of floating free, so
            storm requests keep their arrival context. *)
         let parent =
-          if parent = 0 then
-            Option.value ~default:0 (Hashtbl.find_opt session_id src)
-          else parent
+          if parent = 0 then Inttbl.find_or session_id src 0 else parent
         in
         let stop =
           match Runmodel.reply_time m rid with
@@ -91,24 +95,22 @@ let of_model m =
           ~name:(Message.Tag.to_string tag) ~src ~ep:dst ~start:time ~stop
       | _ -> ());
   (* Assemble the forest. An unknown parent (before the capture window,
-     or 0) makes a root. *)
-  let children : (int, t) Hashtbl.t = Hashtbl.create 256 in
+     or 0) makes a root. Siblings are sorted by (start, id), which ids
+     make total: the tables' slot order never shows. *)
+  let children : t list Inttbl.t = Inttbl.create (Inttbl.length spans) in
   let roots = ref [] in
-  Hashtbl.iter
+  Inttbl.iter
     (fun _ s ->
-       if s.sp_parent <> 0 && Hashtbl.mem spans s.sp_parent then
-         Hashtbl.add children s.sp_parent s
+       if s.sp_parent <> 0 && Inttbl.mem spans s.sp_parent then
+         Inttbl.push children s.sp_parent s
        else roots := s :: !roots)
     spans;
-  let by_start =
-    List.sort (fun a b -> compare (a.sp_start, a.sp_id) (b.sp_start, b.sp_id))
-  in
   let rec freeze s =
     { s with
       sp_children =
-        List.map freeze (by_start (Hashtbl.find_all children s.sp_id)) }
+        List.map freeze (List.sort by_start (Inttbl.find_or children s.sp_id [])) }
   in
-  List.map freeze (by_start !roots)
+  List.map freeze (List.sort by_start !roots)
 
 let build events = of_model (Runmodel.of_list events)
 
