@@ -12,8 +12,9 @@
      recording_overhead  timing  in-run wall-time overhead of an attached
                                  recorder (vs the same run unhooked)
                                  stays under 5% (best of interleaved
-                                 rounds); the close-time encode+flush
-                                 sweep is reported separately as
+                                 rounds); the close-time sweep of
+                                 what is left in the log, with the
+                                 flush, is reported separately as
                                  finalize. The same cost is also
                                  reported in ns per captured event,
                                  which does not move when the unhooked
@@ -151,9 +152,10 @@ let run () =
      dispatched, written nowhere — the observability substrate's cost,
      reported for context and gated by obs_bench), and the recorder.
      A recorder rung times the run with the journal attached — the
-     writer captures raw scalars per event and defers varint encoding,
-     CRCs and the file flush to [Journal.close], measured separately
-     as "finalize". The gate holds the in-run slowdown (recording vs
+     writer captures raw scalars per event and encodes them in one
+     batch sweep each time its fixed 8,192-slot log fills; the sweep
+     of what is left, with the file flush, runs in [Journal.close],
+     measured separately as "finalize". The gate holds the in-run slowdown (recording vs
      unhooked, workgen workload) under the bound: that is what
      recording costs while the system is live. Finalize is a one-time
      post-run cost (like writing out a core dump), reported but not
@@ -163,8 +165,9 @@ let run () =
   let events_wg = ref 0 and events_suite = ref 0 in
   (* Generated once, shared by every rung and round: programs are pure
      values, and generation time is not recording overhead. Scaled to
-     5x the default action count so the rung runs long enough (~13 ms)
-     that per-run jitter cannot swamp a sub-5% effect. *)
+     5x the default action count, chosen when the rung ran ~13 ms; it
+     now runs ~1.3 ms on a 2-vCPU host, short enough for per-run
+     jitter to move a 5% ratio (ROADMAP item 6). *)
   let wg_prog =
     Workgen.generate
       ~spec:{ Workgen.g_actions = 60; g_fork_depth = 2 }
@@ -180,7 +183,7 @@ let run () =
   in
   (* Each rung times itself, keeping writer creation and the close-time
      sweep out of its window. A recorder rung allocates (and drops)
-     multi-MB capture buffers, so the visiting order must not give any
+     its writer's fixed buffers (~160 KiB), so the visiting order must not give any
      rung a fixed predecessor to inherit that GC debt from — five
      rungs, a prime count, make every stride of [Benchkit.measure] a
      full permutation. *)
@@ -259,7 +262,7 @@ let run () =
           \    \"events\": %d, \"ns_per_event\": %.1f}"
           sbase_ns sjournal_ns !fin_suite stress_pct !events_suite
           stress_ns_per_event );
-      (* The stress overhead (~11% on the reference host) is an un-gated
+      (* The stress overhead (+15-27% on a 2-vCPU host) is an un-gated
          trend figure from a wall-clock ratio on the densest event
          stream we can produce — inherently noisy run to run. Declare a
          wide per-path tolerance so bench_diff surfaces only real

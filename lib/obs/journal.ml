@@ -267,11 +267,9 @@ type writer = {
      here (and string pointers to [cap_strs] — no copy, the kernel's
      strings are immutable) and returns. Varint encoding, framing and
      CRCs all happen in [transcode], which sweeps the log in one batch
-     at a drain boundary: when the log reaches its cap (amortized, for
-     long runs), at [close], or when an accessor needs exact counts.
-     Deferring the codec off the emission path is what holds the
-     attached-recording overhead gate: per event the run pays a
-     handful of int stores, not a wire encoder. *)
+     whenever it fills, at [close], or when an accessor needs exact
+     counts: per event the run pays a handful of int stores, not a
+     wire encoder. The log has a fixed size; it never grows. *)
   w_cap : Kernel.capture;
 }
 
@@ -409,13 +407,20 @@ let enc_halt w ~time ~hkind ~status ~reason =
    recorded through the kernel capture is byte-identical to one
    written from the equivalent event stream. *)
 
-(* Sweep the raw log through the encoders in one batch. Strings are
-   cleared afterwards so the log never pins kernel strings past their
-   encode. Everything here runs over warm fixed buffers and allocates
-   nothing — it is safe (and cheap) to call at any entry boundary. *)
+(* Sweep the raw log through the encoders in one batch: the capture's
+   drain. Strings are cleared afterwards so the log never pins kernel
+   strings past their encode. Everything here runs over warm fixed
+   buffers and allocates nothing — it is safe (and cheap) to call at
+   any entry boundary. After [close] it drops the log instead: a
+   capture left installed on a live kernel appends into a log nothing
+   will encode. *)
 let transcode w =
   let c = w.w_cap in
-  if not w.closed && c.Kernel.cap_pos > 0 then begin
+  if w.closed then begin
+    c.Kernel.cap_pos <- 0;
+    c.Kernel.cap_spos <- 0
+  end
+  else if c.Kernel.cap_pos > 0 then begin
     let a = c.Kernel.cap_buf and n = c.Kernel.cap_pos in
     let strs = c.Kernel.cap_strs in
     let i = ref 0 and si = ref 0 in
@@ -521,42 +526,6 @@ let transcode w =
     c.Kernel.cap_spos <- 0
   end
 
-(* Growth policy: double up to a cap, then transcode in place — the
-   raw log is a fixed memory budget, not an unbounded spool. A run
-   longer than the cap pays the encode sweep incrementally (amortized
-   over ~58k events per sweep); shorter runs defer every encode byte
-   to [close]. *)
-let raw_cap_ints = 1 lsl 19 (* 4 MiB *)
-
-(* Pointer stash, not a copy: entries are the kernel's interned kcall /
-   policy / reason constants, so a deep stash costs one word each. It
-   is sized to run out no earlier than the int log (strings appear at
-   most once per ~4-slot entry). *)
-let str_cap = 1 lsl 17
-
-(* The capture's drain: restore the room contract (>= 16 buffer slots,
-   >= 2 string slots free) by growing up to the caps, then by encoding
-   the log away. The kernel's appenders invoke it, for its emission
-   sites and for [write] alike. *)
-let cap_ensure w =
-  let c = w.w_cap in
-  if c.Kernel.cap_pos + 16 > Array.length c.Kernel.cap_buf then begin
-    if Array.length c.Kernel.cap_buf >= raw_cap_ints then transcode w
-    else begin
-      let a = Array.make (2 * Array.length c.Kernel.cap_buf) 0 in
-      Array.blit c.Kernel.cap_buf 0 a 0 c.Kernel.cap_pos;
-      c.Kernel.cap_buf <- a
-    end
-  end;
-  if c.Kernel.cap_spos + 2 > Array.length c.Kernel.cap_strs then begin
-    if Array.length c.Kernel.cap_strs >= str_cap then transcode w
-    else begin
-      let a = Array.make (2 * Array.length c.Kernel.cap_strs) "" in
-      Array.blit c.Kernel.cap_strs 0 a 0 c.Kernel.cap_spos;
-      c.Kernel.cap_strs <- a
-    end
-  end
-
 (* A framer on [sink], which it opens with [magic]; [staging] bytes
    of staging buffer, grown for a record larger than that. *)
 let framer sink magic ~staging =
@@ -572,14 +541,18 @@ let journal_writer sink header =
       closed = false;
       last_time = 0;
       last_rid = 0;
+      (* 8,192 int slots, 64 KiB like the staging buffer. An entry
+         spends at least 2.5 int slots per string (a crash: 5 slots, 2
+         strings), so the int log always fills before 4,096 string
+         slots do, and one [transcode] empties both. *)
       w_cap =
         { Kernel.cap_buf = Array.make 8192 0;
           cap_pos = 0;
-          cap_strs = Array.make 64 "";
+          cap_strs = Array.make 4096 "";
           cap_spos = 0;
           cap_drain = (fun () -> ()) } }
   in
-  w.w_cap.Kernel.cap_drain <- (fun () -> cap_ensure w);
+  w.w_cap.Kernel.cap_drain <- (fun () -> transcode w);
   put_header w.fr header;
   w
 
@@ -599,14 +572,6 @@ let close w =
     transcode w;
     drain w.fr;
     w.closed <- true;
-    (* A capture left installed on a live kernel after close appends
-       into a log nothing will ever encode; keep it from growing
-       unboundedly by draining it to the floor. *)
-    let c = w.w_cap in
-    c.Kernel.cap_drain <-
-      (fun () ->
-         c.Kernel.cap_pos <- 0;
-         c.Kernel.cap_spos <- 0);
     match w.fr.sink with S_file oc -> close_out oc | S_mem _ -> ()
   end
 

@@ -35,11 +35,11 @@
     no closure call and no encoding (install it with
     [Kernel.set_capture]; [System.build ?journal] does). The codec —
     zigzag varints, framing, batched CRC sweeps, channel writes — runs
-    in {!close} (or amortized, when a long run fills the log's fixed
-    memory budget) over warm buffers, allocation-free. That split is
-    what holds [bench/journal_bench.ml]'s <5% attached-recording
-    overhead gate, alongside its encode zero-allocation and
-    bytes-per-event gates. {!records_written} and {!bytes_written}
+    as one batch sweep each time the fixed 8,192-slot log fills, and
+    once more in {!close}, over warm buffers, allocation-free. That
+    split is what holds [bench/journal_bench.ml]'s <5%
+    attached-recording overhead gate, alongside its encode
+    zero-allocation and bytes-per-event gates. {!records_written} and {!bytes_written}
     force the pending encode sweep, so they are exact at any point.
 
     Two writer modes cover the recording spectrum:

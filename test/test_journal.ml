@@ -336,21 +336,23 @@ let seed42_journal =
    hook's events are decoded from the appended entries, so the
    journals are byte-identical only if decode . encode is the identity
    over a real run. *)
+let check_write_identity header captured =
+  let events = ref [] in
+  ignore (Flight.run ~event_hook:(fun ev -> events := ev :: !events) header);
+  let written = Journal.of_events header (List.rev !events) in
+  Alcotest.(check int) "same size" (String.length captured)
+    (String.length written);
+  Alcotest.(check bool) "byte-identical journals" true
+    (String.equal captured written)
+
 let test_capture_write_identity () =
   with_temp_journal (fun path ->
       let header = seed42_header () in
       (match Flight.record ~path header with
        | Error m -> Alcotest.fail ("record: " ^ m)
        | Ok _ -> ());
-      let captured = In_channel.with_open_bin path In_channel.input_all in
-      let events = ref [] in
-      ignore
-        (Flight.run ~event_hook:(fun ev -> events := ev :: !events) header);
-      let written = Journal.of_events header (List.rev !events) in
-      Alcotest.(check int) "same size" (String.length captured)
-        (String.length written);
-      Alcotest.(check bool) "byte-identical journals" true
-        (String.equal captured written))
+      check_write_identity header
+        (In_channel.with_open_bin path In_channel.input_all))
 
 (* Every full decode path allocates what it hands back and a constant
    besides: no per-record cursor, tuple, error label or list cell. The
@@ -797,6 +799,39 @@ let test_crash_hook_unscoped_bytes () =
            Alcotest.(check bool) "byte-identical sidecar" true
              (String.equal ref_sidecar sidecar)))
 
+(* The capture/write identity where the writer's drain is the main
+   path: suite/ds/3 appends ~150k raw slots, so its fixed log is
+   encoded in place many times in-run (the quickstart run never
+   fills it once). Every drain encodes the log; none may grow it. *)
+let test_capture_write_identity_drained () =
+  let header = suite_ds3_header () in
+  let conf =
+    match Sysconf.parse header.Journal.jh_spec with
+    | Ok c -> c
+    | Error m -> Alcotest.fail ("spec: " ^ m)
+  in
+  let w = Journal.to_memory header in
+  let cap = Journal.capture w in
+  let ints = Array.length cap.Kernel.cap_buf in
+  let strs = Array.length cap.Kernel.cap_strs in
+  let drains = ref 0 in
+  let drain = cap.Kernel.cap_drain in
+  cap.Kernel.cap_drain <- (fun () -> incr drains; drain ());
+  let sys =
+    System.build ~arch:header.Journal.jh_arch ~seed:header.Journal.jh_seed
+      ~journal:w conf
+  in
+  Flight.arm_crash ~count:header.Journal.jh_crash_count (System.kernel sys)
+    (Some ds);
+  ignore (System.run sys ~root:Testsuite.driver);
+  Journal.close w;
+  if !drains < 18 then Alcotest.failf "%d in-run drains, want >= 18" !drains;
+  Alcotest.(check int) "cap_buf length unchanged" ints
+    (Array.length cap.Kernel.cap_buf);
+  Alcotest.(check int) "cap_strs length unchanged" strs
+    (Array.length cap.Kernel.cap_strs);
+  check_write_identity header (Journal.contents w)
+
 (* A hook scoped to DS is handed DS sites alone, one per post-boot DS
    operation, while a site armed at PM is sited too and fires. The
    site is PM's last to be profiled, so PM operations are sited long
@@ -1156,6 +1191,8 @@ let () =
       ( "replay",
         [ Alcotest.test_case "capture/write byte identity" `Quick
             test_capture_write_identity;
+          Alcotest.test_case "capture/write identity over drains" `Quick
+            test_capture_write_identity_drained;
           Alcotest.test_case "seed-42 recording" `Quick test_record_seed42;
           Alcotest.test_case "decode allocates only its output" `Quick
             test_decode_allocation;
