@@ -92,9 +92,10 @@ let waiter_server () : Kernel.server =
     srv_loop = Srvlib.threaded_loop handle;
     srv_multithreaded = true }
 
-(* Build, boot, run a user program; RS is the real Recovery Server. *)
+(* Build, boot, run a user program; RS is the real Recovery Server.
+   [servers] are added after RS. *)
 let mini ?(policy = Policy.enhanced) ?fault_hook ?(echo = echo_server)
-    ?event_hook ?(others = []) user_prog =
+    ?(servers = []) ?event_hook ?(others = []) user_prog =
   let log = ref [] in
   let base =
     Kernel.default_config policy ~lookup_program:(fun _ -> None) ()
@@ -107,6 +108,7 @@ let mini ?(policy = Policy.enhanced) ?fault_hook ?(echo = echo_server)
   Kernel.add_server kernel (pm_stub ());
   Kernel.add_server kernel (echo ());
   Kernel.add_server kernel (Rs.server (Rs.create policy));
+  List.iter (fun srv -> Kernel.add_server kernel (srv ())) servers;
   Kernel.boot kernel;
   (match fault_hook with
    | Some h -> Kernel.set_fault_hook kernel (Some h)
@@ -359,10 +361,11 @@ let check_pinned (halt, log, ops, now, digest) (h, log', ops', now', events) =
 
 (* Run [prog] against [echo] and return the halt, the log, the
    operation count, the clock and the event list. *)
-let traced ?others ~echo prog =
+let traced ?servers ?others ~echo prog =
   let events = ref [] in
   let kernel, halt, log =
-    mini ~echo ?others ~event_hook:(fun e -> events := e :: !events) prog
+    mini ~echo ?servers ?others
+      ~event_hook:(fun e -> events := e :: !events) prog
   in
   (halt, log, Kernel.total_ops kernel, Kernel.now kernel, List.rev !events)
 
@@ -413,6 +416,70 @@ let test_threaded_run_pinned () =
   check_pinned
     (Kernel.H_completed 35, [], 121, 13004, "53e21eb184c73bbaa2bb5a6abb6f2863")
     run
+
+(* A multithreaded relay at the DS endpoint: each request's handler
+   thread forwards it to the VFS endpoint and replies with the answer,
+   noting it in the log. *)
+let relay_server () : Kernel.server =
+  let handle src msg =
+    match msg with
+    | Message.Ds_retrieve { key } ->
+      let r = Op.call Endpoint.vfs msg in
+      (match r with
+       | Message.R_ds_value { value } ->
+         Srvlib.diag (Printf.sprintf "relay %s got %d" key value)
+       | _ -> Srvlib.diag (Printf.sprintf "relay %s got an error" key));
+      Op.reply src r
+    | _ -> Srvlib.reply_err src Errno.ENOSYS
+  in
+  { Kernel.srv_ep = Endpoint.ds;
+    srv_name = "relay";
+    srv_image = Memimage.create ~name:"relay" ~size:4096;
+    srv_clone_extra_kb = 0;
+    srv_init = ignore;
+    srv_loop = Srvlib.threaded_loop handle;
+    srv_multithreaded = true }
+
+(* At the VFS endpoint: holds the request for key "a" unanswered, and
+   on the request for key "b" replies to it first (value 2), then to
+   the held one (value 1). Both requests come from the relay, so only
+   the requesting thread tells the two replies apart. *)
+let out_of_order_server () : Kernel.server =
+  let held = ref None in
+  let handle src msg =
+    match msg with
+    | Message.Ds_retrieve { key = "a" } ->
+      Srvlib.diag "callee holds a";
+      held := Some src
+    | Message.Ds_retrieve { key = "b" } ->
+      Op.reply src (Message.R_ds_value { value = 2 });
+      (match !held with
+       | Some s -> held := None; Op.reply s (Message.R_ds_value { value = 1 })
+       | None -> ())
+    | _ -> Srvlib.reply_err src Errno.ENOSYS
+  in
+  { Kernel.srv_ep = Endpoint.vfs;
+    srv_name = "out-of-order";
+    srv_image = Memimage.create ~name:"out-of-order" ~size:4096;
+    srv_clone_extra_kb = 0;
+    srv_init = ignore;
+    srv_loop = Srvlib.simple_loop handle;
+    srv_multithreaded = false }
+
+(* Two of the relay's threads wait in Call on the same callee, and the
+   callee answers the later request first: a reply goes to the thread
+   whose request the callee is handling, not to the first waiter, and
+   the held reply then goes to the one still waiting. *)
+let test_reply_routing_pinned () =
+  let ask key () =
+    exit_with_value (Op.call Endpoint.ds (Message.Ds_retrieve { key }))
+  in
+  check_pinned
+    ( Kernel.H_completed 1,
+      [ "callee holds a"; "relay b got 2"; "relay a got 1" ],
+      60, 15624, "dac8e24a377b7d33f0d61d37ab3a7979" )
+    (traced ~echo:relay_server ~servers:[ out_of_order_server ]
+       ~others:[ ask "b" ] (ask "a"))
 
 let slot_named phase detail =
   List.find
@@ -618,6 +685,8 @@ let () =
         [ Alcotest.test_case "echo run pinned" `Quick test_echo_run_pinned;
           Alcotest.test_case "threaded run pinned" `Quick
             test_threaded_run_pinned;
+          Alcotest.test_case "reply routing pinned" `Quick
+            test_reply_routing_pinned;
           Alcotest.test_case "preempted mid-scan" `Quick test_preempted_mid_scan;
           Alcotest.test_case "crash mid-scan recovers" `Quick
             test_crash_mid_scan_recovers;
