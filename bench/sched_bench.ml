@@ -46,6 +46,11 @@
                                   at most [Benchkit.park_words] minor
                                   words (the fiber's continuation and
                                   the thread state holding it)
+     ipc_alloc_exact      exact   a user process's getpid calls to PM
+                                  on a booted system allocate at most
+                                  [ipc_words] minor words per round
+                                  trip (call, PM's receive and walk,
+                                  reply)
 
    Informational, no gate: [switches], the fiber runner's counters
    over one seed-42 load step at 80k req/s (fiber parks, walks the
@@ -59,6 +64,11 @@ let baseline_ns = 78.6
 (* Fraction of the oracle's measured ns/event the wheel must beat when
    the host is too slow for the absolute bar. *)
 let efficiency = 0.9
+
+(* Minor words one getpid round trip (user -> PM -> user) may
+   allocate: the fiber's two continuations and the states holding
+   them, the receive's result, PM's walk and its reply. *)
+let ipc_words = 40.
 
 (* ---- the kernel-shaped trace -------------------------------------- *)
 
@@ -201,6 +211,28 @@ let preemption_words () =
   let w1, p1 = ping_pong n and w2, p2 = ping_pong (2 * n) in
   ((w2 -. w1) /. float_of_int (p2 - p1), p2 - p1)
 
+(* The words allocated by [n] getpid calls of the root process on a
+   booted system, and whether every call returned its endpoint. *)
+let getpid_loop n =
+  let sys = System.build ~seed:42 (Sysconf.uniform Policy.enhanced) in
+  let wrong = ref 0 in
+  let root () =
+    for _ = 1 to n do
+      match Kernel.Op.call Endpoint.pm Message.Getpid with
+      | Message.R_ok ep when ep = Endpoint.first_user -> ()
+      | _ -> incr wrong
+    done
+  in
+  let words = Benchkit.minor_words_of (fun () -> ignore (System.run sys ~root)) in
+  (words, !wrong = 0)
+
+(* The words one getpid round trip allocates: the difference between
+   two loop lengths, so boot, spawn and exit cancel. *)
+let round_trip_words () =
+  let n = 5_000 in
+  let w1, ok1 = getpid_loop n and w2, ok2 = getpid_loop (2 * n) in
+  ((w2 -. w1) /. float_of_int n, n, ok1 && ok2)
+
 (* The workload's first 80k req/s load step at seed 42. *)
 let load_step () =
   let spec =
@@ -280,6 +312,14 @@ let run () =
      (<= %.0f -> %s)\n"
     per_preemption preemptions Benchkit.park_words
     (if preempt_ok then "ok" else "FAILED");
+  let per_round_trip, round_trips, answered = round_trip_words () in
+  let ipc_ok = answered && per_round_trip <= ipc_words in
+  Printf.printf
+    "getpid loop: %.3f minor words per round trip over %d round trips \
+     (<= %.0f%s -> %s)\n"
+    per_round_trip round_trips ipc_words
+    (if answered then "" else ", WRONG ANSWERS")
+    (if ipc_ok then "ok" else "FAILED");
   let halt, completed, parks, resumes, switches, batched, single = load_step () in
   Printf.printf
     "load step (seed 42, 80k req/s, %d requests exited, %s):\n\
@@ -302,6 +342,11 @@ let run () =
           "{\"preemptions\": %d, \"words_per_preemption\": %.3f,\n\
           \    \"park_words\": %.0f}"
           preemptions per_preemption Benchkit.park_words );
+      ( "ipc_alloc",
+        Printf.sprintf
+          "{\"round_trips\": %d, \"words_per_round_trip\": %.3f,\n\
+          \    \"ipc_words\": %.0f}"
+          round_trips per_round_trip ipc_words );
       ( "switches",
         Printf.sprintf
           "{\"load_step\": {\"seed\": %d, \"rate\": 80000, \"completed\": %d},\n\
@@ -318,4 +363,5 @@ let run () =
       Benchkit.timing "sched_vs_oracle" vs_oracle_ok;
       Benchkit.exact "sched_zero_alloc" alloc_ok;
       Benchkit.exact "sched_trajectory" (driver_ok && crash_ok);
-      Benchkit.exact "preempt_alloc_exact" preempt_ok ]
+      Benchkit.exact "preempt_alloc_exact" preempt_ok;
+      Benchkit.exact "ipc_alloc_exact" ipc_ok ]
