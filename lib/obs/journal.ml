@@ -618,9 +618,12 @@ type cursor = {
   mutable d_rid : int;
 }
 
-let get_byte c =
+(* [limit <= String.length src] always holds — only [walk] (0) and
+   [unframe] (after its length check) set it — so a read below [limit]
+   needs no second bounds check. *)
+let[@inline] get_byte c =
   if c.rpos >= c.limit then bad "truncated varint";
-  let b = Char.code c.src.[c.rpos] in
+  let b = Char.code (String.unsafe_get c.src c.rpos) in
   c.rpos <- c.rpos + 1;
   b
 
@@ -806,11 +809,12 @@ let unframe c ~check_crc =
   if len > String.length s - off - 4 then
     bad "truncated record (need %d bytes past offset %d)" len off;
   if check_crc then begin
+    (* In bounds: the check above left 4 bytes past the payload. *)
     let stored_crc =
-      Char.code s.[off + len]
-      lor (Char.code s.[off + len + 1] lsl 8)
-      lor (Char.code s.[off + len + 2] lsl 16)
-      lor (Char.code s.[off + len + 3] lsl 24)
+      Char.code (String.unsafe_get s (off + len))
+      lor (Char.code (String.unsafe_get s (off + len + 1)) lsl 8)
+      lor (Char.code (String.unsafe_get s (off + len + 2)) lsl 16)
+      lor (Char.code (String.unsafe_get s (off + len + 3)) lsl 24)
     in
     let actual = crc32_string s ~off ~len in
     if actual <> stored_crc then
