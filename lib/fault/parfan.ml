@@ -35,12 +35,14 @@ let resolve_jobs ?jobs n_tasks =
    every few ms forces a global pause.  A simulation run allocates
    heavily, so workers bump their nursery to 4M words (32 MB on
    64-bit) — measured to recover near-linear scaling where the
-   default collapses below sequential throughput.  A larger nursery
-   costs resident memory without a measured throughput gain: on a
-   2-vCPU host the e2e campaign's peak RSS was about 210 MB at 4M
-   words and 360-410 MB at 8M, at runs/s within noise.  Overridable
-   via OSIRIS_MINOR_HEAP (words); the calling domain is never
-   touched. *)
+   default collapses below sequential throughput.  On a 2-vCPU host
+   the e2e campaign (2 workers, 10 alternating pairs of 20-s runs)
+   peaked at 117-122 MB resident at 4M words and 51-53 MB at 1M, but
+   1M lost throughput: 187.7 runs/s median against 207.9, below the
+   4M side's lower quartile (197.7), and slower in 8 of 10 pairs.  An
+   earlier measurement put 8M words at 360-410 MB with runs/s within
+   noise of 4M.  Overridable via OSIRIS_MINOR_HEAP (words); the
+   calling domain is never touched. *)
 let default_worker_minor_heap_words = 4 * 1024 * 1024
 
 let worker_minor_heap_words () =

@@ -214,12 +214,23 @@ module Op : sig
 
   val call : ?child:(unit -> unit) -> Endpoint.t -> Message.t -> Message.t
   (** Send a request and wait for the reply. [child] is the body of
-      the process a fork request creates: it rides in the caller's
-      wait state, never in the message, and [K_fork] starts the child
-      with it; a fork call without one fails with [EINVAL]. *)
+      the process a fork request creates: it rides in the calling
+      thread's record while the call waits, never in the message, and
+      [K_fork] starts the child with it; a fork call without one fails
+      with [EINVAL]. *)
 
   val receive : unit -> Endpoint.t * Message.t
+  (** The oldest message in the process' inbox, waiting for one if it
+      is empty; the thread handles it as its request until its next
+      receive. The inbox is a ring that grows when full: a delivery
+      allocates nothing once it has grown. *)
+
   val reply : Endpoint.t -> Message.t -> unit
+  (** Resume a thread of [dst] waiting in [call] on this process: the
+      one that sent the request this thread handles, if it is from
+      [dst] and still waiting, else the first waiting one. A reply no
+      thread waits for is counted as an orphan. *)
+
   val yield : unit -> unit
 
   val spawn : (unit -> unit) -> unit
