@@ -168,10 +168,10 @@ val spawn_user : t -> name:string -> prog:(unit -> unit) ->
 val spawn_user_at : t -> at:int -> name:string -> prog:(unit -> unit) ->
   parent:Endpoint.t -> Endpoint.t
 (** {!spawn_user}, but the process first runs at virtual instant
-    [at]: its clock starts there and it enters the scheduler's timer
-    wheel at that key.  This is how the open-loop load engine drives
-    arrivals — each request is a process whose start rides the wheel
-    at its nominal arrival time, independent of system state (past
+    [at]: its clock starts there and it enters the scheduler's run
+    queue at that key.  This is how the open-loop load engine drives
+    arrivals — each request is a process whose start waits in the run
+    queue for its nominal arrival time, independent of system state (past
     instants are clamped to now). *)
 
 val set_halt_on_exit : t -> Endpoint.t -> unit

@@ -11,7 +11,7 @@
 
     Mechanically, each request is a user process injected with
     {!Kernel.spawn_user_at} at its nominal arrival instant: it enters
-    the scheduler's timer wheel at that key and first runs exactly
+    the scheduler's run queue at that key and first runs exactly
     then.  Its program connects ({!Syscall.adopt} — PM registration
     with VM/VFS introductions), performs one service-mix action
     against the syscall surface, and exits; the kernel records the
