@@ -139,43 +139,58 @@ let test_run_deterministic () =
   Alcotest.(check bool) "latency vector identical" true
     (o1.Loadgen.o_latencies = o2.Loadgen.o_latencies)
 
-(* ---------------- load-step trajectory ---------------------------- *)
+(* ---------------- load-step trajectories -------------------------- *)
 
-(* The workload's first 80k req/s load step at seed 42, the run where
-   several servers walk their tables at once: hundreds of pending
-   processes keep items due, so walks park and are run on by the
-   kernel, and any change to who runs when moves a server's counters.
-   Pinned: the halt, every core server's [server_stats] row and the
-   outcome (by MD5 of their values), and the fiber runner's counters. *)
-let step_spec =
+(* The workload's first load steps at seed 42, one per rate.  At 80k
+   req/s several servers walk their tables at once: hundreds of
+   pending processes keep items due, so walks park and are run on by
+   the kernel, and any change to who runs when moves a server's
+   counters.  At 20k req/s the run queue is at its deepest (up to
+   1002 entries), nearly all of them pending arrivals, so this step
+   exposes the run queue's order where the quickstart-based pins
+   cannot.  Pinned per step: the halt, every core server's
+   [server_stats] row and the outcome (by MD5 of their values), and
+   the fiber runner's counters. *)
+let step_spec rate =
   { Loadgen.default_spec with
-    Loadgen.l_seed = 42 * 1009; l_requests = 1000; l_rate = 80_000 }
+    Loadgen.l_seed = 42 * 1009; l_requests = 1000; l_rate = rate }
 
-let test_load_step_trajectory () =
+let check_load_step ~rate ~outcome ~counters ~digest () =
+  let spec = step_spec rate in
   let sys =
-    System.build ~seed:step_spec.Loadgen.l_seed (Sysconf.uniform Policy.enhanced)
+    System.build ~seed:spec.Loadgen.l_seed (Sysconf.uniform Policy.enhanced)
   in
   let k = System.kernel sys in
-  let reqs = Loadgen.inject k step_spec in
+  let reqs = Loadgen.inject k spec in
   let parks0 = Kernel.fiber_parks k and resumes0 = Kernel.walk_resumes k in
   let batched0, single0 = Kernel.walk_loads k in
   let halt = Kernel.run k in
   let o = Loadgen.collect k reqs in
   let batched, single = Kernel.walk_loads k in
   Alcotest.(check string) "halt" "completed(0)" (Kernel.halt_to_string halt);
-  Alcotest.(check (list int)) "completed, ok, shed, makespan"
-    [ 1000; 793; 196; 31576915 ]
+  Alcotest.(check (list int)) "completed, ok, shed, makespan" outcome
     [ o.Loadgen.o_completed; o.Loadgen.o_ok; o.Loadgen.o_shed;
       o.Loadgen.o_makespan ];
   Alcotest.(check (list int)) "fiber parks, walk resumes, loads batched/single"
-    [ 47597; 191168; 695030; 0 ]
+    counters
     [ Kernel.fiber_parks k - parks0; Kernel.walk_resumes k - resumes0;
       batched - batched0; single - single0 ];
   let stats = List.map (Kernel.server_stats k) System.core_servers in
-  Alcotest.(check string) "server_stats + outcome digest"
-    "ba18451c7d4c68647cddb8d7a36e22ae"
+  Alcotest.(check string) "server_stats + outcome digest" digest
     (Digest.to_hex
        (Digest.string (Marshal.to_string (halt, stats, o) [ Marshal.No_sharing ])))
+
+let test_load_step_80k =
+  check_load_step ~rate:80_000
+    ~outcome:[ 1000; 793; 196; 31576915 ]
+    ~counters:[ 47597; 191168; 695030; 0 ]
+    ~digest:"ba18451c7d4c68647cddb8d7a36e22ae"
+
+let test_load_step_20k =
+  check_load_step ~rate:20_000
+    ~outcome:[ 1000; 1000; 0; 112920512 ]
+    ~counters:[ 18230; 19312; 370276; 0 ]
+    ~digest:"5e4b2ef9ee361e83b97771f1daff5f64"
 
 let () =
   Alcotest.run "loadgen"
@@ -197,4 +212,6 @@ let () =
           Alcotest.test_case "run deterministic" `Quick
             test_run_deterministic;
           Alcotest.test_case "80k load step trajectory (seed 42378)" `Quick
-            test_load_step_trajectory ] ) ]
+            test_load_step_80k;
+          Alcotest.test_case "20k load step trajectory (seed 42378)" `Quick
+            test_load_step_20k ] ) ]
