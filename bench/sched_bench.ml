@@ -56,9 +56,11 @@
    Informational, no gate: [load_trace], the load-shaped trace's
    ns/event through both queues; [switches], the fiber runner's counters
    over one seed-42 load step at 80k req/s (fiber parks, walks the
-   kernel ran on from their parked load and, of those, the ones the
-   walk lockstep ran on in turn with another, and the row searches'
-   loads batched and load by load). *)
+   kernel ran on from their parked load, the walk lockstep's episodes —
+   two parked walks run on in turn inside the kernel, in one loop over
+   two walk cursors — and its turns, and the row searches' loads
+   batched and load by load), and the median host ms of that step's
+   [Kernel.run] over [step_runs] runs, each from a compacted heap. *)
 
 (* The pre-refactor per-event reference. *)
 let baseline_ns = 78.6
@@ -387,6 +389,10 @@ let round_trip_words () =
   let w1, ok1 = getpid_loop n and w2, ok2 = getpid_loop (2 * n) in
   ((w2 -. w1) /. float_of_int n, n, ok1 && ok2)
 
+(* Runs of the load step, each timed for [run_ms]; the counters are
+   the first's (every run makes the same). *)
+let step_runs = 5
+
 (* The workload's first 80k req/s load step at seed 42. *)
 let load_step () =
   let spec =
@@ -397,14 +403,16 @@ let load_step () =
   let k = System.kernel sys in
   let reqs = Loadgen.inject k spec in
   let parks0 = Kernel.fiber_parks k and resumes0 = Kernel.walk_resumes k in
-  let switches0 = Kernel.walk_switches k in
+  let episodes0 = Kernel.walk_locksteps k and switches0 = Kernel.walk_switches k in
   let batched0, single0 = Kernel.walk_loads k in
-  let halt = Kernel.run k in
+  Gc.compact ();
+  let halt, ns = Benchkit.time (fun () -> Kernel.run k) in
   let o = Loadgen.collect k reqs in
   let batched, single = Kernel.walk_loads k in
   ( halt, o.Loadgen.o_completed, Kernel.fiber_parks k - parks0,
-    Kernel.walk_resumes k - resumes0, Kernel.walk_switches k - switches0,
-    batched - batched0, single - single0 )
+    Kernel.walk_resumes k - resumes0,
+    Kernel.walk_locksteps k - episodes0, Kernel.walk_switches k - switches0,
+    batched - batched0, single - single0, ns /. 1e6 )
 
 (* ------------------------------------------------------------------ *)
 
@@ -493,13 +501,19 @@ let run () =
     per_round_trip round_trips ipc_words
     (if answered then "" else ", WRONG ANSWERS")
     (if ipc_ok then "ok" else "FAILED");
-  let halt, completed, parks, resumes, switches, batched, single = load_step () in
+  let steps = Array.init step_runs (fun _ -> load_step ()) in
+  let halt, completed, parks, resumes, episodes, switches, batched, single, _ =
+    steps.(0)
+  in
+  let run_ms = Benchkit.median (Array.map (fun (_, _, _, _, _, _, _, _, ms) -> ms) steps) in
   Printf.printf
-    "load step (seed 42, 80k req/s, %d requests exited, %s):\n\
-    \  fiber parks %d, walks run on in the kernel %d (in lockstep %d)\n\
+    "load step (seed 42, 80k req/s, %d requests exited, %s, Kernel.run %.1f ms \
+     median of %d):\n\
+    \  fiber parks %d, walks run on in the kernel %d (in lockstep %d, over %d \
+     episodes)\n\
     \  row-search loads: batched %d, load by load %d\n"
-    completed (Kernel.halt_to_string halt) parks resumes switches batched
-    single;
+    completed (Kernel.halt_to_string halt) run_ms step_runs parks resumes switches
+    episodes batched single;
   Benchkit.finish ~bench:"sched" ~budget:false
     [ ("seed", "42");
       ( "trace",
@@ -532,16 +546,18 @@ let run () =
       ( "switches",
         Printf.sprintf
           "{\"load_step\": {\"seed\": %d, \"rate\": 80000, \"completed\": %d},\n\
-          \    \"fiber_parks\": %d, \"walk_resumes\": %d, \"walk_switches\": %d,\n\
-          \    \"walk_loads_batched\": %d, \"walk_loads_single\": %d}"
-          (42 * 1009) completed parks resumes switches batched single );
+          \    \"fiber_parks\": %d, \"walk_resumes\": %d, \"walk_locksteps\": %d,\n\
+          \    \"walk_switches\": %d, \"walk_loads_batched\": %d, \"walk_loads_single\": %d,\n\
+          \    \"run_ms\": %.1f}"
+          (42 * 1009) completed parks resumes episodes switches batched single run_ms );
       (* Wall-clock figures swing with the host; bench_diff reads these
          per-path tolerances from the baseline so only structural drift
          is flagged. *)
       ( "tolerances",
         "{\"per_event.sched_ns\": 300,\n\
         \    \"per_event.oracle_ns\": 300, \"per_event.threshold_ns\": 300,\n\
-        \    \"load_trace.sched_ns\": 300, \"load_trace.oracle_ns\": 300}" ) ]
+        \    \"load_trace.sched_ns\": 300, \"load_trace.oracle_ns\": 300,\n\
+        \    \"switches.run_ms\": 300}" ) ]
     [ Benchkit.timing "sched_ns_per_event" ns_ok;
       Benchkit.timing "sched_vs_oracle" vs_oracle_ok;
       Benchkit.exact "sched_zero_alloc" alloc_ok;

@@ -365,6 +365,53 @@ type tstate =
          fiber: a message starts the loop program afresh, whose first
          operation is that receive. *)
 
+(* A walk cursor (see "Row searches"): what a batched walk derives
+   before its loop — each column test's absolute offset in row 0 and
+   string length by position in the test chain, the table's row size
+   and rows, the image's size, the per-load cost and drag, the window
+   and stop state — and the walk's live position: row, test index,
+   clock, and the loads made since they were committed to the process
+   and the kernel ([walk_commit]). The kernel owns two, one per walk of
+   the lockstep, so a walk allocates nothing. The walk's test chain,
+   image and backing are the lockstep's to keep ([walk_load]): a
+   pointer stored in a record pays the write barrier, so a lone batch
+   passes them instead. *)
+type cursor = {
+  mutable cu_off : int array;
+  mutable cu_len : int array;
+  mutable cu_rows : int;       (* the walk's end row *)
+  mutable cu_rs : int;
+  mutable cu_trows : int;      (* the table's rows *)
+  mutable cu_size : int;
+  mutable cu_cint : int;
+  mutable cu_drag : int;
+  mutable cu_wopen : bool;
+  mutable cu_stopped : bool;   (* the process is stopped, or the kernel halted *)
+  mutable cu_row : int;
+  mutable cu_i : int;
+  mutable cu_vt : int;
+  (* Loads not committed yet: all of them, the string loads among them,
+     and the string loads' cycles and their count with a non-zero cost. *)
+  mutable cu_n : int;
+  mutable cu_ns : int;
+  mutable cu_cs : int;
+  mutable cu_es : int;
+  mutable cu_batch : bool;     (* the walk may run batched *)
+  mutable cu_head : scan_test;
+  mutable cu_img : Memimage.t;
+  mutable cu_d : Bytes.t;
+}
+
+(* The [cu_img] of a cursor that has run no walk yet. *)
+let no_image = Memimage.create ~name:"no walk" ~size:0
+
+let new_cursor () =
+  { cu_off = Array.make 8 0; cu_len = Array.make 8 0; cu_rows = 0; cu_rs = 0;
+    cu_trows = 0; cu_size = 0; cu_cint = 0; cu_drag = 0; cu_wopen = false;
+    cu_stopped = false; cu_row = 0; cu_i = 0; cu_vt = 0; cu_n = 0; cu_ns = 0;
+    cu_cs = 0; cu_es = 0; cu_batch = false; cu_head = Hit; cu_img = no_image;
+    cu_d = Bytes.empty }
+
 type crash_ctx = {
   cc_window_open : bool;
   cc_requester : (Endpoint.t * int) option;
@@ -572,19 +619,20 @@ and t = {
   mutable sample_hook : (int -> unit) option;
   mutable next_rid : int;
   mutable n_shed : int;  (* user exits with EAGAIN shed status 75 *)
-  (* Row-search state (see [scan_batch]): each column test's absolute
-     offset in row 0 and string length, by position in the test
-     sequence, and where a batch stopped for the per-load path. *)
-  mutable sc_off : int array;
-  mutable sc_len : int array;
+  (* Row-search state (see [scan_batch]): the two walk cursors, and
+     where a batch stopped for the per-load path. *)
+  walk_a : cursor;
+  walk_b : cursor;
   mutable sc_row : int;
   mutable sc_i : int;
   (* Fiber-runner counters: fibers parked ready ([Park], [Park_scan]),
-     parked walks run on by the kernel and those handed back to their
-     fiber to go on load by load, and the loads row searches made
-     batched and load by load. *)
+     parked walks run on by the kernel, the lockstep's episodes and
+     alternations, the walks handed back to their fiber to go on load
+     by load, and the loads row searches made batched and load by
+     load. *)
   mutable n_parks : int;
   mutable n_walk_resumes : int;
+  mutable n_walk_locksteps : int;
   mutable n_walk_switches : int;
   mutable n_walk_fallbacks : int;
   mutable n_walk_batched : int;
@@ -666,12 +714,13 @@ let create cfg =
     sample_hook = None;
     next_rid = 0;
     n_shed = 0;
-    sc_off = Array.make 8 0;
-    sc_len = Array.make 8 0;
+    walk_a = new_cursor ();
+    walk_b = new_cursor ();
     sc_row = 0;
     sc_i = 0;
     n_parks = 0;
     n_walk_resumes = 0;
+    n_walk_locksteps = 0;
     n_walk_switches = 0;
     n_walk_fallbacks = 0;
     n_walk_batched = 0;
@@ -2529,29 +2578,29 @@ let scan_load t p th tbl row = function
       ~len:(Layout.Table.str_len f) s
   | Hit | Row_ne _ -> true
 
-let scan_room t i =
-  let n = Array.length t.sc_off in
+let scan_room c i =
+  let n = Array.length c.cu_off in
   if i >= n then begin
     let off = Array.make (2 * (i + 1)) 0 and len = Array.make (2 * (i + 1)) 0 in
-    Array.blit t.sc_off 0 off 0 n;
-    Array.blit t.sc_len 0 len 0 n;
-    t.sc_off <- off;
-    t.sc_len <- len
+    Array.blit c.cu_off 0 off 0 n;
+    Array.blit c.cu_len 0 len 0 n;
+    c.cu_off <- off;
+    c.cu_len <- len
   end
 
-let rec scan_prepare t base node i =
+let rec scan_prepare c base node i =
   match node with
   | Hit -> ()
-  | Row_ne (_, next) -> scan_prepare t base next (i + 1)
+  | Row_ne (_, next) -> scan_prepare c base next (i + 1)
   | Int_eq (f, _, next) | Int_ne (f, _, next) ->
-    scan_room t i;
-    Array.unsafe_set t.sc_off i (base + Layout.int_offset f);
-    scan_prepare t base next (i + 1)
+    scan_room c i;
+    Array.unsafe_set c.cu_off i (base + Layout.int_offset f);
+    scan_prepare c base next (i + 1)
   | Str_eq (f, _, next) ->
-    scan_room t i;
-    Array.unsafe_set t.sc_off i (base + Layout.str_offset f);
-    Array.unsafe_set t.sc_len i (Layout.Table.str_len f);
-    scan_prepare t base next (i + 1)
+    scan_room c i;
+    Array.unsafe_set c.cu_off i (base + Layout.str_offset f);
+    Array.unsafe_set c.cu_len i (Layout.Table.str_len f);
+    scan_prepare c base next (i + 1)
 
 let sl_load_drag = slot_drag.(sl_load)
 
@@ -2568,53 +2617,69 @@ let[@inline] scan_word d blen off =
   end
   else 0
 
-(* [scan_batch]'s results besides a matched row (>= 0). *)
+(* [walk_on]'s results besides a matched row (>= 0). *)
 let scan_none = -1
-let scan_slow = -2 (* the load at [t.sc_row], test [t.sc_i], takes the per-load path *)
-let scan_park = -3 (* the load at [t.sc_row], test [t.sc_i], parks: another item is due *)
+let scan_slow = -2 (* the load at the cursor's position takes the per-load path *)
+let scan_park = -3 (* the load at the cursor's position parks: another item is due *)
 let scan_more = -4
+
+(* Point [c] at [p]'s walk of [rows] rows of [tbl] under the tests from
+   [head], at [p]'s clock: everything its batches derive before their
+   loop. The position is [walk_at]'s. *)
+let walk_setup t c p img tbl rows head =
+  scan_prepare c (Layout.Table.base tbl) head 0;
+  c.cu_rows <- rows;
+  c.cu_rs <- Layout.Table.row_size tbl;
+  c.cu_trows <- Layout.Table.rows tbl;
+  c.cu_size <- Memimage.size img;
+  let costs = t.cfg.costs in
+  let wopen = window_open p in
+  c.cu_cint <- costs.Costs.c_load;
+  c.cu_drag <- (if logs p wopen then costs.Costs.c_instr_op else 0);
+  c.cu_wopen <- wopen;
+  c.cu_stopped <-
+    (match t.halted with Some _ -> true | None -> false)
+    || (not p.alive) || p.stalled || p.hung;
+  c.cu_vt <- p.vtime
+
+let[@inline] walk_at c row i =
+  c.cu_row <- row;
+  c.cu_i <- i
 
 (* The batched path, for a process that is not sited while no cycle
    hook is installed: nothing observes a single load, so the rows run
-   with the load count, clock, busy cycles and charged cycles in
-   locals, read straight out of the image's backing, and are written
-   back once. Between two loads no other process runs, so the stop
-   tests of a load's entry reduce to the clock against [t.due] and the
-   [max_ops] budget. The first load that would stop there, read past
-   the table or outside the image, or read a word the backing only
-   partly holds, ends the batch: it takes the per-load path, which
-   parks, halts or raises exactly as an [Op.Mem] load does — except
-   the load that stops only because another item is due, which the
-   walk parks at as data ([scan_park], see [resume_walk]). Rows past
-   the backed prefix read as zeros. *)
-let scan_batch t p img tbl rows head row0 node0 i0 =
-  let base = Layout.Table.base tbl in
-  scan_prepare t base head 0;
-  let rs = Layout.Table.row_size tbl and trows = Layout.Table.rows tbl in
-  let d = Memimage.backing img in
-  let blen = Bytes.length d and size = Memimage.size img in
-  let costs = t.cfg.costs in
-  let c_int = costs.Costs.c_load in
-  let wopen = window_open p in
-  let drag = if logs p wopen then costs.Costs.c_instr_op else 0 in
+   with the load count, clock and charged cycles in locals, read
+   straight out of the image's backing, and are left in the cursor
+   ([walk_commit] writes them to the process and the kernel). Between
+   two loads no other process runs, so the stop tests of a load's
+   entry reduce to the clock against [due] and the [max_ops] budget
+   ([budget] loads more). A load parks at its entry when the clock is
+   past [due] (or, with the process stopped, at any clock), unless it
+   is the slice's first operation ([checked] false, no load made yet
+   in this call). The first load that would stop there, read past the
+   table or outside the image, or read a word the backing only partly
+   holds, ends the batch at that load: it takes the per-load path
+   ([scan_slow]), which parks, halts or raises exactly as an [Op.Mem]
+   load does — except the load that stops only because another item is
+   due, which the walk parks at as data ([scan_park], see
+   [resume_walk]). Rows past the backed prefix read as zeros. [head],
+   [img] and [d] are the walk's test chain, image and its backing. This
+   is the one load loop: fresh walks, parked walks run on and the walk
+   lockstep all run it. *)
+let walk_on c head img d ~due ~checked ~budget =
+  let rs = c.cu_rs and trows = c.cu_trows and rows = c.cu_rows in
+  let blen = Bytes.length d and size = c.cu_size in
+  let c_int = c.cu_cint and drag = c.cu_drag in
   let ci = c_int + drag in
-  let checked = t.op_check in
-  (* A load parks at its entry when the clock is past [due] (or, with
-     the process already stopped, at any clock), unless it is the
-     slice's first operation ([checked] false, no load made yet). *)
-  let stopped =
-    (match t.halted with Some _ -> true | None -> false)
-    || (not p.alive) || p.stalled || p.hung
-  in
-  let due = if stopped then min_int else t.due in
-  let ops0 = t.n_ops in
-  let budget = t.cfg.max_ops - ops0 in
-  let sc_off = t.sc_off and sc_len = t.sc_len in
-  let vt = ref p.vtime and n = ref 0 in
+  let stopped = c.cu_stopped in
+  let due = if stopped then min_int else due in
+  let sc_off = c.cu_off and sc_len = c.cu_len in
+  let vt = ref c.cu_vt and n = ref 0 in
   (* String loads, apart: their cost depends on the field length. *)
   let ns = ref 0 and cs = ref 0 and es = ref 0 in
-  let row = ref row0 and node = ref node0 and i = ref i0 in
-  let res = ref (if row0 >= rows then scan_none else scan_more) in
+  let row = ref c.cu_row and i = ref c.cu_i in
+  let node = ref (nth_test head !i) in
+  let res = ref (if !row >= rows then scan_none else scan_more) in
   while !res = scan_more do
     let fail =
       match !node with
@@ -2683,32 +2748,67 @@ let scan_batch t p img tbl rows head row0 node0 i0 =
       end
     end
   done;
-  let n = !n in
+  let n = !n and row = !row in
+  walk_at c row !i;
+  c.cu_vt <- !vt;
+  c.cu_n <- c.cu_n + n;
+  c.cu_ns <- c.cu_ns + !ns;
+  c.cu_cs <- c.cu_cs + !cs;
+  c.cu_es <- c.cu_es + !es;
+  (* The due test comes first at a load's entry: a stop it makes parks,
+     whatever else the load would meet — but for a row outside the
+     table, whose address raises before the load is entered. *)
+  if !res = scan_slow && (not stopped) && due < !vt && (checked || n > 0)
+     && 0 <= row && row < trows
+  then scan_park
+  else !res
+
+(* Write the loads [c] holds to [p] and the kernel: counts, clock, busy
+   and charged cycles. Loads of one cursor sum: every load of a walk
+   costs the same cycles but for the string loads, counted apart. *)
+let walk_commit t p c =
+  let n = c.cu_n in
   if n > 0 then begin
-    t.op_check <- true;
-    t.n_ops <- ops0 + n;
+    let c_int = c.cu_cint and ns = c.cu_ns in
+    t.n_ops <- t.n_ops + n;
     if p.covering then begin
       p.ops_total <- p.ops_total + n;
-      if wopen then p.ops_in_window <- p.ops_in_window + n
+      if c.cu_wopen then p.ops_in_window <- p.ops_in_window + n
     end;
-    let ni = n - !ns in
-    let cu = (ni * c_int) + !cs and dr = n * drag in
-    p.vtime <- !vt;
+    let ni = n - ns in
+    let cu = (ni * c_int) + c.cu_cs and dr = n * c.cu_drag in
+    p.vtime <- c.cu_vt;
     p.busy_cycles <- p.busy_cycles + cu + dr;
-    cycles_bulk t p sl_load cu ((if c_int > 0 then ni else 0) + !es);
-    cycles_bulk t p sl_load_drag dr n
+    cycles_bulk t p sl_load cu ((if c_int > 0 then ni else 0) + c.cu_es);
+    cycles_bulk t p sl_load_drag dr n;
+    t.n_walk_batched <- t.n_walk_batched + n;
+    c.cu_n <- 0;
+    c.cu_ns <- 0;
+    c.cu_cs <- 0;
+    c.cu_es <- 0
+  end
+
+(* One batch of [p]'s walk in [c], committed, as a slice's operation
+   after [checked]: a stop leaves the position in [sc_row]/[sc_i]. *)
+let walk_slice t p c head img ~checked =
+  let r =
+    walk_on c head img (Memimage.backing img) ~due:t.due ~checked
+      ~budget:(t.cfg.max_ops - t.n_ops)
+  in
+  if c.cu_n > 0 then t.op_check <- true;
+  walk_commit t p c;
+  if r = scan_slow || r = scan_park then begin
+    t.sc_row <- c.cu_row;
+    t.sc_i <- c.cu_i
   end;
-  t.n_walk_batched <- t.n_walk_batched + n;
-  if !res = scan_slow then begin
-    t.sc_row <- !row;
-    t.sc_i <- !i;
-    (* The due test comes first at a load's entry: a stop it makes
-       parks, whatever else the load would meet — but for a row outside
-       the table, whose address raises before the load is entered. *)
-    if (not stopped) && due < !vt && (checked || n > 0) && 0 <= !row && !row < trows
-    then res := scan_park
-  end;
-  !res
+  r
+
+(* Rows [row, rows) from the [i]th test, batched. *)
+let scan_batch t p img tbl rows head row i =
+  let c = t.walk_a in
+  walk_setup t c p img tbl rows head;
+  walk_at c row i;
+  walk_slice t p c head img ~checked:t.op_check
 
 (* Whether [p]'s walks may run batched: it is not sited while no cycle
    hook is installed. *)
@@ -2736,7 +2836,7 @@ let rec scan_go t p th tbl rows head row node i =
           t.sc_i <- i;
           scan_result t p th tbl rows head scan_park
         end
-        else scan_result t p th tbl rows head (scan_batch t p img tbl rows head row node i)
+        else scan_result t p th tbl rows head (scan_batch t p img tbl rows head row i)
       | _ -> scan_step t p th tbl rows head row node i
 
 (* Act on [scan_batch]'s result. *)
@@ -2772,8 +2872,10 @@ let resume_walk t p th =
     match p.image with
     | Some img when batches t p ->
       t.n_walk_resumes <- t.n_walk_resumes + 1;
-      scan_batch t p img th.w_tbl th.w_rows th.w_head th.w_row
-        (nth_test th.w_head th.w_i) th.w_i
+      let c = t.walk_a in
+      walk_setup t c p img th.w_tbl th.w_rows th.w_head;
+      walk_at c th.w_row th.w_i;
+      walk_slice t p c th.w_head img ~checked:t.op_check
     | _ ->
       t.sc_row <- th.w_row;
       t.sc_i <- th.w_i;
@@ -2785,6 +2887,41 @@ let resume_walk t p th =
   end
   else if r = scan_slow then t.n_walk_fallbacks <- t.n_walk_fallbacks + 1;
   r
+
+(* Point [c] at the walk parked in [th]'s [w_*] fields, at [p]'s clock,
+   for the lockstep: [cu_batch] says whether it runs on batched, and
+   only then is the rest of the batch derived and its test chain, image
+   and backing kept. *)
+let walk_load t c p th =
+  (match p.image with
+   | Some img when batches t p ->
+     c.cu_batch <- true;
+     walk_setup t c p img th.w_tbl th.w_rows th.w_head;
+     c.cu_head <- th.w_head;
+     c.cu_img <- img;
+     c.cu_d <- Memimage.backing img
+   | _ ->
+     c.cu_batch <- false;
+     c.cu_vt <- p.vtime);
+  walk_at c th.w_row th.w_i
+
+(* Commit both walks of a lockstep episode and its [turns] turns since
+   the last sync, and leave the state a turn of [pump]'s leaves: each
+   parked walk's position in its thread, both processes counted as
+   queued, [op_check] as the last slice left it ([k] loads). Every turn
+   runs a batch but a last one that hands [run]'s walk to its fiber. *)
+let walk_sync t run rth rc wait wth wc ~k ~turns =
+  walk_commit t run rc;
+  walk_commit t wait wc;
+  t.n_walk_switches <- t.n_walk_switches + turns;
+  t.n_walk_resumes <- t.n_walk_resumes + (if rc.cu_batch then turns else turns - 1);
+  rth.w_row <- rc.cu_row;
+  rth.w_i <- rc.cu_i;
+  wth.w_row <- wc.cu_row;
+  wth.w_i <- wc.cu_i;
+  run.in_heap <- true;
+  wait.in_heap <- true;
+  t.op_check <- k > 0
 
 (* Activate the next ready thread of [p], handling window bookkeeping
    for handler threads that start running for the first time. *)
@@ -2943,8 +3080,8 @@ and preempt t p =
 (* The walk lockstep. [a] has just parked a walk and is preempted; the
    run queue's head is [b], another parked walk. Rather than push [a]
    and have [pump] pop [b], the kernel pops [b] once and alternates the
-   two walks through [resume_walk], each run while its clock is at or
-   below [t.due] = min(the other's clock, the queue's next key).
+   two walks, each run while its clock is at or below min(the other's
+   clock, the queue's next key): an episode.
 
    This is the schedule [pump] makes, not an approximation. Between two
    switches only batched loads run: they emit nothing, push nothing and
@@ -2952,8 +3089,8 @@ and preempt t p =
    waiting walker counts as pushed after everything queued — it loses
    a tie with a queued item, as a real push would — and the bookkeeping
    [pump] and [dispatch] do per item ([run_items], [in_heap], the clock
-   bump that fires the sampler, the [max_vtime] cutoff) happens at the
-   same points. *)
+   bump that fires the sampler, the [max_vtime] cutoff) is made as at
+   those points. *)
 and lockstep t a ath b bth =
   a.in_heap <- true;
   t.run_items <- t.run_items + 1;
@@ -2965,42 +3102,103 @@ and lockstep t a ath b bth =
     bump_now t (Sched.popped_key t.sched);
     t.run_items <- t.run_items - 1;
     b.in_heap <- false;
-    t.due <- Int.min (Sched.next_key t.sched) a.vtime;
-    walk_pair t b bth a ath
+    t.n_walk_locksteps <- t.n_walk_locksteps + 1;
+    walk_lockstep t b bth a ath
 
-(* [run]'s walk goes on while [wait] counts as queued. *)
-and walk_pair t run rth wait wth =
-  t.n_walk_switches <- t.n_walk_switches + 1;
-  t.op_check <- false;
-  let r = resume_walk t run rth in
+(* An episode, one loop over the two cursors: the walks are prepared
+   once and the queue's next key read once, and a turn makes only what
+   [pump] would — the clock bump, the counters, the [max_vtime] test on
+   the waiter. Each walk's loads stay in its cursor, and the counters in
+   locals, until the episode ends ([walk_sync]); the budget counts
+   them. A bump that fires the vtime sampler syncs first, so the
+   sampler's hook reads what it would between two [pump] items, and
+   after it everything is derived afresh: the hook may have pushed,
+   halted, installed a hook or stopped a process. *)
+and walk_lockstep t b bth a ath =
+  let max_vtime = t.cfg.max_vtime in
+  let next = ref (Sched.next_key t.sched) in
+  let due = ref (Int.min !next a.vtime) in
+  let run = ref b and rth = ref bth and rc = ref t.walk_a in
+  let wait = ref a and wth = ref ath and wc = ref t.walk_b in
+  walk_load t !rc b bth;
+  walk_load t !wc a ath;
+  (* The loads [max_ops] leaves, less those the cursors hold. *)
+  let left = ref (t.cfg.max_ops - t.n_ops) in
+  let turns = ref 0 and k = ref 0 and res = ref scan_park and going = ref true in
+  while !going do
+    incr turns;
+    let c = !rc and w = !wc in
+    let n0 = c.cu_n in
+    let r =
+      if c.cu_batch then
+        walk_on c c.cu_head c.cu_img c.cu_d ~due:!due ~checked:false ~budget:!left
+      else scan_slow
+    in
+    k := c.cu_n - n0;
+    left := !left - !k;
+    if r <> scan_park then begin
+      res := r;
+      going := false
+    end
+    else begin
+      let v = c.cu_vt in
+      (* [run] counts as pushed from here; [pump]'s pop of [wait] bumps
+         no further, [v] being past [wait]'s clock. *)
+      let fired = v >= t.next_sample in
+      if fired then begin
+        t.due <- !due;
+        walk_sync t !run !rth c !wait !wth w ~k:!k ~turns:!turns;
+        turns := 0;
+        t.run_items <- t.run_items + 1;
+        bump_now t v;
+        next := Sched.next_key t.sched;
+        walk_load t c !run !rth;
+        walk_load t w !wait !wth
+      end
+      else bump_now t v;
+      if !next <= w.cu_vt || w.cu_vt > max_vtime
+         || (fired && match t.halted with Some _ -> true | None -> false)
+      then begin
+        (* A queued item comes before [wait], or [pump] stops: both walks
+           go to the queue, the older push first. *)
+        if not fired then begin
+          walk_sync t !run !rth c !wait !wth w ~k:!k ~turns:!turns;
+          t.run_items <- t.run_items + 1
+        end;
+        sched_push t ~key:!wait.vtime (run_item !wait);
+        sched_push t ~key:!run.vtime (run_item !run);
+        going := false
+      end
+      else begin
+        (* [wait] is the head ([run] parked past its clock): [pump]'s
+           pop. *)
+        if fired then t.run_items <- t.run_items - 1;
+        let p = !run and th = !rth in
+        run := !wait;
+        rth := !wth;
+        rc := w;
+        wait := p;
+        wth := th;
+        wc := c;
+        due := Int.min !next v
+      end
+    end
+  done;
+  let r = !res in
   if r <> scan_park then begin
-    (* The walk ended, or goes on load by load: [wait] is pushed, and
-       [run]'s fiber takes the result in the slice it is in. *)
+    (* [run]'s walk ended, or goes on load by load: [wait] is pushed,
+       and [run]'s fiber takes the result in the slice it is in. *)
+    let run = !run and rth = !rth and c = !rc and wait = !wait in
+    walk_sync t run rth c wait !wth !wc ~k:!k ~turns:!turns;
+    run.in_heap <- false;
+    if r = scan_slow then begin
+      t.sc_row <- c.cu_row;
+      t.sc_i <- c.cu_i;
+      t.n_walk_fallbacks <- t.n_walk_fallbacks + 1
+    end;
     sched_push t ~key:wait.vtime (run_item wait);
     continue_fiber t run rth r;
     after_slice t run rth
-  end
-  else begin
-    run.in_heap <- true;
-    t.run_items <- t.run_items + 1;
-    bump_now t run.vtime;
-    let next = Sched.next_key t.sched in
-    if next <= wait.vtime || wait.vtime > t.cfg.max_vtime
-       || (match t.halted with Some _ -> true | None -> false)
-    then begin
-      (* A queued item comes before [wait], or [pump] stops: both walks
-         go to the queue, the older push first. *)
-      sched_push t ~key:wait.vtime (run_item wait);
-      sched_push t ~key:run.vtime (run_item run)
-    end
-    else begin
-      (* [wait] is the head ([run] parked past its clock): [pump]'s pop.
-         The clock bump is past [wait]'s key already. *)
-      t.run_items <- t.run_items - 1;
-      wait.in_heap <- false;
-      t.due <- Int.min next run.vtime;
-      walk_pair t wait wth run rth
-    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -3207,6 +3405,7 @@ let now t = t.global_now
 let total_ops t = t.n_ops
 let fiber_parks t = t.n_parks
 let walk_resumes t = t.n_walk_resumes
+let walk_locksteps t = t.n_walk_locksteps
 let walk_switches t = t.n_walk_switches
 let walk_fallbacks t = t.n_walk_fallbacks
 let walk_loads t = (t.n_walk_batched, t.n_walk_single)

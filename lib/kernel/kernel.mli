@@ -588,12 +588,22 @@ val fiber_parks : t -> int
 
 val walk_resumes : t -> int
 (** Times the kernel ran a preempted row search on from its parked
-    load without resuming the fiber. *)
+    load without resuming the fiber. Inside a lockstep episode (see
+    {!walk_locksteps}) each alternation that runs a batch counts one,
+    though it is a turn of the episode's loop, not a call. *)
+
+val walk_locksteps : t -> int
+(** Episodes of the walk lockstep: a preempted row search whose
+    successor in the run queue is another process' parked row search
+    runs on in turn with it inside the kernel, in one loop over the two
+    walks, until one walk ends or a queued item comes due. *)
 
 val walk_switches : t -> int
-(** Of {!walk_resumes}, those made by the walk lockstep: two processes'
-    parked row searches run on in turn inside the kernel, without a
-    pass through the run queue between them. *)
+(** Alternations of the walk lockstep, over all its episodes: each turn
+    one of the two walks runs on from its parked load, without a pass
+    through the run queue between them. Counted per turn although the
+    episode makes no call per turn; of these, those whose walk ran
+    batched are {!walk_resumes} too. *)
 
 val walk_fallbacks : t -> int
 (** Parked row searches handed back to their fiber to go on load by

@@ -113,6 +113,7 @@ type case = {
   free_loads : bool;               (* loads cost 0 cycles *)
   budget : int option;             (* max_ops: a share (%) of the post-boot ops *)
   hook : hook;
+  sampler : int option;            (* a vtime sampler's interval *)
 }
 
 let names = [| ""; "a"; "ab"; "abc"; "a\000" |]
@@ -132,7 +133,7 @@ let show_action = function
 let show_case c =
   Printf.sprintf
     "rows %d written %d pad %d calls %d rival %d [%s] install %s second %b \
-     pess %b diag %b counts %b free %b budget %s hook %s queries [%s]"
+     pess %b diag %b counts %b free %b budget %s hook %s sampler %s queries [%s]"
     c.rows c.written c.pad c.calls c.rival_at
     (String.concat " " (List.map string_of_int c.rival_ops))
     (match c.install with
@@ -150,6 +151,7 @@ let show_case c =
      | Fire_elsewhere (k, a) ->
        Printf.sprintf "fire %s at pm op %d, scoped to pm" (show_action a) k
      | Armed (k, a) -> Printf.sprintf "armed %s at %d" (show_action a) k)
+    (match c.sampler with None -> "-" | Some i -> string_of_int i)
     (String.concat "; "
        (List.map
           (fun (ts, n, all) ->
@@ -182,6 +184,8 @@ type outcome = {
   o_crashes : int list;
   o_resident : int;  (* backed bytes of the table's image at the end *)
   o_advances : int;  (* hash of every (endpoint, slot, cycles) a cycle hook saw *)
+  o_samples : (int * int * int * int) list;
+  (* per vtime sample: its time, the kernel's ops, DS's ops and busy cycles *)
 }
 
 let show_event = function
@@ -197,16 +201,101 @@ let show_event = function
   | Kernel.E_hang_detected { time; ep } -> Printf.sprintf "hang@%d %d" time ep
   | _ -> "-"
 
+(* A point where test code runs — a table server starting or ending a
+   scan, the rival computing, the vtime sampler's hook, the halt when
+   the [max_ops] budget runs out, the end of the run — with the
+   kernel's walk counters there: lockstep episodes and turns, walks run
+   on, walks handed back to their fiber, loads made load by load. *)
+type point_kind = Scan_call | Scan_return | Rival | Sampled | Budget_halt | Run_end
+
+type point = {
+  kind : point_kind;
+  eps : int;
+  turns : int;
+  resumes : int;
+  falls : int;
+  single : int;
+}
+
+let point k kind =
+  { kind; eps = Kernel.walk_locksteps k; turns = Kernel.walk_switches k;
+    resumes = Kernel.walk_resumes k; falls = Kernel.walk_fallbacks k;
+    single = snd (Kernel.walk_loads k) }
+
+(* How lockstep episodes ended, as far as the points show it; every
+   count is a lower bound. While RS makes no operation only the two
+   table servers walk, so every episode pairs their walks, and no test
+   code runs inside an episode but the sampler's hook: an episode that
+   hands its running walk a row (or none) ends at that server's scan
+   return, one that hands it to the per-load path counts a fallback,
+   and one that ends because a queued item is due lets no code run.
+   Between two points where no walk fell back, then, all episodes but
+   one ending at a scan return (or running on at a sampler's hook)
+   ended on a due item. If every resumption there was a lockstep turn
+   too, an episode alone between two points ran all their turns, and
+   ended at the second if it is a scan return — with its first
+   waiter's walk if the turns are even. [budget] counts budget halts
+   at the first per-load load after an episode's fallback, which with
+   no hook installed only the budget makes, and [sampled] the intervals
+   after a sampler's hook with turns but no new episode. *)
+type ends = {
+  after_switch : int;   (* the running walk ended after a switch *)
+  first_waiter : int;   (* the first waiter's walk ended *)
+  next_due : int;       (* a queued item fell due *)
+  budget : int;         (* [max_ops] ran out in an episode *)
+  sampled : int;        (* the sampler's hook ran in an episode *)
+}
+
+let no_ends = { after_switch = 0; first_waiter = 0; next_due = 0; budget = 0; sampled = 0 }
+
+let classify ~hooked points =
+  let rec go e = function
+    | p :: (q :: _ as rest) ->
+      let eps = q.eps - p.eps and turns = q.turns - p.turns in
+      let falls = q.falls - p.falls in
+      let lockstep_only = q.resumes - p.resumes = turns in
+      let e =
+        if falls = 0 then
+          let alone =
+            lockstep_only && eps = 1 && p.kind <> Sampled && q.kind = Scan_return
+          in
+          let at_return = q.kind = Scan_return || q.kind = Sampled in
+          { e with
+            after_switch = (e.after_switch + if alone && turns >= 2 then 1 else 0);
+            first_waiter =
+              (e.first_waiter + if alone && turns >= 2 && turns mod 2 = 0 then 1 else 0);
+            next_due = e.next_due + max 0 (if at_return then eps - 1 else eps) }
+        else e
+      in
+      let e =
+        if q.kind = Budget_halt && falls >= 1 && lockstep_only && q.single - p.single = 1
+           && not hooked
+        then { e with budget = e.budget + 1 }
+        else e
+      in
+      let e =
+        if p.kind = Sampled && eps = 0 && turns > 0 then { e with sampled = e.sampled + 1 }
+        else e
+      in
+      go e rest
+    | _ -> e
+  in
+  go no_ends points
+
 (* What the kernel's counters say the fused scan did in a run: the most
-   walks one scan ran on from a parked load, the walks run on in
-   lockstep with another server's, and the walks handed back to their
-   fiber, in all and after the rival installed a hook. *)
+   walks one scan ran on from a parked load, the lockstep's episodes
+   and turns and how its episodes ended, and the walks handed back to
+   their fiber, in all and after the rival installed a hook. *)
 type paths = {
   most_resumes : int;
+  episodes : int;
   switches : int;
+  ends : ends;
   fallbacks : int;
   fallbacks_after_install : int;
 }
+
+let max_samples = 200
 
 (* Run a case with [scan] as the table walk. [max_ops] none: the
    kernel's default. *)
@@ -226,6 +315,10 @@ let run_case ?max_ops c
       c.cells
   in
   let resumes () = match !kernel with Some k -> Kernel.walk_resumes k | None -> 0 in
+  let points = ref [] in
+  let mark kind =
+    match !kernel with Some k -> points := point k kind :: !points | None -> ()
+  in
   let handle tb src msg =
     match msg with
     | Message.Ds_retrieve _ ->
@@ -237,7 +330,9 @@ let run_case ?max_ops c
               servers' all-matches loops do. *)
            let rec walk from found =
              let r0 = resumes () in
+             mark Scan_call;
              let r = scan tb.tbl ~rows ~from tests in
+             mark Scan_return;
              most_resumes := max !most_resumes (resumes () - r0);
              match r with
              | Some row when all -> walk (row + 1) (row :: found)
@@ -264,7 +359,13 @@ let run_case ?max_ops c
   let k = Kernel.create cfg in
   kernel := Some k;
   let events = ref [] in
-  Kernel.set_event_hook k (Some (fun e -> events := show_event e :: !events));
+  Kernel.set_event_hook k
+    (Some
+       (fun e ->
+          (match e with
+           | Kernel.E_halt _ when Kernel.total_ops k > cfg.Kernel.max_ops -> mark Budget_halt
+           | _ -> ());
+          events := show_event e :: !events));
   Kernel.add_server k (pm_stub ());
   Kernel.add_server k (table_server tb ~init:(init tb) ~handle:(handle tb));
   (* The second server, at VM's endpoint: the same rows in a table of
@@ -349,12 +450,32 @@ let run_case ?max_ops c
                Kernel.set_fault_hook ~scope:[ Endpoint.ds ] k
                  (Some (in_scope Endpoint.ds record_site)))
           | _ -> ());
+         mark Rival;
          Op.compute cycles)
       c.rival_ops
   in
   ignore (Kernel.spawn_user_at k ~at:c.rival_at ~name:"rival" ~prog:rival ~parent:0);
   Kernel.set_halt_on_exit k ep;
+  (* The sampler's hook reads what the kernel has committed: a walk's
+     loads must be in by the time it runs. It takes [max_samples] and
+     goes, so that a clock leaping to a hang's detection does not run it
+     a million times. *)
+  let samples = ref [] and taken = ref 0 in
+  Option.iter
+    (fun interval ->
+       Kernel.set_vtime_sampler k ~interval
+         (Some
+            (fun at ->
+               mark Sampled;
+               let s = Kernel.server_stats k Endpoint.ds in
+               samples :=
+                 (at, Kernel.total_ops k, s.Kernel.ss_ops_total, s.Kernel.ss_busy_cycles)
+                 :: !samples;
+               incr taken;
+               if !taken = max_samples then Kernel.set_vtime_sampler k ~interval None)))
+    c.sampler;
   let halt = Kernel.run k in
+  mark Run_end;
   let s = Kernel.server_stats k Endpoint.ds in
   let outcome =
     { o_results = List.rev !results;
@@ -375,12 +496,22 @@ let run_case ?max_ops c
       o_events = List.rev !events;
       o_crashes = Kernel.crash_times k;
       o_resident = Memimage.resident_bytes tb.image;
-      o_advances = !advances }
+      o_advances = !advances;
+      o_samples = List.rev !samples }
   in
   let fallbacks = Kernel.walk_fallbacks k in
   let paths =
     { most_resumes = !most_resumes;
+      episodes = Kernel.walk_locksteps k;
       switches = Kernel.walk_switches k;
+      ends =
+        (* Only while RS stays idle are the table servers the only
+           walkers. *)
+        (if (Kernel.server_stats k Endpoint.rs).Kernel.ss_ops_total > 0 then no_ends
+         else
+           classify
+             ~hooked:((match c.hook with No_hook -> false | _ -> true) || c.install <> None)
+             (List.rev !points));
       fallbacks;
       fallbacks_after_install =
         (match !fallbacks_at_install with Some f0 -> fallbacks - f0 | None -> 0) }
@@ -414,9 +545,9 @@ let gen_hook =
         (2, map2 (fun k a -> Armed (k, a)) (int_range 0 16) gen_action) ])
 
 (* A case whose rival arrives and computes as [gen_rival] draws, with
-   the second server, hook and install [gen_more] draws for the rival's
-   computes. *)
-let gen_case_of gen_rival gen_more =
+   the second server, hook, install and sampler [gen_more] draws for the
+   rival's computes; [budgeted] cases in 3 + [budgeted] have a budget. *)
+let gen_case_of ?(budgeted = 1) gen_rival gen_more =
   let open QCheck.Gen in
   int_range 1 40 >>= fun rows ->
   int_range 0 (min rows 8) >>= fun written ->
@@ -438,12 +569,12 @@ let gen_case_of gen_rival gen_more =
   bool >>= fun diag_between ->
   bool >>= fun counts ->
   frequency [ (5, return false); (1, return true) ] >>= fun free_loads ->
-  frequency [ (3, return None); (1, map Option.some (int_range 1 99)) ]
+  frequency [ (3, return None); (budgeted, map Option.some (int_range 1 99)) ]
   >>= fun budget ->
-  gen_more rival_ops >>= fun (second, hook, install) ->
+  gen_more rival_ops >>= fun (second, hook, install, sampler) ->
   return
     { rows; written; pad; cells; queries; calls; rival_at; rival_ops; install;
-      second; pessimistic; diag_between; counts; free_loads; budget; hook }
+      second; pessimistic; diag_between; counts; free_loads; budget; hook; sampler }
 
 (* One server, a rival of six 37-cycle computes arriving anywhere in
    the first 3000 cycles, every hook. *)
@@ -451,27 +582,58 @@ let gen_case =
   QCheck.Gen.(
     gen_case_of
       (map (fun at -> (at, [ 37; 37; 37; 37; 37; 37 ])) (int_range 0 3000))
-      (fun _ -> map (fun hook -> (false, hook, None)) gen_hook))
+      (fun _ -> map (fun hook -> (false, hook, None, None)) gen_hook))
+
+(* Every load of [queries] a string load: each column test compares
+   the name instead. *)
+let names_only queries =
+  List.map
+    (fun (specs, rows, all) ->
+       ( List.map
+           (function
+             | T_eq (_, v) | T_ne (_, v) -> T_name names.(v + 1)
+             | (T_name _ | T_row _) as s -> s)
+           specs,
+         rows,
+         all ))
+    queries
+
+let strings_only c =
+  List.exists (fun (specs, _, _) -> specs <> []) c.queries
+  && List.for_all
+       (fun (specs, _, _) ->
+          List.for_all (function T_name _ | T_row _ -> true | _ -> false) specs)
+       c.queries
 
 (* Walks parked and run on by the kernel: a fine-grained rival arriving
    about when the walks start, whose clock passes the server's every
-   few loads, so one walk parks and is run on many times; half the
-   cases with a second server walking its own table at the same time;
-   most with no hook but one the rival installs before its k-th
-   compute, while a walk may be parked. *)
+   few loads, so one walk parks and is run on many times; most cases
+   with a second server walking its own table at the same time, the
+   two in lockstep, and of those a third with nothing else; most of
+   the rest with no hook but one the rival installs before its k-th
+   compute, while a walk may be parked; half with a budget, so that
+   some run out inside an episode; a quarter with a vtime sampler whose
+   hook may run inside an episode, and one in five with string tests
+   only, so that the lockstep runs string loads. *)
 let gen_parked_case =
   QCheck.Gen.(
-    gen_case_of
-      (pair (int_range 1500 3300) (list_size (int_range 20 400) (int_range 1 5)))
-      (fun rival_ops ->
-         bool >>= fun second ->
-         frequency
-           [ ( 2,
-               map2
-                 (fun k what -> (second, No_hook, Some (k, what)))
-                 (int_range 1 (List.length rival_ops - 1))
-                 (oneofl [ Install_cycle_hook; Install_ds_hook ]) );
-             (1, map (fun hook -> (second, hook, None)) gen_hook) ]))
+    pair
+      (gen_case_of ~budgeted:3
+         (pair (int_range 1500 3300) (list_size (int_range 20 400) (int_range 1 5)))
+         (fun rival_ops ->
+            bool >>= fun second ->
+            frequency [ (1, return None); (1, map Option.some (int_range 20 400)) ]
+            >>= fun sampler ->
+            frequency
+              [ ( 2,
+                  map2
+                    (fun k what -> (second, No_hook, Some (k, what), sampler))
+                    (int_range 1 (List.length rival_ops - 1))
+                    (oneofl [ Install_cycle_hook; Install_ds_hook ]) );
+                (1, map (fun hook -> (second, hook, None, sampler)) gen_hook);
+                (2, return (true, No_hook, None, sampler)) ]))
+      (frequency [ (4, return false); (1, return true) ])
+    >|= fun (c, strings) -> if strings then { c with queries = names_only c.queries } else c)
 
 (* The case's [max_ops]: a budget that runs out after the boot,
    somewhere in the run. *)
@@ -528,6 +690,8 @@ let test_cases_reach_every_path () =
   let halted = ref 0 and crashed = ref 0 and hit = ref 0 and unbacked = ref 0 in
   let fired_elsewhere = ref 0 and resumed_twice = ref 0 and fell_back = ref 0 in
   let fell_back_on_install = ref 0 and lockstep = ref 0 in
+  let after_switch = ref 0 and first_waiter = ref 0 and next_due = ref 0 in
+  let budget = ref 0 and sampled = ref 0 and strings = ref 0 in
   let row_size = Layout.Table.row_size (make_table ~pad:0 ~rows:1).tbl in
   List.iter
     (fun c ->
@@ -540,6 +704,15 @@ let test_cases_reach_every_path () =
           too. *)
        if paths.most_resumes >= 2 && not c.second then incr resumed_twice;
        if paths.switches > 0 then incr lockstep;
+       let e = paths.ends in
+       if e.after_switch > 0 then incr after_switch;
+       if e.first_waiter > 0 then incr first_waiter;
+       if e.next_due > 0 then incr next_due;
+       if e.budget > 0 then incr budget;
+       if e.sampled > 0 then incr sampled;
+       (* An episode with a second turn made a load in its first: a
+          string load, when every load is. *)
+       if strings_only c && paths.switches > paths.episodes then incr strings;
        if paths.fallbacks > 0 then incr fell_back;
        if paths.fallbacks_after_install > 0 && not c.second then
          incr fell_back_on_install;
@@ -565,19 +738,70 @@ let test_cases_reach_every_path () =
   at_least "runs where a hook scoped to PM fired" 10 !fired_elsewhere;
   at_least "runs where the kernel ran one walk on twice" 10 !resumed_twice;
   at_least "runs where two servers' walks ran on in lockstep" 10 !lockstep;
+  at_least "runs where an episode's running walk ended after a switch" 8 !after_switch;
+  at_least "runs where an episode's first waiter's walk ended" 5 !first_waiter;
+  at_least "runs where an episode ended on a queued item falling due" 15 !next_due;
+  at_least "runs where max_ops ran out in an episode" 2 !budget;
+  at_least "runs where the sampler's hook ran in an episode" 6 !sampled;
+  at_least "runs where an episode made string loads" 4 !strings;
   at_least "runs where a parked walk went on load by load" 10 !fell_back;
   at_least "runs where a hook installed mid-walk sent it load by load" 10
     !fell_back_on_install
 
+(* Two servers whose walks cost the same per load start them at the
+   same clock: each of the two users calls its server at once, and no
+   rival arrives before the run ends. DS's walk makes a load and parks;
+   VM's makes one, ties DS's clock, makes another and parks, and the
+   lockstep begins. Each turn then makes two loads, the first of them
+   tying the two clocks, which the running walk wins: 40 rows of one
+   load each leave DS's walk ending on the 39th turn. *)
+let tie_case =
+  { rows = 40; written = 0; pad = 0; cells = [];
+    queries = [ ([ T_eq (0, 1) ], 40, false) ];
+    calls = 1; rival_at = 1_000_000; rival_ops = []; install = None; second = true;
+    pessimistic = false; diag_between = false; counts = false; free_loads = false;
+    budget = None; hook = No_hook; sampler = None }
+
+(* The same walks with a rival arriving at 1167, a clock the waiting
+   walker reaches at a switch: the rival's arrival, queued first, wins
+   the tie and ends the episode. *)
+let queued_tie_case = { tie_case with rival_at = 1167; rival_ops = [ 1 ] }
+
+let test_ties () =
+  List.iter
+    (fun (what, c, pinned) ->
+       let per_op, _, _ = run_case c ref_scan in
+       let fused, _, paths = run_case c Mem.scan_from in
+       Alcotest.(check bool) (what ^ ": fused = per-load reference") true (fused = per_op);
+       Alcotest.(check (list int)) (what ^ ": episodes, turns") pinned
+         [ paths.episodes; paths.switches ])
+    [ ("walks alone", tie_case, [ 1; 39 ]);
+      ("an arrival tied with the waiter", queued_tie_case, [ 3; 38 ]) ]
+
 (* ---------------- allocation -------------------------------------- *)
 
 (* A 256-row scan inside a server: the words it allocates, less those
-   of an empty measurement, for a walk that matches at row 255 and one
-   that matches nowhere. *)
-let scan_words setup =
-  let tb = make_table ~pad:0 ~rows:256 in
+   of an empty measurement, and the fiber parks and lockstep turns it
+   spans, for a walk that matches at row 255 and one that matches
+   nowhere. [beside]: VM walks a longer table meanwhile — its user calls
+   at once and its rows cost four loads each — so DS's user, arriving
+   while VM walks, has both scans run in lockstep beside VM's walk and
+   end first. Nothing but the kernel runs while a scan of DS's is
+   parked, so the words are the scan's own. *)
+let scan_words ?(beside = false) setup =
+  let tb = make_table ~pad:0 ~rows:256 and tb2 = make_table ~pad:0 ~rows:256 in
   let hit = Mem.Int_eq (tb.f_a, 1, Mem.Str_eq (tb.f_name, "k", Mem.Hit)) in
   let miss = Mem.Int_eq (tb.f_a, 1, Mem.Str_eq (tb.f_name, "none", Mem.Hit)) in
+  let long =
+    Mem.Int_ne (tb2.f_a, 1, Mem.Int_ne (tb2.f_b, 1, Mem.Int_ne (tb2.f_c, 1,
+      Mem.Int_eq (tb2.f_a, 7, Mem.Hit))))
+  in
+  let kernel = ref None in
+  let counters () =
+    match !kernel with
+    | Some k -> (Kernel.fiber_parks k, Kernel.walk_switches k)
+    | None -> (0, 0)
+  in
   let words = ref [] in
   let init () =
     List.iter
@@ -589,19 +813,28 @@ let scan_words setup =
   let handle src msg =
     match msg with
     | Message.Ds_retrieve _ ->
+      let w0 = Gc.minor_words () in
+      let w1 = Gc.minor_words () in
+      let empty = w1 -. w0 in
       let measure tests =
+        let parks0, turns0 = counters () in
         let w0 = Gc.minor_words () in
         let r = Mem.scan tb.tbl ~rows:256 tests in
         let w1 = Gc.minor_words () in
         ignore (Sys.opaque_identity r);
-        w1 -. w0
+        let parks1, turns1 = counters () in
+        (w1 -. w0 -. empty, parks1 - parks0, turns1 - turns0)
       in
-      let w0 = Gc.minor_words () in
-      let w1 = Gc.minor_words () in
-      let empty = w1 -. w0 in
       let h = measure hit in
       let m = measure miss in
-      words := [ h -. empty; m -. empty ];
+      words := [ h; m ];
+      Srvlib.reply_ok src 0
+    | _ -> Srvlib.reply_err src Errno.ENOSYS
+  in
+  let handle_long src msg =
+    match msg with
+    | Message.Ds_retrieve _ ->
+      ignore (Sys.opaque_identity (Mem.scan tb2.tbl ~rows:256 long));
       Srvlib.reply_ok src 0
     | _ -> Srvlib.reply_err src Errno.ENOSYS
   in
@@ -609,14 +842,21 @@ let scan_words setup =
     Kernel.default_config Policy.enhanced ~lookup_program:(fun _ -> None) ()
   in
   let k = Kernel.create base in
+  kernel := Some k;
   Kernel.add_server k (pm_stub ());
   Kernel.add_server k (table_server tb ~init ~handle);
+  if beside then
+    Kernel.add_server k (table_server ~ep:Endpoint.vm tb2 ~init:ignore ~handle:handle_long);
   Kernel.boot k;
   setup k;
+  let call dst () = ignore (Op.call dst (Message.Ds_retrieve { key = "" })) in
   let ep =
-    Kernel.spawn_user k ~name:"u"
-      ~prog:(fun () -> ignore (Op.call Endpoint.ds (Message.Ds_retrieve { key = "" })))
-      ~parent:0
+    if beside then begin
+      ignore (Kernel.spawn_user k ~name:"long" ~prog:(call Endpoint.vm) ~parent:0);
+      Kernel.spawn_user_at k ~at:(Kernel.now k + 1000) ~name:"u" ~prog:(call Endpoint.ds)
+        ~parent:0
+    end
+    else Kernel.spawn_user k ~name:"u" ~prog:(call Endpoint.ds) ~parent:0
   in
   Kernel.set_halt_on_exit k ep;
   ignore (Kernel.run k);
@@ -634,10 +874,22 @@ let test_scan_allocates_its_result () =
   List.iter
     (fun (what, setup) ->
        Alcotest.(check (list (float 0.))) (what ^ ": Some row, then nothing")
-         [ 2.; 0. ] (scan_words setup))
+         [ 2.; 0. ] (List.map (fun (w, _, _) -> w) (scan_words setup)))
     [ ("batched", ignore);
       ("per-load, cycle hook", fun k -> Kernel.set_cycle_hook k hook);
       ("per-load, armed site", fun k -> Kernel.arm k [ (never, Kernel.F_benign) ]) ]
+
+(* The words a fiber park allocates: its continuation and the thread
+   state holding it (sched_bench's [preempt_alloc_exact]). *)
+let park_words = 4.
+
+let test_lockstep_allocates_its_result () =
+  let per_scan = scan_words ~beside:true ignore in
+  Alcotest.(check bool) "each scan ran 50 turns and more in lockstep" true
+    (per_scan <> [] && List.for_all (fun (_, _, turns) -> turns >= 50) per_scan);
+  Alcotest.(check (list (float 0.))) "Some row, then nothing, besides the fiber parks"
+    [ 2.; 0. ]
+    (List.map (fun (w, parks, _) -> w -. (park_words *. float_of_int parks)) per_scan)
 
 let () =
   Alcotest.run "scan"
@@ -647,7 +899,10 @@ let () =
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 43 |])
             prop_parked_walks_match_reference;
           Alcotest.test_case "cases reach every path" `Quick
-            test_cases_reach_every_path ] );
+            test_cases_reach_every_path;
+          Alcotest.test_case "walks tied at every switch" `Quick test_ties ] );
       ( "allocation",
         [ Alcotest.test_case "256-row scan allocates only its result" `Quick
-            test_scan_allocates_its_result ] ) ]
+            test_scan_allocates_its_result;
+          Alcotest.test_case "256-row scans in lockstep allocate only their result"
+            `Quick test_lockstep_allocates_its_result ] ) ]
